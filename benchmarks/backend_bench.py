@@ -1,8 +1,9 @@
 """Timing comparison of the band-ODE propagation backends.
 
-The compiled loop wins on a warm cache; the numpy scan is the fallback when
-numba is unavailable and its cost is what every solver tolerance was tuned
-against.  Usage:
+Each backend is timed twice: ``propagate_band`` (whole trajectory; on numpy a
+prefix scan) and ``propagate_band_end`` (end state only; on numpy a tree
+reduction).  The compiled loop wins on a warm cache; the numpy kernels are the
+fallback when numba is unavailable.  Usage:
 
     python3 benchmarks/backend_bench.py --dim 7 --sizes 257,1025,4097
 """
@@ -13,16 +14,19 @@ import time
 
 import numpy as np
 
-from conespec.kernels import HAVE_NUMBA, available_backends, propagate_band, set_backend
+from conespec.kernels import (HAVE_NUMBA, available_backends, propagate_band,
+                              propagate_band_end, set_backend)
+
+KERNELS = {"traj": propagate_band, "end": propagate_band_end}
 
 
-def time_backend(name, dm2, mu, lam, thetas, repeats):
+def time_backend(name, kernel, dm2, mu, lam, thetas, repeats):
     set_backend(name)
-    propagate_band(dm2, mu, lam, thetas, 1.0, 0.0)  # warm-up / JIT
+    kernel(dm2, mu, lam, thetas, 1.0, 0.0)  # warm-up / JIT
     best = math.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        propagate_band(dm2, mu, lam, thetas, 1.0, 0.0)
+        kernel(dm2, mu, lam, thetas, 1.0, 0.0)
         best = min(best, time.perf_counter() - t0)
     set_backend(None)
     return best
@@ -39,20 +43,21 @@ def main():
     d = args.dim
     lam = d - 1.0
     print(f"band propagation, d={d}, lam={lam}, mu=0  (best of {args.repeats})")
-    header = f"{'n':>6}" + "".join(f"{b:>12}" for b in available_backends())
+    header = f"{'n':>6}{'kernel':>8}" + "".join(f"{b:>12}" for b in available_backends())
     if HAVE_NUMBA:
         header += f"{'speedup':>10}"
     print(header)
     for n in [int(t) for t in args.sizes.split(",") if t]:
         thetas = np.linspace(math.pi / 2 - 0.55, math.pi / 2 + 0.55, n)
-        row = f"{n:>6}"
-        times = {}
-        for b in available_backends():
-            times[b] = time_backend(b, d - 2, 0.0, lam, thetas, args.repeats)
-            row += f"{times[b] * 1e3:>10.3f}ms"
-        if HAVE_NUMBA:
-            row += f"{times['numpy'] / times['numba']:>9.1f}x"
-        print(row)
+        for label, kernel in KERNELS.items():
+            row = f"{n:>6}{label:>8}"
+            times = {}
+            for b in available_backends():
+                times[b] = time_backend(b, kernel, d - 2, 0.0, lam, thetas, args.repeats)
+                row += f"{times[b] * 1e3:>10.3f}ms"
+            if HAVE_NUMBA:
+                row += f"{times['numpy'] / times['numba']:>9.1f}x"
+            print(row)
 
 
 if __name__ == "__main__":

@@ -26,6 +26,11 @@ class SolverConfig:
     seed: int = 0               # RNG seed for randomized property suites
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            allowed = (int,) if f.type == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
         for name in ("lam_tol", "bc_tol", "ode_tol", "res_tol", "cluster_tol",
                      "quad_tol", "root_tol"):
             if not getattr(self, name) > 0:

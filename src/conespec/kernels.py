@@ -6,16 +6,28 @@ Every spectral computation in the package reduces to integrating
 
 along a theta grid: the cone profile is (mu=0, lam=d-1), interior
 Sturm-Liouville shots use general (mu, lam), and boundary-mode fundamental
-solutions are (mu, lam=0).  Two interchangeable backends are provided:
+solutions are (mu, lam=0).  Two entry points share one fixed-step RK4
+scheme:
+
+* :func:`propagate_band` returns the whole trajectory (g, g') at every grid
+  point -- node counts, eigenfunction assembly, the profile and the boundary
+  modes need it;
+* :func:`propagate_band_end` returns only the end state -- the eigenvalue
+  defect evaluations need nothing else.
+
+Two interchangeable backends implement them:
 
 * ``numba`` -- the plain RK4 loop below compiled with ``@njit`` (default when
-  numba imports cleanly);
-* ``numpy`` -- the same RK4 update written as a product of 2x2 step matrices
-  and evaluated with a logarithmic prefix-product scan.
+  numba imports cleanly); the end state is the last sample of that loop;
+* ``numpy`` -- the RK4 update written as 2x2 step matrices, built entrywise
+  as four arrays (:func:`_step_entries`).  Trajectories come from a
+  Hillis-Steele prefix scan over them (O(n log n) products), end states from
+  a pairwise tree reduction (O(n) products).
 
 Select with ``CONESPEC_BACKEND=numba|numpy|auto`` or :func:`set_backend`.
-Both implement identical arithmetic (modulo float reassociation in the scan),
-so results agree to ~1e-12 and all tolerances are backend-independent.
+Both implement identical arithmetic (modulo float reassociation in the scan
+and the reduction), so results agree to ~1e-12 and all tolerances are
+backend-independent.
 """
 
 from __future__ import annotations
@@ -83,42 +95,80 @@ if HAVE_NUMBA:
     _rk4_band_numba = numba.njit(cache=True)(_rk4_band)
 
 
-def _coef_matrices(dm2, mu, lam, t):
-    """Companion matrices A(t) of the first-order system at the points t."""
-    m = np.zeros((t.size, 2, 2))
-    m[:, 0, 1] = 1.0
-    m[:, 1, 0] = -(lam - mu / np.sin(t) ** 2)
-    m[:, 1, 1] = -dm2 / np.tan(t)
-    return m
+def _step_entries(dm2, mu, lam, thetas):
+    """RK4 step matrices T_i (y_{i+1} = T_i y_i) as four entry arrays.
+
+    The system matrix is A(t) = [[0, 1], [c(t), e(t)]] with
+    c = mu / sin^2 t - lam and e = -dm2 cot t; the stages are
+    k1 = A_lo, k2 = A_mid (I + h/2 k1), k3 = A_mid (I + h/2 k2),
+    k4 = A_hi (I + h k3) and T = I + h/6 (k1 + 2 k2 + 2 k3 + k4), written
+    out entry by entry.
+    """
+    h = np.diff(thetas)
+    tm = thetas[:-1] + 0.5 * h
+    c_node = mu / np.sin(thetas) ** 2 - lam
+    e_node = -dm2 / np.tan(thetas)
+    c_lo, c_hi = c_node[:-1], c_node[1:]
+    e_lo, e_hi = e_node[:-1], e_node[1:]
+    c_m = mu / np.sin(tm) ** 2 - lam
+    e_m = -dm2 / np.tan(tm)
+
+    def a_times(c, e, m00, m01, m10, m11):  # A @ M for A = [[0, 1], [c, e]]
+        return m10, m11, c * m00 + e * m10, c * m01 + e * m11
+
+    hh = 0.5 * h
+    # k1 = A_lo = [[0, 1], [c_lo, e_lo]] enters k2 and T directly
+    k2 = a_times(c_m, e_m, 1.0, hh, hh * c_lo, 1.0 + hh * e_lo)
+    k3 = a_times(c_m, e_m, 1.0 + hh * k2[0], hh * k2[1], hh * k2[2], 1.0 + hh * k2[3])
+    k4 = a_times(c_hi, e_hi, 1.0 + h * k3[0], h * k3[1], h * k3[2], 1.0 + h * k3[3])
+    h6 = h / 6.0
+    t00 = 1.0 + h6 * (2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+    t01 = h6 * (1.0 + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    t10 = h6 * (c_lo + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+    t11 = 1.0 + h6 * (e_lo + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+    return t00, t01, t10, t11
+
+
+def _mat_mul(a, b):
+    """2x2 products a @ b, each matrix given as its four entry arrays."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
 def _rk4_band_numpy(dm2, mu, lam, thetas, g0, gp0):
-    """Vectorized RK4: per-interval 2x2 step matrices + prefix-product scan."""
+    """Vectorized RK4 trajectory: step matrices + Hillis-Steele prefix scan."""
     n = thetas.shape[0]
     g = np.empty(n)
     gp = np.empty(n)
     g[0] = g0
     gp[0] = gp0
-    if n == 1:
-        return g, gp
-    h = np.diff(thetas)[:, None, None]
-    a_lo = _coef_matrices(dm2, mu, lam, thetas[:-1])
-    a_mid = _coef_matrices(dm2, mu, lam, thetas[:-1] + 0.5 * np.diff(thetas))
-    a_hi = _coef_matrices(dm2, mu, lam, thetas[1:])
-    eye = np.eye(2)
-    k1 = a_lo
-    k2 = a_mid @ (eye + 0.5 * h * k1)
-    k3 = a_mid @ (eye + 0.5 * h * k2)
-    k4 = a_hi @ (eye + h * k3)
-    steps = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    # Hillis-Steele inclusive scan: after the loop, steps[i] = T_i @ ... @ T_0.
+    t = _step_entries(dm2, mu, lam, thetas)
+    # Inclusive scan: afterwards entry i holds the product T_i @ ... @ T_0.
     width = 1
-    while width < steps.shape[0]:
-        steps[width:] = steps[width:] @ steps[:-width]
+    while width < n - 1:
+        prod = _mat_mul([x[width:] for x in t], [x[:-width] for x in t])
+        for x, p in zip(t, prod):
+            x[width:] = p
         width *= 2
-    g[1:] = steps[:, 0, 0] * g0 + steps[:, 0, 1] * gp0
-    gp[1:] = steps[:, 1, 0] * g0 + steps[:, 1, 1] * gp0
+    g[1:] = t[0] * g0 + t[1] * gp0
+    gp[1:] = t[2] * g0 + t[3] * gp0
     return g, gp
+
+
+def _rk4_band_end_numpy(dm2, mu, lam, thetas, g0, gp0):
+    """End state of the RK4 shot by pairwise tree reduction of the steps."""
+    y0, y1 = g0, gp0
+    t = _step_entries(dm2, mu, lam, thetas)
+    while t[0].size:
+        if t[0].size % 2:
+            # apply the leading step to the state so the rest pairs up
+            y0, y1 = t[0][0] * y0 + t[1][0] * y1, t[2][0] * y0 + t[3][0] * y1
+            t = [x[1:] for x in t]
+        # T_{2j+1} @ T_{2j} keeps the order of the product
+        t = _mat_mul([x[1::2] for x in t], [x[0::2] for x in t])
+    return float(y0), float(y1)
 
 
 _active: str | None = None
@@ -166,3 +216,16 @@ def propagate_band(dm2: float, mu: float, lam: float, thetas: np.ndarray,
     return _rk4_band_numpy(float(dm2), float(mu), float(lam),
                            np.asarray(thetas, dtype=np.float64),
                            float(g0), float(gp0))
+
+
+def propagate_band_end(dm2: float, mu: float, lam: float, thetas: np.ndarray,
+                       g0: float, gp0: float) -> tuple[float, float]:
+    """End state (g, g') of :func:`propagate_band` without the trajectory."""
+    if get_backend() == "numba":
+        g, gp = _rk4_band_numba(float(dm2), float(mu), float(lam),
+                                np.ascontiguousarray(thetas, dtype=np.float64),
+                                float(g0), float(gp0))
+        return float(g[-1]), float(gp[-1])
+    return _rk4_band_end_numpy(float(dm2), float(mu), float(lam),
+                               np.asarray(thetas, dtype=np.float64),
+                               float(g0), float(gp0))

@@ -4,12 +4,19 @@ Solves (sin^{d-2} g')' - mu sin^{d-4} g + lam sin^{d-2} g = 0 on
 [pi/2 - theta0, pi/2 + theta0] with Robin (g' + Hg = 0 on the left,
 -g' + Hg = 0 on the right) or Dirichlet conditions.
 
+The band must be symmetric about pi/2.  The coefficients are then even
+about pi/2 for every mu (cot is odd, sin^2 even, and the Robin and Dirichlet
+data mirror), so eigenfunction k has parity (-1)^(k-1) and every eigenpair is
+computed on the left half-band only: the k-th eigenpair is the ((k+1)//2)-th
+half-band problem with g'(pi/2) = 0 (k odd) or g(pi/2) = 0 (k even), and the
+full eigenfunction is its mirror image.
+
 Eigenvalues are isolated by node-count bisection on a shooting trajectory
 (the count uses the Pruefer phase of the endpoint state, so no phase ODE is
-integrated) and refined with Brent's method on a matching defect.  For mu=0
-the problem is parity-split at pi/2; otherwise two-sided shooting is matched
-at pi/2.  An independent finite-difference discretization
-(:func:`eigen_fd_crosscheck`) serves as the oracle for derived eigenvalues.
+integrated) and refined with Brent's method on the midpoint defect, which
+needs only the end state of each shot (:func:`propagate_band_end`).  An
+independent finite-difference discretization (:func:`eigen_fd_crosscheck`)
+serves as the oracle for derived eigenvalues.
 """
 
 from __future__ import annotations
@@ -25,11 +32,12 @@ from scipy.optimize import brentq
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BracketFail, NonConvergent, ZeroDenominator
-from .kernels import propagate_band
+from .kernels import propagate_band, propagate_band_end
 from .profile import ConeProfile, band_points
 
 _EXPAND_CAP = 60
 _BISECT_CAP = 300
+_SYMMETRY_TOL = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,6 +53,8 @@ class SLSpec:
         a, b = self.band
         if not (0.0 < a < b < math.pi):
             raise ValueError(f"band {self.band} must lie strictly inside (0, pi)")
+        if abs(a + b - math.pi) > _SYMMETRY_TOL:
+            raise ValueError(f"band {self.band} must be symmetric about pi/2")
         if self.mu < 0:
             raise ValueError("mu must be >= 0")
         if self.bc not in ("robin", "dirichlet"):
@@ -81,7 +91,6 @@ def _disc(spec: SLSpec):
     return {
         "theta": th,
         "left": th[: half + 1],
-        "right_desc": th[half:][::-1].copy(),
         "w_a": math.sin(a) ** (spec.dim - 2),
         "w_b": math.sin(b) ** (spec.dim - 2),
     }
@@ -89,10 +98,6 @@ def _disc(spec: SLSpec):
 
 def _y_left(spec):
     return (1.0, -spec.H) if spec.bc == "robin" else (0.0, 1.0)
-
-
-def _y_right(spec):
-    return (1.0, spec.H) if spec.bc == "robin" else (0.0, -1.0)
 
 
 def _nodes(g):
@@ -111,29 +116,16 @@ def _phase_count(g_end, w_gp_end, nodes, tau):
     return nodes + (1 if frac > tau else 0)
 
 
-def _count_full(spec, disc, lam):
-    g, gp = propagate_band(spec.dim - 2, spec.mu, lam, disc["theta"], *_y_left(spec))
-    tau = math.atan2(1.0, spec.H * disc["w_b"]) if spec.bc == "robin" else math.pi
-    return _phase_count(g[-1], disc["w_b"] * gp[-1], _nodes(g), tau)
-
-
 def _count_half(spec, disc, parity, lam):
     g, gp = propagate_band(spec.dim - 2, spec.mu, lam, disc["left"], *_y_left(spec))
     tau = math.pi / 2 if parity == "even" else math.pi  # g'(c)=0 / g(c)=0 target
     return _phase_count(g[-1], gp[-1], _nodes(g), tau)
 
 
-def _defect_full(spec, disc, lam):
-    gl, gpl = propagate_band(spec.dim - 2, spec.mu, lam, disc["left"], *_y_left(spec))
-    gr, gpr = propagate_band(spec.dim - 2, spec.mu, lam, disc["right_desc"], *_y_right(spec))
-    wr = gl[-1] * gpr[-1] - gpl[-1] * gr[-1]
-    return wr / (math.hypot(gl[-1], gpl[-1]) * math.hypot(gr[-1], gpr[-1]))
-
-
 def _defect_half(spec, disc, parity, lam):
-    g, gp = propagate_band(spec.dim - 2, spec.mu, lam, disc["left"], *_y_left(spec))
-    val = gp[-1] if parity == "even" else g[-1]
-    return val / math.hypot(g[-1], gp[-1])
+    g, gp = propagate_band_end(spec.dim - 2, spec.mu, lam, disc["left"], *_y_left(spec))
+    val = gp if parity == "even" else g
+    return val / math.hypot(g, gp)
 
 
 def _isolate(count_fn, k, lo, hi):
@@ -170,23 +162,11 @@ def _isolate(count_fn, k, lo, hi):
 
 
 def _assemble_fn(spec, disc, lam, parity):
-    dm2, mu = spec.dim - 2, spec.mu
-    if parity is not None:
-        g, gp = propagate_band(dm2, mu, lam, disc["left"], *_y_left(spec))
-        if parity == "even":
-            g_full = np.concatenate([g, g[-2::-1]])
-            gp_full = np.concatenate([gp, -gp[-2::-1]])
-        else:
-            g_full = np.concatenate([g, -g[-2::-1]])
-            gp_full = np.concatenate([gp, gp[-2::-1]])
-        return g_full, gp_full
-    gl, gpl = propagate_band(dm2, mu, lam, disc["left"], *_y_left(spec))
-    gr, gpr = propagate_band(dm2, mu, lam, disc["right_desc"], *_y_right(spec))
-    # least-squares alignment of the right shot onto the left state at pi/2
-    s = (gl[-1] * gr[-1] + gpl[-1] * gpr[-1]) / (gr[-1] ** 2 + gpr[-1] ** 2)
-    g_full = np.concatenate([gl, (s * gr)[-2::-1]])
-    gp_full = np.concatenate([gpl, (s * gpr)[-2::-1]])
-    return g_full, gp_full
+    """Full-band eigenfunction: the left half-band shot and its mirror image."""
+    g, gp = propagate_band(spec.dim - 2, spec.mu, lam, disc["left"], *_y_left(spec))
+    if parity == "even":
+        return np.concatenate([g, g[-2::-1]]), np.concatenate([gp, -gp[-2::-1]])
+    return np.concatenate([g, -g[-2::-1]]), np.concatenate([gp, gp[-2::-1]])
 
 
 def eigen_k(spec: SLSpec, k: int, cfg: SolverConfig | None = None) -> SLEigenpair:
@@ -196,15 +176,10 @@ def eigen_k(spec: SLSpec, k: int, cfg: SolverConfig | None = None) -> SLEigenpai
         raise ValueError("k must be >= 1")
     disc = _disc(spec)
 
-    if spec.mu == 0.0:
-        parity = "even" if k % 2 == 1 else "odd"
-        idx = (k + 1) // 2
-        count_fn = lambda lam: _count_half(spec, disc, parity, lam)
-        defect_fn = lambda lam: _defect_half(spec, disc, parity, lam)
-    else:
-        parity, idx = None, k
-        count_fn = lambda lam: _count_full(spec, disc, lam)
-        defect_fn = lambda lam: _defect_full(spec, disc, lam)
+    parity = "even" if k % 2 == 1 else "odd"
+    idx = (k + 1) // 2
+    count_fn = lambda lam: _count_half(spec, disc, parity, lam)
+    defect_fn = lambda lam: _defect_half(spec, disc, parity, lam)
 
     lo0 = -10.0 - 2.0 * (spec.dim ** 2 + spec.H ** 2)
     hi0 = float(spec.dim ** 2 + spec.mu + 10.0)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from conespec.config import SolverConfig
-from conespec.kernels import (HAVE_NUMBA, available_backends, get_backend,
-                              propagate_band, set_backend)
+from conespec.kernels import (HAVE_NUMBA, _rk4_band, available_backends,
+                              get_backend, propagate_band, propagate_band_end,
+                              set_backend)
 from conespec.profile import solve_profile
 
 needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
@@ -33,6 +34,28 @@ def test_set_backend_validation(restore_backend):
     assert get_backend() == "numpy"
     set_backend(None)
     assert get_backend() in available_backends()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 33, 257])
+@pytest.mark.parametrize("descending", [False, True])
+def test_numpy_kernel_matches_python_loop(restore_backend, n, descending):
+    # The uncompiled RK4 loop is the oracle: the numpy scan and the tree
+    # reduction only reassociate its products.
+    set_backend("numpy")
+    thetas = np.linspace(math.pi / 2 - 1.0, math.pi / 2 + 0.4, n)
+    if descending:
+        thetas = thetas[::-1].copy()
+    for d, mu, lam in [(3, 0.0, 2.0), (7, 0.0, -35.0), (7, 5.0, 6.0),
+                       (12, 100.0, 250.0), (24, 484.0, -80.0)]:
+        g0, gp0 = 0.8, -1.3
+        g_ref, gp_ref = _rk4_band(d - 2.0, mu, lam, thetas, g0, gp0)
+        scale = max(np.max(np.abs(g_ref)), np.max(np.abs(gp_ref)))
+        g, gp = propagate_band(d - 2, mu, lam, thetas, g0, gp0)
+        assert np.max(np.abs(g - g_ref)) <= 1e-12 * scale, (d, mu, lam)
+        assert np.max(np.abs(gp - gp_ref)) <= 1e-12 * scale, (d, mu, lam)
+        g_end, gp_end = propagate_band_end(d - 2, mu, lam, thetas, g0, gp0)
+        assert abs(g_end - g_ref[-1]) <= 1e-12 * scale, (d, mu, lam)
+        assert abs(gp_end - gp_ref[-1]) <= 1e-12 * scale, (d, mu, lam)
 
 
 @needs_numba

@@ -52,6 +52,37 @@ def test_config_error_paths(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [
+    '{"grid_n": 4096.5}',
+    '{"grid_n": true}',
+    '{"grid_n": "4096"}',
+    '{"seed": 1.0}',
+    '{"lam_tol": "1e-10"}',
+    '{"r0": false}',
+    '{"r_max": null}',
+    '{"quad_tol": [1e-9]}',
+])
+def test_config_field_types(tmp_path, capsys, body):
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(body)
+    assert run(["--config", str(cfgf), "verify", "--dim", "7"]) == 64
+    captured = capsys.readouterr()
+    assert "config error" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_verify_sweep_exit_codes(tmp_path):
+    # the d<=6 / d>=7 dichotomy well beyond the tabulated range, with the
+    # homogeneity kernels of dimension d (mu=0) and d-1 (rotations)
+    out = tmp_path / "v.json"
+    for d in range(3, 31):
+        code = run(["verify", "--dim", str(d), "--out", str(out)])
+        assert code == (1 if d <= 6 else 0), (d, code)
+        body = _read_json(out)
+        assert body["dim_kernel0"] == d, (d, body["dim_kernel0"])
+        assert body["dim_kernel_d_minus_1"] == d - 1, d
+
+
 def test_config_override_and_empty_file(tmp_path):
     cfgf = tmp_path / "c.json"
     cfgf.write_text('{"grid_n": 8192}')

@@ -109,4 +109,11 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SLSpec(dim=7, band=(-0.1, 2.0), mu=0.0, bc="dirichlet")
     with pytest.raises(ValueError):
-        eigen_k(SLSpec(dim=7, band=(1.0, 2.0), mu=0.0, bc="dirichlet"), 0)
+        eigen_k(SLSpec(dim=7, band=(1.0, np.pi - 1.0), mu=0.0, bc="dirichlet"), 0)
+
+
+def test_spec_rejects_asymmetric_band():
+    # the half-band solver mirrors about pi/2; an off-centre band would be
+    # answered wrongly (lambda_1 = 6.880 against the FD value 7.520)
+    with pytest.raises(ValueError, match="symmetric"):
+        SLSpec(dim=7, band=(1.0, 2.0), mu=0.0, bc="dirichlet")
