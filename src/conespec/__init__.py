@@ -6,15 +6,15 @@ from .config import DEFAULT_CONFIG, SolverConfig, load_config
 from .errors import (AmbiguousCluster, BracketFail, ConfigError,
                      DegenerateBasis, EvaluationUnstable, GridTooCoarse,
                      MissingCoefficient, NoZeroFound, NonConvergent,
-                     NumericalError, ParseError, ResonanceDivision,
+                     NonFiniteResult, NumericalError, ParseError, ResonanceDivision,
                      ResonantExponent, TailDivergence, UsageError,
                      ValidationError, ZeroDenominator)
 from .profile import (ConeProfile, band_points, jacobi_fields,
                       legendre_crosscheck, solve_profile)
 from .spheremodes import SphereMode, harmonic_multiplicity, modes_up_to
 from .kernels import available_backends, get_backend, propagate_band, set_backend
-from .sl import (SLEigenpair, SLSpec, band_spec, eigen_fd_crosscheck, eigen_k,
-                 rayleigh)
+from .sl import (SLEigenpair, SLSpec, band_spec, count_below, eigen_fd_crosscheck,
+                 eigen_k, eigenvalue, rayleigh)
 from .linkspec import (IntegrabilityReport, LinkEigenvalue, LinkSpectrum,
                        assemble, decay_exponents, homogeneity, link_spectrum,
                        verify_strong_integrability)

@@ -25,6 +25,7 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import DegenerateBasis, NonConvergent
 from .kernels import propagate_band
 from .profile import ConeProfile
+from .sl import _fv_robin
 from .spheremodes import modes_up_to
 
 _ELL_CAP = 200
@@ -116,24 +117,11 @@ def _steklov_fd_once(p: ConeProfile, mu: float, n: int):
     """Schur-complement discretization of the boundary eigenproblem.
 
     Eliminating interior unknowns of the finite-volume operator K + mu*S -
-    H*E gives a 2x2 boundary pencil S2 u = -ell * diag(w_a, w_b) u; band
-    symmetry splits its eigenvectors into (1,1) and (1,-1).
+    H*E (the one :func:`conespec.sl.eigen_fd_crosscheck` uses) gives a 2x2
+    boundary pencil S2 u = -ell * diag(w_a, w_b) u; band symmetry splits its
+    eigenvectors into (1,1) and (1,-1).
     """
-    d = p.dim
-    a, b = p.band
-    h = (b - a) / n
-    th = np.linspace(a, b, n + 1)
-    p_half = np.sin(th[:-1] + h / 2) ** (d - 2)
-    w = np.sin(th) ** (d - 2)
-    s = w / np.sin(th) ** 2
-    lump = np.full(n + 1, h)
-    lump[0] = lump[-1] = h / 2
-    diag = np.empty(n + 1)
-    diag[1:-1] = (p_half[:-1] + p_half[1:]) / h + mu * s[1:-1] * lump[1:-1]
-    diag[0] = p_half[0] / h + mu * s[0] * lump[0] - p.H * w[0]
-    diag[-1] = p_half[-1] / h + mu * s[-1] * lump[-1] - p.H * w[-1]
-    off = -p_half / h
-
+    diag, off, w, _ = _fv_robin(p.dim, p.band, mu, p.H, n)
     ab = np.zeros((2, n - 1))
     ab[0] = diag[1:-1]
     ab[1, :-1] = off[1:-1]

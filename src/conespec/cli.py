@@ -211,6 +211,8 @@ def _dispatch(args, cfg) -> int:
         with open(args.modes) as fh:
             mspec = json.load(fh)
         coeffs = {int(k): float(v) for k, v in mspec["coeffs"].items()}
+        if not coeffs:
+            raise ValueError(f"{args.modes}: coeffs must name at least one boundary mode")
         p = solve_profile(args.dim, cfg)
         link = link_spectrum(p, 4.0 * args.dim, cfg)
         bmodes = boundary_modes(p, max(coeffs) + 2, cfg)

@@ -58,6 +58,10 @@ class GridTooCoarse(NumericalError):
     """Estimated quadrature error exceeds the requested tolerance."""
 
 
+class NonFiniteResult(NumericalError):
+    """A computed quantity overflowed to infinity or became NaN."""
+
+
 class ConfigError(Exception):
     """Base class for configuration problems (exit code 64 territory)."""
 

@@ -22,7 +22,7 @@ from scipy.integrate import simpson
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import AmbiguousCluster
 from .profile import ConeProfile, jacobi_fields
-from .sl import band_spec, eigen_k
+from .sl import band_spec, count_below, eigen_k, eigenvalue
 from .spheremodes import modes_up_to
 
 # Analytic-eigenfunction identification threshold (relative L^2).  Not a
@@ -75,23 +75,21 @@ def assemble(p: ConeProfile, lambda_max: float,
 
     Completeness: lambda_{ell,k} >= mu_ell + lambda_{0,1}, so sphere modes
     with mu_ell > lambda_max - lambda_{0,1} cannot contribute and are
-    excluded a priori.
+    excluded a priori; within a mode, the node count of the band problem at
+    lambda_max says how many eigenvalues to solve.
     """
     cfg = cfg or DEFAULT_CONFIG
     d = p.dim
     if not lambda_max > d - 1:
         raise ValueError("lambda_max must exceed d-1 to cover the rotation modes")
-    lam01 = eigen_k(band_spec(p, 0.0, "robin", cfg.grid_n), 1, cfg).lam
+    lam01 = eigenvalue(band_spec(p, 0.0, "robin", cfg.grid_n), 1, cfg)
     out = []
     for mode in modes_up_to(d, lambda_max - lam01):
         spec = band_spec(p, float(mode.mu), "robin", cfg.grid_n)
-        k = 1
-        while True:
-            lam = eigen_k(spec, k, cfg).lam
-            if lam > lambda_max:
-                break
-            out.append(_entry(d, mode.ell, k, lam, mode.multiplicity, cfg.res_tol))
-            k += 1
+        for k in range(1, count_below(spec, lambda_max) + 1):
+            lam = eigenvalue(spec, k, cfg)
+            if lam <= lambda_max:
+                out.append(_entry(d, mode.ell, k, lam, mode.multiplicity, cfg.res_tol))
     out.sort(key=lambda e: (e.lam, e.source))
     return out
 

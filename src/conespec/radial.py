@@ -29,7 +29,8 @@ from scipy.integrate import simpson
 
 from .boundary import BoundaryMode
 from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import ResonanceDivision, ResonantExponent, TailDivergence, NumericalError
+from .errors import (NonFiniteResult, NumericalError, ResonanceDivision, ResonantExponent,
+                     TailDivergence)
 from .linkspec import LinkEigenvalue, LinkSpectrum, homogeneity
 from .profile import ConeProfile
 from .sl import band_spec, eigen_k
@@ -58,7 +59,7 @@ class RadialField:
         if m != len(self.modes) or nr != self.r_grid.size:
             raise ValueError("coefficient block shape does not match modes/grid")
         if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("non-finite radial coefficients")
+            raise NonFiniteResult("non-finite radial coefficients")
 
     def mode_norm(self) -> np.ndarray:
         return np.sqrt(np.sum(self.coeffs ** 2, axis=0))

@@ -11,12 +11,19 @@ computed on the left half-band only: the k-th eigenpair is the ((k+1)//2)-th
 half-band problem with g'(pi/2) = 0 (k odd) or g(pi/2) = 0 (k even), and the
 full eigenfunction is its mirror image.
 
-Eigenvalues are isolated by node-count bisection on a shooting trajectory
+Each eigenvalue is found in three steps.  A coarse finite-volume solve
+(one tridiagonal eigenproblem per spec, cached) seeds a narrow bracket
+around it.  Two node counts on shooting trajectories validate that bracket
 (the count uses the Pruefer phase of the endpoint state, so no phase ODE is
-integrated) and refined with Brent's method on the midpoint defect, which
-needs only the end state of each shot (:func:`propagate_band_end`).  An
-independent finite-difference discretization (:func:`eigen_fd_crosscheck`)
-serves as the oracle for derived eigenvalues.
+integrated); when they disagree, node-count bisection from a wide bracket
+isolates the eigenvalue instead.  Brent's method on the midpoint defect then
+gives the value, and each shot there needs only the end state
+(:func:`propagate_band_end`).  Eigenvalues are memoized per (spec, k, config)
+by :func:`eigenvalue`; :func:`eigen_k` adds one trajectory shot to assemble
+the eigenfunction, which is not cached.  The seeds only choose the bracket,
+so the independent finite-difference discretization
+(:func:`eigen_fd_crosscheck`, Richardson on the spec's own grid) remains
+the oracle for derived eigenvalues.
 """
 
 from __future__ import annotations
@@ -38,6 +45,10 @@ from .profile import ConeProfile, band_points
 _EXPAND_CAP = 60
 _BISECT_CAP = 300
 _SYMMETRY_TOL = 1e-12
+_SEED_N = 512        # cells of the coarse solve that seeds the brackets
+_SEED_COUNT = 16     # seeded eigenvalues per spec; higher k bisect from scratch
+_SEED_REL = 1e-3     # bracket half-width relative to max(1, |seed|)
+_MEMO_SIZE = 4096    # memoized eigenvalues (floats only)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,7 +112,10 @@ def _y_left(spec):
 
 
 def _nodes(g):
-    return int(np.count_nonzero(g[:-1] * g[1:] < 0.0))
+    """Sign changes of g; exact zero samples are skipped, not counted as a sign."""
+    s = np.sign(g)
+    s = s[s != 0.0]
+    return int(np.count_nonzero(s[:-1] != s[1:]))
 
 
 def _phase_count(g_end, w_gp_end, nodes, tau):
@@ -169,38 +183,73 @@ def _assemble_fn(spec, disc, lam, parity):
     return np.concatenate([g, -g[-2::-1]]), np.concatenate([gp, gp[-2::-1]])
 
 
-def eigen_k(spec: SLSpec, k: int, cfg: SolverConfig | None = None) -> SLEigenpair:
-    """k-th eigenpair (k >= 1) of the band problem."""
-    cfg = cfg or DEFAULT_CONFIG
+def count_below(spec: SLSpec, lam: float) -> int:
+    """Number of band eigenvalues strictly below ``lam`` (two trajectory shots)."""
+    disc = _disc(spec)
+    return _count_half(spec, disc, "even", lam) + _count_half(spec, disc, "odd", lam)
+
+
+@functools.lru_cache(maxsize=128)
+def _seeds(spec: SLSpec) -> tuple[float, ...]:
+    """Coarse finite-volume eigenvalues that seed the shooting brackets."""
+    return tuple(float(v) for v in _fd_values(spec, _SEED_COUNT, _SEED_N))
+
+
+def _bracket(spec, k, count_fn, idx):
+    """Bracket holding the k-th eigenvalue and no other of its parity."""
+    seeds = _seeds(spec)
+    if k <= len(seeds):
+        seed = seeds[k - 1]
+        half = _SEED_REL * max(1.0, abs(seed))
+        lo, hi = seed - half, seed + half
+        if count_fn(lo) == idx - 1 and count_fn(hi) == idx:
+            return lo, hi
+    lo0 = -10.0 - 2.0 * (spec.dim ** 2 + spec.H ** 2)
+    hi0 = float(spec.dim ** 2 + spec.mu + 10.0)
+    return _isolate(count_fn, idx, lo0, hi0)
+
+
+def eigenvalue(spec: SLSpec, k: int, cfg: SolverConfig | None = None) -> float:
+    """k-th eigenvalue (k >= 1) of the band problem, memoized per process."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    disc = _disc(spec)
+    return _eigenvalue(spec, k, cfg or DEFAULT_CONFIG)
 
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _eigenvalue(spec, k, cfg):
+    disc = _disc(spec)
     parity = "even" if k % 2 == 1 else "odd"
     idx = (k + 1) // 2
     count_fn = lambda lam: _count_half(spec, disc, parity, lam)
-    defect_fn = lambda lam: _defect_half(spec, disc, parity, lam)
+    shots = {}
 
-    lo0 = -10.0 - 2.0 * (spec.dim ** 2 + spec.H ** 2)
-    hi0 = float(spec.dim ** 2 + spec.mu + 10.0)
-    lo, hi = _isolate(count_fn, idx, lo0, hi0)
+    def defect_fn(lam):
+        if lam not in shots:
+            shots[lam] = _defect_half(spec, disc, parity, lam)
+        return shots[lam]
 
-    d_lo, d_hi = defect_fn(lo), defect_fn(hi)
+    lo, hi = _bracket(spec, k, count_fn, idx)
     shrink = 0
-    while d_lo * d_hi > 0.0:
+    while defect_fn(lo) * defect_fn(hi) > 0.0:
         # The defect is entire with a single simple zero inside; a same-sign
         # bracket means an endpoint sits numerically on the zero - tighten.
         mid = 0.5 * (lo + hi)
         if count_fn(mid) >= idx:
-            hi, d_hi = mid, defect_fn(mid)
+            hi = mid
         else:
-            lo, d_lo = mid, defect_fn(mid)
+            lo = mid
         shrink += 1
         if shrink > 80:
             raise NonConvergent("defect refinement could not find a sign change")
-    lam = float(brentq(defect_fn, lo, hi, xtol=cfg.lam_tol, rtol=8.9e-16))
+    return float(brentq(defect_fn, lo, hi, xtol=cfg.lam_tol, rtol=8.9e-16))
 
-    g, gp = _assemble_fn(spec, disc, lam, parity)
+
+def eigen_k(spec: SLSpec, k: int, cfg: SolverConfig | None = None) -> SLEigenpair:
+    """k-th eigenpair (k >= 1): the memoized eigenvalue and one assembly shot."""
+    lam = eigenvalue(spec, k, cfg)
+    disc = _disc(spec)
+    g, gp = _assemble_fn(spec, disc, lam, "even" if k % 2 == 1 else "odd")
     th = disc["theta"]
     w = np.sin(th) ** (spec.dim - 2)
     norm = math.sqrt(simpson(g * g * w, x=th))
@@ -221,35 +270,36 @@ def eigen_k(spec: SLSpec, k: int, cfg: SolverConfig | None = None) -> SLEigenpai
                        bc_residual=resid)
 
 
-def _fd_values(spec: SLSpec, count: int, n: int) -> np.ndarray:
-    """First eigenvalues of the symmetric finite-volume discretization.
+def _fv_robin(dim: int, band: tuple[float, float], mu: float, H: float, n: int):
+    """Finite-volume Robin operator on n cells: (diag, off, w, lump).
 
     Fluxes use the weight at half-points; the mu-term and the mass matrix are
     lumped by the trapezoid rule (half cells at the two ends).  Robin data
     enters the endpoint diagonal with the negative sign of the quadratic form
-    boundary term.
+    boundary term.  The interior rows are the Dirichlet operator.
     """
-    d = spec.dim
-    a, b = spec.band
+    a, b = band
     h = (b - a) / n
     th = np.linspace(a, b, n + 1)
-    p_half = np.sin(th[:-1] + h / 2) ** (d - 2)
-    w = np.sin(th) ** (d - 2)
+    p_half = np.sin(th[:-1] + h / 2) ** (dim - 2)
+    w = np.sin(th) ** (dim - 2)
     s = w / np.sin(th) ** 2  # sin^{d-4}
-    if spec.bc == "robin":
-        lump = np.full(n + 1, h)
-        lump[0] = lump[-1] = h / 2
-        diag = np.empty(n + 1)
-        diag[1:-1] = (p_half[:-1] + p_half[1:]) / h + spec.mu * s[1:-1] * lump[1:-1]
-        diag[0] = p_half[0] / h + spec.mu * s[0] * lump[0] - spec.H * w[0]
-        diag[-1] = p_half[-1] / h + spec.mu * s[-1] * lump[-1] - spec.H * w[-1]
-        off = -p_half / h
-        mass = w * lump
-    else:
-        lump = np.full(n - 1, h)
-        diag = (p_half[:-1] + p_half[1:]) / h + spec.mu * s[1:-1] * lump
-        off = -p_half[1:-1] / h
-        mass = w[1:-1] * lump
+    lump = np.full(n + 1, h)
+    lump[0] = lump[-1] = h / 2
+    diag = np.empty(n + 1)
+    diag[1:-1] = (p_half[:-1] + p_half[1:]) / h + mu * s[1:-1] * lump[1:-1]
+    diag[0] = p_half[0] / h + mu * s[0] * lump[0] - H * w[0]
+    diag[-1] = p_half[-1] / h + mu * s[-1] * lump[-1] - H * w[-1]
+    off = -p_half / h
+    return diag, off, w, lump
+
+
+def _fd_values(spec: SLSpec, count: int, n: int) -> np.ndarray:
+    """First eigenvalues of the symmetric finite-volume discretization."""
+    diag, off, w, lump = _fv_robin(spec.dim, spec.band, spec.mu, spec.H, n)
+    mass = w * lump
+    if spec.bc == "dirichlet":
+        diag, off, mass = diag[1:-1], off[1:-1], mass[1:-1]
     dd = diag / mass
     ee = off / np.sqrt(mass[:-1] * mass[1:])
     return eigh_tridiagonal(dd, ee, select="i", select_range=(0, count - 1),

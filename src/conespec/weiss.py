@@ -34,7 +34,7 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import GridTooCoarse, MissingCoefficient, NumericalError
 from .linkspec import LinkSpectrum
 from .profile import ConeProfile
-from .sl import SLSpec, band_spec, eigen_k
+from .sl import SLSpec, band_spec, eigen_k, eigenvalue
 
 _N_RADIAL = 513     # Boole-compatible (4k+1) radial point count
 _RICHARDSON = 15.0  # halving gain assumed when estimating quadrature error
@@ -337,7 +337,7 @@ def F_functional(band_halfwidth: float, p: ConeProfile, d: int,
     kappa0_sq = sd2 * float(simpson(p.g ** 2 * w, x=p.grid))
     spec = SLSpec(dim=d, band=(math.pi / 2 - th, math.pi / 2 + th), mu=0.0,
                   bc="dirichlet", grid_n=p.grid.size - 1)
-    lam1 = eigen_k(spec, 1, cfg).lam
+    lam1 = eigenvalue(spec, 1, cfg)
     thg = np.linspace(math.pi / 2 - th, math.pi / 2 + th, p.grid.size)
     area = sd2 * float(simpson(np.sin(thg) ** (d - 2), x=thg))
     return (kappa0_sq * (lam1 - (d - 1)) + area) / d

@@ -6,7 +6,9 @@ determinism check lives in the acceptance suite.
 
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 from conespec.cli import run
@@ -81,6 +83,43 @@ def test_verify_sweep_exit_codes(tmp_path):
         body = _read_json(out)
         assert body["dim_kernel0"] == d, (d, body["dim_kernel0"])
         assert body["dim_kernel_d_minus_1"] == d - 1, d
+
+
+def test_verify_work_count(tmp_path, monkeypatch):
+    # each band eigenvalue is solved once, from a seeded and validated
+    # bracket: verify --dim 7 in a fresh process needs at most 150 shots
+    from conespec import boundary, kernels, profile, sl
+    sl._eigenvalue.cache_clear()
+    sl._seeds.cache_clear()
+    shots = []
+    for mod in (sl, profile, boundary):
+        for name in ("propagate_band", "propagate_band_end"):
+            if hasattr(mod, name):
+                def counted(*args, _fn=getattr(kernels, name), **kwargs):
+                    shots.append(1)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(mod, name, counted)
+    assert run(["verify", "--dim", "7", "--out", str(tmp_path / "v.json")]) == 0
+    assert 0 < len(shots) <= 150, len(shots)
+
+
+@pytest.mark.parametrize("config, coeffs, code, message", [
+    (None, {}, 64, "invalid input: .*coeffs must name at least one boundary mode"),
+    ({"r_max": 1e300}, {"1": 1.0}, 2, "numerical error: non-finite radial coefficients"),
+])
+def test_particular_exit_contract(tmp_path, capsys, config, coeffs, code, message):
+    modes = tmp_path / "m.json"
+    modes.write_text(json.dumps({"coeffs": coeffs}))
+    argv = ["particular", "--dim", "7", "--beta", "0.7", "--modes", str(modes)]
+    if config is not None:
+        cfgf = tmp_path / "c.json"
+        cfgf.write_text(json.dumps(config))
+        argv = ["--config", str(cfgf)] + argv
+    with np.errstate(all="ignore"):
+        assert run(argv) == code
+    captured = capsys.readouterr()
+    assert re.search(message, captured.err), captured.err
+    assert "Traceback" not in captured.err + captured.out
 
 
 def test_config_override_and_empty_file(tmp_path):

@@ -4,8 +4,11 @@ oscillation/ordering properties, and frozen d=7 reference eigenvalues."""
 import numpy as np
 import pytest
 
+from conespec import sl
+from conespec.config import DEFAULT_CONFIG
 from conespec.errors import ZeroDenominator
-from conespec.sl import SLSpec, band_spec, eigen_fd_crosscheck, eigen_k, rayleigh
+from conespec.sl import (SLSpec, band_spec, count_below, eigen_fd_crosscheck, eigen_k,
+                         eigenvalue, rayleigh)
 
 # d=7 interior Robin eigenvalues, frozen after cross-checking against the
 # Richardson-extrapolated FD values below (agreement ~1e-9 at grid_n=4096).
@@ -117,3 +120,52 @@ def test_spec_rejects_asymmetric_band():
     # answered wrongly (lambda_1 = 6.880 against the FD value 7.520)
     with pytest.raises(ValueError, match="symmetric"):
         SLSpec(dim=7, band=(1.0, 2.0), mu=0.0, bc="dirichlet")
+
+
+def test_nodes_skip_exact_zero_samples():
+    assert sl._nodes(np.array([1.0, 0.0, -1.0])) == 1
+    assert sl._nodes(np.array([1.0, 0.0, 1.0])) == 0
+    # an odd eigenfunction whose centre sample comes out exactly 0.0 at a
+    # lambda within 2e-13 of the 6th eigenvalue: 5 nodes, not 4
+    spec = SLSpec(10, band=(1.1297293680950529, 2.0118632854947402), mu=18.0,
+                  bc="robin", H=3.7766769293627203)
+    g, _ = sl._assemble_fn(spec, sl._disc(spec), 324.60657338767527, "odd")
+    assert np.count_nonzero(g == 0.0) == 1
+    assert sl._nodes(g) == 5
+    assert eigen_k(spec, 6).nodes == 5
+
+
+@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
+def test_wrong_seeds_fall_back_to_bisection(p7, bc, monkeypatch):
+    spec = band_spec(p7, 5.0, bc)
+    sl._eigenvalue.cache_clear()
+    seeded = [eigenvalue(spec, k) for k in range(1, 6)]
+    sl._eigenvalue.cache_clear()
+    isolated = []
+
+    def isolate(*args):
+        isolated.append(args[1])
+        return _isolate(*args)
+
+    _isolate = sl._isolate
+    monkeypatch.setattr(sl, "_isolate", isolate)
+    monkeypatch.setattr(sl, "_seeds", lambda s: tuple(40.0 * i - 30.0 for i in range(16)))
+    try:
+        for k, lam in enumerate(seeded, start=1):
+            pair = eigen_k(spec, k)
+            assert abs(pair.lam - lam) <= DEFAULT_CONFIG.lam_tol, (k, pair.lam, lam)
+            assert pair.nodes == k - 1
+    finally:
+        sl._eigenvalue.cache_clear()
+    assert isolated == [1, 1, 2, 2, 3]  # half-band index of k = 1..5
+
+
+@pytest.mark.parametrize("mu", [0.0, 5.0, 12.0])
+@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
+def test_count_below_matches_fd_oracle(p3, p7, mu, bc):
+    for p in (p3, p7):
+        spec = band_spec(p, mu, bc)
+        fd = eigen_fd_crosscheck(spec, 7)
+        probes = np.concatenate([[fd[0] - 1.0], 0.5 * (fd[:-1] + fd[1:])])
+        for lam in probes:
+            assert count_below(spec, lam) == int(np.count_nonzero(fd < lam)), (p.dim, lam)
