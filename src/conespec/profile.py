@@ -119,6 +119,7 @@ def solve_profile(d: int, cfg: SolverConfig | None = None) -> ConeProfile:
     grid = np.concatenate([th_left[::-1], th_right[1:]])
     g_all = norm_c * np.concatenate([g_l[::-1], g_r[1:]])
     gp_all = norm_c * np.concatenate([gp_l[::-1], gp_r[1:]])
+    g_all[0] = g_all[-1] = 0.0  # g vanishes on the free boundary, up to root_tol
 
     return ConeProfile(dim=d, theta0=theta0, grid=grid, g=g_all, g_prime=gp_all,
                        H=(d - 2) * math.tan(theta0), norm_c=norm_c)

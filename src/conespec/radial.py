@@ -164,7 +164,6 @@ def transfer_boundary(src: SourceSpec, bmodes, p: ConeProfile,
     u1_a = np.zeros((n_m, p.grid.size))
     u1_ap = np.zeros_like(u1_a)
     f_a = np.zeros_like(u1_a)
-    f_ap = np.zeros_like(u1_a)
     g, gp = p.g, p.g_prime
     rad_u = r ** (1.0 - beta)
     rad_f = r ** (-1.0 - beta)
@@ -178,7 +177,6 @@ def transfer_boundary(src: SourceSpec, bmodes, p: ConeProfile,
             u1_ap[i] = gp * m.psi + g * m.psi_prime
             f_c[i] = -amp * rad_f
             f_a[i] = (c_euler - (d - 1.0)) * g * m.psi + 2.0 * gp * m.psi_prime
-            f_ap[i] = np.nan  # derivative of the defect profile is not used
         else:
             if abs(m.ell_k) <= cfg.res_tol:
                 raise ResonanceDivision(
@@ -188,11 +186,10 @@ def transfer_boundary(src: SourceSpec, bmodes, p: ConeProfile,
             u1_ap[i] = m.psi_prime
             f_c[i] = -amp * rad_f / m.ell_k
             f_a[i] = c_euler * m.psi
-            f_ap[i] = np.nan
 
-    f_ap = np.zeros_like(f_a)  # defect profiles are only integrated, never traced
     u1 = RadialField("boundary", r, u1_c, beta, tuple(used), p.grid, u1_a, u1_ap)
-    f = RadialField("boundary", r, f_c, beta, tuple(used), p.grid, f_a, f_ap)
+    # defect profiles are only integrated, never traced: no angular derivative
+    f = RadialField("boundary", r, f_c, beta, tuple(used), p.grid, f_a, np.zeros_like(f_a))
     return u1, f
 
 
@@ -313,6 +310,84 @@ def _d2_uniform(y, h):
     return d
 
 
+@np.errstate(over="raise", invalid="raise")
+def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
+                cfg: SolverConfig, flip_rules: bool):
+    """One mode's radial solve: (profile on the base grid, max ODE defect)."""
+    dtau = math.log(r[1] / r[0])
+    if entry.complex_radicand:
+        raise NumericalError(
+            f"mode {entry.source}: complex homogeneity pair, no real radial solve")
+    delta, lam = entry.delta, entry.lam
+    if delta is None or delta < 1e-8:
+        raise NumericalError(
+            f"mode {entry.source}: log-resonant homogeneity unsupported")
+    P = d / 2 + delta - beta
+    Q = d / 2 - delta - beta
+    if min(abs(P), abs(Q)) <= cfg.res_tol:
+        raise ResonantExponent(
+            f"mode {entry.source}: selection denominator vanishes (P={P:.3e}, Q={Q:.3e})")
+    a_inf = (P < 0) and not flip_rules
+    b_inf = (Q < 0) and not flip_rules
+
+    fit = _fit_power(r, c_row)
+    if fit is None or fit[2] > _POWER_FIT_TOL:
+        if a_inf or b_inf:
+            raise TailDivergence(
+                f"mode {entry.source}: non-power-law profile, cannot close the "
+                "infinite-limit tail")
+        refine = 1
+        r_f = r
+        c_f = c_row
+        C_amp, sigma = None, None
+    else:
+        C_amp, sigma, _ = fit
+        if (a_inf or b_inf) and abs(sigma + 1.0 + beta) > 1e-6:
+            raise TailDivergence(
+                f"mode {entry.source}: fitted decay {sigma:.6f} != -1-beta, "
+                "tail closed form invalid")
+        refine = max(1, math.ceil(max(abs(P), abs(Q), 2 * delta) * dtau / _TARGET_STEP))
+        r_f = r[0] * np.exp(dtau / refine * np.arange((r.size - 1) * refine + 1))
+        c_f = C_amp * r_f ** sigma
+
+    dtf = dtau / refine
+    gam_p = -(d - 2) / 2 + delta
+    # inner integral I(s) = int_a^s t^{delta + d/2} f(t) dt on the log axis;
+    # for a power-law profile the finite-end anchor is pushed from R0 down
+    # to 0 analytically (the integral converges there exactly when the sign
+    # rule picked the finite end), so no homogeneous transient is injected
+    # and the result collapses to the power ansatz.  flip_rules keeps the
+    # raw R0 anchor: the transient is the point of that mode.
+    y_in = r_f ** (delta + d / 2 + 1) * c_f
+    inner_is_pure = C_amp is not None
+    if a_inf:
+        icum = -_cumulative_down(y_in, dtf) + C_amp * r_f[-1] ** P / P
+    else:
+        icum = _cumulative_up(y_in, dtf)
+        if C_amp is not None and P > 0:
+            icum = icum + C_amp * r_f[0] ** P / P
+        else:
+            inner_is_pure = False
+    # outer integral from b of s^{-1-2 delta} I(s)
+    y_out = r_f ** (-2 * delta) * icum
+    if b_inf:
+        vcum = -_cumulative_down(y_out, dtf) + C_amp * r_f[-1] ** Q / (P * Q)
+    else:
+        vcum = _cumulative_up(y_out, dtf)
+        if inner_is_pure and Q > 0:
+            vcum = vcum + C_amp * r_f[0] ** Q / (P * Q)
+    u_f = r_f ** gam_p * vcum
+
+    f_f = c_f if refine > 1 else c_row
+    d1 = _d1_uniform(u_f, dtf)
+    d2 = _d2_uniform(u_f, dtf)
+    res = d2 + (d - 2) * d1 - lam * u_f - r_f ** 2 * f_f
+    k = 3 * refine
+    resid = float(np.max(np.abs(res[k:-k]))) if res.size > 2 * k else \
+        float(np.max(np.abs(res)))
+    return u_f[::refine], resid
+
+
 def solve_radial_modes(f: RadialField, link: LinkSpectrum, beta: float,
                        cfg: SolverConfig | None = None,
                        flip_rules: bool = False) -> RadialField:
@@ -329,88 +404,17 @@ def solve_radial_modes(f: RadialField, link: LinkSpectrum, beta: float,
     if abs(beta - f.beta) > 1e-12:
         raise ValueError("beta disagrees with the field's asserted source decay")
     d = link.dim
-    r = f.r_grid
-    dtau = math.log(r[1] / r[0])
-    n = r.size
     out = np.zeros_like(f.coeffs)
     resid = np.zeros(len(f.modes))
 
     for j, entry in enumerate(f.modes):
-        c_row = f.coeffs[j]
-        if np.max(np.abs(c_row)) == 0.0:
+        if np.max(np.abs(f.coeffs[j])) == 0.0:
             continue
-        if entry.complex_radicand:
-            raise NumericalError(
-                f"mode {entry.source}: complex homogeneity pair, no real radial solve")
-        delta, lam = entry.delta, entry.lam
-        if delta is None or delta < 1e-8:
-            raise NumericalError(
-                f"mode {entry.source}: log-resonant homogeneity unsupported")
-        P = d / 2 + delta - beta
-        Q = d / 2 - delta - beta
-        if min(abs(P), abs(Q)) <= cfg.res_tol:
-            raise ResonantExponent(
-                f"mode {entry.source}: selection denominator vanishes (P={P:.3e}, Q={Q:.3e})")
-        a_inf = (P < 0) and not flip_rules
-        b_inf = (Q < 0) and not flip_rules
-
-        fit = _fit_power(r, c_row)
-        if fit is None or fit[2] > _POWER_FIT_TOL:
-            if a_inf or b_inf:
-                raise TailDivergence(
-                    f"mode {entry.source}: non-power-law profile, cannot close the "
-                    "infinite-limit tail")
-            refine = 1
-            r_f = r
-            c_f = c_row
-            C_amp, sigma = None, None
-        else:
-            C_amp, sigma, _ = fit
-            if (a_inf or b_inf) and abs(sigma + 1.0 + beta) > 1e-6:
-                raise TailDivergence(
-                    f"mode {entry.source}: fitted decay {sigma:.6f} != -1-beta, "
-                    "tail closed form invalid")
-            refine = max(1, math.ceil(max(abs(P), abs(Q), 2 * delta) * dtau / _TARGET_STEP))
-            dtf = dtau / refine
-            r_f = r[0] * np.exp(dtf * np.arange((n - 1) * refine + 1))
-            c_f = C_amp * r_f ** sigma
-
-        dtf = dtau / refine
-        gam_p = -(d - 2) / 2 + delta
-        # inner integral I(s) = int_a^s t^{delta + d/2} f(t) dt on the log axis;
-        # for a power-law profile the finite-end anchor is pushed from R0 down
-        # to 0 analytically (the integral converges there exactly when the sign
-        # rule picked the finite end), so no homogeneous transient is injected
-        # and the result collapses to the power ansatz.  flip_rules keeps the
-        # raw R0 anchor: the transient is the point of that mode.
-        y_in = r_f ** (delta + d / 2 + 1) * c_f
-        inner_is_pure = C_amp is not None
-        if a_inf:
-            icum = -_cumulative_down(y_in, dtf) + C_amp * r_f[-1] ** P / P
-        else:
-            icum = _cumulative_up(y_in, dtf)
-            if C_amp is not None and P > 0:
-                icum = icum + C_amp * r_f[0] ** P / P
-            else:
-                inner_is_pure = False
-        # outer integral from b of s^{-1-2 delta} I(s)
-        y_out = r_f ** (-2 * delta) * icum
-        if b_inf:
-            vcum = -_cumulative_down(y_out, dtf) + C_amp * r_f[-1] ** Q / (P * Q)
-        else:
-            vcum = _cumulative_up(y_out, dtf)
-            if inner_is_pure and Q > 0:
-                vcum = vcum + C_amp * r_f[0] ** Q / (P * Q)
-        u_f = r_f ** gam_p * vcum
-
-        f_f = c_f if refine > 1 else c_row
-        d1 = _d1_uniform(u_f, dtf)
-        d2 = _d2_uniform(u_f, dtf)
-        res = d2 + (d - 2) * d1 - lam * u_f - r_f ** 2 * f_f
-        k = 3 * refine
-        resid[j] = float(np.max(np.abs(res[k:-k]))) if res.size > 2 * k else \
-            float(np.max(np.abs(res)))
-        out[j] = u_f[::refine]
+        try:
+            out[j], resid[j] = _solve_mode(entry, f.coeffs[j], f.r_grid, d, beta, cfg, flip_rules)
+        except FloatingPointError as exc:
+            raise NonFiniteResult(
+                f"non-finite radial coefficients in mode {entry.source}: {exc}") from None
 
     return dataclasses.replace(f, coeffs=out, ode_residual=resid)
 

@@ -38,6 +38,7 @@ from .sl import SLSpec, band_spec, eigen_k, eigenvalue
 
 _N_RADIAL = 513     # Boole-compatible (4k+1) radial point count
 _RICHARDSON = 15.0  # halving gain assumed when estimating quadrature error
+_BLOCK = 16         # radii per batch: 16 x 512 samples keeps peak memory flat
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -100,12 +101,6 @@ def _fd1(f: Callable) -> Callable:
     return d
 
 
-def _derivative_callables(c: Component):
-    drho = c.drho if c.drho is not None else _fd1(c.rho)
-    d2rho = c.d2rho if c.d2rho is not None else _fd1(drho)
-    return drho, d2rho
-
-
 @functools.lru_cache(maxsize=32)
 def _grams(u: AxisymField):
     """Angular Gram matrices in the band weight, plus the support measure."""
@@ -125,15 +120,19 @@ def _grams(u: AxisymField):
     return gq, gqp, sw
 
 
-def _boole(y: np.ndarray, h: float) -> float:
-    n = y.size
-    if (n - 1) % 4 != 0:
-        raise ValueError("Boole rule needs 4k+1 points")
-    wts = np.full(n, 14.0)
-    wts[1::2] = 32.0
-    wts[2::4] = 12.0
-    wts[0] = wts[-1] = 7.0
-    return float((2 * h / 45) * np.dot(wts, y))
+def _boole_weights(n: int) -> np.ndarray:
+    """Composite Boole weights for n = 4k+1 points on [0, 1], without the
+    s = 0 node: every radial integrand here is taken as zero there."""
+    wts = np.tile([32.0, 12.0, 32.0, 14.0], (n - 1) // 4)
+    wts[-1] = 7.0
+    return (2.0 / (45.0 * (n - 1))) * wts
+
+
+# Radial integrals over [0, r] sample s = r * _T.  The halved grid of the
+# Richardson check is every second node, so it reuses the same samples.
+_T = np.linspace(0.0, 1.0, _N_RADIAL)[1:]
+_BOOLE = _boole_weights(_N_RADIAL)
+_BOOLE_HALF = _boole_weights((_N_RADIAL - 1) // 2 + 1)
 
 
 def _rho_matrices(u: AxisymField, s: np.ndarray, order: int = 1):
@@ -141,24 +140,47 @@ def _rho_matrices(u: AxisymField, s: np.ndarray, order: int = 1):
     rp = np.empty_like(rr)
     rpp = np.empty_like(rr) if order >= 2 else None
     for i, c in enumerate(u.components):
-        drho, d2rho = _derivative_callables(c)
+        drho = c.drho if c.drho is not None else _fd1(c.rho)
         rr[i] = c.rho(s)
         rp[i] = drho(s)
         if order >= 2:
-            rpp[i] = d2rho(s)
+            rpp[i] = (c.d2rho if c.d2rho is not None else _fd1(drho))(s)
     return rr, rp, rpp
 
 
-def _energy_integral(u: AxisymField, r: float, n: int) -> float:
-    """int_0^r (rho' Gq rho' s^{d-1} + rho Gq' rho s^{d-3}) ds by Boole."""
+def _weiss_values(u: AxisymField, radii: np.ndarray,
+                  cfg: SolverConfig) -> np.ndarray:
+    """W(u, r) for every radius, _BLOCK radii per evaluation of the rho
+    callables.  Radii are taken in order: the first one outside (0, r_max]
+    raises ValueError, the first whose Richardson error estimate from the
+    halved grid exceeds quad_tol * max(1, |W|) raises GridTooCoarse."""
     d = u.dim
-    gq, gqp, _ = _grams(u)
-    s = np.linspace(0.0, r, n)
-    rr, rp, _ = _rho_matrices(u, s[1:])
-    t1 = np.einsum("is,ij,js->s", rp, gq, rp) * s[1:] ** (d - 1)
-    t2 = np.einsum("is,ij,js->s", rr, gqp, rr) * s[1:] ** (d - 3)
-    y = np.concatenate(([0.0], t1 + t2))
-    return _boole(y, s[1] - s[0])
+    gq, gqp, sw = _grams(u)
+    sd2 = sphere_area(d - 2)
+    bad = np.flatnonzero(~((radii > 0) & (radii <= u.r_max)))
+    n_ok = int(bad[0]) if bad.size else radii.size
+    out = np.empty(n_ok)
+    for lo in range(0, n_ok, _BLOCK):
+        r = radii[lo:min(lo + _BLOCK, n_ok)]
+        s = (r[:, None] * _T).ravel()
+        rr, rp, _ = _rho_matrices(u, s)
+        y = (np.einsum("is,ij,js->s", rp, gq, rp) * s ** (d - 1)
+             + np.einsum("is,ij,js->s", rr, gqp, rr) * s ** (d - 3)).reshape(r.size, -1)
+        full = r * (y @ _BOOLE)
+        half = r * (y[:, 1::2] @ _BOOLE_HALF)
+        end = rr[:, _T.size - 1::_T.size]  # rho(r), the t = 1 samples
+        bnd = np.einsum("is,ij,js->s", end, gq, end)
+        w_val = sd2 * (full / r ** d + sw / d - bnd / r ** 2)
+        est = sd2 * np.abs(full - half) / (_RICHARDSON * r ** d)
+        coarse = np.flatnonzero(est > cfg.quad_tol * np.fmax(1.0, np.abs(w_val)))
+        if coarse.size:
+            i = coarse[0]
+            raise GridTooCoarse(
+                f"radial quadrature unresolved at r={r[i]:g} (estimate {est[i]:.2e})")
+        out[lo:lo + r.size] = w_val
+    if bad.size:
+        raise ValueError("radius must lie in (0, r_max of the field]")
+    return out
 
 
 def weiss(u: AxisymField, r: float, d: int,
@@ -168,28 +190,15 @@ def weiss(u: AxisymField, r: float, d: int,
     cfg = cfg or DEFAULT_CONFIG
     if d != u.dim:
         raise ValueError(f"dimension argument {d} != field dimension {u.dim}")
-    if not 0 < r <= u.r_max:
-        raise ValueError("radius must lie in (0, r_max of the field]")
-    gq, _, sw = _grams(u)
-    sd2 = sphere_area(d - 2)
-    full = _energy_integral(u, r, _N_RADIAL)
-    half = _energy_integral(u, r, (_N_RADIAL - 1) // 2 + 1)
-    rr, _, _ = _rho_matrices(u, np.array([r]))
-    bnd = float(rr[:, 0] @ gq @ rr[:, 0])
-    w_val = sd2 * (full / r ** d + sw / d - bnd / r ** 2)
-    est = sd2 * abs(full - half) / (_RICHARDSON * r ** d)
-    if est > cfg.quad_tol * max(1.0, abs(w_val)):
-        raise GridTooCoarse(
-            f"radial quadrature unresolved at r={r:g} (estimate {est:.2e})")
-    return w_val
+    return float(_weiss_values(u, np.array([r], dtype=float), cfg)[0])
 
 
-def _deficit(u: AxisymField, r: float) -> float:
+def _deficit(u: AxisymField, radii: np.ndarray) -> np.ndarray:
     """2 r^{-d-2} int_{dB_r} (x . grad u - u)^2, the homogeneity defect."""
     gq, _, _ = _grams(u)
-    rr, rp, _ = _rho_matrices(u, np.array([r]))
-    c = r * rp[:, 0] - rr[:, 0]
-    return 2.0 * sphere_area(u.dim - 2) * float(c @ gq @ c) / r ** 3
+    rr, rp, _ = _rho_matrices(u, radii)
+    c = radii * rp - rr
+    return 2.0 * sphere_area(u.dim - 2) * np.einsum("is,ij,js->s", c, gq, c) / radii ** 3
 
 
 def _harmonic_correction(u: AxisymField, r: float) -> float:
@@ -197,20 +206,21 @@ def _harmonic_correction(u: AxisymField, r: float) -> float:
     harmonic on its support, e.g. for the cone solution itself)."""
     d = u.dim
     gq, gqp, _ = _grams(u)
-    n = 513
-    s = np.linspace(0.0, r, n)
-    rr, rp, rpp = _rho_matrices(u, s[1:], order=2)
-    e = s[1:] * rp - rr
-    radial = np.einsum("is,ij,js->s", e, gq, rpp + (d - 1) * rp / s[1:])
+    s = r * _T
+    rr, rp, rpp = _rho_matrices(u, s, order=2)
+    e = s * rp - rr
+    radial = np.einsum("is,ij,js->s", e, gq, rpp + (d - 1) * rp / s)
     angular = -np.einsum("is,ij,js->s", e, gqp, rr)
-    y = np.concatenate(([0.0], radial * s[1:] ** (d - 1) + angular * s[1:] ** (d - 3)))
-    return -2.0 * sphere_area(d - 2) * _boole(y, s[1] - s[0]) / r ** (d + 1)
+    y = radial * s ** (d - 1) + angular * s ** (d - 3)
+    return -2.0 * sphere_area(d - 2) * r * float(_BOOLE @ y) / r ** (d + 1)
 
 
-def _dw_numeric(u: AxisymField, r: float, cfg: SolverConfig | None) -> float:
-    h = 1e-3 * r
-    vals = [weiss(u, r + k * h, u.dim, cfg) for k in (-2, -1, 1, 2)]
-    return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
+def _dw_numeric(u: AxisymField, radii: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """5-point dW/dr (step 1e-3 r) at every radius, all stencils in one batch."""
+    h = 1e-3 * radii
+    pts = radii[:, None] + np.array([-2.0, -1.0, 1.0, 2.0]) * h[:, None]
+    v = _weiss_values(u, pts.ravel(), cfg).reshape(-1, 4)
+    return (v[:, 0] - 8 * v[:, 1] + 8 * v[:, 2] - v[:, 3]) / (12 * h)
 
 
 def weiss_derivative_check(u: AxisymField, r: float,
@@ -221,8 +231,9 @@ def weiss_derivative_check(u: AxisymField, r: float,
     correction vanishes and rhs reduces to the nonnegative deficit.
     """
     cfg = cfg or DEFAULT_CONFIG
-    lhs = _dw_numeric(u, r, cfg)
-    rhs = _deficit(u, r) + _harmonic_correction(u, r)
+    rs = np.array([r], dtype=float)
+    lhs = float(_dw_numeric(u, rs, cfg)[0])
+    rhs = float(_deficit(u, rs)[0]) + _harmonic_correction(u, r)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -244,46 +255,39 @@ def weiss_report(u: AxisymField, radii,
                  cfg: SolverConfig | None = None) -> WeissReport:
     cfg = cfg or DEFAULT_CONFIG
     radii = np.asarray(radii, dtype=float)
-    w_vals = np.array([weiss(u, r, u.dim, cfg) for r in radii])
-    lhs = np.array([_dw_numeric(u, r, cfg) for r in radii])
-    rhs = np.array([_deficit(u, r) for r in radii])
+    w_vals = _weiss_values(u, radii, cfg)
+    lhs = _dw_numeric(u, radii, cfg)
+    rhs = _deficit(u, radii)
     gq, _, _ = _grams(u)
     kappa0 = math.sqrt(sphere_area(u.dim - 2) * gq[0, 0])
     return WeissReport(radii, w_vals, lhs, rhs, kappa0)
 
 
+def _power_component(q: np.ndarray, q_prime: np.ndarray, e: float,
+                     amp: float = 1.0) -> Component:
+    """amp * r^e * q(theta), with its analytic radial derivatives."""
+    return Component(
+        rho=lambda r: amp * np.asarray(r, dtype=float) ** e,
+        q=q,
+        drho=lambda r: amp * e * np.asarray(r, dtype=float) ** (e - 1),
+        d2rho=lambda r: amp * e * (e - 1) * np.asarray(r, dtype=float) ** (e - 2),
+        q_prime=q_prime)
+
+
 def cone_field(p: ConeProfile) -> AxisymField:
     """The blow-up solution U = r g(theta) itself."""
-    comp = Component(
-        rho=lambda r: np.asarray(r, dtype=float) * 1.0,
-        q=p.g,
-        drho=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-        d2rho=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        q_prime=p.g_prime)
-    return AxisymField(p.dim, p.grid, (comp,))
+    return AxisymField(p.dim, p.grid, (_power_component(p.g, p.g_prime, 1.0),))
 
 
 def halfplane_field(d: int, n_theta: int = 1025) -> AxisymField:
     """The flat one-phase solution (x . e)_+ in polar-band form."""
     th = np.linspace(0.0, math.pi / 2, n_theta)
-    comp = Component(
-        rho=lambda r: np.asarray(r, dtype=float) * 1.0,
-        q=np.cos(th),
-        drho=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-        d2rho=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        q_prime=-np.sin(th))
-    return AxisymField(d, th, (comp,))
+    return AxisymField(d, th, (_power_component(np.cos(th), -np.sin(th), 1.0),))
 
 
 def power_field(p: ConeProfile, exponent: float) -> AxisymField:
     """g(theta) carried by the radial power r^exponent (homogeneity probe)."""
-    e = float(exponent)
-    comp = Component(
-        rho=lambda r: np.asarray(r, dtype=float) ** e,
-        q=p.g,
-        drho=lambda r: e * np.asarray(r, dtype=float) ** (e - 1),
-        d2rho=lambda r: e * (e - 1) * np.asarray(r, dtype=float) ** (e - 2),
-        q_prime=p.g_prime)
+    comp = _power_component(p.g, p.g_prime, float(exponent))
     return AxisymField(p.dim, p.grid, (comp,))
 
 
@@ -292,15 +296,8 @@ def perturbed_field(p: ConeProfile, eps: float, exponent: float, k: int = 1,
     """U plus eps * r^exponent times the k-th interior Robin band mode."""
     cfg = cfg or DEFAULT_CONFIG
     pair = eigen_k(band_spec(p, 0.0, "robin"), k, cfg)
-    e = float(exponent)
-    base = cone_field(p).components[0]
-    bump = Component(
-        rho=lambda r: eps * np.asarray(r, dtype=float) ** e,
-        q=pair.fn,
-        drho=lambda r: eps * e * np.asarray(r, dtype=float) ** (e - 1),
-        d2rho=lambda r: eps * e * (e - 1) * np.asarray(r, dtype=float) ** (e - 2),
-        q_prime=pair.fn_prime)
-    return AxisymField(p.dim, p.grid, (base, bump))
+    bump = _power_component(pair.fn, pair.fn_prime, float(exponent), eps)
+    return AxisymField(p.dim, p.grid, (cone_field(p).components[0], bump))
 
 
 def link_measure_identity(p: ConeProfile,

@@ -7,8 +7,8 @@ determinism check lives in the acceptance suite.
 import json
 import math
 import re
+import warnings
 
-import numpy as np
 import pytest
 
 from conespec.cli import run
@@ -115,11 +115,15 @@ def test_particular_exit_contract(tmp_path, capsys, config, coeffs, code, messag
         cfgf = tmp_path / "c.json"
         cfgf.write_text(json.dumps(config))
         argv = ["--config", str(cfgf)] + argv
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert run(argv) == code
     captured = capsys.readouterr()
     assert re.search(message, captured.err), captured.err
     assert "Traceback" not in captured.err + captured.out
+    # an overflow stops the radial solve at once, without a numpy warning
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in captured.err
 
 
 def test_config_override_and_empty_file(tmp_path):

@@ -10,6 +10,7 @@ from scipy.integrate import simpson
 
 from conespec.boundary import sphere_area
 from conespec.errors import GridTooCoarse, MissingCoefficient, NumericalError
+from conespec.profile import solve_profile
 from conespec.weiss import (AxisymField, Component, F_functional, cone_field,
                             foliation_leading_term, halfplane_field,
                             link_measure_identity, perturbed_field,
@@ -175,7 +176,7 @@ def test_rescaling_coherence(p7):
         assert got == pytest.approx(want, rel=1e-10)
 
 
-def test_grid_too_coarse(p7):
+def _log_oscillating_field(p7):
     comp = Component(
         rho=lambda r: np.asarray(r, float)
             * (1 + 0.5 * np.sin(40 * np.log(np.maximum(np.asarray(r, float), 1e-300)))),
@@ -186,9 +187,77 @@ def test_grid_too_coarse(p7):
                          - 800 * np.sin(40 * np.log(np.asarray(r, float))))
                         / np.asarray(r, float),
         q_prime=p7.g_prime)
-    u = AxisymField(p7.dim, p7.grid, (comp,))
+    return AxisymField(p7.dim, p7.grid, (comp,))
+
+
+def test_grid_too_coarse(p7):
+    u = _log_oscillating_field(p7)
     with pytest.raises(GridTooCoarse):
         weiss(u, 1.0, p7.dim)
+
+
+def test_report_errors_name_the_first_bad_radius(p7):
+    u = _log_oscillating_field(p7)
+    radii = [1.5, 0.75, 3.0]
+    with pytest.raises(GridTooCoarse) as first:
+        weiss(u, radii[0], p7.dim)
+    with pytest.raises(GridTooCoarse) as report:
+        weiss_report(u, radii)
+    assert str(report.value) == str(first.value)
+    assert "r=1.5 " in str(report.value)
+    # the dW/dr stencil radii are range-checked too: r + 2h passes r_max
+    capped = AxisymField(p7.dim, p7.grid, cone_field(p7).components, r_max=2.0)
+    with pytest.raises(ValueError, match="r_max"):
+        weiss_report(capped, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("make, p_name", [(_tapered_jacobi_field, "p3"),
+                                          (_sinlog_field, "p7")])
+def test_report_blocks_match_single_radius_calls(make, p_name, request):
+    p = request.getfixturevalue(p_name)
+    u = make(p)
+    rng = np.random.default_rng(4)
+    radii = list(np.exp(rng.uniform(math.log(0.5), math.log(3.0), 36)))
+    radii.insert(20, radii[7])  # 37 radii: unsorted, one repeat, 2 blocks + 5
+    rep = weiss_report(u, radii)
+    want = np.array([weiss(u, r, p.dim) for r in radii])
+    assert np.all(np.abs(rep.W - want) <= 1e-14 * np.abs(want))
+    assert rep.W[20] == rep.W[7]
+    for r, lhs in zip(radii, rep.dW_lhs):
+        h = 1e-3 * r
+        w = [weiss(u, r + k * h, p.dim) for k in (-2, -1, 1, 2)]
+        fd = (w[0] - 8 * w[1] + 8 * w[2] - w[3]) / (12 * h)
+        assert abs(lhs - fd) <= 1e-10 * max(1.0, abs(fd))
+
+
+def test_report_work_count(p7):
+    # 300 radii and their 1200 stencil radii are sampled in blocks, so rho
+    # is evaluated about 100 times, not twice per radius (4800 calls)
+    calls = []
+    base = cone_field(p7).components[0]
+
+    def rho(r):
+        calls.append(1)
+        return base.rho(r)
+
+    u = AxisymField(p7.dim, p7.grid, (dataclasses.replace(base, rho=rho),))
+    rep = weiss_report(u, np.linspace(0.25, 4.0, 300))
+    assert 0 < len(calls) <= 100, len(calls)
+    assert np.ptp(rep.W) <= 1e-8 * abs(rep.W[0])
+
+
+def test_fields_build_across_dimensions():
+    # the free-boundary ends of g are exactly 0, so the nonnegativity check
+    # of AxisymField accepts every profile
+    for d in range(3, 17):
+        p = solve_profile(d)
+        assert p.g[0] == 0.0 and p.g[-1] == 0.0
+        cone = cone_field(p)
+        power_field(p, 1.4)
+        perturbed_field(p, 0.05, 1.5)
+        w1, ref, gap = link_measure_identity(p)
+        assert gap <= 1e-7, d
+        assert weiss(cone, 2.0, d) == pytest.approx(w1, rel=1e-8, abs=1e-8)
 
 
 def test_weiss_argument_validation(p7):
