@@ -15,15 +15,12 @@ ENV_CONFIG = "CONESPEC_CONFIG"
 class SolverConfig:
     grid_n: int = 4096          # band grid resolution (points = grid_n + 1, rounded to 4k+1)
     lam_tol: float = 1e-10      # eigenvalue refinement tolerance
-    bc_tol: float = 1e-7        # boundary-condition residual tolerance
-    ode_tol: float = 1e-8       # pointwise ODE residual tolerance
     res_tol: float = 1e-7       # resonance threshold for boundary eigenvalues
     cluster_tol: float = 1e-6   # eigenvalue clustering width for multiplicities
     quad_tol: float = 1e-9      # relative quadrature error budget
     root_tol: float = 1e-12     # bisection width for the aperture root
     r0: float = 1.0             # inner radius of the radial grid
     r_max: float = 1024.0       # outer radius (>= 2**10 * r0 keeps slope fits at 3 decades)
-    seed: int = 0               # RNG seed for randomized property suites
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -31,17 +28,13 @@ class SolverConfig:
             allowed = (int,) if f.type == "int" else (int, float)
             if isinstance(value, bool) or not isinstance(value, allowed):
                 raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
-        for name in ("lam_tol", "bc_tol", "ode_tol", "res_tol", "cluster_tol",
-                     "quad_tol", "root_tol"):
+        for name in ("lam_tol", "res_tol", "cluster_tol", "quad_tol", "root_tol"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.grid_n < 64:
             raise ValidationError(f"grid_n must be >= 64, got {self.grid_n}")
         if not (self.r0 > 0 and self.r_max / self.r0 >= 4):
             raise ValidationError("require r0 > 0 and r_max/r0 >= 4")
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":

@@ -82,10 +82,10 @@ def assemble(p: ConeProfile, lambda_max: float,
     d = p.dim
     if not lambda_max > d - 1:
         raise ValueError("lambda_max must exceed d-1 to cover the rotation modes")
-    lam01 = eigenvalue(band_spec(p, 0.0, "robin", cfg.grid_n), 1, cfg)
+    lam01 = eigenvalue(band_spec(p, 0.0, "robin"), 1, cfg)
     out = []
     for mode in modes_up_to(d, lambda_max - lam01):
-        spec = band_spec(p, float(mode.mu), "robin", cfg.grid_n)
+        spec = band_spec(p, float(mode.mu), "robin")
         for k in range(1, count_below(spec, lambda_max) + 1):
             lam = eigenvalue(spec, k, cfg)
             if lam <= lambda_max:
@@ -179,8 +179,8 @@ def verify_strong_integrability(p: ConeProfile,
 
     def identify(entry):
         """Best analytic match for one computed eigenfunction."""
-        pair = eigen_k(band_spec(p, float(entry.source[0] * (entry.source[0] + d - 3)),
-                                 "robin", cfg.grid_n), entry.source[1], cfg)
+        ell, k = entry.source
+        pair = eigen_k(band_spec(p, float(ell * (ell + d - 3)), "robin"), k, cfg)
         errs = [_match_error(pair.fn, a, p.grid, w) for a in analytic.values()]
         return min(errs)
 

@@ -114,11 +114,11 @@ def solve_profile(d: int, cfg: SolverConfig | None = None) -> ConeProfile:
     th_right = np.linspace(math.pi / 2, math.pi / 2 + theta0, half + 1)
     th_left = np.linspace(math.pi / 2, math.pi / 2 - theta0, half + 1)
     g_r, gp_r = propagate_band(d - 2, 0.0, d - 1, th_right, 1.0, 0.0)
-    g_l, gp_l = propagate_band(d - 2, 0.0, d - 1, th_left, 1.0, 0.0)
 
+    # g is even about pi/2 (cot is odd there), so the left half is the mirror image
     grid = np.concatenate([th_left[::-1], th_right[1:]])
-    g_all = norm_c * np.concatenate([g_l[::-1], g_r[1:]])
-    gp_all = norm_c * np.concatenate([gp_l[::-1], gp_r[1:]])
+    g_all = norm_c * np.concatenate([g_r[:0:-1], g_r])
+    gp_all = norm_c * np.concatenate([-gp_r[:0:-1], gp_r])
     g_all[0] = g_all[-1] = 0.0  # g vanishes on the free boundary, up to root_tol
 
     return ConeProfile(dim=d, theta0=theta0, grid=grid, g=g_all, g_prime=gp_all,

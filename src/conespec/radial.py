@@ -33,11 +33,13 @@ from .errors import (NonFiniteResult, NumericalError, ResonanceDivision, Resonan
                      TailDivergence)
 from .linkspec import LinkEigenvalue, LinkSpectrum, homogeneity
 from .profile import ConeProfile
-from .sl import band_spec, eigen_k
+from .sl import _derivative, band_spec, eigen_k
 from .spheremodes import harmonic_multiplicity
 
 _POWER_FIT_TOL = 1e-7
 _TARGET_STEP = 0.02  # max |exponent| * (log-step) in refined quadrature
+_PER_ELL = 8         # interior band modes per sphere degree in the projection
+_RESONANCE_TOL = 1e-9  # |d/2 +- delta - beta| at or below this is resonant
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,8 +113,7 @@ class SourceSpec:
         return dict(self.boundary_coeffs)
 
 
-def make_source(beta: float, coeffs: dict[int, float], link: LinkSpectrum,
-                tol: float = 1e-9) -> SourceSpec:
+def make_source(beta: float, coeffs: dict[int, float], link: LinkSpectrum) -> SourceSpec:
     """SourceSpec with the resonant-exponent admissibility flag computed
     against the link spectrum (d/2 +- delta_k - beta must stay off zero)."""
     d = link.dim
@@ -120,7 +121,8 @@ def make_source(beta: float, coeffs: dict[int, float], link: LinkSpectrum,
     for e in link.entries:
         if e.complex_radicand or e.delta is None:
             continue
-        if abs(d / 2 + e.delta - beta) <= tol or abs(d / 2 - e.delta - beta) <= tol:
+        if (abs(d / 2 + e.delta - beta) <= _RESONANCE_TOL
+                or abs(d / 2 - e.delta - beta) <= _RESONANCE_TOL):
             ok = False
     items = tuple(sorted((int(k), float(v)) for k, v in coeffs.items()))
     return SourceSpec(beta=float(beta), boundary_coeffs=items, admissible=ok)
@@ -194,7 +196,6 @@ def transfer_boundary(src: SourceSpec, bmodes, p: ConeProfile,
 
 
 def project_interior(f: RadialField, p: ConeProfile, link: LinkSpectrum,
-                     per_ell: int = 8,
                      cfg: SolverConfig | None = None) -> tuple[RadialField, float]:
     """Expand the defect field in the interior Robin basis.
 
@@ -211,8 +212,8 @@ def project_interior(f: RadialField, p: ConeProfile, link: LinkSpectrum,
     proj_sq = np.zeros(len(f.modes))
     for ell in ells:
         mu = float(ell * (ell + d - 3))
-        spec = band_spec(p, mu, "robin", cfg.grid_n)
-        for j in range(1, per_ell + 1):
+        spec = band_spec(p, mu, "robin")
+        for j in range(1, _PER_ELL + 1):
             pair = eigen_k(spec, j, cfg)
             try:
                 entry = link.find((ell, j))
@@ -294,14 +295,6 @@ def _fit_power(r: np.ndarray, c: np.ndarray):
     return float(signs[0]) * math.exp(b), float(sigma), resid
 
 
-def _d1_uniform(y, h):
-    d = np.empty_like(y)
-    d[2:-2] = (-y[4:] + 8 * y[3:-1] - 8 * y[1:-3] + y[:-4]) / (12 * h)
-    d[:2] = d[2]
-    d[-2:] = d[-3]
-    return d
-
-
 def _d2_uniform(y, h):
     d = np.empty_like(y)
     d[2:-2] = (-y[4:] + 16 * y[3:-1] - 30 * y[2:-2] + 16 * y[1:-3] - y[:-4]) / (12 * h * h)
@@ -379,7 +372,7 @@ def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
     u_f = r_f ** gam_p * vcum
 
     f_f = c_f if refine > 1 else c_row
-    d1 = _d1_uniform(u_f, dtf)
+    d1 = _derivative(u_f, dtf)
     d2 = _d2_uniform(u_f, dtf)
     res = d2 + (d - 2) * d1 - lam * u_f - r_f ** 2 * f_f
     k = 3 * refine
@@ -434,7 +427,7 @@ def ode_residuals(u: RadialField, f: RadialField) -> np.ndarray:
     vals = np.zeros(len(u.modes))
     for j, entry in enumerate(u.modes):
         y = u.coeffs[j]
-        d1 = _d1_uniform(y, dtau)
+        d1 = _derivative(y, dtau)
         d2 = _d2_uniform(y, dtau)
         res = d2 + dm2 * d1 - entry.lam * y - u.r_grid ** 2 * f.coeffs[j]
         vals[j] = float(np.max(np.abs(res[3:-3])))
@@ -484,8 +477,7 @@ class BuildReport:
 
 
 def build_up(src: SourceSpec, p: ConeProfile, link: LinkSpectrum, bmodes,
-             cfg: SolverConfig | None = None,
-             per_ell: int = 8) -> tuple[RadialField, BuildReport]:
+             cfg: SolverConfig | None = None) -> tuple[RadialField, BuildReport]:
     """Full particular solution u_p = u1 + u2 with its residual report.
 
     interior_residual is the worst per-mode Cauchy-Euler defect relative to
@@ -494,7 +486,7 @@ def build_up(src: SourceSpec, p: ConeProfile, link: LinkSpectrum, bmodes,
     """
     cfg = cfg or DEFAULT_CONFIG
     u1, f = transfer_boundary(src, bmodes, p, cfg)
-    f_int, tail = project_interior(f, p, link, per_ell, cfg)
+    f_int, tail = project_interior(f, p, link, cfg)
     u2 = solve_radial_modes(f_int, link, src.beta, cfg)
 
     up = RadialField(

@@ -74,11 +74,10 @@ class SLSpec:
             raise ValueError("Robin problems require H > 0")
 
 
-def band_spec(p: ConeProfile, mu: float, bc: str, grid_n: int | None = None) -> SLSpec:
-    """SLSpec on the cone band of ``p`` (H taken from the cone for Robin)."""
+def band_spec(p: ConeProfile, mu: float, bc: str) -> SLSpec:
+    """SLSpec on the cone band and grid of ``p`` (H taken from the cone for Robin)."""
     return SLSpec(dim=p.dim, band=p.band, mu=float(mu), bc=bc,
-                  H=p.H if bc == "robin" else 0.0,
-                  grid_n=grid_n if grid_n is not None else p.grid.size - 1)
+                  H=p.H if bc == "robin" else 0.0, grid_n=p.grid.size - 1)
 
 
 @dataclasses.dataclass(frozen=True)

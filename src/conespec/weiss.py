@@ -39,6 +39,7 @@ from .sl import SLSpec, band_spec, eigen_k, eigenvalue
 _N_RADIAL = 513     # Boole-compatible (4k+1) radial point count
 _RICHARDSON = 15.0  # halving gain assumed when estimating quadrature error
 _BLOCK = 16         # radii per batch: 16 x 512 samples keeps peak memory flat
+_N_HALFPLANE = 1025  # theta samples of the half-plane field on [0, pi/2]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -93,12 +94,16 @@ class AxisymField:
         return AxisymField(self.dim, self.theta, tuple(comps), self.r_max / s)
 
 
+def _five_point(f: Callable, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Fourth-order central difference of f at every x with steps h.  f is
+    called once, on all stencil points in the order -2h, -h, +h, +2h."""
+    pts = x[:, None] + np.array([-2.0, -1.0, 1.0, 2.0]) * h[:, None]
+    v = f(pts.ravel()).reshape(-1, 4)
+    return (v[:, 0] - 8 * v[:, 1] + 8 * v[:, 2] - v[:, 3]) / (12 * h)
+
+
 def _fd1(f: Callable) -> Callable:
-    def d(r):
-        r = np.asarray(r, dtype=float)
-        h = 1e-4 * np.maximum(r, 1e-8)
-        return (-f(r + 2 * h) + 8 * f(r + h) - 8 * f(r - h) + f(r - 2 * h)) / (12 * h)
-    return d
+    return lambda r: _five_point(f, r, 1e-4 * np.maximum(r, 1e-8))
 
 
 @functools.lru_cache(maxsize=32)
@@ -215,14 +220,6 @@ def _harmonic_correction(u: AxisymField, r: float) -> float:
     return -2.0 * sphere_area(d - 2) * r * float(_BOOLE @ y) / r ** (d + 1)
 
 
-def _dw_numeric(u: AxisymField, radii: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """5-point dW/dr (step 1e-3 r) at every radius, all stencils in one batch."""
-    h = 1e-3 * radii
-    pts = radii[:, None] + np.array([-2.0, -1.0, 1.0, 2.0]) * h[:, None]
-    v = _weiss_values(u, pts.ravel(), cfg).reshape(-1, 4)
-    return (v[:, 0] - 8 * v[:, 1] + 8 * v[:, 2] - v[:, 3]) / (12 * h)
-
-
 def weiss_derivative_check(u: AxisymField, r: float,
                            cfg: SolverConfig | None = None):
     """Compare dW/dr (numerical) against deficit + harmonicity correction.
@@ -232,7 +229,7 @@ def weiss_derivative_check(u: AxisymField, r: float,
     """
     cfg = cfg or DEFAULT_CONFIG
     rs = np.array([r], dtype=float)
-    lhs = float(_dw_numeric(u, rs, cfg)[0])
+    lhs = float(_five_point(lambda s: _weiss_values(u, s, cfg), rs, 1e-3 * rs)[0])
     rhs = float(_deficit(u, rs)[0]) + _harmonic_correction(u, r)
     return lhs, rhs, abs(lhs - rhs)
 
@@ -241,7 +238,7 @@ def weiss_derivative_check(u: AxisymField, r: float,
 class WeissReport:
     r_values: np.ndarray
     W: np.ndarray
-    dW_lhs: np.ndarray   # numerical dW/dr
+    dW_lhs: np.ndarray   # numerical dW/dr (5-point, step 1e-3 r)
     dW_rhs: np.ndarray   # deficit term only
     kappa0: float
 
@@ -256,7 +253,7 @@ def weiss_report(u: AxisymField, radii,
     cfg = cfg or DEFAULT_CONFIG
     radii = np.asarray(radii, dtype=float)
     w_vals = _weiss_values(u, radii, cfg)
-    lhs = _dw_numeric(u, radii, cfg)
+    lhs = _five_point(lambda s: _weiss_values(u, s, cfg), radii, 1e-3 * radii)
     rhs = _deficit(u, radii)
     gq, _, _ = _grams(u)
     kappa0 = math.sqrt(sphere_area(u.dim - 2) * gq[0, 0])
@@ -279,9 +276,9 @@ def cone_field(p: ConeProfile) -> AxisymField:
     return AxisymField(p.dim, p.grid, (_power_component(p.g, p.g_prime, 1.0),))
 
 
-def halfplane_field(d: int, n_theta: int = 1025) -> AxisymField:
+def halfplane_field(d: int) -> AxisymField:
     """The flat one-phase solution (x . e)_+ in polar-band form."""
-    th = np.linspace(0.0, math.pi / 2, n_theta)
+    th = np.linspace(0.0, math.pi / 2, _N_HALFPLANE)
     return AxisymField(d, th, (_power_component(np.cos(th), -np.sin(th), 1.0),))
 
 

@@ -4,14 +4,18 @@ Everything runs in-process through run(argv); the one subprocess-level
 determinism check lives in the acceptance suite.
 """
 
+import dataclasses
 import json
 import math
+import pathlib
 import re
 import warnings
 
 import pytest
 
+import conespec
 from conespec.cli import run
+from conespec.config import SolverConfig
 
 THETA0_D7 = 0.5437286919823721
 
@@ -71,6 +75,14 @@ def test_config_field_types(tmp_path, capsys, body):
     captured = capsys.readouterr()
     assert "config error" in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_every_config_field_has_a_reader():
+    # a config key that no solver reads would be accepted and silently ignored
+    pkg = pathlib.Path(conespec.__file__).parent
+    text = "".join(f.read_text() for f in pkg.glob("*.py") if f.name != "config.py")
+    unread = [f.name for f in dataclasses.fields(SolverConfig) if f".{f.name}" not in text]
+    assert unread == []
 
 
 def test_verify_sweep_exit_codes(tmp_path):

@@ -67,6 +67,17 @@ def test_verify_unstable_dimension(p3):
     assert rep.match_error_max <= 1e-5
 
 
+def test_profile_alone_sets_the_band_grid(p7):
+    # the band problems live on the profile's grid, whatever grid_n the
+    # config passed to the spectrum names
+    ref = verify_strong_integrability(p7)
+    rep = verify_strong_integrability(p7, SolverConfig(grid_n=1024))
+    assert rep.verdict == ref.verdict
+    assert rep.dim_kernel0 == ref.dim_kernel0
+    assert rep.dim_kernel_d_minus_1 == ref.dim_kernel_d_minus_1
+    assert abs(rep.lambda1 - ref.lambda1) <= 1e-12
+
+
 def test_ambiguous_cluster_on_absurd_tolerance(p3):
     # with everything clustered together, generic eigenfunctions cannot be
     # identified against the three analytic Jacobi families

@@ -85,6 +85,12 @@ def test_profile_invariants_across_dimensions():
         assert abs(p.g[p.grid.size // 2] - p.norm_c) < 1e-14
 
 
+def test_profile_is_exactly_even(p7):
+    # g is even and g' odd about pi/2, sample for sample
+    assert np.array_equal(p7.g, p7.g[::-1])
+    assert np.array_equal(p7.g_prime, -p7.g_prime[::-1])
+
+
 def test_profile_is_dirichlet_ground_state(p7):
     # Rayleigh quotient of g in the Dirichlet form reproduces d-1
     spec = band_spec(p7, 0.0, "dirichlet")

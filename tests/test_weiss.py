@@ -176,6 +176,20 @@ def test_rescaling_coherence(p7):
         assert got == pytest.approx(want, rel=1e-10)
 
 
+def test_finite_difference_fallback_matches_analytic_derivatives(p7):
+    # a component without drho/d2rho takes its radial derivatives from
+    # 5-point stencils of rho; the sin-log field has them in closed form
+    full = _sinlog_field(p7)
+    c = full.components[0]
+    bare = AxisymField(p7.dim, p7.grid, (Component(rho=c.rho, q=c.q, q_prime=c.q_prime),))
+    for r in RADII:
+        assert weiss(bare, r, p7.dim) == pytest.approx(weiss(full, r, p7.dim), rel=1e-12)
+        got = weiss_derivative_check(bare, r)
+        want = weiss_derivative_check(full, r)
+        assert got[0] == pytest.approx(want[0], abs=1e-9)
+        assert got[1] == pytest.approx(want[1], abs=1e-9)
+
+
 def _log_oscillating_field(p7):
     comp = Component(
         rho=lambda r: np.asarray(r, float)
