@@ -19,7 +19,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import DegenerateBasis, NonConvergent
@@ -121,6 +120,8 @@ def _steklov_fd_once(p: ConeProfile, mu: float, n: int):
     boundary pencil S2 u = -ell * diag(w_a, w_b) u; band symmetry splits its
     eigenvectors into (1,1) and (1,-1).
     """
+    from scipy.linalg import solveh_banded  # oracle only: keeps scipy off the solver path
+
     diag, off, w, _ = _fv_robin(p.dim, p.band, mu, p.H, n)
     ab = np.zeros((2, n - 1))
     ab[0] = diag[1:-1]

@@ -13,13 +13,14 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
 from ._version import __version__
 from .boundary import boundary_modes
 from .config import DEFAULT_CONFIG, load_config
-from .errors import ConfigError, NumericalError, UsageError
+from .errors import ConfigError, NonFiniteResult, NumericalError, UsageError
 from .linkspec import link_spectrum, verify_strong_integrability
 from .profile import solve_profile
 from .radial import build_up, make_source
@@ -36,6 +37,48 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return val
+
+
+def _positive(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    val = _finite(text)
+    if not val > 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return val
+
+
+def _radii(text: str) -> list[float]:
+    """argparse type: a non-empty comma-separated list of finite radii > 0."""
+    radii = [_positive(t) for t in text.split(",") if t]
+    if not radii:
+        raise argparse.ArgumentTypeError("at least one radius is required")
+    return radii
+
+
+def _dims(text: str) -> list[int]:
+    """argparse type: "3..10" (inclusive range) or "3,5,7"; never empty."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            dims = list(range(int(lo), int(hi) + 1))
+        else:
+            dims = [int(t) for t in text.split(",") if t]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a dimension list") from None
+    if not dims:
+        raise argparse.ArgumentTypeError(f"{text!r} names no dimension")
+    return dims
+
+
 def _build_parser() -> _Parser:
     ap = _Parser(prog="conespec", description=__doc__.splitlines()[0])
     ap.add_argument("--config", help="JSON config file (else $CONESPEC_CONFIG)")
@@ -50,19 +93,19 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("modes", help="sphere-harmonic mode table")
     sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--mu-max", type=float, required=True)
+    sp.add_argument("--mu-max", type=_finite, required=True)
     sp.add_argument("--out")
 
     sp = sub.add_parser("sl", help="one band eigenvalue")
     sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--mu", type=float, required=True)
+    sp.add_argument("--mu", type=_finite, required=True)
     sp.add_argument("--bc", choices=("robin", "dirichlet"), required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--out")
 
     sp = sub.add_parser("spectrum", help="interior link spectrum")
     sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--lambda-max", type=float, required=True)
+    sp.add_argument("--lambda-max", type=_finite, required=True)
     sp.add_argument("--csv", help="also write the table as CSV")
     sp.add_argument("--out")
 
@@ -77,7 +120,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("particular", help="decaying particular solution")
     sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--beta", type=float, required=True)
+    sp.add_argument("--beta", type=_finite, required=True)
     sp.add_argument("--modes", required=True,
                     help='JSON file {"coeffs": {"<mode index>": amplitude}}')
     sp.add_argument("--out")
@@ -86,16 +129,16 @@ def _build_parser() -> _Parser:
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--field", required=True,
                     help='JSON file {"kind": cone|halfplane|power|perturbed, ...}')
-    sp.add_argument("--radii", required=True, help="comma-separated radii")
+    sp.add_argument("--radii", type=_radii, required=True, help="comma-separated radii")
     sp.add_argument("--out")
 
     sp = sub.add_parser("criticality", help="stationarity of the aperture functional")
     sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--eps", type=float, default=1e-4)
+    sp.add_argument("--eps", type=_positive, default=1e-4)
     sp.add_argument("--out")
 
     sp = sub.add_parser("report", help="summary table over dimensions")
-    sp.add_argument("--dims", required=True, help='"3..10" or "3,5,7"')
+    sp.add_argument("--dims", type=_dims, required=True, help='"3..10" or "3,5,7"')
     sp.add_argument("--out")
     return ap
 
@@ -114,7 +157,27 @@ def _json_report(payload: dict, cfg, stamp: bool) -> str:
     payload["version"] = __version__
     if stamp:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise NonFiniteResult("the report holds a non-finite value") from None
+
+
+def _load_object(path: str, what: str) -> dict:
+    """A JSON file whose top level must be an object."""
+    with open(path) as fh:
+        body = json.load(fh)
+    if not isinstance(body, dict):
+        raise UsageError(f"{what} file must hold a JSON object, got {type(body).__name__}")
+    return body
+
+
+def _number(value, what: str) -> float:
+    """A finite JSON number read from an input file."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise UsageError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _csv_table(header, rows) -> str:
@@ -125,13 +188,6 @@ def _csv_table(header, rows) -> str:
     for row in rows:
         wr.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
     return buf.getvalue()
-
-
-def _parse_dims(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in text.split(",") if t]
 
 
 def _spectrum_dict(spec) -> dict:
@@ -153,10 +209,13 @@ def _field_from_spec(spec: dict, p, cfg):
     if kind == "halfplane":
         return halfplane_field(p.dim)
     if kind == "power":
-        return power_field(p, float(spec["exponent"]))
+        return power_field(p, _number(spec.get("exponent"), "field exponent"))
     if kind == "perturbed":
-        return perturbed_field(p, float(spec["eps"]), float(spec["exponent"]),
-                               int(spec.get("k", 1)), cfg)
+        k = spec.get("k", 1)
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise UsageError(f"field k must be an integer, got {k!r}")
+        return perturbed_field(p, _number(spec.get("eps"), "field eps"),
+                               _number(spec.get("exponent"), "field exponent"), k, cfg)
     raise UsageError(f"unknown field kind {kind!r}")
 
 
@@ -208,9 +267,11 @@ def _dispatch(args, cfg) -> int:
         return 0
 
     if args.command == "particular":
-        with open(args.modes) as fh:
-            mspec = json.load(fh)
-        coeffs = {int(k): float(v) for k, v in mspec["coeffs"].items()}
+        mspec = _load_object(args.modes, "modes")
+        if not isinstance(mspec.get("coeffs"), dict):
+            raise UsageError('modes file must contain a "coeffs" object')
+        coeffs = {int(k): _number(v, f"amplitude of mode {k}")
+                  for k, v in mspec["coeffs"].items()}
         if not coeffs:
             raise ValueError(f"{args.modes}: coeffs must name at least one boundary mode")
         p = solve_profile(args.dim, cfg)
@@ -222,14 +283,10 @@ def _dispatch(args, cfg) -> int:
         return 0
 
     if args.command == "weiss":
-        with open(args.field) as fh:
-            fspec = json.load(fh)
+        fspec = _load_object(args.field, "field")
         p = solve_profile(args.dim, cfg)
         u = _field_from_spec(fspec, p, cfg)
-        radii = [float(t) for t in args.radii.split(",") if t]
-        if not radii:
-            raise UsageError("at least one radius is required")
-        rep = weiss_report(u, radii, cfg)
+        rep = weiss_report(u, args.radii, cfg)
         _emit(_json_report(rep.to_dict(), cfg, stamp), args.out)
         return 0
 
@@ -247,7 +304,7 @@ def _dispatch(args, cfg) -> int:
 
     if args.command == "report":
         rows = []
-        for d in _parse_dims(args.dims):
+        for d in args.dims:
             p = solve_profile(d, cfg)
             rep = verify_strong_integrability(p, cfg)
             rows.append((d, p.theta0, p.H, rep.lambda1,

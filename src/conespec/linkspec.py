@@ -17,8 +17,8 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.integrate import simpson
 
+from ._quad import simpson
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import AmbiguousCluster
 from .profile import ConeProfile, jacobi_fields

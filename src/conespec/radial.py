@@ -25,8 +25,8 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.integrate import simpson
 
+from ._quad import simpson
 from .boundary import BoundaryMode
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import (NonFiniteResult, NumericalError, ResonanceDivision, ResonantExponent,

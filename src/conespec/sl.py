@@ -11,19 +11,20 @@ computed on the left half-band only: the k-th eigenpair is the ((k+1)//2)-th
 half-band problem with g'(pi/2) = 0 (k odd) or g(pi/2) = 0 (k even), and the
 full eigenfunction is its mirror image.
 
-Each eigenvalue is found in three steps.  A coarse finite-volume solve
-(one tridiagonal eigenproblem per spec, cached) seeds a narrow bracket
-around it.  Two node counts on shooting trajectories validate that bracket
-(the count uses the Pruefer phase of the endpoint state, so no phase ODE is
-integrated); when they disagree, node-count bisection from a wide bracket
-isolates the eigenvalue instead.  Brent's method on the midpoint defect then
-gives the value, and each shot there needs only the end state
-(:func:`propagate_band_end`).  Eigenvalues are memoized per (spec, k, config)
-by :func:`eigenvalue`; :func:`eigen_k` adds one trajectory shot to assemble
-the eigenfunction, which is not cached.  The seeds only choose the bracket,
-so the independent finite-difference discretization
-(:func:`eigen_fd_crosscheck`, Richardson on the spec's own grid) remains
-the oracle for derived eigenvalues.
+Each eigenvalue is found in three steps.  Coarse finite-volume solves
+(dense numpy eigenproblems on 64 and 128 cells with Richardson, once per
+spec, cached) seed a narrow bracket around it.  Two node counts on shooting
+trajectories validate that bracket (the count uses the Pruefer phase of the
+endpoint state, so no phase ODE is integrated); when they disagree,
+node-count bisection from a wide bracket isolates the eigenvalue instead.
+Brent's method on the midpoint defect then gives the value, and each shot
+there needs only the end state (:func:`propagate_band_end`).  Eigenvalues
+are memoized per (spec, k, config) by :func:`eigenvalue`; :func:`eigen_k`
+adds one trajectory shot to assemble the eigenfunction, which is not cached.
+The seeds only choose the bracket, so the independent finite-difference
+discretization (:func:`eigen_fd_crosscheck`, Richardson on the spec's own
+grid, solved by LAPACK through scipy) remains the oracle for derived
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -33,10 +34,8 @@ import functools
 import math
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
+from ._quad import brentq, simpson
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BracketFail, NonConvergent, ZeroDenominator
 from .kernels import propagate_band, propagate_band_end
@@ -45,7 +44,6 @@ from .profile import ConeProfile, band_points
 _EXPAND_CAP = 60
 _BISECT_CAP = 300
 _SYMMETRY_TOL = 1e-12
-_SEED_N = 512        # cells of the coarse solve that seeds the brackets
 _SEED_COUNT = 16     # seeded eigenvalues per spec; higher k bisect from scratch
 _SEED_REL = 1e-3     # bracket half-width relative to max(1, |seed|)
 _MEMO_SIZE = 4096    # memoized eigenvalues (floats only)
@@ -190,8 +188,18 @@ def count_below(spec: SLSpec, lam: float) -> int:
 
 @functools.lru_cache(maxsize=128)
 def _seeds(spec: SLSpec) -> tuple[float, ...]:
-    """Coarse finite-volume eigenvalues that seed the shooting brackets."""
-    return tuple(float(v) for v in _fd_values(spec, _SEED_COUNT, _SEED_N))
+    """Coarse finite-volume eigenvalues that seed the shooting brackets.
+
+    Dense symmetric solves on 64 and 128 cells, Richardson extrapolated
+    like :func:`eigen_fd_crosscheck`.
+    """
+    vals = []
+    for n in (64, 128):
+        dd, ee = _fv_sym(spec, n)
+        dense = np.diag(dd) + np.diag(ee, 1) + np.diag(ee, -1)
+        vals.append(np.linalg.eigvalsh(dense)[:_SEED_COUNT])
+    v1, v2 = vals
+    return tuple(float(v) for v in (4.0 * v2 - v1) / 3.0)
 
 
 def _bracket(spec, k, count_fn, idx):
@@ -293,14 +301,20 @@ def _fv_robin(dim: int, band: tuple[float, float], mu: float, H: float, n: int):
     return diag, off, w, lump
 
 
-def _fd_values(spec: SLSpec, count: int, n: int) -> np.ndarray:
-    """First eigenvalues of the symmetric finite-volume discretization."""
+def _fv_sym(spec: SLSpec, n: int):
+    """Mass-symmetrized finite-volume operator on n cells: (diagonal, off-diagonal)."""
     diag, off, w, lump = _fv_robin(spec.dim, spec.band, spec.mu, spec.H, n)
     mass = w * lump
     if spec.bc == "dirichlet":
         diag, off, mass = diag[1:-1], off[1:-1], mass[1:-1]
-    dd = diag / mass
-    ee = off / np.sqrt(mass[:-1] * mass[1:])
+    return diag / mass, off / np.sqrt(mass[:-1] * mass[1:])
+
+
+def _fd_values(spec: SLSpec, count: int, n: int) -> np.ndarray:
+    """First eigenvalues of the symmetric finite-volume discretization (LAPACK stebz)."""
+    from scipy.linalg import eigh_tridiagonal  # oracle only: keeps scipy off the solver path
+
+    dd, ee = _fv_sym(spec, n)
     return eigh_tridiagonal(dd, ee, select="i", select_range=(0, count - 1),
                             eigvals_only=True)
 

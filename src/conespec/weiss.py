@@ -27,11 +27,11 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
+from ._quad import simpson
 from .boundary import sphere_area
 from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import GridTooCoarse, MissingCoefficient, NumericalError
+from .errors import GridTooCoarse, MissingCoefficient, NonFiniteResult, NumericalError
 from .linkspec import LinkSpectrum
 from .profile import ConeProfile
 from .sl import SLSpec, band_spec, eigen_k, eigenvalue
@@ -250,11 +250,19 @@ class WeissReport:
 
 def weiss_report(u: AxisymField, radii,
                  cfg: SolverConfig | None = None) -> WeissReport:
+    """W, its numerical derivative and the deficit term at each radius.
+
+    Raises NonFiniteResult when any of them overflows or turns NaN.
+    """
     cfg = cfg or DEFAULT_CONFIG
     radii = np.asarray(radii, dtype=float)
-    w_vals = _weiss_values(u, radii, cfg)
-    lhs = _five_point(lambda s: _weiss_values(u, s, cfg), radii, 1e-3 * radii)
-    rhs = _deficit(u, radii)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            w_vals = _weiss_values(u, radii, cfg)
+            lhs = _five_point(lambda s: _weiss_values(u, s, cfg), radii, 1e-3 * radii)
+            rhs = _deficit(u, radii)
+    except FloatingPointError as exc:
+        raise NonFiniteResult(f"non-finite Weiss energy: {exc}") from None
     gq, _, _ = _grams(u)
     kappa0 = math.sqrt(sphere_area(u.dim - 2) * gq[0, 0])
     return WeissReport(radii, w_vals, lhs, rhs, kappa0)

@@ -9,6 +9,8 @@ import json
 import math
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -16,6 +18,7 @@ import pytest
 import conespec
 from conespec.cli import run
 from conespec.config import SolverConfig
+from conespec.errors import NonFiniteResult
 
 THETA0_D7 = 0.5437286919823721
 
@@ -278,3 +281,78 @@ def test_report_dims_parsing_and_determinism(tmp_path):
     assert run(["report", "--dims", "3,5", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert "np.float64" not in out1.read_text()
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+_FILES = {
+    "cone": '{"kind": "cone"}',
+    "list": "[1, 2]",
+    "modes": '{"coeffs": {"1": 1.0}}',
+    "no_coeffs": '{"beta": 0.7}',
+    "nan_amp": '{"coeffs": {"1": NaN}}',
+    "list_exp": '{"kind": "power", "exponent": [1.3]}',
+}
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ("modes --dim 7 --mu-max nan", 64, "--mu-max: 'nan' is not finite"),
+    ("modes --dim 7 --mu-max inf", 64, "--mu-max: 'inf' is not finite"),
+    ("modes --dim 7 --mu-max=-inf", 64, "not finite"),
+    ("criticality --dim 7 --eps 0", 64, "--eps: '0' is not positive"),
+    ("criticality --dim 7 --eps=-1e-4", 64, "is not positive"),
+    ("criticality --dim 7 --eps nan", 64, "is not finite"),
+    ("particular --dim 7 --beta nan --modes @modes", 64, "--beta: 'nan' is not finite"),
+    ("particular --dim 7 --beta=-inf --modes @modes", 64, "not finite"),
+    ("sl --dim 7 --mu nan --bc robin --k 1", 64, "--mu: 'nan' is not finite"),
+    ("sl --dim 7 --mu inf --bc robin --k 1", 64, "not finite"),
+    ("spectrum --dim 7 --lambda-max nan", 64, "--lambda-max: 'nan' is not finite"),
+    ("spectrum --dim 7 --lambda-max inf", 64, "not finite"),
+    ("weiss --dim 7 --field @cone --radii 1,nan", 64, "--radii: 'nan' is not finite"),
+    ("weiss --dim 7 --field @cone --radii inf", 64, "not finite"),
+    ("weiss --dim 7 --field @cone --radii 0", 64, "--radii: '0' is not positive"),
+    ("weiss --dim 7 --field @cone --radii 1,-2", 64, "is not positive"),
+    ("report --dims 10..3", 64, "--dims: '10..3' names no dimension"),
+    ("report --dims 3..x", 64, "is not a dimension list"),
+    ("particular --dim 7 --beta 0.7 --modes @list", 64, "modes file must hold a JSON object"),
+    ("weiss --dim 7 --field @list --radii 1", 64, "field file must hold a JSON object"),
+    ("particular --dim 7 --beta 0.7 --modes @no_coeffs", 64,
+     'modes file must contain a "coeffs" object'),
+    ("particular --dim 7 --beta 0.7 --modes @nan_amp", 64, "must be a finite number"),
+    ("weiss --dim 7 --field @list_exp --radii 1", 64, "field exponent must be a finite"),
+    ("weiss --dim 7 --field @cone --radii 1e300", 2, "numerical error: non-finite Weiss"),
+    ("weiss --dim 7 --field @cone --radii 0.5,2", 0, None),
+    ("weiss --dim 7 --field @cone --radii 0.5,2 --out @out", 0, None),
+])
+def test_cli_exit_contract(tmp_path, argv, code, message):
+    # every rejected input exits cleanly (64 bad input, 2 numerical failure),
+    # never with a traceback, a numpy warning or a non-JSON number
+    args = []
+    for tok in argv.split():
+        if tok.startswith("@"):
+            path = tmp_path / f"{tok[1:]}.json"
+            if tok[1:] in _FILES:
+                path.write_text(_FILES[tok[1:]])
+            tok = str(path)
+        args.append(tok)
+    res = subprocess.run([sys.executable, "-m", "conespec"] + args,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr, res.stderr
+    if message is not None:
+        assert message in res.stderr, res.stderr
+    if code == 0:
+        out = tmp_path / "out.json"
+        body = _strict_json(out.read_text() if "--out" in args else res.stdout)
+        assert len(body["W"]) == 2
+
+
+def test_json_report_rejects_non_finite_values():
+    from conespec.cli import _json_report
+    with pytest.raises(NonFiniteResult):
+        _json_report({"W": [float("nan")]}, SolverConfig(), False)
+    assert _strict_json(_json_report({"W": [1.0]}, SolverConfig(), False))["W"] == [1.0]
