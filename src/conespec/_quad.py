@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import NonConvergent, NonFiniteResult
 
+_RTOL = 8.9e-16   # relative stop tolerance: 4*eps, the least scipy's brentq accepts
+_MAXITER = 100
+
 
 def simpson(y, x) -> float:
     """Composite Simpson integral of samples ``y`` at increasing abscissae ``x``.
@@ -42,13 +45,12 @@ def simpson(y, x) -> float:
     return float(np.sum(tmp))
 
 
-def brentq(f, a: float, b: float, xtol: float, rtol: float,
-           maxiter: int = 100) -> float:
+def brentq(f, a: float, b: float, xtol: float) -> float:
     """Root of ``f`` in [a, b], where f(a) and f(b) differ in sign.
 
-    Stops once the bracket half-width falls below (xtol + rtol*|x|)/2.
+    Stops once the bracket half-width falls below (xtol + _RTOL*|x|)/2.
     Raises ``ValueError`` on a same-sign bracket, :class:`NonFiniteResult` on
-    a NaN value and :class:`NonConvergent` after ``maxiter`` iterations.
+    a NaN value and :class:`NonConvergent` after ``_MAXITER`` iterations.
     """
     def call(x):
         fx = float(f(x))
@@ -65,14 +67,14 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float,
         return xcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -92,4 +94,4 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float,
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = call(xcur)
-    raise NonConvergent(f"brentq did not converge in {maxiter} iterations")
+    raise NonConvergent(f"brentq did not converge in {_MAXITER} iterations")

@@ -249,7 +249,7 @@ def _eigenvalue(spec, k, cfg):
         shrink += 1
         if shrink > 80:
             raise NonConvergent("defect refinement could not find a sign change")
-    return float(brentq(defect_fn, lo, hi, xtol=cfg.lam_tol, rtol=8.9e-16))
+    return float(brentq(defect_fn, lo, hi, xtol=cfg.lam_tol))
 
 
 def eigen_k(spec: SLSpec, k: int, cfg: SolverConfig | None = None) -> SLEigenpair:

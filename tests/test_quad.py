@@ -76,10 +76,9 @@ def test_brentq_matches_scipy_on_band_defects(profiles):
                     defect = lambda lam: sl._defect_half(spec, disc, parity, lam)
                     ours, ours_xs = _traced(defect)
                     ref, ref_xs = _traced(defect)
-                    root = _quad.brentq(ours, lo, hi, xtol=DEFAULT_CONFIG.lam_tol,
-                                        rtol=8.9e-16)
+                    root = _quad.brentq(ours, lo, hi, xtol=DEFAULT_CONFIG.lam_tol)
                     want = scipy.optimize.brentq(ref, lo, hi, xtol=DEFAULT_CONFIG.lam_tol,
-                                                 rtol=8.9e-16)
+                                                 rtol=_quad._RTOL)
                     assert root == want and ours_xs == ref_xs, (d, mu, bc, k)
                     assert root == sl.eigenvalue(spec, k)
                     solved += 1
@@ -98,20 +97,20 @@ def test_brentq_matches_scipy_on_hard_brackets(f, a, b):
     # steep, flat and skewed roots force bisection and rejected steps
     ours, ours_xs = _traced(f)
     ref, ref_xs = _traced(f)
-    root = _quad.brentq(ours, a, b, xtol=1e-14, rtol=8.9e-16)
-    assert root == scipy.optimize.brentq(ref, a, b, xtol=1e-14, rtol=8.9e-16)
+    root = _quad.brentq(ours, a, b, xtol=1e-14)
+    assert root == scipy.optimize.brentq(ref, a, b, xtol=1e-14, rtol=_quad._RTOL)
     assert ours_xs == ref_xs
 
 
-def test_brentq_rejections():
+def test_brentq_rejections(monkeypatch):
     with pytest.raises(ValueError, match="different signs"):
-        _quad.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=8.9e-16)
+        _quad.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
     with pytest.raises(NonFiniteResult):
-        _quad.brentq(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0,
-                     xtol=1e-12, rtol=8.9e-16)
-    with pytest.raises(NonConvergent):
-        _quad.brentq(math.atan, -1.0, 2.0, xtol=1e-15, rtol=8.9e-16, maxiter=2)
-    assert _quad.brentq(lambda x: x, 0.0, 1.0, xtol=1e-12, rtol=8.9e-16) == 0.0
+        _quad.brentq(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0, xtol=1e-12)
+    assert _quad.brentq(lambda x: x, 0.0, 1.0, xtol=1e-12) == 0.0
+    monkeypatch.setattr(_quad, "_MAXITER", 2)
+    with pytest.raises(NonConvergent, match="in 2 iterations"):
+        _quad.brentq(math.atan, -1.0, 2.0, xtol=1e-15)
 
 
 def _scipy_modules_after(code):
