@@ -1,9 +1,10 @@
-"""Timing comparison of the band-ODE propagation backends.
+"""Timing of the band-ODE propagation kernels.
 
-Each backend is timed twice: ``propagate_band`` (whole trajectory; on numpy a
-prefix scan) and ``propagate_band_end`` (end state only; on numpy a tree
-reduction).  The compiled loop wins on a warm cache; the numpy kernels are the
-fallback when numba is unavailable.  Usage:
+Times the two entry points side by side at each grid size:
+``propagate_band`` (whole trajectory, a prefix scan over the RK4 step
+matrices) and ``propagate_band_end`` (end state only, a tree reduction).
+This is a kernel micro-benchmark; the end-to-end benchmark is
+``perfbench/run.py``.  Usage:
 
     python3 benchmarks/backend_bench.py --dim 7 --sizes 257,1025,4097
 """
@@ -14,21 +15,18 @@ import time
 
 import numpy as np
 
-from conespec.kernels import (HAVE_NUMBA, available_backends, propagate_band,
-                              propagate_band_end, set_backend)
+from conespec.kernels import propagate_band, propagate_band_end
 
 KERNELS = {"traj": propagate_band, "end": propagate_band_end}
 
 
-def time_backend(name, kernel, dm2, mu, lam, thetas, repeats):
-    set_backend(name)
-    kernel(dm2, mu, lam, thetas, 1.0, 0.0)  # warm-up / JIT
+def best_time(kernel, dm2, mu, lam, thetas, repeats):
+    kernel(dm2, mu, lam, thetas, 1.0, 0.0)  # warm-up
     best = math.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
         kernel(dm2, mu, lam, thetas, 1.0, 0.0)
         best = min(best, time.perf_counter() - t0)
-    set_backend(None)
     return best
 
 
@@ -43,21 +41,13 @@ def main():
     d = args.dim
     lam = d - 1.0
     print(f"band propagation, d={d}, lam={lam}, mu=0  (best of {args.repeats})")
-    header = f"{'n':>6}{'kernel':>8}" + "".join(f"{b:>12}" for b in available_backends())
-    if HAVE_NUMBA:
-        header += f"{'speedup':>10}"
-    print(header)
+    print(f"{'n':>6}" + "".join(f"{label:>12}" for label in KERNELS))
     for n in [int(t) for t in args.sizes.split(",") if t]:
         thetas = np.linspace(math.pi / 2 - 0.55, math.pi / 2 + 0.55, n)
-        for label, kernel in KERNELS.items():
-            row = f"{n:>6}{label:>8}"
-            times = {}
-            for b in available_backends():
-                times[b] = time_backend(b, kernel, d - 2, 0.0, lam, thetas, args.repeats)
-                row += f"{times[b] * 1e3:>10.3f}ms"
-            if HAVE_NUMBA:
-                row += f"{times['numpy'] / times['numba']:>9.1f}x"
-            print(row)
+        row = f"{n:>6}"
+        for kernel in KERNELS.values():
+            row += f"{best_time(kernel, d - 2, 0.0, lam, thetas, args.repeats) * 1e3:>10.3f}ms"
+        print(row)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from .errors import (AmbiguousCluster, BracketFail, ConfigError,
 from .profile import (ConeProfile, band_points, jacobi_fields,
                       legendre_crosscheck, solve_profile)
 from .spheremodes import SphereMode, harmonic_multiplicity, modes_up_to
-from .kernels import available_backends, get_backend, propagate_band, set_backend
+from .kernels import get_backend, propagate_band
 from .sl import (SLEigenpair, SLSpec, band_spec, count_below, eigen_fd_crosscheck,
                  eigen_k, eigenvalue, rayleigh)
 from .linkspec import (IntegrabilityReport, LinkEigenvalue, LinkSpectrum,

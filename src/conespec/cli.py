@@ -88,7 +88,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("cone", help="solve the cone profile")
     sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--grid", type=int, default=None)
     sp.add_argument("--out")
 
     sp = sub.add_parser("modes", help="sphere-harmonic mode table")
@@ -223,9 +222,8 @@ def _dispatch(args, cfg) -> int:
     stamp = args.timestamp
 
     if args.command == "cone":
-        local = dataclasses.replace(cfg, grid_n=args.grid) if args.grid else cfg
-        p = solve_profile(args.dim, local)
-        _emit(_json_report(p.to_dict(), local, stamp), args.out)
+        p = solve_profile(args.dim, cfg)
+        _emit(_json_report(p.to_dict(), cfg, stamp), args.out)
         return 0
 
     if args.command == "modes":

@@ -15,37 +15,21 @@ scheme:
 * :func:`propagate_band_end` returns only the end state -- the eigenvalue
   defect evaluations need nothing else.
 
-Two interchangeable backends implement them:
-
-* ``numba`` -- the plain RK4 loop below compiled with ``@njit`` (default when
-  numba imports cleanly); the end state is the last sample of that loop;
-* ``numpy`` -- the RK4 update written as 2x2 step matrices, built entrywise
-  as four arrays (:func:`_step_entries`).  Trajectories come from a
-  Hillis-Steele prefix scan over them (O(n log n) products), end states from
-  a pairwise tree reduction (O(n) products).
-
-Select with ``CONESPEC_BACKEND=numba|numpy|auto`` or :func:`set_backend`.
-Both implement identical arithmetic (modulo float reassociation in the scan
-and the reduction), so results agree to ~1e-12 and all tolerances are
-backend-independent.
+Both write the RK4 update as 2x2 step matrices, built entrywise as four
+arrays (:func:`_step_entries`).  Trajectories come from a Hillis-Steele
+prefix scan over them (O(n log n) products), end states from a pairwise tree
+reduction (O(n) products); both only reassociate the products of the plain
+loop :func:`_rk4_band`, the tests' reference.  An overflow or NaN inside a
+shot raises :class:`NonFiniteResult` instead of printing a numpy warning.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-ENV_BACKEND = "CONESPEC_BACKEND"
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    numba = None
-    HAVE_NUMBA = False
+from .errors import NonFiniteResult
 
 
 def _rk4_band(dm2, mu, lam, thetas, g0, gp0):
@@ -91,10 +75,6 @@ def _rk4_band(dm2, mu, lam, thetas, g0, gp0):
     return g, gp
 
 
-if HAVE_NUMBA:
-    _rk4_band_numba = numba.njit(cache=True)(_rk4_band)
-
-
 def _step_entries(dm2, mu, lam, thetas):
     """RK4 step matrices T_i (y_{i+1} = T_i y_i) as four entry arrays.
 
@@ -137,7 +117,7 @@ def _mat_mul(a, b):
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
-def _rk4_band_numpy(dm2, mu, lam, thetas, g0, gp0):
+def _rk4_scan(dm2, mu, lam, thetas, g0, gp0):
     """Vectorized RK4 trajectory: step matrices + Hillis-Steele prefix scan."""
     n = thetas.shape[0]
     g = np.empty(n)
@@ -157,7 +137,7 @@ def _rk4_band_numpy(dm2, mu, lam, thetas, g0, gp0):
     return g, gp
 
 
-def _rk4_band_end_numpy(dm2, mu, lam, thetas, g0, gp0):
+def _rk4_reduce(dm2, mu, lam, thetas, g0, gp0):
     """End state of the RK4 shot by pairwise tree reduction of the steps."""
     y0, y1 = g0, gp0
     t = _step_entries(dm2, mu, lam, thetas)
@@ -171,61 +151,28 @@ def _rk4_band_end_numpy(dm2, mu, lam, thetas, g0, gp0):
     return float(y0), float(y1)
 
 
-_active: str | None = None
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
 def get_backend() -> str:
-    """Resolve the active backend (env var once, then sticky)."""
-    global _active
-    if _active is None:
-        choice = os.environ.get(ENV_BACKEND, "auto").lower()
-        if choice not in ("auto", "numba", "numpy"):
-            raise ValueError(f"{ENV_BACKEND} must be auto|numba|numpy, got {choice!r}")
-        if choice == "auto":
-            choice = "numba" if HAVE_NUMBA else "numpy"
-        if choice == "numba" and not HAVE_NUMBA:
-            raise ValueError("numba backend requested but numba is not importable")
-        _active = choice
-    return _active
+    """Always ``"numpy"``, the only implementation; kept for provenance records."""
+    return "numpy"
 
 
-def set_backend(name: str | None) -> None:
-    """Force a backend ('numba'|'numpy'), or None to re-resolve from the env."""
-    global _active
-    if name is None:
-        _active = None
-        return
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _active = name
+def _finite_shot(kernel, dm2, mu, lam, thetas, g0, gp0):
+    """Run ``kernel`` with numpy overflow and NaN raised as NonFiniteResult."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return kernel(float(dm2), float(mu), float(lam),
+                          np.asarray(thetas, dtype=np.float64), float(g0), float(gp0))
+    except FloatingPointError as exc:
+        raise NonFiniteResult(f"non-finite band shot at mu={mu}, lam={lam}: {exc}") from None
 
 
 def propagate_band(dm2: float, mu: float, lam: float, thetas: np.ndarray,
                    g0: float, gp0: float):
-    """Integrate the band ODE along ``thetas`` with the active backend."""
-    if get_backend() == "numba":
-        return _rk4_band_numba(float(dm2), float(mu), float(lam),
-                               np.ascontiguousarray(thetas, dtype=np.float64),
-                               float(g0), float(gp0))
-    return _rk4_band_numpy(float(dm2), float(mu), float(lam),
-                           np.asarray(thetas, dtype=np.float64),
-                           float(g0), float(gp0))
+    """Integrate the band ODE along ``thetas``; (g, g') at every grid point."""
+    return _finite_shot(_rk4_scan, dm2, mu, lam, thetas, g0, gp0)
 
 
 def propagate_band_end(dm2: float, mu: float, lam: float, thetas: np.ndarray,
                        g0: float, gp0: float) -> tuple[float, float]:
     """End state (g, g') of :func:`propagate_band` without the trajectory."""
-    if get_backend() == "numba":
-        g, gp = _rk4_band_numba(float(dm2), float(mu), float(lam),
-                                np.ascontiguousarray(thetas, dtype=np.float64),
-                                float(g0), float(gp0))
-        return float(g[-1]), float(gp[-1])
-    return _rk4_band_end_numpy(float(dm2), float(mu), float(lam),
-                               np.asarray(thetas, dtype=np.float64),
-                               float(g0), float(gp0))
+    return _finite_shot(_rk4_reduce, dm2, mu, lam, thetas, g0, gp0)

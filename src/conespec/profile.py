@@ -23,6 +23,8 @@ from .kernels import propagate_band
 
 # Hunt window for the first zero: stay clear of the cot(theta) pole at pi.
 _HUNT_END_MARGIN = 0.01
+# Hunt steps integrated per shot; the hunt stops at the first block with a zero.
+_HUNT_BLOCK = 1024
 _BISECT_CAP = 200
 
 
@@ -88,6 +90,27 @@ def _refined_root(d, lo, y_lo, hi, root_tol):
     raise NonConvergent(f"aperture bisection did not reach {root_tol} in {_BISECT_CAP} steps")
 
 
+def _hunt_sign_change(d, n_hunt):
+    """Last hunt point with g > 0, its state (g, g'), and the next hunt point.
+
+    The hunt grid runs from pi/2 towards the cot pole at pi.  Past the first
+    zero the solution blows up (it overflows for d in the hundreds), so the
+    grid is shot block by block, each block starting from the previous
+    block's end state, and the hunt stops at the first block where g <= 0.
+    """
+    hunt = np.linspace(math.pi / 2, math.pi - _HUNT_END_MARGIN, n_hunt + 1)
+    state = (1.0, 0.0)
+    for start in range(0, n_hunt, _HUNT_BLOCK):
+        block = hunt[start:start + _HUNT_BLOCK + 1]
+        g, gp = propagate_band(d - 2, 0.0, d - 1, block, *state)
+        below = np.nonzero(g <= 0.0)[0]
+        if below.size:
+            i = int(below[0])
+            return block[i - 1], (g[i - 1], gp[i - 1]), block[i]
+        state = (g[-1], gp[-1])
+    raise NoZeroFound(f"profile for d={d} has no zero before theta={hunt[-1]:.4f}")
+
+
 def solve_profile(d: int, cfg: SolverConfig | None = None) -> ConeProfile:
     """Find the aperture and the normalized profile for dimension d >= 3."""
     cfg = cfg or DEFAULT_CONFIG
@@ -95,14 +118,8 @@ def solve_profile(d: int, cfg: SolverConfig | None = None) -> ConeProfile:
         raise ValueError(f"dimension must be an integer >= 3, got {d!r}")
     d = int(d)
 
-    n_hunt = 4 * cfg.grid_n
-    hunt = np.linspace(math.pi / 2, math.pi - _HUNT_END_MARGIN, n_hunt + 1)
-    g, gp = propagate_band(d - 2, 0.0, d - 1, hunt, 1.0, 0.0)
-    below = np.nonzero(g <= 0.0)[0]
-    if below.size == 0:
-        raise NoZeroFound(f"profile for d={d} has no zero before theta={hunt[-1]:.4f}")
-    i = int(below[0])
-    root, slope = _refined_root(d, hunt[i - 1], (g[i - 1], gp[i - 1]), hunt[i], cfg.root_tol)
+    lo, y_lo, hi = _hunt_sign_change(d, 4 * cfg.grid_n)
+    root, slope = _refined_root(d, lo, y_lo, hi, cfg.root_tol)
 
     theta0 = float(root) - math.pi / 2
     if not (0.0 < theta0 < math.pi / 2 - 1e-9):

@@ -91,13 +91,17 @@ def test_every_config_field_has_a_reader():
 def test_verify_sweep_exit_codes(tmp_path):
     # the d<=6 / d>=7 dichotomy well beyond the tabulated range, with the
     # homogeneity kernels of dimension d (mu=0) and d-1 (rotations)
+    # and, up to d = 200, without a numpy overflow warning from the profile hunt
     out = tmp_path / "v.json"
-    for d in range(3, 31):
-        code = run(["verify", "--dim", str(d), "--out", str(out)])
-        assert code == (1 if d <= 6 else 0), (d, code)
-        body = _read_json(out)
-        assert body["dim_kernel0"] == d, (d, body["dim_kernel0"])
-        assert body["dim_kernel_d_minus_1"] == d - 1, d
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for d in [*range(3, 31), 50, 100, 200]:
+            code = run(["verify", "--dim", str(d), "--out", str(out)])
+            assert code == (1 if d <= 6 else 0), (d, code)
+            body = _read_json(out)
+            assert body["dim_kernel0"] == d, (d, body["dim_kernel0"])
+            assert body["dim_kernel_d_minus_1"] == d - 1, d
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_verify_work_count(tmp_path, monkeypatch):
@@ -166,8 +170,9 @@ def test_config_env_fallback(tmp_path, monkeypatch):
 
 def test_cone_report_contents(tmp_path):
     out = tmp_path / "cone.json"
-    assert run(["cone", "--dim", "7", "--grid", "1024",
-                "--out", str(out)]) == 0
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({"grid_n": 1024}))
+    assert run(["--config", str(cfgf), "cone", "--dim", "7", "--out", str(out)]) == 0
     body = _read_json(out)
     assert body["theta0"] == pytest.approx(THETA0_D7, abs=1e-8)
     assert body["H"] == pytest.approx(5 * math.tan(body["theta0"]), rel=1e-12)
@@ -316,6 +321,8 @@ _IN_CHILD = {"modes --dim 7 --mu-max nan", "modes --dim 7 --mu-max inf",
     ("particular --dim 7 --beta=-inf --modes @modes", 64, "not finite"),
     ("sl --dim 7 --mu nan --bc robin --k 1", 64, "--mu: 'nan' is not finite"),
     ("sl --dim 7 --mu inf --bc robin --k 1", 64, "not finite"),
+    ("sl --dim 7 --mu 1e12 --bc robin --k 1", 2, "numerical error: non-finite band shot"),
+    ("sl --dim 7 --mu 1e300 --bc robin --k 1", 2, "numerical error: non-finite band shot"),
     ("spectrum --dim 7 --lambda-max nan", 64, "--lambda-max: 'nan' is not finite"),
     ("spectrum --dim 7 --lambda-max inf", 64, "not finite"),
     ("weiss --dim 7 --field @cone --radii 1,nan", 64, "--radii: 'nan' is not finite"),
