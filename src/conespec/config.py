@@ -18,7 +18,7 @@ class SolverConfig:
     res_tol: float = 1e-7       # resonance threshold for boundary eigenvalues
     cluster_tol: float = 1e-6   # eigenvalue clustering width for multiplicities
     quad_tol: float = 1e-9      # relative quadrature error budget
-    root_tol: float = 1e-12     # bisection width for the aperture root
+    root_tol: float = 1e-12     # Brent tolerance for the aperture root
     r0: float = 1.0             # inner radius of the radial grid
     r_max: float = 1024.0       # outer radius (>= 2**10 * r0 keeps slope fits at 3 decades)
 

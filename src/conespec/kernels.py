@@ -15,21 +15,33 @@ scheme:
 * :func:`propagate_band_end` returns only the end state -- the eigenvalue
   defect evaluations need nothing else.
 
-Both write the RK4 update as 2x2 step matrices, built entrywise as four
-arrays (:func:`_step_entries`).  Trajectories come from a Hillis-Steele
-prefix scan over them (O(n log n) products), end states from a pairwise tree
-reduction (O(n) products); both only reassociate the products of the plain
-loop :func:`_rk4_band`, the tests' reference.  An overflow or NaN inside a
-shot raises :class:`NonFiniteResult` instead of printing a numpy warning.
+Both write the RK4 update as 2x2 step matrices y_{i+1} = T_i y_i.  Only
+c = mu / sin^2 - lam depends on lam, and T_i is exactly quadratic in it, so
+the coefficients of P0 + lam P1 + lam^2 P2 are built once per (dm2, mu, grid)
+and memoized (:func:`_step_poly`); each shot then evaluates them by Horner's
+rule.  One tree serves both entry points (Blelloch, "Prefix sums and their
+applications", 1990): its up-sweep of pairwise products gives the end state,
+and a down-sweep of states gives the trajectory, O(n) products each.  Both
+only reassociate the products of the plain loop :func:`_rk4_band`, the tests'
+reference, whose stage arithmetic :func:`_step_entries` writes out entrywise.
+An overflow or NaN inside a shot raises :class:`NonFiniteResult` instead of
+printing a numpy warning.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import NonFiniteResult
+
+# Memoized step-matrix quadratics.  Shots on one (dm2, mu, grid) come in a
+# run (one spec's eigenvalues, or a boundary mode's two solutions), so a
+# larger memo barely raises the hit share; one entry on a 2049-point half
+# band holds about 0.2 MB.
+_MEMO_SIZE = 2
 
 
 def _rk4_band(dm2, mu, lam, thetas, g0, gp0):
@@ -75,6 +87,20 @@ def _rk4_band(dm2, mu, lam, thetas, g0, gp0):
     return g, gp
 
 
+def _node_terms(dm2, mu, thetas):
+    """Step widths and the lambda-free coefficients at each step's three points.
+
+    Returns h and (a, e) at the lo, mid and hi points, with a = mu / sin^2
+    and e = -dm2 cot, so that A(t) = [[0, 1], [a(t) - lam, e(t)]].
+    """
+    h = np.diff(thetas)
+    tm = thetas[:-1] + 0.5 * h
+    a_node = mu / np.sin(thetas) ** 2
+    e_node = -dm2 / np.tan(thetas)
+    return (h, (a_node[:-1], mu / np.sin(tm) ** 2, a_node[1:]),
+            (e_node[:-1], -dm2 / np.tan(tm), e_node[1:]))
+
+
 def _step_entries(dm2, mu, lam, thetas):
     """RK4 step matrices T_i (y_{i+1} = T_i y_i) as four entry arrays.
 
@@ -84,14 +110,13 @@ def _step_entries(dm2, mu, lam, thetas):
     k4 = A_hi (I + h k3) and T = I + h/6 (k1 + 2 k2 + 2 k3 + k4), written
     out entry by entry.
     """
-    h = np.diff(thetas)
-    tm = thetas[:-1] + 0.5 * h
-    c_node = mu / np.sin(thetas) ** 2 - lam
-    e_node = -dm2 / np.tan(thetas)
-    c_lo, c_hi = c_node[:-1], c_node[1:]
-    e_lo, e_hi = e_node[:-1], e_node[1:]
-    c_m = mu / np.sin(tm) ** 2 - lam
-    e_m = -dm2 / np.tan(tm)
+    return _stage_entries(*_node_terms(dm2, mu, thetas), lam)
+
+
+def _stage_entries(h, a, e, lam):
+    """:func:`_step_entries` from the output of :func:`_node_terms`."""
+    (a_lo, a_m, a_hi), (e_lo, e_m, e_hi) = a, e
+    c_lo, c_m, c_hi = a_lo - lam, a_m - lam, a_hi - lam
 
     def a_times(c, e, m00, m01, m10, m11):  # A @ M for A = [[0, 1], [c, e]]
         return m10, m11, c * m00 + e * m10, c * m01 + e * m11
@@ -109,46 +134,98 @@ def _step_entries(dm2, mu, lam, thetas):
     return t00, t01, t10, t11
 
 
-def _mat_mul(a, b):
-    """2x2 products a @ b, each matrix given as its four entry arrays."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _step_poly(dm2, mu, grid):
+    """Step matrices as exact quadratics in lam: T = P0 + lam P1 + lam^2 P2.
+
+    ``grid`` is the theta array's bytes.  The lam part of A is -lam N with
+    N = [[0, 0], [1, 0]] and N @ N = 0, so in the stage products (at most four
+    factors A) only non-adjacent pairs of N survive and the entries have
+    degree 2.  P0 is the stage arithmetic at lam = 0; P1 and P2 are the
+    symbolically expanded stage products, not a fit.  Returns a read-only
+    array of shape (3, 2, 2, steps).
+    """
+    h, a, e = _node_terms(dm2, mu, np.frombuffer(grid))
+    (a_lo, a_m, a_hi), (e_lo, e_m, e_hi) = a, e
+    h2 = h * h
+    h3, h4 = h2 * h, h2 * h2
+    s = a_lo + a_m + e_m * e_m
+    p1 = [[-h2 * (h2 * s + 4.0 * h * e_m + 12.0) / 24.0,
+           -h3 * (h * (e_lo + e_m) + 4.0) / 24.0],
+          [-h * (h3 * (e_hi * s + e_m * (a_lo + a_hi))
+                 + 2.0 * h2 * (s + a_m + a_hi + e_hi * e_m)
+                 + 4.0 * h * (e_hi + 2.0 * e_m) + 24.0) / 24.0,
+           -h2 * (h2 * (a_m + a_hi + e_lo * e_hi + e_m * (e_lo + e_hi))
+                  + 2.0 * h * (e_lo + e_hi + 2.0 * e_m) + 12.0) / 24.0]]
+    p2 = [[h4 / 24.0, np.zeros_like(h)],
+          [h3 * (h * (e_hi + e_m) + 4.0) / 24.0, h4 / 24.0]]
+    p0 = _stage_entries(h, a, e, 0.0)
+    poly = np.array([[p0[:2], p0[2:]], p1, p2])
+    poly.flags.writeable = False
+    return poly
 
 
-def _rk4_scan(dm2, mu, lam, thetas, g0, gp0):
-    """Vectorized RK4 trajectory: step matrices + Hillis-Steele prefix scan."""
+def _steps(dm2, mu, lam, thetas):
+    """Step matrices at ``lam`` by Horner's rule on the memoized quadratics."""
+    p0, p1, p2 = _step_poly(dm2, mu, thetas.tobytes())
+    return p0 + lam * (p1 + lam * p2)
+
+
+def _up_sweep(t):
+    """Tree of step products: level 0 is ``t`` (shape (2, 2, steps)).
+
+    Each level holds the pairwise products T_{2j+1} @ T_{2j} of the one below
+    (an unpaired last matrix moves up unchanged); the last level is the single
+    product of all steps.
+    """
+    levels = [t]
+    while t.shape[2] > 1:
+        m = t.shape[2]
+        # T_{2j+1} @ T_{2j}: numpy's einsum would not report an overflow
+        up = (t[:, :, None, 1::2] * t[None, :, :, 0:m - 1:2]).sum(axis=1)
+        if m % 2:
+            up = np.concatenate([up, t[:, :, -1:]], axis=2)
+        levels.append(up)
+        t = up
+    return levels
+
+
+def _end_state(levels, g0, gp0):
+    """State after all steps: the tree's root applied to (g0, gp0)."""
+    if not levels[-1].shape[2]:
+        return g0, gp0
+    (r00, r01), (r10, r11) = levels[-1][:, :, 0]
+    return r00 * g0 + r01 * gp0, r10 * g0 + r11 * gp0
+
+
+def _rk4_end(dm2, mu, lam, thetas, g0, gp0):
+    """End state of the RK4 shot: the up-sweep of the step tree."""
+    y0, y1 = _end_state(_up_sweep(_steps(dm2, mu, lam, thetas)), g0, gp0)
+    return float(y0), float(y1)
+
+
+def _rk4_trajectory(dm2, mu, lam, thetas, g0, gp0):
+    """RK4 trajectory: the up-sweep, then a down-sweep of states.
+
+    Going down a level, the first child of each pair starts where its parent
+    starts and the second child starts at the first child's product applied
+    to that state, so the leaf level holds the state before every step; the
+    last point is the end state of :func:`_rk4_end`.
+    """
+    levels = _up_sweep(_steps(dm2, mu, lam, thetas))
+    state = np.array([[g0], [gp0]])
+    for t in reversed(levels[:-1]):
+        m = t.shape[2]
+        below = np.empty((2, m))
+        below[:, 0::2] = state
+        below[:, 1::2] = (t[:, :, 0:m - 1:2] * state[:, :m // 2]).sum(axis=1)
+        state = below
     n = thetas.shape[0]
     g = np.empty(n)
     gp = np.empty(n)
-    g[0] = g0
-    gp[0] = gp0
-    t = _step_entries(dm2, mu, lam, thetas)
-    # Inclusive scan: afterwards entry i holds the product T_i @ ... @ T_0.
-    width = 1
-    while width < n - 1:
-        prod = _mat_mul([x[width:] for x in t], [x[:-width] for x in t])
-        for x, p in zip(t, prod):
-            x[width:] = p
-        width *= 2
-    g[1:] = t[0] * g0 + t[1] * gp0
-    gp[1:] = t[2] * g0 + t[3] * gp0
+    g[:-1], gp[:-1] = state[:, :n - 1]
+    g[-1], gp[-1] = _end_state(levels, g0, gp0)
     return g, gp
-
-
-def _rk4_reduce(dm2, mu, lam, thetas, g0, gp0):
-    """End state of the RK4 shot by pairwise tree reduction of the steps."""
-    y0, y1 = g0, gp0
-    t = _step_entries(dm2, mu, lam, thetas)
-    while t[0].size:
-        if t[0].size % 2:
-            # apply the leading step to the state so the rest pairs up
-            y0, y1 = t[0][0] * y0 + t[1][0] * y1, t[2][0] * y0 + t[3][0] * y1
-            t = [x[1:] for x in t]
-        # T_{2j+1} @ T_{2j} keeps the order of the product
-        t = _mat_mul([x[1::2] for x in t], [x[0::2] for x in t])
-    return float(y0), float(y1)
 
 
 def get_backend() -> str:
@@ -169,10 +246,10 @@ def _finite_shot(kernel, dm2, mu, lam, thetas, g0, gp0):
 def propagate_band(dm2: float, mu: float, lam: float, thetas: np.ndarray,
                    g0: float, gp0: float):
     """Integrate the band ODE along ``thetas``; (g, g') at every grid point."""
-    return _finite_shot(_rk4_scan, dm2, mu, lam, thetas, g0, gp0)
+    return _finite_shot(_rk4_trajectory, dm2, mu, lam, thetas, g0, gp0)
 
 
 def propagate_band_end(dm2: float, mu: float, lam: float, thetas: np.ndarray,
                        g0: float, gp0: float) -> tuple[float, float]:
     """End state (g, g') of :func:`propagate_band` without the trajectory."""
-    return _finite_shot(_rk4_reduce, dm2, mu, lam, thetas, g0, gp0)
+    return _finite_shot(_rk4_end, dm2, mu, lam, thetas, g0, gp0)

@@ -8,6 +8,10 @@ The cone is U(r, theta) = r*g(theta) over the latitude band
 theta0 is the first zero of g past pi/2, and g is rescaled so |g'| = 1 at
 both band endpoints (the free-boundary gradient condition).  The boundary
 mean curvature is H = (d-2) tan(theta0).
+
+The first zero is found in two steps: a hunt shot block by block along a
+fine grid until g changes sign, then Brent's method inside that hunt cell,
+each value an end-state shot from the cell's left end.
 """
 
 from __future__ import annotations
@@ -18,14 +22,14 @@ import math
 import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import EvaluationUnstable, NoZeroFound, NonConvergent
-from .kernels import propagate_band
+from ._quad import brentq
+from .errors import EvaluationUnstable, NoZeroFound
+from .kernels import propagate_band, propagate_band_end
 
 # Hunt window for the first zero: stay clear of the cot(theta) pole at pi.
 _HUNT_END_MARGIN = 0.01
 # Hunt steps integrated per shot; the hunt stops at the first block with a zero.
 _HUNT_BLOCK = 1024
-_BISECT_CAP = 200
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,26 +72,18 @@ def band_points(grid_n: int) -> int:
 
 
 def _refined_root(d, lo, y_lo, hi, root_tol):
-    """Bisection for the zero of g inside [lo, hi], re-integrating from lo."""
+    """Brent's method for the zero of g in [lo, hi]: (root, g'(root)).
+
+    Each value is an end-state shot from lo on a 33-point grid.
+    """
+    states = {}
 
     def g_at(theta):
-        sub = np.linspace(lo, theta, 33)
-        g, _ = propagate_band(d - 2, 0.0, d - 1, sub, y_lo[0], y_lo[1])
-        return g[-1]
+        states[theta] = propagate_band_end(d - 2, 0.0, d - 1, np.linspace(lo, theta, 33), *y_lo)
+        return states[theta][0]
 
-    a, b = lo, hi
-    for _ in range(_BISECT_CAP):
-        mid = 0.5 * (a + b)
-        if g_at(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-        if b - a <= root_tol:
-            root = 0.5 * (a + b)
-            sub = np.linspace(lo, root, 33)
-            g, gp = propagate_band(d - 2, 0.0, d - 1, sub, y_lo[0], y_lo[1])
-            return root, gp[-1]
-    raise NonConvergent(f"aperture bisection did not reach {root_tol} in {_BISECT_CAP} steps")
+    root = brentq(g_at, lo, hi, root_tol)
+    return root, states[root][1]
 
 
 def _hunt_sign_change(d, n_hunt):

@@ -106,7 +106,8 @@ def test_verify_sweep_exit_codes(tmp_path):
 
 def test_verify_work_count(tmp_path, monkeypatch):
     # each band eigenvalue is solved once, from a seeded and validated
-    # bracket: verify --dim 7 in a fresh process needs at most 150 shots
+    # bracket, and the aperture is a Brent root: verify --dim 7 in a fresh
+    # process needs at most 100 shots
     from conespec import boundary, kernels, profile, sl
     sl._eigenvalue.cache_clear()
     sl._seeds.cache_clear()
@@ -119,7 +120,7 @@ def test_verify_work_count(tmp_path, monkeypatch):
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(mod, name, counted)
     assert run(["verify", "--dim", "7", "--out", str(tmp_path / "v.json")]) == 0
-    assert 0 < len(shots) <= 150, len(shots)
+    assert 0 < len(shots) <= 100, len(shots)
 
 
 @pytest.mark.parametrize("config, coeffs, code, message", [

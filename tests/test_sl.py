@@ -125,11 +125,12 @@ def test_spec_rejects_asymmetric_band():
 def test_nodes_skip_exact_zero_samples():
     assert sl._nodes(np.array([1.0, 0.0, -1.0])) == 1
     assert sl._nodes(np.array([1.0, 0.0, 1.0])) == 0
-    # an odd eigenfunction whose centre sample comes out exactly 0.0 at a
-    # lambda within 2e-13 of the 6th eigenvalue: 5 nodes, not 4
+    # an odd eigenfunction at a lambda within 2e-13 of the 6th eigenvalue,
+    # with its centre sample (zero by symmetry) set to exactly 0.0: 5 nodes, not 4
     spec = SLSpec(10, band=(1.1297293680950529, 2.0118632854947402), mu=18.0,
                   bc="robin", H=3.7766769293627203)
     g, _ = sl._assemble_fn(spec, sl._disc(spec), 324.60657338767527, "odd")
+    g[g.size // 2] = 0.0
     assert np.count_nonzero(g == 0.0) == 1
     assert sl._nodes(g) == 5
     assert eigen_k(spec, 6).nodes == 5
