@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -79,6 +80,7 @@ def _dims(text: str) -> list[int]:
     return dims
 
 
+@functools.cache  # one parser per process; run() may be called many times
 def _build_parser() -> _Parser:
     ap = _Parser(prog="conespec", description=__doc__.splitlines()[0])
     ap.add_argument("--config", help="JSON config file (else $CONESPEC_CONFIG)")

@@ -12,15 +12,20 @@ half-band problem with g'(pi/2) = 0 (k odd) or g(pi/2) = 0 (k even), and the
 full eigenfunction is its mirror image.
 
 Each eigenvalue is found in three steps.  Coarse finite-volume solves
-(dense numpy eigenproblems on 64 and 128 cells with Richardson, once per
-spec, cached) seed a narrow bracket around it.  Two node counts on shooting
-trajectories validate that bracket (the count uses the Pruefer phase of the
-endpoint state, so no phase ODE is integrated); when they disagree,
-node-count bisection from a wide bracket isolates the eigenvalue instead.
-Brent's method on the midpoint defect then gives the value, and each shot
-there needs only the end state (:func:`propagate_band_end`).  Eigenvalues
-are memoized per (spec, k, config) by :func:`eigenvalue`; :func:`eigen_k`
-adds one trajectory shot to assemble the eigenfunction, which is not cached.
+seed a narrow bracket around it: dense numpy eigenproblems on 64 and 128
+cells with Richardson, once per (spec, parity) and cached, each on the half
+matrix of its own parity only.  Two node counts on shooting trajectories
+validate that bracket (the count uses the Pruefer phase of the endpoint
+state, so no phase ODE is integrated); when they disagree, node-count
+bisection from a wide bracket isolates the eigenvalue instead.  Brent's
+method on the midpoint defect then gives the value.  A counting shot's last
+point is the end state, so its defect is kept and Brent does not shoot the
+validated endpoints again; every other Brent shot needs only the end state
+(:func:`propagate_band_end`).  Both parities start from the same left
+state, so :func:`count_below` reads both counts off one trajectory.
+Eigenvalues are memoized per (spec, k, config) by :func:`eigenvalue`;
+:func:`eigen_k` adds one trajectory shot to assemble the eigenfunction,
+which is not cached.
 The seeds only choose the bracket, so the independent finite-difference
 discretization (:func:`eigen_fd_crosscheck`, Richardson on the spec's own
 grid, solved by LAPACK through scipy) remains the oracle for derived
@@ -44,7 +49,7 @@ from .profile import ConeProfile, band_points
 _EXPAND_CAP = 60
 _BISECT_CAP = 300
 _SYMMETRY_TOL = 1e-12
-_SEED_COUNT = 16     # seeded eigenvalues per spec; higher k bisect from scratch
+_SEED_COUNT = 16     # seeded eigenvalues per spec, half per parity; higher k bisect
 _SEED_REL = 1e-3     # bracket half-width relative to max(1, |seed|)
 _MEMO_SIZE = 4096    # memoized eigenvalues (floats only)
 
@@ -115,28 +120,37 @@ def _nodes(g):
     return int(np.count_nonzero(s[:-1] != s[1:]))
 
 
-def _phase_count(g_end, w_gp_end, nodes, tau):
-    """Eigenvalue count from the endpoint Pruefer phase.
+# Pruefer phase at pi/2 that the half-band eigenfunction hits:
+# g'(pi/2) = 0 (even) or g(pi/2) = 0 (odd).
+_TARGET_PHASE = {"even": math.pi / 2, "odd": math.pi}
 
-    The phase at the far endpoint is nodes*pi + frac with frac in (0, pi];
-    the count of eigenvalues strictly below lam is nodes + [frac > tau].
+
+def _half_shot(spec, disc, lam):
+    """Trajectory shot on the left half-band: (nodes, g(pi/2), g'(pi/2))."""
+    g, gp = propagate_band(spec.dim - 2, spec.mu, lam, disc["left"], *_y_left(spec))
+    return _nodes(g), float(g[-1]), float(gp[-1])
+
+
+def _phase_count(nodes, g_end, gp_end, parity):
+    """Half-band eigenvalues of ``parity`` strictly below the shot's lam.
+
+    The Pruefer phase at pi/2 is nodes*pi + frac with frac in (0, pi]; the
+    count is nodes + [frac > target phase].
     """
-    frac = math.atan2(g_end, w_gp_end)
+    frac = math.atan2(g_end, gp_end)
     if frac <= 0.0:
         frac += math.pi
-    return nodes + (1 if frac > tau else 0)
+    return nodes + (1 if frac > _TARGET_PHASE[parity] else 0)
 
 
-def _count_half(spec, disc, parity, lam):
-    g, gp = propagate_band(spec.dim - 2, spec.mu, lam, disc["left"], *_y_left(spec))
-    tau = math.pi / 2 if parity == "even" else math.pi  # g'(c)=0 / g(c)=0 target
-    return _phase_count(g[-1], gp[-1], _nodes(g), tau)
+def _defect(g_end, gp_end, parity):
+    """Normalized midpoint defect: g'(pi/2) (even) or g(pi/2) (odd)."""
+    return (gp_end if parity == "even" else g_end) / math.hypot(g_end, gp_end)
 
 
 def _defect_half(spec, disc, parity, lam):
     g, gp = propagate_band_end(spec.dim - 2, spec.mu, lam, disc["left"], *_y_left(spec))
-    val = gp if parity == "even" else g
-    return val / math.hypot(g, gp)
+    return _defect(g, gp, parity)
 
 
 def _isolate(count_fn, k, lo, hi):
@@ -181,32 +195,41 @@ def _assemble_fn(spec, disc, lam, parity):
 
 
 def count_below(spec: SLSpec, lam: float) -> int:
-    """Number of band eigenvalues strictly below ``lam`` (two trajectory shots)."""
-    disc = _disc(spec)
-    return _count_half(spec, disc, "even", lam) + _count_half(spec, disc, "odd", lam)
+    """Number of band eigenvalues strictly below ``lam`` (one trajectory shot)."""
+    shot = _half_shot(spec, _disc(spec), lam)
+    return _phase_count(*shot, "even") + _phase_count(*shot, "odd")
 
 
-@functools.lru_cache(maxsize=128)
-def _seeds(spec: SLSpec) -> tuple[float, ...]:
-    """Coarse finite-volume eigenvalues that seed the shooting brackets.
+@functools.lru_cache(maxsize=256)
+def _seeds(spec: SLSpec, parity: str) -> tuple[float, ...]:
+    """Coarse finite-volume eigenvalues of one parity that seed the brackets.
 
-    Dense symmetric solves on 64 and 128 cells, Richardson extrapolated
-    like :func:`eigen_fd_crosscheck`.
+    The symmetric finite-volume matrix is persymmetric about its centre node
+    c, so each eigenvector is even or odd about c and each parity is the
+    spectrum of a half matrix: nodes 0..c with the last coupling scaled by
+    sqrt(2), which keeps the half matrix symmetric (even), or nodes 0..c-1
+    with the centre value 0 (odd).  Dense symmetric solves on 64 and 128
+    cells, Richardson extrapolated like :func:`eigen_fd_crosscheck`.
     """
     vals = []
     for n in (64, 128):
         dd, ee = _fv_sym(spec, n)
+        c = dd.size // 2
+        if parity == "even":
+            dd, ee = dd[:c + 1], ee[:c].copy()
+            ee[-1] *= math.sqrt(2.0)
+        else:
+            dd, ee = dd[:c], ee[:c - 1]
         dense = np.diag(dd) + np.diag(ee, 1) + np.diag(ee, -1)
-        vals.append(np.linalg.eigvalsh(dense)[:_SEED_COUNT])
+        vals.append(np.linalg.eigvalsh(dense)[:_SEED_COUNT // 2])
     v1, v2 = vals
     return tuple(float(v) for v in (4.0 * v2 - v1) / 3.0)
 
 
-def _bracket(spec, k, count_fn, idx):
-    """Bracket holding the k-th eigenvalue and no other of its parity."""
-    seeds = _seeds(spec)
-    if k <= len(seeds):
-        seed = seeds[k - 1]
+def _bracket(spec, parity, idx, count_fn):
+    """Bracket holding the idx-th half-band eigenvalue of ``parity`` and no other."""
+    if idx <= _SEED_COUNT // 2:
+        seed = _seeds(spec, parity)[idx - 1]
         half = _SEED_REL * max(1.0, abs(seed))
         lo, hi = seed - half, seed + half
         if count_fn(lo) == idx - 1 and count_fn(hi) == idx:
@@ -228,15 +251,19 @@ def _eigenvalue(spec, k, cfg):
     disc = _disc(spec)
     parity = "even" if k % 2 == 1 else "odd"
     idx = (k + 1) // 2
-    count_fn = lambda lam: _count_half(spec, disc, parity, lam)
-    shots = {}
+    shots = {}  # lam -> defect, from counting and Brent shots alike
+
+    def count_fn(lam):
+        nodes, g, gp = _half_shot(spec, disc, lam)
+        shots[lam] = _defect(g, gp, parity)
+        return _phase_count(nodes, g, gp, parity)
 
     def defect_fn(lam):
         if lam not in shots:
             shots[lam] = _defect_half(spec, disc, parity, lam)
         return shots[lam]
 
-    lo, hi = _bracket(spec, k, count_fn, idx)
+    lo, hi = _bracket(spec, parity, idx, count_fn)
     shrink = 0
     while defect_fn(lo) * defect_fn(hi) > 0.0:
         # The defect is entire with a single simple zero inside; a same-sign

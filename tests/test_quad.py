@@ -71,8 +71,8 @@ def test_brentq_matches_scipy_on_band_defects(profiles):
                 for k in (1, 2, 3, 5):
                     parity = "even" if k % 2 == 1 else "odd"
                     idx = (k + 1) // 2
-                    lo, hi = sl._bracket(
-                        spec, k, lambda lam: sl._count_half(spec, disc, parity, lam), idx)
+                    lo, hi = sl._bracket(spec, parity, idx, lambda lam: sl._phase_count(
+                        *sl._half_shot(spec, disc, lam), parity))
                     defect = lambda lam: sl._defect_half(spec, disc, parity, lam)
                     ours, ours_xs = _traced(defect)
                     ref, ref_xs = _traced(defect)

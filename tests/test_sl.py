@@ -150,7 +150,9 @@ def test_wrong_seeds_fall_back_to_bisection(p7, bc, monkeypatch):
 
     _isolate = sl._isolate
     monkeypatch.setattr(sl, "_isolate", isolate)
-    monkeypatch.setattr(sl, "_seeds", lambda s: tuple(40.0 * i - 30.0 for i in range(16)))
+    # the wrong seed of k is 40(k-1) - 30 for every k, split by parity
+    monkeypatch.setattr(sl, "_seeds", lambda s, parity: tuple(
+        40.0 * i - 30.0 for i in range(16))[parity == "odd"::2])
     try:
         for k, lam in enumerate(seeded, start=1):
             pair = eigen_k(spec, k)
@@ -170,3 +172,71 @@ def test_count_below_matches_fd_oracle(p3, p7, mu, bc):
         probes = np.concatenate([[fd[0] - 1.0], 0.5 * (fd[:-1] + fd[1:])])
         for lam in probes:
             assert count_below(spec, lam) == int(np.count_nonzero(fd < lam)), (p.dim, lam)
+
+
+@pytest.fixture(scope="module")
+def seed_profiles(p3, p7):
+    from conespec.profile import solve_profile
+    return {3: p3, 7: p7, 12: solve_profile(12), 24: solve_profile(24)}
+
+
+@pytest.mark.parametrize("mu", [0.0, 84.0, 500.0])
+@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
+def test_parity_seeds_match_full_dense_solve(seed_profiles, mu, bc):
+    # the parity-half seed matrices hold the even- and odd-indexed values of
+    # the full persymmetric finite-volume matrix, solved densely here
+    for d, p in seed_profiles.items():
+        spec = band_spec(p, mu, bc)
+        full = []
+        for n in (64, 128):
+            dd, ee = sl._fv_sym(spec, n)
+            full.append(np.linalg.eigvalsh(np.diag(dd) + np.diag(ee, 1) + np.diag(ee, -1)))
+        want = (4.0 * full[1][:16] - full[0][:16]) / 3.0
+        for parity, start in (("even", 0), ("odd", 1)):
+            got = np.array(sl._seeds(spec, parity))
+            assert got.size == 8, (d, parity)
+            rel = np.abs(got - want[start::2]) / np.maximum(1.0, np.abs(want[start::2]))
+            assert rel.max() <= 1e-10, (d, parity, rel.max())
+
+
+def test_count_below_shoots_once(p7, monkeypatch):
+    # both parities are read off one left half-band trajectory
+    spec = band_spec(p7, 5.0, "robin")
+    calls = []
+
+    def counted(*args, _shoot=sl.propagate_band):
+        calls.append(args)
+        return _shoot(*args)
+
+    monkeypatch.setattr(sl, "propagate_band", counted)
+    monkeypatch.setattr(sl, "propagate_band_end", None)  # must not be called
+    assert count_below(spec, 20.0) == 2  # 0 and 6 (FROZEN_D7), not 31.22
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_seeded_bracket_ends_are_not_reshot(p7, monkeypatch, k):
+    # the two validating trajectory shots give Brent its endpoint defects
+    spec = band_spec(p7, 12.0, "dirichlet")
+    parity, idx = ("even" if k % 2 else "odd"), (k + 1) // 2
+    seed = sl._seeds(spec, parity)[idx - 1]
+    half = sl._SEED_REL * max(1.0, abs(seed))
+    lo, hi = seed - half, seed + half
+    traj, ends = [], []
+
+    def shot(fn, log):
+        def counted(dm2, mu, lam, *rest):
+            log.append(lam)
+            return fn(dm2, mu, lam, *rest)
+        return counted
+
+    monkeypatch.setattr(sl, "propagate_band", shot(sl.propagate_band, traj))
+    monkeypatch.setattr(sl, "propagate_band_end", shot(sl.propagate_band_end, ends))
+    sl._eigenvalue.cache_clear()
+    try:
+        lam = eigenvalue(spec, k)
+    finally:
+        sl._eigenvalue.cache_clear()
+    assert traj == [lo, hi]  # the seeded bracket validated, no fallback
+    assert ends and lo not in ends and hi not in ends
+    assert lo < lam < hi

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conespec import spheremodes
 from conespec.spheremodes import harmonic_multiplicity, modes_up_to
 
 
@@ -54,6 +55,22 @@ def test_modes_up_to_is_complete_and_cut():
         assert m.mu == m.ell * (m.ell + 4)
         assert m.mu <= 40.0
     assert modes_up_to(7, 44.9)[-1].ell == 4
+
+
+def test_top_degree_is_exact_and_bounded():
+    # the closed-form top degree is exact at and just below every tabulated
+    # mu, and a table past the degree limit is refused
+    for d in (3, 7, 24):
+        for ell in range(60):
+            mu = ell * (ell + d - 3)
+            assert modes_up_to(d, mu)[-1].ell == ell
+            assert len(modes_up_to(d, mu - 1e-9)) == ell
+    top = spheremodes._MAX_DEGREE
+    assert modes_up_to(7, top * (top + 4))[-1].ell == top
+    for mu_max in ((top + 1) * (top + 5), 1e300, float("inf")):
+        with pytest.raises(ValueError, match="past sphere degree"):
+            modes_up_to(7, mu_max)
+    assert modes_up_to(7, -1.0) == []
 
 
 def test_rejects_low_dimension():
