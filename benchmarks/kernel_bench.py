@@ -8,7 +8,7 @@ lambda-quadratic coefficients are rebuilt, and warm, with the memo holding
 the grid so a shot only evaluates them at a new lambda.  This is a kernel
 micro-benchmark; the end-to-end benchmark is ``perfbench/run.py``.  Usage:
 
-    python3 benchmarks/backend_bench.py --dim 7 --sizes 257,1025,4097
+    python3 benchmarks/kernel_bench.py --dim 7 --sizes 257,1025,4097
 """
 
 import argparse

@@ -137,13 +137,12 @@ def _steklov_fd_once(p: ConeProfile, mu: float, n: int):
     return ell_even, ell_odd
 
 
-def steklov_fd_crosscheck(p: ConeProfile, mu: float, n: int | None = None,
-                          richardson: bool = True) -> tuple[float, float]:
-    """Independent finite-difference boundary eigenvalues (even, odd) at mu."""
-    if n is None:
-        n = p.grid.size - 1
+def steklov_fd_crosscheck(p: ConeProfile, mu: float) -> tuple[float, float]:
+    """Independent finite-difference boundary eigenvalues (even, odd) at mu.
+
+    The values on n = grid.size - 1 and 2n cells are Richardson extrapolated.
+    """
+    n = p.grid.size - 1
     e1, o1 = _steklov_fd_once(p, mu, n)
-    if not richardson:
-        return e1, o1
     e2, o2 = _steklov_fd_once(p, mu, 2 * n)
     return (4 * e2 - e1) / 3, (4 * o2 - o1) / 3

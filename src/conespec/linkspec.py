@@ -23,7 +23,7 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import AmbiguousCluster
 from .profile import ConeProfile, jacobi_fields
 from .sl import band_spec, count_below, eigen_k, eigenvalue
-from .spheremodes import modes_up_to
+from .spheremodes import _MAX_DEGREE, modes_up_to
 
 # Analytic-eigenfunction identification threshold (relative L^2).  Not a
 # config field: identification is structural and the margin only absorbs
@@ -83,8 +83,13 @@ def assemble(p: ConeProfile, lambda_max: float,
     if not lambda_max > d - 1:
         raise ValueError("lambda_max must exceed d-1 to cover the rotation modes")
     lam01 = eigenvalue(band_spec(p, 0.0, "robin"), 1, cfg)
+    try:
+        modes = modes_up_to(d, lambda_max - lam01)
+    except ValueError:
+        raise ValueError(f"lambda_max={lambda_max:g} needs sphere modes past degree "
+                         f"{_MAX_DEGREE}, the most a mode table may hold") from None
     out = []
-    for mode in modes_up_to(d, lambda_max - lam01):
+    for mode in modes:
         spec = band_spec(p, float(mode.mu), "robin")
         for k in range(1, count_below(spec, lambda_max) + 1):
             lam = eigenvalue(spec, k, cfg)

@@ -74,12 +74,15 @@ def band_points(grid_n: int) -> int:
 def _refined_root(d, lo, y_lo, hi, root_tol):
     """Brent's method for the zero of g in [lo, hi]: (root, g'(root)).
 
-    Each value is an end-state shot from lo on a 33-point grid.
+    Each value at theta > lo is an end-state shot from lo on a 33-point grid;
+    the state at lo is the hunt's.
     """
-    states = {}
+    states = {lo: y_lo}
 
     def g_at(theta):
-        states[theta] = propagate_band_end(d - 2, 0.0, d - 1, np.linspace(lo, theta, 33), *y_lo)
+        if theta not in states:
+            states[theta] = propagate_band_end(d - 2, 0.0, d - 1,
+                                               np.linspace(lo, theta, 33), *y_lo)
         return states[theta][0]
 
     root = brentq(g_at, lo, hi, root_tol)
@@ -174,7 +177,7 @@ def _legendre_values(d, x, dps):
     return vals
 
 
-def legendre_crosscheck(p: ConeProfile, stride: int | None = None) -> float:
+def legendre_crosscheck(p: ConeProfile) -> float:
     """Max relative deviation of the profile from its Legendre closed form.
 
     The closed form is c * (1-x^2)^{-(d-3)/4} * F(x) with F an associated
@@ -182,9 +185,7 @@ def legendre_crosscheck(p: ConeProfile, stride: int | None = None) -> float:
     normalized to match g at theta = pi/2.
     """
     d = p.dim
-    if stride is None:
-        stride = max(1, (p.grid.size - 1) // 256)
-    idx = np.arange(0, p.grid.size, stride)
+    idx = np.arange(0, p.grid.size, max(1, (p.grid.size - 1) // 256))
     mid = p.grid.size // 2
     if mid not in idx:
         idx = np.sort(np.append(idx, mid))

@@ -82,15 +82,14 @@ def _mode_key(m):
     return ("interior", m.source)
 
 
-def add_fields(f1: RadialField, f2: RadialField, w1: float = 1.0,
-               w2: float = 1.0) -> RadialField:
-    """Pointwise linear combination of two fields over the same mode set."""
+def add_fields(f1: RadialField, f2: RadialField) -> RadialField:
+    """Pointwise sum of two fields over the same mode set."""
     if f1.basis != f2.basis or [_mode_key(m) for m in f1.modes] != \
             [_mode_key(m) for m in f2.modes]:
         raise ValueError("fields must share basis and mode set")
     if not np.allclose(f1.r_grid, f2.r_grid):
         raise ValueError("fields must share the radial grid")
-    return dataclasses.replace(f1, coeffs=w1 * f1.coeffs + w2 * f2.coeffs,
+    return dataclasses.replace(f1, coeffs=f1.coeffs + f2.coeffs,
                                ode_residual=None)
 
 

@@ -11,18 +11,19 @@ computed on the left half-band only: the k-th eigenpair is the ((k+1)//2)-th
 half-band problem with g'(pi/2) = 0 (k odd) or g(pi/2) = 0 (k even), and the
 full eigenfunction is its mirror image.
 
-Each eigenvalue is found in three steps.  Coarse finite-volume solves
-seed a narrow bracket around it: dense numpy eigenproblems on 64 and 128
-cells with Richardson, once per (spec, parity) and cached, each on the half
-matrix of its own parity only.  Two node counts on shooting trajectories
-validate that bracket (the count uses the Pruefer phase of the endpoint
-state, so no phase ODE is integrated); when they disagree, node-count
-bisection from a wide bracket isolates the eigenvalue instead.  Brent's
-method on the midpoint defect then gives the value.  A counting shot's last
-point is the end state, so its defect is kept and Brent does not shoot the
-validated endpoints again; every other Brent shot needs only the end state
-(:func:`propagate_band_end`).  Both parities start from the same left
-state, so :func:`count_below` reads both counts off one trajectory.
+Each eigenvalue is found along one path: seed, isolation, Brent.  Coarse
+finite-volume solves seed it: dense numpy eigenproblems on 64 and 128 cells
+with Richardson, once per (spec, parity) and cached, each on the half
+matrix of its own parity only.  Node-count isolation (:func:`_isolate`)
+starts from a narrow bracket around the seed, or around the top seed past
+the last one; for a correct seed its first two counts already bracket the
+eigenvalue.  The count uses the Pruefer phase of the endpoint state, so no
+phase ODE is integrated.  Brent's method on the midpoint defect then gives
+the value.  A counting shot's last point is the end state, so its defect is
+kept and Brent does not shoot the bracket ends again; every other Brent
+shot needs only the end state (:func:`propagate_band_end`).  Both parities
+start from the same left state, so :func:`count_below` reads both counts
+off one trajectory.
 Eigenvalues are memoized per (spec, k, config) by :func:`eigenvalue`;
 :func:`eigen_k` adds one trajectory shot to assemble the eigenfunction,
 which is not cached.
@@ -49,7 +50,7 @@ from .profile import ConeProfile, band_points
 _EXPAND_CAP = 60
 _BISECT_CAP = 300
 _SYMMETRY_TOL = 1e-12
-_SEED_COUNT = 16     # seeded eigenvalues per spec, half per parity; higher k bisect
+_SEED_COUNT = 8      # seeded eigenvalues per parity; higher ones isolate from the top seed
 _SEED_REL = 1e-3     # bracket half-width relative to max(1, |seed|)
 _MEMO_SIZE = 4096    # memoized eigenvalues (floats only)
 
@@ -96,17 +97,10 @@ class SLEigenpair:
 
 @functools.lru_cache(maxsize=128)
 def _disc(spec: SLSpec):
-    """Grids and endpoint data shared by all shots for one spec."""
-    a, b = spec.band
+    """Full and left half-band grids shared by all shots for one spec."""
     n = band_points(spec.grid_n)
-    th = np.linspace(a, b, n)
-    half = (n - 1) // 2
-    return {
-        "theta": th,
-        "left": th[: half + 1],
-        "w_a": math.sin(a) ** (spec.dim - 2),
-        "w_b": math.sin(b) ** (spec.dim - 2),
-    }
+    th = np.linspace(*spec.band, n)
+    return {"theta": th, "left": th[: (n - 1) // 2 + 1]}
 
 
 def _y_left(spec):
@@ -146,11 +140,6 @@ def _phase_count(nodes, g_end, gp_end, parity):
 def _defect(g_end, gp_end, parity):
     """Normalized midpoint defect: g'(pi/2) (even) or g(pi/2) (odd)."""
     return (gp_end if parity == "even" else g_end) / math.hypot(g_end, gp_end)
-
-
-def _defect_half(spec, disc, parity, lam):
-    g, gp = propagate_band_end(spec.dim - 2, spec.mu, lam, disc["left"], *_y_left(spec))
-    return _defect(g, gp, parity)
 
 
 def _isolate(count_fn, k, lo, hi):
@@ -221,22 +210,20 @@ def _seeds(spec: SLSpec, parity: str) -> tuple[float, ...]:
         else:
             dd, ee = dd[:c], ee[:c - 1]
         dense = np.diag(dd) + np.diag(ee, 1) + np.diag(ee, -1)
-        vals.append(np.linalg.eigvalsh(dense)[:_SEED_COUNT // 2])
+        vals.append(np.linalg.eigvalsh(dense)[:_SEED_COUNT])
     v1, v2 = vals
     return tuple(float(v) for v in (4.0 * v2 - v1) / 3.0)
 
 
 def _bracket(spec, parity, idx, count_fn):
-    """Bracket holding the idx-th half-band eigenvalue of ``parity`` and no other."""
-    if idx <= _SEED_COUNT // 2:
-        seed = _seeds(spec, parity)[idx - 1]
-        half = _SEED_REL * max(1.0, abs(seed))
-        lo, hi = seed - half, seed + half
-        if count_fn(lo) == idx - 1 and count_fn(hi) == idx:
-            return lo, hi
-    lo0 = -10.0 - 2.0 * (spec.dim ** 2 + spec.H ** 2)
-    hi0 = float(spec.dim ** 2 + spec.mu + 10.0)
-    return _isolate(count_fn, idx, lo0, hi0)
+    """Bracket holding the idx-th half-band eigenvalue of ``parity`` and no other.
+
+    Isolation starts at seed -+ _SEED_REL*max(1, |seed|) with the seed of
+    idx, or the top seed for idx past the last one.
+    """
+    seed = _seeds(spec, parity)[min(idx, _SEED_COUNT) - 1]
+    half = _SEED_REL * max(1.0, abs(seed))
+    return _isolate(count_fn, idx, seed - half, seed + half)
 
 
 def eigenvalue(spec: SLSpec, k: int, cfg: SolverConfig | None = None) -> float:
@@ -260,22 +247,16 @@ def _eigenvalue(spec, k, cfg):
 
     def defect_fn(lam):
         if lam not in shots:
-            shots[lam] = _defect_half(spec, disc, parity, lam)
+            g, gp = propagate_band_end(spec.dim - 2, spec.mu, lam, disc["left"], *_y_left(spec))
+            shots[lam] = _defect(g, gp, parity)
         return shots[lam]
 
+    # The isolated ends count idx-1 and idx, and each count came from the
+    # shot whose defect is kept.  The shot starts with g > 0, so off one end
+    # state sign g(pi/2) = (-1)^nodes, the odd count is nodes and the even
+    # count nodes + [g'(pi/2)*(-1)^nodes < 0]: the defect has sign
+    # (-1)^count, and the two ends bracket a sign change.
     lo, hi = _bracket(spec, parity, idx, count_fn)
-    shrink = 0
-    while defect_fn(lo) * defect_fn(hi) > 0.0:
-        # The defect is entire with a single simple zero inside; a same-sign
-        # bracket means an endpoint sits numerically on the zero - tighten.
-        mid = 0.5 * (lo + hi)
-        if count_fn(mid) >= idx:
-            hi = mid
-        else:
-            lo = mid
-        shrink += 1
-        if shrink > 80:
-            raise NonConvergent("defect refinement could not find a sign change")
     return float(brentq(defect_fn, lo, hi, xtol=cfg.lam_tol))
 
 
@@ -286,6 +267,9 @@ def eigen_k(spec: SLSpec, k: int, cfg: SolverConfig | None = None) -> SLEigenpai
     g, gp = _assemble_fn(spec, disc, lam, "even" if k % 2 == 1 else "odd")
     th = disc["theta"]
     w = np.sin(th) ** (spec.dim - 2)
+    # an exact power-of-two prescale keeps g*g finite when g is huge (large mu)
+    scale = 2.0 ** np.frexp(np.max(np.abs(g)))[1]
+    g, gp = g / scale, gp / scale
     norm = math.sqrt(simpson(g * g * w, x=th))
     if norm == 0.0:
         raise NonConvergent("assembled eigenfunction has zero norm")
@@ -346,18 +330,16 @@ def _fd_values(spec: SLSpec, count: int, n: int) -> np.ndarray:
                             eigvals_only=True)
 
 
-def eigen_fd_crosscheck(spec: SLSpec, count: int, richardson: bool = True) -> np.ndarray:
+def eigen_fd_crosscheck(spec: SLSpec, count: int) -> np.ndarray:
     """Independent finite-difference eigenvalues (the in-repo oracle).
 
-    With ``richardson`` the O(h^2) values on n and 2n cells are extrapolated
-    to (4*v_{2n} - v_n)/3.
+    The O(h^2) values on n and 2n cells are Richardson extrapolated to
+    (4*v_{2n} - v_n)/3.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     n = spec.grid_n
     v1 = _fd_values(spec, count, n)
-    if not richardson:
-        return v1
     v2 = _fd_values(spec, count, 2 * n)
     return (4.0 * v2 - v1) / 3.0
 
@@ -380,8 +362,7 @@ def rayleigh(spec: SLSpec, g: np.ndarray, gp: np.ndarray | None = None) -> float
     Numerator: int w g'^2 + mu int sin^{d-4} g^2 - H w(a) g(a)^2 - H w(b) g(b)^2
     (boundary term present for Robin only), denominator int w g^2.
     """
-    disc = _disc(spec)
-    th = disc["theta"]
+    th = _disc(spec)["theta"]
     g = np.asarray(g, dtype=float)
     if g.shape != th.shape:
         raise ValueError(f"trial function must be sampled on the {th.size}-point grid")
@@ -395,5 +376,5 @@ def rayleigh(spec: SLSpec, g: np.ndarray, gp: np.ndarray | None = None) -> float
     if spec.mu:
         num += spec.mu * simpson(g * g * w / np.sin(th) ** 2, x=th)
     if spec.bc == "robin":
-        num -= spec.H * (disc["w_a"] * g[0] ** 2 + disc["w_b"] * g[-1] ** 2)
+        num -= spec.H * (w[0] * g[0] ** 2 + w[-1] * g[-1] ** 2)
     return float(num / den)

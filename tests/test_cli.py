@@ -105,8 +105,8 @@ def test_verify_sweep_exit_codes(tmp_path):
 
 
 def test_verify_work_count(tmp_path, monkeypatch):
-    # each band eigenvalue is solved once, from a seeded and validated
-    # bracket whose validating shots are Brent's endpoints, and the aperture
+    # each band eigenvalue is solved once, from a seeded bracket whose two
+    # counting shots are Brent's endpoints, and the aperture
     # is a Brent root: verify --dim 7 in a fresh process needs at most 75 shots
     from conespec import boundary, kernels, profile, sl
     sl._eigenvalue.cache_clear()
@@ -327,6 +327,7 @@ _IN_CHILD = {"modes --dim 7 --mu-max nan", "modes --dim 7 --mu-max inf",
     ("sl --dim 7 --mu 1e300 --bc robin --k 1", 2, "numerical error: non-finite band shot"),
     ("spectrum --dim 7 --lambda-max nan", 64, "--lambda-max: 'nan' is not finite"),
     ("spectrum --dim 7 --lambda-max inf", 64, "not finite"),
+    ("spectrum --dim 7 --lambda-max 1e300", 64, "invalid input: lambda_max=1e+300 needs"),
     ("weiss --dim 7 --field @cone --radii 1,nan", 64, "--radii: 'nan' is not finite"),
     ("weiss --dim 7 --field @cone --radii inf", 64, "not finite"),
     ("weiss --dim 7 --field @cone --radii 0", 64, "--radii: '0' is not positive"),

@@ -107,6 +107,21 @@ def test_grid_shape_and_refinement():
     assert abs(coarse.theta0 - fine.theta0) < 1e-9
 
 
+@pytest.mark.parametrize("d", [3, 7, 24])
+def test_no_zero_width_shot(d, monkeypatch):
+    # the aperture's Brent reads g at the hunt cell's left end from the hunt
+    # state instead of shooting the one-point interval [lo, lo]
+    from conespec import profile
+    grids = []
+    for name in ("propagate_band", "propagate_band_end"):
+        def logged(dm2, mu, lam, thetas, *rest, _fn=getattr(profile, name)):
+            grids.append(thetas)
+            return _fn(dm2, mu, lam, thetas, *rest)
+        monkeypatch.setattr(profile, name, logged)
+    solve_profile(d)
+    assert grids and all(th[0] != th[-1] for th in grids)
+
+
 def test_rejects_low_dimension():
     with pytest.raises(ValueError):
         solve_profile(2)

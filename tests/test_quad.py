@@ -73,7 +73,9 @@ def test_brentq_matches_scipy_on_band_defects(profiles):
                     idx = (k + 1) // 2
                     lo, hi = sl._bracket(spec, parity, idx, lambda lam: sl._phase_count(
                         *sl._half_shot(spec, disc, lam), parity))
-                    defect = lambda lam: sl._defect_half(spec, disc, parity, lam)
+                    def defect(lam):  # the end-state shot of sl's Brent loop
+                        return sl._defect(*sl.propagate_band_end(
+                            spec.dim - 2, spec.mu, lam, disc["left"], *sl._y_left(spec)), parity)
                     ours, ours_xs = _traced(defect)
                     ref, ref_xs = _traced(defect)
                     root = _quad.brentq(ours, lo, hi, xtol=DEFAULT_CONFIG.lam_tol)

@@ -1,6 +1,8 @@
 """Band Sturm-Liouville engine: shooting vs the finite-difference oracle,
 oscillation/ordering properties, and frozen d=7 reference eigenvalues."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -216,7 +218,8 @@ def test_count_below_shoots_once(p7, monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_seeded_bracket_ends_are_not_reshot(p7, monkeypatch, k):
-    # the two validating trajectory shots give Brent its endpoint defects
+    # isolation from a correct seed stops after its first two counting shots,
+    # and those give Brent its endpoint defects
     spec = band_spec(p7, 12.0, "dirichlet")
     parity, idx = ("even" if k % 2 else "odd"), (k + 1) // 2
     seed = sl._seeds(spec, parity)[idx - 1]
@@ -237,6 +240,67 @@ def test_seeded_bracket_ends_are_not_reshot(p7, monkeypatch, k):
         lam = eigenvalue(spec, k)
     finally:
         sl._eigenvalue.cache_clear()
-    assert traj == [lo, hi]  # the seeded bracket validated, no fallback
+    assert traj == [lo, hi]  # the seed bracket needed no expansion or bisection
     assert ends and lo not in ends and hi not in ends
     assert lo < lam < hi
+
+
+@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
+def test_defect_sign_follows_count(seed_profiles, bc):
+    # Brent needs no same-sign guard: off one end state the midpoint defect
+    # is 0 or has sign (-1)^count, so ends counting idx-1 and idx bracket a
+    # sign change
+    for d, p in seed_profiles.items():
+        for mu in (0.0, 5.0, 84.0, 500.0):
+            spec = band_spec(p, mu, bc)
+            disc = sl._disc(spec)
+            fd = eigen_fd_crosscheck(spec, 12)
+            span = fd[-1] - fd[0]
+            lams = np.concatenate([np.linspace(fd[0] - 0.1 * span, fd[-1] + 0.1 * span, 61), fd])
+            for lam in lams:
+                shot = sl._half_shot(spec, disc, float(lam))
+                for parity in ("even", "odd"):
+                    count = sl._phase_count(*shot, parity)
+                    defect = sl._defect(*shot[1:], parity)
+                    assert defect == 0.0 or np.sign(defect) == (-1) ** count, \
+                        (d, mu, lam, parity, count, defect)
+
+
+@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
+def test_eigenvalue_past_seeds_at_large_mu(p7, bc):
+    # k = 17 is the 9th odd eigenvalue, past the 8 seeds of its parity, so
+    # isolation starts from the top seed
+    spec = band_spec(p7, 3e6, bc)
+    fd = eigen_fd_crosscheck(spec, 17)[-1]
+    pair = eigen_k(spec, 17)
+    assert abs(pair.lam - fd) <= 1e-8 * fd, (pair.lam, fd)
+    assert pair.nodes == 16
+
+
+@pytest.mark.parametrize("mu", [0.0, 84.0])
+def test_eigenvalues_past_seeds_are_counted_in_order(p7, mu):
+    spec = band_spec(p7, mu, "robin")
+    fd = eigen_fd_crosscheck(spec, 24)
+    for k in range(17, 25):
+        lam = eigenvalue(spec, k)
+        delta = 1e-6 * max(1.0, abs(lam))
+        assert count_below(spec, lam - delta) == k - 1, (k, lam)
+        assert count_below(spec, lam + delta) == k, (k, lam)
+        assert abs(lam - fd[k - 1]) <= 1e-8 * abs(fd[k - 1]), (k, lam, fd[k - 1])
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_eigenfunction_normalization_at_large_mu(p7, k):
+    # g grows like exp(sqrt(mu)) into the band, so an unscaled g*g overflows
+    # and would normalise the eigenfunction to all zeros
+    from scipy.integrate import simpson
+    spec = band_spec(p7, 1e7, "robin")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pair = eigen_k(spec, k)
+    assert not caught, [str(w.message) for w in caught]
+    assert pair.nodes == k - 1
+    w = np.sin(pair.grid) ** (p7.dim - 2)
+    assert abs(simpson(pair.fn ** 2 * w, x=pair.grid) - 1.0) <= 1e-12
+    fd = eigen_fd_crosscheck(spec, k)[-1]
+    assert abs(pair.lam - fd) <= 1e-10 * fd, (pair.lam, fd)
