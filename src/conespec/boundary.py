@@ -9,7 +9,7 @@ one boundary eigenvalue through the endpoint relation
 
 so ell = H - q'(b)/q(b) at the right endpoint.  Modes are enumerated in
 descending ell (the spectrum accumulates only at -infinity) and the
-resonance set collects |ell| <= res_tol: those are traces of the translation
+resonance set collects |ell| <= RES_TOL: those are traces of the translation
 Jacobi fields and vanish structurally.
 """
 
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig
+from .config import RES_TOL
 from .errors import DegenerateBasis, NonConvergent
 from .kernels import propagate_band
 from .profile import ConeProfile
@@ -75,14 +75,12 @@ def _endpoint_ell(p, q, qp):
     return p.H - qp[-1] / q[-1]
 
 
-def boundary_modes(p: ConeProfile, ell_max_count: int,
-                   cfg: SolverConfig | None = None) -> list[BoundaryMode]:
+def boundary_modes(p: ConeProfile, ell_max_count: int) -> list[BoundaryMode]:
     """First ``ell_max_count`` boundary modes, sorted by descending ell_k.
 
     The trace normalization uses the boundary measure of the two latitude
     spheres: ||psi||^2 = cos^{d-2}(theta0) |S^{d-2}| (psi(a)^2 + psi(b)^2).
     """
-    cfg = cfg or DEFAULT_CONFIG
     if ell_max_count < 1:
         raise ValueError("ell_max_count must be >= 1")
     d = p.dim
@@ -99,7 +97,7 @@ def boundary_modes(p: ConeProfile, ell_max_count: int,
                 k=0, ell=mode.ell, parity=parity, ell_k=float(ell_k),
                 mu=float(mode.mu), multiplicity=mode.multiplicity,
                 psi=sign * q / scale, psi_prime=sign * qp / scale,
-                grid=p.grid, in_resonance=abs(ell_k) <= cfg.res_tol))
+                grid=p.grid, in_resonance=abs(ell_k) <= RES_TOL))
             pair_ells.append(ell_k)
         if len(found) >= ell_max_count:
             kth = sorted((m.ell_k for m in found), reverse=True)[ell_max_count - 1]

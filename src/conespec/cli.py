@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 from ._version import __version__
 from .boundary import boundary_modes
-from .config import DEFAULT_CONFIG, load_config
+from .config import load_config
 from .errors import ConfigError, NonFiniteResult, NumericalError, UsageError
 from .linkspec import link_spectrum, verify_strong_integrability
 from .profile import solve_profile
@@ -203,7 +203,7 @@ def _spectrum_dict(spec) -> dict:
         } for e in spec.entries]}
 
 
-def _field_from_spec(spec: dict, p, cfg):
+def _field_from_spec(spec: dict, p):
     kind = spec.get("kind")
     if kind == "cone":
         return cone_field(p)
@@ -216,7 +216,7 @@ def _field_from_spec(spec: dict, p, cfg):
         if isinstance(k, bool) or not isinstance(k, int):
             raise UsageError(f"field k must be an integer, got {k!r}")
         return perturbed_field(p, _number(spec.get("eps"), "field eps"),
-                               _number(spec.get("exponent"), "field exponent"), k, cfg)
+                               _number(spec.get("exponent"), "field exponent"), k)
     raise UsageError(f"unknown field kind {kind!r}")
 
 
@@ -236,7 +236,7 @@ def _dispatch(args, cfg) -> int:
 
     if args.command == "sl":
         p = solve_profile(args.dim, cfg)
-        pair = eigen_k(band_spec(p, args.mu, args.bc), args.k, cfg)
+        pair = eigen_k(band_spec(p, args.mu, args.bc), args.k)
         body = {"lambda": pair.lam, "nodes": pair.nodes,
                 "residuals": list(pair.bc_residual)}
         _emit(_json_report(body, cfg, stamp), args.out)
@@ -244,7 +244,7 @@ def _dispatch(args, cfg) -> int:
 
     if args.command == "spectrum":
         p = solve_profile(args.dim, cfg)
-        spec = link_spectrum(p, args.lambda_max, cfg)
+        spec = link_spectrum(p, args.lambda_max)
         if args.csv:
             rows = [(e.source[0], e.source[1], e.lam, e.multiplicity,
                      e.gamma_plus, e.gamma_minus) for e in spec.entries]
@@ -262,7 +262,7 @@ def _dispatch(args, cfg) -> int:
     if args.command == "boundary-spectrum":
         p = solve_profile(args.dim, cfg)
         rows = [(m.ell, m.parity, m.ell_k)
-                for m in boundary_modes(p, args.count, cfg)]
+                for m in boundary_modes(p, args.count)]
         _emit(_csv_table(("ell", "parity", "ell_k"), rows), args.out)
         return 0
 
@@ -275,8 +275,8 @@ def _dispatch(args, cfg) -> int:
         if not coeffs:
             raise ValueError(f"{args.modes}: coeffs must name at least one boundary mode")
         p = solve_profile(args.dim, cfg)
-        link = link_spectrum(p, 4.0 * args.dim, cfg)
-        bmodes = boundary_modes(p, max(coeffs) + 2, cfg)
+        link = link_spectrum(p, 4.0 * args.dim)
+        bmodes = boundary_modes(p, max(coeffs) + 2)
         src = make_source(args.beta, coeffs, link)
         _, rep = build_up(src, p, link, bmodes, cfg)
         _emit(_json_report(rep.to_dict(), cfg, stamp), args.out)
@@ -285,17 +285,17 @@ def _dispatch(args, cfg) -> int:
     if args.command == "weiss":
         fspec = _load_object(args.field, "field")
         p = solve_profile(args.dim, cfg)
-        u = _field_from_spec(fspec, p, cfg)
-        rep = weiss_report(u, args.radii, cfg)
+        u = _field_from_spec(fspec, p)
+        rep = weiss_report(u, args.radii)
         _emit(_json_report(rep.to_dict(), cfg, stamp), args.out)
         return 0
 
     if args.command == "criticality":
         p = solve_profile(args.dim, cfg)
         eps = args.eps
-        f0 = F_functional(p.theta0, p, args.dim, cfg)
-        df = (F_functional(p.theta0 + eps, p, args.dim, cfg)
-              - F_functional(p.theta0 - eps, p, args.dim, cfg)) / (2 * eps)
+        f0 = F_functional(p.theta0, p, args.dim)
+        df = (F_functional(p.theta0 + eps, p, args.dim)
+              - F_functional(p.theta0 - eps, p, args.dim)) / (2 * eps)
         rel = abs(df) / abs(f0)
         body = {"F": f0, "dF_deps": df, "relative": rel,
                 "verdict": rel <= _CRITICALITY_REL}

@@ -10,15 +10,18 @@ from .errors import ParseError, ValidationError
 
 ENV_CONFIG = "CONESPEC_CONFIG"
 
+# Resonance threshold, one for the whole package: a boundary mode with
+# |ell_k| <= RES_TOL is flagged resonant, an interior homogeneity radicand
+# ((d-2)/2)^2 + lam within it is a log mode, and a radial mode with
+# min(|P|, |Q|) <= RES_TOL (P, Q = d/2 +- delta - beta) is refused as
+# resonant with the source decay.
+RES_TOL = 1e-7
+
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
-    grid_n: int = 4096          # band grid resolution (points = grid_n + 1, rounded to 4k+1)
-    lam_tol: float = 1e-10      # eigenvalue refinement tolerance
-    res_tol: float = 1e-7       # resonance threshold for boundary eigenvalues
-    cluster_tol: float = 1e-6   # eigenvalue clustering width for multiplicities
-    quad_tol: float = 1e-9      # relative quadrature error budget
-    root_tol: float = 1e-12     # Brent tolerance for the aperture root
+    grid_n: int = 4096          # profile grid resolution (points = grid_n + 1, rounded to 4k+1)
+    cluster_tol: float = 1e-6   # eigenvalue clustering width in the integrability verdict
     r0: float = 1.0             # inner radius of the radial grid
     r_max: float = 1024.0       # outer radius (>= 2**10 * r0 keeps slope fits at 3 decades)
 
@@ -28,9 +31,8 @@ class SolverConfig:
             allowed = (int,) if f.type == "int" else (int, float)
             if isinstance(value, bool) or not isinstance(value, allowed):
                 raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
-        for name in ("lam_tol", "res_tol", "cluster_tol", "quad_tol", "root_tol"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if not self.cluster_tol > 0:
+            raise ValidationError(f"cluster_tol must be positive, got {self.cluster_tol!r}")
         if self.grid_n < 64:
             raise ValidationError(f"grid_n must be >= 64, got {self.grid_n}")
         if not (self.r0 > 0 and self.r_max / self.r0 >= 4):

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from ._quad import simpson
-from .config import DEFAULT_CONFIG, SolverConfig
+from .config import DEFAULT_CONFIG, RES_TOL, SolverConfig
 from .errors import AmbiguousCluster
 from .profile import ConeProfile, jacobi_fields
 from .sl import band_spec, count_below, eigen_k, eigenvalue
@@ -43,15 +43,16 @@ class LinkEigenvalue:
     complex_radicand: bool
 
 
-def homogeneity(d: int, lam: float, tol: float = 1e-7) -> dict:
+def homogeneity(d: int, lam: float) -> dict:
     """Radial homogeneity data attached to a link eigenvalue.
 
     For radicand ((d-2)/2)^2 + lam < 0 the exponents form a complex pair;
-    both gamma fields then carry the common magnitude sqrt(-lam).
+    both gamma fields then carry the common magnitude sqrt(-lam).  A radicand
+    within RES_TOL of zero is a log mode with the repeated exponent -(d-2)/2.
     """
     half = 0.5 * (d - 2)
     rad = half * half + lam
-    if abs(rad) <= tol:
+    if abs(rad) <= RES_TOL:
         return {"delta": 0.0, "gamma_plus": -half, "gamma_minus": -half,
                 "log_mode": True, "complex_radicand": False}
     if rad < 0:
@@ -64,13 +65,12 @@ def homogeneity(d: int, lam: float, tol: float = 1e-7) -> dict:
             "complex_radicand": False}
 
 
-def _entry(d, ell, k, lam, mult, tol=1e-7):
+def _entry(d, ell, k, lam, mult):
     return LinkEigenvalue(lam=lam, multiplicity=mult, source=(ell, k),
-                          **homogeneity(d, lam, tol))
+                          **homogeneity(d, lam))
 
 
-def assemble(p: ConeProfile, lambda_max: float,
-             cfg: SolverConfig | None = None) -> list[LinkEigenvalue]:
+def assemble(p: ConeProfile, lambda_max: float) -> list[LinkEigenvalue]:
     """All link eigenvalues <= lambda_max, sorted, with multiplicities.
 
     Completeness: lambda_{ell,k} >= mu_ell + lambda_{0,1}, so sphere modes
@@ -78,11 +78,10 @@ def assemble(p: ConeProfile, lambda_max: float,
     excluded a priori; within a mode, the node count of the band problem at
     lambda_max says how many eigenvalues to solve.
     """
-    cfg = cfg or DEFAULT_CONFIG
     d = p.dim
     if not lambda_max > d - 1:
         raise ValueError("lambda_max must exceed d-1 to cover the rotation modes")
-    lam01 = eigenvalue(band_spec(p, 0.0, "robin"), 1, cfg)
+    lam01 = eigenvalue(band_spec(p, 0.0, "robin"), 1)
     try:
         modes = modes_up_to(d, lambda_max - lam01)
     except ValueError:
@@ -92,9 +91,9 @@ def assemble(p: ConeProfile, lambda_max: float,
     for mode in modes:
         spec = band_spec(p, float(mode.mu), "robin")
         for k in range(1, count_below(spec, lambda_max) + 1):
-            lam = eigenvalue(spec, k, cfg)
+            lam = eigenvalue(spec, k)
             if lam <= lambda_max:
-                out.append(_entry(d, mode.ell, k, lam, mode.multiplicity, cfg.res_tol))
+                out.append(_entry(d, mode.ell, k, lam, mode.multiplicity))
     out.sort(key=lambda e: (e.lam, e.source))
     return out
 
@@ -118,9 +117,8 @@ class LinkSpectrum:
         raise KeyError(f"no assembled eigenvalue with source {source}")
 
 
-def link_spectrum(p: ConeProfile, lambda_max: float,
-                  cfg: SolverConfig | None = None) -> LinkSpectrum:
-    entries = assemble(p, lambda_max, cfg)
+def link_spectrum(p: ConeProfile, lambda_max: float) -> LinkSpectrum:
+    entries = assemble(p, lambda_max)
     return LinkSpectrum(dim=p.dim, theta0=p.theta0, H=p.H,
                         lambda_max=float(lambda_max), entries=tuple(entries))
 
@@ -174,7 +172,7 @@ def verify_strong_integrability(p: ConeProfile,
     """
     cfg = cfg or DEFAULT_CONFIG
     d = p.dim
-    spec = link_spectrum(p, 4.0 * d, cfg)
+    spec = link_spectrum(p, 4.0 * d)
     entries = spec.entries
     tol = cfg.cluster_tol
 
@@ -185,7 +183,7 @@ def verify_strong_integrability(p: ConeProfile,
     def identify(entry):
         """Best analytic match for one computed eigenfunction."""
         ell, k = entry.source
-        pair = eigen_k(band_spec(p, float(ell * (ell + d - 3)), "robin"), k, cfg)
+        pair = eigen_k(band_spec(p, float(ell * (ell + d - 3)), "robin"), k)
         errs = [_match_error(pair.fn, a, p.grid, w) for a in analytic.values()]
         return min(errs)
 

@@ -30,6 +30,8 @@ from .kernels import propagate_band, propagate_band_end
 _HUNT_END_MARGIN = 0.01
 # Hunt steps integrated per shot; the hunt stops at the first block with a zero.
 _HUNT_BLOCK = 1024
+# Brent tolerance on the aperture root.
+_ROOT_TOL = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,7 +73,7 @@ def band_points(grid_n: int) -> int:
     return n
 
 
-def _refined_root(d, lo, y_lo, hi, root_tol):
+def _refined_root(d, lo, y_lo, hi):
     """Brent's method for the zero of g in [lo, hi]: (root, g'(root)).
 
     Each value at theta > lo is an end-state shot from lo on a 33-point grid;
@@ -85,7 +87,7 @@ def _refined_root(d, lo, y_lo, hi, root_tol):
                                                np.linspace(lo, theta, 33), *y_lo)
         return states[theta][0]
 
-    root = brentq(g_at, lo, hi, root_tol)
+    root = brentq(g_at, lo, hi, _ROOT_TOL)
     return root, states[root][1]
 
 
@@ -118,7 +120,7 @@ def solve_profile(d: int, cfg: SolverConfig | None = None) -> ConeProfile:
     d = int(d)
 
     lo, y_lo, hi = _hunt_sign_change(d, 4 * cfg.grid_n)
-    root, slope = _refined_root(d, lo, y_lo, hi, cfg.root_tol)
+    root, slope = _refined_root(d, lo, y_lo, hi)
 
     theta0 = float(root) - math.pi / 2
     if not (0.0 < theta0 < math.pi / 2 - 1e-9):
@@ -135,7 +137,7 @@ def solve_profile(d: int, cfg: SolverConfig | None = None) -> ConeProfile:
     grid = np.concatenate([th_left[::-1], th_right[1:]])
     g_all = norm_c * np.concatenate([g_r[:0:-1], g_r])
     gp_all = norm_c * np.concatenate([-gp_r[:0:-1], gp_r])
-    g_all[0] = g_all[-1] = 0.0  # g vanishes on the free boundary, up to root_tol
+    g_all[0] = g_all[-1] = 0.0  # g vanishes on the free boundary, up to _ROOT_TOL
 
     return ConeProfile(dim=d, theta0=theta0, grid=grid, g=g_all, g_prime=gp_all,
                        H=(d - 2) * math.tan(theta0), norm_c=norm_c)

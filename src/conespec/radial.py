@@ -28,7 +28,7 @@ import numpy as np
 
 from ._quad import simpson
 from .boundary import BoundaryMode
-from .config import DEFAULT_CONFIG, SolverConfig
+from .config import DEFAULT_CONFIG, RES_TOL, SolverConfig
 from .errors import (NonFiniteResult, NumericalError, ResonanceDivision, ResonantExponent,
                      TailDivergence)
 from .linkspec import LinkEigenvalue, LinkSpectrum, homogeneity
@@ -39,7 +39,6 @@ from .spheremodes import harmonic_multiplicity
 _POWER_FIT_TOL = 1e-7
 _TARGET_STEP = 0.02  # max |exponent| * (log-step) in refined quadrature
 _PER_ELL = 8         # interior band modes per sphere degree in the projection
-_RESONANCE_TOL = 1e-9  # |d/2 +- delta - beta| at or below this is resonant
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,17 +111,20 @@ class SourceSpec:
         return dict(self.boundary_coeffs)
 
 
+def _sign_exponents(d: int, delta: float, beta: float) -> tuple[float, float]:
+    """The sign-rule exponents (P, Q) = (d/2 + delta - beta, d/2 - delta - beta);
+    min(|P|, |Q|) <= RES_TOL is a resonance of beta with the mode."""
+    return d / 2 + delta - beta, d / 2 - delta - beta
+
+
 def make_source(beta: float, coeffs: dict[int, float], link: LinkSpectrum) -> SourceSpec:
     """SourceSpec with the resonant-exponent admissibility flag computed
-    against the link spectrum (d/2 +- delta_k - beta must stay off zero)."""
-    d = link.dim
+    against the link spectrum (P and Q of every real mode must stay off zero)."""
     ok = True
     for e in link.entries:
-        if e.complex_radicand or e.delta is None:
-            continue
-        if (abs(d / 2 + e.delta - beta) <= _RESONANCE_TOL
-                or abs(d / 2 - e.delta - beta) <= _RESONANCE_TOL):
-            ok = False
+        if not e.complex_radicand:
+            P, Q = _sign_exponents(link.dim, e.delta, beta)
+            ok = ok and min(abs(P), abs(Q)) > RES_TOL
     items = tuple(sorted((int(k), float(v)) for k, v in coeffs.items()))
     return SourceSpec(beta=float(beta), boundary_coeffs=items, admissible=ok)
 
@@ -143,7 +145,6 @@ def transfer_boundary(src: SourceSpec, bmodes, p: ConeProfile,
     resonant mode the lifted profile is U*psi_k, whose sphere Laplacian
     picks up the correction -(d-1) U psi_k + 2 grad U . grad psi_k.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not src.admissible:
         raise ResonantExponent(
             "source beta resonates with an interior homogeneity (d/2 +- delta = beta)")
@@ -179,7 +180,7 @@ def transfer_boundary(src: SourceSpec, bmodes, p: ConeProfile,
             f_c[i] = -amp * rad_f
             f_a[i] = (c_euler - (d - 1.0)) * g * m.psi + 2.0 * gp * m.psi_prime
         else:
-            if abs(m.ell_k) <= cfg.res_tol:
+            if abs(m.ell_k) <= RES_TOL:
                 raise ResonanceDivision(
                     f"mode k={m.k} has ell_k={m.ell_k:.2e} but is not flagged resonant")
             u1_c[i] = amp * rad_u / m.ell_k
@@ -194,8 +195,8 @@ def transfer_boundary(src: SourceSpec, bmodes, p: ConeProfile,
     return u1, f
 
 
-def project_interior(f: RadialField, p: ConeProfile, link: LinkSpectrum,
-                     cfg: SolverConfig | None = None) -> tuple[RadialField, float]:
+def project_interior(f: RadialField, p: ConeProfile,
+                     link: LinkSpectrum) -> tuple[RadialField, float]:
     """Expand the defect field in the interior Robin basis.
 
     Only sphere modes present in the source couple (orthogonality of the
@@ -203,7 +204,6 @@ def project_interior(f: RadialField, p: ConeProfile, link: LinkSpectrum,
     Returns the interior-basis field and the worst relative truncation tail
     sqrt(1 - sum_j <A, q_j>^2 / ||A||^2) over source profiles A.
     """
-    cfg = cfg or DEFAULT_CONFIG
     d = p.dim
     w = np.sin(p.grid) ** (d - 2)
     ells = sorted({m.ell for m in f.modes})
@@ -213,14 +213,14 @@ def project_interior(f: RadialField, p: ConeProfile, link: LinkSpectrum,
         mu = float(ell * (ell + d - 3))
         spec = band_spec(p, mu, "robin")
         for j in range(1, _PER_ELL + 1):
-            pair = eigen_k(spec, j, cfg)
+            pair = eigen_k(spec, j)
             try:
                 entry = link.find((ell, j))
             except KeyError:
                 entry = LinkEigenvalue(lam=pair.lam,
                                        multiplicity=harmonic_multiplicity(d, ell),
                                        source=(ell, j),
-                                       **homogeneity(d, pair.lam, cfg.res_tol))
+                                       **homogeneity(d, pair.lam))
             c = np.zeros(f.r_grid.size)
             for i, m in enumerate(f.modes):
                 if m.ell != ell:
@@ -304,19 +304,18 @@ def _d2_uniform(y, h):
 
 @np.errstate(over="raise", invalid="raise")
 def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
-                cfg: SolverConfig, flip_rules: bool):
+                flip_rules: bool):
     """One mode's radial solve: (profile on the base grid, max ODE defect)."""
     dtau = math.log(r[1] / r[0])
     if entry.complex_radicand:
         raise NumericalError(
             f"mode {entry.source}: complex homogeneity pair, no real radial solve")
     delta, lam = entry.delta, entry.lam
-    if delta is None or delta < 1e-8:
+    if entry.log_mode:
         raise NumericalError(
             f"mode {entry.source}: log-resonant homogeneity unsupported")
-    P = d / 2 + delta - beta
-    Q = d / 2 - delta - beta
-    if min(abs(P), abs(Q)) <= cfg.res_tol:
+    P, Q = _sign_exponents(d, delta, beta)
+    if min(abs(P), abs(Q)) <= RES_TOL:
         raise ResonantExponent(
             f"mode {entry.source}: selection denominator vanishes (P={P:.3e}, Q={Q:.3e})")
     a_inf = (P < 0) and not flip_rules
@@ -381,7 +380,6 @@ def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
 
 
 def solve_radial_modes(f: RadialField, link: LinkSpectrum, beta: float,
-                       cfg: SolverConfig | None = None,
                        flip_rules: bool = False) -> RadialField:
     """Step 2: solve the per-mode Cauchy-Euler ODEs from the defect field.
 
@@ -390,7 +388,6 @@ def solve_radial_modes(f: RadialField, link: LinkSpectrum, beta: float,
     r^{gamma_plus} piece that wrecks the decay of every mode whose rule
     demanded an infinite limit.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if f.basis != "interior":
         raise ValueError("solve_radial_modes requires interior-basis projections")
     if abs(beta - f.beta) > 1e-12:
@@ -403,7 +400,7 @@ def solve_radial_modes(f: RadialField, link: LinkSpectrum, beta: float,
         if np.max(np.abs(f.coeffs[j])) == 0.0:
             continue
         try:
-            out[j], resid[j] = _solve_mode(entry, f.coeffs[j], f.r_grid, d, beta, cfg, flip_rules)
+            out[j], resid[j] = _solve_mode(entry, f.coeffs[j], f.r_grid, d, beta, flip_rules)
         except FloatingPointError as exc:
             raise NonFiniteResult(
                 f"non-finite radial coefficients in mode {entry.source}: {exc}") from None
@@ -420,8 +417,12 @@ def ode_residuals(u: RadialField, f: RadialField) -> np.ndarray:
     """
     if u.basis != "interior" or f.basis != "interior":
         raise ValueError("residual evaluation requires interior-basis fields")
-    d_from_gamma = u.modes[0].gamma_plus + u.modes[0].gamma_minus  # = -(d-2)
-    dm2 = -d_from_gamma
+    # gamma_plus + gamma_minus = -(d-2) for real homogeneities; a complex
+    # pair stores +sqrt(-lam) in both fields, so read d - 2 off a real mode
+    real = [m for m in u.modes if not m.complex_radicand]
+    if not real:
+        raise ValueError("residual evaluation needs a mode with real homogeneities")
+    dm2 = -(real[0].gamma_plus + real[0].gamma_minus)
     dtau = math.log(u.r_grid[1] / u.r_grid[0])
     vals = np.zeros(len(u.modes))
     for j, entry in enumerate(u.modes):
@@ -483,10 +484,9 @@ def build_up(src: SourceSpec, p: ConeProfile, link: LinkSpectrum, bmodes,
     the source scale sup_r r^2 ||f||; the angular truncation of the defect
     projection is reported separately as projection_tail.
     """
-    cfg = cfg or DEFAULT_CONFIG
     u1, f = transfer_boundary(src, bmodes, p, cfg)
-    f_int, tail = project_interior(f, p, link, cfg)
-    u2 = solve_radial_modes(f_int, link, src.beta, cfg)
+    f_int, tail = project_interior(f, p, link)
+    u2 = solve_radial_modes(f_int, link, src.beta)
 
     up = RadialField(
         "mixed", u1.r_grid, np.vstack([u1.coeffs, u2.coeffs]), src.beta,
@@ -497,10 +497,9 @@ def build_up(src: SourceSpec, p: ConeProfile, link: LinkSpectrum, bmodes,
     scale = float(np.max(f_int.r_grid ** 2 * f_int.mode_norm()))
     per_mode = []
     for j, entry in enumerate(f_int.modes):
-        if entry.delta is None:
+        if entry.complex_radicand:
             continue
-        P = link.dim / 2 + entry.delta - src.beta
-        Q = link.dim / 2 - entry.delta - src.beta
+        P, Q = _sign_exponents(link.dim, entry.delta, src.beta)
         per_mode.append({
             "source": list(entry.source), "lambda": entry.lam,
             "P": P, "Q": Q,

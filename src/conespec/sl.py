@@ -24,7 +24,7 @@ kept and Brent does not shoot the bracket ends again; every other Brent
 shot needs only the end state (:func:`propagate_band_end`).  Both parities
 start from the same left state, so :func:`count_below` reads both counts
 off one trajectory.
-Eigenvalues are memoized per (spec, k, config) by :func:`eigenvalue`;
+Eigenvalues are memoized per (spec, k) by :func:`eigenvalue`;
 :func:`eigen_k` adds one trajectory shot to assemble the eigenfunction,
 which is not cached.
 The seeds only choose the bracket, so the independent finite-difference
@@ -42,7 +42,6 @@ import math
 import numpy as np
 
 from ._quad import brentq, simpson
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BracketFail, NonConvergent, ZeroDenominator
 from .kernels import propagate_band, propagate_band_end
 from .profile import ConeProfile, band_points
@@ -53,6 +52,7 @@ _SYMMETRY_TOL = 1e-12
 _SEED_COUNT = 8      # seeded eigenvalues per parity; higher ones isolate from the top seed
 _SEED_REL = 1e-3     # bracket half-width relative to max(1, |seed|)
 _MEMO_SIZE = 4096    # memoized eigenvalues (floats only)
+_LAM_TOL = 1e-10     # Brent tolerance on each eigenvalue
 
 
 @dataclasses.dataclass(frozen=True)
@@ -226,15 +226,15 @@ def _bracket(spec, parity, idx, count_fn):
     return _isolate(count_fn, idx, seed - half, seed + half)
 
 
-def eigenvalue(spec: SLSpec, k: int, cfg: SolverConfig | None = None) -> float:
+def eigenvalue(spec: SLSpec, k: int) -> float:
     """k-th eigenvalue (k >= 1) of the band problem, memoized per process."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _eigenvalue(spec, k, cfg or DEFAULT_CONFIG)
+    return _eigenvalue(spec, k)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _eigenvalue(spec, k, cfg):
+def _eigenvalue(spec, k):
     disc = _disc(spec)
     parity = "even" if k % 2 == 1 else "odd"
     idx = (k + 1) // 2
@@ -257,12 +257,12 @@ def _eigenvalue(spec, k, cfg):
     # count nodes + [g'(pi/2)*(-1)^nodes < 0]: the defect has sign
     # (-1)^count, and the two ends bracket a sign change.
     lo, hi = _bracket(spec, parity, idx, count_fn)
-    return float(brentq(defect_fn, lo, hi, xtol=cfg.lam_tol))
+    return float(brentq(defect_fn, lo, hi, xtol=_LAM_TOL))
 
 
-def eigen_k(spec: SLSpec, k: int, cfg: SolverConfig | None = None) -> SLEigenpair:
+def eigen_k(spec: SLSpec, k: int) -> SLEigenpair:
     """k-th eigenpair (k >= 1): the memoized eigenvalue and one assembly shot."""
-    lam = eigenvalue(spec, k, cfg)
+    lam = eigenvalue(spec, k)
     disc = _disc(spec)
     g, gp = _assemble_fn(spec, disc, lam, "even" if k % 2 == 1 else "odd")
     th = disc["theta"]

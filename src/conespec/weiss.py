@@ -30,7 +30,6 @@ import numpy as np
 
 from ._quad import simpson
 from .boundary import sphere_area
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import GridTooCoarse, MissingCoefficient, NonFiniteResult, NumericalError
 from .linkspec import LinkSpectrum
 from .profile import ConeProfile
@@ -40,6 +39,7 @@ _N_RADIAL = 513     # Boole-compatible (4k+1) radial point count
 _RICHARDSON = 15.0  # halving gain assumed when estimating quadrature error
 _BLOCK = 16         # radii per batch: 16 x 512 samples keeps peak memory flat
 _N_HALFPLANE = 1025  # theta samples of the half-plane field on [0, pi/2]
+_QUAD_TOL = 1e-9    # relative error budget of the radial quadrature
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -153,12 +153,11 @@ def _rho_matrices(u: AxisymField, s: np.ndarray, order: int = 1):
     return rr, rp, rpp
 
 
-def _weiss_values(u: AxisymField, radii: np.ndarray,
-                  cfg: SolverConfig) -> np.ndarray:
+def _weiss_values(u: AxisymField, radii: np.ndarray) -> np.ndarray:
     """W(u, r) for every radius, _BLOCK radii per evaluation of the rho
     callables.  Radii are taken in order: the first one outside (0, r_max]
     raises ValueError, the first whose Richardson error estimate from the
-    halved grid exceeds quad_tol * max(1, |W|) raises GridTooCoarse."""
+    halved grid exceeds _QUAD_TOL * max(1, |W|) raises GridTooCoarse."""
     d = u.dim
     gq, gqp, sw = _grams(u)
     sd2 = sphere_area(d - 2)
@@ -177,7 +176,7 @@ def _weiss_values(u: AxisymField, radii: np.ndarray,
         bnd = np.einsum("is,ij,js->s", end, gq, end)
         w_val = sd2 * (full / r ** d + sw / d - bnd / r ** 2)
         est = sd2 * np.abs(full - half) / (_RICHARDSON * r ** d)
-        coarse = np.flatnonzero(est > cfg.quad_tol * np.fmax(1.0, np.abs(w_val)))
+        coarse = np.flatnonzero(est > _QUAD_TOL * np.fmax(1.0, np.abs(w_val)))
         if coarse.size:
             i = coarse[0]
             raise GridTooCoarse(
@@ -188,14 +187,12 @@ def _weiss_values(u: AxisymField, radii: np.ndarray,
     return out
 
 
-def weiss(u: AxisymField, r: float, d: int,
-          cfg: SolverConfig | None = None) -> float:
+def weiss(u: AxisymField, r: float, d: int) -> float:
     """Evaluate W(u, r); raises GridTooCoarse when the Richardson error
-    estimate from a halved radial grid exceeds quad_tol * |W|."""
-    cfg = cfg or DEFAULT_CONFIG
+    estimate from a halved radial grid exceeds _QUAD_TOL * max(1, |W|)."""
     if d != u.dim:
         raise ValueError(f"dimension argument {d} != field dimension {u.dim}")
-    return float(_weiss_values(u, np.array([r], dtype=float), cfg)[0])
+    return float(_weiss_values(u, np.array([r], dtype=float))[0])
 
 
 def _deficit(u: AxisymField, radii: np.ndarray) -> np.ndarray:
@@ -220,16 +217,14 @@ def _harmonic_correction(u: AxisymField, r: float) -> float:
     return -2.0 * sphere_area(d - 2) * r * float(_BOOLE @ y) / r ** (d + 1)
 
 
-def weiss_derivative_check(u: AxisymField, r: float,
-                           cfg: SolverConfig | None = None):
+def weiss_derivative_check(u: AxisymField, r: float):
     """Compare dW/dr (numerical) against deficit + harmonicity correction.
 
     Returns (lhs, rhs, gap).  For fields harmonic on their support the
     correction vanishes and rhs reduces to the nonnegative deficit.
     """
-    cfg = cfg or DEFAULT_CONFIG
     rs = np.array([r], dtype=float)
-    lhs = float(_five_point(lambda s: _weiss_values(u, s, cfg), rs, 1e-3 * rs)[0])
+    lhs = float(_five_point(lambda s: _weiss_values(u, s), rs, 1e-3 * rs)[0])
     rhs = float(_deficit(u, rs)[0]) + _harmonic_correction(u, r)
     return lhs, rhs, abs(lhs - rhs)
 
@@ -248,18 +243,16 @@ class WeissReport:
                 "kappa0": self.kappa0}
 
 
-def weiss_report(u: AxisymField, radii,
-                 cfg: SolverConfig | None = None) -> WeissReport:
+def weiss_report(u: AxisymField, radii) -> WeissReport:
     """W, its numerical derivative and the deficit term at each radius.
 
     Raises NonFiniteResult when any of them overflows or turns NaN.
     """
-    cfg = cfg or DEFAULT_CONFIG
     radii = np.asarray(radii, dtype=float)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            w_vals = _weiss_values(u, radii, cfg)
-            lhs = _five_point(lambda s: _weiss_values(u, s, cfg), radii, 1e-3 * radii)
+            w_vals = _weiss_values(u, radii)
+            lhs = _five_point(lambda s: _weiss_values(u, s), radii, 1e-3 * radii)
             rhs = _deficit(u, radii)
     except FloatingPointError as exc:
         raise NonFiniteResult(f"non-finite Weiss energy: {exc}") from None
@@ -296,30 +289,26 @@ def power_field(p: ConeProfile, exponent: float) -> AxisymField:
     return AxisymField(p.dim, p.grid, (comp,))
 
 
-def perturbed_field(p: ConeProfile, eps: float, exponent: float, k: int = 1,
-                    cfg: SolverConfig | None = None) -> AxisymField:
+def perturbed_field(p: ConeProfile, eps: float, exponent: float,
+                    k: int = 1) -> AxisymField:
     """U plus eps * r^exponent times the k-th interior Robin band mode."""
-    cfg = cfg or DEFAULT_CONFIG
-    pair = eigen_k(band_spec(p, 0.0, "robin"), k, cfg)
+    pair = eigen_k(band_spec(p, 0.0, "robin"), k)
     bump = _power_component(pair.fn, pair.fn_prime, float(exponent), eps)
     return AxisymField(p.dim, p.grid, (cone_field(p).components[0], bump))
 
 
-def link_measure_identity(p: ConeProfile,
-                          cfg: SolverConfig | None = None):
+def link_measure_identity(p: ConeProfile):
     """W(U, 1) against H^{d-1}(link)/d; returns (W1, measure_over_d, gap)."""
     if p.theta0 >= math.pi / 2:
         raise ValueError("band half-width must stay below pi/2")
-    cfg = cfg or DEFAULT_CONFIG
-    w1 = weiss(cone_field(p), 1.0, p.dim, cfg)
+    w1 = weiss(cone_field(p), 1.0, p.dim)
     w = np.sin(p.grid) ** (p.dim - 2)
     measure = sphere_area(p.dim - 2) * float(simpson(w, x=p.grid))
     ref = measure / p.dim
     return w1, ref, abs(w1 - ref) / abs(ref)
 
 
-def F_functional(band_halfwidth: float, p: ConeProfile, d: int,
-                 cfg: SolverConfig | None = None) -> float:
+def F_functional(band_halfwidth: float, p: ConeProfile, d: int) -> float:
     """Aperture functional whose stationary point is the solution band:
 
         F(theta) = (kappa0^2 (lam1_D(theta) - (d-1)) + H^{d-1}(Sigma_theta)) / d,
@@ -328,7 +317,6 @@ def F_functional(band_halfwidth: float, p: ConeProfile, d: int,
     first Dirichlet band eigenvalue at half-width theta, and Sigma_theta the
     two lateral cone sheets in the unit ball.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if d != p.dim:
         raise ValueError(f"dimension argument {d} != profile dimension {p.dim}")
     th = float(band_halfwidth)
@@ -339,22 +327,20 @@ def F_functional(band_halfwidth: float, p: ConeProfile, d: int,
     kappa0_sq = sd2 * float(simpson(p.g ** 2 * w, x=p.grid))
     spec = SLSpec(dim=d, band=(math.pi / 2 - th, math.pi / 2 + th), mu=0.0,
                   bc="dirichlet", grid_n=p.grid.size - 1)
-    lam1 = eigenvalue(spec, 1, cfg)
+    lam1 = eigenvalue(spec, 1)
     thg = np.linspace(math.pi / 2 - th, math.pi / 2 + th, p.grid.size)
     area = sd2 * float(simpson(np.sin(thg) ** (d - 2), x=thg))
     return (kappa0_sq * (lam1 - (d - 1)) + area) / d
 
 
 def foliation_leading_term(p: ConeProfile, link: LinkSpectrum, side: str,
-                           t: float | None, x,
-                           cfg: SolverConfig | None = None) -> np.ndarray:
+                           t: float | None, x) -> np.ndarray:
     """Leading asymptotics U(x) +/- t r^gamma phi_1(theta) of the foliating
     sub/supersolutions, gamma = -(d-2)/2 + sqrt(((d-2)/2)^2 + lam_1).
 
     ``x`` holds (r, theta) pairs in its last axis; outside the band the
     profile and its perturbation both vanish.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if t is None:
         raise MissingCoefficient("foliation requires the leading coefficient t")
     if side not in ("upper", "lower"):
@@ -364,7 +350,7 @@ def foliation_leading_term(p: ConeProfile, link: LinkSpectrum, side: str,
     if rad <= 0:
         raise NumericalError("first interior eigenvalue below the stability floor")
     gamma = -(d - 2) / 2 + math.sqrt(rad)
-    pair = eigen_k(band_spec(p, 0.0, "robin"), 1, cfg)
+    pair = eigen_k(band_spec(p, 0.0, "robin"), 1)
     phi = pair.fn
     w = np.sin(p.grid) ** (d - 2)
     if simpson(phi * w, x=p.grid) < 0:

@@ -70,6 +70,8 @@ def test_config_error_paths(tmp_path, capsys):
     '{"r0": false}',
     '{"r_max": null}',
     '{"quad_tol": [1e-9]}',
+    '{"res_tol": 1e-7}',
+    '{"root_tol": 1e-12}',
 ])
 def test_config_field_types(tmp_path, capsys, body):
     cfgf = tmp_path / "c.json"

@@ -78,8 +78,8 @@ def test_brentq_matches_scipy_on_band_defects(profiles):
                             spec.dim - 2, spec.mu, lam, disc["left"], *sl._y_left(spec)), parity)
                     ours, ours_xs = _traced(defect)
                     ref, ref_xs = _traced(defect)
-                    root = _quad.brentq(ours, lo, hi, xtol=DEFAULT_CONFIG.lam_tol)
-                    want = scipy.optimize.brentq(ref, lo, hi, xtol=DEFAULT_CONFIG.lam_tol,
+                    root = _quad.brentq(ours, lo, hi, xtol=sl._LAM_TOL)
+                    want = scipy.optimize.brentq(ref, lo, hi, xtol=sl._LAM_TOL,
                                                  rtol=_quad._RTOL)
                     assert root == want and ours_xs == ref_xs, (d, mu, bc, k)
                     assert root == sl.eigenvalue(spec, k)

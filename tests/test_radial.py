@@ -64,6 +64,17 @@ def test_source_spec_validation(link7):
     assert make_source(BETA, {1: 1.0}, link7).admissible
 
 
+def test_admissibility_window_is_the_solver_window(p7, link7, bmodes7):
+    # Q = d/2 - delta_(0,1) - beta = -5e-8 sits inside the solver's resonance
+    # window, so the source must be flagged before build_up reaches the mode
+    beta = 3.5 - link7.find((0, 1)).delta + 5e-8
+    assert beta == pytest.approx(2.7573037579436916, abs=1e-15)
+    src = make_source(beta, {1: 1.0}, link7)
+    assert not src.admissible
+    with pytest.raises(ResonantExponent, match="resonates"):
+        build_up(src, p7, link7, bmodes7)
+
+
 def test_transfer_nonresonant_exact(p7, link7, bmodes7):
     # u1 = r G psi / ell and f from the two radial-derivative terms only
     src = make_source(0.5, {1: 2.0}, link7)
@@ -166,6 +177,20 @@ def test_solve_complex_radicand(p3, link3):
         solve_radial_modes(f, link3, BETA)
 
 
+def test_ode_residuals_skip_complex_pair_for_d(p3, link3):
+    # the complex ground mode's zero row leads the field; d - 2 must come
+    # from the real mode (0, 2), not from the complex pair's gamma fields
+    r = radial_grid()
+    entries = (link3.find((0, 1)), link3.find((0, 2)))
+    assert entries[0].complex_radicand and not entries[1].complex_radicand
+    f = _interior_field(link3, entries, [np.zeros(r.size), r ** (-1 - BETA)],
+                        BETA, p3.grid)
+    u = solve_radial_modes(f, link3, BETA)
+    assert u.ode_residual[1] <= 1e-7
+    res = ode_residuals(u, f)
+    assert res[0] == 0.0 and res[1] <= 1e-7
+
+
 def test_solve_log_resonant(p7, link7):
     lam = -(2.5 ** 2)
     entry = LinkEigenvalue(lam=lam, multiplicity=1, source=(0, 9),
@@ -189,6 +214,23 @@ def test_tail_divergence(p7, link7):
     f2 = _interior_field(link7, entry, [r ** -2.2], BETA, p7.grid)
     with pytest.raises(TailDivergence):
         solve_radial_modes(f2, link7, BETA)
+
+
+def test_non_power_profile_with_finite_limits(p7, link7):
+    # ground mode at beta = 0.7: P = 3.54 and Q = 2.06 are both positive, so
+    # both limits are R0 and a non-power profile is integrated as sampled
+    entry = link7.find((0, 1))
+    assert 3.5 < 3.5 + entry.delta - BETA < 3.6 and 2.0 < 3.5 - entry.delta - BETA < 2.1
+    r = radial_grid()
+    wobble = r ** -1.7 * (1 + 0.5 * np.sin(np.log(r)))
+    f = _interior_field(link7, entry, [wobble], BETA, p7.grid)
+    u = solve_radial_modes(f, link7, BETA)
+    assert np.all(np.isfinite(u.coeffs))
+    scale = float(np.max(r ** 2 * np.abs(wobble)))
+    assert 10.0 < scale < 11.0
+    res = ode_residuals(u, f)
+    assert res[0] <= 1e-4 * scale
+    assert res[0] == pytest.approx(u.ode_residual[0], rel=1e-9)
 
 
 def test_build_residuals_and_slope(p7, link7, bmodes7):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from conespec import sl
-from conespec.config import DEFAULT_CONFIG
 from conespec.errors import ZeroDenominator
 from conespec.sl import (SLSpec, band_spec, count_below, eigen_fd_crosscheck, eigen_k,
                          eigenvalue, rayleigh)
@@ -158,7 +157,7 @@ def test_wrong_seeds_fall_back_to_bisection(p7, bc, monkeypatch):
     try:
         for k, lam in enumerate(seeded, start=1):
             pair = eigen_k(spec, k)
-            assert abs(pair.lam - lam) <= DEFAULT_CONFIG.lam_tol, (k, pair.lam, lam)
+            assert abs(pair.lam - lam) <= sl._LAM_TOL, (k, pair.lam, lam)
             assert pair.nodes == k - 1
     finally:
         sl._eigenvalue.cache_clear()
