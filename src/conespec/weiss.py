@@ -17,6 +17,8 @@ over d; the derivative identity
             - 2 r^{-d-1} int_{B_r} (x . grad u - u) Lap u
 
 is exposed for verification, the first term being the homogeneity deficit.
+Its left side differentiates W's definition by the Leibniz rule, so one
+quadrature pass over each radius gives W, dW/dr and the deficit together.
 """
 
 from __future__ import annotations
@@ -94,16 +96,14 @@ class AxisymField:
         return AxisymField(self.dim, self.theta, tuple(comps), self.r_max / s)
 
 
-def _five_point(f: Callable, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Fourth-order central difference of f at every x with steps h.  f is
-    called once, on all stencil points in the order -2h, -h, +h, +2h."""
-    pts = x[:, None] + np.array([-2.0, -1.0, 1.0, 2.0]) * h[:, None]
-    v = f(pts.ravel()).reshape(-1, 4)
-    return (v[:, 0] - 8 * v[:, 1] + 8 * v[:, 2] - v[:, 3]) / (12 * h)
-
-
 def _fd1(f: Callable) -> Callable:
-    return lambda r: _five_point(f, r, 1e-4 * np.maximum(r, 1e-8))
+    """Fourth-order central difference of f, step 1e-4 r; f is called once,
+    on all stencil points in the order -2h, -h, +h, +2h."""
+    def df(r: np.ndarray) -> np.ndarray:
+        h = 1e-4 * np.maximum(r, 1e-8)
+        v = f((r[:, None] + h[:, None] * [-2.0, -1.0, 1.0, 2.0]).ravel()).reshape(-1, 4)
+        return (v[:, 0] - 8 * v[:, 1] + 8 * v[:, 2] - v[:, 3]) / (12 * h)
+    return df
 
 
 @functools.lru_cache(maxsize=32)
@@ -154,16 +154,20 @@ def _rho_matrices(u: AxisymField, s: np.ndarray, order: int = 1):
 
 
 def _weiss_values(u: AxisymField, radii: np.ndarray) -> np.ndarray:
-    """W(u, r) for every radius, _BLOCK radii per evaluation of the rho
-    callables.  Radii are taken in order: the first one outside (0, r_max]
-    raises ValueError, the first whose Richardson error estimate from the
-    halved grid exceeds _QUAD_TOL * max(1, |W|) raises GridTooCoarse."""
+    """Rows W(u, r), dW/dr and the deficit for every radius, _BLOCK radii per
+    evaluation of the rho callables.  With I the radial integral, y its
+    integrand and b = rho^T G_q rho, W = |S^{d-2}| (r^{-d} I + sw/d - r^{-2} b)
+    and the Leibniz rule gives dW/dr = |S^{d-2}| (-d r^{-d-1} I + r^{-d} y(r)
+    + 2 r^{-3} b - 2 r^{-2} rho^T G_q rho'): t = 1 samples of the block.
+    Radii are taken in order: the first one outside (0, r_max] raises
+    ValueError, the first whose Richardson error estimate from the halved
+    grid exceeds _QUAD_TOL * max(1, |W|) raises GridTooCoarse."""
     d = u.dim
     gq, gqp, sw = _grams(u)
     sd2 = sphere_area(d - 2)
     bad = np.flatnonzero(~((radii > 0) & (radii <= u.r_max)))
     n_ok = int(bad[0]) if bad.size else radii.size
-    out = np.empty(n_ok)
+    out = np.empty((3, n_ok))
     for lo in range(0, n_ok, _BLOCK):
         r = radii[lo:min(lo + _BLOCK, n_ok)]
         s = (r[:, None] * _T).ravel()
@@ -172,7 +176,8 @@ def _weiss_values(u: AxisymField, radii: np.ndarray) -> np.ndarray:
              + np.einsum("is,ij,js->s", rr, gqp, rr) * s ** (d - 3)).reshape(r.size, -1)
         full = r * (y @ _BOOLE)
         half = r * (y[:, 1::2] @ _BOOLE_HALF)
-        end = rr[:, _T.size - 1::_T.size]  # rho(r), the t = 1 samples
+        # rho(r) and rho'(r), the t = 1 samples (r * 1.0 is r exactly)
+        end, dend = rr[:, _T.size - 1::_T.size], rp[:, _T.size - 1::_T.size]
         bnd = np.einsum("is,ij,js->s", end, gq, end)
         w_val = sd2 * (full / r ** d + sw / d - bnd / r ** 2)
         est = sd2 * np.abs(full - half) / (_RICHARDSON * r ** d)
@@ -181,7 +186,11 @@ def _weiss_values(u: AxisymField, radii: np.ndarray) -> np.ndarray:
             i = coarse[0]
             raise GridTooCoarse(
                 f"radial quadrature unresolved at r={r[i]:g} (estimate {est[i]:.2e})")
-        out[lo:lo + r.size] = w_val
+        cross = np.einsum("is,ij,js->s", end, gq, dend)
+        dw = sd2 * ((y[:, -1] - d * full / r) / r ** d + 2 * (bnd / r - cross) / r ** 2)
+        c = r * dend - end
+        deficit = 2.0 * sd2 * np.einsum("is,ij,js->s", c, gq, c) / r ** 3
+        out[:, lo:lo + r.size] = w_val, dw, deficit
     if bad.size:
         raise ValueError("radius must lie in (0, r_max of the field]")
     return out
@@ -192,15 +201,7 @@ def weiss(u: AxisymField, r: float, d: int) -> float:
     estimate from a halved radial grid exceeds _QUAD_TOL * max(1, |W|)."""
     if d != u.dim:
         raise ValueError(f"dimension argument {d} != field dimension {u.dim}")
-    return float(_weiss_values(u, np.array([r], dtype=float))[0])
-
-
-def _deficit(u: AxisymField, radii: np.ndarray) -> np.ndarray:
-    """2 r^{-d-2} int_{dB_r} (x . grad u - u)^2, the homogeneity defect."""
-    gq, _, _ = _grams(u)
-    rr, rp, _ = _rho_matrices(u, radii)
-    c = radii * rp - rr
-    return 2.0 * sphere_area(u.dim - 2) * np.einsum("is,ij,js->s", c, gq, c) / radii ** 3
+    return float(_weiss_values(u, np.array([r], dtype=float))[0, 0])
 
 
 def _harmonic_correction(u: AxisymField, r: float) -> float:
@@ -218,14 +219,14 @@ def _harmonic_correction(u: AxisymField, r: float) -> float:
 
 
 def weiss_derivative_check(u: AxisymField, r: float):
-    """Compare dW/dr (numerical) against deficit + harmonicity correction.
+    """Compare dW/dr (the report's dW_lhs) with deficit + harmonicity correction.
 
     Returns (lhs, rhs, gap).  For fields harmonic on their support the
     correction vanishes and rhs reduces to the nonnegative deficit.
     """
-    rs = np.array([r], dtype=float)
-    lhs = float(_five_point(lambda s: _weiss_values(u, s), rs, 1e-3 * rs)[0])
-    rhs = float(_deficit(u, rs)[0]) + _harmonic_correction(u, r)
+    _, dw, deficit = _weiss_values(u, np.array([r], dtype=float))
+    lhs = float(dw[0])
+    rhs = float(deficit[0]) + _harmonic_correction(u, r)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -233,7 +234,7 @@ def weiss_derivative_check(u: AxisymField, r: float):
 class WeissReport:
     r_values: np.ndarray
     W: np.ndarray
-    dW_lhs: np.ndarray   # numerical dW/dr (5-point, step 1e-3 r)
+    dW_lhs: np.ndarray   # dW/dr of W's definition, by the Leibniz rule
     dW_rhs: np.ndarray   # deficit term only
     kappa0: float
 
@@ -244,16 +245,14 @@ class WeissReport:
 
 
 def weiss_report(u: AxisymField, radii) -> WeissReport:
-    """W, its numerical derivative and the deficit term at each radius.
+    """W, its Leibniz-rule derivative and the deficit term at each radius, in one pass.
 
     Raises NonFiniteResult when any of them overflows or turns NaN.
     """
     radii = np.asarray(radii, dtype=float)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            w_vals = _weiss_values(u, radii)
-            lhs = _five_point(lambda s: _weiss_values(u, s), radii, 1e-3 * radii)
-            rhs = _deficit(u, radii)
+            w_vals, lhs, rhs = _weiss_values(u, radii)
     except FloatingPointError as exc:
         raise NonFiniteResult(f"non-finite Weiss energy: {exc}") from None
     gq, _, _ = _grams(u)

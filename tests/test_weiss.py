@@ -219,10 +219,11 @@ def test_report_errors_name_the_first_bad_radius(p7):
         weiss_report(u, radii)
     assert str(report.value) == str(first.value)
     assert "r=1.5 " in str(report.value)
-    # the dW/dr stencil radii are range-checked too: r + 2h passes r_max
+    # dW/dr needs no radius past r: r = r_max answers, r > r_max raises
     capped = AxisymField(p7.dim, p7.grid, cone_field(p7).components, r_max=2.0)
+    assert np.all(np.isfinite(weiss_report(capped, [1.0, 2.0]).dW_lhs))
     with pytest.raises(ValueError, match="r_max"):
-        weiss_report(capped, [1.0, 2.0])
+        weiss_report(capped, [1.0, np.nextafter(2.0, 3.0)])
 
 
 @pytest.mark.parametrize("make, p_name", [(_tapered_jacobi_field, "p3"),
@@ -244,9 +245,50 @@ def test_report_blocks_match_single_radius_calls(make, p_name, request):
         assert abs(lhs - fd) <= 1e-10 * max(1.0, abs(fd))
 
 
+def _fields(p):
+    return {"cone": cone_field(p), "halfplane": halfplane_field(p.dim),
+            "power": power_field(p, 1.4), "perturbed": perturbed_field(p, 0.05, 1.5)}
+
+
+@pytest.mark.parametrize("dim", [3, 7, 12])
+def test_leibniz_derivative_matches_five_point_stencil(dim, p3, p7):
+    fields = _fields({3: p3, 7: p7}.get(dim) or solve_profile(dim))
+    c = fields["power"].components[0]
+    fields["bare"] = AxisymField(dim, fields["power"].theta,
+                                 (Component(rho=c.rho, q=c.q, q_prime=c.q_prime),))
+    fields["rescaled"] = fields["perturbed"].rescaled(1.7)
+    radii = (0.4, 1.0, 2.3)
+    for name, u in fields.items():
+        rep = weiss_report(u, radii)
+        for r, lhs in zip(radii, rep.dW_lhs):
+            h = 1e-3 * r
+            w = [weiss(u, r + k * h, dim) for k in (-2, -1, 1, 2)]
+            fd = (w[0] - 8 * w[1] + 8 * w[2] - w[3]) / (12 * h)
+            scale = max(abs(fd), np.max(np.abs(rep.W)))
+            assert abs(lhs - fd) <= 1e-10 * scale, (name, r, lhs, fd)
+
+
+@pytest.mark.parametrize("name", ["power", "perturbed"])
+def test_one_pass_one_answer(name, p7):
+    u = _fields(p7)[name]
+    w = np.sin(u.theta) ** (u.dim - 2)
+    qs = [c.q for c in u.components]
+    gq = np.array([[simpson(qi * qj * w, x=u.theta) for qj in qs] for qi in qs])
+    for r in (0.6, 1.0, 2.5):
+        rep = weiss_report(u, [r])
+        assert weiss_derivative_check(u, r)[0] == rep.dW_lhs[0]
+        c = np.array([r * comp.drho(r) - comp.rho(r) for comp in u.components])
+        want = 2 * sphere_area(u.dim - 2) * (c @ gq @ c) / r ** 3
+        assert rep.dW_rhs[0] == pytest.approx(want, rel=1e-13, abs=0)
+    capped = AxisymField(u.dim, u.theta, u.components, r_max=2.0)
+    rep = weiss_report(capped, [2.0])
+    assert rep.W[0] == weiss(u, 2.0, u.dim)
+    assert rep.dW_lhs[0] == weiss_derivative_check(u, 2.0)[0]
+
+
 def test_report_work_count(p7):
-    # 300 radii and their 1200 stencil radii are sampled in blocks, so rho
-    # is evaluated about 100 times, not twice per radius (4800 calls)
+    # 300 radii are sampled in blocks of 16 that also give dW/dr and the
+    # deficit, so rho is evaluated 19 times, not once per radius
     calls = []
     base = cone_field(p7).components[0]
 
