@@ -278,6 +278,9 @@ def _dispatch(args, cfg) -> int:
         link = link_spectrum(p, 4.0 * args.dim)
         bmodes = boundary_modes(p, max(coeffs) + 2)
         src = make_source(args.beta, coeffs, link)
+        if not src.admissible:
+            raise ValueError(f"beta={args.beta!r} resonates with an interior "
+                             "homogeneity: beta = d/2 +- delta of a link eigenvalue")
         _, rep = build_up(src, p, link, bmodes, cfg)
         _emit(_json_report(rep.to_dict(), cfg, stamp), args.out)
         return 0

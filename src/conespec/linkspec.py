@@ -152,13 +152,36 @@ def _clusters(entries, tol):
     return groups
 
 
-def _match_error(q, target, theta, w):
-    """Relative L^2(w) misfit of q against span{target} (sign/scale free)."""
-    num = simpson(q * target * w, x=theta)
-    den = simpson(target * target * w, x=theta)
-    resid = q - (num / den) * target
-    return math.sqrt(simpson(resid * resid * w, x=theta)
-                     / simpson(q * q * w, x=theta))
+def _walk_to_gap(p: ConeProfile, tol: float) -> list[LinkEigenvalue]:
+    """Sorted link eigenvalues up to the gap (see :func:`verify_strong_integrability`)."""
+    d = p.dim
+    cap = 4.0 * d
+    low = min(d - 1 + tol, cap)
+    best = cap
+    lam01 = eigenvalue(band_spec(p, 0.0, "robin"), 1)
+    out = []
+    for mode in modes_up_to(d, cap - lam01):
+        if mode.mu + lam01 > best + tol:
+            break
+        spec = band_spec(p, mode.mu, "robin")
+        # n counts the eigenvalues below top.  top starts at low and rises
+        # once to the bound min(best+tol, cap) when k passes n; as best
+        # falls, k needs a recount only while k <= n.
+        top, n = low, count_below(spec, low)
+        k = 1
+        while True:
+            bound = min(best + tol, cap)
+            if (k > n and bound > top) or (k <= n and bound < top):
+                top, n = bound, count_below(spec, bound)
+            if k > n:
+                break
+            lam = eigenvalue(spec, k)
+            out.append(_entry(d, mode.ell, k, lam, mode.multiplicity))
+            if lam > low:
+                best = min(best, lam)
+            k += 1
+    out.sort(key=lambda e: (e.lam, e.source))
+    return out
 
 
 def verify_strong_integrability(p: ConeProfile,
@@ -169,22 +192,37 @@ def verify_strong_integrability(p: ConeProfile,
     d at lambda=0 and d-1 at lambda=d-1 with the computed eigenfunctions
     identified against the analytic translation/rotation profiles, and the
     absence of any other eigenvalue at or below d-1.
+
+    Only the bottom of the spectrum is solved, by slicing each sphere mode
+    with Sturm counts (:func:`_walk_to_gap`): every eigenvalue at or below
+    low = min(d-1+tol, 4d), and those below min(best+tol, 4d), where best
+    is the smallest eigenvalue above low solved so far (at the end, the
+    gap).  Modes are taken in ascending mu up to the first with
+    mu + lambda_{0,1} > best + tol, the completeness bound of
+    :func:`assemble`.  The walk is capped at 4d: with no eigenvalue in
+    (low, 4d] the gap is inf.
     """
     cfg = cfg or DEFAULT_CONFIG
     d = p.dim
-    spec = link_spectrum(p, 4.0 * d)
-    entries = spec.entries
     tol = cfg.cluster_tol
+    entries = _walk_to_gap(p, tol)
 
     jf = jacobi_fields(p)
-    w = np.sin(p.grid) ** (d - 2)
-    analytic = {(0, 1): jf["t1"], (1, 0): jf["tk"], (1, 1): jf["rot"]}
+    th = p.grid
+    w = np.sin(th) ** (d - 2)
+    # the analytic translation and rotation profiles with their L^2(w) norms
+    analytic = [(a, simpson(a * a * w, x=th)) for a in (jf["t1"], jf["tk"], jf["rot"])]
 
     def identify(entry):
-        """Best analytic match for one computed eigenfunction."""
+        """Smallest relative L^2(w) misfit of one computed eigenfunction
+        against the span of an analytic profile (sign and scale free)."""
         ell, k = entry.source
-        pair = eigen_k(band_spec(p, float(ell * (ell + d - 3)), "robin"), k)
-        errs = [_match_error(pair.fn, a, p.grid, w) for a in analytic.values()]
+        q = eigen_k(band_spec(p, float(ell * (ell + d - 3)), "robin"), k).fn
+        qq = simpson(q * q * w, x=th)
+        errs = []
+        for a, aa in analytic:
+            resid = q - (simpson(q * a * w, x=th) / aa) * a
+            errs.append(math.sqrt(simpson(resid * resid * w, x=th) / qq))
         return min(errs)
 
     match_err = 0.0

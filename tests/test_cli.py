@@ -107,9 +107,11 @@ def test_verify_sweep_exit_codes(tmp_path):
 
 
 def test_verify_work_count(tmp_path, monkeypatch):
-    # each band eigenvalue is solved once, from a seeded bracket whose two
-    # counting shots are Brent's endpoints, and the aperture
-    # is a Brent root: verify --dim 7 in a fresh process needs at most 75 shots
+    # verify solves the link spectrum only up to its gap, slicing each mode
+    # by Sturm counts; each band eigenvalue is solved once, from a seeded
+    # bracket whose two counting shots are Brent's endpoints, and the
+    # aperture is a Brent root: verify --dim 7 in a fresh process makes 52
+    # shots
     from conespec import boundary, kernels, profile, sl
     sl._eigenvalue.cache_clear()
     sl._seeds.cache_clear()
@@ -122,7 +124,7 @@ def test_verify_work_count(tmp_path, monkeypatch):
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(mod, name, counted)
     assert run(["verify", "--dim", "7", "--out", str(tmp_path / "v.json")]) == 0
-    assert 0 < len(shots) <= 75, len(shots)
+    assert 0 < len(shots) <= 55, len(shots)
 
 
 @pytest.mark.parametrize("config, coeffs, code, message", [
@@ -247,12 +249,17 @@ def test_particular_report(tmp_path):
     assert body["slope"] <= 0.35
 
 
-def test_particular_resonant_beta_is_numerical_error(tmp_path, capsys):
+@pytest.mark.parametrize("beta", [1.0, 2.7573037579436916])
+def test_particular_resonant_beta_is_invalid_input(tmp_path, capsys, beta):
+    # beta = d/2 - delta of the lambda = 0 modes, and beta inside the
+    # resonance window of the (0, 1) mode: make_source flags both, so the
+    # input is at fault, not the computation
     modes = tmp_path / "m.json"
     modes.write_text(json.dumps({"coeffs": {"1": 1.0}}))
-    assert run(["particular", "--dim", "7", "--beta", "1.0",
-                "--modes", str(modes)]) == 2
-    assert "numerical error" in capsys.readouterr().err
+    assert run(["particular", "--dim", "7", "--beta", repr(beta),
+                "--modes", str(modes)]) == 64
+    err = capsys.readouterr().err
+    assert "invalid input" in err and f"beta={beta!r}" in err, err
 
 
 def test_weiss_field_kinds(tmp_path):

@@ -9,6 +9,7 @@ from conespec.config import SolverConfig
 from conespec.errors import AmbiguousCluster
 from conespec.linkspec import (decay_exponents, homogeneity, link_spectrum,
                                verify_strong_integrability)
+from conespec.profile import solve_profile
 
 
 def test_homogeneity_algebra():
@@ -76,6 +77,32 @@ def test_profile_alone_sets_the_band_grid(p7):
     assert rep.dim_kernel0 == ref.dim_kernel0
     assert rep.dim_kernel_d_minus_1 == ref.dim_kernel_d_minus_1
     assert abs(rep.lambda1 - ref.lambda1) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 4, 7, 12, 24])
+def test_verify_matches_full_assembly(d):
+    # the walk to the gap reads the same numbers off the bottom of the
+    # spectrum as the rules applied to every eigenvalue <= 4d
+    p = solve_profile(d)
+    tol = SolverConfig().cluster_tol
+    entries = link_spectrum(p, 4.0 * d).entries
+    lam1 = entries[0].lam
+    margin = lam1 + (0.5 * (d - 2)) ** 2
+    kernel0 = sum(e.multiplicity for e in entries if abs(e.lam) <= tol)
+    kernel_rot = sum(e.multiplicity for e in entries if abs(e.lam - (d - 1)) <= tol)
+    strays = [e for e in entries[1:]
+              if abs(e.lam) > tol and abs(e.lam - (d - 1)) > tol and e.lam < d - 1]
+    above = [e.lam for e in entries if e.lam > d - 1 + tol]
+    verdict = margin > 0 and kernel0 == d and kernel_rot == d - 1 and not strays
+
+    rep = verify_strong_integrability(p)
+    assert rep.lambda1 == lam1
+    assert rep.stability_margin == margin
+    assert rep.strictly_stable == (margin > 0)
+    assert rep.dim_kernel0 == kernel0
+    assert rep.dim_kernel_d_minus_1 == kernel_rot
+    assert rep.verdict == verdict
+    assert rep.gap_above == min(above)
 
 
 def test_ambiguous_cluster_on_absurd_tolerance(p3):
