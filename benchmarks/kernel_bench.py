@@ -1,12 +1,20 @@
 """Timing of the band-ODE propagation kernels.
 
-Times the two entry points side by side at each grid size:
-``propagate_band`` (whole trajectory: up-sweep and down-sweep of the step
-tree) and ``propagate_band_end`` (end state only: the up-sweep).  Each is
-timed cold, with the step-matrix memo cleared before every shot so the
-lambda-quadratic coefficients are rebuilt, and warm, with the memo holding
-the grid so a shot only evaluates them at a new lambda.  This is a kernel
-micro-benchmark; the end-to-end benchmark is ``perfbench/run.py``.  Usage:
+Times the two kinds of shot side by side at each grid size and at mu = 0
+and mu = 2(d-1) (the sphere-degree-2 mode): ``traj`` (whole trajectory:
+up-sweep and down-sweep of the step tree) and ``end`` (end state only: the
+up-sweep).  Each is timed in four cases:
+
+* ``new grid`` -- every memo level cleared before each shot, so the lam part,
+  the mu part (mu > 0 only) and the per-mu collapse are all built;
+* ``new mu`` -- only the per-mu collapse cleared: a new mu on a known grid;
+* ``warm`` -- the memo holds the grid and the mu, so a shot only evaluates
+  the quadratic at a new lambda;
+* ``direct`` -- the one-use entry point, step matrices straight from the
+  stage arithmetic with no memo lookup.
+
+This is a kernel micro-benchmark; the end-to-end benchmark is
+``perfbench/run.py``.  Usage:
 
     python3 benchmarks/kernel_bench.py --dim 7 --sizes 257,1025,4097
 """
@@ -19,17 +27,25 @@ import numpy as np
 
 from conespec import kernels
 
-KERNELS = {"traj": kernels.propagate_band, "end": kernels.propagate_band_end}
+KERNELS = {"traj": (kernels.propagate_band, kernels.propagate_band_once),
+           "end": (kernels.propagate_band_end, kernels.propagate_band_end_once)}
+CASES = ("new grid", "new mu", "warm", "direct")
+MEMOS = (kernels._step_poly, kernels._lam_part, kernels._mu_part)
 
 
-def best_time(kernel, dm2, mu, lam, thetas, repeats, cold):
-    kernel(dm2, mu, lam, thetas, 1.0, 0.0)  # warm-up
+def best_time(kernels_pair, case, dm2, mu, lam, thetas, repeats):
+    memo_shot, once_shot = kernels_pair
+    shot = once_shot if case == "direct" else memo_shot
+    shot(dm2, mu, lam, thetas, 1.0, 0.0)  # warm-up
     best = math.inf
     for _ in range(repeats):
-        if cold:
+        if case == "new grid":
+            for memo in MEMOS:
+                memo.cache_clear()
+        elif case == "new mu":
             kernels._step_poly.cache_clear()
         t0 = time.perf_counter()
-        kernel(dm2, mu, lam, thetas, 1.0, 0.0)
+        shot(dm2, mu, lam, thetas, 1.0, 0.0)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -44,17 +60,17 @@ def main():
 
     d = args.dim
     lam = d - 1.0
-    print(f"band propagation, d={d}, lam={lam}, mu=0  (best of {args.repeats})")
-    labels = [f"{name} {state}" for name in KERNELS for state in ("cold", "warm")]
-    print(f"{'n':>6}" + "".join(f"{label:>12}" for label in labels))
+    print(f"band propagation, d={d}, lam={lam}  (best of {args.repeats}, ms)")
+    print(f"{'n':>6}{'mu':>6}{'shot':>6}" + "".join(f"{case:>10}" for case in CASES))
     for n in [int(t) for t in args.sizes.split(",") if t]:
         thetas = np.linspace(math.pi / 2 - 0.55, math.pi / 2 + 0.55, n)
-        row = f"{n:>6}"
-        for kernel in KERNELS.values():
-            for cold in (True, False):
-                t = best_time(kernel, d - 2, 0.0, lam, thetas, args.repeats, cold)
-                row += f"{t * 1e3:>10.3f}ms"
-        print(row)
+        for mu in (0.0, 2.0 * (d - 1)):
+            for name, pair in KERNELS.items():
+                row = f"{n:>6}{mu:>6g}{name:>6}"
+                for case in CASES:
+                    t = best_time(pair, case, d - 2, mu, lam, thetas, args.repeats)
+                    row += f"{t * 1e3:>10.3f}"
+                print(row)
 
 
 if __name__ == "__main__":

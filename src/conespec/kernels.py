@@ -6,8 +6,8 @@ Every spectral computation in the package reduces to integrating
 
 along a theta grid: the cone profile is (mu=0, lam=d-1), interior
 Sturm-Liouville shots use general (mu, lam), and boundary-mode fundamental
-solutions are (mu, lam=0).  Two entry points share one fixed-step RK4
-scheme:
+solutions are (mu, lam=0).  Two kinds of shot share one fixed-step RK4
+scheme, each with a memoized entry point and a one-use one (below):
 
 * :func:`propagate_band` returns the whole trajectory (g, g') at every grid
   point -- node counts, eigenfunction assembly, the profile and the boundary
@@ -15,11 +15,19 @@ scheme:
 * :func:`propagate_band_end` returns only the end state -- the eigenvalue
   defect evaluations need nothing else.
 
-Both write the RK4 update as 2x2 step matrices y_{i+1} = T_i y_i.  Only
-c = mu / sin^2 - lam depends on lam, and T_i is exactly quadratic in it, so
-the coefficients of P0 + lam P1 + lam^2 P2 are built once per (dm2, mu, grid)
-and memoized (:func:`_step_poly`); each shot then evaluates them by Horner's
-rule.  One tree serves both entry points (Blelloch, "Prefix sums and their
+All write the RK4 update as 2x2 step matrices y_{i+1} = T_i y_i (the
+step-matrix form of Pryce, "Numerical Solution of Sturm-Liouville
+Problems", 1993).  Only c = mu / sin^2 - lam depends on (mu, lam),
+affinely, and T_i is exactly quadratic in the two together (monomials 1,
+lam, lam^2, mu, mu lam, mu^2).  Its coefficients are built once per
+(dm2, grid) and memoized: the lam part (:func:`_lam_part`) on the first
+shot, the mu part (:func:`_mu_part`) only on the first shot at mu != 0, so
+a grid shot only at mu = 0 never pays for it.  For each mu they collapse to P0 + lam P1 + lam^2 P2
+(:func:`_step_poly`), which each shot evaluates by Horner's rule.  A grid
+shot only once, like the profile's, gains nothing from a memo:
+:func:`propagate_band_once` and :func:`propagate_band_end_once` take their
+step matrices straight from the stage arithmetic :func:`_step_entries`.
+One tree serves every entry point (Blelloch, "Prefix sums and their
 applications", 1990): its up-sweep of pairwise products gives the end state,
 and a down-sweep of states gives the trajectory, O(n) products each.  Both
 only reassociate the products of the plain loop :func:`_rk4_band`, the tests'
@@ -39,9 +47,11 @@ from .errors import NonFiniteResult
 
 # Memoized step-matrix quadratics.  Shots on one (dm2, mu, grid) come in a
 # run (one spec's eigenvalues, or a boundary mode's two solutions), so a
-# larger memo barely raises the hit share; one entry on a 2049-point half
-# band holds about 0.2 MB.
+# larger memo of the per-mu collapse barely raises the hit share.  The lam
+# and mu parts are kept per (dm2, grid); one part, or one collapse, on a
+# 2049-point half band holds about 0.2 MB.
 _MEMO_SIZE = 2
+_PART_MEMO_SIZE = 2
 
 
 def _rk4_band(dm2, mu, lam, thetas, g0, gp0):
@@ -87,18 +97,10 @@ def _rk4_band(dm2, mu, lam, thetas, g0, gp0):
     return g, gp
 
 
-def _node_terms(dm2, mu, thetas):
-    """Step widths and the lambda-free coefficients at each step's three points.
-
-    Returns h and (a, e) at the lo, mid and hi points, with a = mu / sin^2
-    and e = -dm2 cot, so that A(t) = [[0, 1], [a(t) - lam, e(t)]].
-    """
-    h = np.diff(thetas)
-    tm = thetas[:-1] + 0.5 * h
-    a_node = mu / np.sin(thetas) ** 2
-    e_node = -dm2 / np.tan(thetas)
-    return (h, (a_node[:-1], mu / np.sin(tm) ** 2, a_node[1:]),
-            (e_node[:-1], -dm2 / np.tan(tm), e_node[1:]))
+def _lo_mid_hi(f, thetas, h):
+    """``f`` at each step's lo, mid and hi points (h: the step widths)."""
+    node = f(thetas)
+    return node[:-1], f(thetas[:-1] + 0.5 * h), node[1:]
 
 
 def _step_entries(dm2, mu, lam, thetas):
@@ -110,13 +112,9 @@ def _step_entries(dm2, mu, lam, thetas):
     k4 = A_hi (I + h k3) and T = I + h/6 (k1 + 2 k2 + 2 k3 + k4), written
     out entry by entry.
     """
-    return _stage_entries(*_node_terms(dm2, mu, thetas), lam)
-
-
-def _stage_entries(h, a, e, lam):
-    """:func:`_step_entries` from the output of :func:`_node_terms`."""
-    (a_lo, a_m, a_hi), (e_lo, e_m, e_hi) = a, e
-    c_lo, c_m, c_hi = a_lo - lam, a_m - lam, a_hi - lam
+    h = np.diff(thetas)
+    c_lo, c_m, c_hi = _lo_mid_hi(lambda t: mu / np.sin(t) ** 2 - lam, thetas, h)
+    e_lo, e_m, e_hi = _lo_mid_hi(lambda t: -dm2 / np.tan(t), thetas, h)
 
     def a_times(c, e, m00, m01, m10, m11):  # A @ M for A = [[0, 1], [c, e]]
         return m10, m11, c * m00 + e * m10, c * m01 + e * m11
@@ -134,41 +132,98 @@ def _stage_entries(h, a, e, lam):
     return t00, t01, t10, t11
 
 
+# The lam and mu parts below are the stage products of _step_entries
+# expanded symbolically (not a fit), written with x, u, z = h e and
+# a, b, c = h^2 / sin^2 at each step's lo, mid and hi points.
+
+@functools.lru_cache(maxsize=_PART_MEMO_SIZE)
+def _lam_part(dm2, grid):
+    """Coefficients of 1, lam and lam^2 in the step matrices at mu = 0.
+
+    ``grid`` is the theta array's bytes.  Returns a read-only array of shape
+    (3, 2, 2, steps).
+    """
+    thetas = np.frombuffer(grid)
+    h = np.diff(thetas)
+    x, u, z = (h * e for e in _lo_mid_hi(lambda t: -dm2 / np.tan(t), thetas, h))
+    h2 = h * h
+    w = u * (u + 2.0) + 4.0
+    v = u * (u + 4.0) + 12.0
+    xz = x + z
+    out = np.empty((3, 2, 2, h.size))
+    out[0, 0, 0] = 1.0
+    out[0, 0, 1] = h * (x * w + 2.0 * v) / 24.0
+    out[0, 1, 0] = 0.0
+    out[0, 1, 1] = 1.0 + (x * z * u * u + 2.0 * xz * (w - 2.0) + 4.0 * u * (u + 4.0)) / 24.0
+    out[1, 0, 0] = -h2 * v / 24.0
+    out[1, 0, 1] = -h2 * h * (x + u + 4.0) / 24.0
+    out[1, 1, 0] = -h * (z * w + 2.0 * v) / 24.0
+    out[1, 1, 1] = -h2 * (x * z + xz * (u + 2.0) + 4.0 * u + 12.0) / 24.0
+    out[2, 0, 0] = out[2, 1, 1] = h2 * h2 / 24.0
+    out[2, 0, 1] = 0.0
+    out[2, 1, 0] = h2 * h * (z + u + 4.0) / 24.0
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=_PART_MEMO_SIZE)
+def _mu_part(dm2, grid):
+    """Coefficients of mu, mu lam and mu^2 in the step matrices.
+
+    Returns a read-only array of shape (3, 2, 2, steps).
+    """
+    thetas = np.frombuffer(grid)
+    h = np.diff(thetas)
+    h2 = h * h
+    x, u, z = (h * e for e in _lo_mid_hi(lambda t: -dm2 / np.tan(t), thetas, h))
+    a, b, c = (h2 * s for s in _lo_mid_hi(lambda t: 1.0 / np.sin(t) ** 2, thetas, h))
+    out = np.empty((3, 2, 2, h.size))
+    out[0, 0, 0] = (a * u * (u + 2.0) + 2.0 * b * (u + 4.0) + 4.0 * a) / 24.0
+    out[0, 0, 1] = h * b * (x + u + 4.0) / 24.0
+    out[0, 1, 0] = (a * (u * (z * u + 2.0 * u + 4.0) + 4.0)
+                    + b * (2.0 * u * (z + 2.0) + 4.0 * z + 16.0) + 4.0 * c) / (24.0 * h)
+    out[0, 1, 1] = (b * (z * (x + u) + 2.0 * (x + u + z) + 8.0)
+                    + c * (x * u + 2.0 * u + 4.0)) / 24.0
+    out[1, 0, 0] = -h2 * (a + b) / 24.0
+    out[1, 0, 1] = 0.0
+    out[1, 1, 0] = -h * (z * (a + b) + u * (a + c) + 2.0 * (a + c + 2.0 * b)) / 24.0
+    out[1, 1, 1] = -h2 * (b + c) / 24.0
+    out[2, 0, 0] = a * b / 24.0
+    out[2, 0, 1] = 0.0
+    out[2, 1, 0] = (a * (z * b + u * c) + 2.0 * b * (a + c)) / (24.0 * h)
+    out[2, 1, 1] = b * c / 24.0
+    out.flags.writeable = False
+    return out
+
+
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _step_poly(dm2, mu, grid):
-    """Step matrices as exact quadratics in lam: T = P0 + lam P1 + lam^2 P2.
+    """Step matrices at ``mu`` as quadratics in lam: T = P0 + lam P1 + lam^2 P2.
 
-    ``grid`` is the theta array's bytes.  The lam part of A is -lam N with
-    N = [[0, 0], [1, 0]] and N @ N = 0, so in the stage products (at most four
-    factors A) only non-adjacent pairs of N survive and the entries have
-    degree 2.  P0 is the stage arithmetic at lam = 0; P1 and P2 are the
-    symbolically expanded stage products, not a fit.  Returns a read-only
-    array of shape (3, 2, 2, steps).
+    c = mu / sin^2 - lam is affine in (mu, lam) and its part of A is
+    c N with N = [[0, 0], [1, 0]] and N @ N = 0, so in the stage products (at
+    most four factors A) only non-adjacent pairs of N survive: T is a joint
+    quadratic in (mu, lam).  Its lam part (:func:`_lam_part`) and mu part
+    (:func:`_mu_part`) are built once per (dm2, grid), the mu part only on
+    the first shot at mu != 0; here they collapse to P0, P1, P2 at one mu.
     """
-    h, a, e = _node_terms(dm2, mu, np.frombuffer(grid))
-    (a_lo, a_m, a_hi), (e_lo, e_m, e_hi) = a, e
-    h2 = h * h
-    h3, h4 = h2 * h, h2 * h2
-    s = a_lo + a_m + e_m * e_m
-    p1 = [[-h2 * (h2 * s + 4.0 * h * e_m + 12.0) / 24.0,
-           -h3 * (h * (e_lo + e_m) + 4.0) / 24.0],
-          [-h * (h3 * (e_hi * s + e_m * (a_lo + a_hi))
-                 + 2.0 * h2 * (s + a_m + a_hi + e_hi * e_m)
-                 + 4.0 * h * (e_hi + 2.0 * e_m) + 24.0) / 24.0,
-           -h2 * (h2 * (a_m + a_hi + e_lo * e_hi + e_m * (e_lo + e_hi))
-                  + 2.0 * h * (e_lo + e_hi + 2.0 * e_m) + 12.0) / 24.0]]
-    p2 = [[h4 / 24.0, np.zeros_like(h)],
-          [h3 * (h * (e_hi + e_m) + 4.0) / 24.0, h4 / 24.0]]
-    p0 = _stage_entries(h, a, e, 0.0)
-    poly = np.array([[p0[:2], p0[2:]], p1, p2])
-    poly.flags.writeable = False
-    return poly
+    p0, p1, p2 = _lam_part(dm2, grid)
+    if mu == 0.0:
+        return p0, p1, p2
+    q1, q_lam, q2 = _mu_part(dm2, grid)
+    return p0 + mu * (q1 + mu * q2), p1 + mu * q_lam, p2
 
 
 def _steps(dm2, mu, lam, thetas):
-    """Step matrices at ``lam`` by Horner's rule on the memoized quadratics."""
+    """Step matrices at (mu, lam) by Horner's rule on the memoized quadratics."""
     p0, p1, p2 = _step_poly(dm2, mu, thetas.tobytes())
     return p0 + lam * (p1 + lam * p2)
+
+
+def _direct_steps(dm2, mu, lam, thetas):
+    """Step matrices at (mu, lam) straight from the stage arithmetic."""
+    t00, t01, t10, t11 = _step_entries(dm2, mu, lam, thetas)
+    return np.array([[t00, t01], [t10, t11]])
 
 
 def _up_sweep(t):
@@ -198,13 +253,13 @@ def _end_state(levels, g0, gp0):
     return r00 * g0 + r01 * gp0, r10 * g0 + r11 * gp0
 
 
-def _rk4_end(dm2, mu, lam, thetas, g0, gp0):
-    """End state of the RK4 shot: the up-sweep of the step tree."""
-    y0, y1 = _end_state(_up_sweep(_steps(dm2, mu, lam, thetas)), g0, gp0)
+def _rk4_end(steps, g0, gp0):
+    """End state of the RK4 shot with step matrices ``steps``: the up-sweep."""
+    y0, y1 = _end_state(_up_sweep(steps), g0, gp0)
     return float(y0), float(y1)
 
 
-def _rk4_trajectory(dm2, mu, lam, thetas, g0, gp0):
+def _rk4_trajectory(steps, g0, gp0):
     """RK4 trajectory: the up-sweep, then a down-sweep of states.
 
     Going down a level, the first child of each pair starts where its parent
@@ -212,7 +267,7 @@ def _rk4_trajectory(dm2, mu, lam, thetas, g0, gp0):
     to that state, so the leaf level holds the state before every step; the
     last point is the end state of :func:`_rk4_end`.
     """
-    levels = _up_sweep(_steps(dm2, mu, lam, thetas))
+    levels = _up_sweep(steps)
     state = np.array([[g0], [gp0]])
     for t in reversed(levels[:-1]):
         m = t.shape[2]
@@ -220,7 +275,7 @@ def _rk4_trajectory(dm2, mu, lam, thetas, g0, gp0):
         below[:, 0::2] = state
         below[:, 1::2] = (t[:, :, 0:m - 1:2] * state[:, :m // 2]).sum(axis=1)
         state = below
-    n = thetas.shape[0]
+    n = steps.shape[2] + 1
     g = np.empty(n)
     gp = np.empty(n)
     g[:-1], gp[:-1] = state[:, :n - 1]
@@ -233,12 +288,13 @@ def get_backend() -> str:
     return "numpy"
 
 
-def _finite_shot(kernel, dm2, mu, lam, thetas, g0, gp0):
-    """Run ``kernel`` with numpy overflow and NaN raised as NonFiniteResult."""
+def _finite_shot(steps, shot, dm2, mu, lam, thetas, g0, gp0):
+    """Run ``shot`` on the step matrices ``steps`` builds, with numpy
+    overflow and NaN raised as NonFiniteResult."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return kernel(float(dm2), float(mu), float(lam),
-                          np.asarray(thetas, dtype=np.float64), float(g0), float(gp0))
+            t = steps(float(dm2), float(mu), float(lam), np.asarray(thetas, dtype=np.float64))
+            return shot(t, float(g0), float(gp0))
     except FloatingPointError as exc:
         raise NonFiniteResult(f"non-finite band shot at mu={mu}, lam={lam}: {exc}") from None
 
@@ -246,10 +302,24 @@ def _finite_shot(kernel, dm2, mu, lam, thetas, g0, gp0):
 def propagate_band(dm2: float, mu: float, lam: float, thetas: np.ndarray,
                    g0: float, gp0: float):
     """Integrate the band ODE along ``thetas``; (g, g') at every grid point."""
-    return _finite_shot(_rk4_trajectory, dm2, mu, lam, thetas, g0, gp0)
+    return _finite_shot(_steps, _rk4_trajectory, dm2, mu, lam, thetas, g0, gp0)
 
 
 def propagate_band_end(dm2: float, mu: float, lam: float, thetas: np.ndarray,
                        g0: float, gp0: float) -> tuple[float, float]:
     """End state (g, g') of :func:`propagate_band` without the trajectory."""
-    return _finite_shot(_rk4_end, dm2, mu, lam, thetas, g0, gp0)
+    return _finite_shot(_steps, _rk4_end, dm2, mu, lam, thetas, g0, gp0)
+
+
+def propagate_band_once(dm2: float, mu: float, lam: float, thetas: np.ndarray,
+                        g0: float, gp0: float):
+    """:func:`propagate_band` on a grid shot only once: the step matrices
+    come from the stage arithmetic, with no memo lookup."""
+    return _finite_shot(_direct_steps, _rk4_trajectory, dm2, mu, lam, thetas, g0, gp0)
+
+
+def propagate_band_end_once(dm2: float, mu: float, lam: float, thetas: np.ndarray,
+                            g0: float, gp0: float) -> tuple[float, float]:
+    """:func:`propagate_band_end` on a grid shot only once (see
+    :func:`propagate_band_once`)."""
+    return _finite_shot(_direct_steps, _rk4_end, dm2, mu, lam, thetas, g0, gp0)

@@ -160,26 +160,47 @@ def _walk_to_gap(p: ConeProfile, tol: float) -> list[LinkEigenvalue]:
     best = cap
     lam01 = eigenvalue(band_spec(p, 0.0, "robin"), 1)
     out = []
-    for mode in modes_up_to(d, cap - lam01):
-        if mode.mu + lam01 > best + tol:
-            break
-        spec = band_spec(p, mode.mu, "robin")
+
+    def slice_mode(mode, spec, n):
+        """Solve the n eigenvalues below low, then those below
+        min(best+tol, cap)."""
+        nonlocal best
         # n counts the eigenvalues below top.  top starts at low and rises
         # once to the bound min(best+tol, cap) when k passes n; as best
         # falls, k needs a recount only while k <= n.
-        top, n = low, count_below(spec, low)
-        k = 1
+        top, k = low, 1
         while True:
             bound = min(best + tol, cap)
             if (k > n and bound > top) or (k <= n and bound < top):
                 top, n = bound, count_below(spec, bound)
             if k > n:
-                break
+                return
             lam = eigenvalue(spec, k)
             out.append(_entry(d, mode.ell, k, lam, mode.multiplicity))
             if lam > low:
                 best = min(best, lam)
             k += 1
+
+    # The first eigenvalue of a mode rises with mu, so the modes with
+    # eigenvalues below low come first.  They are sliced last: the first
+    # mode without one holds the smallest first eigenvalue of the rest, and
+    # it and the rest set best before any eigenvalue above low of theirs is
+    # solved.
+    modes = iter(modes_up_to(d, cap - lam01))
+    head = []
+    for mode in modes:
+        spec = band_spec(p, mode.mu, "robin")
+        n = count_below(spec, low)
+        if not n:
+            slice_mode(mode, spec, 0)
+            break
+        head.append((mode, spec, n))
+    for mode in modes:  # none below low either
+        if mode.mu + lam01 > best + tol:
+            break
+        slice_mode(mode, band_spec(p, mode.mu, "robin"), 0)
+    for mode, spec, n in head:
+        slice_mode(mode, spec, n)
     out.sort(key=lambda e: (e.lam, e.source))
     return out
 
@@ -199,8 +220,11 @@ def verify_strong_integrability(p: ConeProfile,
     is the smallest eigenvalue above low solved so far (at the end, the
     gap).  Modes are taken in ascending mu up to the first with
     mu + lambda_{0,1} > best + tol, the completeness bound of
-    :func:`assemble`.  The walk is capped at 4d: with no eigenvalue in
-    (low, 4d] the gap is inf.
+    :func:`assemble`.  The modes with an eigenvalue below low are sliced
+    above it last, once the modes without one have set best, so that a
+    low mode's higher eigenvalues (say (0, 3)) are not solved on the way to
+    a gap that lies in a higher mode.  The walk is capped at 4d: with no
+    eigenvalue in (low, 4d] the gap is inf.
     """
     cfg = cfg or DEFAULT_CONFIG
     d = p.dim

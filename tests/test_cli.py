@@ -108,23 +108,25 @@ def test_verify_sweep_exit_codes(tmp_path):
 
 def test_verify_work_count(tmp_path, monkeypatch):
     # verify solves the link spectrum only up to its gap, slicing each mode
-    # by Sturm counts; each band eigenvalue is solved once, from a seeded
-    # bracket whose two counting shots are Brent's endpoints, and the
-    # aperture is a Brent root: verify --dim 7 in a fresh process makes 52
-    # shots
+    # by Sturm counts and the modes with eigenvalues below d - 1 last; each
+    # band eigenvalue is solved once, from a seeded bracket whose two
+    # counting shots are Brent's endpoints, and the aperture is a Brent
+    # root: verify --dim 7 in a fresh process makes 47 shots, the profile's
+    # one-use shots included
     from conespec import boundary, kernels, profile, sl
     sl._eigenvalue.cache_clear()
     sl._seeds.cache_clear()
     shots = []
     for mod in (sl, profile, boundary):
-        for name in ("propagate_band", "propagate_band_end"):
+        for name in ("propagate_band", "propagate_band_end",
+                     "propagate_band_once", "propagate_band_end_once"):
             if hasattr(mod, name):
                 def counted(*args, _fn=getattr(kernels, name), **kwargs):
                     shots.append(1)
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(mod, name, counted)
     assert run(["verify", "--dim", "7", "--out", str(tmp_path / "v.json")]) == 0
-    assert 0 < len(shots) <= 55, len(shots)
+    assert 0 < len(shots) <= 50, len(shots)
 
 
 @pytest.mark.parametrize("config, coeffs, code, message", [

@@ -7,8 +7,8 @@ import pytest
 
 from conespec.config import SolverConfig
 from conespec.errors import AmbiguousCluster
-from conespec.linkspec import (decay_exponents, homogeneity, link_spectrum,
-                               verify_strong_integrability)
+from conespec.linkspec import (_walk_to_gap, decay_exponents, homogeneity,
+                               link_spectrum, verify_strong_integrability)
 from conespec.profile import solve_profile
 
 
@@ -103,6 +103,18 @@ def test_verify_matches_full_assembly(d):
     assert rep.dim_kernel_d_minus_1 == kernel_rot
     assert rep.verdict == verdict
     assert rep.gap_above == min(above)
+
+
+@pytest.mark.parametrize("d", [3, 7, 12, 24])
+def test_walk_solves_nothing_above_the_gap(d):
+    # modes with eigenvalues below d - 1 are sliced above it only once the
+    # higher modes have set the gap, so the walk solves exactly the
+    # assembled eigenvalues below gap + tol: not mode 0's (0, 3) on the way
+    p = solve_profile(d)
+    tol = SolverConfig().cluster_tol
+    gap = verify_strong_integrability(p).gap_above
+    want = [(e.lam, e.source) for e in link_spectrum(p, 4.0 * d).entries if e.lam < gap + tol]
+    assert [(e.lam, e.source) for e in _walk_to_gap(p, tol)] == want
 
 
 def test_ambiguous_cluster_on_absurd_tolerance(p3):
