@@ -10,8 +10,8 @@ up-sweep).  Each is timed in four cases:
 * ``new mu`` -- only the per-mu collapse cleared: a new mu on a known grid;
 * ``warm`` -- the memo holds the grid and the mu, so a shot only evaluates
   the quadratic at a new lambda;
-* ``direct`` -- the one-use entry point, step matrices straight from the
-  stage arithmetic with no memo lookup.
+* ``direct`` -- step matrices straight from the stage arithmetic
+  ``_step_entries``, with no memo lookup: what a memo build competes with.
 
 This is a kernel micro-benchmark; the end-to-end benchmark is
 ``perfbench/run.py``.  Usage:
@@ -27,26 +27,33 @@ import numpy as np
 
 from conespec import kernels
 
-KERNELS = {"traj": (kernels.propagate_band, kernels.propagate_band_once),
-           "end": (kernels.propagate_band_end, kernels.propagate_band_end_once)}
+KERNELS = {"traj": kernels.propagate_band, "end": kernels.propagate_band_end}
 CASES = ("new grid", "new mu", "warm", "direct")
 MEMOS = (kernels._step_poly, kernels._lam_part, kernels._mu_part)
 
 
-def best_time(kernels_pair, case, dm2, mu, lam, thetas, repeats):
-    memo_shot, once_shot = kernels_pair
-    shot = once_shot if case == "direct" else memo_shot
-    shot(dm2, mu, lam, thetas, 1.0, 0.0)  # warm-up
-    best = math.inf
-    for _ in range(repeats):
-        if case == "new grid":
-            for memo in MEMOS:
-                memo.cache_clear()
-        elif case == "new mu":
-            kernels._step_poly.cache_clear()
-        t0 = time.perf_counter()
-        shot(dm2, mu, lam, thetas, 1.0, 0.0)
-        best = min(best, time.perf_counter() - t0)
+def _direct_steps(dm2, mu, lam, thetas):
+    return np.array(kernels._step_entries(dm2, mu, lam, thetas)).reshape(2, 2, -1)
+
+
+def best_time(shot, case, dm2, mu, lam, thetas, repeats):
+    memo_steps = kernels._steps
+    if case == "direct":
+        kernels._steps = _direct_steps
+    try:
+        shot(dm2, mu, lam, thetas, 1.0, 0.0)  # warm-up
+        best = math.inf
+        for _ in range(repeats):
+            if case == "new grid":
+                for memo in MEMOS:
+                    memo.cache_clear()
+            elif case == "new mu":
+                kernels._step_poly.cache_clear()
+            t0 = time.perf_counter()
+            shot(dm2, mu, lam, thetas, 1.0, 0.0)
+            best = min(best, time.perf_counter() - t0)
+    finally:
+        kernels._steps = memo_steps
     return best
 
 
@@ -65,10 +72,10 @@ def main():
     for n in [int(t) for t in args.sizes.split(",") if t]:
         thetas = np.linspace(math.pi / 2 - 0.55, math.pi / 2 + 0.55, n)
         for mu in (0.0, 2.0 * (d - 1)):
-            for name, pair in KERNELS.items():
+            for name, shot in KERNELS.items():
                 row = f"{n:>6}{mu:>6g}{name:>6}"
                 for case in CASES:
-                    t = best_time(pair, case, d - 2, mu, lam, thetas, args.repeats)
+                    t = best_time(shot, case, d - 2, mu, lam, thetas, args.repeats)
                     row += f"{t * 1e3:>10.3f}"
                 print(row)
 

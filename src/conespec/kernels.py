@@ -6,8 +6,8 @@ Every spectral computation in the package reduces to integrating
 
 along a theta grid: the cone profile is (mu=0, lam=d-1), interior
 Sturm-Liouville shots use general (mu, lam), and boundary-mode fundamental
-solutions are (mu, lam=0).  Two kinds of shot share one fixed-step RK4
-scheme, each with a memoized entry point and a one-use one (below):
+solutions are (mu, lam=0).  Two entry points share one fixed-step RK4
+scheme:
 
 * :func:`propagate_band` returns the whole trajectory (g, g') at every grid
   point -- node counts, eigenfunction assembly, the profile and the boundary
@@ -15,19 +15,18 @@ scheme, each with a memoized entry point and a one-use one (below):
 * :func:`propagate_band_end` returns only the end state -- the eigenvalue
   defect evaluations need nothing else.
 
-All write the RK4 update as 2x2 step matrices y_{i+1} = T_i y_i (the
+Both write the RK4 update as 2x2 step matrices y_{i+1} = T_i y_i (the
 step-matrix form of Pryce, "Numerical Solution of Sturm-Liouville
 Problems", 1993).  Only c = mu / sin^2 - lam depends on (mu, lam),
 affinely, and T_i is exactly quadratic in the two together (monomials 1,
 lam, lam^2, mu, mu lam, mu^2).  Its coefficients are built once per
 (dm2, grid) and memoized: the lam part (:func:`_lam_part`) on the first
 shot, the mu part (:func:`_mu_part`) only on the first shot at mu != 0, so
-a grid shot only at mu = 0 never pays for it.  For each mu they collapse to P0 + lam P1 + lam^2 P2
-(:func:`_step_poly`), which each shot evaluates by Horner's rule.  A grid
-shot only once, like the profile's, gains nothing from a memo:
-:func:`propagate_band_once` and :func:`propagate_band_end_once` take their
-step matrices straight from the stage arithmetic :func:`_step_entries`.
-One tree serves every entry point (Blelloch, "Prefix sums and their
+a grid shot only at mu = 0 never pays for it.  For each mu they collapse to
+P0 + lam P1 + lam^2 P2 (:func:`_step_poly`), which each shot evaluates by
+Horner's rule.  A grid shot only once, like the profile's, costs one lam
+part build, which is no dearer than the stage arithmetic itself.
+One tree serves both entry points (Blelloch, "Prefix sums and their
 applications", 1990): its up-sweep of pairwise products gives the end state,
 and a down-sweep of states gives the trajectory, O(n) products each.  Both
 only reassociate the products of the plain loop :func:`_rk4_band`, the tests'
@@ -45,13 +44,12 @@ import numpy as np
 
 from .errors import NonFiniteResult
 
-# Memoized step-matrix quadratics.  Shots on one (dm2, mu, grid) come in a
-# run (one spec's eigenvalues, or a boundary mode's two solutions), so a
-# larger memo of the per-mu collapse barely raises the hit share.  The lam
-# and mu parts are kept per (dm2, grid); one part, or one collapse, on a
-# 2049-point half band holds about 0.2 MB.
+# Memoized step-matrix quadratics, each memo this size.  Shots on one
+# (dm2, mu, grid) come in a run (one spec's eigenvalues, or a boundary mode's
+# two solutions), so a larger memo of the per-mu collapse barely raises the
+# hit share.  The lam and mu parts are kept per (dm2, grid); one part, or one
+# collapse, on a 2049-point half band holds about 0.2 MB.
 _MEMO_SIZE = 2
-_PART_MEMO_SIZE = 2
 
 
 def _rk4_band(dm2, mu, lam, thetas, g0, gp0):
@@ -136,7 +134,7 @@ def _step_entries(dm2, mu, lam, thetas):
 # expanded symbolically (not a fit), written with x, u, z = h e and
 # a, b, c = h^2 / sin^2 at each step's lo, mid and hi points.
 
-@functools.lru_cache(maxsize=_PART_MEMO_SIZE)
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _lam_part(dm2, grid):
     """Coefficients of 1, lam and lam^2 in the step matrices at mu = 0.
 
@@ -166,7 +164,7 @@ def _lam_part(dm2, grid):
     return out
 
 
-@functools.lru_cache(maxsize=_PART_MEMO_SIZE)
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _mu_part(dm2, grid):
     """Coefficients of mu, mu lam and mu^2 in the step matrices.
 
@@ -211,19 +209,16 @@ def _step_poly(dm2, mu, grid):
     if mu == 0.0:
         return p0, p1, p2
     q1, q_lam, q2 = _mu_part(dm2, grid)
-    return p0 + mu * (q1 + mu * q2), p1 + mu * q_lam, p2
+    p0 = p0 + mu * (q1 + mu * q2)
+    p1 = p1 + mu * q_lam
+    p0.flags.writeable = p1.flags.writeable = False
+    return p0, p1, p2
 
 
 def _steps(dm2, mu, lam, thetas):
     """Step matrices at (mu, lam) by Horner's rule on the memoized quadratics."""
     p0, p1, p2 = _step_poly(dm2, mu, thetas.tobytes())
     return p0 + lam * (p1 + lam * p2)
-
-
-def _direct_steps(dm2, mu, lam, thetas):
-    """Step matrices at (mu, lam) straight from the stage arithmetic."""
-    t00, t01, t10, t11 = _step_entries(dm2, mu, lam, thetas)
-    return np.array([[t00, t01], [t10, t11]])
 
 
 def _up_sweep(t):
@@ -253,13 +248,13 @@ def _end_state(levels, g0, gp0):
     return r00 * g0 + r01 * gp0, r10 * g0 + r11 * gp0
 
 
-def _rk4_end(steps, g0, gp0):
-    """End state of the RK4 shot with step matrices ``steps``: the up-sweep."""
-    y0, y1 = _end_state(_up_sweep(steps), g0, gp0)
+def _rk4_end(dm2, mu, lam, thetas, g0, gp0):
+    """End state of the RK4 shot: the up-sweep of the step tree."""
+    y0, y1 = _end_state(_up_sweep(_steps(dm2, mu, lam, thetas)), g0, gp0)
     return float(y0), float(y1)
 
 
-def _rk4_trajectory(steps, g0, gp0):
+def _rk4_trajectory(dm2, mu, lam, thetas, g0, gp0):
     """RK4 trajectory: the up-sweep, then a down-sweep of states.
 
     Going down a level, the first child of each pair starts where its parent
@@ -267,7 +262,7 @@ def _rk4_trajectory(steps, g0, gp0):
     to that state, so the leaf level holds the state before every step; the
     last point is the end state of :func:`_rk4_end`.
     """
-    levels = _up_sweep(steps)
+    levels = _up_sweep(_steps(dm2, mu, lam, thetas))
     state = np.array([[g0], [gp0]])
     for t in reversed(levels[:-1]):
         m = t.shape[2]
@@ -275,7 +270,7 @@ def _rk4_trajectory(steps, g0, gp0):
         below[:, 0::2] = state
         below[:, 1::2] = (t[:, :, 0:m - 1:2] * state[:, :m // 2]).sum(axis=1)
         state = below
-    n = steps.shape[2] + 1
+    n = thetas.shape[0]
     g = np.empty(n)
     gp = np.empty(n)
     g[:-1], gp[:-1] = state[:, :n - 1]
@@ -288,13 +283,12 @@ def get_backend() -> str:
     return "numpy"
 
 
-def _finite_shot(steps, shot, dm2, mu, lam, thetas, g0, gp0):
-    """Run ``shot`` on the step matrices ``steps`` builds, with numpy
-    overflow and NaN raised as NonFiniteResult."""
+def _finite_shot(kernel, dm2, mu, lam, thetas, g0, gp0):
+    """Run ``kernel`` with numpy overflow and NaN raised as NonFiniteResult."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            t = steps(float(dm2), float(mu), float(lam), np.asarray(thetas, dtype=np.float64))
-            return shot(t, float(g0), float(gp0))
+            return kernel(float(dm2), float(mu), float(lam),
+                          np.asarray(thetas, dtype=np.float64), float(g0), float(gp0))
     except FloatingPointError as exc:
         raise NonFiniteResult(f"non-finite band shot at mu={mu}, lam={lam}: {exc}") from None
 
@@ -302,24 +296,10 @@ def _finite_shot(steps, shot, dm2, mu, lam, thetas, g0, gp0):
 def propagate_band(dm2: float, mu: float, lam: float, thetas: np.ndarray,
                    g0: float, gp0: float):
     """Integrate the band ODE along ``thetas``; (g, g') at every grid point."""
-    return _finite_shot(_steps, _rk4_trajectory, dm2, mu, lam, thetas, g0, gp0)
+    return _finite_shot(_rk4_trajectory, dm2, mu, lam, thetas, g0, gp0)
 
 
 def propagate_band_end(dm2: float, mu: float, lam: float, thetas: np.ndarray,
                        g0: float, gp0: float) -> tuple[float, float]:
     """End state (g, g') of :func:`propagate_band` without the trajectory."""
-    return _finite_shot(_steps, _rk4_end, dm2, mu, lam, thetas, g0, gp0)
-
-
-def propagate_band_once(dm2: float, mu: float, lam: float, thetas: np.ndarray,
-                        g0: float, gp0: float):
-    """:func:`propagate_band` on a grid shot only once: the step matrices
-    come from the stage arithmetic, with no memo lookup."""
-    return _finite_shot(_direct_steps, _rk4_trajectory, dm2, mu, lam, thetas, g0, gp0)
-
-
-def propagate_band_end_once(dm2: float, mu: float, lam: float, thetas: np.ndarray,
-                            g0: float, gp0: float) -> tuple[float, float]:
-    """:func:`propagate_band_end` on a grid shot only once (see
-    :func:`propagate_band_once`)."""
-    return _finite_shot(_direct_steps, _rk4_end, dm2, mu, lam, thetas, g0, gp0)
+    return _finite_shot(_rk4_end, dm2, mu, lam, thetas, g0, gp0)

@@ -11,9 +11,7 @@ mean curvature is H = (d-2) tan(theta0).
 
 The first zero is found in two steps: a hunt shot block by block along a
 fine grid until g changes sign, then Brent's method inside that hunt cell,
-each value an end-state shot from the cell's left end.  Every grid here is
-shot once, so every shot takes the kernel's one-use entry points, which
-build no memo entry.
+each value an end-state shot from the cell's left end.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, SolverConfig
 from ._quad import brentq
 from .errors import EvaluationUnstable, NoZeroFound
-from .kernels import propagate_band_end_once, propagate_band_once
+from .kernels import propagate_band, propagate_band_end
 
 # Hunt window for the first zero: stay clear of the cot(theta) pole at pi.
 _HUNT_END_MARGIN = 0.01
@@ -85,8 +83,8 @@ def _refined_root(d, lo, y_lo, hi):
 
     def g_at(theta):
         if theta not in states:
-            states[theta] = propagate_band_end_once(d - 2, 0.0, d - 1,
-                                                    np.linspace(lo, theta, 33), *y_lo)
+            states[theta] = propagate_band_end(d - 2, 0.0, d - 1,
+                                               np.linspace(lo, theta, 33), *y_lo)
         return states[theta][0]
 
     root = brentq(g_at, lo, hi, _ROOT_TOL)
@@ -105,7 +103,7 @@ def _hunt_sign_change(d, n_hunt):
     state = (1.0, 0.0)
     for start in range(0, n_hunt, _HUNT_BLOCK):
         block = hunt[start:start + _HUNT_BLOCK + 1]
-        g, gp = propagate_band_once(d - 2, 0.0, d - 1, block, *state)
+        g, gp = propagate_band(d - 2, 0.0, d - 1, block, *state)
         below = np.nonzero(g <= 0.0)[0]
         if below.size:
             i = int(below[0])
@@ -133,7 +131,7 @@ def solve_profile(d: int, cfg: SolverConfig | None = None) -> ConeProfile:
     half = (n - 1) // 2
     th_right = np.linspace(math.pi / 2, math.pi / 2 + theta0, half + 1)
     th_left = np.linspace(math.pi / 2, math.pi / 2 - theta0, half + 1)
-    g_r, gp_r = propagate_band_once(d - 2, 0.0, d - 1, th_right, 1.0, 0.0)
+    g_r, gp_r = propagate_band(d - 2, 0.0, d - 1, th_right, 1.0, 0.0)
 
     # g is even about pi/2 (cot is odd there), so the left half is the mirror image
     grid = np.concatenate([th_left[::-1], th_right[1:]])

@@ -1,6 +1,6 @@
-"""Kernel parity: the memoized (mu, lambda)-quadratic step matrices, the
-direct stage arithmetic and the up/down-sweep tree implement the plain RK4
-loop's arithmetic, so every downstream tolerance rests on that loop."""
+"""Kernel parity: the memoized (mu, lambda)-quadratic step matrices and the
+up/down-sweep tree implement the plain RK4 loop's arithmetic, so every
+downstream tolerance rests on that loop."""
 
 import math
 import warnings
@@ -10,8 +10,7 @@ import pytest
 
 from conespec import kernels
 from conespec.errors import NonFiniteResult
-from conespec.kernels import (_rk4_band, propagate_band, propagate_band_end,
-                              propagate_band_end_once, propagate_band_once)
+from conespec.kernels import _rk4_band, propagate_band, propagate_band_end
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 33, 257, 2049])
@@ -52,22 +51,6 @@ def _clear_memos():
         memo.cache_clear()
 
 
-@pytest.mark.parametrize("once", [propagate_band_once, propagate_band_end_once])
-def test_once_kernel_matches_python_loop(once):
-    # the one-use entry points take the stage arithmetic straight, with the
-    # same step tree as the memoized ones
-    thetas = np.linspace(math.pi / 2, math.pi - 0.01, 1025)
-    _clear_memos()
-    for d, mu, lam in [(3, 0.0, 2.0), (7, 0.0, 6.0), (12, 100.0, 250.0)]:
-        g_ref, gp_ref = _rk4_band(d - 2.0, mu, lam, thetas, 1.0, 0.0)
-        scale = max(np.max(np.abs(g_ref)), np.max(np.abs(gp_ref)))
-        got = once(d - 2, mu, lam, thetas, 1.0, 0.0)
-        want = (g_ref, gp_ref) if once is propagate_band_once else (g_ref[-1], gp_ref[-1])
-        for a, b in zip(got, want):
-            assert np.max(np.abs(a - b)) <= 1e-12 * scale, (d, mu, lam)
-    assert kernels._step_poly.cache_info().currsize == 0
-
-
 @pytest.mark.parametrize("mu", [0.0, 84.0, 5000.0])
 def test_step_quadratic_matches_stage_arithmetic(mu):
     # P0 + lam P1 + lam^2 P2 collapsed at each mu from one (dm2, grid) entry
@@ -83,6 +66,8 @@ def test_step_quadratic_matches_stage_arithmetic(mu):
             horner = kernels._steps(5.0, m, lam, thetas).reshape(4, -1)
             for entry, (got, want) in enumerate(zip(horner, direct)):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (m, lam, entry)
+        # every memo level hands out read-only arrays
+        assert not any(p.flags.writeable for p in kernels._step_poly(5.0, m, thetas.tobytes()))
     assert kernels._lam_part.cache_info().misses == 1
     assert kernels._mu_part.cache_info().misses == 1
     assert kernels._step_poly.cache_info().misses == 3
@@ -96,17 +81,6 @@ def test_mu_zero_grid_builds_no_mu_part():
         propagate_band_end(5, 0.0, lam, thetas, 0.0, 1.0)
     assert kernels._lam_part.cache_info().misses == 1
     assert kernels._mu_part.cache_info().currsize == 0
-
-
-def test_profile_makes_no_memo_lookup():
-    # every profile shot is on a grid it uses once: the hunt blocks, the
-    # Brent grids and the final half band take the stage arithmetic straight
-    from conespec.profile import solve_profile
-    _clear_memos()
-    solve_profile(7)
-    for memo in (kernels._step_poly, kernels._lam_part, kernels._mu_part):
-        info = memo.cache_info()
-        assert info.hits + info.misses == 0, (memo.__name__, info)
 
 
 @pytest.mark.parametrize("kernel", [propagate_band, propagate_band_end])

@@ -111,15 +111,13 @@ def test_verify_work_count(tmp_path, monkeypatch):
     # by Sturm counts and the modes with eigenvalues below d - 1 last; each
     # band eigenvalue is solved once, from a seeded bracket whose two
     # counting shots are Brent's endpoints, and the aperture is a Brent
-    # root: verify --dim 7 in a fresh process makes 47 shots, the profile's
-    # one-use shots included
+    # root: verify --dim 7 in a fresh process makes 47 shots
     from conespec import boundary, kernels, profile, sl
     sl._eigenvalue.cache_clear()
     sl._seeds.cache_clear()
     shots = []
     for mod in (sl, profile, boundary):
-        for name in ("propagate_band", "propagate_band_end",
-                     "propagate_band_once", "propagate_band_end_once"):
+        for name in ("propagate_band", "propagate_band_end"):
             if hasattr(mod, name):
                 def counted(*args, _fn=getattr(kernels, name), **kwargs):
                     shots.append(1)

@@ -113,10 +113,7 @@ def test_no_zero_width_shot(d, monkeypatch):
     # state instead of shooting the one-point interval [lo, lo]
     from conespec import profile
     grids = []
-    for name in ("propagate_band", "propagate_band_end",
-                 "propagate_band_once", "propagate_band_end_once"):
-        if not hasattr(profile, name):
-            continue
+    for name in ("propagate_band", "propagate_band_end"):
         def logged(dm2, mu, lam, thetas, *rest, _fn=getattr(profile, name)):
             grids.append(thetas)
             return _fn(dm2, mu, lam, thetas, *rest)

@@ -68,7 +68,7 @@ def test_admissibility_window_is_the_solver_window(p7, link7, bmodes7):
     # Q = d/2 - delta_(0,1) - beta = -5e-8 sits inside the solver's resonance
     # window, so the source must be flagged before build_up reaches the mode
     beta = 3.5 - link7.find((0, 1)).delta + 5e-8
-    assert beta == pytest.approx(2.7573037579436983, abs=1e-15)
+    assert beta == pytest.approx(2.7573037579436916, abs=1e-15)
     src = make_source(beta, {1: 1.0}, link7)
     assert not src.admissible
     with pytest.raises(ResonantExponent, match="resonates"):
