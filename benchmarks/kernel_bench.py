@@ -13,6 +13,9 @@ up-sweep).  Each is timed in four cases:
 * ``direct`` -- step matrices straight from the stage arithmetic
   ``_step_entries``, with no memo lookup: what a memo build competes with.
 
+A second table times warm lane shots: 1, 2, 4, 8 and 16 lambdas in one step
+tree (the lane cap ``kernels._LANES`` lifted), as time per lane.  It is what the cap of 8 lanes per tree rests on.
+
 This is a kernel micro-benchmark; the end-to-end benchmark is
 ``perfbench/run.py``.  Usage:
 
@@ -29,6 +32,7 @@ from conespec import kernels
 
 KERNELS = {"traj": kernels.propagate_band, "end": kernels.propagate_band_end}
 CASES = ("new grid", "new mu", "warm", "direct")
+LANES = (1, 2, 4, 8, 16)
 MEMOS = (kernels._step_poly, kernels._lam_part, kernels._mu_part)
 
 
@@ -57,6 +61,23 @@ def best_time(shot, case, dm2, mu, lam, thetas, repeats):
     return best
 
 
+def lane_time(shot, dm2, mu, lam, thetas, lanes, repeats):
+    """Best warm time per lane of one call shooting ``lanes`` lambdas."""
+    lams = lam + np.arange(lanes, dtype=float)
+    cap = kernels._LANES
+    kernels._LANES = lanes
+    try:
+        shot(dm2, mu, lams, thetas, 1.0, 0.0)  # warm-up
+        best = math.inf
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            shot(dm2, mu, lams, thetas, 1.0, 0.0)
+            best = min(best, time.perf_counter() - t0)
+    finally:
+        kernels._LANES = cap
+    return best / lanes
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dim", type=int, default=7)
@@ -69,7 +90,8 @@ def main():
     lam = d - 1.0
     print(f"band propagation, d={d}, lam={lam}  (best of {args.repeats}, ms)")
     print(f"{'n':>6}{'mu':>6}{'shot':>6}" + "".join(f"{case:>10}" for case in CASES))
-    for n in [int(t) for t in args.sizes.split(",") if t]:
+    sizes = [int(t) for t in args.sizes.split(",") if t]
+    for n in sizes:
         thetas = np.linspace(math.pi / 2 - 0.55, math.pi / 2 + 0.55, n)
         for mu in (0.0, 2.0 * (d - 1)):
             for name, shot in KERNELS.items():
@@ -78,6 +100,17 @@ def main():
                     t = best_time(shot, case, d - 2, mu, lam, thetas, args.repeats)
                     row += f"{t * 1e3:>10.3f}"
                 print(row)
+
+    print(f"\nwarm lane shots, mu={2 * (d - 1)}: ms per lane")
+    print(f"{'n':>6}{'shot':>6}" + "".join(f"{lanes:>9}" for lanes in LANES))
+    for n in sizes:
+        thetas = np.linspace(math.pi / 2 - 0.55, math.pi / 2, n)
+        for name, shot in KERNELS.items():
+            row = f"{n:>6}{name:>6}"
+            for lanes in LANES:
+                t = lane_time(shot, d - 2, 2.0 * (d - 1), lam, thetas, lanes, args.repeats)
+                row += f"{t * 1e3:>9.3f}"
+            print(row)
 
 
 if __name__ == "__main__":

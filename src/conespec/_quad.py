@@ -8,7 +8,8 @@ library of the independent oracles.
 * :func:`simpson` is ``scipy.integrate.simpson`` for an odd sample count on
   irregular spacing (Cartwright's parabolic-segment weights).
 * :func:`brentq` is SciPy's C ``brentq`` (Brent, *Algorithms for
-  Minimization without Derivatives*, 1973, ch. 4).
+  Minimization without Derivatives*, 1973, ch. 4), driving the generator
+  :func:`brent_steps`, which solves several roots in lockstep as well.
 """
 
 from __future__ import annotations
@@ -45,22 +46,25 @@ def simpson(y, x) -> float:
     return float(np.sum(tmp))
 
 
-def brentq(f, a: float, b: float, xtol: float) -> float:
-    """Root of ``f`` in [a, b], where f(a) and f(b) differ in sign.
+def brent_steps(a: float, b: float, xtol: float):
+    """Brent's method on [a, b] as a generator: yields each x, is sent f(x).
 
-    Stops once the bracket half-width falls below (xtol + _RTOL*|x|)/2.
-    Raises ``ValueError`` on a same-sign bracket, :class:`NonFiniteResult` on
-    a NaN value and :class:`NonConvergent` after ``_MAXITER`` iterations.
+    Returns the root (as ``StopIteration.value``) once the bracket half-width
+    falls below (xtol + _RTOL*|x|)/2.  Raises ``ValueError`` on a same-sign
+    bracket, :class:`NonFiniteResult` on a NaN value and
+    :class:`NonConvergent` after ``_MAXITER`` iterations.  Several roots can
+    be driven in lockstep, each round's new values computed together.
     """
-    def call(x):
-        fx = float(f(x))
+    def value(fx, x):
+        fx = float(fx)
         if math.isnan(fx):
             raise NonFiniteResult(f"function value at x={x} is NaN")
         return fx
 
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
+    fpre = value((yield xpre), xpre)
+    fcur = value((yield xcur), xcur)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -93,5 +97,19 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
             spre = scur = sbis            # bisect
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
+        fcur = value((yield xcur), xcur)
     raise NonConvergent(f"brentq did not converge in {_MAXITER} iterations")
+
+
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """Root of ``f`` in [a, b], where f(a) and f(b) differ in sign.
+
+    Drives :func:`brent_steps` (its stopping rule and errors) with ``f``.
+    """
+    steps = brent_steps(a, b, xtol)
+    x = next(steps)
+    try:
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value

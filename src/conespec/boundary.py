@@ -56,8 +56,9 @@ def _harmonic_pair(p: ConeProfile, mu: float):
     n = p.grid.size
     half = (n - 1) // 2
     right = p.grid[half:]
-    qe, qpe = propagate_band(p.dim - 2, mu, 0.0, right, 1.0, 0.0)
-    qo, qpo = propagate_band(p.dim - 2, mu, 0.0, right, 0.0, 1.0)
+    # two start-state lanes, (1, 0) and (0, 1), over one step tree
+    (qe, qo), (qpe, qpo) = propagate_band(p.dim - 2, mu, 0.0, right,
+                                          np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     w_b = math.sin(p.grid[-1]) ** (p.dim - 2)
     wr = w_b * (qe[-1] * qpo[-1] - qpe[-1] * qo[-1])
     if abs(wr - 1.0) > _WRONSKIAN_TOL:

@@ -29,8 +29,14 @@ part build, which is no dearer than the stage arithmetic itself.
 One tree serves both entry points (Blelloch, "Prefix sums and their
 applications", 1990): its up-sweep of pairwise products gives the end state,
 and a down-sweep of states gives the trajectory, O(n) products each.  Both
-only reassociate the products of the plain loop :func:`_rk4_band`, the tests'
-reference, whose stage arithmetic :func:`_step_entries` writes out entrywise.
+only reassociate the products of the plain RK4 loop ``_rk4_band`` in
+``tests/test_backends.py``, the tests' reference, whose stage arithmetic
+:func:`_step_entries` writes out entrywise.
+A 1-D ``lam`` shoots lanes: step matrices of shape (2, 2, lanes, steps) from
+the same quadratics run through the same tree, up to :data:`_LANES` lanes per
+tree, so each lane is bit-identical to its scalar shot and a lane costs far
+less than a call.  1-D start states ``g0, gp0`` at one lam share one tree,
+whose up-sweep is built once.
 An overflow or NaN inside a shot raises :class:`NonFiniteResult` instead of
 printing a numpy warning.
 """
@@ -38,7 +44,6 @@ printing a numpy warning.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -51,48 +56,9 @@ from .errors import NonFiniteResult
 # collapse, on a 2049-point half band holds about 0.2 MB.
 _MEMO_SIZE = 2
 
-
-def _rk4_band(dm2, mu, lam, thetas, g0, gp0):
-    """Fixed-step RK4 along ``thetas`` (monotone, either direction).
-
-    Returns (g, gp) sampled at every grid point, including the start.
-    """
-    n = thetas.shape[0]
-    g = np.empty(n)
-    gp = np.empty(n)
-    y0 = g0
-    y1 = gp0
-    g[0] = y0
-    gp[0] = y1
-    for i in range(n - 1):
-        t = thetas[i]
-        h = thetas[i + 1] - t
-        # k1
-        a1 = y1
-        b1 = -dm2 / math.tan(t) * y1 - (lam - mu / math.sin(t) ** 2) * y0
-        # k2, k3 share the midpoint coefficients
-        tm = t + 0.5 * h
-        cot_m = 1.0 / math.tan(tm)
-        q_m = lam - mu / math.sin(tm) ** 2
-        u0 = y0 + 0.5 * h * a1
-        u1 = y1 + 0.5 * h * b1
-        a2 = u1
-        b2 = -dm2 * cot_m * u1 - q_m * u0
-        u0 = y0 + 0.5 * h * a2
-        u1 = y1 + 0.5 * h * b2
-        a3 = u1
-        b3 = -dm2 * cot_m * u1 - q_m * u0
-        # k4
-        te = t + h
-        u0 = y0 + h * a3
-        u1 = y1 + h * b3
-        a4 = u1
-        b4 = -dm2 / math.tan(te) * u1 - (lam - mu / math.sin(te) ** 2) * u0
-        y0 = y0 + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        y1 = y1 + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        g[i + 1] = y0
-        gp[i + 1] = y1
-    return g, gp
+# Lanes per step tree.  A lane costs far less than a call, but past 8 lanes
+# the cost per lane rises again (the lanes table of ``benchmarks/kernel_bench.py``).
+_LANES = 8
 
 
 def _lo_mid_hi(f, thetas, h):
@@ -216,25 +182,44 @@ def _step_poly(dm2, mu, grid):
 
 
 def _steps(dm2, mu, lam, thetas):
-    """Step matrices at (mu, lam) by Horner's rule on the memoized quadratics."""
+    """Step matrices at (mu, lam) by Horner's rule on the memoized quadratics.
+
+    An array ``lam`` puts a lane axis before the steps: (2, 2, lanes, steps).
+    """
     p0, p1, p2 = _step_poly(dm2, mu, thetas.tobytes())
-    return p0 + lam * (p1 + lam * p2)
+    if isinstance(lam, np.ndarray):
+        p0, p1, p2 = p0[:, :, None], p1[:, :, None], p2[:, :, None]
+        lam = lam[:, None]
+    # p0 + lam (p1 + lam p2), in place in one array
+    t = lam * p2
+    t += p1
+    t *= lam
+    t += p0
+    return t
+
+
+def _tree(dm2, mu, lam, thetas, g0):
+    """Up-sweep of the step matrices; start-state lanes at one lam share it."""
+    t = _steps(dm2, mu, lam, thetas)
+    if isinstance(g0, np.ndarray) and not isinstance(lam, np.ndarray):
+        t = t[:, :, None]
+    return _up_sweep(t)
 
 
 def _up_sweep(t):
-    """Tree of step products: level 0 is ``t`` (shape (2, 2, steps)).
+    """Tree of step products: level 0 is ``t`` (shape (2, 2, [lanes,] steps)).
 
     Each level holds the pairwise products T_{2j+1} @ T_{2j} of the one below
     (an unpaired last matrix moves up unchanged); the last level is the single
     product of all steps.
     """
     levels = [t]
-    while t.shape[2] > 1:
-        m = t.shape[2]
+    while t.shape[-1] > 1:
+        m = t.shape[-1]
         # T_{2j+1} @ T_{2j}: numpy's einsum would not report an overflow
-        up = (t[:, :, None, 1::2] * t[None, :, :, 0:m - 1:2]).sum(axis=1)
+        up = (t[:, :, None, ..., 1::2] * t[None, ..., 0:m - 1:2]).sum(axis=1)
         if m % 2:
-            up = np.concatenate([up, t[:, :, -1:]], axis=2)
+            up = np.concatenate([up, t[..., -1:]], axis=-1)
         levels.append(up)
         t = up
     return levels
@@ -242,15 +227,17 @@ def _up_sweep(t):
 
 def _end_state(levels, g0, gp0):
     """State after all steps: the tree's root applied to (g0, gp0)."""
-    if not levels[-1].shape[2]:
+    if not levels[-1].shape[-1]:
         return g0, gp0
-    (r00, r01), (r10, r11) = levels[-1][:, :, 0]
+    (r00, r01), (r10, r11) = levels[-1][..., 0]
     return r00 * g0 + r01 * gp0, r10 * g0 + r11 * gp0
 
 
 def _rk4_end(dm2, mu, lam, thetas, g0, gp0):
     """End state of the RK4 shot: the up-sweep of the step tree."""
-    y0, y1 = _end_state(_up_sweep(_steps(dm2, mu, lam, thetas)), g0, gp0)
+    y0, y1 = _end_state(_tree(dm2, mu, lam, thetas, g0), g0, gp0)
+    if isinstance(g0, np.ndarray):
+        return y0, y1
     return float(y0), float(y1)
 
 
@@ -262,19 +249,19 @@ def _rk4_trajectory(dm2, mu, lam, thetas, g0, gp0):
     to that state, so the leaf level holds the state before every step; the
     last point is the end state of :func:`_rk4_end`.
     """
-    levels = _up_sweep(_steps(dm2, mu, lam, thetas))
-    state = np.array([[g0], [gp0]])
+    levels = _tree(dm2, mu, lam, thetas, g0)
+    state = np.array([g0, gp0])[..., None]
     for t in reversed(levels[:-1]):
-        m = t.shape[2]
-        below = np.empty((2, m))
-        below[:, 0::2] = state
-        below[:, 1::2] = (t[:, :, 0:m - 1:2] * state[:, :m // 2]).sum(axis=1)
+        m = t.shape[-1]
+        below = np.empty(state.shape[:-1] + (m,))
+        below[..., 0::2] = state
+        below[..., 1::2] = (t[..., 0:m - 1:2] * state[..., :m // 2]).sum(axis=1)
         state = below
     n = thetas.shape[0]
-    g = np.empty(n)
-    gp = np.empty(n)
-    g[:-1], gp[:-1] = state[:, :n - 1]
-    g[-1], gp[-1] = _end_state(levels, g0, gp0)
+    g = np.empty(state.shape[1:-1] + (n,))
+    gp = np.empty_like(g)
+    g[..., :-1], gp[..., :-1] = state[..., :n - 1]
+    g[..., -1], gp[..., -1] = _end_state(levels, g0, gp0)
     return g, gp
 
 
@@ -283,23 +270,53 @@ def get_backend() -> str:
     return "numpy"
 
 
+def _is_lanes(v):
+    return isinstance(v, np.ndarray) and v.ndim > 0
+
+
 def _finite_shot(kernel, dm2, mu, lam, thetas, g0, gp0):
     """Run ``kernel`` with numpy overflow and NaN raised as NonFiniteResult."""
+    thetas = np.asarray(thetas, dtype=np.float64)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return kernel(float(dm2), float(mu), float(lam),
-                          np.asarray(thetas, dtype=np.float64), float(g0), float(gp0))
+            if _is_lanes(lam) or _is_lanes(g0) or _is_lanes(gp0):
+                return _lane_shots(kernel, float(dm2), float(mu), lam, thetas, g0, gp0)
+            return kernel(float(dm2), float(mu), float(lam), thetas, float(g0), float(gp0))
     except FloatingPointError as exc:
         raise NonFiniteResult(f"non-finite band shot at mu={mu}, lam={lam}: {exc}") from None
 
 
-def propagate_band(dm2: float, mu: float, lam: float, thetas: np.ndarray,
-                   g0: float, gp0: float):
-    """Integrate the band ODE along ``thetas``; (g, g') at every grid point."""
+def _lane_shots(kernel, dm2, mu, lam, thetas, g0, gp0):
+    """Lanes (a 1-D array lam, g0 or gp0) in chunks of at most _LANES.
+
+    The start states are given one value per lane, and a scalar lam stays
+    one value for all lanes.  Inside the kernels an array g0 marks a lane
+    shot and an array lam a lane of lams.
+    """
+    lam_lanes = _is_lanes(lam)
+    lam = np.asarray(lam, dtype=np.float64) if lam_lanes else float(lam)
+    g0, gp0 = (np.asarray(v, dtype=np.float64) for v in (g0, gp0))
+    lanes = max(lam.size if lam_lanes else 1, g0.size, gp0.size)
+    g0, gp0 = (v if v.ndim else np.full(lanes, v) for v in (g0, gp0))
+    chunks = [kernel(dm2, mu, lam[i:i + _LANES] if lam_lanes else lam, thetas,
+                     g0[i:i + _LANES], gp0[i:i + _LANES])
+              for i in range(0, lanes, _LANES)]
+    return tuple(np.concatenate(part) for part in zip(*chunks))
+
+
+def propagate_band(dm2: float, mu: float, lam, thetas: np.ndarray, g0, gp0):
+    """Integrate the band ODE along ``thetas``; (g, g') at every grid point.
+
+    Scalar arguments give arrays of shape (points,).  A 1-D ``lam``, ``g0``
+    or ``gp0`` gives one lane per entry, shape (lanes, points), each lane
+    bit-identical to its scalar shot.
+    """
     return _finite_shot(_rk4_trajectory, dm2, mu, lam, thetas, g0, gp0)
 
 
-def propagate_band_end(dm2: float, mu: float, lam: float, thetas: np.ndarray,
-                       g0: float, gp0: float) -> tuple[float, float]:
-    """End state (g, g') of :func:`propagate_band` without the trajectory."""
+def propagate_band_end(dm2: float, mu: float, lam, thetas: np.ndarray, g0, gp0):
+    """End state (g, g') of :func:`propagate_band` without the trajectory.
+
+    Floats for a scalar shot, arrays of shape (lanes,) for lanes.
+    """
     return _finite_shot(_rk4_end, dm2, mu, lam, thetas, g0, gp0)

@@ -22,7 +22,7 @@ from ._quad import simpson
 from .config import DEFAULT_CONFIG, RES_TOL, SolverConfig
 from .errors import AmbiguousCluster
 from .profile import ConeProfile, jacobi_fields
-from .sl import band_spec, count_below, eigen_k, eigenvalue
+from .sl import band_spec, count_below, eigen_k, eigenvalue, eigenvalues
 from .spheremodes import _MAX_DEGREE, modes_up_to
 
 # Analytic-eigenfunction identification threshold (relative L^2).  Not a
@@ -90,8 +90,8 @@ def assemble(p: ConeProfile, lambda_max: float) -> list[LinkEigenvalue]:
     out = []
     for mode in modes:
         spec = band_spec(p, float(mode.mu), "robin")
-        for k in range(1, count_below(spec, lambda_max) + 1):
-            lam = eigenvalue(spec, k)
+        count = count_below(spec, lambda_max)
+        for k, lam in enumerate(eigenvalues(spec, range(1, count + 1)), start=1):
             if lam <= lambda_max:
                 out.append(_entry(d, mode.ell, k, lam, mode.multiplicity))
     out.sort(key=lambda e: (e.lam, e.source))

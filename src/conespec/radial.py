@@ -33,7 +33,7 @@ from .errors import (NonFiniteResult, NumericalError, ResonanceDivision, Resonan
                      TailDivergence)
 from .linkspec import LinkEigenvalue, LinkSpectrum, homogeneity
 from .profile import ConeProfile
-from .sl import _derivative, band_spec, eigen_k
+from .sl import _derivative, band_spec, eigen_pairs
 from .spheremodes import harmonic_multiplicity
 
 _POWER_FIT_TOL = 1e-7
@@ -212,8 +212,7 @@ def project_interior(f: RadialField, p: ConeProfile,
     for ell in ells:
         mu = float(ell * (ell + d - 3))
         spec = band_spec(p, mu, "robin")
-        for j in range(1, _PER_ELL + 1):
-            pair = eigen_k(spec, j)
+        for j, pair in enumerate(eigen_pairs(spec, range(1, _PER_ELL + 1)), start=1):
             try:
                 entry = link.find((ell, j))
             except KeyError:

@@ -24,9 +24,11 @@ kept and Brent does not shoot the bracket ends again; every other Brent
 shot needs only the end state (:func:`propagate_band_end`).  Both parities
 start from the same left state, so :func:`count_below` reads both counts
 off one trajectory.
-Eigenvalues are memoized per (spec, k) by :func:`eigenvalue`;
-:func:`eigen_k` adds one trajectory shot to assemble the eigenfunction,
-which is not cached.
+:func:`eigenvalues` solves the eigenvalues of one spec together, their shots
+batched into kernel lanes (:func:`_solve`), and memoizes them per (spec, k);
+:func:`eigenvalue` is its one-k case.  :func:`eigen_pairs` adds one
+lane-batched trajectory call to assemble the eigenfunctions, which are not
+cached; :func:`eigen_k` is its one-k case.
 The seeds only choose the bracket, so the independent finite-difference
 discretization (:func:`eigen_fd_crosscheck`, Richardson on the spec's own
 grid, solved by LAPACK through scipy) remains the oracle for derived
@@ -41,7 +43,7 @@ import math
 
 import numpy as np
 
-from ._quad import brentq, simpson
+from ._quad import brent_steps, simpson
 from .errors import BracketFail, NonConvergent, ZeroDenominator
 from .kernels import propagate_band, propagate_band_end
 from .profile import ConeProfile, band_points
@@ -119,10 +121,27 @@ def _nodes(g):
 _TARGET_PHASE = {"even": math.pi / 2, "odd": math.pi}
 
 
+def _shots(kernel, spec, disc, lams):
+    """Left half-band shots of ``kernel`` at each of ``lams``: one (g, g') each.
+
+    Several lams are the lanes of one kernel call; a lone lam is a scalar
+    shot, which costs less than a call with one lane.
+    """
+    args = spec.dim - 2, spec.mu
+    if len(lams) == 1:
+        return [kernel(*args, lams[0], disc["left"], *_y_left(spec))]
+    return list(zip(*kernel(*args, np.array(lams), disc["left"], *_y_left(spec))))
+
+
+def _half_shots(spec, disc, lams):
+    """Trajectory shots at each of ``lams``: (nodes, g(pi/2), g'(pi/2)) each."""
+    return [(_nodes(g), float(g[-1]), float(gp[-1]))
+            for g, gp in _shots(propagate_band, spec, disc, lams)]
+
+
 def _half_shot(spec, disc, lam):
     """Trajectory shot on the left half-band: (nodes, g(pi/2), g'(pi/2))."""
-    g, gp = propagate_band(spec.dim - 2, spec.mu, lam, disc["left"], *_y_left(spec))
-    return _nodes(g), float(g[-1]), float(gp[-1])
+    return _half_shots(spec, disc, [lam])[0]
 
 
 def _phase_count(nodes, g_end, gp_end, parity):
@@ -175,12 +194,20 @@ def _isolate(count_fn, k, lo, hi):
     return lo, hi
 
 
-def _assemble_fn(spec, disc, lam, parity):
-    """Full-band eigenfunction: the left half-band shot and its mirror image."""
-    g, gp = propagate_band(spec.dim - 2, spec.mu, lam, disc["left"], *_y_left(spec))
-    if parity == "even":
-        return np.concatenate([g, g[-2::-1]]), np.concatenate([gp, -gp[-2::-1]])
-    return np.concatenate([g, -g[-2::-1]]), np.concatenate([gp, gp[-2::-1]])
+def _parity(k):
+    return "even" if k % 2 == 1 else "odd"
+
+
+def _assemble_fn(spec, disc, lams, parities):
+    """Full-band eigenfunctions: the left half-band shots at ``lams`` and their
+    mirror images, of the given parities."""
+    out = []
+    for (g, gp), parity in zip(_shots(propagate_band, spec, disc, lams), parities):
+        if parity == "even":
+            out.append((np.concatenate([g, g[-2::-1]]), np.concatenate([gp, -gp[-2::-1]])))
+        else:
+            out.append((np.concatenate([g, -g[-2::-1]]), np.concatenate([gp, gp[-2::-1]])))
+    return out
 
 
 def count_below(spec: SLSpec, lam: float) -> int:
@@ -215,58 +242,118 @@ def _seeds(spec: SLSpec, parity: str) -> tuple[float, ...]:
     return tuple(float(v) for v in (4.0 * v2 - v1) / 3.0)
 
 
-def _bracket(spec, parity, idx, count_fn):
-    """Bracket holding the idx-th half-band eigenvalue of ``parity`` and no other.
+class _Root:
+    """One eigenvalue's solve: its seed bracket and the shots taken so far."""
 
-    Isolation starts at seed -+ _SEED_REL*max(1, |seed|) with the seed of
-    idx, or the top seed for idx past the last one.
+    def __init__(self, spec, disc, k):
+        self.spec, self.disc = spec, disc
+        self.parity = _parity(k)
+        self.idx = (k + 1) // 2
+        # isolation starts at seed -+ _SEED_REL*max(1, |seed|), with the top
+        # seed for idx past the last one
+        seed = _seeds(spec, self.parity)[min(self.idx, _SEED_COUNT) - 1]
+        half = _SEED_REL * max(1.0, abs(seed))
+        self.bracket = (seed - half, seed + half)
+        self.counts = {}   # lam -> count, from counting shots
+        self.defects = {}  # lam -> defect, from counting and Brent shots alike
+
+    def record(self, lam, nodes, g_end, gp_end):
+        """Keep a counting shot's count and defect."""
+        self.counts[lam] = _phase_count(nodes, g_end, gp_end, self.parity)
+        self.defects[lam] = _defect(g_end, gp_end, self.parity)
+
+    def count(self, lam):
+        """Half-band eigenvalues of this parity below lam; shoots only a new lam."""
+        if lam not in self.counts:
+            self.record(lam, *_half_shot(self.spec, self.disc, lam))
+        return self.counts[lam]
+
+    def brent(self):
+        """Brent's steps on the isolated bracket.
+
+        The isolated ends count idx-1 and idx, and each count came from the
+        shot whose defect is kept.  The shot starts with g > 0, so off one
+        end state sign g(pi/2) = (-1)^nodes, the odd count is nodes and the
+        even count nodes + [g'(pi/2)*(-1)^nodes < 0]: the defect has sign
+        (-1)^count, and the two ends bracket a sign change.
+        """
+        lo, hi = self.bracket
+        if self.counts.get(lo) != self.idx - 1 or self.counts.get(hi) != self.idx:
+            lo, hi = _isolate(self.count, self.idx, lo, hi)
+        return brent_steps(lo, hi, xtol=_LAM_TOL)
+
+
+def _solve(spec, ks):
+    """Eigenvalues of the distinct ``ks``: one seed-isolation-Brent path each.
+
+    The seed brackets of every seeded k are counted in two lane-batched
+    trajectory calls, one for the lower ends and one for the upper; a
+    correct seed's two counts already bracket its eigenvalue.  Only a k past
+    the seeds or whose seed bracket misses goes on to :func:`_isolate`,
+    which reads the counts already taken and shoots the rest one at a time.
+    The Brent solves (:func:`brent_steps`) run in lockstep: each round shoots
+    every solve's new defect in one end-state call.
     """
-    seed = _seeds(spec, parity)[min(idx, _SEED_COUNT) - 1]
-    half = _SEED_REL * max(1.0, abs(seed))
-    return _isolate(count_fn, idx, seed - half, seed + half)
+    disc = _disc(spec)
+    roots = [_Root(spec, disc, k) for k in ks]
+    seeded = [r for r in roots if r.idx <= _SEED_COUNT]
+    for lams in zip(*(r.bracket for r in seeded)):  # the lower ends, then the upper
+        for r, lam, shot in zip(seeded, lams, _half_shots(spec, disc, lams)):
+            r.record(lam, *shot)
+
+    out = [0.0] * len(roots)
+    brents = [r.brent() for r in roots]
+    wanted = [(i, next(b)) for i, b in enumerate(brents)]
+    while wanted:
+        shots = []
+        for i, lam in wanted:
+            defects = roots[i].defects
+            try:
+                while lam in defects:
+                    lam = brents[i].send(defects[lam])
+            except StopIteration as stop:
+                out[i] = float(stop.value)
+            else:
+                shots.append((i, lam))
+        if shots:
+            ends = _shots(propagate_band_end, spec, disc, [lam for _, lam in shots])
+            for (i, lam), (g, gp) in zip(shots, ends):
+                roots[i].defects[lam] = _defect(float(g), float(gp), roots[i].parity)
+        wanted = shots
+    return out
+
+
+# (spec, k) -> eigenvalue; past _MEMO_SIZE entries the oldest are dropped
+_memo: dict = {}
+
+
+def eigenvalues(spec: SLSpec, ks) -> list[float]:
+    """Eigenvalues k (each >= 1) of ``ks``, in order, memoized per process.
+
+    The ks not in the memo are solved together (:func:`_solve`).
+    """
+    ks = [int(k) for k in ks]
+    if any(k < 1 for k in ks):
+        raise ValueError("k must be >= 1")
+    new = sorted({k for k in ks if (spec, k) not in _memo})
+    if new:
+        for k, lam in zip(new, _solve(spec, new)):
+            _memo[spec, k] = lam
+        while len(_memo) > _MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+    return [_memo[spec, k] for k in ks]
 
 
 def eigenvalue(spec: SLSpec, k: int) -> float:
-    """k-th eigenvalue (k >= 1) of the band problem, memoized per process."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _eigenvalue(spec, k)
+    """k-th eigenvalue (k >= 1) of the band problem: :func:`eigenvalues` of one k."""
+    return eigenvalues(spec, (k,))[0]
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _eigenvalue(spec, k):
-    disc = _disc(spec)
-    parity = "even" if k % 2 == 1 else "odd"
-    idx = (k + 1) // 2
-    shots = {}  # lam -> defect, from counting and Brent shots alike
+def _eigenpair(spec, th, w, k, lam, g, gp):
+    """Normalized eigenpair from the full-band shot at the k-th eigenvalue.
 
-    def count_fn(lam):
-        nodes, g, gp = _half_shot(spec, disc, lam)
-        shots[lam] = _defect(g, gp, parity)
-        return _phase_count(nodes, g, gp, parity)
-
-    def defect_fn(lam):
-        if lam not in shots:
-            g, gp = propagate_band_end(spec.dim - 2, spec.mu, lam, disc["left"], *_y_left(spec))
-            shots[lam] = _defect(g, gp, parity)
-        return shots[lam]
-
-    # The isolated ends count idx-1 and idx, and each count came from the
-    # shot whose defect is kept.  The shot starts with g > 0, so off one end
-    # state sign g(pi/2) = (-1)^nodes, the odd count is nodes and the even
-    # count nodes + [g'(pi/2)*(-1)^nodes < 0]: the defect has sign
-    # (-1)^count, and the two ends bracket a sign change.
-    lo, hi = _bracket(spec, parity, idx, count_fn)
-    return float(brentq(defect_fn, lo, hi, xtol=_LAM_TOL))
-
-
-def eigen_k(spec: SLSpec, k: int) -> SLEigenpair:
-    """k-th eigenpair (k >= 1): the memoized eigenvalue and one assembly shot."""
-    lam = eigenvalue(spec, k)
-    disc = _disc(spec)
-    g, gp = _assemble_fn(spec, disc, lam, "even" if k % 2 == 1 else "odd")
-    th = disc["theta"]
-    w = np.sin(th) ** (spec.dim - 2)
+    ``w`` is the weight sin^{d-2} on the grid ``th``.
+    """
     # an exact power-of-two prescale keeps g*g finite when g is huge (large mu)
     scale = 2.0 ** np.frexp(np.max(np.abs(g)))[1]
     g, gp = g / scale, gp / scale
@@ -286,6 +373,25 @@ def eigen_k(spec: SLSpec, k: int) -> SLEigenpair:
         resid = (abs(g[0]), abs(g[-1]))
     return SLEigenpair(k=k, lam=lam, nodes=nodes, fn=g, fn_prime=gp, grid=th,
                        bc_residual=resid)
+
+
+def eigen_pairs(spec: SLSpec, ks) -> list[SLEigenpair]:
+    """Eigenpairs k of ``ks``: memoized eigenvalues, one lane-batched assembly.
+
+    The eigenfunctions are not cached.
+    """
+    ks = [int(k) for k in ks]
+    lams = eigenvalues(spec, ks)
+    disc = _disc(spec)
+    fns = _assemble_fn(spec, disc, lams, [_parity(k) for k in ks])
+    th = disc["theta"]
+    w = np.sin(th) ** (spec.dim - 2)
+    return [_eigenpair(spec, th, w, k, lam, g, gp) for k, lam, (g, gp) in zip(ks, lams, fns)]
+
+
+def eigen_k(spec: SLSpec, k: int) -> SLEigenpair:
+    """k-th eigenpair (k >= 1): :func:`eigen_pairs` of one k."""
+    return eigen_pairs(spec, (k,))[0]
 
 
 def _fv_robin(dim: int, band: tuple[float, float], mu: float, H: float, n: int):

@@ -10,7 +10,51 @@ import pytest
 
 from conespec import kernels
 from conespec.errors import NonFiniteResult
-from conespec.kernels import _rk4_band, propagate_band, propagate_band_end
+from conespec.kernels import propagate_band, propagate_band_end
+
+
+def _rk4_band(dm2, mu, lam, thetas, g0, gp0):
+    """Fixed-step RK4 along ``thetas`` (monotone, either direction).
+
+    The plain loop the step tree reassociates.  Returns (g, gp) sampled at
+    every grid point, including the start.
+    """
+    n = thetas.shape[0]
+    g = np.empty(n)
+    gp = np.empty(n)
+    y0 = g0
+    y1 = gp0
+    g[0] = y0
+    gp[0] = y1
+    for i in range(n - 1):
+        t = thetas[i]
+        h = thetas[i + 1] - t
+        # k1
+        a1 = y1
+        b1 = -dm2 / math.tan(t) * y1 - (lam - mu / math.sin(t) ** 2) * y0
+        # k2, k3 share the midpoint coefficients
+        tm = t + 0.5 * h
+        cot_m = 1.0 / math.tan(tm)
+        q_m = lam - mu / math.sin(tm) ** 2
+        u0 = y0 + 0.5 * h * a1
+        u1 = y1 + 0.5 * h * b1
+        a2 = u1
+        b2 = -dm2 * cot_m * u1 - q_m * u0
+        u0 = y0 + 0.5 * h * a2
+        u1 = y1 + 0.5 * h * b2
+        a3 = u1
+        b3 = -dm2 * cot_m * u1 - q_m * u0
+        # k4
+        te = t + h
+        u0 = y0 + h * a3
+        u1 = y1 + h * b3
+        a4 = u1
+        b4 = -dm2 / math.tan(te) * u1 - (lam - mu / math.sin(te) ** 2) * u0
+        y0 = y0 + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        y1 = y1 + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        g[i + 1] = y0
+        gp[i + 1] = y1
+    return g, gp
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 33, 257, 2049])
@@ -103,3 +147,57 @@ def test_trajectory_ends_at_end_state():
     thetas = np.linspace(math.pi / 2 - 0.6, math.pi / 2, 1000)
     g, gp = propagate_band(5, 84.0, 150.0, thetas, 1.0, -2.0)
     assert (g[-1], gp[-1]) == propagate_band_end(5, 84.0, 150.0, thetas, 1.0, -2.0)
+
+
+def _lane_grids():
+    ascending = np.linspace(math.pi / 2 - 0.6, math.pi / 2, 2049)
+    return {"ascending": ascending, "descending": ascending[::-1].copy(),
+            "odd steps": np.linspace(math.pi / 2 - 0.6, math.pi / 2 + 0.1, 258),
+            "one point": ascending[:1].copy()}
+
+
+@pytest.mark.parametrize("grid", ["ascending", "descending", "odd steps", "one point"])
+@pytest.mark.parametrize("lanes", [1, 2, 8, 9])
+def test_lam_lanes_equal_scalar_shots(grid, lanes):
+    # lanes only widen the step matrices and the tree, so each lane repeats
+    # its scalar shot operation for operation; 9 lanes run as 8 + 1
+    thetas = _lane_grids()[grid]
+    lams = np.linspace(-40.0, 300.0, lanes)
+    for mu in (0.0, 84.0):
+        g, gp = propagate_band(5, mu, lams, thetas, 1.0, -2.0)
+        g_end, gp_end = propagate_band_end(5, mu, lams, thetas, 1.0, -2.0)
+        assert g.shape == gp.shape == (lanes, thetas.size)
+        assert g_end.shape == gp_end.shape == (lanes,)
+        for i, lam in enumerate(lams):
+            want_g, want_gp = propagate_band(5, mu, lam, thetas, 1.0, -2.0)
+            assert np.array_equal(g[i], want_g) and np.array_equal(gp[i], want_gp), (mu, i)
+            assert (g_end[i], gp_end[i]) == propagate_band_end(5, mu, lam, thetas, 1.0, -2.0)
+
+
+@pytest.mark.parametrize("grid", ["ascending", "descending", "odd steps", "one point"])
+def test_start_state_lanes_equal_scalar_shots(grid):
+    # start-state lanes at one lam share one step tree
+    thetas = _lane_grids()[grid]
+    g0, gp0 = np.array([1.0, 0.0, 0.7]), np.array([0.0, 1.0, -3.0])
+    g, gp = propagate_band(5, 12.0, 6.0, thetas, g0, gp0)
+    g_end, gp_end = propagate_band_end(5, 12.0, 6.0, thetas, g0, gp0)
+    for i in range(3):
+        want_g, want_gp = propagate_band(5, 12.0, 6.0, thetas, g0[i], gp0[i])
+        assert np.array_equal(g[i], want_g) and np.array_equal(gp[i], want_gp), i
+        assert (g_end[i], gp_end[i]) == propagate_band_end(5, 12.0, 6.0, thetas, g0[i], gp0[i])
+    # lam lanes and start-state lanes together
+    lams = np.array([6.0, 40.0, -3.0])
+    g, _ = propagate_band(5, 12.0, lams, thetas, g0, gp0)
+    for i in range(3):
+        assert np.array_equal(g[i], propagate_band(5, 12.0, lams[i], thetas, g0[i], gp0[i])[0])
+
+
+@pytest.mark.parametrize("kernel", [propagate_band, propagate_band_end])
+def test_overflow_in_one_lane_is_nonfinite_result_without_warning(kernel):
+    # only the large-lam lane overflows; the whole call raises
+    thetas = np.linspace(math.pi / 2 - 0.5, math.pi / 2 + 0.5, 257)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteResult, match="overflow"):
+            kernel(5.0, 6.0, np.array([6.0, 7.0, -1e12]), thetas, 1.0, 0.0)
+    assert not caught, [str(w.message) for w in caught]

@@ -113,7 +113,7 @@ def test_verify_work_count(tmp_path, monkeypatch):
     # counting shots are Brent's endpoints, and the aperture is a Brent
     # root: verify --dim 7 in a fresh process makes 47 shots
     from conespec import boundary, kernels, profile, sl
-    sl._eigenvalue.cache_clear()
+    sl._memo.clear()
     sl._seeds.cache_clear()
     shots = []
     for mod in (sl, profile, boundary):

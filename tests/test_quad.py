@@ -71,8 +71,9 @@ def test_brentq_matches_scipy_on_band_defects(profiles):
                 for k in (1, 2, 3, 5):
                     parity = "even" if k % 2 == 1 else "odd"
                     idx = (k + 1) // 2
-                    lo, hi = sl._bracket(spec, parity, idx, lambda lam: sl._phase_count(
-                        *sl._half_shot(spec, disc, lam), parity))
+                    lo, hi = sl._isolate(lambda lam: sl._phase_count(
+                        *sl._half_shot(spec, disc, lam), parity),
+                        idx, *sl._Root(spec, disc, k).bracket)
                     def defect(lam):  # the end-state shot of sl's Brent loop
                         return sl._defect(*sl.propagate_band_end(
                             spec.dim - 2, spec.mu, lam, disc["left"], *sl._y_left(spec)), parity)

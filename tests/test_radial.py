@@ -401,3 +401,24 @@ def test_classify_decay_basis_check(base_build, link7):
         classify_decay(u1, link7)
     with pytest.raises(ValueError):
         ode_residuals(u1, f)
+
+
+def test_project_interior_work_count(p7, link7, bmodes7, monkeypatch):
+    # one sphere degree's eight eigenpairs are solved together: the lower
+    # and the upper seed-bracket ends in one trajectory call each, each Brent
+    # round in one end-state call, and the eigenfunctions in one more
+    # trajectory call.  On a fresh memo at d = 7 that is 7 kernel calls,
+    # where one eigenpair at a time made 53.
+    from conespec import kernels, sl
+    u1, f = transfer_boundary(make_source(BETA, {1: 1.0}, link7), bmodes7, p7)
+    assert len({m.ell for m in f.modes}) == 1
+    sl._memo.clear()
+    sl._seeds.cache_clear()
+    calls = []
+    for name in ("propagate_band", "propagate_band_end"):
+        def counted(*args, _fn=getattr(kernels, name)):
+            calls.append(1)
+            return _fn(*args)
+        monkeypatch.setattr(sl, name, counted)
+    project_interior(f, p7, link7)
+    assert 0 < len(calls) <= 7, len(calls)

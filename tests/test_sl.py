@@ -9,7 +9,7 @@ import pytest
 from conespec import sl
 from conespec.errors import ZeroDenominator
 from conespec.sl import (SLSpec, band_spec, count_below, eigen_fd_crosscheck, eigen_k,
-                         eigenvalue, rayleigh)
+                         eigen_pairs, eigenvalue, eigenvalues, rayleigh)
 
 # d=7 interior Robin eigenvalues, frozen after cross-checking against the
 # Richardson-extrapolated FD values below (agreement ~1e-9 at grid_n=4096).
@@ -130,7 +130,7 @@ def test_nodes_skip_exact_zero_samples():
     # with its centre sample (zero by symmetry) set to exactly 0.0: 5 nodes, not 4
     spec = SLSpec(10, band=(1.1297293680950529, 2.0118632854947402), mu=18.0,
                   bc="robin", H=3.7766769293627203)
-    g, _ = sl._assemble_fn(spec, sl._disc(spec), 324.60657338767527, "odd")
+    [(g, _)] = sl._assemble_fn(spec, sl._disc(spec), [324.60657338767527], ["odd"])
     g[g.size // 2] = 0.0
     assert np.count_nonzero(g == 0.0) == 1
     assert sl._nodes(g) == 5
@@ -140,9 +140,9 @@ def test_nodes_skip_exact_zero_samples():
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
 def test_wrong_seeds_fall_back_to_bisection(p7, bc, monkeypatch):
     spec = band_spec(p7, 5.0, bc)
-    sl._eigenvalue.cache_clear()
+    sl._memo.clear()
     seeded = [eigenvalue(spec, k) for k in range(1, 6)]
-    sl._eigenvalue.cache_clear()
+    sl._memo.clear()
     isolated = []
 
     def isolate(*args):
@@ -160,7 +160,7 @@ def test_wrong_seeds_fall_back_to_bisection(p7, bc, monkeypatch):
             assert abs(pair.lam - lam) <= sl._LAM_TOL, (k, pair.lam, lam)
             assert pair.nodes == k - 1
     finally:
-        sl._eigenvalue.cache_clear()
+        sl._memo.clear()
     assert isolated == [1, 1, 2, 2, 3]  # half-band index of k = 1..5
 
 
@@ -228,17 +228,17 @@ def test_seeded_bracket_ends_are_not_reshot(p7, monkeypatch, k):
 
     def shot(fn, log):
         def counted(dm2, mu, lam, *rest):
-            log.append(lam)
+            log.extend(np.atleast_1d(lam).tolist())  # each lane's lam
             return fn(dm2, mu, lam, *rest)
         return counted
 
     monkeypatch.setattr(sl, "propagate_band", shot(sl.propagate_band, traj))
     monkeypatch.setattr(sl, "propagate_band_end", shot(sl.propagate_band_end, ends))
-    sl._eigenvalue.cache_clear()
+    sl._memo.clear()
     try:
         lam = eigenvalue(spec, k)
     finally:
-        sl._eigenvalue.cache_clear()
+        sl._memo.clear()
     assert traj == [lo, hi]  # the seed bracket needed no expansion or bisection
     assert ends and lo not in ends and hi not in ends
     assert lo < lam < hi
@@ -303,3 +303,75 @@ def test_eigenfunction_normalization_at_large_mu(p7, k):
     assert abs(simpson(pair.fn ** 2 * w, x=pair.grid) - 1.0) <= 1e-12
     fd = eigen_fd_crosscheck(spec, k)[-1]
     assert abs(pair.lam - fd) <= 1e-10 * fd, (pair.lam, fd)
+
+
+def _one_at_a_time(spec, ks):
+    values = []
+    for k in ks:
+        sl._memo.clear()
+        values.append(eigenvalue(spec, k))
+    sl._memo.clear()
+    return values
+
+
+@pytest.mark.parametrize("mu", [0.0, 12.0])
+@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
+def test_lockstep_eigenvalues_equal_one_at_a_time(p3, p7, mu, bc):
+    # each lane repeats its scalar shot exactly, and each Brent solve sees the
+    # same values whatever else runs in its round
+    for p in (p3, p7):
+        spec = band_spec(p, mu, bc)
+        want = _one_at_a_time(spec, range(1, 9))
+        try:
+            assert eigenvalues(spec, range(1, 9)) == want, (p.dim, mu, bc)
+            # the memo answers in any order, with repeats
+            assert eigenvalues(spec, [3, 1, 3]) == [want[2], want[0], want[2]]
+        finally:
+            sl._memo.clear()
+
+
+@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
+def test_lockstep_under_wrong_seeds_falls_back_to_isolation(p7, bc, monkeypatch):
+    spec = band_spec(p7, 5.0, bc)
+    isolated = []
+
+    def isolate(*args):
+        isolated.append(args[1])
+        return _isolate(*args)
+
+    _isolate = sl._isolate
+    monkeypatch.setattr(sl, "_isolate", isolate)
+    _one_at_a_time(spec, range(1, 9))
+    assert not isolated  # every correct seed brackets its eigenvalue
+    # the wrong seeds of test_wrong_seeds_fall_back_to_bisection
+    monkeypatch.setattr(sl, "_seeds", lambda s, parity: tuple(
+        40.0 * i - 30.0 for i in range(16))[parity == "odd"::2])
+    want = _one_at_a_time(spec, range(1, 9))
+    isolated.clear()
+    try:
+        assert eigenvalues(spec, range(1, 9)) == want
+    finally:
+        sl._memo.clear()
+    assert isolated == [1, 1, 2, 2, 3, 3, 4, 4]  # every lane fell back
+
+
+def test_eigen_pairs_equal_eigen_k(p7):
+    spec = band_spec(p7, 12.0, "robin")
+    pairs = eigen_pairs(spec, range(1, 9))
+    for k, pair in enumerate(pairs, start=1):
+        one = eigen_k(spec, k)
+        assert pair.k == one.k == k and pair.lam == one.lam and pair.nodes == one.nodes
+        assert np.array_equal(pair.fn, one.fn) and np.array_equal(pair.fn_prime, one.fn_prime)
+        assert np.array_equal(pair.grid, one.grid) and pair.bc_residual == one.bc_residual
+
+
+def test_harmonic_pair_equals_its_scalar_shots(p7):
+    from conespec.boundary import _harmonic_pair
+    from conespec.kernels import propagate_band
+    right = p7.grid[(p7.grid.size - 1) // 2:]
+    for mu in (0.0, 12.0, 84.0):
+        (qe, qpe), (qo, qpo) = _harmonic_pair(p7, mu)
+        for (q, qp), start in (((qe, qpe), (1.0, 0.0)), ((qo, qpo), (0.0, 1.0))):
+            g, gp = propagate_band(p7.dim - 2, mu, 0.0, right, *start)
+            half = right.size - 1
+            assert np.array_equal(q[half:], g) and np.array_equal(qp[half:], gp)
