@@ -9,7 +9,9 @@ library of the independent oracles.
   irregular spacing (Cartwright's parabolic-segment weights).
 * :func:`brentq` is SciPy's C ``brentq`` (Brent, *Algorithms for
   Minimization without Derivatives*, 1973, ch. 4), driving the generator
-  :func:`brent_steps`, which solves several roots in lockstep as well.
+  :func:`brent_steps`.  The band eigenvalue solves of ``sl`` each run
+  ``brent_steps`` inside their own generator, and one driver answers them
+  in lockstep.
 """
 
 from __future__ import annotations

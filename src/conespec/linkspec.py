@@ -21,7 +21,7 @@ import numpy as np
 from ._quad import simpson
 from .config import DEFAULT_CONFIG, RES_TOL, SolverConfig
 from .errors import AmbiguousCluster
-from .profile import ConeProfile, jacobi_fields
+from .profile import ConeProfile, band_points, jacobi_fields
 from .sl import band_spec, count_below, eigen_k, eigenvalue, eigenvalues
 from .spheremodes import _MAX_DEGREE, modes_up_to
 
@@ -29,6 +29,9 @@ from .spheremodes import _MAX_DEGREE, modes_up_to
 # config field: identification is structural and the margin only absorbs
 # integrator noise.
 _FN_TOL = 1e-5
+# Largest h^2*lambda_max on a band grid of step h: the top eigenvalue's relative
+# error grows like 0.018*(h^2*lambda)^2 (d = 7, FD oracle), so it stays <= 1e-8.
+_H2_LAMBDA_MAX = 7.5e-4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,17 +79,24 @@ def assemble(p: ConeProfile, lambda_max: float) -> list[LinkEigenvalue]:
     Completeness: lambda_{ell,k} >= mu_ell + lambda_{0,1}, so sphere modes
     with mu_ell > lambda_max - lambda_{0,1} cannot contribute and are
     excluded a priori; within a mode, the node count of the band problem at
-    lambda_max says how many eigenvalues to solve.
+    lambda_max says how many eigenvalues to solve.  A lambda_max past what
+    the band grid resolves (h^2*lambda_max > _H2_LAMBDA_MAX) is refused.
     """
     d = p.dim
     if not lambda_max > d - 1:
         raise ValueError("lambda_max must exceed d-1 to cover the rotation modes")
-    lam01 = eigenvalue(band_spec(p, 0.0, "robin"), 1)
+    spec0 = band_spec(p, 0.0, "robin")
+    lam01 = eigenvalue(spec0, 1)
     try:
         modes = modes_up_to(d, lambda_max - lam01)
     except ValueError:
         raise ValueError(f"lambda_max={lambda_max:g} needs sphere modes past degree "
                          f"{_MAX_DEGREE}, the most a mode table may hold") from None
+    h = (spec0.band[1] - spec0.band[0]) / (band_points(spec0.grid_n) - 1)
+    if h * h * lambda_max > _H2_LAMBDA_MAX:
+        raise ValueError(f"lambda_max={lambda_max:g} is past what the band grid resolves: "
+                         f"grid_n={spec0.grid_n} allows lambda_max <= "
+                         f"{_H2_LAMBDA_MAX / (h * h):.4g}")
     out = []
     for mode in modes:
         spec = band_spec(p, float(mode.mu), "robin")

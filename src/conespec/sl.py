@@ -11,28 +11,27 @@ computed on the left half-band only: the k-th eigenpair is the ((k+1)//2)-th
 half-band problem with g'(pi/2) = 0 (k odd) or g(pi/2) = 0 (k even), and the
 full eigenfunction is its mirror image.
 
-Each eigenvalue is found along one path: seed, isolation, Brent.  Coarse
+Each eigenvalue is found along one path, one generator (:func:`_root`)
+that yields the shots it needs: seed, isolation, Brent.  Coarse
 finite-volume solves seed it: dense numpy eigenproblems on 64 and 128 cells
 with Richardson, once per (spec, parity) and cached, each on the half
-matrix of its own parity only.  Node-count isolation (:func:`_isolate`)
-starts from a narrow bracket around the seed, or around the top seed past
-the last one; for a correct seed its first two counts already bracket the
-eigenvalue.  The count uses the Pruefer phase of the endpoint state, so no
-phase ODE is integrated.  Brent's method on the midpoint defect then gives
-the value.  A counting shot's last point is the end state, so its defect is
-kept and Brent does not shoot the bracket ends again; every other Brent
-shot needs only the end state (:func:`propagate_band_end`).  Both parities
-start from the same left state, so :func:`count_below` reads both counts
-off one trajectory.
-:func:`eigenvalues` solves the eigenvalues of one spec together, their shots
-batched into kernel lanes (:func:`_solve`), and memoizes them per (spec, k);
+matrix of its own parity only.  The two ends of a narrow bracket around the
+seed (the top seed past the last one) are counted, and node-count isolation
+(:func:`_isolate`) runs only if they miss.  The count uses the Pruefer
+phase of the endpoint state, so no phase ODE is integrated.  Brent's method
+on the midpoint defect then gives the value.  Both parities start from the
+same left state, so one shot serves every root of a spec, and a counting
+shot's last point is the end state whose defect Brent needs.
+:func:`eigenvalues` solves one spec's eigenvalues together, memoized per
+(spec, k): each round its driver (:func:`_solve`) shoots the new counting
+lams in one lane-batched trajectory call and the new defect lams in one
+end-state call (:func:`propagate_band_end`), and no lam twice in one call.
 :func:`eigenvalue` is its one-k case.  :func:`eigen_pairs` adds one
 lane-batched trajectory call to assemble the eigenfunctions, which are not
-cached; :func:`eigen_k` is its one-k case.
-The seeds only choose the bracket, so the independent finite-difference
-discretization (:func:`eigen_fd_crosscheck`, Richardson on the spec's own
-grid, solved by LAPACK through scipy) remains the oracle for derived
-eigenvalues.
+cached; :func:`eigen_k` is its one-k case.  The seeds only choose the
+bracket, so the independent finite-difference discretization
+(:func:`eigen_fd_crosscheck`, Richardson on the spec's own grid, solved by
+LAPACK through scipy) remains the oracle for derived eigenvalues.
 """
 
 from __future__ import annotations
@@ -161,26 +160,29 @@ def _defect(g_end, gp_end, parity):
     return (gp_end if parity == "even" else g_end) / math.hypot(g_end, gp_end)
 
 
-def _isolate(count_fn, k, lo, hi):
-    """Shrink [lo, hi] until it contains exactly the k-th eigenvalue."""
-    n_lo = count_fn(lo)
+def _isolate(count, k, lo, hi):
+    """Shrink [lo, hi] until it contains exactly the k-th eigenvalue.
+
+    A generator, like ``count(lam)``, which returns the count below lam.
+    """
+    n_lo = yield from count(lo)
     steps = 0
     while n_lo > k - 1:
         hi, lo = lo, 2.0 * lo if lo < 0 else lo - 10.0
-        n_lo = count_fn(lo)
+        n_lo = yield from count(lo)
         steps += 1
         if steps > _EXPAND_CAP:
             raise NonConvergent("lower bracket expansion exceeded cap")
-    n_hi = count_fn(hi)
+    n_hi = yield from count(hi)
     while n_hi < k:
         hi = 2.0 * hi if hi > 0 else 10.0
-        n_hi = count_fn(hi)
+        n_hi = yield from count(hi)
         steps += 1
         if steps > _EXPAND_CAP:
             raise NonConvergent("upper bracket expansion exceeded cap")
     while n_lo < k - 1 or n_hi > k:
         mid = 0.5 * (lo + hi)
-        n_mid = count_fn(mid)
+        n_mid = yield from count(mid)
         if n_mid < n_lo or n_mid > n_hi:
             raise BracketFail(
                 f"node count not monotone at lam={mid} (got {n_mid} in [{n_lo},{n_hi}])")
@@ -242,84 +244,68 @@ def _seeds(spec: SLSpec, parity: str) -> tuple[float, ...]:
     return tuple(float(v) for v in (4.0 * v2 - v1) / 3.0)
 
 
-class _Root:
-    """One eigenvalue's solve: its seed bracket and the shots taken so far."""
+def _root(spec, k):
+    """The k-th eigenvalue's solve as a generator; returns the eigenvalue.
 
-    def __init__(self, spec, disc, k):
-        self.spec, self.disc = spec, disc
-        self.parity = _parity(k)
-        self.idx = (k + 1) // 2
-        # isolation starts at seed -+ _SEED_REL*max(1, |seed|), with the top
-        # seed for idx past the last one
-        seed = _seeds(spec, self.parity)[min(self.idx, _SEED_COUNT) - 1]
-        half = _SEED_REL * max(1.0, abs(seed))
-        self.bracket = (seed - half, seed + half)
-        self.counts = {}   # lam -> count, from counting shots
-        self.defects = {}  # lam -> defect, from counting and Brent shots alike
+    It yields ("count", lam), answered with the trajectory shot (nodes,
+    g(pi/2), g'(pi/2)), and ("defect", lam), answered with the end state.
+    Brent runs on the seed bracket if its ends count idx-1 and idx, else on
+    the one :func:`_isolate` finds.  Off one end state sign g(pi/2) =
+    (-1)^nodes (the shot starts with g > 0), the odd count is nodes and the
+    even count nodes + [g'(pi/2)*(-1)^nodes < 0]: the defect has sign
+    (-1)^count, and the two ends bracket a sign change.
+    """
+    parity, idx = _parity(k), (k + 1) // 2
+    seed = _seeds(spec, parity)[min(idx, _SEED_COUNT) - 1]
+    half = _SEED_REL * max(1.0, abs(seed))
+    lo, hi = seed - half, seed + half
 
-    def record(self, lam, nodes, g_end, gp_end):
-        """Keep a counting shot's count and defect."""
-        self.counts[lam] = _phase_count(nodes, g_end, gp_end, self.parity)
-        self.defects[lam] = _defect(g_end, gp_end, self.parity)
+    def count(lam):
+        return _phase_count(*(yield "count", lam), parity)
 
-    def count(self, lam):
-        """Half-band eigenvalues of this parity below lam; shoots only a new lam."""
-        if lam not in self.counts:
-            self.record(lam, *_half_shot(self.spec, self.disc, lam))
-        return self.counts[lam]
-
-    def brent(self):
-        """Brent's steps on the isolated bracket.
-
-        The isolated ends count idx-1 and idx, and each count came from the
-        shot whose defect is kept.  The shot starts with g > 0, so off one
-        end state sign g(pi/2) = (-1)^nodes, the odd count is nodes and the
-        even count nodes + [g'(pi/2)*(-1)^nodes < 0]: the defect has sign
-        (-1)^count, and the two ends bracket a sign change.
-        """
-        lo, hi = self.bracket
-        if self.counts.get(lo) != self.idx - 1 or self.counts.get(hi) != self.idx:
-            lo, hi = _isolate(self.count, self.idx, lo, hi)
-        return brent_steps(lo, hi, xtol=_LAM_TOL)
+    if ((yield from count(lo)), (yield from count(hi))) != (idx - 1, idx):
+        lo, hi = yield from _isolate(count, idx, lo, hi)
+    steps = brent_steps(lo, hi, xtol=_LAM_TOL)
+    lam = next(steps)
+    while True:
+        try:
+            lam = steps.send(_defect(*(yield "defect", lam), parity))
+        except StopIteration as stop:
+            return float(stop.value)
 
 
 def _solve(spec, ks):
-    """Eigenvalues of the distinct ``ks``: one seed-isolation-Brent path each.
+    """Eigenvalues of the distinct ``ks``: one :func:`_root` each, driven together.
 
-    The seed brackets of every seeded k are counted in two lane-batched
-    trajectory calls, one for the lower ends and one for the upper; a
-    correct seed's two counts already bracket its eigenvalue.  Only a k past
-    the seeds or whose seed bracket misses goes on to :func:`_isolate`,
-    which reads the counts already taken and shoots the rest one at a time.
-    The Brent solves (:func:`brent_steps`) run in lockstep: each round shoots
-    every solve's new defect in one end-state call.
+    Each round answers every root's requests whose lam this call has shot
+    already (a trajectory's last point is its end state, so a counting shot
+    answers a defect request too) and shoots the rest at once: the new
+    counting lams in one trajectory call, the new defect lams in one
+    end-state call.  No lam is shot twice in one call.
     """
     disc = _disc(spec)
-    roots = [_Root(spec, disc, k) for k in ks]
-    seeded = [r for r in roots if r.idx <= _SEED_COUNT]
-    for lams in zip(*(r.bracket for r in seeded)):  # the lower ends, then the upper
-        for r, lam, shot in zip(seeded, lams, _half_shots(spec, disc, lams)):
-            r.record(lam, *shot)
-
+    shots = {}  # lam -> (nodes, g(pi/2), g'(pi/2)); nodes is None for an end-state shot
+    roots = [_root(spec, k) for k in ks]
     out = [0.0] * len(roots)
-    brents = [r.brent() for r in roots]
-    wanted = [(i, next(b)) for i, b in enumerate(brents)]
-    while wanted:
-        shots = []
-        for i, lam in wanted:
-            defects = roots[i].defects
+    asks = {i: next(root) for i, root in enumerate(roots)}
+    while asks:
+        for i, (kind, lam) in list(asks.items()):
             try:
-                while lam in defects:
-                    lam = brents[i].send(defects[lam])
+                while lam in shots and (kind == "defect" or shots[lam][0] is not None):
+                    shot = shots[lam]
+                    kind, lam = roots[i].send(shot if kind == "count" else shot[1:])
             except StopIteration as stop:
-                out[i] = float(stop.value)
+                out[i] = stop.value
+                del asks[i]
             else:
-                shots.append((i, lam))
-        if shots:
-            ends = _shots(propagate_band_end, spec, disc, [lam for _, lam in shots])
-            for (i, lam), (g, gp) in zip(shots, ends):
-                roots[i].defects[lam] = _defect(float(g), float(gp), roots[i].parity)
-        wanted = shots
+                asks[i] = kind, lam
+        traj = list(dict.fromkeys(lam for kind, lam in asks.values() if kind == "count"))
+        ends = [lam for lam in dict.fromkeys(lam for _, lam in asks.values()) if lam not in traj]
+        if traj:
+            shots.update(zip(traj, _half_shots(spec, disc, traj)))
+        if ends:
+            for lam, (g, gp) in zip(ends, _shots(propagate_band_end, spec, disc, ends)):
+                shots[lam] = None, float(g), float(gp)
     return out
 
 

@@ -3,6 +3,10 @@ up/down-sweep tree implement the plain RK4 loop's arithmetic, so every
 downstream tolerance rests on that loop."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -201,3 +205,17 @@ def test_overflow_in_one_lane_is_nonfinite_result_without_warning(kernel):
         with pytest.raises(NonFiniteResult, match="overflow"):
             kernel(5.0, 6.0, np.array([6.0, 7.0, -1e12]), thetas, 1.0, 0.0)
     assert not caught, [str(w.message) for w in caught]
+
+
+def test_kernel_bench_runs():
+    # the benchmark reaches into kernels' private memos and step builder by
+    # name, so a kernel refactor that renames them must break this test
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, str(root / "benchmarks" / "kernel_bench.py"),
+                          "--sizes", "33", "--repeats", "1"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "band propagation, d=7" in res.stdout
+    assert "warm lane shots" in res.stdout

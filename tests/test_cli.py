@@ -337,6 +337,7 @@ _IN_CHILD = {"modes --dim 7 --mu-max nan", "modes --dim 7 --mu-max inf",
     ("spectrum --dim 7 --lambda-max nan", 64, "--lambda-max: 'nan' is not finite"),
     ("spectrum --dim 7 --lambda-max inf", 64, "not finite"),
     ("spectrum --dim 7 --lambda-max 1e300", 64, "invalid input: lambda_max=1e+300 needs"),
+    ("spectrum --dim 7 --lambda-max 1e6", 64, "invalid input: lambda_max=1e+06 is past"),
     ("weiss --dim 7 --field @cone --radii 1,nan", 64, "--radii: 'nan' is not finite"),
     ("weiss --dim 7 --field @cone --radii inf", 64, "not finite"),
     ("weiss --dim 7 --field @cone --radii 0", 64, "--radii: '0' is not positive"),

@@ -61,6 +61,22 @@ def _traced(fn):
     return f, xs
 
 
+def _isolated(spec, disc, parity, idx):
+    """sl's isolated bracket from its seed bracket, counting shots taken at once."""
+    seed = sl._seeds(spec, parity)[min(idx, sl._SEED_COUNT) - 1]
+    half = sl._SEED_REL * max(1.0, abs(seed))
+
+    def count(lam):  # a count step that does not yield
+        return sl._phase_count(*sl._half_shot(spec, disc, lam), parity)
+        yield
+
+    try:
+        next(sl._isolate(count, idx, seed - half, seed + half))
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("isolation requested a shot")
+
+
 def test_brentq_matches_scipy_on_band_defects(profiles):
     solved = 0
     for d, p in profiles.items():
@@ -71,9 +87,7 @@ def test_brentq_matches_scipy_on_band_defects(profiles):
                 for k in (1, 2, 3, 5):
                     parity = "even" if k % 2 == 1 else "odd"
                     idx = (k + 1) // 2
-                    lo, hi = sl._isolate(lambda lam: sl._phase_count(
-                        *sl._half_shot(spec, disc, lam), parity),
-                        idx, *sl._Root(spec, disc, k).bracket)
+                    lo, hi = _isolated(spec, disc, parity, idx)
                     def defect(lam):  # the end-state shot of sl's Brent loop
                         return sl._defect(*sl.propagate_band_end(
                             spec.dim - 2, spec.mu, lam, disc["left"], *sl._y_left(spec)), parity)

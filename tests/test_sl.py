@@ -318,16 +318,41 @@ def _one_at_a_time(spec, ks):
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
 def test_lockstep_eigenvalues_equal_one_at_a_time(p3, p7, mu, bc):
     # each lane repeats its scalar shot exactly, and each Brent solve sees the
-    # same values whatever else runs in its round
+    # same values whatever else runs in its round; past the 8 seeds of a
+    # parity (k > 16) the roots also share their counting shots
     for p in (p3, p7):
         spec = band_spec(p, mu, bc)
-        want = _one_at_a_time(spec, range(1, 9))
+        want = _one_at_a_time(spec, range(1, 41))
         try:
-            assert eigenvalues(spec, range(1, 9)) == want, (p.dim, mu, bc)
+            for top in (8, 40):
+                sl._memo.clear()
+                assert eigenvalues(spec, range(1, top + 1)) == want[:top], (p.dim, mu, bc, top)
             # the memo answers in any order, with repeats
             assert eigenvalues(spec, [3, 1, 3]) == [want[2], want[0], want[2]]
         finally:
             sl._memo.clear()
+
+
+def test_lockstep_work_count(p7, monkeypatch):
+    # the 40 roots of one call share one table of shots: past the seeds they
+    # share the top seed's doubling and bisection midpoints, so the whole
+    # batch takes 67 trajectory lanes in 9 calls
+    spec = band_spec(p7, 0.0, "robin")
+    calls, lanes = [], []
+
+    def counted(dm2, mu, lam, *rest, _shoot=sl.propagate_band):
+        calls.append(1)
+        lanes.extend(np.atleast_1d(lam).tolist())
+        return _shoot(dm2, mu, lam, *rest)
+
+    monkeypatch.setattr(sl, "propagate_band", counted)
+    sl._memo.clear()
+    try:
+        eigenvalues(spec, range(1, 41))
+    finally:
+        sl._memo.clear()
+    assert len(set(lanes)) == len(lanes)  # no lam is shot twice
+    assert len(lanes) <= 67 and len(calls) <= 9, (len(lanes), len(calls))
 
 
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
