@@ -22,7 +22,7 @@ from ._version import __version__
 from .boundary import boundary_modes
 from .config import load_config
 from .errors import ConfigError, NonFiniteResult, NumericalError, UsageError
-from .linkspec import link_spectrum, verify_strong_integrability
+from .linkspec import link_spectrum, resolved_lambda_max, verify_strong_integrability
 from .profile import solve_profile
 from .radial import build_up, make_source
 from .sl import band_spec, eigen_k
@@ -275,6 +275,12 @@ def _dispatch(args, cfg) -> int:
         if not coeffs:
             raise ValueError(f"{args.modes}: coeffs must name at least one boundary mode")
         p = solve_profile(args.dim, cfg)
+        top = resolved_lambda_max(p)
+        if 4.0 * args.dim > top:
+            raise ValueError(f"grid_n={cfg.grid_n} is too coarse for particular at "
+                             f"d={args.dim}: it needs the link spectrum up to "
+                             f"4d = {4 * args.dim}, and its band grid resolves "
+                             f"eigenvalues <= {top:.4g}")
         link = link_spectrum(p, 4.0 * args.dim)
         bmodes = boundary_modes(p, max(coeffs) + 2)
         src = make_source(args.beta, coeffs, link)

@@ -21,7 +21,7 @@ import numpy as np
 from ._quad import simpson
 from .config import DEFAULT_CONFIG, RES_TOL, SolverConfig
 from .errors import AmbiguousCluster
-from .profile import ConeProfile, band_points, jacobi_fields
+from .profile import ConeProfile, jacobi_fields
 from .sl import band_spec, count_below, eigen_k, eigenvalue, eigenvalues
 from .spheremodes import _MAX_DEGREE, modes_up_to
 
@@ -73,6 +73,12 @@ def _entry(d, ell, k, lam, mult):
                           **homogeneity(d, lam))
 
 
+def resolved_lambda_max(p: ConeProfile) -> float:
+    """Largest lambda_max the band grid of ``p`` resolves (h^2 lambda_max <= _H2_LAMBDA_MAX)."""
+    h = (p.band[1] - p.band[0]) / (p.grid.size - 1)
+    return _H2_LAMBDA_MAX / (h * h)
+
+
 def assemble(p: ConeProfile, lambda_max: float) -> list[LinkEigenvalue]:
     """All link eigenvalues <= lambda_max, sorted, with multiplicities.
 
@@ -92,11 +98,10 @@ def assemble(p: ConeProfile, lambda_max: float) -> list[LinkEigenvalue]:
     except ValueError:
         raise ValueError(f"lambda_max={lambda_max:g} needs sphere modes past degree "
                          f"{_MAX_DEGREE}, the most a mode table may hold") from None
-    h = (spec0.band[1] - spec0.band[0]) / (band_points(spec0.grid_n) - 1)
-    if h * h * lambda_max > _H2_LAMBDA_MAX:
+    top = resolved_lambda_max(p)
+    if lambda_max > top:
         raise ValueError(f"lambda_max={lambda_max:g} is past what the band grid resolves: "
-                         f"grid_n={spec0.grid_n} allows lambda_max <= "
-                         f"{_H2_LAMBDA_MAX / (h * h):.4g}")
+                         f"grid_n={spec0.grid_n} allows lambda_max <= {top:.4g}")
     out = []
     for mode in modes:
         spec = band_spec(p, float(mode.mu), "robin")

@@ -14,9 +14,10 @@ for a positive sign, infinity otherwise; infinite limits enter through the
 analytic tail of the power-law integrand).  u_p = u1 + u2 then decays like
 r^{1-beta}.
 
-Radial quantities live on a geometric grid of ratio 2^{1/16}; log-axis
-quadrature is cumulative Simpson with per-mode refinement so that steep
-powers r^P stay resolved.
+Radial quantities live on a geometric grid of ratio 2^{1/16}.  Each mode is
+solved on the log axis tau = log r, refined per mode so that steep powers r^P
+stay resolved; the running integrals sum per-interval integrals of the cubic
+through the 4 nearest samples (see _segment_integrals).
 """
 
 from __future__ import annotations
@@ -241,6 +242,13 @@ def project_interior(f: RadialField, p: ConeProfile,
     return field, tail
 
 
+# Interior stencils as np.convolve kernels: "valid" output i covers samples
+# i..i+K-1 and weights sample i+j by kernel entry K-1-j (convolve flips the
+# kernel), so these symmetric kernels read as written
+_SEG_STENCIL = np.array([-1.0, 13.0, 13.0, -1.0])
+_D2_STENCIL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
+
+
 def _segment_integrals(y: np.ndarray, dx: float) -> np.ndarray:
     """Per-interval integrals from the cubic through the 4 nearest samples.
 
@@ -250,7 +258,7 @@ def _segment_integrals(y: np.ndarray, dx: float) -> np.ndarray:
     """
     c = dx / 24.0
     seg = np.empty(y.size - 1)
-    seg[1:-1] = c * (-y[:-3] + 13 * y[1:-2] + 13 * y[2:-1] - y[3:])
+    np.multiply(np.convolve(y, _SEG_STENCIL, "valid"), c, out=seg[1:-1])
     seg[0] = c * (9 * y[0] + 19 * y[1] - 5 * y[2] + y[3])
     seg[-1] = c * (y[-4] - 5 * y[-3] + 19 * y[-2] + 9 * y[-1])
     return seg
@@ -274,28 +282,37 @@ def _cumulative_down(y: np.ndarray, dx: float) -> np.ndarray:
     seg = _segment_integrals(y, dx)
     out = np.empty(y.size)
     out[-1] = 0.0
-    out[:-1] = np.cumsum(seg[::-1])[::-1]
+    np.cumsum(seg[::-1], out=out[-2::-1])
     return out
 
 
 def _fit_power(r: np.ndarray, c: np.ndarray):
-    """Fit c(r) = C * r^sigma; returns (C, sigma, max log-residual)."""
-    scale = float(np.max(np.abs(c)))
+    """Fit c(r) = C * r^sigma; returns (C, sigma, max log-residual).
+
+    Least squares of log|c| = sigma log r + b in closed form over the samples
+    above 1e-14 of the peak; None when their signs differ (or fewer than two
+    samples fix no exponent).
+    """
+    a = np.abs(c)
+    scale = float(a.max())
     if scale == 0.0:
         return 0.0, 0.0, 0.0
-    signs = np.sign(c[np.abs(c) > 1e-14 * scale])
-    if signs.size == 0 or np.any(signs != signs[0]):
+    mask = a > 1e-14 * scale
+    signs = np.sign(c[mask])
+    if signs.size < 2 or (signs != signs[0]).any():
         return None
-    mask = np.abs(c) > 1e-14 * scale
-    lx, ly = np.log(r[mask]), np.log(np.abs(c[mask]))
-    sigma, b = np.polyfit(lx, ly, 1)
-    resid = float(np.max(np.abs(ly - (sigma * lx + b))))
-    return float(signs[0]) * math.exp(b), float(sigma), resid
+    lx, ly = np.log(r[mask]), np.log(a[mask])
+    mx, my = lx.sum() / lx.size, ly.sum() / ly.size
+    dx = lx - mx
+    sigma = float(dx @ (ly - my) / (dx @ dx))
+    b = float(my - sigma * mx)
+    resid = float(np.abs(ly - (sigma * lx + b)).max())
+    return float(signs[0]) * math.exp(b), sigma, resid
 
 
 def _d2_uniform(y, h):
     d = np.empty_like(y)
-    d[2:-2] = (-y[4:] + 16 * y[3:-1] - 30 * y[2:-2] + 16 * y[1:-3] - y[:-4]) / (12 * h * h)
+    np.divide(np.convolve(y, _D2_STENCIL, "valid"), 12 * h * h, out=d[2:-2])
     d[:2] = d[2]
     d[-2:] = d[-3]
     return d
@@ -304,7 +321,11 @@ def _d2_uniform(y, h):
 @np.errstate(over="raise", invalid="raise")
 def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
                 flip_rules: bool):
-    """One mode's radial solve: (profile on the base grid, max ODE defect)."""
+    """One mode's radial solve: (profile on the base grid, max ODE defect).
+
+    Every power r^a of the refined grid is exp(a tau) on the log grid
+    tau_i = log r0 + i dtau / refine.
+    """
     dtau = math.log(r[1] / r[0])
     if entry.complex_radicand:
         raise NumericalError(
@@ -327,8 +348,6 @@ def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
                 f"mode {entry.source}: non-power-law profile, cannot close the "
                 "infinite-limit tail")
         refine = 1
-        r_f = r
-        c_f = c_row
         C_amp, sigma = None, None
     else:
         C_amp, sigma, _ = fit
@@ -337,10 +356,11 @@ def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
                 f"mode {entry.source}: fitted decay {sigma:.6f} != -1-beta, "
                 "tail closed form invalid")
         refine = max(1, math.ceil(max(abs(P), abs(Q), 2 * delta) * dtau / _TARGET_STEP))
-        r_f = r[0] * np.exp(dtau / refine * np.arange((r.size - 1) * refine + 1))
-        c_f = C_amp * r_f ** sigma
 
     dtf = dtau / refine
+    tau = np.arange((r.size - 1) * refine + 1, dtype=float)
+    tau *= dtf
+    tau += math.log(r[0])
     gam_p = -(d - 2) / 2 + delta
     # inner integral I(s) = int_a^s t^{delta + d/2} f(t) dt on the log axis;
     # for a power-law profile the finite-end anchor is pushed from R0 down
@@ -348,33 +368,59 @@ def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
     # rule picked the finite end), so no homogeneous transient is injected
     # and the result collapses to the power ansatz.  flip_rules keeps the
     # raw R0 anchor: the transient is the point of that mode.
-    y_in = r_f ** (delta + d / 2 + 1) * c_f
     inner_is_pure = C_amp is not None
-    if a_inf:
-        icum = -_cumulative_down(y_in, dtf) + C_amp * r_f[-1] ** P / P
+    if inner_is_pure:
+        y = np.exp((delta + d / 2 + 1 + sigma) * tau)
+        y *= C_amp
     else:
-        icum = _cumulative_up(y_in, dtf)
+        y = np.exp((delta + d / 2 + 1) * tau)
+        y *= c_row
+    if a_inf:
+        icum = _cumulative_down(y, dtf)
+        np.negative(icum, out=icum)
+        icum += C_amp * np.exp(P * tau[-1]) / P
+    else:
+        icum = _cumulative_up(y, dtf)
         if C_amp is not None and P > 0:
-            icum = icum + C_amp * r_f[0] ** P / P
+            icum += C_amp * np.exp(P * tau[0]) / P
         else:
             inner_is_pure = False
     # outer integral from b of s^{-1-2 delta} I(s)
-    y_out = r_f ** (-2 * delta) * icum
+    np.exp(-2 * delta * tau, out=y)
+    y *= icum
     if b_inf:
-        vcum = -_cumulative_down(y_out, dtf) + C_amp * r_f[-1] ** Q / (P * Q)
+        vcum = _cumulative_down(y, dtf)
+        np.negative(vcum, out=vcum)
+        vcum += C_amp * np.exp(Q * tau[-1]) / (P * Q)
     else:
-        vcum = _cumulative_up(y_out, dtf)
+        vcum = _cumulative_up(y, dtf)
         if inner_is_pure and Q > 0:
-            vcum = vcum + C_amp * r_f[0] ** Q / (P * Q)
-    u_f = r_f ** gam_p * vcum
+            vcum += C_amp * np.exp(Q * tau[0]) / (P * Q)
+    u_f = np.exp(gam_p * tau, out=y)
+    u_f *= vcum
 
-    f_f = c_f if refine > 1 else c_row
-    d1 = _derivative(u_f, dtf)
-    d2 = _d2_uniform(u_f, dtf)
-    res = d2 + (d - 2) * d1 - lam * u_f - r_f ** 2 * f_f
+    # residual d2 + (d-2) d1 - lam u - r^2 f on the log axis, built in place
+    res = _derivative(u_f, dtf)
+    res *= d - 2
+    res += _d2_uniform(u_f, dtf)
+    np.multiply(u_f, lam, out=icum)
+    res -= icum
+    if refine == 1:
+        r2f = np.exp(2 * tau, out=tau)
+        r2f *= c_row
+    else:
+        r2f = np.exp((sigma + 2) * tau, out=tau)
+        r2f *= C_amp
+    res -= r2f
     k = 3 * refine
-    resid = float(np.max(np.abs(res[k:-k]))) if res.size > 2 * k else \
-        float(np.max(np.abs(res)))
+    np.abs(res, out=res)
+    resid = float(np.max(res[k:-k])) if res.size > 2 * k else float(np.max(res))
+    # np.convolve does not raise on overflow, so a stencil sum past the
+    # float range surfaces here as inf or nan
+    if not (math.isfinite(resid) and np.isfinite(u_f).all()):
+        raise NonFiniteResult(
+            f"non-finite radial coefficients in mode {entry.source}: overflow in "
+            "a quadrature or difference stencil")
     return u_f[::refine], resid
 
 

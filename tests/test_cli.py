@@ -130,6 +130,9 @@ def test_verify_work_count(tmp_path, monkeypatch):
 @pytest.mark.parametrize("config, coeffs, code, message", [
     (None, {}, 64, "invalid input: .*coeffs must name at least one boundary mode"),
     ({"r_max": 1e300}, {"1": 1.0}, 2, "numerical error: non-finite radial coefficients"),
+    # particular needs the link spectrum up to 4d = 28, past what grid_n=192 resolves
+    ({"grid_n": 192}, {"1": 1.0}, 64,
+     r"invalid input: grid_n=192 is too coarse for particular at d=7: .* 4d = 28"),
 ])
 def test_particular_exit_contract(tmp_path, capsys, config, coeffs, code, message):
     modes = tmp_path / "m.json"

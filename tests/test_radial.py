@@ -9,19 +9,26 @@ design (tested below).
 import dataclasses
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from conespec.config import SolverConfig
-from conespec.errors import (NumericalError, ResonanceDivision,
+from conespec.errors import (NonFiniteResult, NumericalError, ResonanceDivision,
                              ResonantExponent, TailDivergence)
 from conespec.linkspec import LinkEigenvalue, homogeneity
-from conespec.radial import (RadialField, SourceSpec, add_fields,
-                             boundary_residual, build_up, classify_decay,
+from conespec.radial import (RadialField, SourceSpec, _cumulative_down, _cumulative_up,
+                             _d2_uniform, _fit_power, _segment_integrals, _solve_mode,
+                             add_fields, boundary_residual, build_up, classify_decay,
                              make_source, ode_residuals, project_interior,
                              radial_grid, scale_field, solve_radial_modes,
                              transfer_boundary)
+from conespec.sl import _derivative
 
 BETA = 0.7
 
@@ -422,3 +429,125 @@ def test_project_interior_work_count(p7, link7, bmodes7, monkeypatch):
         monkeypatch.setattr(sl, name, counted)
     project_interior(f, p7, link7)
     assert 0 < len(calls) <= 7, len(calls)
+
+
+@pytest.mark.parametrize("source, beta", [
+    ((0, 2), 6.5),   # P = -0.5, Q = -5.5: both limits infinite
+    ((0, 3), BETA),  # P = 8.45, Q = -2.85: outer limit infinite
+    ((2, 1), BETA),  # P = 6.57, Q = -0.97: outer limit infinite
+    ((0, 1), BETA),  # P = 3.54, Q = 2.06: both limits at R0
+])
+def test_solve_mode_power_law_oracle(link7, source, beta):
+    # c = C r^sigma with sigma = -1-beta has the particular solution
+    # A r^{sigma+2}, A = C / ((sigma+2)(sigma+d) - lambda): the analytic
+    # anchors must leave no homogeneous transient anywhere on the grid
+    d, C = 7, -2.5
+    entry = link7.find(source)
+    P, Q = 3.5 + entry.delta - beta, 3.5 - entry.delta - beta
+    assert (P < 0) == (source == (0, 2)) and (Q < 0) == (source != (0, 1))
+    r = radial_grid()
+    sigma = -1.0 - beta
+    u, resid = _solve_mode(entry, C * r ** sigma, r, d, beta, False)
+    ref = C / ((sigma + 2) * (sigma + d) - entry.lam) * r ** (sigma + 2)
+    # the cubic segment rule at log-step |exponent| * h <= 0.02 leaves ~2e-9
+    assert np.max(np.abs(u - ref) / np.abs(ref)) <= 1e-8
+    assert resid <= 1e-7 * float(np.max(np.abs(C * r ** (sigma + 2))))
+
+
+def test_fit_power_matches_polyfit():
+    r = radial_grid()
+    rng = np.random.default_rng(3)
+    for c in (3.0 * r ** -1.7,
+              -0.4 * r ** 0.3 * np.exp(1e-3 * rng.standard_normal(r.size)),
+              2.0 * r ** -2.2 * (1 + 0.5 * np.sin(np.log(r)))):
+        C, sigma, resid = _fit_power(r, c)
+        lx, ly = np.log(r), np.log(np.abs(c))
+        s_ref, b_ref = np.polyfit(lx, ly, 1)
+        assert sigma == pytest.approx(s_ref, rel=1e-12, abs=1e-13)
+        assert C == pytest.approx(np.sign(c[0]) * math.exp(b_ref), rel=1e-12)
+        assert resid == pytest.approx(np.max(np.abs(ly - (s_ref * lx + b_ref))),
+                                      rel=1e-9, abs=1e-13)
+    # samples below 1e-14 of the peak neither vote on the sign nor enter the fit
+    c = r ** -1.7
+    c[-5:] = -1e-30
+    C, sigma, resid = _fit_power(r, c)
+    assert C == pytest.approx(1.0, rel=1e-12) and sigma == pytest.approx(-1.7, rel=1e-12)
+    c[-5:] = -1e-3
+    assert _fit_power(r, c) is None
+    assert _fit_power(r, np.zeros(r.size)) == (0.0, 0.0, 0.0)
+
+
+def test_stencils_match_slice_formulas():
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal(97)
+    h = 0.037
+    seg = _segment_integrals(y, h)
+    want = h / 24.0 * (-y[:-3] + 13 * y[1:-2] + 13 * y[2:-1] - y[3:])
+    np.testing.assert_allclose(seg[1:-1], want, rtol=1e-12, atol=1e-15)
+    assert seg[0] == h / 24.0 * (9 * y[0] + 19 * y[1] - 5 * y[2] + y[3])
+    assert seg[-1] == h / 24.0 * (y[-4] - 5 * y[-3] + 19 * y[-2] + 9 * y[-1])
+    np.testing.assert_allclose(_cumulative_up(y, h), np.concatenate([[0.0], np.cumsum(seg)]),
+                               rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(_cumulative_down(y, h),
+                               np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]),
+                               rtol=1e-12, atol=1e-14)
+    d2 = _d2_uniform(y, h)
+    want = (-y[4:] + 16 * y[3:-1] - 30 * y[2:-2] + 16 * y[1:-3] - y[:-4]) / (12 * h * h)
+    np.testing.assert_allclose(d2[2:-2], want, rtol=1e-12, atol=1e-9)
+    assert np.all(d2[:2] == d2[2]) and np.all(d2[-2:] == d2[-3])
+    d1 = _derivative(y, h)
+    want = (-y[4:] + 8 * y[3:-1] - 8 * y[1:-3] + y[:-4]) / (12 * h)
+    np.testing.assert_allclose(d1[2:-2], want, rtol=1e-12, atol=1e-11)
+    assert d1[0] == (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * h)
+    assert d1[-1] == (25 * y[-1] - 48 * y[-2] + 36 * y[-3] - 16 * y[-4] + 3 * y[-5]) / (12 * h)
+
+
+@pytest.mark.parametrize("case", ["scaled row", "stencil sum"])
+def test_overflowing_row_is_nonfinite_result(p7, link7, base_build, case):
+    # a scaled row overflows in an elementwise product; the bump row stays
+    # finite until the interior quadrature stencil sums it past the float
+    # range, where np.convolve raises nothing and the inf travels on
+    if case == "scaled row":
+        f = scale_field(base_build[3], 1e300)
+    else:
+        entry = link7.find((0, 1))
+        r = radial_grid()
+        bump = np.exp(-(np.log(r) - 3.5) ** 2)
+        f = _interior_field(link7, entry, [1e307 * r ** -(entry.delta + 4.5) * bump],
+                            BETA, p7.grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteResult, match="non-finite radial coefficients in mode"):
+            solve_radial_modes(f, link7, BETA)
+
+
+def test_silent_stencil_overflow_is_caught(p7, link7, monkeypatch):
+    # an inf from a convolve stencil in the residual raises no floating-point
+    # error, so the solve must check the finiteness of what it returns
+    from conespec import radial
+
+    def overflowing(vals, h):
+        d1 = _derivative(vals, h)
+        d1[d1.size // 2] = np.inf
+        return d1
+
+    monkeypatch.setattr(radial, "_derivative", overflowing)
+    entry = link7.find((0, 1))
+    r = radial_grid()
+    f = _interior_field(link7, entry, [r ** (-1 - BETA)], BETA, p7.grid)
+    with pytest.raises(NonFiniteResult, match=r"mode \(0, 1\): overflow"):
+        solve_radial_modes(f, link7, BETA)
+
+
+def test_radial_bench_runs():
+    # the benchmark reaches into radial's private _solve_mode, _derivative
+    # and _sign_exponents by name, so renaming them must break this test
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, str(root / "benchmarks" / "radial_bench.py"),
+                          "--dims", "7", "--repeats", "1"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "d=7: 16 modes" in res.stdout
+    assert "solve_radial_modes:" in res.stdout and "ns/point" in res.stdout
