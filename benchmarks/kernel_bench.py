@@ -14,7 +14,10 @@ up-sweep).  Each is timed in four cases:
   ``_step_entries``, with no memo lookup: what a memo build competes with.
 
 A second table times warm lane shots: 1, 2, 4, 8 and 16 lambdas in one step
-tree (the lane cap ``kernels._LANES`` lifted), as time per lane.  It is what the cap of 8 lanes per tree rests on.
+tree (the lane cap ``kernels._LANES`` lifted), as time per lane.  It is what
+the cap of 8 lanes per tree rests on.  Its ``states`` row times the call
+``boundary`` makes: the start states (1, 0) and (0, 1) as two lanes at one
+lambda, which share one step tree.
 
 This is a kernel micro-benchmark; the end-to-end benchmark is
 ``perfbench/run.py``.  Usage:
@@ -78,6 +81,18 @@ def lane_time(shot, dm2, mu, lam, thetas, lanes, repeats):
     return best / lanes
 
 
+def states_time(dm2, mu, thetas, repeats):
+    """Best warm time per lane of boundary's two start-state lanes at lambda = 0."""
+    g0, gp0 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    kernels.propagate_band(dm2, mu, 0.0, thetas, g0, gp0)  # warm-up
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        kernels.propagate_band(dm2, mu, 0.0, thetas, g0, gp0)
+        best = min(best, time.perf_counter() - t0)
+    return best / 2
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dim", type=int, default=7)
@@ -102,15 +117,18 @@ def main():
                 print(row)
 
     print(f"\nwarm lane shots, mu={2 * (d - 1)}: ms per lane")
-    print(f"{'n':>6}{'shot':>6}" + "".join(f"{lanes:>9}" for lanes in LANES))
+    print(f"{'n':>6}{'shot':>7}" + "".join(f"{lanes:>9}" for lanes in LANES))
     for n in sizes:
         thetas = np.linspace(math.pi / 2 - 0.55, math.pi / 2, n)
         for name, shot in KERNELS.items():
-            row = f"{n:>6}{name:>6}"
+            row = f"{n:>6}{name:>7}"
             for lanes in LANES:
                 t = lane_time(shot, d - 2, 2.0 * (d - 1), lam, thetas, lanes, args.repeats)
                 row += f"{t * 1e3:>9.3f}"
             print(row)
+        t = states_time(d - 2, 2.0 * (d - 1), thetas, args.repeats)
+        print(f"{n:>6}{'states':>7}" + "".join(f"{t * 1e3:>9.3f}" if lanes == 2 else f"{'-':>9}"
+                                             for lanes in LANES))
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import numpy as np
 from .config import RES_TOL
 from .errors import DegenerateBasis, NonConvergent
 from .kernels import propagate_band
-from .profile import ConeProfile
+from .profile import ConeProfile, mirror_half
 from .sl import _fv_robin
 from .spheremodes import modes_up_to
 
@@ -65,9 +65,8 @@ def _harmonic_pair(p: ConeProfile, mu: float):
         raise DegenerateBasis(
             f"fundamental solutions at mu={mu} lost independence "
             f"(Wronskian defect {abs(wr - 1.0):.2e})")
-    even = (np.concatenate([qe[-1:0:-1], qe]), np.concatenate([-qpe[-1:0:-1], qpe]))
-    odd = (np.concatenate([-qo[-1:0:-1], qo]), np.concatenate([qpo[-1:0:-1], qpo]))
-    return even, odd
+    return (mirror_half(qe, qpe, even=True, left=False),
+            mirror_half(qo, qpo, even=False, left=False))
 
 
 def _endpoint_ell(p, q, qp):
@@ -107,8 +106,7 @@ def boundary_modes(p: ConeProfile, ell_max_count: int) -> list[BoundaryMode]:
         if mode.ell >= _ELL_CAP:
             raise NonConvergent("boundary-mode enumeration exceeded the sphere-mode cap")
     found.sort(key=lambda m: (-m.ell_k, m.ell, m.parity))
-    out = [dataclasses.replace(m, k=i + 1) for i, m in enumerate(found[:ell_max_count])]
-    return out
+    return [dataclasses.replace(m, k=i + 1) for i, m in enumerate(found[:ell_max_count])]
 
 
 def _steklov_fd_once(p: ConeProfile, mu: float, n: int):

@@ -19,24 +19,20 @@ Both write the RK4 update as 2x2 step matrices y_{i+1} = T_i y_i (the
 step-matrix form of Pryce, "Numerical Solution of Sturm-Liouville
 Problems", 1993).  Only c = mu / sin^2 - lam depends on (mu, lam),
 affinely, and T_i is exactly quadratic in the two together (monomials 1,
-lam, lam^2, mu, mu lam, mu^2).  Its coefficients are built once per
-(dm2, grid) and memoized: the lam part (:func:`_lam_part`) on the first
-shot, the mu part (:func:`_mu_part`) only on the first shot at mu != 0, so
-a grid shot only at mu = 0 never pays for it.  For each mu they collapse to
-P0 + lam P1 + lam^2 P2 (:func:`_step_poly`), which each shot evaluates by
-Horner's rule.  A grid shot only once, like the profile's, costs one lam
-part build, which is no dearer than the stage arithmetic itself.
+lam, lam^2, mu, mu lam, mu^2).  Its coefficients are memoized per
+(dm2, grid) and collapse per mu to P0 + lam P1 + lam^2 P2 (:func:`_step_poly`),
+which each shot evaluates by Horner's rule.
 One tree serves both entry points (Blelloch, "Prefix sums and their
 applications", 1990): its up-sweep of pairwise products gives the end state,
 and a down-sweep of states gives the trajectory, O(n) products each.  Both
 only reassociate the products of the plain RK4 loop ``_rk4_band`` in
 ``tests/test_backends.py``, the tests' reference, whose stage arithmetic
 :func:`_step_entries` writes out entrywise.
-A 1-D ``lam`` shoots lanes: step matrices of shape (2, 2, lanes, steps) from
-the same quadratics run through the same tree, up to :data:`_LANES` lanes per
-tree, so each lane is bit-identical to its scalar shot and a lane costs far
-less than a call.  1-D start states ``g0, gp0`` at one lam share one tree,
-whose up-sweep is built once.
+A 1-D ``lam``, ``g0`` or ``gp0`` shoots lanes: step matrices of shape
+(2, 2, lanes, steps) from the same quadratics run through the same tree, up
+to :data:`_LANES` lanes per tree, so each lane is bit-identical to its scalar
+shot and a lane costs far less than a call.  Start-state lanes at one lam
+share one (2, 2, 1, steps) tree, whose up-sweep is built once.
 An overflow or NaN inside a shot raises :class:`NonFiniteResult` instead of
 printing a numpy warning.
 """
@@ -184,7 +180,7 @@ def _step_poly(dm2, mu, grid):
 def _steps(dm2, mu, lam, thetas):
     """Step matrices at (mu, lam) by Horner's rule on the memoized quadratics.
 
-    An array ``lam`` puts a lane axis before the steps: (2, 2, lanes, steps).
+    A 1-D ``lam`` puts a lane axis before the steps: (2, 2, lanes, steps).
     """
     p0, p1, p2 = _step_poly(dm2, mu, thetas.tobytes())
     if isinstance(lam, np.ndarray):
@@ -196,14 +192,6 @@ def _steps(dm2, mu, lam, thetas):
     t *= lam
     t += p0
     return t
-
-
-def _tree(dm2, mu, lam, thetas, g0):
-    """Up-sweep of the step matrices; start-state lanes at one lam share it."""
-    t = _steps(dm2, mu, lam, thetas)
-    if isinstance(g0, np.ndarray) and not isinstance(lam, np.ndarray):
-        t = t[:, :, None]
-    return _up_sweep(t)
 
 
 def _up_sweep(t):
@@ -235,10 +223,7 @@ def _end_state(levels, g0, gp0):
 
 def _rk4_end(dm2, mu, lam, thetas, g0, gp0):
     """End state of the RK4 shot: the up-sweep of the step tree."""
-    y0, y1 = _end_state(_tree(dm2, mu, lam, thetas, g0), g0, gp0)
-    if isinstance(g0, np.ndarray):
-        return y0, y1
-    return float(y0), float(y1)
+    return _end_state(_up_sweep(_steps(dm2, mu, lam, thetas)), g0, gp0)
 
 
 def _rk4_trajectory(dm2, mu, lam, thetas, g0, gp0):
@@ -249,7 +234,7 @@ def _rk4_trajectory(dm2, mu, lam, thetas, g0, gp0):
     to that state, so the leaf level holds the state before every step; the
     last point is the end state of :func:`_rk4_end`.
     """
-    levels = _tree(dm2, mu, lam, thetas, g0)
+    levels = _up_sweep(_steps(dm2, mu, lam, thetas))
     state = np.array([g0, gp0])[..., None]
     for t in reversed(levels[:-1]):
         m = t.shape[-1]
@@ -287,18 +272,17 @@ def _finite_shot(kernel, dm2, mu, lam, thetas, g0, gp0):
 
 
 def _lane_shots(kernel, dm2, mu, lam, thetas, g0, gp0):
-    """Lanes (a 1-D array lam, g0 or gp0) in chunks of at most _LANES.
-
-    The start states are given one value per lane, and a scalar lam stays
-    one value for all lanes.  Inside the kernels an array g0 marks a lane
-    shot and an array lam a lane of lams.
-    """
-    lam_lanes = _is_lanes(lam)
-    lam = np.asarray(lam, dtype=np.float64) if lam_lanes else float(lam)
-    g0, gp0 = (np.asarray(v, dtype=np.float64) for v in (g0, gp0))
-    lanes = max(lam.size if lam_lanes else 1, g0.size, gp0.size)
+    """Lanes (a 1-D array lam, g0 or gp0) in chunks of at most _LANES; a scalar
+    start state repeats per lane, and a scalar lam becomes one entry all lanes share."""
+    lam, g0, gp0 = (np.asarray(v, dtype=np.float64) for v in (lam, g0, gp0))
+    shapes = {v.shape for v in (lam, g0, gp0) if v.ndim}
+    if len(shapes) > 1 or len(shape := min(shapes)) > 1 or not shape[0]:
+        raise ValueError("lanes need 1-D lam, g0 and gp0 of one nonzero length, got "
+                         f"lam {lam.shape}, g0 {g0.shape}, gp0 {gp0.shape}")
+    lanes = shape[0]
+    lam = lam.reshape(-1)
     g0, gp0 = (v if v.ndim else np.full(lanes, v) for v in (g0, gp0))
-    chunks = [kernel(dm2, mu, lam[i:i + _LANES] if lam_lanes else lam, thetas,
+    chunks = [kernel(dm2, mu, lam if lam.size == 1 else lam[i:i + _LANES], thetas,
                      g0[i:i + _LANES], gp0[i:i + _LANES])
               for i in range(0, lanes, _LANES)]
     return tuple(np.concatenate(part) for part in zip(*chunks))
@@ -309,7 +293,8 @@ def propagate_band(dm2: float, mu: float, lam, thetas: np.ndarray, g0, gp0):
 
     Scalar arguments give arrays of shape (points,).  A 1-D ``lam``, ``g0``
     or ``gp0`` gives one lane per entry, shape (lanes, points), each lane
-    bit-identical to its scalar shot.
+    bit-identical to its scalar shot; 1-D arguments of different lengths, a
+    2-D one or an empty one raise ``ValueError``.
     """
     return _finite_shot(_rk4_trajectory, dm2, mu, lam, thetas, g0, gp0)
 
@@ -317,6 +302,6 @@ def propagate_band(dm2: float, mu: float, lam, thetas: np.ndarray, g0, gp0):
 def propagate_band_end(dm2: float, mu: float, lam, thetas: np.ndarray, g0, gp0):
     """End state (g, g') of :func:`propagate_band` without the trajectory.
 
-    Floats for a scalar shot, arrays of shape (lanes,) for lanes.
+    Float scalars for a scalar shot, arrays of shape (lanes,) for lanes.
     """
     return _finite_shot(_rk4_end, dm2, mu, lam, thetas, g0, gp0)

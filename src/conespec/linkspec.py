@@ -45,6 +45,11 @@ class LinkEigenvalue:
     log_mode: bool
     complex_radicand: bool
 
+    @classmethod
+    def of(cls, d: int, source: tuple[int, int], lam: float, multiplicity: int):
+        """Eigenvalue ``lam`` of band mode ``source`` = (ell, k) with its homogeneity data."""
+        return cls(lam=lam, multiplicity=multiplicity, source=source, **homogeneity(d, lam))
+
 
 def homogeneity(d: int, lam: float) -> dict:
     """Radial homogeneity data attached to a link eigenvalue.
@@ -66,11 +71,6 @@ def homogeneity(d: int, lam: float) -> dict:
     return {"delta": delta, "gamma_plus": -half + delta,
             "gamma_minus": -half - delta, "log_mode": False,
             "complex_radicand": False}
-
-
-def _entry(d, ell, k, lam, mult):
-    return LinkEigenvalue(lam=lam, multiplicity=mult, source=(ell, k),
-                          **homogeneity(d, lam))
 
 
 def resolved_lambda_max(p: ConeProfile) -> float:
@@ -108,7 +108,7 @@ def assemble(p: ConeProfile, lambda_max: float) -> list[LinkEigenvalue]:
         count = count_below(spec, lambda_max)
         for k, lam in enumerate(eigenvalues(spec, range(1, count + 1)), start=1):
             if lam <= lambda_max:
-                out.append(_entry(d, mode.ell, k, lam, mode.multiplicity))
+                out.append(LinkEigenvalue.of(d, (mode.ell, k), lam, mode.multiplicity))
     out.sort(key=lambda e: (e.lam, e.source))
     return out
 
@@ -191,7 +191,7 @@ def _walk_to_gap(p: ConeProfile, tol: float) -> list[LinkEigenvalue]:
             if k > n:
                 return
             lam = eigenvalue(spec, k)
-            out.append(_entry(d, mode.ell, k, lam, mode.multiplicity))
+            out.append(LinkEigenvalue.of(d, (mode.ell, k), lam, mode.multiplicity))
             if lam > low:
                 best = min(best, lam)
             k += 1

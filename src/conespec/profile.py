@@ -73,6 +73,17 @@ def band_points(grid_n: int) -> int:
     return n
 
 
+def mirror_half(g, gp, even: bool, left: bool):
+    """Full-band (g, g') from the half band ending (``left``) or starting at pi/2:
+    the other half mirrors it, g even or odd and g' the opposite (an odd image negated)."""
+    def full(h, odd):
+        image = h[-2::-1] if left else h[:0:-1]
+        if odd:
+            image = -image
+        return np.concatenate([h, image] if left else [image, h])
+    return full(g, not even), full(gp, even)
+
+
 def _refined_root(d, lo, y_lo, hi):
     """Brent's method for the zero of g in [lo, hi]: (root, g'(root)).
 
@@ -135,8 +146,7 @@ def solve_profile(d: int, cfg: SolverConfig | None = None) -> ConeProfile:
 
     # g is even about pi/2 (cot is odd there), so the left half is the mirror image
     grid = np.concatenate([th_left[::-1], th_right[1:]])
-    g_all = norm_c * np.concatenate([g_r[:0:-1], g_r])
-    gp_all = norm_c * np.concatenate([-gp_r[:0:-1], gp_r])
+    g_all, gp_all = (norm_c * v for v in mirror_half(g_r, gp_r, even=True, left=False))
     g_all[0] = g_all[-1] = 0.0  # g vanishes on the free boundary, up to _ROOT_TOL
 
     return ConeProfile(dim=d, theta0=theta0, grid=grid, g=g_all, g_prime=gp_all,

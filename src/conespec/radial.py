@@ -17,7 +17,7 @@ r^{1-beta}.
 Radial quantities live on a geometric grid of ratio 2^{1/16}.  Each mode is
 solved on the log axis tau = log r, refined per mode so that steep powers r^P
 stay resolved; the running integrals sum per-interval integrals of the cubic
-through the 4 nearest samples (see _segment_integrals).
+through the 4 nearest samples (``_quad._segment_integrals``).
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ import math
 
 import numpy as np
 
-from ._quad import simpson
+from ._quad import _cumulative_down, _cumulative_up, _d2_uniform, _derivative, simpson
 from .boundary import BoundaryMode
 from .config import DEFAULT_CONFIG, RES_TOL, SolverConfig
 from .errors import (NonFiniteResult, NumericalError, ResonanceDivision, ResonantExponent,
                      TailDivergence)
-from .linkspec import LinkEigenvalue, LinkSpectrum, homogeneity
+from .linkspec import LinkEigenvalue, LinkSpectrum
 from .profile import ConeProfile
-from .sl import _derivative, band_spec, eigen_pairs
+from .sl import band_spec, eigen_pairs
 from .spheremodes import harmonic_multiplicity
 
 _POWER_FIT_TOL = 1e-7
@@ -68,12 +68,13 @@ class RadialField:
 
     def slope(self, decades: float = 1.0) -> float:
         """Log-log regression slope of the mode norm over the top decades."""
-        norms = self.mode_norm()
         mask = self.r_grid >= self.r_grid[-1] / 10.0 ** decades
-        norms = norms[mask]
+        if np.count_nonzero(mask) < 2:
+            raise ValueError(f"decades={decades} spans fewer than two radial samples")
+        norms = self.mode_norm()[mask]
         if np.max(norms, initial=0.0) == 0.0:
             return -math.inf
-        return float(np.polyfit(np.log(self.r_grid[mask]), np.log(norms), 1)[0])
+        return _line_fit(np.log(self.r_grid[mask]), np.log(norms))[0]
 
 
 def _mode_key(m):
@@ -217,10 +218,7 @@ def project_interior(f: RadialField, p: ConeProfile,
             try:
                 entry = link.find((ell, j))
             except KeyError:
-                entry = LinkEigenvalue(lam=pair.lam,
-                                       multiplicity=harmonic_multiplicity(d, ell),
-                                       source=(ell, j),
-                                       **homogeneity(d, pair.lam))
+                entry = LinkEigenvalue.of(d, (ell, j), pair.lam, harmonic_multiplicity(d, ell))
             c = np.zeros(f.r_grid.size)
             for i, m in enumerate(f.modes):
                 if m.ell != ell:
@@ -242,54 +240,18 @@ def project_interior(f: RadialField, p: ConeProfile,
     return field, tail
 
 
-# Interior stencils as np.convolve kernels: "valid" output i covers samples
-# i..i+K-1 and weights sample i+j by kernel entry K-1-j (convolve flips the
-# kernel), so these symmetric kernels read as written
-_SEG_STENCIL = np.array([-1.0, 13.0, 13.0, -1.0])
-_D2_STENCIL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
-
-
-def _segment_integrals(y: np.ndarray, dx: float) -> np.ndarray:
-    """Per-interval integrals from the cubic through the 4 nearest samples.
-
-    The symmetric stencil keeps the local error sign-consistent, so running
-    sums stay smooth (an alternating half-panel scheme leaves a sawtooth
-    that pointwise differentiation of the result would amplify by 1/h^2).
-    """
-    c = dx / 24.0
-    seg = np.empty(y.size - 1)
-    np.multiply(np.convolve(y, _SEG_STENCIL, "valid"), c, out=seg[1:-1])
-    seg[0] = c * (9 * y[0] + 19 * y[1] - 5 * y[2] + y[3])
-    seg[-1] = c * (y[-4] - 5 * y[-3] + 19 * y[-2] + 9 * y[-1])
-    return seg
-
-
-def _cumulative_up(y: np.ndarray, dx: float) -> np.ndarray:
-    """int_{x0}^{x_i} y dx for every grid point."""
-    out = np.empty(y.size)
-    out[0] = 0.0
-    np.cumsum(_segment_integrals(y, dx), out=out[1:])
-    return out
-
-
-def _cumulative_down(y: np.ndarray, dx: float) -> np.ndarray:
-    """int_{x_i}^{x_end} y dx, accumulated from the top end.
-
-    Summing from the far end keeps values near it relatively accurate —
-    computing them as differences of two nearly equal full-range sums would
-    cancel catastrophically.
-    """
-    seg = _segment_integrals(y, dx)
-    out = np.empty(y.size)
-    out[-1] = 0.0
-    np.cumsum(seg[::-1], out=out[-2::-1])
-    return out
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares line y = a x + b in closed form: (a, b)."""
+    mx, my = x.sum() / x.size, y.sum() / y.size
+    dx = x - mx
+    a = float(dx @ (y - my) / (dx @ dx))
+    return a, float(my - a * mx)
 
 
 def _fit_power(r: np.ndarray, c: np.ndarray):
     """Fit c(r) = C * r^sigma; returns (C, sigma, max log-residual).
 
-    Least squares of log|c| = sigma log r + b in closed form over the samples
+    The line log|c| = sigma log r + b (:func:`_line_fit`) over the samples
     above 1e-14 of the peak; None when their signs differ (or fewer than two
     samples fix no exponent).
     """
@@ -302,20 +264,22 @@ def _fit_power(r: np.ndarray, c: np.ndarray):
     if signs.size < 2 or (signs != signs[0]).any():
         return None
     lx, ly = np.log(r[mask]), np.log(a[mask])
-    mx, my = lx.sum() / lx.size, ly.sum() / ly.size
-    dx = lx - mx
-    sigma = float(dx @ (ly - my) / (dx @ dx))
-    b = float(my - sigma * mx)
+    sigma, b = _line_fit(lx, ly)
     resid = float(np.abs(ly - (sigma * lx + b)).max())
     return float(signs[0]) * math.exp(b), sigma, resid
 
 
-def _d2_uniform(y, h):
-    d = np.empty_like(y)
-    np.divide(np.convolve(y, _D2_STENCIL, "valid"), 12 * h * h, out=d[2:-2])
-    d[:2] = d[2]
-    d[-2:] = d[-3]
-    return d
+def _running_integral(y, dx, tau, to_inf, amp, rate, denom):
+    """Running integral of ``y`` on the log grid ``tau`` from infinity (``to_inf``) or
+    tau_0, plus amp e^{rate tau} / denom at the end it starts from (none if amp is None)."""
+    if to_inf:
+        out = _cumulative_down(y, dx)
+        np.negative(out, out=out)
+    else:
+        out = _cumulative_up(y, dx)
+    if amp is not None:
+        out += amp * np.exp(rate * tau[-1 if to_inf else 0]) / denom
+    return out
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -368,34 +332,21 @@ def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
     # rule picked the finite end), so no homogeneous transient is injected
     # and the result collapses to the power ansatz.  flip_rules keeps the
     # raw R0 anchor: the transient is the point of that mode.
-    inner_is_pure = C_amp is not None
-    if inner_is_pure:
+    if C_amp is not None:
         y = np.exp((delta + d / 2 + 1 + sigma) * tau)
         y *= C_amp
     else:
         y = np.exp((delta + d / 2 + 1) * tau)
         y *= c_row
-    if a_inf:
-        icum = _cumulative_down(y, dtf)
-        np.negative(icum, out=icum)
-        icum += C_amp * np.exp(P * tau[-1]) / P
-    else:
-        icum = _cumulative_up(y, dtf)
-        if C_amp is not None and P > 0:
-            icum += C_amp * np.exp(P * tau[0]) / P
-        else:
-            inner_is_pure = False
+    # I is a pure power when anchored at 0 or closed at infinity, and only
+    # then is the outer integral anchored too
+    inner_is_pure = C_amp is not None and (a_inf or P > 0)
+    icum = _running_integral(y, dtf, tau, a_inf, C_amp if inner_is_pure else None, P, P)
     # outer integral from b of s^{-1-2 delta} I(s)
     np.exp(-2 * delta * tau, out=y)
     y *= icum
-    if b_inf:
-        vcum = _cumulative_down(y, dtf)
-        np.negative(vcum, out=vcum)
-        vcum += C_amp * np.exp(Q * tau[-1]) / (P * Q)
-    else:
-        vcum = _cumulative_up(y, dtf)
-        if inner_is_pure and Q > 0:
-            vcum += C_amp * np.exp(Q * tau[0]) / (P * Q)
+    outer_amp = C_amp if inner_is_pure and (b_inf or Q > 0) else None
+    vcum = _running_integral(y, dtf, tau, b_inf, outer_amp, Q, P * Q)
     u_f = np.exp(gam_p * tau, out=y)
     u_f *= vcum
 

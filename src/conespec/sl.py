@@ -11,27 +11,14 @@ computed on the left half-band only: the k-th eigenpair is the ((k+1)//2)-th
 half-band problem with g'(pi/2) = 0 (k odd) or g(pi/2) = 0 (k even), and the
 full eigenfunction is its mirror image.
 
-Each eigenvalue is found along one path, one generator (:func:`_root`)
-that yields the shots it needs: seed, isolation, Brent.  Coarse
-finite-volume solves seed it: dense numpy eigenproblems on 64 and 128 cells
-with Richardson, once per (spec, parity) and cached, each on the half
-matrix of its own parity only.  The two ends of a narrow bracket around the
-seed (the top seed past the last one) are counted, and node-count isolation
-(:func:`_isolate`) runs only if they miss.  The count uses the Pruefer
-phase of the endpoint state, so no phase ODE is integrated.  Brent's method
-on the midpoint defect then gives the value.  Both parities start from the
-same left state, so one shot serves every root of a spec, and a counting
-shot's last point is the end state whose defect Brent needs.
-:func:`eigenvalues` solves one spec's eigenvalues together, memoized per
-(spec, k): each round its driver (:func:`_solve`) shoots the new counting
-lams in one lane-batched trajectory call and the new defect lams in one
-end-state call (:func:`propagate_band_end`), and no lam twice in one call.
-:func:`eigenvalue` is its one-k case.  :func:`eigen_pairs` adds one
-lane-batched trajectory call to assemble the eigenfunctions, which are not
-cached; :func:`eigen_k` is its one-k case.  The seeds only choose the
-bracket, so the independent finite-difference discretization
-(:func:`eigen_fd_crosscheck`, Richardson on the spec's own grid, solved by
-LAPACK through scipy) remains the oracle for derived eigenvalues.
+Each eigenvalue is one generator (:func:`_root`) that yields the shots it
+needs: a coarse finite-volume seed (:func:`_seeds`), node-count isolation
+(:func:`_isolate`) only if the seed bracket misses, then Brent's method on
+the midpoint defect.  :func:`eigenvalues` drives one spec's roots together
+(:func:`_solve`), memoized per (spec, k); :func:`eigen_pairs` adds one
+lane-batched shot for the eigenfunctions, which are not cached.  The seeds
+only choose the bracket, so the independent finite-difference
+discretization (:func:`eigen_fd_crosscheck`) remains the oracle.
 """
 
 from __future__ import annotations
@@ -42,10 +29,10 @@ import math
 
 import numpy as np
 
-from ._quad import brent_steps, simpson
+from ._quad import _derivative, brent_steps, simpson
 from .errors import BracketFail, NonConvergent, ZeroDenominator
 from .kernels import propagate_band, propagate_band_end
-from .profile import ConeProfile, band_points
+from .profile import ConeProfile, band_points, mirror_half
 
 _EXPAND_CAP = 60
 _BISECT_CAP = 300
@@ -203,13 +190,8 @@ def _parity(k):
 def _assemble_fn(spec, disc, lams, parities):
     """Full-band eigenfunctions: the left half-band shots at ``lams`` and their
     mirror images, of the given parities."""
-    out = []
-    for (g, gp), parity in zip(_shots(propagate_band, spec, disc, lams), parities):
-        if parity == "even":
-            out.append((np.concatenate([g, g[-2::-1]]), np.concatenate([gp, -gp[-2::-1]])))
-        else:
-            out.append((np.concatenate([g, -g[-2::-1]]), np.concatenate([gp, gp[-2::-1]])))
-    return out
+    return [mirror_half(g, gp, even=parity == "even", left=True)
+            for (g, gp), parity in zip(_shots(propagate_band, spec, disc, lams), parities)]
 
 
 def count_below(spec: SLSpec, lam: float) -> int:
@@ -434,23 +416,6 @@ def eigen_fd_crosscheck(spec: SLSpec, count: int) -> np.ndarray:
     v1 = _fd_values(spec, count, n)
     v2 = _fd_values(spec, count, 2 * n)
     return (4.0 * v2 - v1) / 3.0
-
-
-# np.convolve flips its kernel: "valid" output i is
-# vals[i] - 8 vals[i+1] + 8 vals[i+3] - vals[i+4]
-_D1_STENCIL = np.array([-1.0, 8.0, 0.0, -8.0, 1.0])
-
-
-def _derivative(vals: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order finite-difference derivative on a uniform grid."""
-    d = np.empty_like(vals)
-    np.divide(np.convolve(vals, _D1_STENCIL, "valid"), 12 * h, out=d[2:-2])
-    for i in (0, 1):
-        d[i] = (-25 * vals[i] + 48 * vals[i + 1] - 36 * vals[i + 2]
-                + 16 * vals[i + 3] - 3 * vals[i + 4]) / (12 * h)
-        d[-1 - i] = (25 * vals[-1 - i] - 48 * vals[-2 - i] + 36 * vals[-3 - i]
-                     - 16 * vals[-4 - i] + 3 * vals[-5 - i]) / (12 * h)
-    return d
 
 
 def rayleigh(spec: SLSpec, g: np.ndarray, gp: np.ndarray | None = None) -> float:

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quad import simpson
+from ._quad import D1_WEIGHTS, _derivative, simpson
 from .boundary import sphere_area
 from .errors import GridTooCoarse, MissingCoefficient, NonFiniteResult, NumericalError
 from .linkspec import LinkSpectrum
@@ -42,12 +42,14 @@ _RICHARDSON = 15.0  # halving gain assumed when estimating quadrature error
 _BLOCK = 16         # radii per batch: 16 x 512 samples keeps peak memory flat
 _N_HALFPLANE = 1025  # theta samples of the half-plane field on [0, pi/2]
 _QUAD_TOL = 1e-9    # relative error budget of the radial quadrature
+_UNIFORM_TOL = 1e-10  # relative spread of the theta steps that _derivative accepts
+_FD1_TAPS = D1_WEIGHTS != 0.0  # the samples the central first derivative weighs
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Component:
-    """One separable term rho(r) * q(theta); derivatives optional (finite
-    differences of the callables are used when omitted)."""
+    """One separable term rho(r) * q(theta); omitted derivatives are taken by
+    fourth-order finite differences (of q on its uniform theta grid)."""
 
     rho: Callable
     q: np.ndarray
@@ -66,12 +68,15 @@ class AxisymField:
     def __post_init__(self):
         if self.dim < 3:
             raise ValueError("dimension must be >= 3")
-        th = self.theta
-        if th[0] < -1e-14 or th[-1] > math.pi + 1e-14 or np.any(np.diff(th) <= 0):
+        th, step = self.theta, np.diff(self.theta)
+        if th[0] < -1e-14 or th[-1] > math.pi + 1e-14 or np.any(step <= 0):
             raise ValueError("theta grid must increase within [0, pi]")
         for c in self.components:
             if c.q.shape != th.shape:
                 raise ValueError("component samples must live on the field grid")
+        if any(c.q_prime is None for c in self.components) and (
+                th.size < 5 or np.ptp(step) > _UNIFORM_TOL * step.mean()):
+            raise ValueError("q_prime may be omitted only on a uniform theta grid of >= 5 points")
         q0 = self.components[0].q
         if np.min(q0) < -1e-12 * np.max(np.abs(q0)):
             raise ValueError("primary angular profile must be nonnegative")
@@ -101,8 +106,9 @@ def _fd1(f: Callable) -> Callable:
     on all stencil points in the order -2h, -h, +h, +2h."""
     def df(r: np.ndarray) -> np.ndarray:
         h = 1e-4 * np.maximum(r, 1e-8)
-        v = f((r[:, None] + h[:, None] * [-2.0, -1.0, 1.0, 2.0]).ravel()).reshape(-1, 4)
-        return (v[:, 0] - 8 * v[:, 1] + 8 * v[:, 2] - v[:, 3]) / (12 * h)
+        steps = np.arange(-2.0, 3.0)[_FD1_TAPS]
+        v = f((r[:, None] + h[:, None] * steps).ravel()).reshape(r.size, -1)
+        return v @ D1_WEIGHTS[_FD1_TAPS] / (12 * h)
     return df
 
 
@@ -112,15 +118,11 @@ def _grams(u: AxisymField):
     th = u.theta
     w = np.sin(th) ** (u.dim - 2)
     qs = [c.q for c in u.components]
-    qps = [c.q_prime if c.q_prime is not None else np.gradient(c.q, th, edge_order=2)
+    h = (th[-1] - th[0]) / (th.size - 1)
+    qps = [c.q_prime if c.q_prime is not None else _derivative(c.q, h)
            for c in u.components]
-    m = len(qs)
-    gq = np.empty((m, m))
-    gqp = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            gq[i, j] = simpson(qs[i] * qs[j] * w, x=th)
-            gqp[i, j] = simpson(qps[i] * qps[j] * w, x=th)
+    gq, gqp = (np.array([[simpson(a * b * w, x=th) for b in vs] for a in vs])
+               for vs in (qs, qps))
     sw = float(simpson(w, x=th))
     return gq, gqp, sw
 

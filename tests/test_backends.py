@@ -5,6 +5,7 @@ downstream tolerance rests on that loop."""
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -207,6 +208,21 @@ def test_overflow_in_one_lane_is_nonfinite_result_without_warning(kernel):
     assert not caught, [str(w.message) for w in caught]
 
 
+@pytest.mark.parametrize("kernel", [propagate_band, propagate_band_end])
+@pytest.mark.parametrize("lam, g0, shapes", [
+    (np.array([6.0, 7.0]), np.array([1.0, 0.0, 0.5]), "lam (2,), g0 (3,), gp0 ()"),
+    (np.array([[6.0, 7.0]]), 1.0, "lam (1, 2), g0 (), gp0 ()"),
+    (np.array([]), 1.0, "lam (0,), g0 (), gp0 ()"),
+    (6.0, np.array([]), "lam (), g0 (0,), gp0 ()"),
+], ids=["lengths differ", "2-D lam", "empty lam", "empty g0"])
+def test_malformed_lanes_are_rejected(kernel, lam, g0, shapes):
+    # lanes of different lengths, a 2-D lam and an empty lane array are
+    # refused before any step tree is built, naming the shapes
+    thetas = np.linspace(math.pi / 2 - 0.5, math.pi / 2, 33)
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        kernel(5.0, 6.0, lam, thetas, g0, 0.0)
+
+
 def test_kernel_bench_runs():
     # the benchmark reaches into kernels' private memos and step builder by
     # name, so a kernel refactor that renames them must break this test
@@ -219,3 +235,5 @@ def test_kernel_bench_runs():
     assert res.returncode == 0, res.stderr
     assert "band propagation, d=7" in res.stdout
     assert "warm lane shots" in res.stdout
+    # boundary's call: start states (1, 0) and (0, 1) at one lam, as 2 lanes
+    assert any(line.split()[:2] == ["33", "states"] for line in res.stdout.splitlines())

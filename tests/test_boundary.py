@@ -125,3 +125,13 @@ def test_degenerate_basis_on_coarse_grid(p7):
 def test_count_validation(p7):
     with pytest.raises(ValueError):
         boundary_modes(p7, 0)
+
+
+def test_modes_mirror_exactly(p7):
+    # psi is even or odd about the centre sample, sample for sample, and
+    # psi' has the opposite parity
+    for m in boundary_modes(p7, 12):
+        c = m.psi.size // 2
+        sign = 1.0 if m.parity == "even" else -1.0
+        assert np.array_equal(m.psi[:c], sign * m.psi[:c:-1]), (m.ell, m.parity)
+        assert np.array_equal(m.psi_prime[:c], -sign * m.psi_prime[:c:-1]), (m.ell, m.parity)

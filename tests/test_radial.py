@@ -22,13 +22,13 @@ from conespec.config import SolverConfig
 from conespec.errors import (NonFiniteResult, NumericalError, ResonanceDivision,
                              ResonantExponent, TailDivergence)
 from conespec.linkspec import LinkEigenvalue, homogeneity
-from conespec.radial import (RadialField, SourceSpec, _cumulative_down, _cumulative_up,
-                             _d2_uniform, _fit_power, _segment_integrals, _solve_mode,
+from conespec._quad import (_cumulative_down, _cumulative_up, _d2_uniform, _derivative,
+                            _segment_integrals)
+from conespec.radial import (RadialField, SourceSpec, _fit_power, _solve_mode,
                              add_fields, boundary_residual, build_up, classify_decay,
                              make_source, ode_residuals, project_interior,
                              radial_grid, scale_field, solve_radial_modes,
                              transfer_boundary)
-from conespec.sl import _derivative
 
 BETA = 0.7
 
@@ -264,6 +264,9 @@ def test_defect_slope_invariant(base_build):
     src, u1, f, f_int, tail, u2 = base_build
     assert abs(f.slope(1.0) - (-1 - BETA)) < 1e-6
     assert abs(u1.slope(1.0) - (1 - BETA)) < 1e-6
+    # the top 0.01 decades hold one sample of the 2^(1/16) grid: no line to fit
+    with pytest.raises(ValueError, match="fewer than two radial samples"):
+        u1.slope(0.01)
 
 
 def test_linearity(p7, link7, bmodes7):

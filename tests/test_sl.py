@@ -400,3 +400,14 @@ def test_harmonic_pair_equals_its_scalar_shots(p7):
             g, gp = propagate_band(p7.dim - 2, mu, 0.0, right, *start)
             half = right.size - 1
             assert np.array_equal(q[half:], g) and np.array_equal(qp[half:], gp)
+
+
+@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
+def test_eigenfunctions_mirror_exactly(p7, bc):
+    # eigenfunction k is even about the centre sample for odd k and odd for
+    # even k, sample for sample, and its derivative has the opposite parity
+    for k, pair in enumerate(eigen_pairs(band_spec(p7, 12.0, bc), range(1, 7)), start=1):
+        c = pair.fn.size // 2
+        sign = 1.0 if k % 2 else -1.0
+        assert np.array_equal(pair.fn[:c], sign * pair.fn[:c:-1]), k
+        assert np.array_equal(pair.fn_prime[:c], -sign * pair.fn_prime[:c:-1]), k

@@ -341,6 +341,28 @@ def test_field_validation(p7):
         AxisymField(2, p7.grid, (comp,))
 
 
+@pytest.mark.parametrize("dim", [3, 7, 12])
+def test_q_prime_fallback_matches_analytic_profile_derivative(dim, p3, p7):
+    # a component given q only takes q' from the fourth-order stencil on the
+    # uniform theta grid; the budget is the radial quadrature's own 1e-9
+    p = {3: p3, 7: p7}.get(dim) or solve_profile(dim)
+    for u in (cone_field(p), perturbed_field(p, 0.05, 2.5, 1)):
+        bare = AxisymField(u.dim, u.theta, tuple(dataclasses.replace(c, q_prime=None)
+                                                 for c in u.components))
+        assert weiss(bare, 1.3, dim) == pytest.approx(weiss(u, 1.3, dim), rel=1e-10)
+
+
+def test_q_prime_fallback_needs_a_uniform_grid(p7):
+    comp = dataclasses.replace(cone_field(p7).components[0], q_prime=None)
+    th = p7.grid.copy()
+    th[5] += 1e-3 * (th[6] - th[5])
+    AxisymField(p7.dim, p7.grid, (comp,))
+    with pytest.raises(ValueError, match="uniform theta grid"):
+        AxisymField(p7.dim, th, (comp,))
+    with pytest.raises(ValueError, match="uniform theta grid"):
+        AxisymField(p7.dim, p7.grid[:4], (dataclasses.replace(comp, q=p7.g[:4]),))
+
+
 def test_report_fields_and_kappa0(p7):
     u = cone_field(p7)
     rep = weiss_report(u, RADII)
