@@ -6,7 +6,8 @@ costs more than a typical solve, so the solver path uses these and SciPy
 stays the library of the independent oracles.
 
 * :func:`simpson` is ``scipy.integrate.simpson`` for an odd sample count on
-  irregular spacing (Cartwright's parabolic-segment weights).
+  irregular spacing (Cartwright's parabolic-segment weights), for one row
+  of samples or each row of a 2-D array.
 * :func:`brentq` is SciPy's C ``brentq`` (Brent, *Algorithms for
   Minimization without Derivatives*, 1973, ch. 4), driving the generator
   :func:`brent_steps`.  The band eigenvalue solves of ``sl`` each run
@@ -29,26 +30,31 @@ _RTOL = 8.9e-16   # relative stop tolerance: 4*eps, the least scipy's brentq acc
 _MAXITER = 100
 
 
-def simpson(y, x) -> float:
+def simpson(y, x):
     """Composite Simpson integral of samples ``y`` at increasing abscissae ``x``.
 
-    The sample count must be odd and at least 3.
+    The sample count must be odd and at least 3.  A 2-D ``y`` integrates each
+    row along ``x`` and returns an array; each row's value equals the 1-D call's
+    bit for bit (the same elementwise expression, then a contiguous row sum).
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    n = y.size
-    if y.ndim != 1 or x.shape != y.shape:
-        raise ValueError("simpson needs 1-D y and x of equal length")
+    n = x.size
+    if x.ndim != 1 or y.ndim not in (1, 2) or y.shape[-1] != n:
+        raise ValueError(f"simpson needs 1-D x and 1-D or 2-D y along it, "
+                         f"got x {x.shape} and y {y.shape}")
     if n < 3 or n % 2 == 0:
         raise ValueError(f"simpson needs an odd sample count >= 3, got {n}")
     h = np.diff(x)
     h0, h1 = h[0:n - 2:2], h[1:n - 1:2]
     hsum = h0 + h1
     ratio = h0 / h1
-    tmp = hsum / 6.0 * (y[0:n - 2:2] * (2.0 - 1.0 / ratio)
-                        + y[1:n - 1:2] * (hsum * (hsum / (h0 * h1)))
-                        + y[2:n:2] * (2.0 - ratio))
-    return float(np.sum(tmp))
+    # hsum/6 * (y0 (2 - 1/ratio) + y1 hsum^2/(h0 h1) + y2 (2 - ratio)), summed in place
+    tmp = y[..., 0:n - 2:2] * (2.0 - 1.0 / ratio)
+    tmp += y[..., 1:n - 1:2] * (hsum * (hsum / (h0 * h1)))
+    tmp += y[..., 2:n:2] * (2.0 - ratio)
+    tmp *= hsum / 6.0
+    return float(np.sum(tmp)) if y.ndim == 1 else np.sum(tmp, axis=1)
 
 
 def brent_steps(a: float, b: float, xtol: float):

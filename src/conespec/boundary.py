@@ -25,7 +25,7 @@ from .errors import DegenerateBasis, NonConvergent
 from .kernels import propagate_band
 from .profile import ConeProfile, mirror_half
 from .sl import _fv_robin
-from .spheremodes import modes_up_to
+from .spheremodes import harmonic_multiplicity
 
 _ELL_CAP = 200
 _WRONSKIAN_TOL = 1e-8
@@ -86,16 +86,17 @@ def boundary_modes(p: ConeProfile, ell_max_count: int) -> list[BoundaryMode]:
     d = p.dim
     trace_w = math.cos(p.theta0) ** (d - 2) * sphere_area(d - 2)
     found = []
-    for mode in modes_up_to(d, _ELL_CAP * (_ELL_CAP + d - 3)):
-        (qe, qpe), (qo, qpo) = _harmonic_pair(p, float(mode.mu))
+    for ell in range(_ELL_CAP + 1):  # sphere degrees, taken only as far as needed
+        mu, mult = float(ell * (ell + d - 3)), harmonic_multiplicity(d, ell)
+        (qe, qpe), (qo, qpo) = _harmonic_pair(p, mu)
         pair_ells = []
         for parity, q, qp in (("even", qe, qpe), ("odd", qo, qpo)):
             ell_k = _endpoint_ell(p, q, qp)
             scale = math.sqrt(trace_w * (q[0] ** 2 + q[-1] ** 2))
             sign = 1.0 if q[-1] > 0 else -1.0
             found.append(BoundaryMode(
-                k=0, ell=mode.ell, parity=parity, ell_k=float(ell_k),
-                mu=float(mode.mu), multiplicity=mode.multiplicity,
+                k=0, ell=ell, parity=parity, ell_k=float(ell_k),
+                mu=mu, multiplicity=mult,
                 psi=sign * q / scale, psi_prime=sign * qp / scale,
                 grid=p.grid, in_resonance=abs(ell_k) <= RES_TOL))
             pair_ells.append(ell_k)
@@ -103,7 +104,7 @@ def boundary_modes(p: ConeProfile, ell_max_count: int) -> list[BoundaryMode]:
             kth = sorted((m.ell_k for m in found), reverse=True)[ell_max_count - 1]
             if max(pair_ells) < kth:
                 break
-        if mode.ell >= _ELL_CAP:
+        if ell >= _ELL_CAP:
             raise NonConvergent("boundary-mode enumeration exceeded the sphere-mode cap")
     found.sort(key=lambda m: (-m.ell_k, m.ell, m.parity))
     return [dataclasses.replace(m, k=i + 1) for i, m in enumerate(found[:ell_max_count])]

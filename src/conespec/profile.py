@@ -17,6 +17,7 @@ each value an end-state shot from the cell's left end.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -34,7 +35,7 @@ _HUNT_BLOCK = 1024
 _ROOT_TOL = 1e-12
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)  # hashed by identity: a memo key
 class ConeProfile:
     dim: int
     theta0: float
@@ -124,13 +125,20 @@ def _hunt_sign_change(d, n_hunt):
 
 
 def solve_profile(d: int, cfg: SolverConfig | None = None) -> ConeProfile:
-    """Find the aperture and the normalized profile for dimension d >= 3."""
+    """Find the aperture and the normalized profile for dimension d >= 3.
+
+    The profile depends on ``cfg.grid_n`` alone, and each (d, grid_n) is solved
+    once per process: callers share one profile, whose arrays are read-only.
+    """
     cfg = cfg or DEFAULT_CONFIG
     if not (isinstance(d, (int, np.integer)) and d >= 3):
         raise ValueError(f"dimension must be an integer >= 3, got {d!r}")
-    d = int(d)
+    return _solved_profile(int(d), cfg.grid_n)
 
-    lo, y_lo, hi = _hunt_sign_change(d, 4 * cfg.grid_n)
+
+@functools.lru_cache(maxsize=8)  # one profile holds about 96 KB at grid_n 4096
+def _solved_profile(d: int, grid_n: int) -> ConeProfile:
+    lo, y_lo, hi = _hunt_sign_change(d, 4 * grid_n)
     root, slope = _refined_root(d, lo, y_lo, hi)
 
     theta0 = float(root) - math.pi / 2
@@ -138,7 +146,7 @@ def solve_profile(d: int, cfg: SolverConfig | None = None) -> ConeProfile:
         raise NoZeroFound(f"aperture {theta0} outside (0, pi/2)")
     norm_c = 1.0 / abs(slope)
 
-    n = band_points(cfg.grid_n)
+    n = band_points(grid_n)
     half = (n - 1) // 2
     th_right = np.linspace(math.pi / 2, math.pi / 2 + theta0, half + 1)
     th_left = np.linspace(math.pi / 2, math.pi / 2 - theta0, half + 1)
@@ -148,6 +156,8 @@ def solve_profile(d: int, cfg: SolverConfig | None = None) -> ConeProfile:
     grid = np.concatenate([th_left[::-1], th_right[1:]])
     g_all, gp_all = (norm_c * v for v in mirror_half(g_r, gp_r, even=True, left=False))
     g_all[0] = g_all[-1] = 0.0  # g vanishes on the free boundary, up to _ROOT_TOL
+    for a in (grid, g_all, gp_all):
+        a.flags.writeable = False
 
     return ConeProfile(dim=d, theta0=theta0, grid=grid, g=g_all, g_prime=gp_all,
                        H=(d - 2) * math.tan(theta0), norm_c=norm_c)

@@ -209,34 +209,36 @@ def project_interior(f: RadialField, p: ConeProfile,
     d = p.dim
     w = np.sin(p.grid) ** (d - 2)
     ells = sorted({m.ell for m in f.modes})
-    entries, rows, rows_p, coeffs = [], [], [], []
+    entries = []
+    # row e * _PER_ELL + j - 1 holds mode (ells[e], j), filled in place
+    rows = np.empty((len(ells) * _PER_ELL, p.grid.size))
+    rows_p = np.empty_like(rows)
+    coeffs = np.zeros((rows.shape[0], f.r_grid.size))
     proj_sq = np.zeros(len(f.modes))
-    for ell in ells:
+    for e, ell in enumerate(ells):
         mu = float(ell * (ell + d - 3))
-        spec = band_spec(p, mu, "robin")
-        for j, pair in enumerate(eigen_pairs(spec, range(1, _PER_ELL + 1)), start=1):
+        pairs = eigen_pairs(band_spec(p, mu, "robin"), range(1, _PER_ELL + 1))
+        block = slice(e * _PER_ELL, (e + 1) * _PER_ELL)
+        fns = np.stack([pair.fn for pair in pairs], out=rows[block])
+        np.stack([pair.fn_prime for pair in pairs], out=rows_p[block])
+        # source row i -> its projections on the _PER_ELL eigenfunctions, one row per call
+        pr = {i: simpson(f.angular[i] * fns * w, x=p.grid)
+              for i, m in enumerate(f.modes) if m.ell == ell}
+        for j, (pair, c) in enumerate(zip(pairs, coeffs[block])):
             try:
-                entry = link.find((ell, j))
+                entries.append(link.find((ell, j + 1)))
             except KeyError:
-                entry = LinkEigenvalue.of(d, (ell, j), pair.lam, harmonic_multiplicity(d, ell))
-            c = np.zeros(f.r_grid.size)
-            for i, m in enumerate(f.modes):
-                if m.ell != ell:
-                    continue
-                pr = simpson(f.angular[i] * pair.fn * w, x=p.grid)
-                proj_sq[i] += pr * pr
-                c = c + pr * f.coeffs[i]
-            entries.append(entry)
-            rows.append(pair.fn)
-            rows_p.append(pair.fn_prime)
-            coeffs.append(c)
+                entries.append(LinkEigenvalue.of(d, (ell, j + 1), pair.lam,
+                                                 harmonic_multiplicity(d, ell)))
+            for i, pr_i in pr.items():
+                proj_sq[i] += pr_i[j] * pr_i[j]
+                c += pr_i[j] * f.coeffs[i]
     tail = 0.0
-    for i, m in enumerate(f.modes):
-        full = simpson(f.angular[i] ** 2 * w, x=p.grid)
+    for full, sq in zip(simpson(f.angular ** 2 * w, x=p.grid), proj_sq):
         if full > 0:
-            tail = max(tail, math.sqrt(max(full - proj_sq[i], 0.0) / full))
-    field = RadialField("interior", f.r_grid, np.array(coeffs), f.beta,
-                        tuple(entries), p.grid, np.array(rows), np.array(rows_p))
+            tail = max(tail, math.sqrt(max(full - sq, 0.0) / full))
+    field = RadialField("interior", f.r_grid, coeffs, f.beta, tuple(entries), p.grid,
+                        rows, rows_p)
     return field, tail
 
 

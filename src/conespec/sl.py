@@ -83,11 +83,16 @@ class SLEigenpair:
     bc_residual: tuple[float, float]
 
 
-@functools.lru_cache(maxsize=128)
 def _disc(spec: SLSpec):
     """Full and left half-band grids shared by all shots for one spec."""
-    n = band_points(spec.grid_n)
-    th = np.linspace(*spec.band, n)
+    return _band_grids(spec.band, spec.grid_n)
+
+
+@functools.lru_cache(maxsize=128)
+def _band_grids(band, grid_n):
+    """:func:`_disc` of every spec on one band and grid (all mu and bc share them)."""
+    n = band_points(grid_n)
+    th = np.linspace(*band, n)
     return {"theta": th, "left": th[: (n - 1) // 2 + 1]}
 
 
@@ -213,7 +218,7 @@ def _seeds(spec: SLSpec, parity: str) -> tuple[float, ...]:
     """
     vals = []
     for n in (64, 128):
-        dd, ee = _fv_sym(spec, n)
+        dd, ee = _seed_operator(spec, n)
         c = dd.size // 2
         if parity == "even":
             dd, ee = dd[:c + 1], ee[:c].copy()
@@ -224,6 +229,15 @@ def _seeds(spec: SLSpec, parity: str) -> tuple[float, ...]:
         vals.append(np.linalg.eigvalsh(dense)[:_SEED_COUNT])
     v1, v2 = vals
     return tuple(float(v) for v in (4.0 * v2 - v1) / 3.0)
+
+
+@functools.lru_cache(maxsize=2)
+def _seed_operator(spec, n):
+    """:func:`_fv_sym` on n cells, built once for both parities' :func:`_seeds`
+    (read-only: they share it)."""
+    dd, ee = _fv_sym(spec, n)
+    dd.flags.writeable = ee.flags.writeable = False
+    return dd, ee
 
 
 def _root(spec, k):
@@ -317,21 +331,10 @@ def eigenvalue(spec: SLSpec, k: int) -> float:
     return eigenvalues(spec, (k,))[0]
 
 
-def _eigenpair(spec, th, w, k, lam, g, gp):
-    """Normalized eigenpair from the full-band shot at the k-th eigenvalue.
-
-    ``w`` is the weight sin^{d-2} on the grid ``th``.
-    """
-    # an exact power-of-two prescale keeps g*g finite when g is huge (large mu)
-    scale = 2.0 ** np.frexp(np.max(np.abs(g)))[1]
-    g, gp = g / scale, gp / scale
-    norm = math.sqrt(simpson(g * g * w, x=th))
-    if norm == 0.0:
-        raise NonConvergent("assembled eigenfunction has zero norm")
-    g, gp = g / norm, gp / norm
+def _eigenpair(spec, th, k, lam, g, gp):
+    """Eigenpair k at ``lam`` from its normalized full-band eigenfunction (g, g')."""
     if gp[0] < 0:
         g, gp = -g, -gp
-
     nodes = _nodes(g)
     if nodes != k - 1:
         raise BracketFail(f"eigenfunction for k={k} has {nodes} nodes (grid too coarse?)")
@@ -344,17 +347,26 @@ def _eigenpair(spec, th, w, k, lam, g, gp):
 
 
 def eigen_pairs(spec: SLSpec, ks) -> list[SLEigenpair]:
-    """Eigenpairs k of ``ks``: memoized eigenvalues, one lane-batched assembly.
+    """Eigenpairs k of ``ks``: memoized eigenvalues, one lane-batched assembly
+    and one batched normalization (L^2 norm of weight sin^{d-2}).
 
     The eigenfunctions are not cached.
     """
     ks = [int(k) for k in ks]
     lams = eigenvalues(spec, ks)
+    if not ks:
+        return []
     disc = _disc(spec)
-    fns = _assemble_fn(spec, disc, lams, [_parity(k) for k in ks])
     th = disc["theta"]
-    w = np.sin(th) ** (spec.dim - 2)
-    return [_eigenpair(spec, th, w, k, lam, g, gp) for k, lam, (g, gp) in zip(ks, lams, fns)]
+    g, gp = (np.array(v) for v in zip(*_assemble_fn(spec, disc, lams, map(_parity, ks))))
+    # an exact power-of-two prescale keeps g*g finite when g is huge (large mu)
+    scale = 2.0 ** np.frexp(np.max(np.abs(g), axis=1))[1][:, None]
+    g, gp = g / scale, gp / scale
+    norm = np.sqrt(simpson(g * g * np.sin(th) ** (spec.dim - 2), x=th))[:, None]
+    if not norm.all():
+        raise NonConvergent("assembled eigenfunction has zero norm")
+    g, gp = g / norm, gp / norm
+    return [_eigenpair(spec, th, *args) for args in zip(ks, lams, g, gp)]
 
 
 def eigen_k(spec: SLSpec, k: int) -> SLEigenpair:

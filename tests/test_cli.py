@@ -112,9 +112,11 @@ def test_verify_work_count(tmp_path, monkeypatch):
     # band eigenvalue is solved once, from a seeded bracket whose two
     # counting shots are Brent's endpoints, and the aperture is a Brent
     # root: verify --dim 7 in a fresh process makes 47 shots
-    from conespec import boundary, kernels, profile, sl
+    from conespec import boundary, kernels, linkspec, profile, sl
     sl._memo.clear()
     sl._seeds.cache_clear()
+    profile._solved_profile.cache_clear()
+    linkspec.link_spectrum.cache_clear()
     shots = []
     for mod in (sl, profile, boundary):
         for name in ("propagate_band", "propagate_band_end"):
@@ -125,6 +127,38 @@ def test_verify_work_count(tmp_path, monkeypatch):
                 monkeypatch.setattr(mod, name, counted)
     assert run(["verify", "--dim", "7", "--out", str(tmp_path / "v.json")]) == 0
     assert 0 < len(shots) <= 50, len(shots)
+
+
+def test_second_particular_reuses_cone_and_spectrum(tmp_path, monkeypatch):
+    # ops on one cone share its profile and link spectrum: a second particular
+    # at the same d shoots no profile and counts no band eigenvalues
+    from conespec import linkspec, profile
+    modes = tmp_path / "m.json"
+    modes.write_text(json.dumps({"coeffs": {"1": 1.0, "3": -0.5}}))
+    argv = ["particular", "--dim", "7", "--beta", "0.7", "--modes", str(modes)]
+    assert run(argv + ["--out", str(tmp_path / "a.json")]) == 0
+    calls = []
+    for mod, name in ((profile, "propagate_band"), (profile, "propagate_band_end"),
+                      (linkspec, "count_below")):
+        def counted(*args, _fn=getattr(mod, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(mod, name, counted)
+    assert run(argv + ["--out", str(tmp_path / "b.json")]) == 0
+    assert calls == []
+    assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+
+
+def test_ab_bench_runs():
+    # one interleaved round of two copies of this tree on the sweep workload
+    root = pathlib.Path(__file__).resolve().parents[1]
+    res = subprocess.run([sys.executable, str(root / "benchmarks" / "ab_bench.py"),
+                          "--a", str(root / "src"), "--b", str(root / "src"),
+                          "--workload", "sweep", "--rounds", "1", "--seed", "3"],
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert re.search(r"median B/A \d\.\d{4}  B faster in [01] of 1 .* failed ops 0",
+                     res.stdout), res.stdout
 
 
 @pytest.mark.parametrize("config, coeffs, code, message", [

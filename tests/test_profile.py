@@ -112,6 +112,7 @@ def test_no_zero_width_shot(d, monkeypatch):
     # the aperture's Brent reads g at the hunt cell's left end from the hunt
     # state instead of shooting the one-point interval [lo, lo]
     from conespec import profile
+    profile._solved_profile.cache_clear()
     grids = []
     for name in ("propagate_band", "propagate_band_end"):
         def logged(dm2, mu, lam, thetas, *rest, _fn=getattr(profile, name)):
@@ -120,6 +121,18 @@ def test_no_zero_width_shot(d, monkeypatch):
         monkeypatch.setattr(profile, name, logged)
     solve_profile(d)
     assert grids and all(th[0] != th[-1] for th in grids)
+
+
+def test_profile_is_solved_once_and_read_only():
+    p = solve_profile(7)
+    assert solve_profile(7) is p and solve_profile(np.int64(7)) is p
+    coarse = solve_profile(7, SolverConfig(grid_n=1024))
+    assert coarse is not p and coarse.grid.size == band_points(1024)
+    for a in (p.grid, p.g, p.g_prime):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    from conespec.linkspec import link_spectrum
+    assert link_spectrum(p, 28) is link_spectrum(p, 28.0)
 
 
 def test_rejects_low_dimension():

@@ -45,6 +45,26 @@ def test_simpson_matches_scipy_bit_for_bit(profiles):
         assert _quad.simpson(y, x=x) == scipy.integrate.simpson(y, x=x)
 
 
+def test_simpson_rows_equal_their_1d_calls(profiles):
+    # a 2-D y integrates each row exactly as the 1-D call does, on the band
+    # grid and on the geometric radial grid
+    p = profiles[7]
+    band = np.array([y for _, y in _integrands(p)])
+    r = radial_grid(DEFAULT_CONFIG)[:129]
+    radial = np.array([r ** -1.7, np.sin(np.log(r)) * r ** 2, np.ones(r.size)])
+    for x, ys in ((p.grid, band), (r, radial)):
+        rows = _quad.simpson(ys, x=x)
+        one = [_quad.simpson(y, x=x) for y in ys]
+        assert all(type(v) is float for v in one)
+        assert rows.shape == (len(ys),) and np.array_equal(rows, one)
+
+
+@pytest.mark.parametrize("y_shape, x_size", [((9,), 7), ((2, 9), 7), ((2, 2, 9), 9), ((9,), 0)])
+def test_simpson_rejects_mismatched_shapes(y_shape, x_size):
+    with pytest.raises(ValueError):
+        _quad.simpson(np.ones(y_shape), x=np.linspace(0.0, 1.0, x_size))
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 4, 4096])
 def test_simpson_rejects_even_and_short_counts(n):
     x = np.linspace(0.0, 1.0, n)

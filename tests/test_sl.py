@@ -381,13 +381,16 @@ def test_lockstep_under_wrong_seeds_falls_back_to_isolation(p7, bc, monkeypatch)
 
 
 def test_eigen_pairs_equal_eigen_k(p7):
-    spec = band_spec(p7, 12.0, "robin")
-    pairs = eigen_pairs(spec, range(1, 9))
-    for k, pair in enumerate(pairs, start=1):
-        one = eigen_k(spec, k)
-        assert pair.k == one.k == k and pair.lam == one.lam and pair.nodes == one.nodes
-        assert np.array_equal(pair.fn, one.fn) and np.array_equal(pair.fn_prime, one.fn_prime)
-        assert np.array_equal(pair.grid, one.grid) and pair.bc_residual == one.bc_residual
+    # one batched normalization of eight eigenfunctions, bit for bit the one-k path
+    for bc in ("robin", "dirichlet"):
+        for mu in (0.0, 12.0):
+            spec = band_spec(p7, mu, bc)
+            for k, pair in enumerate(eigen_pairs(spec, range(1, 9)), start=1):
+                one = eigen_k(spec, k)
+                assert pair.k == one.k == k and pair.lam == one.lam and pair.nodes == one.nodes
+                assert np.array_equal(pair.fn, one.fn)
+                assert np.array_equal(pair.fn_prime, one.fn_prime)
+                assert np.array_equal(pair.grid, one.grid) and pair.bc_residual == one.bc_residual
 
 
 def test_harmonic_pair_equals_its_scalar_shots(p7):
@@ -411,3 +414,18 @@ def test_eigenfunctions_mirror_exactly(p7, bc):
         sign = 1.0 if k % 2 else -1.0
         assert np.array_equal(pair.fn[:c], sign * pair.fn[:c:-1]), k
         assert np.array_equal(pair.fn_prime[:c], -sign * pair.fn_prime[:c:-1]), k
+
+
+def test_seeds_build_each_operator_once(p7, monkeypatch):
+    # both parities' seeds of one spec come from one finite-volume build per size
+    sizes = []
+
+    def counted(spec, n, _fn=sl._fv_sym):
+        sizes.append(n)
+        return _fn(spec, n)
+    monkeypatch.setattr(sl, "_fv_sym", counted)
+    spec = band_spec(p7, 30.0, "robin")
+    sl._seeds.cache_clear()
+    sl._seed_operator.cache_clear()
+    assert [len(sl._seeds(spec, parity)) for parity in ("even", "odd")] == [8, 8]
+    assert sorted(sizes) == [64, 128]
