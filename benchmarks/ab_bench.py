@@ -5,12 +5,13 @@ Each tree's ``conespec`` package is copied in under its own package name
 builds the op list of one seed from ``perfbench/workloads.py``, re-imports
 both packages fresh (no memo survives from the previous round, as in a fresh
 perfbench worker) and runs one pass of each, A first in even rounds and B
-first in odd ones.  A pass's time is the sum of its op latencies, timed with
-garbage collection off; every op's output is then checked by the workload's
-own oracle, untimed.  The summary is the median of the per-round ratios B/A,
-the rounds B won and the ratios' quartiles.  Pairing passes within one
-process resolves differences of a few percent that separate perfbench runs
-(one fresh process per pass) cannot.
+first in odd ones.  A pass is perfbench's own (``worker.run_pass``, run with
+garbage collection off): every op timed, every output then checked by the
+workload's oracle, untimed; its time is the sum of the op latencies.  The
+summary is the median of the per-round ratios B/A, the rounds B won and the
+ratios' quartiles.  Pairing passes within one process resolves differences
+of a few percent that separate perfbench runs (one fresh process per pass)
+cannot.
 
     python3 benchmarks/ab_bench.py --a OLD/src --b NEW/src --workload particular \
         --rounds 12 --seed 1000
@@ -27,7 +28,7 @@ import shutil
 import statistics
 import sys
 import tempfile
-import time
+from unittest import mock
 
 # one BLAS thread, as in a perfbench worker; set before numpy is imported
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -36,15 +37,10 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import tracer  # noqa: E402
+import worker  # noqa: E402
 import workloads  # noqa: E402
-
-
-class Session(workloads.Session):
-    """The workload session of one renamed package."""
-
-    def __init__(self, package, workdir):
-        self.cs, self.cli = package, package.cli
-        self.workdir, self.profiles = workdir, {}
+from reference import reference  # noqa: E402
 
 
 def copy_package(src, dest, name):
@@ -66,27 +62,20 @@ def fresh_import(name):
 
 
 def run_pass(name, ops, workdir):
-    """One timed pass of ``ops`` on package ``name``: (seconds, failed op ids)."""
-    session = Session(fresh_import(name), workdir)
+    """One perfbench pass of ``ops`` on package ``name``: (seconds, failed op ids)."""
+    pkg = fresh_import(name)
+    # the workload session imports ``conespec``: hand it the renamed package
+    with mock.patch.dict(sys.modules, {"conespec": pkg, "conespec.cli": pkg.cli}):
+        session = workloads.Session(workdir)
     session.prepare(ops)
-    outs, failed = {}, []
     gc.collect()
     gc.disable()
     try:
-        total = 0.0
-        for op in ops:
-            t0 = time.perf_counter()
-            try:
-                outs[op["id"]] = session.run(op)
-            except Exception as exc:  # a failed op, counted and named like perfbench's
-                failed.append(f"{op['id']} ({type(exc).__name__}: {exc})")
-            total += time.perf_counter() - t0
+        records = worker.run_pass(session, ops, 0, tracer, [reference()])["ops"]
     finally:
         gc.enable()
-    for op in ops:
-        if op["id"] in outs and (why := session.check(op, outs[op["id"]])) is not None:
-            failed.append(f"{op['id']} ({why})")
-    return total, failed
+    failed = [f"{rec['id']} ({rec['failure']})" for rec in records if rec["failure"]]
+    return sum(rec["wall_s"] for rec in records), failed
 
 
 def main(argv=None):

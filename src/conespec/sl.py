@@ -90,9 +90,11 @@ def _disc(spec: SLSpec):
 
 @functools.lru_cache(maxsize=128)
 def _band_grids(band, grid_n):
-    """:func:`_disc` of every spec on one band and grid (all mu and bc share them)."""
+    """:func:`_disc` of every spec on one band and grid (all mu and bc share them,
+    so they are read-only)."""
     n = band_points(grid_n)
     th = np.linspace(*band, n)
+    th.flags.writeable = False
     return {"theta": th, "left": th[: (n - 1) // 2 + 1]}
 
 
@@ -218,7 +220,7 @@ def _seeds(spec: SLSpec, parity: str) -> tuple[float, ...]:
     """
     vals = []
     for n in (64, 128):
-        dd, ee = _seed_operator(spec, n)
+        dd, ee = _fv_sym(spec, n)
         c = dd.size // 2
         if parity == "even":
             dd, ee = dd[:c + 1], ee[:c].copy()
@@ -229,15 +231,6 @@ def _seeds(spec: SLSpec, parity: str) -> tuple[float, ...]:
         vals.append(np.linalg.eigvalsh(dense)[:_SEED_COUNT])
     v1, v2 = vals
     return tuple(float(v) for v in (4.0 * v2 - v1) / 3.0)
-
-
-@functools.lru_cache(maxsize=2)
-def _seed_operator(spec, n):
-    """:func:`_fv_sym` on n cells, built once for both parities' :func:`_seeds`
-    (read-only: they share it)."""
-    dd, ee = _fv_sym(spec, n)
-    dd.flags.writeable = ee.flags.writeable = False
-    return dd, ee
 
 
 def _root(spec, k):

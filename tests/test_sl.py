@@ -416,16 +416,12 @@ def test_eigenfunctions_mirror_exactly(p7, bc):
         assert np.array_equal(pair.fn_prime[:c], -sign * pair.fn_prime[:c:-1]), k
 
 
-def test_seeds_build_each_operator_once(p7, monkeypatch):
-    # both parities' seeds of one spec come from one finite-volume build per size
-    sizes = []
 
-    def counted(spec, n, _fn=sl._fv_sym):
-        sizes.append(n)
-        return _fn(spec, n)
-    monkeypatch.setattr(sl, "_fv_sym", counted)
-    spec = band_spec(p7, 30.0, "robin")
-    sl._seeds.cache_clear()
-    sl._seed_operator.cache_clear()
-    assert [len(sl._seeds(spec, parity)) for parity in ("even", "odd")] == [8, 8]
-    assert sorted(sizes) == [64, 128]
+def test_band_grid_is_shared_and_read_only(p7):
+    # every mu and bc on one band holds the same grid, so no caller may write into it
+    spec = band_spec(p7, 12.0, "robin")
+    pair = eigen_k(spec, 1)
+    assert eigen_k(band_spec(p7, 0.0, "dirichlet"), 2).grid is pair.grid
+    for a in (pair.grid, sl._disc(spec)["left"]):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
