@@ -13,6 +13,12 @@ ratios' quartiles.  Pairing passes within one process resolves differences
 of a few percent that separate perfbench runs (one fresh process per pass)
 cannot.
 
+Both trees run in one process, so process-wide state applies to both sides:
+once either package is imported, the malloc thresholds ``conespec`` sets at
+import (see its ``_keep_freed_heap``) hold for the other too.  A change to
+state of that kind cannot be compared here; compare it with perfbench's
+separate worker processes (``perfbench/run.py``).
+
     python3 benchmarks/ab_bench.py --a OLD/src --b NEW/src --workload particular \
         --rounds 12 --seed 1000
 

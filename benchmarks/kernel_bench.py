@@ -14,10 +14,11 @@ up-sweep).  Each is timed in four cases:
   ``_step_entries``, with no memo lookup: what a memo build competes with.
 
 A second table times warm lane shots: 1, 2, 4, 8 and 16 lambdas in one step
-tree (the lane cap ``kernels._LANES`` lifted), as time per lane.  It is what
-the cap of 8 lanes per tree rests on.  Its ``states`` row times the call
-``boundary`` makes: the start states (1, 0) and (0, 1) as two lanes at one
-lambda, which share one step tree.
+tree (the lane cap ``kernels._LANES`` lifted), as time per lane.  The cost
+per lane falls with the lanes up to 16; the cap of 8 rests instead on the
+temporaries one tree holds, which grow with its lanes.  Its ``states`` row
+times the call ``boundary`` makes: the start states (1, 0) and (0, 1) as two
+lanes at one lambda, which share one step tree.
 
 This is a kernel micro-benchmark; the end-to-end benchmark is
 ``perfbench/run.py``.  Usage:

@@ -30,9 +30,10 @@ only reassociate the products of the plain RK4 loop ``_rk4_band`` in
 :func:`_step_entries` writes out entrywise.
 A 1-D ``lam``, ``g0`` or ``gp0`` shoots lanes: step matrices of shape
 (2, 2, lanes, steps) from the same quadratics run through the same tree, up
-to :data:`_LANES` lanes per tree, so each lane is bit-identical to its scalar
-shot and a lane costs far less than a call.  Start-state lanes at one lam
-share one (2, 2, 1, steps) tree, whose up-sweep is built once.
+to :data:`_LANES` lanes per tree (a cap on the temporaries one tree holds),
+so each lane is bit-identical to its scalar shot and a lane costs far less
+than a call.  Start-state lanes at one lam share one (2, 2, 1, steps) tree,
+whose up-sweep is built once.
 An overflow or NaN inside a shot raises :class:`NonFiniteResult` instead of
 printing a numpy warning.
 """
@@ -52,8 +53,11 @@ from .errors import NonFiniteResult
 # collapse, on a 2049-point half band holds about 0.2 MB.
 _MEMO_SIZE = 2
 
-# Lanes per step tree.  A lane costs far less than a call, but past 8 lanes
-# the cost per lane rises again (the lanes table of ``benchmarks/kernel_bench.py``).
+# Lanes per step tree.  A lane costs far less than a call, and the cost per
+# lane still falls a little past 8 (the lanes table of
+# ``benchmarks/kernel_bench.py``), but one tree's temporaries grow with its
+# lanes and bound the peak RSS: 1.75 MiB at 8 lanes, 3.5 MiB at 16, for a
+# 2,049-point trajectory.
 _LANES = 8
 
 

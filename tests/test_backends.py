@@ -2,9 +2,11 @@
 up/down-sweep tree implement the plain RK4 loop's arithmetic, so every
 downstream tolerance rests on that loop."""
 
+import ctypes
 import math
 import os
 import pathlib
+import platform
 import re
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+import conespec
 from conespec import kernels
 from conespec.errors import NonFiniteResult
 from conespec.kernels import propagate_band, propagate_band_end
@@ -237,3 +240,52 @@ def test_kernel_bench_runs():
     assert "warm lane shots" in res.stdout
     # boundary's call: start states (1, 0) and (0, 1) at one lam, as 2 lanes
     assert any(line.split()[:2] == ["33", "states"] for line in res.stdout.splitlines())
+
+
+_FAULTS_PER_CALL = """
+import resource
+import numpy as np
+import conespec
+thetas = np.linspace(np.pi / 2 - 0.55, np.pi / 2, 2049)
+lams = 6.0 + np.arange(8.0)
+for _ in range(3):
+    conespec.propagate_band(5.0, 12.0, lams, thetas, 1.0, 0.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(40):
+    conespec.propagate_band(5.0, 12.0, lams, thetas, 1.0, 0.0)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_warm_lane_shots_do_not_page_fault():
+    # importing conespec keeps freed temporaries in the heap; with glibc's
+    # default thresholds each warm 8-lane 2,049-point trajectory re-faults
+    # about 300 pages
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", _FAULTS_PER_CALL],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert float(res.stdout) < 8
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_libc],
+                         ids=["no-mallopt", "oserror"])
+def test_keep_freed_heap_without_mallopt_returns(monkeypatch, cdll):
+    calls = []
+
+    def fake(name):
+        calls.append(name)
+        return cdll(name)
+
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(ctypes, "CDLL", fake)
+    assert conespec._keep_freed_heap() is None
+    assert calls == [None]
