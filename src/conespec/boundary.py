@@ -25,7 +25,7 @@ from .errors import DegenerateBasis, NonConvergent
 from .kernels import propagate_band
 from .profile import ConeProfile, mirror_half
 from .sl import _fv_robin
-from .spheremodes import harmonic_multiplicity
+from .spheremodes import SphereMode
 
 _ELL_CAP = 200
 _WRONSKIAN_TOL = 1e-8
@@ -87,8 +87,8 @@ def boundary_modes(p: ConeProfile, ell_max_count: int) -> list[BoundaryMode]:
     trace_w = math.cos(p.theta0) ** (d - 2) * sphere_area(d - 2)
     found = []
     for ell in range(_ELL_CAP + 1):  # sphere degrees, taken only as far as needed
-        mu, mult = float(ell * (ell + d - 3)), harmonic_multiplicity(d, ell)
-        (qe, qpe), (qo, qpo) = _harmonic_pair(p, mu)
+        mode = SphereMode.of(d, ell)
+        (qe, qpe), (qo, qpo) = _harmonic_pair(p, mode.mu)
         pair_ells = []
         for parity, q, qp in (("even", qe, qpe), ("odd", qo, qpo)):
             ell_k = _endpoint_ell(p, q, qp)
@@ -96,7 +96,7 @@ def boundary_modes(p: ConeProfile, ell_max_count: int) -> list[BoundaryMode]:
             sign = 1.0 if q[-1] > 0 else -1.0
             found.append(BoundaryMode(
                 k=0, ell=ell, parity=parity, ell_k=float(ell_k),
-                mu=mu, multiplicity=mult,
+                mu=mode.mu, multiplicity=mode.multiplicity,
                 psi=sign * q / scale, psi_prime=sign * qp / scale,
                 grid=p.grid, in_resonance=abs(ell_k) <= RES_TOL))
             pair_ells.append(ell_k)

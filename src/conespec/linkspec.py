@@ -24,7 +24,7 @@ from .config import DEFAULT_CONFIG, RES_TOL, SolverConfig
 from .errors import AmbiguousCluster
 from .profile import ConeProfile, jacobi_fields
 from .sl import band_spec, count_below, eigen_k, eigenvalue, eigenvalues
-from .spheremodes import _MAX_DEGREE, modes_up_to
+from .spheremodes import _MAX_DEGREE, SphereMode, modes_up_to
 
 # Analytic-eigenfunction identification threshold (relative L^2).  Not a
 # config field: identification is structural and the margin only absorbs
@@ -83,35 +83,24 @@ def resolved_lambda_max(p: ConeProfile) -> float:
 def assemble(p: ConeProfile, lambda_max: float) -> list[LinkEigenvalue]:
     """All link eigenvalues <= lambda_max, sorted, with multiplicities.
 
-    Completeness: lambda_{ell,k} >= mu_ell + lambda_{0,1}, so sphere modes
-    with mu_ell > lambda_max - lambda_{0,1} cannot contribute and are
-    excluded a priori; within a mode, the node count of the band problem at
-    lambda_max says how many eigenvalues to solve.  A lambda_max past what
-    the band grid resolves (h^2*lambda_max > _H2_LAMBDA_MAX) is refused.
+    The walk of :func:`_walk` with low = cap = lambda_max: the node count of
+    each band problem at lambda_max says how many eigenvalues to solve, and
+    the modes end at the first without one.  A lambda_max past what the band
+    grid resolves (h^2*lambda_max > _H2_LAMBDA_MAX) is refused.
     """
     d = p.dim
     if not lambda_max > d - 1:
         raise ValueError("lambda_max must exceed d-1 to cover the rotation modes")
-    spec0 = band_spec(p, 0.0, "robin")
-    lam01 = eigenvalue(spec0, 1)
     try:
-        modes = modes_up_to(d, lambda_max - lam01)
+        modes_up_to(d, lambda_max - eigenvalue(band_spec(p, 0.0, "robin"), 1))
     except ValueError:
         raise ValueError(f"lambda_max={lambda_max:g} needs sphere modes past degree "
                          f"{_MAX_DEGREE}, the most a mode table may hold") from None
     top = resolved_lambda_max(p)
     if lambda_max > top:
         raise ValueError(f"lambda_max={lambda_max:g} is past what the band grid resolves: "
-                         f"grid_n={spec0.grid_n} allows lambda_max <= {top:.4g}")
-    out = []
-    for mode in modes:
-        spec = band_spec(p, float(mode.mu), "robin")
-        count = count_below(spec, lambda_max)
-        for k, lam in enumerate(eigenvalues(spec, range(1, count + 1)), start=1):
-            if lam <= lambda_max:
-                out.append(LinkEigenvalue.of(d, (mode.ell, k), lam, mode.multiplicity))
-    out.sort(key=lambda e: (e.lam, e.source))
-    return out
+                         f"grid_n={p.grid.size - 1} allows lambda_max <= {top:.4g}")
+    return [e for e in _walk(p, lambda_max, lambda_max, 0.0) if e.lam <= lambda_max]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,40 +163,47 @@ def _clusters(entries, tol):
     return groups
 
 
-def _walk_to_gap(p: ConeProfile, tol: float) -> list[LinkEigenvalue]:
-    """Sorted link eigenvalues up to the gap (see :func:`verify_strong_integrability`)."""
+def _walk(p: ConeProfile, low: float, cap: float, tol: float) -> list[LinkEigenvalue]:
+    """Sorted link eigenvalues below ``low``, and those above it below
+    min(best+tol, cap), where best is the smallest eigenvalue above low
+    solved so far.
+
+    Completeness: lambda_{ell,k} >= mu_ell + lambda_{0,1}, and the first
+    eigenvalue of a mode rises with mu, so the modes with eigenvalues below
+    low come first and the walk ends at the first mode with
+    mu + lambda_{0,1} > best + tol.  Those first modes are sliced above low
+    last, once the first mode without one (it holds the smallest first
+    eigenvalue of the rest) and the rest have set best, so that a low mode's
+    higher eigenvalues (say (0, 3)) are not solved on the way to a gap that
+    lies in a higher mode.
+    """
     d = p.dim
-    cap = 4.0 * d
-    low = min(d - 1 + tol, cap)
     best = cap
     lam01 = eigenvalue(band_spec(p, 0.0, "robin"), 1)
     out = []
 
     def slice_mode(mode, spec, n):
-        """Solve the n eigenvalues below low, then those below
-        min(best+tol, cap)."""
+        """Solve the n eigenvalues below low in one call, then one at a time
+        those below min(best+tol, cap)."""
         nonlocal best
         # n counts the eigenvalues below top.  top starts at low and rises
         # once to the bound min(best+tol, cap) when k passes n; as best
         # falls, k needs a recount only while k <= n.
-        top, k = low, 1
+        top, ks, lams = low, range(1, n + 1), []
         while True:
+            new = eigenvalues(spec, ks)
+            best = min([best] + [lam for lam in new if lam > low])
+            lams += new
+            k = len(lams) + 1
             bound = min(best + tol, cap)
             if (k > n and bound > top) or (k <= n and bound < top):
                 top, n = bound, count_below(spec, bound)
             if k > n:
-                return
-            lam = eigenvalue(spec, k)
-            out.append(LinkEigenvalue.of(d, (mode.ell, k), lam, mode.multiplicity))
-            if lam > low:
-                best = min(best, lam)
-            k += 1
+                break
+            ks = (k,)
+        out.extend(LinkEigenvalue.of(d, (mode.ell, k), lam, mode.multiplicity)
+                   for k, lam in enumerate(lams, start=1))
 
-    # The first eigenvalue of a mode rises with mu, so the modes with
-    # eigenvalues below low come first.  They are sliced last: the first
-    # mode without one holds the smallest first eigenvalue of the rest, and
-    # it and the rest set best before any eigenvalue above low of theirs is
-    # solved.
     modes = iter(modes_up_to(d, cap - lam01))
     head = []
     for mode in modes:
@@ -237,21 +233,15 @@ def verify_strong_integrability(p: ConeProfile,
     absence of any other eigenvalue at or below d-1.
 
     Only the bottom of the spectrum is solved, by slicing each sphere mode
-    with Sturm counts (:func:`_walk_to_gap`): every eigenvalue at or below
-    low = min(d-1+tol, 4d), and those below min(best+tol, 4d), where best
-    is the smallest eigenvalue above low solved so far (at the end, the
-    gap).  Modes are taken in ascending mu up to the first with
-    mu + lambda_{0,1} > best + tol, the completeness bound of
-    :func:`assemble`.  The modes with an eigenvalue below low are sliced
-    above it last, once the modes without one have set best, so that a
-    low mode's higher eigenvalues (say (0, 3)) are not solved on the way to
-    a gap that lies in a higher mode.  The walk is capped at 4d: with no
-    eigenvalue in (low, 4d] the gap is inf.
+    with Sturm counts (:func:`_walk` with low = min(d-1+tol, 4d) and cap =
+    4d): every eigenvalue below low, and those below min(best+tol, 4d),
+    where best ends as the gap.  With no eigenvalue in (low, 4d] the gap is
+    inf.
     """
     cfg = cfg or DEFAULT_CONFIG
     d = p.dim
     tol = cfg.cluster_tol
-    entries = _walk_to_gap(p, tol)
+    entries = _walk(p, min(d - 1 + tol, 4.0 * d), 4.0 * d, tol)
 
     jf = jacobi_fields(p)
     th = p.grid
@@ -263,7 +253,7 @@ def verify_strong_integrability(p: ConeProfile,
         """Smallest relative L^2(w) misfit of one computed eigenfunction
         against the span of an analytic profile (sign and scale free)."""
         ell, k = entry.source
-        q = eigen_k(band_spec(p, float(ell * (ell + d - 3)), "robin"), k).fn
+        q = eigen_k(band_spec(p, SphereMode.of(d, ell).mu, "robin"), k).fn
         qq = simpson(q * q * w, x=th)
         errs = []
         for a, aa in analytic:

@@ -35,7 +35,7 @@ from .errors import (NonFiniteResult, NumericalError, ResonanceDivision, Resonan
 from .linkspec import LinkEigenvalue, LinkSpectrum
 from .profile import ConeProfile
 from .sl import band_spec, eigen_pairs
-from .spheremodes import harmonic_multiplicity
+from .spheremodes import SphereMode
 
 _POWER_FIT_TOL = 1e-7
 _TARGET_STEP = 0.02  # max |exponent| * (log-step) in refined quadrature
@@ -216,8 +216,8 @@ def project_interior(f: RadialField, p: ConeProfile,
     coeffs = np.zeros((rows.shape[0], f.r_grid.size))
     proj_sq = np.zeros(len(f.modes))
     for e, ell in enumerate(ells):
-        mu = float(ell * (ell + d - 3))
-        pairs = eigen_pairs(band_spec(p, mu, "robin"), range(1, _PER_ELL + 1))
+        mode = SphereMode.of(d, ell)
+        pairs = eigen_pairs(band_spec(p, mode.mu, "robin"), range(1, _PER_ELL + 1))
         block = slice(e * _PER_ELL, (e + 1) * _PER_ELL)
         fns = np.stack([pair.fn for pair in pairs], out=rows[block])
         np.stack([pair.fn_prime for pair in pairs], out=rows_p[block])
@@ -229,7 +229,7 @@ def project_interior(f: RadialField, p: ConeProfile,
                 entries.append(link.find((ell, j + 1)))
             except KeyError:
                 entries.append(LinkEigenvalue.of(d, (ell, j + 1), pair.lam,
-                                                 harmonic_multiplicity(d, ell)))
+                                                 mode.multiplicity))
             for i, pr_i in pr.items():
                 proj_sq[i] += pr_i[j] * pr_i[j]
                 c += pr_i[j] * f.coeffs[i]

@@ -24,6 +24,12 @@ class SphereMode:
     mu: float
     multiplicity: int
 
+    @classmethod
+    def of(cls, d: int, ell: int) -> "SphereMode":
+        """Degree ``ell`` on S^{d-2}: mu = ell(ell+d-3) and its multiplicity."""
+        return cls(ell=ell, mu=float(ell * (ell + d - 3)),
+                   multiplicity=harmonic_multiplicity(d, ell))
+
 
 def harmonic_multiplicity(d: int, ell: int) -> int:
     """dim of spherical harmonics of degree ell on S^{d-2} (ambient R^{d-1})."""
@@ -50,6 +56,4 @@ def modes_up_to(d: int, mu_max: float) -> list[SphereMode]:
     # ell(ell+d-3) <= M  <=>  (2 ell + d-3)^2 <= 4M + (d-3)^2 for the integer
     # M = floor(mu_max), so the top degree is exact in integer arithmetic
     top = (isqrt(4 * floor(mu_max) + (d - 3) ** 2) - (d - 3)) // 2
-    return [SphereMode(ell=ell, mu=float(ell * (ell + d - 3)),
-                       multiplicity=harmonic_multiplicity(d, ell))
-            for ell in range(top + 1)]
+    return [SphereMode.of(d, ell) for ell in range(top + 1)]

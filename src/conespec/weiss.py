@@ -24,7 +24,6 @@ quadrature pass over each radius gives W, dW/dr and the deficit together.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Callable
 
@@ -112,9 +111,9 @@ def _fd1(f: Callable) -> Callable:
     return df
 
 
-@functools.lru_cache(maxsize=32)
 def _grams(u: AxisymField):
-    """Angular Gram matrices in the band weight, plus the support measure."""
+    """Angular Gram matrices in the band weight, plus the support measure:
+    (G_q, G_q', sw), computed once per public call."""
     th = u.theta
     w = np.sin(th) ** (u.dim - 2)
     qs = [c.q for c in u.components]
@@ -155,7 +154,7 @@ def _rho_matrices(u: AxisymField, s: np.ndarray, order: int = 1):
     return rr, rp, rpp
 
 
-def _weiss_values(u: AxisymField, radii: np.ndarray) -> np.ndarray:
+def _weiss_values(u: AxisymField, radii: np.ndarray, grams) -> np.ndarray:
     """Rows W(u, r), dW/dr and the deficit for every radius, _BLOCK radii per
     evaluation of the rho callables.  With I the radial integral, y its
     integrand and b = rho^T G_q rho, W = |S^{d-2}| (r^{-d} I + sw/d - r^{-2} b)
@@ -163,9 +162,10 @@ def _weiss_values(u: AxisymField, radii: np.ndarray) -> np.ndarray:
     + 2 r^{-3} b - 2 r^{-2} rho^T G_q rho'): t = 1 samples of the block.
     Radii are taken in order: the first one outside (0, r_max] raises
     ValueError, the first whose Richardson error estimate from the halved
-    grid exceeds _QUAD_TOL * max(1, |W|) raises GridTooCoarse."""
+    grid exceeds _QUAD_TOL * max(1, |W|) raises GridTooCoarse.  ``grams`` is
+    :func:`_grams` of u."""
     d = u.dim
-    gq, gqp, sw = _grams(u)
+    gq, gqp, sw = grams
     sd2 = sphere_area(d - 2)
     bad = np.flatnonzero(~((radii > 0) & (radii <= u.r_max)))
     n_ok = int(bad[0]) if bad.size else radii.size
@@ -203,14 +203,14 @@ def weiss(u: AxisymField, r: float, d: int) -> float:
     estimate from a halved radial grid exceeds _QUAD_TOL * max(1, |W|)."""
     if d != u.dim:
         raise ValueError(f"dimension argument {d} != field dimension {u.dim}")
-    return float(_weiss_values(u, np.array([r], dtype=float))[0, 0])
+    return float(_weiss_values(u, np.array([r], dtype=float), _grams(u))[0, 0])
 
 
-def _harmonic_correction(u: AxisymField, r: float) -> float:
+def _harmonic_correction(u: AxisymField, r: float, grams) -> float:
     """-2 r^{-d-1} int_{B_r} (x . grad u - u) Lap u  (vanishes when u is
     harmonic on its support, e.g. for the cone solution itself)."""
     d = u.dim
-    gq, gqp, _ = _grams(u)
+    gq, gqp, _ = grams
     s = r * _T
     rr, rp, rpp = _rho_matrices(u, s, order=2)
     e = s * rp - rr
@@ -226,9 +226,10 @@ def weiss_derivative_check(u: AxisymField, r: float):
     Returns (lhs, rhs, gap).  For fields harmonic on their support the
     correction vanishes and rhs reduces to the nonnegative deficit.
     """
-    _, dw, deficit = _weiss_values(u, np.array([r], dtype=float))
+    grams = _grams(u)
+    _, dw, deficit = _weiss_values(u, np.array([r], dtype=float), grams)
     lhs = float(dw[0])
-    rhs = float(deficit[0]) + _harmonic_correction(u, r)
+    rhs = float(deficit[0]) + _harmonic_correction(u, r, grams)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -254,11 +255,11 @@ def weiss_report(u: AxisymField, radii) -> WeissReport:
     radii = np.asarray(radii, dtype=float)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            w_vals, lhs, rhs = _weiss_values(u, radii)
+            grams = _grams(u)
+            w_vals, lhs, rhs = _weiss_values(u, radii, grams)
     except FloatingPointError as exc:
         raise NonFiniteResult(f"non-finite Weiss energy: {exc}") from None
-    gq, _, _ = _grams(u)
-    kappa0 = math.sqrt(sphere_area(u.dim - 2) * gq[0, 0])
+    kappa0 = math.sqrt(sphere_area(u.dim - 2) * grams[0][0, 0])
     return WeissReport(radii, w_vals, lhs, rhs, kappa0)
 
 

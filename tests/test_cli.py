@@ -108,10 +108,11 @@ def test_verify_sweep_exit_codes(tmp_path):
 
 def test_verify_work_count(tmp_path, monkeypatch):
     # verify solves the link spectrum only up to its gap, slicing each mode
-    # by Sturm counts and the modes with eigenvalues below d - 1 last; each
-    # band eigenvalue is solved once, from a seeded bracket whose two
-    # counting shots are Brent's endpoints, and the aperture is a Brent
-    # root: verify --dim 7 in a fresh process makes 47 shots
+    # by Sturm counts and the modes with eigenvalues below d - 1 last, whose
+    # eigenvalues below d - 1 are solved together; each band eigenvalue is
+    # solved once, from a seeded bracket whose two counting shots are
+    # Brent's endpoints, and the aperture is a Brent root: verify --dim 7
+    # in a fresh process makes 42 shots
     from conespec import boundary, kernels, linkspec, profile, sl
     sl._memo.clear()
     sl._seeds.cache_clear()
@@ -126,7 +127,7 @@ def test_verify_work_count(tmp_path, monkeypatch):
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(mod, name, counted)
     assert run(["verify", "--dim", "7", "--out", str(tmp_path / "v.json")]) == 0
-    assert 0 < len(shots) <= 50, len(shots)
+    assert 0 < len(shots) <= 44, len(shots)
 
 
 def test_second_particular_reuses_cone_and_spectrum(tmp_path, monkeypatch):

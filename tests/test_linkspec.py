@@ -7,7 +7,7 @@ import pytest
 
 from conespec.config import SolverConfig
 from conespec.errors import AmbiguousCluster
-from conespec.linkspec import (_walk_to_gap, decay_exponents, homogeneity,
+from conespec.linkspec import (_walk, decay_exponents, homogeneity,
                                link_spectrum, verify_strong_integrability)
 from conespec.profile import solve_profile
 
@@ -114,7 +114,7 @@ def test_walk_solves_nothing_above_the_gap(d):
     tol = SolverConfig().cluster_tol
     gap = verify_strong_integrability(p).gap_above
     want = [(e.lam, e.source) for e in link_spectrum(p, 4.0 * d).entries if e.lam < gap + tol]
-    assert [(e.lam, e.source) for e in _walk_to_gap(p, tol)] == want
+    assert [(e.lam, e.source) for e in _walk(p, min(d - 1 + tol, 4.0 * d), 4.0 * d, tol)] == want
 
 
 def test_ambiguous_cluster_on_absurd_tolerance(p3):
