@@ -75,14 +75,14 @@ def _endpoint_ell(p, q, qp):
     return p.H - qp[-1] / q[-1]
 
 
-def boundary_modes(p: ConeProfile, ell_max_count: int) -> list[BoundaryMode]:
-    """First ``ell_max_count`` boundary modes, sorted by descending ell_k.
+def boundary_modes(p: ConeProfile, count: int) -> list[BoundaryMode]:
+    """First ``count`` boundary modes, sorted by descending ell_k.
 
     The trace normalization uses the boundary measure of the two latitude
     spheres: ||psi||^2 = cos^{d-2}(theta0) |S^{d-2}| (psi(a)^2 + psi(b)^2).
     """
-    if ell_max_count < 1:
-        raise ValueError("ell_max_count must be >= 1")
+    if count < 1:
+        raise ValueError("count must be >= 1")
     d = p.dim
     trace_w = math.cos(p.theta0) ** (d - 2) * sphere_area(d - 2)
     found = []
@@ -100,14 +100,14 @@ def boundary_modes(p: ConeProfile, ell_max_count: int) -> list[BoundaryMode]:
                 psi=sign * q / scale, psi_prime=sign * qp / scale,
                 grid=p.grid, in_resonance=abs(ell_k) <= RES_TOL))
             pair_ells.append(ell_k)
-        if len(found) >= ell_max_count:
-            kth = sorted((m.ell_k for m in found), reverse=True)[ell_max_count - 1]
+        if len(found) >= count:
+            kth = sorted((m.ell_k for m in found), reverse=True)[count - 1]
             if max(pair_ells) < kth:
                 break
         if ell >= _ELL_CAP:
             raise NonConvergent("boundary-mode enumeration exceeded the sphere-mode cap")
     found.sort(key=lambda m: (-m.ell_k, m.ell, m.parity))
-    return [dataclasses.replace(m, k=i + 1) for i, m in enumerate(found[:ell_max_count])]
+    return [dataclasses.replace(m, k=i + 1) for i, m in enumerate(found[:count])]
 
 
 def _steklov_fd_once(p: ConeProfile, mu: float, n: int):

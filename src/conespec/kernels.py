@@ -10,8 +10,8 @@ solutions are (mu, lam=0).  Two entry points share one fixed-step RK4
 scheme:
 
 * :func:`propagate_band` returns the whole trajectory (g, g') at every grid
-  point -- node counts, eigenfunction assembly, the profile and the boundary
-  modes need it;
+  point -- eigenfunction assembly, the profile and the boundary modes need
+  it -- or, for node counts, only every 2^s-th point and the end state;
 * :func:`propagate_band_end` returns only the end state -- the eigenvalue
   defect evaluations need nothing else.
 
@@ -24,7 +24,8 @@ lam, lam^2, mu, mu lam, mu^2).  Its coefficients are memoized per
 which each shot evaluates by Horner's rule.
 One tree serves both entry points (Blelloch, "Prefix sums and their
 applications", 1990): its up-sweep of pairwise products gives the end state,
-and a down-sweep of states gives the trajectory, O(n) products each.  Both
+and a down-sweep of states gives the trajectory, O(n) products each; a
+down-sweep stopped s levels early gives every 2^s-th state.  Both
 only reassociate the products of the plain RK4 loop ``_rk4_band`` in
 ``tests/test_backends.py``, the tests' reference, whose stage arithmetic
 :func:`_step_entries` writes out entrywise.
@@ -230,26 +231,30 @@ def _rk4_end(dm2, mu, lam, thetas, g0, gp0):
     return _end_state(_up_sweep(_steps(dm2, mu, lam, thetas)), g0, gp0)
 
 
-def _rk4_trajectory(dm2, mu, lam, thetas, g0, gp0):
+def _rk4_trajectory(dm2, mu, lam, thetas, g0, gp0, skip=0):
     """RK4 trajectory: the up-sweep, then a down-sweep of states.
 
     Going down a level, the first child of each pair starts where its parent
     starts and the second child starts at the first child's product applied
-    to that state, so the leaf level holds the state before every step; the
-    last point is the end state of :func:`_rk4_end`.
+    to that state, so level s holds the state before steps 0, 2^s, 2*2^s, ...
+    (an unpaired block starts there too).  The down-sweep stops at level
+    ``skip`` (at the root past the tree's height), so skip = 0 gives the
+    state before every step; the last point is the end state of
+    :func:`_rk4_end`.
     """
     levels = _up_sweep(_steps(dm2, mu, lam, thetas))
+    stop = min(skip, len(levels) - 1)
     state = np.array([g0, gp0])[..., None]
-    for t in reversed(levels[:-1]):
+    for t in reversed(levels[stop:-1]):
         m = t.shape[-1]
         below = np.empty(state.shape[:-1] + (m,))
         below[..., 0::2] = state
         below[..., 1::2] = (t[..., 0:m - 1:2] * state[..., :m // 2]).sum(axis=1)
         state = below
-    n = thetas.shape[0]
-    g = np.empty(state.shape[1:-1] + (n,))
+    m = levels[stop].shape[-1]
+    g = np.empty(state.shape[1:-1] + (m + 1,))
     gp = np.empty_like(g)
-    g[..., :-1], gp[..., :-1] = state[..., :n - 1]
+    g[..., :-1], gp[..., :-1] = state[..., :m]
     g[..., -1], gp[..., -1] = _end_state(levels, g0, gp0)
     return g, gp
 
@@ -292,15 +297,20 @@ def _lane_shots(kernel, dm2, mu, lam, thetas, g0, gp0):
     return tuple(np.concatenate(part) for part in zip(*chunks))
 
 
-def propagate_band(dm2: float, mu: float, lam, thetas: np.ndarray, g0, gp0):
+def propagate_band(dm2: float, mu: float, lam, thetas: np.ndarray, g0, gp0, skip: int = 0):
     """Integrate the band ODE along ``thetas``; (g, g') at every grid point.
 
     Scalar arguments give arrays of shape (points,).  A 1-D ``lam``, ``g0``
     or ``gp0`` gives one lane per entry, shape (lanes, points), each lane
     bit-identical to its scalar shot; 1-D arguments of different lengths, a
-    2-D one or an empty one raise ``ValueError``.
+    2-D one or an empty one raise ``ValueError``.  ``skip`` = s > 0 stops the
+    down-sweep s levels early: only points 0, 2^s, 2*2^s, ... and the last
+    point come back, each bit-identical to the full trajectory's.
     """
-    return _finite_shot(_rk4_trajectory, dm2, mu, lam, thetas, g0, gp0)
+    if skip < 0:
+        raise ValueError(f"skip must be >= 0, got {skip}")
+    return _finite_shot(functools.partial(_rk4_trajectory, skip=skip),
+                        dm2, mu, lam, thetas, g0, gp0)
 
 
 def propagate_band_end(dm2: float, mu: float, lam, thetas: np.ndarray, g0, gp0):

@@ -14,9 +14,12 @@ full eigenfunction is its mirror image.
 Each eigenvalue is one generator (:func:`_root`) that yields the shots it
 needs: a coarse finite-volume seed (:func:`_seeds`), node-count isolation
 (:func:`_isolate`) only if the seed bracket misses, then Brent's method on
-the midpoint defect.  :func:`eigenvalues` drives one spec's roots together
-(:func:`_solve`), memoized per (spec, k); :func:`eigen_pairs` adds one
-lane-batched shot for the eigenfunctions, which are not cached.  The seeds
+the midpoint defect.  A counting shot stops the trajectory's down-sweep at
+the coarsest stride that the Sturm comparison theorem proves still sees
+every node (:func:`_count_skip`).  :func:`eigenvalues` drives one spec's
+roots together (:func:`_solve`), memoized per (spec, k); :func:`eigen_pairs`
+adds one lane-batched shot for the eigenfunctions, which are not cached,
+and checks their nodes on the full trajectory.  The seeds
 only choose the bracket, so the independent finite-difference
 discretization (:func:`eigen_fd_crosscheck`) remains the oracle.
 """
@@ -114,26 +117,53 @@ def _nodes(g):
 _TARGET_PHASE = {"even": math.pi / 2, "odd": math.pi}
 
 
-def _shots(kernel, spec, disc, lams):
+def _shots(kernel, spec, disc, lams, *extra):
     """Left half-band shots of ``kernel`` at each of ``lams``: one (g, g') each.
 
     Several lams are the lanes of one kernel call; a lone lam is a scalar
-    shot, which costs less than a call with one lane.
+    shot, which costs less than a call with one lane.  ``extra`` follows the
+    start state in the kernel call.
     """
     args = spec.dim - 2, spec.mu
     if len(lams) == 1:
-        return [kernel(*args, lams[0], disc["left"], *_y_left(spec))]
-    return list(zip(*kernel(*args, np.array(lams), disc["left"], *_y_left(spec))))
+        return [kernel(*args, lams[0], disc["left"], *_y_left(spec), *extra)]
+    return list(zip(*kernel(*args, np.array(lams), disc["left"], *_y_left(spec), *extra)))
+
+
+def _count_skip(spec, left, lam):
+    """Down-sweep levels a counting shot at ``lam`` may skip on the half band ``left``.
+
+    With m = (d-2)/2, g = u sin^-m turns the band ODE into u'' + Q u = 0,
+    Q = lam + m^2 - (mu + m(m-1)) / sin^2.  If Q <= M^2, zeros of g lie at
+    least pi/M apart (Sturm comparison; Pryce 1993), so samples 2^s h apart
+    with 2^s h <= pi/(2M) (a factor 2 of margin) see each zero as one sign
+    change.  M^2 <= 0 leaves at most one zero, which the two ends see: the
+    whole tree's height is skipped.
+    """
+    m = (spec.dim - 2) / 2
+    c = spec.mu + m * (m - 1)
+    # max Q on the half band: at pi/2, or at the band end when c < 0 (d = 3, mu < 1/4)
+    m2 = lam + m * m - (c if c >= 0 else c / math.sin(left[0]) ** 2)
+    height = (left.size - 2).bit_length()
+    if m2 <= 0:
+        return height
+    spacing = math.pi / (2.0 * math.sqrt(m2) * (left[1] - left[0]))
+    return min(height, max(0, math.frexp(spacing)[1] - 1))  # floor(log2(spacing))
 
 
 def _half_shots(spec, disc, lams):
-    """Trajectory shots at each of ``lams``: (nodes, g(pi/2), g'(pi/2)) each."""
+    """Counting shots at each of ``lams``: (nodes, g(pi/2), g'(pi/2)) each.
+
+    Nodes are read off every 2^s-th state of the trajectory (s from
+    :func:`_count_skip` at the largest lam); the end state is exact.
+    """
+    skip = _count_skip(spec, disc["left"], max(lams))
     return [(_nodes(g), float(g[-1]), float(gp[-1]))
-            for g, gp in _shots(propagate_band, spec, disc, lams)]
+            for g, gp in _shots(propagate_band, spec, disc, lams, skip)]
 
 
 def _half_shot(spec, disc, lam):
-    """Trajectory shot on the left half-band: (nodes, g(pi/2), g'(pi/2))."""
+    """Counting shot on the left half-band: (nodes, g(pi/2), g'(pi/2))."""
     return _half_shots(spec, disc, [lam])[0]
 
 
@@ -202,7 +232,7 @@ def _assemble_fn(spec, disc, lams, parities):
 
 
 def count_below(spec: SLSpec, lam: float) -> int:
-    """Number of band eigenvalues strictly below ``lam`` (one trajectory shot)."""
+    """Number of band eigenvalues strictly below ``lam`` (one counting shot)."""
     shot = _half_shot(spec, _disc(spec), lam)
     return _phase_count(*shot, "even") + _phase_count(*shot, "odd")
 
@@ -236,7 +266,7 @@ def _seeds(spec: SLSpec, parity: str) -> tuple[float, ...]:
 def _root(spec, k):
     """The k-th eigenvalue's solve as a generator; returns the eigenvalue.
 
-    It yields ("count", lam), answered with the trajectory shot (nodes,
+    It yields ("count", lam), answered with the counting shot (nodes,
     g(pi/2), g'(pi/2)), and ("defect", lam), answered with the end state.
     Brent runs on the seed bracket if its ends count idx-1 and idx, else on
     the one :func:`_isolate` finds.  Off one end state sign g(pi/2) =
@@ -267,7 +297,7 @@ def _solve(spec, ks):
     """Eigenvalues of the distinct ``ks``: one :func:`_root` each, driven together.
 
     Each round answers every root's requests whose lam this call has shot
-    already (a trajectory's last point is its end state, so a counting shot
+    already (a counting shot's last point is its exact end state, so it
     answers a defect request too) and shoots the rest at once: the new
     counting lams in one trajectory call, the new defect lams in one
     end-state call.  No lam is shot twice in one call.

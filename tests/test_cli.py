@@ -382,6 +382,7 @@ _IN_CHILD = {"modes --dim 7 --mu-max nan", "modes --dim 7 --mu-max inf",
     ("weiss --dim 7 --field @cone --radii 1,-2", 64, "is not positive"),
     ("report --dims 10..3", 64, "--dims: '10..3' names no dimension"),
     ("report --dims 3..x", 64, "is not a dimension list"),
+    ("boundary-spectrum --dim 7 --count 0", 64, "invalid input: count must be >= 1"),
     ("particular --dim 7 --beta 0.7 --modes @list", 64, "modes file must hold a JSON object"),
     ("weiss --dim 7 --field @list --radii 1", 64, "field file must hold a JSON object"),
     ("particular --dim 7 --beta 0.7 --modes @no_coeffs", 64,

@@ -244,11 +244,19 @@ def test_seeded_bracket_ends_are_not_reshot(p7, monkeypatch, k):
     assert lo < lam < hi
 
 
+def _full_shot(spec, lam):
+    """(nodes, g(pi/2), g'(pi/2)) off the full left half-band trajectory."""
+    g, gp = sl.propagate_band(spec.dim - 2, spec.mu, lam, sl._disc(spec)["left"],
+                              *sl._y_left(spec))
+    return sl._nodes(g), float(g[-1]), float(gp[-1])
+
+
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
 def test_defect_sign_follows_count(seed_profiles, bc):
     # Brent needs no same-sign guard: off one end state the midpoint defect
     # is 0 or has sign (-1)^count, so ends counting idx-1 and idx bracket a
-    # sign change
+    # sign change; the strided counting shot reads the full trajectory's
+    # nodes and end state
     for d, p in seed_profiles.items():
         for mu in (0.0, 5.0, 84.0, 500.0):
             spec = band_spec(p, mu, bc)
@@ -258,6 +266,7 @@ def test_defect_sign_follows_count(seed_profiles, bc):
             lams = np.concatenate([np.linspace(fd[0] - 0.1 * span, fd[-1] + 0.1 * span, 61), fd])
             for lam in lams:
                 shot = sl._half_shot(spec, disc, float(lam))
+                assert shot == _full_shot(spec, float(lam)), (d, mu, lam)
                 for parity in ("even", "odd"):
                     count = sl._phase_count(*shot, parity)
                     defect = sl._defect(*shot[1:], parity)
@@ -274,6 +283,36 @@ def test_eigenvalue_past_seeds_at_large_mu(p7, bc):
     pair = eigen_k(spec, 17)
     assert abs(pair.lam - fd) <= 1e-8 * fd, (pair.lam, fd)
     assert pair.nodes == 16
+
+
+@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
+def test_counting_stride_at_large_mu(p7, bc):
+    # at mu = 3e6 M^2 = lam + m - mu is large, so the stride falls well below
+    # the tree's height and still sees every node up to k = 17
+    spec = band_spec(p7, 3e6, bc)
+    disc = sl._disc(spec)
+    lam17 = eigenvalue(spec, 17)
+    lams = np.concatenate([np.linspace(3e6, lam17 * (1 + 1e-3), 80),
+                           lam17 * (1 + np.array([-1e-6, 1e-6]))])
+    assert sl._count_skip(spec, disc["left"], lams[-1]) < sl._count_skip(spec, disc["left"], 0.0)
+    for lam in lams:
+        assert sl._half_shot(spec, disc, float(lam)) == _full_shot(spec, float(lam)), lam
+    assert [count_below(spec, lam) for lam in lams[-2:]] == [16, 17]
+
+
+def test_counting_stride_bound_has_teeth(p3):
+    # the stride 2^s h <= pi/(2M) keeps a factor 2 of margin over the Sturm
+    # spacing pi/M; a stride past pi/M skips over zeros
+    spec = band_spec(p3, 0.0, "robin")
+    left = sl._disc(spec)["left"]
+    lam = 135.59
+    skip = sl._count_skip(spec, left, lam)
+
+    def nodes(s):
+        return sl._nodes(sl.propagate_band(1, 0.0, lam, left, *sl._y_left(spec), s)[0])
+
+    assert nodes(0) == nodes(skip) == nodes(skip + 1) == 4
+    assert nodes(skip + 2) != 4
 
 
 @pytest.mark.parametrize("mu", [0.0, 84.0])
