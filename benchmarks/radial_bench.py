@@ -31,14 +31,14 @@ COEFFS = {1: 1.0, 3: -0.5, 5: 0.8}
 
 
 def defect_field(d):
-    """The interior-basis defect field and link spectrum of the fixed source."""
+    """The interior-basis defect field of the fixed source."""
     p = solve_profile(d)
     link = link_spectrum(p, 4.0 * d)
     bmodes = boundary_modes(p, max(COEFFS) + 2)
     src = radial.make_source(BETA, COEFFS, link)
     _, f = radial.transfer_boundary(src, bmodes, p)
-    f_int, _ = radial.project_interior(f, p, link)
-    return f_int, link
+    f_int, _ = radial.project_interior(f, p)
+    return f_int
 
 
 def best_time(fn, repeats):
@@ -75,7 +75,7 @@ def main():
 
     print(f"radial solves, beta={BETA}, source {COEFFS}  (best of {args.repeats})")
     for d in [int(t) for t in args.dims.split(",") if t]:
-        f_int, link = defect_field(d)
+        f_int = defect_field(d)
         solved = [j for j in range(len(f_int.modes))
                   if np.max(np.abs(f_int.coeffs[j])) > 0.0]
         print(f"\nd={d}: {len(f_int.modes)} modes, {len(solved)} with a nonzero defect")
@@ -89,7 +89,7 @@ def main():
             t = best_time(lambda: radial._solve_mode(entry, f_int.coeffs[j], f_int.r_grid,
                                                      d, BETA, False), args.repeats)
             print(f"{str(entry.source):>10}{P:>9.3f}{Q:>9.3f}{n:>8}{t * 1e6:>10.1f}")
-        t = best_time(lambda: radial.solve_radial_modes(f_int, link, BETA), args.repeats)
+        t = best_time(lambda: radial.solve_radial_modes(f_int), args.repeats)
         print(f"solve_radial_modes: {t * 1e3:.3f} ms, {t * 1e6 / len(solved):.1f} us/mode, "
               f"{points} points, {t * 1e9 / points:.1f} ns/point")
 

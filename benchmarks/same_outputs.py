@@ -5,8 +5,9 @@ process with ``$CONESPEC_CONFIG`` unset, on both trees, and compares each
 pair's exit code, stdout and stderr.  It prints one line per run and exits 1 if any run differs.  The
 list covers every command that reads the link spectrum, the profile, the
 boundary modes or the Weiss energy, including the refusals of
-``spectrum``; the input files of ``particular`` and ``weiss`` are written
-to one temporary directory that both trees read.
+``spectrum``, and runs ``verify``, ``particular`` and ``criticality`` once
+more under a ``--config`` file; the input files are written to one
+temporary directory that both trees read.
 
     python3 benchmarks/same_outputs.py --a OLD/src --b NEW/src
 
@@ -25,6 +26,7 @@ FILES = {
     "modes.json": {"coeffs": {"1": 1.0, "3": -0.5, "5": 0.25}},
     "cone.json": {"kind": "cone"},
     "perturbed.json": {"kind": "perturbed", "eps": 0.01, "exponent": 1.5},
+    "grid1024.json": {"grid_n": 1024},
 }
 
 RUNS = (
@@ -47,6 +49,10 @@ RUNS = (
     ["weiss", "--dim", "7", "--field", "cone.json", "--radii", "0.5,1,2"],
     ["weiss", "--dim", "7", "--field", "perturbed.json", "--radii", "0.5,1,2"],
     ["criticality", "--dim", "7"],
+    ["--config", "grid1024.json", "verify", "--dim", "7"],
+    ["--config", "grid1024.json", "particular", "--dim", "7", "--beta", "0.7",
+     "--modes", "modes.json"],
+    ["--config", "grid1024.json", "criticality", "--dim", "7"],
 )
 
 
@@ -83,7 +89,7 @@ def main(argv=None):
             what = (f"exit {a[0]}, stdout {len(a[1])} B, stderr {len(a[2])} B" if same else
                     f"exit {a[0]} -> {b[0]}, stdout {'same' if a[1] == b[1] else 'differs'}, "
                     f"stderr {'same' if a[2] == b[2] else 'differs'}")
-            print(f"{'same' if same else 'DIFF':<5} {' '.join(cli_argv):<66} {what}")
+            print(f"{'same' if same else 'DIFF':<5} {' '.join(cli_argv):<78} {what}")
     print(f"{len(RUNS) - differ} of {len(RUNS)} runs byte-identical")
     return 1 if differ else 0
 

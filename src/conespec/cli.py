@@ -287,7 +287,7 @@ def _dispatch(args, cfg) -> int:
         if not src.admissible:
             raise ValueError(f"beta={args.beta!r} resonates with an interior "
                              "homogeneity: beta = d/2 +- delta of a link eigenvalue")
-        _, rep = build_up(src, p, link, bmodes, cfg)
+        _, rep = build_up(src, p, bmodes, cfg)
         _emit(_json_report(rep.to_dict(), cfg, stamp), args.out)
         return 0
 
@@ -302,6 +302,10 @@ def _dispatch(args, cfg) -> int:
     if args.command == "criticality":
         p = solve_profile(args.dim, cfg)
         eps = args.eps
+        # a step that rounds away leaves a difference quotient of 0 by construction
+        if p.theta0 + eps == p.theta0 or p.theta0 - eps == p.theta0:
+            raise UsageError(f"--eps {eps!r} does not move the half-width "
+                             f"theta0 = {p.theta0!r}")
         f0 = F_functional(p.theta0, p, args.dim)
         df = (F_functional(p.theta0 + eps, p, args.dim)
               - F_functional(p.theta0 - eps, p, args.dim)) / (2 * eps)

@@ -17,6 +17,11 @@ ENV_CONFIG = "CONESPEC_CONFIG"
 # resonant with the source decay.
 RES_TOL = 1e-7
 
+# Largest profile grid.  At 2**20, particular at d = 7 peaks near 950 MB of
+# resident memory, the most of any command; far larger grids would fail with
+# a numpy allocation error instead of a config error.
+GRID_N_MAX = 2 ** 20
+
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
@@ -33,8 +38,8 @@ class SolverConfig:
                 raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
         if not self.cluster_tol > 0:
             raise ValidationError(f"cluster_tol must be positive, got {self.cluster_tol!r}")
-        if self.grid_n < 64:
-            raise ValidationError(f"grid_n must be >= 64, got {self.grid_n}")
+        if not 64 <= self.grid_n <= GRID_N_MAX:
+            raise ValidationError(f"grid_n must lie in [64, {GRID_N_MAX}], got {self.grid_n}")
         if not (self.r0 > 0 and self.r_max / self.r0 >= 4):
             raise ValidationError("require r0 > 0 and r_max/r0 >= 4")
 

@@ -47,6 +47,7 @@ class RadialField:
     """Truncated spectral field sum_j coeffs[j](r) * angular[j](theta) * Y_ell."""
 
     basis: str  # 'interior' | 'boundary' | 'mixed'
+    dim: int                    # dimension d of the cone
     r_grid: np.ndarray
     coeffs: np.ndarray          # (n_modes, n_r)
     beta: float                 # asserted decay exponent of the source
@@ -191,14 +192,13 @@ def transfer_boundary(src: SourceSpec, bmodes, p: ConeProfile,
             f_c[i] = -amp * rad_f / m.ell_k
             f_a[i] = c_euler * m.psi
 
-    u1 = RadialField("boundary", r, u1_c, beta, tuple(used), p.grid, u1_a, u1_ap)
+    u1 = RadialField("boundary", d, r, u1_c, beta, tuple(used), p.grid, u1_a, u1_ap)
     # defect profiles are only integrated, never traced: no angular derivative
-    f = RadialField("boundary", r, f_c, beta, tuple(used), p.grid, f_a, np.zeros_like(f_a))
+    f = RadialField("boundary", d, r, f_c, beta, tuple(used), p.grid, f_a, np.zeros_like(f_a))
     return u1, f
 
 
-def project_interior(f: RadialField, p: ConeProfile,
-                     link: LinkSpectrum) -> tuple[RadialField, float]:
+def project_interior(f: RadialField, p: ConeProfile) -> tuple[RadialField, float]:
     """Expand the defect field in the interior Robin basis.
 
     Only sphere modes present in the source couple (orthogonality of the
@@ -225,11 +225,7 @@ def project_interior(f: RadialField, p: ConeProfile,
         pr = {i: simpson(f.angular[i] * fns * w, x=p.grid)
               for i, m in enumerate(f.modes) if m.ell == ell}
         for j, (pair, c) in enumerate(zip(pairs, coeffs[block])):
-            try:
-                entries.append(link.find((ell, j + 1)))
-            except KeyError:
-                entries.append(LinkEigenvalue.of(d, (ell, j + 1), pair.lam,
-                                                 mode.multiplicity))
+            entries.append(LinkEigenvalue.of(d, (ell, j + 1), pair.lam, mode.multiplicity))
             for i, pr_i in pr.items():
                 proj_sq[i] += pr_i[j] * pr_i[j]
                 c += pr_i[j] * f.coeffs[i]
@@ -237,7 +233,7 @@ def project_interior(f: RadialField, p: ConeProfile,
     for full, sq in zip(simpson(f.angular ** 2 * w, x=p.grid), proj_sq):
         if full > 0:
             tail = max(tail, math.sqrt(max(full - sq, 0.0) / full))
-    field = RadialField("interior", f.r_grid, coeffs, f.beta, tuple(entries), p.grid,
+    field = RadialField("interior", d, f.r_grid, coeffs, f.beta, tuple(entries), p.grid,
                         rows, rows_p)
     return field, tail
 
@@ -377,9 +373,9 @@ def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
     return u_f[::refine], resid
 
 
-def solve_radial_modes(f: RadialField, link: LinkSpectrum, beta: float,
-                       flip_rules: bool = False) -> RadialField:
-    """Step 2: solve the per-mode Cauchy-Euler ODEs from the defect field.
+def solve_radial_modes(f: RadialField, flip_rules: bool = False) -> RadialField:
+    """Step 2: solve the per-mode Cauchy-Euler ODEs from the defect field,
+    in the field's dimension and at its source decay beta.
 
     ``flip_rules`` forces both integration limits to R0 regardless of the
     sign rules — the negative-test hook: wrong limits inject a homogeneous
@@ -388,9 +384,6 @@ def solve_radial_modes(f: RadialField, link: LinkSpectrum, beta: float,
     """
     if f.basis != "interior":
         raise ValueError("solve_radial_modes requires interior-basis projections")
-    if abs(beta - f.beta) > 1e-12:
-        raise ValueError("beta disagrees with the field's asserted source decay")
-    d = link.dim
     out = np.zeros_like(f.coeffs)
     resid = np.zeros(len(f.modes))
 
@@ -398,7 +391,7 @@ def solve_radial_modes(f: RadialField, link: LinkSpectrum, beta: float,
         if np.max(np.abs(f.coeffs[j])) == 0.0:
             continue
         try:
-            out[j], resid[j] = _solve_mode(entry, f.coeffs[j], f.r_grid, d, beta, flip_rules)
+            out[j], resid[j] = _solve_mode(entry, f.coeffs[j], f.r_grid, f.dim, f.beta, flip_rules)
         except FloatingPointError as exc:
             raise NonFiniteResult(
                 f"non-finite radial coefficients in mode {entry.source}: {exc}") from None
@@ -415,19 +408,13 @@ def ode_residuals(u: RadialField, f: RadialField) -> np.ndarray:
     """
     if u.basis != "interior" or f.basis != "interior":
         raise ValueError("residual evaluation requires interior-basis fields")
-    # gamma_plus + gamma_minus = -(d-2) for real homogeneities; a complex
-    # pair stores +sqrt(-lam) in both fields, so read d - 2 off a real mode
-    real = [m for m in u.modes if not m.complex_radicand]
-    if not real:
-        raise ValueError("residual evaluation needs a mode with real homogeneities")
-    dm2 = -(real[0].gamma_plus + real[0].gamma_minus)
     dtau = math.log(u.r_grid[1] / u.r_grid[0])
     vals = np.zeros(len(u.modes))
     for j, entry in enumerate(u.modes):
         y = u.coeffs[j]
         d1 = _derivative(y, dtau)
         d2 = _d2_uniform(y, dtau)
-        res = d2 + dm2 * d1 - entry.lam * y - u.r_grid ** 2 * f.coeffs[j]
+        res = d2 + (u.dim - 2) * d1 - entry.lam * y - u.r_grid ** 2 * f.coeffs[j]
         vals[j] = float(np.max(np.abs(res[3:-3])))
     return vals
 
@@ -474,40 +461,45 @@ class BuildReport:
                 "per_mode": [dict(m) for m in self.per_mode]}
 
 
-def build_up(src: SourceSpec, p: ConeProfile, link: LinkSpectrum, bmodes,
+def build_up(src: SourceSpec, p: ConeProfile, bmodes,
              cfg: SolverConfig | None = None) -> tuple[RadialField, BuildReport]:
     """Full particular solution u_p = u1 + u2 with its residual report.
 
     interior_residual is the worst per-mode Cauchy-Euler defect relative to
     the source scale sup_r r^2 ||f||; the angular truncation of the defect
-    projection is reported separately as projection_tail.
+    projection is reported separately as projection_tail.  Raises
+    NonFiniteResult when a step overflows, divides by zero or turns NaN.
     """
-    u1, f = transfer_boundary(src, bmodes, p, cfg)
-    f_int, tail = project_interior(f, p, link)
-    u2 = solve_radial_modes(f_int, link, src.beta)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            u1, f = transfer_boundary(src, bmodes, p, cfg)
+            f_int, tail = project_interior(f, p)
+            u2 = solve_radial_modes(f_int)
 
-    up = RadialField(
-        "mixed", u1.r_grid, np.vstack([u1.coeffs, u2.coeffs]), src.beta,
-        tuple(u1.modes) + tuple(u2.modes), p.grid,
-        np.vstack([u1.angular, u2.angular]),
-        np.vstack([u1.angular_prime, u2.angular_prime]))
+            up = RadialField(
+                "mixed", p.dim, u1.r_grid, np.vstack([u1.coeffs, u2.coeffs]), src.beta,
+                tuple(u1.modes) + tuple(u2.modes), p.grid,
+                np.vstack([u1.angular, u2.angular]),
+                np.vstack([u1.angular_prime, u2.angular_prime]))
 
-    scale = float(np.max(f_int.r_grid ** 2 * f_int.mode_norm()))
-    per_mode = []
-    for j, entry in enumerate(f_int.modes):
-        if entry.complex_radicand:
-            continue
-        P, Q = _sign_exponents(link.dim, entry.delta, src.beta)
-        per_mode.append({
-            "source": list(entry.source), "lambda": entry.lam,
-            "P": P, "Q": Q,
-            "a": "R0" if P > 0 else "inf", "b": "R0" if Q > 0 else "inf",
-            "residual": float(u2.ode_residual[j])})
-    interior = float(np.max(u2.ode_residual) / scale) if scale > 0 else 0.0
-    bres = boundary_residual(up, src, bmodes, p)
-    report = BuildReport(slope=up.slope(3.0), interior_residual=interior,
-                         boundary_residual=bres, projection_tail=tail,
-                         per_mode=tuple(per_mode))
+            scale = float(np.max(f_int.r_grid ** 2 * f_int.mode_norm()))
+            per_mode = []
+            for j, entry in enumerate(f_int.modes):
+                if entry.complex_radicand:
+                    continue
+                P, Q = _sign_exponents(p.dim, entry.delta, src.beta)
+                per_mode.append({
+                    "source": list(entry.source), "lambda": entry.lam,
+                    "P": P, "Q": Q,
+                    "a": "R0" if P > 0 else "inf", "b": "R0" if Q > 0 else "inf",
+                    "residual": float(u2.ode_residual[j])})
+            interior = float(np.max(u2.ode_residual) / scale) if scale > 0 else 0.0
+            bres = boundary_residual(up, src, bmodes, p)
+            report = BuildReport(slope=up.slope(3.0), interior_residual=interior,
+                                 boundary_residual=bres, projection_tail=tail,
+                                 per_mode=tuple(per_mode))
+    except FloatingPointError as exc:
+        raise NonFiniteResult(f"non-finite particular solution: {exc}") from None
     return up, report
 
 
@@ -520,8 +512,7 @@ class DecayClassification:
     field: RadialField
 
 
-def classify_decay(field: RadialField, link: LinkSpectrum,
-                   beta: float | None = None) -> DecayClassification:
+def classify_decay(field: RadialField, beta: float | None = None) -> DecayClassification:
     """Split each radial coefficient into its homogeneous branches and keep
     only those compatible with decay O(r^{-beta}).
 
@@ -533,7 +524,7 @@ def classify_decay(field: RadialField, link: LinkSpectrum,
         raise ValueError("classify_decay requires an interior-basis field")
     if beta is None:
         beta = -field.slope(1.0)
-    d = link.dim
+    d = field.dim
     r = field.r_grid
     ln_r = np.log(r)
     retained, zeroed = [], []

@@ -32,7 +32,6 @@ import numpy as np
 from ._quad import D1_WEIGHTS, _derivative, simpson
 from .boundary import sphere_area
 from .errors import GridTooCoarse, MissingCoefficient, NonFiniteResult, NumericalError
-from .linkspec import LinkSpectrum
 from .profile import ConeProfile
 from .sl import SLSpec, band_spec, eigen_k, eigenvalue
 
@@ -198,11 +197,9 @@ def _weiss_values(u: AxisymField, radii: np.ndarray, grams) -> np.ndarray:
     return out
 
 
-def weiss(u: AxisymField, r: float, d: int) -> float:
+def weiss(u: AxisymField, r: float) -> float:
     """Evaluate W(u, r); raises GridTooCoarse when the Richardson error
     estimate from a halved radial grid exceeds _QUAD_TOL * max(1, |W|)."""
-    if d != u.dim:
-        raise ValueError(f"dimension argument {d} != field dimension {u.dim}")
     return float(_weiss_values(u, np.array([r], dtype=float), _grams(u))[0, 0])
 
 
@@ -303,7 +300,7 @@ def link_measure_identity(p: ConeProfile):
     """W(U, 1) against H^{d-1}(link)/d; returns (W1, measure_over_d, gap)."""
     if p.theta0 >= math.pi / 2:
         raise ValueError("band half-width must stay below pi/2")
-    w1 = weiss(cone_field(p), 1.0, p.dim)
+    w1 = weiss(cone_field(p), 1.0)
     w = np.sin(p.grid) ** (p.dim - 2)
     measure = sphere_area(p.dim - 2) * float(simpson(w, x=p.grid))
     ref = measure / p.dim
@@ -335,8 +332,7 @@ def F_functional(band_halfwidth: float, p: ConeProfile, d: int) -> float:
     return (kappa0_sq * (lam1 - (d - 1)) + area) / d
 
 
-def foliation_leading_term(p: ConeProfile, link: LinkSpectrum, side: str,
-                           t: float | None, x) -> np.ndarray:
+def foliation_leading_term(p: ConeProfile, side: str, t: float | None, x) -> np.ndarray:
     """Leading asymptotics U(x) +/- t r^gamma phi_1(theta) of the foliating
     sub/supersolutions, gamma = -(d-2)/2 + sqrt(((d-2)/2)^2 + lam_1).
 
@@ -348,11 +344,11 @@ def foliation_leading_term(p: ConeProfile, link: LinkSpectrum, side: str,
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
     d = p.dim
-    rad = ((d - 2) / 2) ** 2 + link.lambda1
+    pair = eigen_k(band_spec(p, 0.0, "robin"), 1)
+    rad = ((d - 2) / 2) ** 2 + pair.lam
     if rad <= 0:
         raise NumericalError("first interior eigenvalue below the stability floor")
     gamma = -(d - 2) / 2 + math.sqrt(rad)
-    pair = eigen_k(band_spec(p, 0.0, "robin"), 1)
     phi = pair.fn
     w = np.sin(p.grid) ** (d - 2)
     if simpson(phi * w, x=p.grid) < 0:

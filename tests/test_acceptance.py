@@ -131,14 +131,14 @@ def test_criterion_6_weiss_identities(p3, p7, announce):
     radii = (0.5, 1.0, 2.0, 4.0)
     spread = 0.0
     for p in (p3, p7):
-        vals = [weiss(cone_field(p), r, p.dim) for r in radii]
+        vals = [weiss(cone_field(p), r) for r in radii]
         spread = max(spread, max(vals) - min(vals))
         ok &= max(vals) - min(vals) <= 1e-8
         _, _, gap = link_measure_identity(p)
         ok &= gap <= 1e-7
     for d in (3, 7):
         ref = sphere_area(d - 1) / (2 * d)
-        ok &= abs(weiss(halfplane_field(d), 1.0, d) - ref) / ref <= 1e-7
+        ok &= abs(weiss(halfplane_field(d), 1.0) - ref) / ref <= 1e-7
     worst_rel = 0.0
     fields = (_tapered_jacobi_field(p3), _sinlog_field(p7),
               power_field(p7, 1.4))
@@ -167,7 +167,7 @@ def test_criterion_7_aperture_criticality(p3, p7, announce):
 def test_criterion_8_particular_solution(p7, link7, bmodes7, announce):
     src = make_source(0.7, {1: 1.0, 2: 0.8, 4: -0.5}, link7)
     n_res = sum(1 for m in bmodes7 if m.k in (1, 2, 4) and m.in_resonance)
-    up, rep = build_up(src, p7, link7, bmodes7)
+    up, rep = build_up(src, p7, bmodes7)
     ok = n_res == 1
     ok &= rep.interior_residual <= 1e-6
     ok &= rep.boundary_residual <= 1e-6
@@ -175,10 +175,10 @@ def test_criterion_8_particular_solution(p7, link7, bmodes7, announce):
 
     entry = link7.find((0, 2))
     r = radial_grid()
-    f = RadialField("interior", r, (r ** -1.5)[None, :], 0.5, (entry,),
+    f = RadialField("interior", p7.dim, r, (r ** -1.5)[None, :], 0.5, (entry,),
                     p7.grid, np.ones((1, p7.grid.size)),
                     np.zeros((1, p7.grid.size)))
-    u = solve_radial_modes(f, link7, 0.5)
+    u = solve_radial_modes(f)
     rel = np.abs(u.coeffs[0] - r ** 0.5 / 2.75) / (r ** 0.5 / 2.75)
     closed = float(np.max(rel[r.size // 2:]))
     ok &= closed <= 1e-6
@@ -190,8 +190,8 @@ def test_criterion_8_particular_solution(p7, link7, bmodes7, announce):
 def test_criterion_9_limit_selection_negative(p7, link7, bmodes7, announce):
     src = make_source(0.7, {1: 1.0, 2: 0.8, 4: -0.5}, link7)
     _, f = transfer_boundary(src, bmodes7, p7)
-    f_int, _ = project_interior(f, p7, link7)
-    flipped = solve_radial_modes(f_int, link7, 0.7, flip_rules=True)
+    f_int, _ = project_interior(f, p7)
+    flipped = solve_radial_modes(f_int, flip_rules=True)
     slopes = []
     row_max = np.max(np.abs(f_int.coeffs), axis=1)
     for j, e in enumerate(f_int.modes):

@@ -72,6 +72,7 @@ def test_config_error_paths(tmp_path, capsys):
     '{"quad_tol": [1e-9]}',
     '{"res_tol": 1e-7}',
     '{"root_tol": 1e-12}',
+    '{"grid_n": 10000000000000}',
 ])
 def test_config_field_types(tmp_path, capsys, body):
     cfgf = tmp_path / "c.json"
@@ -162,17 +163,22 @@ def test_ab_bench_runs():
                      res.stdout), res.stdout
 
 
-@pytest.mark.parametrize("config, coeffs, code, message", [
-    (None, {}, 64, "invalid input: .*coeffs must name at least one boundary mode"),
-    ({"r_max": 1e300}, {"1": 1.0}, 2, "numerical error: non-finite radial coefficients"),
+@pytest.mark.parametrize("config, coeffs, code, message, beta", [
+    (None, {}, 64, "invalid input: .*coeffs must name at least one boundary mode", "0.7"),
+    ({"r_max": 1e300}, {"1": 1.0}, 2, "numerical error: non-finite radial coefficients",
+     "0.7"),
     # particular needs the link spectrum up to 4d = 28, past what grid_n=192 resolves
     ({"grid_n": 192}, {"1": 1.0}, 64,
-     r"invalid input: grid_n=192 is too coarse for particular at d=7: .* 4d = 28"),
+     r"invalid input: grid_n=192 is too coarse for particular at d=7: .* 4d = 28", "0.7"),
+    # r^{1-beta} underflows to 0 on the radial grid: the slope fit takes log 0
+    (None, {"1": 1.0}, 2, "numerical error: non-finite particular solution", "400"),
+    # the Euler factor (1 - beta)(d - 1 - beta) is inf, and the projection adds inf to -inf
+    (None, {"1": 1.0}, 2, "numerical error: non-finite particular solution", "1e300"),
 ])
-def test_particular_exit_contract(tmp_path, capsys, config, coeffs, code, message):
+def test_particular_exit_contract(tmp_path, capsys, config, coeffs, code, message, beta):
     modes = tmp_path / "m.json"
     modes.write_text(json.dumps({"coeffs": coeffs}))
-    argv = ["particular", "--dim", "7", "--beta", "0.7", "--modes", str(modes)]
+    argv = ["particular", "--dim", "7", "--beta", beta, "--modes", str(modes)]
     if config is not None:
         cfgf = tmp_path / "c.json"
         cfgf.write_text(json.dumps(config))
@@ -366,6 +372,7 @@ _IN_CHILD = {"modes --dim 7 --mu-max nan", "modes --dim 7 --mu-max inf",
     ("criticality --dim 7 --eps 0", 64, "--eps: '0' is not positive"),
     ("criticality --dim 7 --eps=-1e-4", 64, "is not positive"),
     ("criticality --dim 7 --eps nan", 64, "is not finite"),
+    ("criticality --dim 7 --eps 1e-17", 64, "--eps 1e-17 does not move the half-width"),
     ("particular --dim 7 --beta nan --modes @modes", 64, "--beta: 'nan' is not finite"),
     ("particular --dim 7 --beta=-inf --modes @modes", 64, "not finite"),
     ("sl --dim 7 --mu nan --bc robin --k 1", 64, "--mu: 'nan' is not finite"),

@@ -18,10 +18,12 @@ import warnings
 import numpy as np
 import pytest
 
+from conespec.boundary import boundary_modes
 from conespec.config import SolverConfig
 from conespec.errors import (NonFiniteResult, NumericalError, ResonanceDivision,
                              ResonantExponent, TailDivergence)
-from conespec.linkspec import LinkEigenvalue, homogeneity
+from conespec.linkspec import LinkEigenvalue, homogeneity, link_spectrum
+from conespec.profile import solve_profile
 from conespec._quad import (_cumulative_down, _cumulative_up, _d2_uniform, _derivative,
                             _segment_integrals)
 from conespec.radial import (RadialField, SourceSpec, _fit_power, _solve_mode,
@@ -34,10 +36,10 @@ BETA = 0.7
 
 
 def _interior_field(link, entry, coeff_rows, beta, grid):
-    """Hand-built interior-basis field with flat angular rows (the radial
-    solver never looks at the angular part)."""
+    """Hand-built interior-basis field in the link's dimension with flat
+    angular rows (the radial solver never looks at the angular part)."""
     n = len(coeff_rows)
-    return RadialField("interior", radial_grid(), np.array(coeff_rows), beta,
+    return RadialField("interior", link.dim, radial_grid(), np.array(coeff_rows), beta,
                        tuple([entry] * n) if not isinstance(entry, tuple)
                        else entry, grid,
                        np.ones((n, grid.size)), np.zeros((n, grid.size)))
@@ -47,8 +49,8 @@ def _interior_field(link, entry, coeff_rows, beta, grid):
 def base_build(p7, link7, bmodes7):
     src = make_source(BETA, {1: 1.0, 3: 2.0}, link7)
     u1, f = transfer_boundary(src, bmodes7, p7)
-    f_int, tail = project_interior(f, p7, link7)
-    u2 = solve_radial_modes(f_int, link7, BETA)
+    f_int, tail = project_interior(f, p7)
+    u2 = solve_radial_modes(f_int)
     return src, u1, f, f_int, tail, u2
 
 
@@ -79,7 +81,7 @@ def test_admissibility_window_is_the_solver_window(p7, link7, bmodes7):
     src = make_source(beta, {1: 1.0}, link7)
     assert not src.admissible
     with pytest.raises(ResonantExponent, match="resonates"):
-        build_up(src, p7, link7, bmodes7)
+        build_up(src, p7, bmodes7)
 
 
 def test_transfer_nonresonant_exact(p7, link7, bmodes7):
@@ -139,7 +141,7 @@ def test_closed_form_cauchy_euler(p7, link7):
     assert abs(entry.lam) < 1e-9
     r = radial_grid()
     f = _interior_field(link7, entry, [r ** -1.5], 0.5, p7.grid)
-    u = solve_radial_modes(f, link7, 0.5)
+    u = solve_radial_modes(f)
     ref = r ** 0.5 / 2.75
     rel = np.abs(u.coeffs[0] - ref) / ref
     assert np.max(rel[r.size // 2:]) <= 1e-6
@@ -151,16 +153,14 @@ def test_zero_defect_row_stays_zero(p7, link7):
     entry = link7.find((0, 2))
     r = radial_grid()
     f = _interior_field(link7, entry, [np.zeros_like(r)], BETA, p7.grid)
-    u = solve_radial_modes(f, link7, BETA)
+    u = solve_radial_modes(f)
     assert np.all(u.coeffs == 0.0)
 
 
 def test_solve_input_validation(p7, link7, bmodes7, base_build):
     src, u1, f, f_int, tail, u2 = base_build
     with pytest.raises(ValueError):
-        solve_radial_modes(f, link7, BETA)  # boundary basis
-    with pytest.raises(ValueError):
-        solve_radial_modes(f_int, link7, BETA + 0.1)
+        solve_radial_modes(f)  # boundary basis
 
 
 def test_solve_resonant_exponent(p7, link7):
@@ -171,7 +171,7 @@ def test_solve_resonant_exponent(p7, link7):
     r = radial_grid()
     f = _interior_field(link7, entry, [r ** (-1 - BETA)], BETA, p7.grid)
     with pytest.raises(ResonantExponent):
-        solve_radial_modes(f, link7, BETA)
+        solve_radial_modes(f)
 
 
 def test_solve_complex_radicand(p3, link3):
@@ -181,18 +181,18 @@ def test_solve_complex_radicand(p3, link3):
     r = radial_grid()
     f = _interior_field(link3, entry, [r ** (-1 - BETA)], BETA, p3.grid)
     with pytest.raises(NumericalError):
-        solve_radial_modes(f, link3, BETA)
+        solve_radial_modes(f)
 
 
 def test_ode_residuals_skip_complex_pair_for_d(p3, link3):
     # the complex ground mode's zero row leads the field; d - 2 must come
-    # from the real mode (0, 2), not from the complex pair's gamma fields
+    # from the field, not from the complex pair's gamma fields
     r = radial_grid()
     entries = (link3.find((0, 1)), link3.find((0, 2)))
     assert entries[0].complex_radicand and not entries[1].complex_radicand
     f = _interior_field(link3, entries, [np.zeros(r.size), r ** (-1 - BETA)],
                         BETA, p3.grid)
-    u = solve_radial_modes(f, link3, BETA)
+    u = solve_radial_modes(f)
     assert u.ode_residual[1] <= 1e-7
     res = ode_residuals(u, f)
     assert res[0] == 0.0 and res[1] <= 1e-7
@@ -206,7 +206,7 @@ def test_solve_log_resonant(p7, link7):
     r = radial_grid()
     f = _interior_field(link7, entry, [r ** (-1 - BETA)], BETA, p7.grid)
     with pytest.raises(NumericalError):
-        solve_radial_modes(f, link7, BETA)
+        solve_radial_modes(f)
 
 
 def test_tail_divergence(p7, link7):
@@ -217,10 +217,10 @@ def test_tail_divergence(p7, link7):
     wobble = r ** -1.7 * (1 + 0.5 * np.sin(np.log(r)))
     f = _interior_field(link7, entry, [wobble], BETA, p7.grid)
     with pytest.raises(TailDivergence):
-        solve_radial_modes(f, link7, BETA)
+        solve_radial_modes(f)
     f2 = _interior_field(link7, entry, [r ** -2.2], BETA, p7.grid)
     with pytest.raises(TailDivergence):
-        solve_radial_modes(f2, link7, BETA)
+        solve_radial_modes(f2)
 
 
 def test_non_power_profile_with_finite_limits(p7, link7):
@@ -231,7 +231,7 @@ def test_non_power_profile_with_finite_limits(p7, link7):
     r = radial_grid()
     wobble = r ** -1.7 * (1 + 0.5 * np.sin(np.log(r)))
     f = _interior_field(link7, entry, [wobble], BETA, p7.grid)
-    u = solve_radial_modes(f, link7, BETA)
+    u = solve_radial_modes(f)
     assert np.all(np.isfinite(u.coeffs))
     scale = float(np.max(r ** 2 * np.abs(wobble)))
     assert 10.0 < scale < 11.0
@@ -242,7 +242,7 @@ def test_non_power_profile_with_finite_limits(p7, link7):
 
 def test_build_residuals_and_slope(p7, link7, bmodes7):
     src = make_source(BETA, {1: 1.0, 2: 0.8, 4: -0.5}, link7)
-    up, rep = build_up(src, p7, link7, bmodes7)
+    up, rep = build_up(src, p7, bmodes7)
     assert rep.interior_residual <= 1e-6
     assert rep.boundary_residual <= 1e-6
     assert rep.slope <= 1 - BETA + 0.05
@@ -256,7 +256,7 @@ def test_build_residuals_and_slope(p7, link7, bmodes7):
 
 def test_resonant_only_boundary_residual(p7, link7, bmodes7):
     src = make_source(BETA, {2: 1.0, 3: -0.5}, link7)
-    up, rep = build_up(src, p7, link7, bmodes7)
+    up, rep = build_up(src, p7, bmodes7)
     assert rep.boundary_residual <= 1e-7
 
 
@@ -270,18 +270,13 @@ def test_defect_slope_invariant(base_build):
 
 
 def test_linearity(p7, link7, bmodes7):
-    kw = dict(p=p7, link=link7, bmodes=bmodes7)
-    upA, _ = build_up(make_source(BETA, {1: 1.0, 3: 2.0}, link7),
-                      kw["p"], kw["link"], kw["bmodes"])
-    upB, _ = build_up(make_source(BETA, {1: -0.5, 3: 1.0}, link7),
-                      kw["p"], kw["link"], kw["bmodes"])
-    upC, _ = build_up(make_source(BETA, {1: 0.5, 3: 3.0}, link7),
-                      kw["p"], kw["link"], kw["bmodes"])
+    upA, _ = build_up(make_source(BETA, {1: 1.0, 3: 2.0}, link7), p7, bmodes7)
+    upB, _ = build_up(make_source(BETA, {1: -0.5, 3: 1.0}, link7), p7, bmodes7)
+    upC, _ = build_up(make_source(BETA, {1: 0.5, 3: 3.0}, link7), p7, bmodes7)
     upAB = add_fields(upA, upB)
     scale = np.max(np.abs(upC.coeffs))
     assert np.max(np.abs(upAB.coeffs - upC.coeffs)) <= 1e-10 * scale
-    up2A, _ = build_up(make_source(BETA, {1: 2.0, 3: 4.0}, link7),
-                       kw["p"], kw["link"], kw["bmodes"])
+    up2A, _ = build_up(make_source(BETA, {1: 2.0, 3: 4.0}, link7), p7, bmodes7)
     assert np.max(np.abs(scale_field(upA, 2.0).coeffs - up2A.coeffs)) \
         <= 1e-10 * scale
 
@@ -319,7 +314,7 @@ def test_homogeneous_invariance(p7, link7, bmodes7, base_build):
     assert np.max(np.abs(res_dec - res0)) <= 1e-5
 
     # boundary trace of the full field is insensitive to interior additions
-    up, rep = build_up(src, p7, link7, bmodes7)
+    up, rep = build_up(src, p7, bmodes7)
     j_mix = len(u1.modes) + j0
     c = up.coeffs.copy()
     c[j_mix] += 0.5
@@ -332,7 +327,7 @@ def test_flip_rules_injects_growth(link7, base_build):
     """Negative test: forcing both limits finite wrecks every mode whose sign
     rule demanded an infinite limit (slope jumps from 1-beta to 1-beta-Q)."""
     src, u1, f, f_int, tail, u2 = base_build
-    u2f = solve_radial_modes(f_int, link7, BETA, flip_rules=True)
+    u2f = solve_radial_modes(f_int, flip_rules=True)
     d = link7.dim
     flipped = 0
     for j, e in enumerate(f_int.modes):
@@ -356,7 +351,7 @@ def test_flip_rules_injects_growth(link7, base_build):
 def test_quadratic_source_decay(p7, link7, bmodes7):
     # squared-gradient source scale: G = O(r^{-2 alpha0}) with alpha0 = 0.4
     src = make_source(0.8, {1: 0.3, 4: 1.1}, link7)
-    up, rep = build_up(src, p7, link7, bmodes7)
+    up, rep = build_up(src, p7, bmodes7)
     assert rep.slope <= 1 - 0.8 + 0.05
     assert rep.interior_residual <= 1e-6
 
@@ -367,7 +362,7 @@ def test_classify_decay_retention(p7, link7):
     lam0 = link7.find((0, 2))      # lambda = 0: gammas (0, 2-d)
     # pure gamma=1 rotation branch against beta = -1: kept
     f = _interior_field(link7, rot, [2.0 * r], -1.0, p7.grid)
-    cls = classify_decay(f, link7, beta=-1.0)
+    cls = classify_decay(f, beta=-1.0)
     assert len(cls.retained) == 1 and not cls.zeroed
     src, gam, coef = cls.retained[0]
     assert gam == pytest.approx(1.0, abs=1e-9)
@@ -375,12 +370,12 @@ def test_classify_decay_retention(p7, link7):
     assert cls.projection_error <= 1e-10
     # mixture r^0 + 3 r^{2-d} against beta = 1: constant branch zeroed
     f = _interior_field(link7, lam0, [1.0 + 3.0 * r ** -5.0], 1.0, p7.grid)
-    cls = classify_decay(f, link7, beta=1.0)
+    cls = classify_decay(f, beta=1.0)
     assert [g for _, g, _ in cls.retained] == pytest.approx([-5.0], abs=1e-9)
     assert [g for _, g, _ in cls.zeroed] == pytest.approx([0.0], abs=1e-9)
     assert np.max(np.abs(cls.field.coeffs[0] - 3.0 * r ** -5.0)) <= 1e-8
     # very permissive beta keeps everything
-    cls = classify_decay(f, link7, beta=-30.0)
+    cls = classify_decay(f, beta=-30.0)
     assert not cls.zeroed and len(cls.retained) == 2
 
 
@@ -388,7 +383,7 @@ def test_classify_decay_default_beta(p7, link7):
     r = radial_grid()
     lam0 = link7.find((0, 2))
     f = _interior_field(link7, lam0, [4.0 * r ** -5.0], 5.0, p7.grid)
-    cls = classify_decay(f, link7)
+    cls = classify_decay(f)
     assert cls.beta == pytest.approx(5.0, abs=1e-6)
     assert len(cls.retained) == 1
 
@@ -400,7 +395,7 @@ def test_classify_decay_complex_pair(p3, link3):
     r = radial_grid()
     row = r ** -0.5 * (0.7 * np.cos(om * np.log(r)) - 0.2 * np.sin(om * np.log(r)))
     f = _interior_field(link3, entry, [row], 0.4, p3.grid)
-    cls = classify_decay(f, link3, beta=0.4)
+    cls = classify_decay(f, beta=0.4)
     assert len(cls.retained) == 2 and not cls.zeroed
     assert np.max(np.abs(cls.field.coeffs[0] - row)) <= 1e-8
 
@@ -408,7 +403,7 @@ def test_classify_decay_complex_pair(p3, link3):
 def test_classify_decay_basis_check(base_build, link7):
     src, u1, f, f_int, tail, u2 = base_build
     with pytest.raises(ValueError):
-        classify_decay(u1, link7)
+        classify_decay(u1)
     with pytest.raises(ValueError):
         ode_residuals(u1, f)
 
@@ -430,8 +425,27 @@ def test_project_interior_work_count(p7, link7, bmodes7, monkeypatch):
             calls.append(1)
             return _fn(*args)
         monkeypatch.setattr(sl, name, counted)
-    project_interior(f, p7, link7)
+    project_interior(f, p7)
     assert 0 < len(calls) <= 7, len(calls)
+
+
+@pytest.mark.parametrize("dim", [3, 7, 12])
+def test_projected_entries_are_the_link_entries(dim):
+    # project_interior builds each entry from the eigenpair it solves; where
+    # the link spectrum holds the same (ell, j) the two must be equal, also
+    # when the eigenvalue memo is cold and nothing is shared between them
+    from conespec import sl
+    p = solve_profile(dim)
+    link = link_spectrum(p, 4.0 * dim)
+    bmodes = boundary_modes(p, 8)
+    _, f = transfer_boundary(make_source(BETA, {m.k: 1.0 for m in bmodes}, link), bmodes, p)
+    sl._memo.clear()
+    sl._seeds.cache_clear()
+    f_int, _ = project_interior(f, p)
+    held = {e.source for e in link.entries}
+    pairs = [(e, link.find(e.source)) for e in f_int.modes if e.source in held]
+    assert f_int.dim == dim and len(pairs) >= 9
+    assert all(got == want for got, want in pairs), pairs
 
 
 @pytest.mark.parametrize("source, beta", [
@@ -521,7 +535,7 @@ def test_overflowing_row_is_nonfinite_result(p7, link7, base_build, case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteResult, match="non-finite radial coefficients in mode"):
-            solve_radial_modes(f, link7, BETA)
+            solve_radial_modes(f)
 
 
 def test_silent_stencil_overflow_is_caught(p7, link7, monkeypatch):
@@ -539,7 +553,7 @@ def test_silent_stencil_overflow_is_caught(p7, link7, monkeypatch):
     r = radial_grid()
     f = _interior_field(link7, entry, [r ** (-1 - BETA)], BETA, p7.grid)
     with pytest.raises(NonFiniteResult, match=r"mode \(0, 1\): overflow"):
-        solve_radial_modes(f, link7, BETA)
+        solve_radial_modes(f)
 
 
 def test_radial_bench_runs():
