@@ -6,8 +6,8 @@ and each mode's ``radial._solve_mode`` alone.  Each mode row shows the
 mode's sign-rule exponents P and Q, the refined log-grid points its solve
 integrates and differentiates, and its best time; the summary row gives the
 whole call, the time per solved mode and per refined point.  The radial
-stage is the only one timed: the cone, link spectrum, boundary modes and
-projection are built once, untimed.
+stage is the only one timed: the cone, boundary modes and projection are
+built once, untimed.
 
 This is a stage micro-benchmark; the end-to-end benchmark is
 ``perfbench/run.py``.  Usage:
@@ -23,7 +23,6 @@ import numpy as np
 
 from conespec import radial
 from conespec.boundary import boundary_modes
-from conespec.linkspec import link_spectrum
 from conespec.profile import solve_profile
 
 BETA = 0.7
@@ -33,10 +32,8 @@ COEFFS = {1: 1.0, 3: -0.5, 5: 0.8}
 def defect_field(d):
     """The interior-basis defect field of the fixed source."""
     p = solve_profile(d)
-    link = link_spectrum(p, 4.0 * d)
-    bmodes = boundary_modes(p, max(COEFFS) + 2)
-    src = radial.make_source(BETA, COEFFS, link)
-    _, f = radial.transfer_boundary(src, bmodes, p)
+    bmodes = boundary_modes(p, max(COEFFS))
+    _, f = radial.transfer_boundary(radial.make_source(BETA, COEFFS), bmodes, p)
     f_int, _ = radial.project_interior(f, p)
     return f_int
 

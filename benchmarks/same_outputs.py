@@ -24,6 +24,8 @@ import tempfile
 
 FILES = {
     "modes.json": {"coeffs": {"1": 1.0, "3": -0.5, "5": 0.25}},
+    # sphere degrees 0, 1 and 2, the mix of perfbench's particular ops
+    "modes145.json": {"coeffs": {"1": 1.0, "4": -0.5, "5": 0.25}},
     "cone.json": {"kind": "cone"},
     "perturbed.json": {"kind": "perturbed", "eps": 0.01, "exponent": 1.5},
     "grid1024.json": {"grid_n": 1024},
@@ -46,6 +48,10 @@ RUNS = (
     ["boundary-spectrum", "--dim", "7", "--count", "8"],
     *(["particular", "--dim", d, "--beta", "0.7", "--modes", "modes.json"]
       for d in ("7", "10", "12")),
+    *(["particular", "--dim", d, "--beta", "0.7", "--modes", "modes145.json"]
+      for d in ("7", "12")),
+    # the complex ground mode at d = 3 has no real radial solve: exit 2
+    ["particular", "--dim", "3", "--beta", "0.7", "--modes", "modes.json"],
     ["weiss", "--dim", "7", "--field", "cone.json", "--radii", "0.5,1,2"],
     ["weiss", "--dim", "7", "--field", "perturbed.json", "--radii", "0.5,1,2"],
     ["criticality", "--dim", "7"],

@@ -21,13 +21,14 @@ from datetime import datetime, timezone
 from ._version import __version__
 from .boundary import boundary_modes
 from .config import load_config
-from .errors import ConfigError, NonFiniteResult, NumericalError, UsageError
-from .linkspec import link_spectrum, resolved_lambda_max, verify_strong_integrability
+from .errors import (ConfigError, NonFiniteResult, NumericalError, ResonantExponent,
+                     UsageError)
+from .linkspec import link_spectrum, verify_strong_integrability
 from .profile import solve_profile
 from .radial import build_up, make_source
-from .sl import band_spec, eigen_k
+from .sl import _LAM_TOL, band_spec, eigen_k
 from .spheremodes import modes_up_to
-from .weiss import (F_functional, cone_field, halfplane_field, perturbed_field,
+from .weiss import (F_functional, _kappa0_sq, cone_field, halfplane_field, perturbed_field,
                     power_field, weiss_report)
 
 _CRITICALITY_REL = 1e-5  # stationarity verdict threshold |dF/deps| / F
@@ -274,20 +275,9 @@ def _dispatch(args, cfg) -> int:
                   for k, v in mspec["coeffs"].items()}
         if not coeffs:
             raise ValueError(f"{args.modes}: coeffs must name at least one boundary mode")
+        src = make_source(args.beta, coeffs)
         p = solve_profile(args.dim, cfg)
-        top = resolved_lambda_max(p)
-        if 4.0 * args.dim > top:
-            raise ValueError(f"grid_n={cfg.grid_n} is too coarse for particular at "
-                             f"d={args.dim}: it needs the link spectrum up to "
-                             f"4d = {4 * args.dim}, and its band grid resolves "
-                             f"eigenvalues <= {top:.4g}")
-        link = link_spectrum(p, 4.0 * args.dim)
-        bmodes = boundary_modes(p, max(coeffs) + 2)
-        src = make_source(args.beta, coeffs, link)
-        if not src.admissible:
-            raise ValueError(f"beta={args.beta!r} resonates with an interior "
-                             "homogeneity: beta = d/2 +- delta of a link eigenvalue")
-        _, rep = build_up(src, p, bmodes, cfg)
+        _, rep = build_up(src, p, boundary_modes(p, max(coeffs)), cfg)
         _emit(_json_report(rep.to_dict(), cfg, stamp), args.out)
         return 0
 
@@ -307,6 +297,12 @@ def _dispatch(args, cfg) -> int:
             raise UsageError(f"--eps {eps!r} does not move the half-width "
                              f"theta0 = {p.theta0!r}")
         f0 = F_functional(p.theta0, p, args.dim)
+        # F moves by kappa0^2 / d times the error of its Dirichlet eigenvalue, good
+        # to _LAM_TOL: below this eps that error alone can decide the verdict
+        floor = _kappa0_sq(p) * _LAM_TOL / (args.dim * _CRITICALITY_REL * abs(f0))
+        if eps < floor:
+            raise UsageError(f"--eps {eps!r} is below the noise floor {floor:.3g} set by "
+                             f"the eigenvalue tolerance {_LAM_TOL:g}")
         df = (F_functional(p.theta0 + eps, p, args.dim)
               - F_functional(p.theta0 - eps, p, args.dim)) / (2 * eps)
         rel = abs(df) / abs(f0)
@@ -346,7 +342,7 @@ def run(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 64
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ResonantExponent) as exc:  # a resonant beta is bad input
         print(f"invalid input: {exc}", file=sys.stderr)
         return 64
     except NumericalError as exc:

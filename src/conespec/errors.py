@@ -43,7 +43,8 @@ class ResonanceDivision(NumericalError):
 
 
 class ResonantExponent(NumericalError):
-    """A Cauchy-Euler selection-rule denominator d/2 +- delta - beta vanished."""
+    """A Cauchy-Euler selection-rule denominator d/2 +- delta - beta vanished;
+    the source's beta is at fault, so the CLI reports it as bad input (64)."""
 
 
 class TailDivergence(NumericalError):

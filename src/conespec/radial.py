@@ -32,7 +32,7 @@ from .boundary import BoundaryMode
 from .config import DEFAULT_CONFIG, RES_TOL, SolverConfig
 from .errors import (NonFiniteResult, NumericalError, ResonanceDivision, ResonantExponent,
                      TailDivergence)
-from .linkspec import LinkEigenvalue, LinkSpectrum
+from .linkspec import LinkEigenvalue, resolved_lambda_max
 from .profile import ConeProfile
 from .sl import band_spec, eigen_pairs
 from .spheremodes import SphereMode
@@ -103,11 +103,13 @@ def scale_field(f: RadialField, a: float) -> RadialField:
 class SourceSpec:
     beta: float
     boundary_coeffs: tuple[tuple[int, float], ...]  # (mode index k, amplitude)
-    admissible: bool
 
     def __post_init__(self):
         if not self.beta > 0:
             raise ValueError("source decay exponent beta must be > 0")
+        for k, _ in self.boundary_coeffs:
+            if k < 1:
+                raise ValueError(f"boundary mode index {k} must be >= 1")
 
     @property
     def coeffs_dict(self) -> dict[int, float]:
@@ -120,16 +122,10 @@ def _sign_exponents(d: int, delta: float, beta: float) -> tuple[float, float]:
     return d / 2 + delta - beta, d / 2 - delta - beta
 
 
-def make_source(beta: float, coeffs: dict[int, float], link: LinkSpectrum) -> SourceSpec:
-    """SourceSpec with the resonant-exponent admissibility flag computed
-    against the link spectrum (P and Q of every real mode must stay off zero)."""
-    ok = True
-    for e in link.entries:
-        if not e.complex_radicand:
-            P, Q = _sign_exponents(link.dim, e.delta, beta)
-            ok = ok and min(abs(P), abs(Q)) > RES_TOL
+def make_source(beta: float, coeffs: dict[int, float]) -> SourceSpec:
+    """SourceSpec of decay ``beta`` and amplitudes {boundary mode index: amplitude}."""
     items = tuple(sorted((int(k), float(v)) for k, v in coeffs.items()))
-    return SourceSpec(beta=float(beta), boundary_coeffs=items, admissible=ok)
+    return SourceSpec(beta=float(beta), boundary_coeffs=items)
 
 
 def radial_grid(cfg: SolverConfig | None = None) -> np.ndarray:
@@ -148,9 +144,6 @@ def transfer_boundary(src: SourceSpec, bmodes, p: ConeProfile,
     resonant mode the lifted profile is U*psi_k, whose sphere Laplacian
     picks up the correction -(d-1) U psi_k + 2 grad U . grad psi_k.
     """
-    if not src.admissible:
-        raise ResonantExponent(
-            "source beta resonates with an interior homogeneity (d/2 +- delta = beta)")
     d, beta = p.dim, src.beta
     r = radial_grid(cfg)
     by_k = {m.k: m for m in bmodes}
@@ -203,10 +196,13 @@ def project_interior(f: RadialField, p: ConeProfile) -> tuple[RadialField, float
 
     Only sphere modes present in the source couple (orthogonality of the
     Y_ell factors), so the projection is a band quadrature per (ell, j).
+    An eigenvalue past what the band grid resolves (``resolved_lambda_max``)
+    is refused with ``ValueError``.
     Returns the interior-basis field and the worst relative truncation tail
     sqrt(1 - sum_j <A, q_j>^2 / ||A||^2) over source profiles A.
     """
     d = p.dim
+    top = resolved_lambda_max(p)
     w = np.sin(p.grid) ** (d - 2)
     ells = sorted({m.ell for m in f.modes})
     entries = []
@@ -218,6 +214,10 @@ def project_interior(f: RadialField, p: ConeProfile) -> tuple[RadialField, float
     for e, ell in enumerate(ells):
         mode = SphereMode.of(d, ell)
         pairs = eigen_pairs(band_spec(p, mode.mu, "robin"), range(1, _PER_ELL + 1))
+        if pairs[-1].lam > top:
+            raise ValueError(f"grid_n={p.grid.size - 1} is too coarse at d={d}: mode "
+                             f"({ell}, {_PER_ELL}) has lambda={pairs[-1].lam:.4g}, past "
+                             f"the {top:.4g} its band grid resolves")
         block = slice(e * _PER_ELL, (e + 1) * _PER_ELL)
         fns = np.stack([pair.fn for pair in pairs], out=rows[block])
         np.stack([pair.fn_prime for pair in pairs], out=rows_p[block])
@@ -286,7 +286,8 @@ def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
     """One mode's radial solve: (profile on the base grid, max ODE defect).
 
     Every power r^a of the refined grid is exp(a tau) on the log grid
-    tau_i = log r0 + i dtau / refine.
+    tau_i = log r0 + i dtau / refine.  A resonant beta is refused by the
+    caller, :func:`solve_radial_modes`, before any mode is solved.
     """
     dtau = math.log(r[1] / r[0])
     if entry.complex_radicand:
@@ -297,9 +298,6 @@ def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
         raise NumericalError(
             f"mode {entry.source}: log-resonant homogeneity unsupported")
     P, Q = _sign_exponents(d, delta, beta)
-    if min(abs(P), abs(Q)) <= RES_TOL:
-        raise ResonantExponent(
-            f"mode {entry.source}: selection denominator vanishes (P={P:.3e}, Q={Q:.3e})")
     a_inf = (P < 0) and not flip_rules
     b_inf = (Q < 0) and not flip_rules
 
@@ -377,6 +375,9 @@ def solve_radial_modes(f: RadialField, flip_rules: bool = False) -> RadialField:
     """Step 2: solve the per-mode Cauchy-Euler ODEs from the defect field,
     in the field's dimension and at its source decay beta.
 
+    Every real mode is checked before any solve: min(|P|, |Q|) <= RES_TOL
+    raises ``ResonantExponent``, also for a row with no defect.
+
     ``flip_rules`` forces both integration limits to R0 regardless of the
     sign rules — the negative-test hook: wrong limits inject a homogeneous
     r^{gamma_plus} piece that wrecks the decay of every mode whose rule
@@ -384,6 +385,13 @@ def solve_radial_modes(f: RadialField, flip_rules: bool = False) -> RadialField:
     """
     if f.basis != "interior":
         raise ValueError("solve_radial_modes requires interior-basis projections")
+    for entry in f.modes:
+        if not entry.complex_radicand:
+            P, Q = _sign_exponents(f.dim, entry.delta, f.beta)
+            if min(abs(P), abs(Q)) <= RES_TOL:
+                raise ResonantExponent(
+                    f"beta={f.beta!r} resonates with interior mode {entry.source}: "
+                    f"beta = d/2 +- delta (P={P:.3e}, Q={Q:.3e})")
     out = np.zeros_like(f.coeffs)
     resid = np.zeros(len(f.modes))
 

@@ -322,14 +322,19 @@ def F_functional(band_halfwidth: float, p: ConeProfile, d: int) -> float:
     if not 0 < th < math.pi / 2:
         raise ValueError("band half-width must lie in (0, pi/2)")
     sd2 = sphere_area(d - 2)
-    w = np.sin(p.grid) ** (d - 2)
-    kappa0_sq = sd2 * float(simpson(p.g ** 2 * w, x=p.grid))
     spec = SLSpec(dim=d, band=(math.pi / 2 - th, math.pi / 2 + th), mu=0.0,
                   bc="dirichlet", grid_n=p.grid.size - 1)
     lam1 = eigenvalue(spec, 1)
     thg = np.linspace(math.pi / 2 - th, math.pi / 2 + th, p.grid.size)
     area = sd2 * float(simpson(np.sin(thg) ** (d - 2), x=thg))
-    return (kappa0_sq * (lam1 - (d - 1)) + area) / d
+    return (_kappa0_sq(p) * (lam1 - (d - 1)) + area) / d
+
+
+def _kappa0_sq(p: ConeProfile) -> float:
+    """kappa0^2, the squared L^2(S^{d-1}) norm of the reference profile."""
+    d = p.dim
+    w = np.sin(p.grid) ** (d - 2)
+    return sphere_area(d - 2) * float(simpson(p.g ** 2 * w, x=p.grid))
 
 
 def foliation_leading_term(p: ConeProfile, side: str, t: float | None, x) -> np.ndarray:

@@ -165,7 +165,7 @@ def test_criterion_7_aperture_criticality(p3, p7, announce):
 
 
 def test_criterion_8_particular_solution(p7, link7, bmodes7, announce):
-    src = make_source(0.7, {1: 1.0, 2: 0.8, 4: -0.5}, link7)
+    src = make_source(0.7, {1: 1.0, 2: 0.8, 4: -0.5})
     n_res = sum(1 for m in bmodes7 if m.k in (1, 2, 4) and m.in_resonance)
     up, rep = build_up(src, p7, bmodes7)
     ok = n_res == 1
@@ -188,7 +188,7 @@ def test_criterion_8_particular_solution(p7, link7, bmodes7, announce):
 
 
 def test_criterion_9_limit_selection_negative(p7, link7, bmodes7, announce):
-    src = make_source(0.7, {1: 1.0, 2: 0.8, 4: -0.5}, link7)
+    src = make_source(0.7, {1: 1.0, 2: 0.8, 4: -0.5})
     _, f = transfer_boundary(src, bmodes7, p7)
     f_int, _ = project_interior(f, p7)
     flipped = solve_radial_modes(f_int, flip_rules=True)

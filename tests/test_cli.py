@@ -167,13 +167,22 @@ def test_ab_bench_runs():
     (None, {}, 64, "invalid input: .*coeffs must name at least one boundary mode", "0.7"),
     ({"r_max": 1e300}, {"1": 1.0}, 2, "numerical error: non-finite radial coefficients",
      "0.7"),
-    # particular needs the link spectrum up to 4d = 28, past what grid_n=192 resolves
+    # the projection reads lambda(0, 8) = 401.3, past what grid_n=192 resolves
     ({"grid_n": 192}, {"1": 1.0}, 64,
-     r"invalid input: grid_n=192 is too coarse for particular at d=7: .* 4d = 28", "0.7"),
+     r"invalid input: grid_n=192 is too coarse at d=7: mode \(0, 8\)", "0.7"),
     # r^{1-beta} underflows to 0 on the radial grid: the slope fit takes log 0
     (None, {"1": 1.0}, 2, "numerical error: non-finite particular solution", "400"),
     # the Euler factor (1 - beta)(d - 1 - beta) is inf, and the projection adds inf to -inf
     (None, {"1": 1.0}, 2, "numerical error: non-finite particular solution", "1e300"),
+    # grid_n=512 resolves lambda <= 166.3, below lambda(0, 8) = 401.3
+    ({"grid_n": 512}, {"1": 1.0}, 64,
+     r"invalid input: grid_n=512 is too coarse at d=7: mode \(0, 8\) .* 166\.3", "0.7"),
+    # P = 0 at the (0, 4) mode, lambda = 67.4: a resonance past 4d = 28
+    (None, {"1": 1.0}, 64,
+     r"invalid input: beta=12\.083626228959117 resonates with interior mode \(0, 4\)",
+     "12.083626228959117"),
+    (None, {"-5": 1.0}, 64, "invalid input: boundary mode index -5 must be >= 1", "0.7"),
+    (None, {"0": 1.0}, 64, "invalid input: boundary mode index 0 must be >= 1", "0.7"),
 ])
 def test_particular_exit_contract(tmp_path, capsys, config, coeffs, code, message, beta):
     modes = tmp_path / "m.json"
@@ -293,10 +302,26 @@ def test_particular_report(tmp_path):
     assert body["slope"] <= 0.35
 
 
+def test_particular_resonance_off_the_source_degrees(tmp_path):
+    # beta resonates with the (3, 1) mode only; the degree 0 source does not
+    # couple to sphere degree 3, so the solve goes through
+    modes = tmp_path / "m.json"
+    modes.write_text(json.dumps({"coeffs": {"1": 1.0}}))
+    out = tmp_path / "p.json"
+    beta = 8.435827770124497
+    assert run(["particular", "--dim", "7", "--beta", repr(beta),
+                "--modes", str(modes), "--out", str(out)]) == 0
+    body = _read_json(out)
+    assert body["interior_residual"] <= 1e-6
+    assert body["boundary_residual"] <= 1e-6
+    assert body["slope"] <= 1 - beta + 0.05
+    assert {m["source"][0] for m in body["per_mode"]} == {0}
+
+
 @pytest.mark.parametrize("beta", [1.0, 2.7573037579436916])
 def test_particular_resonant_beta_is_invalid_input(tmp_path, capsys, beta):
     # beta = d/2 - delta of the lambda = 0 modes, and beta inside the
-    # resonance window of the (0, 1) mode: make_source flags both, so the
+    # resonance window of the (0, 1) mode: solve_radial_modes refuses both, so the
     # input is at fault, not the computation
     modes = tmp_path / "m.json"
     modes.write_text(json.dumps({"coeffs": {"1": 1.0}}))
@@ -373,6 +398,9 @@ _IN_CHILD = {"modes --dim 7 --mu-max nan", "modes --dim 7 --mu-max inf",
     ("criticality --dim 7 --eps=-1e-4", 64, "is not positive"),
     ("criticality --dim 7 --eps nan", 64, "is not finite"),
     ("criticality --dim 7 --eps 1e-17", 64, "--eps 1e-17 does not move the half-width"),
+    # below eps = 3.5e-7 the eigenvalue tolerance 1e-10 alone moves |dF/deps| / F by 1e-5
+    ("criticality --dim 7 --eps 1e-8", 64, "--eps 1e-08 is below the noise floor 3.53e-07"),
+    ("criticality --dim 7 --eps 1e-10", 64, "--eps 1e-10 is below the noise floor"),
     ("particular --dim 7 --beta nan --modes @modes", 64, "--beta: 'nan' is not finite"),
     ("particular --dim 7 --beta=-inf --modes @modes", 64, "not finite"),
     ("sl --dim 7 --mu nan --bc robin --k 1", 64, "--mu: 'nan' is not finite"),

@@ -46,8 +46,8 @@ def _interior_field(link, entry, coeff_rows, beta, grid):
 
 
 @pytest.fixture(scope="module")
-def base_build(p7, link7, bmodes7):
-    src = make_source(BETA, {1: 1.0, 3: 2.0}, link7)
+def base_build(p7, bmodes7):
+    src = make_source(BETA, {1: 1.0, 3: 2.0})
     u1, f = transfer_boundary(src, bmodes7, p7)
     f_int, tail = project_interior(f, p7)
     u2 = solve_radial_modes(f_int)
@@ -62,31 +62,28 @@ def test_radial_grid_geometry():
     assert r2.size == 65 and r2[0] == 2.0
 
 
-def test_source_spec_validation(link7):
+def test_source_spec_validation():
     with pytest.raises(ValueError):
-        make_source(0.0, {1: 1.0}, link7)
+        make_source(0.0, {1: 1.0})
     with pytest.raises(ValueError):
-        SourceSpec(beta=-0.3, boundary_coeffs=((1, 1.0),), admissible=True)
-    # beta = d/2 - delta for the lambda=0 modes (delta = 2.5, d = 7)
-    bad = make_source(1.0, {1: 1.0}, link7)
-    assert not bad.admissible
-    assert make_source(BETA, {1: 1.0}, link7).admissible
+        SourceSpec(beta=-0.3, boundary_coeffs=((1, 1.0),))
+    for k in (0, -5):
+        with pytest.raises(ValueError, match=f"boundary mode index {k} must be >= 1"):
+            make_source(BETA, {k: 1.0})
 
 
 def test_admissibility_window_is_the_solver_window(p7, link7, bmodes7):
     # Q = d/2 - delta_(0,1) - beta = -5e-8 sits inside the solver's resonance
-    # window, so the source must be flagged before build_up reaches the mode
+    # window, so solve_radial_modes refuses the source before any mode is solved
     beta = 3.5 - link7.find((0, 1)).delta + 5e-8
     assert beta == pytest.approx(2.7573037579436916, abs=1e-15)
-    src = make_source(beta, {1: 1.0}, link7)
-    assert not src.admissible
-    with pytest.raises(ResonantExponent, match="resonates"):
-        build_up(src, p7, bmodes7)
+    with pytest.raises(ResonantExponent, match=r"beta=2\.757\d* resonates .*\(0, 1\)"):
+        build_up(make_source(beta, {1: 1.0}), p7, bmodes7)
 
 
-def test_transfer_nonresonant_exact(p7, link7, bmodes7):
+def test_transfer_nonresonant_exact(p7, bmodes7):
     # u1 = r G psi / ell and f from the two radial-derivative terms only
-    src = make_source(0.5, {1: 2.0}, link7)
+    src = make_source(0.5, {1: 2.0})
     u1, f = transfer_boundary(src, bmodes7, p7)
     m = bmodes7[0]
     r = u1.r_grid
@@ -97,9 +94,9 @@ def test_transfer_nonresonant_exact(p7, link7, bmodes7):
     assert np.allclose(f.angular[0], c_euler * m.psi, rtol=1e-13)
 
 
-def test_transfer_resonant_exact(p7, link7, bmodes7):
+def test_transfer_resonant_exact(p7, bmodes7):
     # resonant lift r G U psi picks up the sphere-Laplacian correction
-    src = make_source(0.5, {2: 3.0}, link7)
+    src = make_source(0.5, {2: 3.0})
     u1, f = transfer_boundary(src, bmodes7, p7)
     m = next(b for b in bmodes7 if b.k == 2)
     assert m.in_resonance
@@ -114,24 +111,26 @@ def test_transfer_resonant_exact(p7, link7, bmodes7):
     assert np.allclose(f.angular[0], want, atol=1e-13)
 
 
-def test_transfer_zero_source(p7, link7, bmodes7):
-    src = make_source(BETA, {}, link7)
+def test_transfer_zero_source(p7, bmodes7):
+    src = make_source(BETA, {})
     u1, f = transfer_boundary(src, bmodes7, p7)
     assert u1.coeffs.shape == (0, u1.r_grid.size)
     assert np.all(u1.mode_norm() == 0.0) and u1.slope() == -math.inf
     assert boundary_residual(u1, src, bmodes7, p7) == 0.0
 
 
-def test_transfer_errors(p7, link7, bmodes7):
+def test_transfer_errors(p7, bmodes7):
     with pytest.raises(ValueError):
-        transfer_boundary(make_source(BETA, {99: 1.0}, link7), bmodes7, p7)
+        transfer_boundary(make_source(BETA, {99: 1.0}), bmodes7, p7)
+    # beta = d/2 - delta of the lambda = 0 modes: transferred, then refused by the solve
+    transfer_boundary(make_source(1.0, {1: 1.0}), bmodes7, p7)
     with pytest.raises(ResonantExponent):
-        transfer_boundary(make_source(1.0, {1: 1.0}, link7), bmodes7, p7)
+        build_up(make_source(1.0, {1: 1.0}), p7, bmodes7)
     # resonance bookkeeping: an ell_k ~ 0 mode not flagged resonant is an error
     unflagged = [dataclasses.replace(m, in_resonance=False) if m.k == 3 else m
                  for m in bmodes7]
     with pytest.raises(ResonanceDivision):
-        transfer_boundary(make_source(BETA, {3: 1.0}, link7), unflagged, p7)
+        transfer_boundary(make_source(BETA, {3: 1.0}), unflagged, p7)
 
 
 def test_closed_form_cauchy_euler(p7, link7):
@@ -157,7 +156,7 @@ def test_zero_defect_row_stays_zero(p7, link7):
     assert np.all(u.coeffs == 0.0)
 
 
-def test_solve_input_validation(p7, link7, bmodes7, base_build):
+def test_solve_input_validation(p7, bmodes7, base_build):
     src, u1, f, f_int, tail, u2 = base_build
     with pytest.raises(ValueError):
         solve_radial_modes(f)  # boundary basis
@@ -171,6 +170,11 @@ def test_solve_resonant_exponent(p7, link7):
     r = radial_grid()
     f = _interior_field(link7, entry, [r ** (-1 - BETA)], BETA, p7.grid)
     with pytest.raises(ResonantExponent):
+        solve_radial_modes(f)
+    # the check runs over every real mode before any solve, a zero row included
+    entries = (link7.find((0, 2)), entry)
+    f = _interior_field(link7, entries, [r ** (-1 - BETA), np.zeros(r.size)], BETA, p7.grid)
+    with pytest.raises(ResonantExponent, match=r"beta=0\.7 resonates .*\(0, 9\)"):
         solve_radial_modes(f)
 
 
@@ -240,8 +244,8 @@ def test_non_power_profile_with_finite_limits(p7, link7):
     assert res[0] == pytest.approx(u.ode_residual[0], rel=1e-9)
 
 
-def test_build_residuals_and_slope(p7, link7, bmodes7):
-    src = make_source(BETA, {1: 1.0, 2: 0.8, 4: -0.5}, link7)
+def test_build_residuals_and_slope(p7, bmodes7):
+    src = make_source(BETA, {1: 1.0, 2: 0.8, 4: -0.5})
     up, rep = build_up(src, p7, bmodes7)
     assert rep.interior_residual <= 1e-6
     assert rep.boundary_residual <= 1e-6
@@ -254,8 +258,8 @@ def test_build_residuals_and_slope(p7, link7, bmodes7):
         assert pm["b"] == ("R0" if pm["Q"] > 0 else "inf")
 
 
-def test_resonant_only_boundary_residual(p7, link7, bmodes7):
-    src = make_source(BETA, {2: 1.0, 3: -0.5}, link7)
+def test_resonant_only_boundary_residual(p7, bmodes7):
+    src = make_source(BETA, {2: 1.0, 3: -0.5})
     up, rep = build_up(src, p7, bmodes7)
     assert rep.boundary_residual <= 1e-7
 
@@ -269,14 +273,14 @@ def test_defect_slope_invariant(base_build):
         u1.slope(0.01)
 
 
-def test_linearity(p7, link7, bmodes7):
-    upA, _ = build_up(make_source(BETA, {1: 1.0, 3: 2.0}, link7), p7, bmodes7)
-    upB, _ = build_up(make_source(BETA, {1: -0.5, 3: 1.0}, link7), p7, bmodes7)
-    upC, _ = build_up(make_source(BETA, {1: 0.5, 3: 3.0}, link7), p7, bmodes7)
+def test_linearity(p7, bmodes7):
+    upA, _ = build_up(make_source(BETA, {1: 1.0, 3: 2.0}), p7, bmodes7)
+    upB, _ = build_up(make_source(BETA, {1: -0.5, 3: 1.0}), p7, bmodes7)
+    upC, _ = build_up(make_source(BETA, {1: 0.5, 3: 3.0}), p7, bmodes7)
     upAB = add_fields(upA, upB)
     scale = np.max(np.abs(upC.coeffs))
     assert np.max(np.abs(upAB.coeffs - upC.coeffs)) <= 1e-10 * scale
-    up2A, _ = build_up(make_source(BETA, {1: 2.0, 3: 4.0}, link7), p7, bmodes7)
+    up2A, _ = build_up(make_source(BETA, {1: 2.0, 3: 4.0}), p7, bmodes7)
     assert np.max(np.abs(scale_field(upA, 2.0).coeffs - up2A.coeffs)) \
         <= 1e-10 * scale
 
@@ -290,7 +294,7 @@ def test_field_combination_errors(base_build):
         add_fields(u1, shifted)
 
 
-def test_homogeneous_invariance(p7, link7, bmodes7, base_build):
+def test_homogeneous_invariance(p7, bmodes7, base_build):
     """Adding a decaying homogeneous solution a r^gamma phi_j leaves the ODE
     and boundary residuals unchanged (up to the FD truncation of the added
     power, ~ |gamma|^6 h^4 / 90)."""
@@ -348,9 +352,9 @@ def test_flip_rules_injects_growth(link7, base_build):
     assert flipped >= 2
 
 
-def test_quadratic_source_decay(p7, link7, bmodes7):
+def test_quadratic_source_decay(p7, bmodes7):
     # squared-gradient source scale: G = O(r^{-2 alpha0}) with alpha0 = 0.4
-    src = make_source(0.8, {1: 0.3, 4: 1.1}, link7)
+    src = make_source(0.8, {1: 0.3, 4: 1.1})
     up, rep = build_up(src, p7, bmodes7)
     assert rep.slope <= 1 - 0.8 + 0.05
     assert rep.interior_residual <= 1e-6
@@ -400,7 +404,7 @@ def test_classify_decay_complex_pair(p3, link3):
     assert np.max(np.abs(cls.field.coeffs[0] - row)) <= 1e-8
 
 
-def test_classify_decay_basis_check(base_build, link7):
+def test_classify_decay_basis_check(base_build):
     src, u1, f, f_int, tail, u2 = base_build
     with pytest.raises(ValueError):
         classify_decay(u1)
@@ -408,14 +412,14 @@ def test_classify_decay_basis_check(base_build, link7):
         ode_residuals(u1, f)
 
 
-def test_project_interior_work_count(p7, link7, bmodes7, monkeypatch):
+def test_project_interior_work_count(p7, bmodes7, monkeypatch):
     # one sphere degree's eight eigenpairs are solved together: the lower
     # and the upper seed-bracket ends in one trajectory call each, each Brent
     # round in one end-state call, and the eigenfunctions in one more
     # trajectory call.  On a fresh memo at d = 7 that is 7 kernel calls,
     # where one eigenpair at a time made 53.
     from conespec import kernels, sl
-    u1, f = transfer_boundary(make_source(BETA, {1: 1.0}, link7), bmodes7, p7)
+    u1, f = transfer_boundary(make_source(BETA, {1: 1.0}), bmodes7, p7)
     assert len({m.ell for m in f.modes}) == 1
     sl._memo.clear()
     sl._seeds.cache_clear()
@@ -438,7 +442,7 @@ def test_projected_entries_are_the_link_entries(dim):
     p = solve_profile(dim)
     link = link_spectrum(p, 4.0 * dim)
     bmodes = boundary_modes(p, 8)
-    _, f = transfer_boundary(make_source(BETA, {m.k: 1.0 for m in bmodes}, link), bmodes, p)
+    _, f = transfer_boundary(make_source(BETA, {m.k: 1.0 for m in bmodes}), bmodes, p)
     sl._memo.clear()
     sl._seeds.cache_clear()
     f_int, _ = project_interior(f, p)
