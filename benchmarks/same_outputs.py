@@ -2,7 +2,9 @@
 
 Runs one fixed list of CLI invocations, each in a fresh single-threaded
 process with ``$CONESPEC_CONFIG`` unset, on both trees, and compares each
-pair's exit code, stdout and stderr.  It prints one line per run and exits 1 if any run differs.  The
+pair's exit code, stdout and stderr.  It prints one line per run and exits 1 if any run differs;
+when the two stdouts of a differing run both parse as JSON or CSV, the line
+after it names the numeric field that moved most, relative to max(1, |a|).  The
 list covers every command that reads the link spectrum, the profile, the
 boundary modes or the Weiss energy, including the refusals of
 ``spectrum``, and runs ``verify``, ``particular`` and ``criticality`` once
@@ -16,7 +18,9 @@ checkout's ``src/``).
 """
 
 import argparse
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -73,6 +77,55 @@ def run_cli(tree, argv, workdir):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def numeric_fields(text):
+    """{path: value} of every numeric field of a JSON or CSV stdout, or None.
+
+    CSV comment lines (``#``) are skipped, and a CSV row is keyed by its index
+    and column name; JSON paths join keys and list indices with dots.
+    """
+    try:
+        body = json.loads(text)
+    except ValueError:
+        lines = [line for line in text.decode(errors="replace").splitlines()
+                 if not line.startswith("#")]
+        rows = list(csv.reader(lines))
+        if len(rows) < 2 or any(len(row) != len(rows[0]) for row in rows):
+            return None
+        body = [dict(zip(rows[0], row)) for row in rows[1:]]
+    fields = {}
+
+    def walk(node, path):
+        if isinstance(node, (dict, list)):
+            for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+                walk(value, f"{path}.{key}" if path else str(key))
+            return
+        try:
+            fields[path] = float(node)  # CSV cells are strings
+        except (TypeError, ValueError):
+            pass
+
+    walk(body, "")
+    return fields
+
+
+def largest_move(out_a, out_b):
+    """Text naming the common numeric field of two stdouts that moved most
+    relative to max(1, |a|), or None if either is neither JSON nor CSV."""
+    a, b = numeric_fields(out_a), numeric_fields(out_b)
+    if a is None or b is None:
+        return None
+    moves = []
+    for path in a.keys() & b.keys():
+        x, y = a[path], b[path]
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            rel = abs(y - x) / max(1.0, abs(x))
+            moves.append((math.inf if math.isnan(rel) else rel, path, x, y))
+    if not moves:
+        return "no numeric field moved"
+    rel, path, x, y = max(moves)
+    return f"largest move {path}: {x!r} -> {y!r} ({rel:.2g} of max(1, |a|))"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--a", required=True, help="baseline source tree")
@@ -96,6 +149,9 @@ def main(argv=None):
                     f"exit {a[0]} -> {b[0]}, stdout {'same' if a[1] == b[1] else 'differs'}, "
                     f"stderr {'same' if a[2] == b[2] else 'differs'}")
             print(f"{'same' if same else 'DIFF':<5} {' '.join(cli_argv):<78} {what}")
+            move = None if a[1] == b[1] else largest_move(a[1], b[1])
+            if move:
+                print(f"{'':<6}{move}")
     print(f"{len(RUNS) - differ} of {len(RUNS)} runs byte-identical")
     return 1 if differ else 0
 

@@ -53,9 +53,7 @@ def sphere_area(m: int) -> float:
 def _harmonic_pair(p: ConeProfile, mu: float):
     """Even/odd fundamental solutions of the separated harmonic equation,
     mirrored onto the full band grid of p."""
-    n = p.grid.size
-    half = (n - 1) // 2
-    right = p.grid[half:]
+    right = p.grid[p.grid.size // 2:]
     # two start-state lanes, (1, 0) and (0, 1), over one step tree
     (qe, qo), (qpe, qpo) = propagate_band(p.dim - 2, mu, 0.0, right,
                                           np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -120,7 +118,7 @@ def _steklov_fd_once(p: ConeProfile, mu: float, n: int):
     """
     from scipy.linalg import solveh_banded  # oracle only: keeps scipy off the solver path
 
-    diag, off, w, _ = _fv_robin(p.dim, p.band, mu, p.H, n)
+    diag, off, w, _ = _fv_robin(p.dim, p.theta0, mu, p.H, n)
     ab = np.zeros((2, n - 1))
     ab[0] = diag[1:-1]
     ab[1, :-1] = off[1:-1]

@@ -271,8 +271,11 @@ def _dispatch(args, cfg) -> int:
         mspec = _load_object(args.modes, "modes")
         if not isinstance(mspec.get("coeffs"), dict):
             raise UsageError('modes file must contain a "coeffs" object')
-        coeffs = {int(k): _number(v, f"amplitude of mode {k}")
-                  for k, v in mspec["coeffs"].items()}
+        coeffs = {}
+        for k, v in mspec["coeffs"].items():
+            if int(k) in coeffs:
+                raise ValueError(f"{args.modes}: boundary mode index {int(k)} is named twice")
+            coeffs[int(k)] = _number(v, f"amplitude of mode {k}")
         if not coeffs:
             raise ValueError(f"{args.modes}: coeffs must name at least one boundary mode")
         src = make_source(args.beta, coeffs)

@@ -74,6 +74,21 @@ def band_points(grid_n: int) -> int:
     return n
 
 
+def band_grid(half_width: float, grid_n: int) -> np.ndarray:
+    """Grid of every band problem: [pi/2 - half_width, pi/2 + half_width] on band_points(grid_n)
+    points, each half a linspace from pi/2 outward; one read-only array per half-width and size."""
+    return _band_grid(half_width, band_points(grid_n))
+
+
+@functools.lru_cache(maxsize=128)  # 32 KB per 4,097-point grid
+def _band_grid(half_width, n):
+    halves = np.linspace(math.pi / 2, math.pi / 2 + np.array([-half_width, half_width]),
+                         n // 2 + 1)  # columns: the left half and the right half
+    grid = np.concatenate([halves[::-1, 0], halves[1:, 1]])
+    grid.flags.writeable = False
+    return grid
+
+
 def mirror_half(g, gp, even: bool, left: bool):
     """Full-band (g, g') from the half band ending (``left``) or starting at pi/2:
     the other half mirrors it, g even or odd and g' the opposite (an odd image negated)."""
@@ -146,18 +161,13 @@ def _solved_profile(d: int, grid_n: int) -> ConeProfile:
         raise NoZeroFound(f"aperture {theta0} outside (0, pi/2)")
     norm_c = 1.0 / abs(slope)
 
-    n = band_points(grid_n)
-    half = (n - 1) // 2
-    th_right = np.linspace(math.pi / 2, math.pi / 2 + theta0, half + 1)
-    th_left = np.linspace(math.pi / 2, math.pi / 2 - theta0, half + 1)
-    g_r, gp_r = propagate_band(d - 2, 0.0, d - 1, th_right, 1.0, 0.0)
+    grid = band_grid(theta0, grid_n)
+    g_r, gp_r = propagate_band(d - 2, 0.0, d - 1, grid[grid.size // 2:], 1.0, 0.0)
 
     # g is even about pi/2 (cot is odd there), so the left half is the mirror image
-    grid = np.concatenate([th_left[::-1], th_right[1:]])
     g_all, gp_all = (norm_c * v for v in mirror_half(g_r, gp_r, even=True, left=False))
     g_all[0] = g_all[-1] = 0.0  # g vanishes on the free boundary, up to _ROOT_TOL
-    for a in (grid, g_all, gp_all):
-        a.flags.writeable = False
+    g_all.flags.writeable = gp_all.flags.writeable = False
 
     return ConeProfile(dim=d, theta0=theta0, grid=grid, g=g_all, g_prime=gp_all,
                        H=(d - 2) * math.tan(theta0), norm_c=norm_c)

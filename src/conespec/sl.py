@@ -1,12 +1,13 @@
 """Weighted Sturm-Liouville engine on the latitude band.
 
-Solves (sin^{d-2} g')' - mu sin^{d-4} g + lam sin^{d-2} g = 0 on
-[pi/2 - theta0, pi/2 + theta0] with Robin (g' + Hg = 0 on the left,
--g' + Hg = 0 on the right) or Dirichlet conditions.
+Solves (sin^{d-2} g')' - mu sin^{d-4} g + lam sin^{d-2} g = 0 on the band
+[pi/2 - theta0, pi/2 + theta0], sampled on :func:`conespec.profile.band_grid`,
+with Robin (g' + Hg = 0 on the left, -g' + Hg = 0 on the right) or Dirichlet
+conditions.
 
-The band must be symmetric about pi/2.  The coefficients are then even
+A spec names its band by the half-width theta0, so the coefficients are even
 about pi/2 for every mu (cot is odd, sin^2 even, and the Robin and Dirichlet
-data mirror), so eigenfunction k has parity (-1)^(k-1) and every eigenpair is
+data mirror): eigenfunction k has parity (-1)^(k-1) and every eigenpair is
 computed on the left half-band only: the k-th eigenpair is the ((k+1)//2)-th
 half-band problem with g'(pi/2) = 0 (k odd) or g(pi/2) = 0 (k even), and the
 full eigenfunction is its mirror image.
@@ -19,9 +20,9 @@ the coarsest stride that the Sturm comparison theorem proves still sees
 every node (:func:`_count_skip`).  :func:`eigenvalues` drives one spec's
 roots together (:func:`_solve`), memoized per (spec, k); :func:`eigen_pairs`
 adds one lane-batched shot for the eigenfunctions, which are not cached,
-and checks their nodes on the full trajectory.  The seeds
-only choose the bracket, so the independent finite-difference
-discretization (:func:`eigen_fd_crosscheck`) remains the oracle.
+and checks their nodes on the full trajectory.  The seeds only choose the
+bracket, so the independent finite-difference discretization
+(:func:`eigen_fd_crosscheck`) remains the oracle.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ import numpy as np
 from ._quad import _derivative, brent_steps, simpson
 from .errors import BracketFail, NonConvergent, ZeroDenominator
 from .kernels import propagate_band, propagate_band_end
-from .profile import ConeProfile, band_points, mirror_half
+from .config import GRID_N_MAX
+from .profile import ConeProfile, band_grid, mirror_half
 
 _EXPAND_CAP = 60
 _BISECT_CAP = 300
-_SYMMETRY_TOL = 1e-12
 _SEED_COUNT = 8      # seeded eigenvalues per parity; higher ones isolate from the top seed
 _SEED_REL = 1e-3     # bracket half-width relative to max(1, |seed|)
 _MEMO_SIZE = 4096    # memoized eigenvalues (floats only)
@@ -49,18 +50,19 @@ _LAM_TOL = 1e-10     # Brent tolerance on each eigenvalue
 @dataclasses.dataclass(frozen=True)
 class SLSpec:
     dim: int
-    band: tuple[float, float]
+    half_width: float  # the band is [pi/2 - half_width, pi/2 + half_width]
     mu: float
     bc: str  # 'robin' | 'dirichlet'
     H: float = 0.0
     grid_n: int = 4096
 
     def __post_init__(self):
-        a, b = self.band
-        if not (0.0 < a < b < math.pi):
-            raise ValueError(f"band {self.band} must lie strictly inside (0, pi)")
-        if abs(a + b - math.pi) > _SYMMETRY_TOL:
-            raise ValueError(f"band {self.band} must be symmetric about pi/2")
+        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 3):
+            raise ValueError(f"dimension must be an integer >= 3, got {self.dim!r}")
+        if not (isinstance(self.grid_n, (int, np.integer)) and 64 <= self.grid_n <= GRID_N_MAX):
+            raise ValueError(f"grid_n must be an int in [64, {GRID_N_MAX}], got {self.grid_n!r}")
+        if not 0.0 < self.half_width < math.pi / 2:
+            raise ValueError(f"half-width {self.half_width!r} must lie in (0, pi/2)")
         if self.mu < 0:
             raise ValueError("mu must be >= 0")
         if self.bc not in ("robin", "dirichlet"):
@@ -71,7 +73,7 @@ class SLSpec:
 
 def band_spec(p: ConeProfile, mu: float, bc: str) -> SLSpec:
     """SLSpec on the cone band and grid of ``p`` (H taken from the cone for Robin)."""
-    return SLSpec(dim=p.dim, band=p.band, mu=float(mu), bc=bc,
+    return SLSpec(dim=p.dim, half_width=p.theta0, mu=float(mu), bc=bc,
                   H=p.H if bc == "robin" else 0.0, grid_n=p.grid.size - 1)
 
 
@@ -87,18 +89,9 @@ class SLEigenpair:
 
 
 def _disc(spec: SLSpec):
-    """Full and left half-band grids shared by all shots for one spec."""
-    return _band_grids(spec.band, spec.grid_n)
-
-
-@functools.lru_cache(maxsize=128)
-def _band_grids(band, grid_n):
-    """:func:`_disc` of every spec on one band and grid (all mu and bc share them,
-    so they are read-only)."""
-    n = band_points(grid_n)
-    th = np.linspace(*band, n)
-    th.flags.writeable = False
-    return {"theta": th, "left": th[: (n - 1) // 2 + 1]}
+    """Full and left half-band grids of a spec: views of its read-only band grid."""
+    th = band_grid(spec.half_width, spec.grid_n)
+    return {"theta": th, "left": th[: th.size // 2 + 1]}
 
 
 def _y_left(spec):
@@ -397,15 +390,15 @@ def eigen_k(spec: SLSpec, k: int) -> SLEigenpair:
     return eigen_pairs(spec, (k,))[0]
 
 
-def _fv_robin(dim: int, band: tuple[float, float], mu: float, H: float, n: int):
-    """Finite-volume Robin operator on n cells: (diag, off, w, lump).
+def _fv_robin(dim: int, half_width: float, mu: float, H: float, n: int):
+    """Finite-volume Robin operator on n cells of the band: (diag, off, w, lump).
 
     Fluxes use the weight at half-points; the mu-term and the mass matrix are
     lumped by the trapezoid rule (half cells at the two ends).  Robin data
     enters the endpoint diagonal with the negative sign of the quadratic form
     boundary term.  The interior rows are the Dirichlet operator.
     """
-    a, b = band
+    a, b = math.pi / 2 - half_width, math.pi / 2 + half_width
     h = (b - a) / n
     th = np.linspace(a, b, n + 1)
     p_half = np.sin(th[:-1] + h / 2) ** (dim - 2)
@@ -423,7 +416,7 @@ def _fv_robin(dim: int, band: tuple[float, float], mu: float, H: float, n: int):
 
 def _fv_sym(spec: SLSpec, n: int):
     """Mass-symmetrized finite-volume operator on n cells: (diagonal, off-diagonal)."""
-    diag, off, w, lump = _fv_robin(spec.dim, spec.band, spec.mu, spec.H, n)
+    diag, off, w, lump = _fv_robin(spec.dim, spec.half_width, spec.mu, spec.H, n)
     mass = w * lump
     if spec.bc == "dirichlet":
         diag, off, mass = diag[1:-1], off[1:-1], mass[1:-1]

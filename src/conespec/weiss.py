@@ -32,7 +32,7 @@ import numpy as np
 from ._quad import D1_WEIGHTS, _derivative, simpson
 from .boundary import sphere_area
 from .errors import GridTooCoarse, MissingCoefficient, NonFiniteResult, NumericalError
-from .profile import ConeProfile
+from .profile import ConeProfile, band_grid
 from .sl import SLSpec, band_spec, eigen_k, eigenvalue
 
 _N_RADIAL = 513     # Boole-compatible (4k+1) radial point count
@@ -318,16 +318,11 @@ def F_functional(band_halfwidth: float, p: ConeProfile, d: int) -> float:
     """
     if d != p.dim:
         raise ValueError(f"dimension argument {d} != profile dimension {p.dim}")
-    th = float(band_halfwidth)
-    if not 0 < th < math.pi / 2:
-        raise ValueError("band half-width must lie in (0, pi/2)")
-    sd2 = sphere_area(d - 2)
-    spec = SLSpec(dim=d, band=(math.pi / 2 - th, math.pi / 2 + th), mu=0.0,
-                  bc="dirichlet", grid_n=p.grid.size - 1)
-    lam1 = eigenvalue(spec, 1)
-    thg = np.linspace(math.pi / 2 - th, math.pi / 2 + th, p.grid.size)
-    area = sd2 * float(simpson(np.sin(thg) ** (d - 2), x=thg))
-    return (_kappa0_sq(p) * (lam1 - (d - 1)) + area) / d
+    spec = SLSpec(dim=d, half_width=float(band_halfwidth), mu=0.0, bc="dirichlet",
+                  grid_n=p.grid.size - 1)
+    thg = band_grid(spec.half_width, spec.grid_n)
+    area = sphere_area(d - 2) * float(simpson(np.sin(thg) ** (d - 2), x=thg))
+    return (_kappa0_sq(p) * (eigenvalue(spec, 1) - (d - 1)) + area) / d
 
 
 def _kappa0_sq(p: ConeProfile) -> float:

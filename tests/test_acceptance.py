@@ -119,9 +119,8 @@ def test_criterion_5_dirichlet_calibration(p3, p7, announce):
         lam1 = eigen_k(band_spec(p, 0.0, "dirichlet"), 1).lam
         worst = max(worst, abs(lam1 - (d - 1)))
         ok &= abs(lam1 - (d - 1)) <= 1e-7
-        half = SLSpec(dim=d, band=(math.pi / 2 - p.theta0 / 2,
-                                   math.pi / 2 + p.theta0 / 2),
-                      mu=0.0, bc="dirichlet", grid_n=4096)
+        half = SLSpec(dim=d, half_width=p.theta0 / 2, mu=0.0, bc="dirichlet",
+                      grid_n=4096)
         ok &= eigen_k(half, 1).lam > d - 1 + 1e-4
     announce(5, ok, f"max |lam1_D - (d-1)| = {worst:.2e}, half-band above d-1")
 

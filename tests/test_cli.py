@@ -183,6 +183,11 @@ def test_ab_bench_runs():
      "12.083626228959117"),
     (None, {"-5": 1.0}, 64, "invalid input: boundary mode index -5 must be >= 1", "0.7"),
     (None, {"0": 1.0}, 64, "invalid input: boundary mode index 0 must be >= 1", "0.7"),
+    # "01" and "1" are one index: the second amplitude would silently win
+    (None, {"01": 1.0, "1": 2.0}, 64, "invalid input: .*boundary mode index 1 is named twice",
+     "0.7"),
+    (None, {"3": 1.0, " 3": 1.0}, 64, "invalid input: .*boundary mode index 3 is named twice",
+     "0.7"),
 ])
 def test_particular_exit_contract(tmp_path, capsys, config, coeffs, code, message, beta):
     modes = tmp_path / "m.json"
@@ -318,7 +323,7 @@ def test_particular_resonance_off_the_source_degrees(tmp_path):
     assert {m["source"][0] for m in body["per_mode"]} == {0}
 
 
-@pytest.mark.parametrize("beta", [1.0, 2.7573037579436916])
+@pytest.mark.parametrize("beta", [1.0, 2.7573037579436885])
 def test_particular_resonant_beta_is_invalid_input(tmp_path, capsys, beta):
     # beta = d/2 - delta of the lambda = 0 modes, and beta inside the
     # resonance window of the (0, 1) mode: solve_radial_modes refuses both, so the

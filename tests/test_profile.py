@@ -32,8 +32,7 @@ def _aperture_oracle(d, lo=0.05, hi=1.5):
     """Bisect theta for lambda_1^D(band(theta)) = d - 1, FD discretization."""
 
     def gap(theta):
-        spec = SLSpec(dim=d, band=(math.pi / 2 - theta, math.pi / 2 + theta),
-                      mu=0.0, bc="dirichlet", grid_n=1024)
+        spec = SLSpec(dim=d, half_width=theta, mu=0.0, bc="dirichlet", grid_n=1024)
         return eigen_fd_crosscheck(spec, 1)[0] - (d - 1)
 
     # lambda_1^D decreases in the band width, so gap is decreasing in theta

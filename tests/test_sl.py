@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conespec import sl
+from conespec import profile, sl
+from conespec.config import GRID_N_MAX, SolverConfig
 from conespec.errors import ZeroDenominator
 from conespec.sl import (SLSpec, band_spec, count_below, eigen_fd_crosscheck, eigen_k,
                          eigen_pairs, eigenvalue, eigenvalues, rayleigh)
@@ -110,17 +111,32 @@ def test_rayleigh_rejects_null_trial(p7):
 
 
 def test_spec_validation():
+    rows = [
+        ("half_width", -0.1, "half-width"),
+        ("half_width", 0.0, "half-width"),
+        ("half_width", np.pi / 2, "half-width"),
+        ("half_width", 2.0, "half-width"),
+        ("half_width", float("nan"), "half-width"),
+        # dim = 1 used to answer lambda_1 = 8.107
+        ("dim", 1, "dimension"),
+        ("dim", 2, "dimension"),
+        ("dim", 7.0, "dimension"),
+        # grid_n = 0 used to raise a bare IndexError, 4.5 a TypeError
+        ("grid_n", 0, "grid_n"),
+        ("grid_n", 63, "grid_n"),
+        ("grid_n", 4.5, "grid_n"),
+        ("grid_n", "4096", "grid_n"),
+        ("grid_n", GRID_N_MAX + 1, "grid_n"),
+        ("mu", -1.0, "mu"),
+        ("bc", "neumann", "bc"),
+    ]
+    for field, value, message in rows:
+        fields = dict(dim=7, half_width=0.5, mu=0.0, bc="dirichlet", grid_n=4096)
+        fields[field] = value
+        with pytest.raises(ValueError, match=message):
+            SLSpec(**fields)
     with pytest.raises(ValueError):
-        SLSpec(dim=7, band=(-0.1, 2.0), mu=0.0, bc="dirichlet")
-    with pytest.raises(ValueError):
-        eigen_k(SLSpec(dim=7, band=(1.0, np.pi - 1.0), mu=0.0, bc="dirichlet"), 0)
-
-
-def test_spec_rejects_asymmetric_band():
-    # the half-band solver mirrors about pi/2; an off-centre band would be
-    # answered wrongly (lambda_1 = 6.880 against the FD value 7.520)
-    with pytest.raises(ValueError, match="symmetric"):
-        SLSpec(dim=7, band=(1.0, 2.0), mu=0.0, bc="dirichlet")
+        eigen_k(SLSpec(dim=7, half_width=np.pi / 2 - 1.0, mu=0.0, bc="dirichlet"), 0)
 
 
 def test_nodes_skip_exact_zero_samples():
@@ -128,7 +144,7 @@ def test_nodes_skip_exact_zero_samples():
     assert sl._nodes(np.array([1.0, 0.0, 1.0])) == 0
     # an odd eigenfunction at a lambda within 2e-13 of the 6th eigenvalue,
     # with its centre sample (zero by symmetry) set to exactly 0.0: 5 nodes, not 4
-    spec = SLSpec(10, band=(1.1297293680950529, 2.0118632854947402), mu=18.0,
+    spec = SLSpec(10, half_width=0.4410669586998437, mu=18.0,
                   bc="robin", H=3.7766769293627203)
     [(g, _)] = sl._assemble_fn(spec, sl._disc(spec), [324.60657338767527], ["odd"])
     g[g.size // 2] = 0.0
@@ -464,3 +480,17 @@ def test_band_grid_is_shared_and_read_only(p7):
     for a in (pair.grid, sl._disc(spec)["left"]):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
+
+
+@pytest.mark.parametrize("grid_n", [4096, 1001])
+@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
+def test_band_problems_live_on_the_profile_grid(bc, grid_n):
+    # every band problem of a cone is solved on the profile's own grid array;
+    # band_points rounds 1001 up to 1005 points and band_spec passes grid_n 1004,
+    # so the grid memo is keyed by the point count
+    profile._solved_profile.cache_clear()  # the profile's grid is then the newest memo entry
+    p = profile.solve_profile(7, SolverConfig(grid_n=grid_n))
+    spec = band_spec(p, 12.0, bc)
+    for pair in eigen_pairs(spec, range(1, 4)):
+        assert pair.grid is p.grid
+    assert np.shares_memory(sl._disc(spec)["left"], p.grid)
