@@ -36,7 +36,9 @@ FILES = {
 }
 
 RUNS = (
-    ["cone", "--dim", "7"],
+    # the full g and g' arrays at the widest (d = 3) and narrowest (d = 24) apertures
+    # of the verify sweep, and at d = 7
+    *(["cone", "--dim", d] for d in ("3", "7", "24")),
     ["sl", "--dim", "7", "--mu", "12", "--bc", "robin", "--k", "3"],
     ["sl", "--dim", "7", "--mu", "3e6", "--bc", "robin", "--k", "17"],
     ["sl", "--dim", "12", "--mu", "0", "--bc", "dirichlet", "--k", "2"],

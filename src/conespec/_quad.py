@@ -8,11 +8,10 @@ stays the library of the independent oracles.
 * :func:`simpson` is ``scipy.integrate.simpson`` for an odd sample count on
   irregular spacing (Cartwright's parabolic-segment weights), for one row
   of samples or each row of a 2-D array.
-* :func:`brentq` is SciPy's C ``brentq`` (Brent, *Algorithms for
-  Minimization without Derivatives*, 1973, ch. 4), driving the generator
-  :func:`brent_steps`.  The band eigenvalue solves of ``sl`` each run
-  ``brent_steps`` inside their own generator, and one driver answers them
-  in lockstep.
+* :func:`brent_steps` is SciPy's C ``brentq`` (Brent, *Algorithms for
+  Minimization without Derivatives*, 1973, ch. 4) as a generator.  The band
+  eigenvalue solves of ``sl`` each run it inside their own generator, and
+  one loop answers them in lockstep.
 * The uniform-grid stencils (Fornberg, Math. Comp. 51, 1988): :func:`_derivative`
   (weights :data:`D1_WEIGHTS`, shared with ``weiss``), :func:`_d2_uniform`, and the
   running integrals :func:`_cumulative_up`/:func:`_cumulative_down` of the cubic.
@@ -109,21 +108,7 @@ def brent_steps(a: float, b: float, xtol: float):
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = value((yield xcur), xcur)
-    raise NonConvergent(f"brentq did not converge in {_MAXITER} iterations")
-
-
-def brentq(f, a: float, b: float, xtol: float) -> float:
-    """Root of ``f`` in [a, b], where f(a) and f(b) differ in sign.
-
-    Drives :func:`brent_steps` (its stopping rule and errors) with ``f``.
-    """
-    steps = brent_steps(a, b, xtol)
-    x = next(steps)
-    try:
-        while True:
-            x = steps.send(f(x))
-    except StopIteration as stop:
-        return stop.value
+    raise NonConvergent(f"Brent's method did not converge in {_MAXITER} iterations")
 
 
 # Fourth-order first derivative: weights of the samples -2..2 steps away, over 12 h.

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 from ._version import __version__
 from .boundary import boundary_modes
-from .config import load_config
+from .config import load_config, unique_keys
 from .errors import (ConfigError, NonFiniteResult, NumericalError, ResonantExponent,
                      UsageError)
 from .linkspec import link_spectrum, verify_strong_integrability
@@ -166,9 +166,9 @@ def _json_report(payload: dict, cfg, stamp: bool) -> str:
 
 
 def _load_object(path: str, what: str) -> dict:
-    """A JSON file whose top level must be an object."""
+    """A JSON file whose top level must be an object, no key repeated in any object."""
     with open(path) as fh:
-        body = json.load(fh)
+        body = json.load(fh, object_pairs_hook=unique_keys)
     if not isinstance(body, dict):
         raise UsageError(f"{what} file must hold a JSON object, got {type(body).__name__}")
     return body

@@ -58,6 +58,17 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
+def unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` of every JSON input: the object as a dict, refusing a
+    key written twice (plain ``json`` keeps the last value silently)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is repeated in one JSON object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str | None = None) -> SolverConfig:
     """Read a JSON config file; absent fields keep their defaults.
 
@@ -73,10 +84,12 @@ def load_config(path: str | None = None) -> SolverConfig:
     if not text.strip():
         return DEFAULT_CONFIG
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg} at line {exc.lineno}, column {exc.colno}",
                          line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
     return SolverConfig.from_dict(data)

@@ -9,9 +9,17 @@ theta0 is the first zero of g past pi/2, and g is rescaled so |g'| = 1 at
 both band endpoints (the free-boundary gradient condition).  The boundary
 mean curvature is H = (d-2) tan(theta0).
 
-The first zero is found in two steps: a hunt shot block by block along a
-fine grid until g changes sign, then Brent's method inside that hunt cell,
-each value an end-state shot from the cell's left end.
+In z = cos^2(theta) the equation is hypergeometric, and its solution even
+about pi/2 is the series (Abramowitz and Stegun ch. 15; DLMF 15.2.1)
+
+    g = 2F1(-1/2, (d-1)/2; 1/2; z) = sum a_k z^k,
+    a_0 = 1,  a_{k+1} / a_k = (k - 1/2)(k + (d-1)/2) / ((k + 1)(k + 1/2)).
+
+Every term past a_0 is negative, so g falls and is concave in z, and Newton's
+method from z = 2/d reaches the series' root z0 from the g < 0 side.  Then
+theta0 = asin(sqrt(z0)), and |g'| = sin(2 theta0) |dg/dz| at the band end
+gives the normalization.  The profile on the grid is one shot of the band
+kernel over the right half band, mirrored.
 """
 
 from __future__ import annotations
@@ -19,20 +27,16 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import weakref
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from ._quad import brentq
 from .errors import EvaluationUnstable, NoZeroFound
-from .kernels import propagate_band, propagate_band_end
+from .kernels import propagate_band
 
-# Hunt window for the first zero: stay clear of the cot(theta) pole at pi.
-_HUNT_END_MARGIN = 0.01
-# Hunt steps integrated per shot; the hunt stops at the first block with a zero.
-_HUNT_BLOCK = 1024
-# Brent tolerance on the aperture root.
-_ROOT_TOL = 1e-12
+# Newton steps allowed for the aperture root; 4 suffice for every d tried (3 to 1000).
+_NEWTON_CAP = 20
 
 
 @dataclasses.dataclass(frozen=True, eq=False)  # hashed by identity: a memo key
@@ -74,18 +78,21 @@ def band_points(grid_n: int) -> int:
     return n
 
 
+_band_grids: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def band_grid(half_width: float, grid_n: int) -> np.ndarray:
     """Grid of every band problem: [pi/2 - half_width, pi/2 + half_width] on band_points(grid_n)
-    points, each half a linspace from pi/2 outward; one read-only array per half-width and size."""
-    return _band_grid(half_width, band_points(grid_n))
-
-
-@functools.lru_cache(maxsize=128)  # 32 KB per 4,097-point grid
-def _band_grid(half_width, n):
-    halves = np.linspace(math.pi / 2, math.pi / 2 + np.array([-half_width, half_width]),
-                         n // 2 + 1)  # columns: the left half and the right half
-    grid = np.concatenate([halves[::-1, 0], halves[1:, 1]])
-    grid.flags.writeable = False
+    points, each half a linspace from pi/2 outward; one read-only array per half-width and
+    size for as long as anything holds it (a profile holds its own)."""
+    key = half_width, band_points(grid_n)
+    grid = _band_grids.get(key)
+    if grid is None:
+        halves = np.linspace(math.pi / 2, math.pi / 2 + np.array([-half_width, half_width]),
+                             key[1] // 2 + 1)  # columns: the left half and the right half
+        grid = np.concatenate([halves[::-1, 0], halves[1:, 1]])
+        grid.flags.writeable = False
+        _band_grids[key] = grid
     return grid
 
 
@@ -100,43 +107,37 @@ def mirror_half(g, gp, even: bool, left: bool):
     return full(g, not even), full(gp, even)
 
 
-def _refined_root(d, lo, y_lo, hi):
-    """Brent's method for the zero of g in [lo, hi]: (root, g'(root)).
+def _series(d, z):
+    """g(z) and dg/dz from the aperture series, summed until a term of z dg/dz
+    no longer moves 1.0 (a term of g is smaller still)."""
+    b = (d - 1) / 2
+    term, g, z_dg, k = 1.0, 1.0, 0.0, 0
+    while True:
+        term *= (k - 0.5) * (k + b) / ((k + 1) * (k + 0.5)) * z
+        k += 1
+        if 1.0 + k * term == 1.0:
+            return g, z_dg / z
+        g += term
+        z_dg += k * term
 
-    Each value at theta > lo is an end-state shot from lo on a 33-point grid;
-    the state at lo is the hunt's.
+
+def _aperture(d):
+    """(theta0, norm_c) from the root of the series in z = cos^2(theta) by Newton.
+
+    From the first step on every iterate lies on the g < 0 side and z falls, so
+    the root is the iterate where a step stops falling.
     """
-    states = {lo: y_lo}
-
-    def g_at(theta):
-        if theta not in states:
-            states[theta] = propagate_band_end(d - 2, 0.0, d - 1,
-                                               np.linspace(lo, theta, 33), *y_lo)
-        return states[theta][0]
-
-    root = brentq(g_at, lo, hi, _ROOT_TOL)
-    return root, states[root][1]
-
-
-def _hunt_sign_change(d, n_hunt):
-    """Last hunt point with g > 0, its state (g, g'), and the next hunt point.
-
-    The hunt grid runs from pi/2 towards the cot pole at pi.  Past the first
-    zero the solution blows up (it overflows for d in the hundreds), so the
-    grid is shot block by block, each block starting from the previous
-    block's end state, and the hunt stops at the first block where g <= 0.
-    """
-    hunt = np.linspace(math.pi / 2, math.pi - _HUNT_END_MARGIN, n_hunt + 1)
-    state = (1.0, 0.0)
-    for start in range(0, n_hunt, _HUNT_BLOCK):
-        block = hunt[start:start + _HUNT_BLOCK + 1]
-        g, gp = propagate_band(d - 2, 0.0, d - 1, block, *state)
-        below = np.nonzero(g <= 0.0)[0]
-        if below.size:
-            i = int(below[0])
-            return block[i - 1], (g[i - 1], gp[i - 1]), block[i]
-        state = (g[-1], gp[-1])
-    raise NoZeroFound(f"profile for d={d} has no zero before theta={hunt[-1]:.4f}")
+    z = 2.0 / d
+    for step in range(_NEWTON_CAP):
+        g, dg = _series(d, z)
+        z_next = z - g / dg
+        if not 0.0 < z_next < 1.0:
+            break
+        if step and not z_next < z:
+            return math.asin(math.sqrt(z)), 1.0 / (2.0 * math.sqrt(z * (1.0 - z)) * abs(dg))
+        z = z_next
+    raise NoZeroFound(f"aperture series for d={d} has no root in (0, 1) "
+                      f"after {step + 1} Newton steps (z={z_next!r})")
 
 
 def solve_profile(d: int, cfg: SolverConfig | None = None) -> ConeProfile:
@@ -153,20 +154,13 @@ def solve_profile(d: int, cfg: SolverConfig | None = None) -> ConeProfile:
 
 @functools.lru_cache(maxsize=8)  # one profile holds about 96 KB at grid_n 4096
 def _solved_profile(d: int, grid_n: int) -> ConeProfile:
-    lo, y_lo, hi = _hunt_sign_change(d, 4 * grid_n)
-    root, slope = _refined_root(d, lo, y_lo, hi)
-
-    theta0 = float(root) - math.pi / 2
-    if not (0.0 < theta0 < math.pi / 2 - 1e-9):
-        raise NoZeroFound(f"aperture {theta0} outside (0, pi/2)")
-    norm_c = 1.0 / abs(slope)
-
+    theta0, norm_c = _aperture(d)
     grid = band_grid(theta0, grid_n)
     g_r, gp_r = propagate_band(d - 2, 0.0, d - 1, grid[grid.size // 2:], 1.0, 0.0)
 
     # g is even about pi/2 (cot is odd there), so the left half is the mirror image
     g_all, gp_all = (norm_c * v for v in mirror_half(g_r, gp_r, even=True, left=False))
-    g_all[0] = g_all[-1] = 0.0  # g vanishes on the free boundary, up to _ROOT_TOL
+    g_all[0] = g_all[-1] = 0.0  # g vanishes on the free boundary, up to the shot's error
     g_all.flags.writeable = gp_all.flags.writeable = False
 
     return ConeProfile(dim=d, theta0=theta0, grid=grid, g=g_all, g_prime=gp_all,

@@ -94,7 +94,7 @@ def test_every_config_field_has_a_reader():
 def test_verify_sweep_exit_codes(tmp_path):
     # the d<=6 / d>=7 dichotomy well beyond the tabulated range, with the
     # homogeneity kernels of dimension d (mu=0) and d-1 (rotations)
-    # and, up to d = 200, without a numpy overflow warning from the profile hunt
+    # and, up to d = 200, without a numpy overflow warning
     out = tmp_path / "v.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -112,8 +112,8 @@ def test_verify_work_count(tmp_path, monkeypatch):
     # by Sturm counts and the modes with eigenvalues below d - 1 last, whose
     # eigenvalues below d - 1 are solved together; each band eigenvalue is
     # solved once, from a seeded bracket whose two counting shots are
-    # Brent's endpoints, and the aperture is a Brent root: verify --dim 7
-    # in a fresh process makes 42 shots
+    # Brent's endpoints, and the profile is one shot of the kernel (the
+    # aperture is a series root): verify --dim 7 in a fresh process makes 32 shots
     from conespec import boundary, kernels, linkspec, profile, sl
     sl._memo.clear()
     sl._seeds.cache_clear()
@@ -128,7 +128,7 @@ def test_verify_work_count(tmp_path, monkeypatch):
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(mod, name, counted)
     assert run(["verify", "--dim", "7", "--out", str(tmp_path / "v.json")]) == 0
-    assert 0 < len(shots) <= 44, len(shots)
+    assert 0 < len(shots) <= 34, len(shots)
 
 
 def test_second_particular_reuses_cone_and_spectrum(tmp_path, monkeypatch):
@@ -140,8 +140,7 @@ def test_second_particular_reuses_cone_and_spectrum(tmp_path, monkeypatch):
     argv = ["particular", "--dim", "7", "--beta", "0.7", "--modes", str(modes)]
     assert run(argv + ["--out", str(tmp_path / "a.json")]) == 0
     calls = []
-    for mod, name in ((profile, "propagate_band"), (profile, "propagate_band_end"),
-                      (linkspec, "count_below")):
+    for mod, name in ((profile, "propagate_band"), (linkspec, "count_below")):
         def counted(*args, _fn=getattr(mod, name), _name=name):
             calls.append(_name)
             return _fn(*args)
@@ -188,14 +187,20 @@ def test_ab_bench_runs():
      "0.7"),
     (None, {"3": 1.0, " 3": 1.0}, 64, "invalid input: .*boundary mode index 3 is named twice",
      "0.7"),
+    # a key written twice in the JSON text is refused, not read as its last value;
+    # a string row is the file's text
+    (None, '{"coeffs": {"1": 1.0, "1": 2.0}}', 64,
+     "invalid input: key '1' is repeated in one JSON object", "0.7"),
+    ('{"grid_n": 64, "grid_n": 1024}', {"1": 1.0}, 64,
+     "config error: .*key 'grid_n' is repeated in one JSON object", "0.7"),
 ])
 def test_particular_exit_contract(tmp_path, capsys, config, coeffs, code, message, beta):
     modes = tmp_path / "m.json"
-    modes.write_text(json.dumps({"coeffs": coeffs}))
+    modes.write_text(coeffs if isinstance(coeffs, str) else json.dumps({"coeffs": coeffs}))
     argv = ["particular", "--dim", "7", "--beta", beta, "--modes", str(modes)]
     if config is not None:
         cfgf = tmp_path / "c.json"
-        cfgf.write_text(json.dumps(config))
+        cfgf.write_text(config if isinstance(config, str) else json.dumps(config))
         argv = ["--config", str(cfgf)] + argv
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -323,7 +328,7 @@ def test_particular_resonance_off_the_source_degrees(tmp_path):
     assert {m["source"][0] for m in body["per_mode"]} == {0}
 
 
-@pytest.mark.parametrize("beta", [1.0, 2.7573037579436885])
+@pytest.mark.parametrize("beta", [1.0, 2.7573037579440527])
 def test_particular_resonant_beta_is_invalid_input(tmp_path, capsys, beta):
     # beta = d/2 - delta of the lambda = 0 modes, and beta inside the
     # resonance window of the (0, 1) mode: solve_radial_modes refuses both, so the
@@ -385,6 +390,10 @@ _FILES = {
     "no_coeffs": '{"beta": 0.7}',
     "nan_amp": '{"coeffs": {"1": NaN}}',
     "list_exp": '{"kind": "power", "exponent": [1.3]}',
+    "dup_coeffs": '{"coeffs": {"1": 1.0}, "coeffs": {"1": 2.0}}',
+    "dup_amp": '{"coeffs": {"1": 1.0, "1": 2.0}}',
+    "dup_field": '{"kind": "power", "exponent": 1.0, "exponent": 2.0}',
+    "dup_config": '{"grid_n": 64, "grid_n": 1024}',
 }
 
 
@@ -432,6 +441,13 @@ _IN_CHILD = {"modes --dim 7 --mu-max nan", "modes --dim 7 --mu-max inf",
     ("weiss --dim 7 --field @cone --radii 1e300", 2, "numerical error: non-finite Weiss"),
     ("weiss --dim 7 --field @cone --radii 0.5,2", 0, None),
     ("weiss --dim 7 --field @cone --radii 0.5,2 --out @out", 0, None),
+    ("particular --dim 7 --beta 0.7 --modes @dup_coeffs", 64,
+     "invalid input: key 'coeffs' is repeated in one JSON object"),
+    ("particular --dim 7 --beta 0.7 --modes @dup_amp", 64, "key '1' is repeated"),
+    ("weiss --dim 7 --field @dup_field --radii 1", 64,
+     "invalid input: key 'exponent' is repeated in one JSON object"),
+    ("--config @dup_config cone --dim 7", 64,
+     "dup_config.json: key 'grid_n' is repeated in one JSON object"),
 ])
 def test_cli_exit_contract(tmp_path, capsys, argv, code, message):
     # every rejected input exits cleanly (64 bad input, 2 numerical failure),

@@ -1,6 +1,6 @@
 """Cone profile construction.
 
-The aperture oracle used here is deliberately independent of the shooting
+The aperture oracle used here is deliberately independent of the series
 construction: theta0 is the unique half-width at which the first *Dirichlet*
 eigenvalue of the mu=0 band problem equals d-1 (the profile itself is that
 eigenfunction), and we locate it by bisecting the finite-difference
@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from conespec.config import SolverConfig
-from conespec.errors import EvaluationUnstable
-from conespec.profile import (ConeProfile, band_points, jacobi_fields,
+from conespec.errors import EvaluationUnstable, NoZeroFound
+from conespec.profile import (ConeProfile, band_grid, band_points, jacobi_fields,
                               legendre_crosscheck, solve_profile)
-from conespec.sl import SLSpec, band_spec, eigen_fd_crosscheck, rayleigh
+from conespec.sl import SLSpec, band_spec, eigen_fd_crosscheck, eigen_k, rayleigh
 
 # Apertures pinned from the Dirichlet-calibration oracle below (and, for
 # d = 4, from the exact value theta0 = pi/4, H = 2).
@@ -59,9 +59,12 @@ def test_frozen_apertures():
 
 
 def test_dimension_four_is_exact():
-    # the d=4 profile is cos(2 theta') in disguise; theta0 = pi/4, H = 2
+    # the d=4 profile is g = -cos(2 theta) / sin(theta): the series root is
+    # z0 = 1/2, so theta0 = pi/4, H = 2 and |g'| = 2 sqrt(2) at the band ends
+    # before normalization
     p = solve_profile(4)
-    assert abs(p.theta0 - math.pi / 4) < 1e-10
+    assert p.theta0 == pytest.approx(math.pi / 4, abs=1e-15)
+    assert p.norm_c == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), abs=1e-15)
     assert abs(p.H - 2.0) < 1e-9
 
 
@@ -106,20 +109,31 @@ def test_grid_shape_and_refinement():
     assert abs(coarse.theta0 - fine.theta0) < 1e-9
 
 
-@pytest.mark.parametrize("d", [3, 7, 24])
-def test_no_zero_width_shot(d, monkeypatch):
-    # the aperture's Brent reads g at the hunt cell's left end from the hunt
-    # state instead of shooting the one-point interval [lo, lo]
+def test_profile_is_one_kernel_trajectory(monkeypatch):
+    # the aperture comes from the series; the kernel shoots only the right
+    # half of the profile's band grid, once per (d, grid_n)
     from conespec import profile
     profile._solved_profile.cache_clear()
     grids = []
-    for name in ("propagate_band", "propagate_band_end"):
-        def logged(dm2, mu, lam, thetas, *rest, _fn=getattr(profile, name)):
-            grids.append(thetas)
-            return _fn(dm2, mu, lam, thetas, *rest)
-        monkeypatch.setattr(profile, name, logged)
-    solve_profile(d)
-    assert grids and all(th[0] != th[-1] for th in grids)
+
+    def logged(dm2, mu, lam, thetas, *rest, _fn=profile.propagate_band):
+        grids.append(thetas)
+        return _fn(dm2, mu, lam, thetas, *rest)
+    monkeypatch.setattr(profile, "propagate_band", logged)
+    for d in (3, 7, 24):
+        p = solve_profile(d)
+        assert len(grids) == 1 and np.array_equal(grids.pop(), p.grid[p.grid.size // 2:])
+        assert solve_profile(d) is p and grids == []
+
+
+def test_band_grid_outlives_an_aperture_scan(p7):
+    # an F_functional scan over more half-widths than any grid memo held
+    # leaves the profile's grid the one array for its half-width and size
+    from conespec.weiss import F_functional
+    for t in np.linspace(0.9, 1.1, 130) * p7.theta0:
+        F_functional(float(t), p7, 7)
+    assert band_grid(p7.theta0, p7.grid.size - 1) is p7.grid
+    assert eigen_k(band_spec(p7, 0.0, "robin"), 2).grid is p7.grid
 
 
 def test_profile_is_solved_once_and_read_only():
@@ -132,6 +146,13 @@ def test_profile_is_solved_once_and_read_only():
             a[0] = 1.0
     from conespec.linkspec import link_spectrum
     assert link_spectrum(p, 28) is link_spectrum(p, 28.0)
+
+
+def test_aperture_newton_cap_raises(monkeypatch):
+    from conespec import profile
+    monkeypatch.setattr(profile, "_NEWTON_CAP", 2)  # d = 3 needs 5 series evaluations
+    with pytest.raises(NoZeroFound, match="after 2 Newton steps"):
+        profile._aperture(3)
 
 
 def test_rejects_low_dimension():

@@ -72,6 +72,17 @@ def test_simpson_rejects_even_and_short_counts(n):
         _quad.simpson(np.ones(n), x=x)
 
 
+def _brentq(f, a, b, xtol):
+    """Root of ``f`` in [a, b]: ``_quad.brent_steps`` answered by ``f`` one value at a time."""
+    steps = _quad.brent_steps(a, b, xtol)
+    x = next(steps)
+    try:
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
 def _traced(fn):
     xs = []
 
@@ -113,7 +124,7 @@ def test_brentq_matches_scipy_on_band_defects(profiles):
                             spec.dim - 2, spec.mu, lam, disc["left"], *sl._y_left(spec)), parity)
                     ours, ours_xs = _traced(defect)
                     ref, ref_xs = _traced(defect)
-                    root = _quad.brentq(ours, lo, hi, xtol=sl._LAM_TOL)
+                    root = _brentq(ours, lo, hi, xtol=sl._LAM_TOL)
                     want = scipy.optimize.brentq(ref, lo, hi, xtol=sl._LAM_TOL,
                                                  rtol=_quad._RTOL)
                     assert root == want and ours_xs == ref_xs, (d, mu, bc, k)
@@ -134,20 +145,20 @@ def test_brentq_matches_scipy_on_hard_brackets(f, a, b):
     # steep, flat and skewed roots force bisection and rejected steps
     ours, ours_xs = _traced(f)
     ref, ref_xs = _traced(f)
-    root = _quad.brentq(ours, a, b, xtol=1e-14)
+    root = _brentq(ours, a, b, xtol=1e-14)
     assert root == scipy.optimize.brentq(ref, a, b, xtol=1e-14, rtol=_quad._RTOL)
     assert ours_xs == ref_xs
 
 
 def test_brentq_rejections(monkeypatch):
     with pytest.raises(ValueError, match="different signs"):
-        _quad.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
     with pytest.raises(NonFiniteResult):
-        _quad.brentq(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0, xtol=1e-12)
-    assert _quad.brentq(lambda x: x, 0.0, 1.0, xtol=1e-12) == 0.0
+        _brentq(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0, xtol=1e-12)
+    assert _brentq(lambda x: x, 0.0, 1.0, xtol=1e-12) == 0.0
     monkeypatch.setattr(_quad, "_MAXITER", 2)
     with pytest.raises(NonConvergent, match="in 2 iterations"):
-        _quad.brentq(math.atan, -1.0, 2.0, xtol=1e-15)
+        _brentq(math.atan, -1.0, 2.0, xtol=1e-15)
 
 
 def _scipy_modules_after(code):
