@@ -56,6 +56,8 @@ RUNS = (
       for d in ("7", "10", "12")),
     *(["particular", "--dim", d, "--beta", "0.7", "--modes", "modes145.json"]
       for d in ("7", "12")),
+    # P and Q are both negative on the two lowest modes: both limits at infinity
+    ["particular", "--dim", "7", "--beta", "6.5", "--modes", "modes.json"],
     # the complex ground mode at d = 3 has no real radial solve: exit 2
     ["particular", "--dim", "3", "--beta", "0.7", "--modes", "modes.json"],
     ["weiss", "--dim", "7", "--field", "cone.json", "--radii", "0.5,1,2"],

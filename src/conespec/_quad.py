@@ -14,7 +14,7 @@ stays the library of the independent oracles.
   one loop answers them in lockstep.
 * The uniform-grid stencils (Fornberg, Math. Comp. 51, 1988): :func:`_derivative`
   (weights :data:`D1_WEIGHTS`, shared with ``weiss``), :func:`_d2_uniform`, and the
-  running integrals :func:`_cumulative_up`/:func:`_cumulative_down` of the cubic.
+  running integral :func:`_cumulative_up` of the cubic.
 """
 
 from __future__ import annotations
@@ -161,16 +161,3 @@ def _cumulative_up(y: np.ndarray, dx: float) -> np.ndarray:
     np.cumsum(_segment_integrals(y, dx), out=out[1:])
     return out
 
-
-def _cumulative_down(y: np.ndarray, dx: float) -> np.ndarray:
-    """int_{x_i}^{x_end} y dx, accumulated from the top end.
-
-    Summing from the far end keeps values near it relatively accurate —
-    computing them as differences of two nearly equal full-range sums would
-    cancel catastrophically.
-    """
-    seg = _segment_integrals(y, dx)
-    out = np.empty(y.size)
-    out[-1] = 0.0
-    np.cumsum(seg[::-1], out=out[-2::-1])
-    return out

@@ -118,7 +118,7 @@ def _steklov_fd_once(p: ConeProfile, mu: float, n: int):
     """
     from scipy.linalg import solveh_banded  # oracle only: keeps scipy off the solver path
 
-    diag, off, w, _ = _fv_robin(p.dim, p.theta0, mu, p.H, n)
+    diag, off, w, _ = _fv_robin(p.dim, p.theta0, mu, n)
     ab = np.zeros((2, n - 1))
     ab[0] = diag[1:-1]
     ab[1, :-1] = off[1:-1]

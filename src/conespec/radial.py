@@ -7,17 +7,21 @@ is transferred to the interior as
 
 whose Laplacian defect f = -Lap(u1) is projected onto the interior Robin
 basis; each radial coefficient then solves the inhomogeneous Cauchy-Euler
-ODE r^2 u'' + (d-1) r u' - lam u = r^2 f_k through the double-integral
-representation u = r^{gamma_plus} int int, with integration limits chosen by
-the sign rules P = d/2 + delta - beta and Q = d/2 - delta - beta (limit R0
-for a positive sign, infinity otherwise; infinite limits enter through the
-analytic tail of the power-law integrand).  u_p = u1 + u2 then decays like
-r^{1-beta}.
+ODE r^2 u'' + (d-1) r u' - lam u = r^2 f_k.  The source makes every row a
+power C r^{-1-beta}, whose particular solution is the power
+C r^{1-beta} / (P Q) with the sign-rule exponents P = d/2 + delta - beta and
+Q = d/2 - delta - beta (Simon and Solomon, Invent. Math. 86, 1986): it is
+returned in closed form, free of homogeneous transients, so
+u_p = u1 + u2 decays like r^{1-beta}.  Any other row is integrated as
+sampled through the double-integral representation u = r^{gamma_plus} int int
+with both limits at R0.  The sign rules pick limit R0 for a positive P or Q
+and infinity otherwise, so a row whose rules ask for an infinite limit is
+refused.
 
-Radial quantities live on a geometric grid of ratio 2^{1/16}.  Each mode is
-solved on the log axis tau = log r, refined per mode so that steep powers r^P
-stay resolved; the running integrals sum per-interval integrals of the cubic
-through the 4 nearest samples (``_quad._segment_integrals``).
+Radial quantities live on a geometric grid of ratio 2^{1/16}, taken on the
+log axis tau = log r by the integrals and stencils; the running integrals
+sum per-interval integrals of the cubic through the 4 nearest samples
+(``_quad._segment_integrals``).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import math
 
 import numpy as np
 
-from ._quad import _cumulative_down, _cumulative_up, _d2_uniform, _derivative, simpson
+from ._quad import _cumulative_up, _d2_uniform, _derivative, simpson
 from .boundary import BoundaryMode
 from .config import DEFAULT_CONFIG, RES_TOL, SolverConfig
 from .errors import (NonFiniteResult, NumericalError, ResonanceDivision, ResonantExponent,
@@ -38,7 +42,6 @@ from .sl import band_spec, eigen_pairs
 from .spheremodes import SphereMode
 
 _POWER_FIT_TOL = 1e-7
-_TARGET_STEP = 0.02  # max |exponent| * (log-step) in refined quadrature
 _PER_ELL = 8         # interior band modes per sphere degree in the projection
 
 
@@ -55,7 +58,9 @@ class RadialField:
     theta: np.ndarray
     angular: np.ndarray         # (n_modes, n_theta)
     angular_prime: np.ndarray
-    ode_residual: np.ndarray | None = None  # per-mode max ODE defect (interior rows)
+    # per-mode max ODE defect of the interior rows: exact for a closed-form
+    # power row, the fourth-order stencil one for a row integrated as sampled
+    ode_residual: np.ndarray | None = None
 
     def __post_init__(self):
         m, nr = self.coeffs.shape
@@ -267,108 +272,78 @@ def _fit_power(r: np.ndarray, c: np.ndarray):
     return float(signs[0]) * math.exp(b), sigma, resid
 
 
-def _running_integral(y, dx, tau, to_inf, amp, rate, denom):
-    """Running integral of ``y`` on the log grid ``tau`` from infinity (``to_inf``) or
-    tau_0, plus amp e^{rate tau} / denom at the end it starts from (none if amp is None)."""
-    if to_inf:
-        out = _cumulative_down(y, dx)
-        np.negative(out, out=out)
-    else:
-        out = _cumulative_up(y, dx)
-    if amp is not None:
-        out += amp * np.exp(rate * tau[-1 if to_inf else 0]) / denom
-    return out
-
-
 @np.errstate(over="raise", invalid="raise")
 def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
                 flip_rules: bool):
-    """One mode's radial solve: (profile on the base grid, max ODE defect).
+    """One mode's radial solve: (profile on the grid, max ODE defect).
 
-    Every power r^a of the refined grid is exp(a tau) on the log grid
-    tau_i = log r0 + i dtau / refine.  A resonant beta is refused by the
-    caller, :func:`solve_radial_modes`, before any mode is solved.
+    A power row C r^sigma with sigma = -1-beta is solved in closed form as
+    C r^{sigma+2} / ((sigma+2)(sigma+d) - lam), with the defect of that form
+    against the samples, max |C r^{sigma+2} - r^2 c|.  Every other row, and
+    every row under ``flip_rules``, is integrated as sampled from R0 with the
+    stencil defect (three edge samples excluded); one whose sign rules ask
+    for an infinite limit raises ``TailDivergence``.  A resonant beta is
+    refused by the caller, :func:`solve_radial_modes`, before any mode is
+    solved.
     """
-    dtau = math.log(r[1] / r[0])
     if entry.complex_radicand:
         raise NumericalError(
             f"mode {entry.source}: complex homogeneity pair, no real radial solve")
-    delta, lam = entry.delta, entry.lam
     if entry.log_mode:
         raise NumericalError(
             f"mode {entry.source}: log-resonant homogeneity unsupported")
-    P, Q = _sign_exponents(d, delta, beta)
-    a_inf = (P < 0) and not flip_rules
-    b_inf = (Q < 0) and not flip_rules
-
-    fit = _fit_power(r, c_row)
-    if fit is None or fit[2] > _POWER_FIT_TOL:
-        if a_inf or b_inf:
+    delta, lam = entry.delta, entry.lam
+    if not flip_rules:
+        fit = _fit_power(r, c_row)
+        if fit is not None and fit[2] <= _POWER_FIT_TOL and abs(fit[1] + 1.0 + beta) <= 1e-6:
+            C_amp, sigma, _ = fit
+            r2f = r ** (sigma + 2)
+            r2f *= C_amp
+            u = r2f / ((sigma + 2) * (sigma + d) - lam)
+            res = r * r
+            res *= c_row
+            res -= r2f
+            np.abs(res, out=res)
+            return u, float(np.max(res))
+        P, Q = _sign_exponents(d, delta, beta)
+        if P < 0 or Q < 0:
             raise TailDivergence(
-                f"mode {entry.source}: non-power-law profile, cannot close the "
-                "infinite-limit tail")
-        refine = 1
-        C_amp, sigma = None, None
-    else:
-        C_amp, sigma, _ = fit
-        if (a_inf or b_inf) and abs(sigma + 1.0 + beta) > 1e-6:
-            raise TailDivergence(
-                f"mode {entry.source}: fitted decay {sigma:.6f} != -1-beta, "
-                "tail closed form invalid")
-        refine = max(1, math.ceil(max(abs(P), abs(Q), 2 * delta) * dtau / _TARGET_STEP))
+                f"mode {entry.source}: an infinite limit closes only for a power "
+                "row C r^(-1-beta)")
 
-    dtf = dtau / refine
-    tau = np.arange((r.size - 1) * refine + 1, dtype=float)
-    tau *= dtf
+    # u = r^{gamma_plus} int_R0^r s^{-1-2 delta} int_R0^s t^{delta + d/2} f dt ds
+    # on the log axis tau = log r
+    dtau = math.log(r[1] / r[0])
+    tau = np.arange(r.size, dtype=float)
+    tau *= dtau
     tau += math.log(r[0])
-    gam_p = -(d - 2) / 2 + delta
-    # inner integral I(s) = int_a^s t^{delta + d/2} f(t) dt on the log axis;
-    # for a power-law profile the finite-end anchor is pushed from R0 down
-    # to 0 analytically (the integral converges there exactly when the sign
-    # rule picked the finite end), so no homogeneous transient is injected
-    # and the result collapses to the power ansatz.  flip_rules keeps the
-    # raw R0 anchor: the transient is the point of that mode.
-    if C_amp is not None:
-        y = np.exp((delta + d / 2 + 1 + sigma) * tau)
-        y *= C_amp
-    else:
-        y = np.exp((delta + d / 2 + 1) * tau)
-        y *= c_row
-    # I is a pure power when anchored at 0 or closed at infinity, and only
-    # then is the outer integral anchored too
-    inner_is_pure = C_amp is not None and (a_inf or P > 0)
-    icum = _running_integral(y, dtf, tau, a_inf, C_amp if inner_is_pure else None, P, P)
-    # outer integral from b of s^{-1-2 delta} I(s)
+    y = np.exp((delta + d / 2 + 1) * tau)
+    y *= c_row
+    icum = _cumulative_up(y, dtau)
     np.exp(-2 * delta * tau, out=y)
     y *= icum
-    outer_amp = C_amp if inner_is_pure and (b_inf or Q > 0) else None
-    vcum = _running_integral(y, dtf, tau, b_inf, outer_amp, Q, P * Q)
-    u_f = np.exp(gam_p * tau, out=y)
-    u_f *= vcum
+    vcum = _cumulative_up(y, dtau)
+    u = np.exp((delta - (d - 2) / 2) * tau, out=y)
+    u *= vcum
 
     # residual d2 + (d-2) d1 - lam u - r^2 f on the log axis, built in place
-    res = _derivative(u_f, dtf)
+    res = _derivative(u, dtau)
     res *= d - 2
-    res += _d2_uniform(u_f, dtf)
-    np.multiply(u_f, lam, out=icum)
+    res += _d2_uniform(u, dtau)
+    np.multiply(u, lam, out=icum)
     res -= icum
-    if refine == 1:
-        r2f = np.exp(2 * tau, out=tau)
-        r2f *= c_row
-    else:
-        r2f = np.exp((sigma + 2) * tau, out=tau)
-        r2f *= C_amp
+    r2f = np.exp(2 * tau, out=tau)
+    r2f *= c_row
     res -= r2f
-    k = 3 * refine
     np.abs(res, out=res)
-    resid = float(np.max(res[k:-k])) if res.size > 2 * k else float(np.max(res))
+    resid = float(np.max(res[3:-3])) if res.size > 6 else float(np.max(res))
     # np.convolve does not raise on overflow, so a stencil sum past the
     # float range surfaces here as inf or nan
-    if not (math.isfinite(resid) and np.isfinite(u_f).all()):
+    if not (math.isfinite(resid) and np.isfinite(u).all()):
         raise NonFiniteResult(
             f"non-finite radial coefficients in mode {entry.source}: overflow in "
             "a quadrature or difference stencil")
-    return u_f[::refine], resid
+    return u, resid
 
 
 def solve_radial_modes(f: RadialField, flip_rules: bool = False) -> RadialField:
@@ -378,10 +353,10 @@ def solve_radial_modes(f: RadialField, flip_rules: bool = False) -> RadialField:
     Every real mode is checked before any solve: min(|P|, |Q|) <= RES_TOL
     raises ``ResonantExponent``, also for a row with no defect.
 
-    ``flip_rules`` forces both integration limits to R0 regardless of the
-    sign rules — the negative-test hook: wrong limits inject a homogeneous
-    r^{gamma_plus} piece that wrecks the decay of every mode whose rule
-    demanded an infinite limit.
+    ``flip_rules`` integrates every row as sampled with both limits at R0,
+    regardless of the sign rules and of any closed form — the negative-test
+    hook: wrong limits inject a homogeneous r^{gamma_plus} piece that wrecks
+    the decay of every mode whose rule demanded an infinite limit.
     """
     if f.basis != "interior":
         raise ValueError("solve_radial_modes requires interior-basis projections")
@@ -411,8 +386,9 @@ def ode_residuals(u: RadialField, f: RadialField) -> np.ndarray:
     """Per-mode Cauchy-Euler defect max |r^2 u'' + (d-1) r u' - lam u - r^2 f|
     evaluated on the base grid (edge stencils excluded).
 
-    Independent re-evaluation used by the invariance tests; the residual
-    reported by solve_radial_modes comes from its finer quadrature grid.
+    The stencil check, independent of how each row was solved:
+    solve_radial_modes reports this same value for a row it integrates as
+    sampled, and the exact defect for a closed-form power row.
     """
     if u.basis != "interior" or f.basis != "interior":
         raise ValueError("residual evaluation requires interior-basis fields")
@@ -473,8 +449,10 @@ def build_up(src: SourceSpec, p: ConeProfile, bmodes,
              cfg: SolverConfig | None = None) -> tuple[RadialField, BuildReport]:
     """Full particular solution u_p = u1 + u2 with its residual report.
 
-    interior_residual is the worst per-mode Cauchy-Euler defect relative to
-    the source scale sup_r r^2 ||f||; the angular truncation of the defect
+    interior_residual is the worst per-mode Cauchy-Euler defect
+    (``RadialField.ode_residual``: exact for a closed-form power row, the
+    stencil one for a row integrated as sampled) relative to the source scale
+    sup_r r^2 ||f||; the angular truncation of the defect
     projection is reported separately as projection_tail.  Raises
     NonFiniteResult when a step overflows, divides by zero or turns NaN.
     """

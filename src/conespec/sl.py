@@ -2,8 +2,9 @@
 
 Solves (sin^{d-2} g')' - mu sin^{d-4} g + lam sin^{d-2} g = 0 on the band
 [pi/2 - theta0, pi/2 + theta0], sampled on :func:`conespec.profile.band_grid`,
-with Robin (g' + Hg = 0 on the left, -g' + Hg = 0 on the right) or Dirichlet
-conditions.
+with Robin (g' + Hg = 0 on the left, -g' + Hg = 0 on the right, H the
+cone's mean curvature (d-2) tan(theta0), derived by :attr:`SLSpec.H`) or
+Dirichlet conditions.
 
 A spec names its band by the half-width theta0, so the coefficients are even
 about pi/2 for every mu (cot is odd, sin^2 even, and the Robin and Dirichlet
@@ -53,7 +54,6 @@ class SLSpec:
     half_width: float  # the band is [pi/2 - half_width, pi/2 + half_width]
     mu: float
     bc: str  # 'robin' | 'dirichlet'
-    H: float = 0.0
     grid_n: int = 4096
 
     def __post_init__(self):
@@ -67,14 +67,17 @@ class SLSpec:
             raise ValueError("mu must be >= 0")
         if self.bc not in ("robin", "dirichlet"):
             raise ValueError(f"bc must be robin|dirichlet, got {self.bc!r}")
-        if self.bc == "robin" and not self.H > 0:
-            raise ValueError("Robin problems require H > 0")
+
+    @property
+    def H(self) -> float:
+        """Robin coefficient: the cone's mean curvature (d-2) tan(half_width), > 0."""
+        return (self.dim - 2) * math.tan(self.half_width)
 
 
 def band_spec(p: ConeProfile, mu: float, bc: str) -> SLSpec:
-    """SLSpec on the cone band and grid of ``p`` (H taken from the cone for Robin)."""
+    """SLSpec on the cone band and grid of ``p``."""
     return SLSpec(dim=p.dim, half_width=p.theta0, mu=float(mu), bc=bc,
-                  H=p.H if bc == "robin" else 0.0, grid_n=p.grid.size - 1)
+                  grid_n=p.grid.size - 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -390,14 +393,16 @@ def eigen_k(spec: SLSpec, k: int) -> SLEigenpair:
     return eigen_pairs(spec, (k,))[0]
 
 
-def _fv_robin(dim: int, half_width: float, mu: float, H: float, n: int):
+def _fv_robin(dim: int, half_width: float, mu: float, n: int):
     """Finite-volume Robin operator on n cells of the band: (diag, off, w, lump).
 
     Fluxes use the weight at half-points; the mu-term and the mass matrix are
     lumped by the trapezoid rule (half cells at the two ends).  Robin data
-    enters the endpoint diagonal with the negative sign of the quadratic form
-    boundary term.  The interior rows are the Dirichlet operator.
+    H = (d-2) tan(half_width) enters the endpoint diagonal with the negative
+    sign of the quadratic form boundary term.  The interior rows are the
+    Dirichlet operator.
     """
+    H = (dim - 2) * math.tan(half_width)
     a, b = math.pi / 2 - half_width, math.pi / 2 + half_width
     h = (b - a) / n
     th = np.linspace(a, b, n + 1)
@@ -416,7 +421,7 @@ def _fv_robin(dim: int, half_width: float, mu: float, H: float, n: int):
 
 def _fv_sym(spec: SLSpec, n: int):
     """Mass-symmetrized finite-volume operator on n cells: (diagonal, off-diagonal)."""
-    diag, off, w, lump = _fv_robin(spec.dim, spec.half_width, spec.mu, spec.H, n)
+    diag, off, w, lump = _fv_robin(spec.dim, spec.half_width, spec.mu, n)
     mass = w * lump
     if spec.bc == "dirichlet":
         diag, off, mass = diag[1:-1], off[1:-1], mass[1:-1]

@@ -312,6 +312,17 @@ def test_particular_report(tmp_path):
     assert body["slope"] <= 0.35
 
 
+def test_particular_steep_beta_residual(tmp_path):
+    # at beta = 4.2 the rows are steep powers r^{-5.2}; the reported residual
+    # is that of the closed-form solution, not of a quadrature stencil
+    modes = tmp_path / "m.json"
+    modes.write_text(json.dumps({"coeffs": {"1": 1.0, "3": -0.5, "5": 0.25}}))
+    out = tmp_path / "p.json"
+    assert run(["particular", "--dim", "7", "--beta", "4.2",
+                "--modes", str(modes), "--out", str(out)]) == 0
+    assert _read_json(out)["interior_residual"] <= 1e-6
+
+
 def test_particular_resonance_off_the_source_degrees(tmp_path):
     # beta resonates with the (3, 1) mode only; the degree 0 source does not
     # couple to sphere degree 3, so the solve goes through

@@ -9,10 +9,6 @@ design (tested below).
 import dataclasses
 import json
 import math
-import os
-import pathlib
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -24,8 +20,7 @@ from conespec.errors import (NonFiniteResult, NumericalError, ResonanceDivision,
                              ResonantExponent, TailDivergence)
 from conespec.linkspec import LinkEigenvalue, homogeneity, link_spectrum
 from conespec.profile import solve_profile
-from conespec._quad import (_cumulative_down, _cumulative_up, _d2_uniform, _derivative,
-                            _segment_integrals)
+from conespec._quad import _cumulative_up, _d2_uniform, _derivative, _segment_integrals
 from conespec.radial import (RadialField, SourceSpec, _fit_power, _solve_mode,
                              add_fields, boundary_residual, build_up, classify_decay,
                              make_source, ode_residuals, project_interior,
@@ -229,19 +224,22 @@ def test_tail_divergence(p7, link7):
 
 def test_non_power_profile_with_finite_limits(p7, link7):
     # ground mode at beta = 0.7: P = 3.54 and Q = 2.06 are both positive, so
-    # both limits are R0 and a non-power profile is integrated as sampled
+    # both limits are R0 and a row that is not C r^{-1-beta} (a wobble, or a
+    # power of another decay) is integrated as sampled
     entry = link7.find((0, 1))
     assert 3.5 < 3.5 + entry.delta - BETA < 3.6 and 2.0 < 3.5 - entry.delta - BETA < 2.1
     r = radial_grid()
     wobble = r ** -1.7 * (1 + 0.5 * np.sin(np.log(r)))
-    f = _interior_field(link7, entry, [wobble], BETA, p7.grid)
-    u = solve_radial_modes(f)
-    assert np.all(np.isfinite(u.coeffs))
-    scale = float(np.max(r ** 2 * np.abs(wobble)))
-    assert 10.0 < scale < 11.0
-    res = ode_residuals(u, f)
-    assert res[0] <= 1e-4 * scale
-    assert res[0] == pytest.approx(u.ode_residual[0], rel=1e-9)
+    # the power's amplitude gives it the wobble's source scale max r^2 |c|
+    for c in (wobble, 10.5 * r ** -2.2):
+        f = _interior_field(link7, entry, [c], BETA, p7.grid)
+        u = solve_radial_modes(f)
+        assert np.all(np.isfinite(u.coeffs))
+        scale = float(np.max(r ** 2 * np.abs(c)))
+        assert 10.0 < scale < 11.0
+        res = ode_residuals(u, f)
+        assert res[0] <= 1e-4 * scale
+        assert res[0] == pytest.approx(u.ode_residual[0], rel=1e-9)
 
 
 def test_build_residuals_and_slope(p7, bmodes7):
@@ -271,6 +269,22 @@ def test_defect_slope_invariant(base_build):
     # the top 0.01 decades hold one sample of the 2^(1/16) grid: no line to fit
     with pytest.raises(ValueError, match="fewer than two radial samples"):
         u1.slope(0.01)
+
+
+@pytest.mark.parametrize("dim", [7, 10])
+def test_build_slope_is_one_minus_beta(dim):
+    # every interior row of a r^{-beta} source is a power of decay -1-beta,
+    # solved in closed form: the particular solution is an exact r^{1-beta}
+    p = solve_profile(dim)
+    _, rep = build_up(make_source(BETA, {1: 1.0, 3: -0.5, 5: 0.25}), p, boundary_modes(p, 5))
+    assert abs(rep.slope - (1 - BETA)) <= 1e-13
+
+
+def test_ode_residuals_pin_the_radial_solve(base_build):
+    # the stencil check, independent of the closed form the solve returns
+    src, u1, f, f_int, tail, u2 = base_build
+    scale = float(np.max(f_int.r_grid ** 2 * f_int.mode_norm()))
+    assert np.max(ode_residuals(u2, f_int)) <= 1e-8 * scale
 
 
 def test_linearity(p7, bmodes7):
@@ -460,8 +474,8 @@ def test_projected_entries_are_the_link_entries(dim):
 ])
 def test_solve_mode_power_law_oracle(link7, source, beta):
     # c = C r^sigma with sigma = -1-beta has the particular solution
-    # A r^{sigma+2}, A = C / ((sigma+2)(sigma+d) - lambda): the analytic
-    # anchors must leave no homogeneous transient anywhere on the grid
+    # A r^{sigma+2}, A = C / ((sigma+2)(sigma+d) - lambda): the solve must
+    # leave no homogeneous transient anywhere on the grid
     d, C = 7, -2.5
     entry = link7.find(source)
     P, Q = 3.5 + entry.delta - beta, 3.5 - entry.delta - beta
@@ -470,7 +484,8 @@ def test_solve_mode_power_law_oracle(link7, source, beta):
     sigma = -1.0 - beta
     u, resid = _solve_mode(entry, C * r ** sigma, r, d, beta, False)
     ref = C / ((sigma + 2) * (sigma + d) - entry.lam) * r ** (sigma + 2)
-    # the cubic segment rule at log-step |exponent| * h <= 0.02 leaves ~2e-9
+    # a power row of decay -1-beta is returned in closed form, with the
+    # exponent and amplitude _fit_power reads off the samples
     assert np.max(np.abs(u - ref) / np.abs(ref)) <= 1e-8
     assert resid <= 1e-7 * float(np.max(np.abs(C * r ** (sigma + 2))))
 
@@ -509,9 +524,6 @@ def test_stencils_match_slice_formulas():
     assert seg[-1] == h / 24.0 * (y[-4] - 5 * y[-3] + 19 * y[-2] + 9 * y[-1])
     np.testing.assert_allclose(_cumulative_up(y, h), np.concatenate([[0.0], np.cumsum(seg)]),
                                rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(_cumulative_down(y, h),
-                               np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]),
-                               rtol=1e-12, atol=1e-14)
     d2 = _d2_uniform(y, h)
     want = (-y[4:] + 16 * y[3:-1] - 30 * y[2:-2] + 16 * y[1:-3] - y[:-4]) / (12 * h * h)
     np.testing.assert_allclose(d2[2:-2], want, rtol=1e-12, atol=1e-9)
@@ -525,11 +537,11 @@ def test_stencils_match_slice_formulas():
 
 @pytest.mark.parametrize("case", ["scaled row", "stencil sum"])
 def test_overflowing_row_is_nonfinite_result(p7, link7, base_build, case):
-    # a scaled row overflows in an elementwise product; the bump row stays
-    # finite until the interior quadrature stencil sums it past the float
-    # range, where np.convolve raises nothing and the inf travels on
+    # a scaled row's closed form overflows in an elementwise product; the bump
+    # row stays finite until the interior quadrature stencil sums it past the
+    # float range, where np.convolve raises nothing and the inf travels on
     if case == "scaled row":
-        f = scale_field(base_build[3], 1e300)
+        f = scale_field(base_build[3], 1e308)
     else:
         entry = link7.find((0, 1))
         r = radial_grid()
@@ -540,6 +552,15 @@ def test_overflowing_row_is_nonfinite_result(p7, link7, base_build, case):
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteResult, match="non-finite radial coefficients in mode"):
             solve_radial_modes(f)
+
+
+def test_scaled_row_solves_in_closed_form(base_build):
+    # at 1e300 the closed form stays finite and scales with its row
+    f_int, u2 = base_build[3], base_build[5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = solve_radial_modes(scale_field(f_int, 1e300))
+    assert np.max(np.abs(big.coeffs / 1e300 - u2.coeffs)) <= 1e-12 * np.max(np.abs(u2.coeffs))
 
 
 def test_silent_stencil_overflow_is_caught(p7, link7, monkeypatch):
@@ -553,22 +574,10 @@ def test_silent_stencil_overflow_is_caught(p7, link7, monkeypatch):
         return d1
 
     monkeypatch.setattr(radial, "_derivative", overflowing)
+    # a closed-form power row takes no stencil: the wobble is integrated as sampled
     entry = link7.find((0, 1))
     r = radial_grid()
-    f = _interior_field(link7, entry, [r ** (-1 - BETA)], BETA, p7.grid)
+    wobble = r ** -1.7 * (1 + 0.5 * np.sin(np.log(r)))
+    f = _interior_field(link7, entry, [wobble], BETA, p7.grid)
     with pytest.raises(NonFiniteResult, match=r"mode \(0, 1\): overflow"):
         solve_radial_modes(f)
-
-
-def test_radial_bench_runs():
-    # the benchmark reaches into radial's private _solve_mode, _derivative
-    # and _sign_exponents by name, so renaming them must break this test
-    root = pathlib.Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, str(root / "benchmarks" / "radial_bench.py"),
-                          "--dims", "7", "--repeats", "1"],
-                         capture_output=True, text=True, env=env, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert "d=7: 16 modes" in res.stdout
-    assert "solve_radial_modes:" in res.stdout and "ns/point" in res.stdout

@@ -144,8 +144,7 @@ def test_nodes_skip_exact_zero_samples():
     assert sl._nodes(np.array([1.0, 0.0, 1.0])) == 0
     # an odd eigenfunction at a lambda within 2e-13 of the 6th eigenvalue,
     # with its centre sample (zero by symmetry) set to exactly 0.0: 5 nodes, not 4
-    spec = SLSpec(10, half_width=0.4410669586998437, mu=18.0,
-                  bc="robin", H=3.7766769293627203)
+    spec = SLSpec(10, half_width=0.4410669586998437, mu=18.0, bc="robin")
     [(g, _)] = sl._assemble_fn(spec, sl._disc(spec), [324.60657338767527], ["odd"])
     g[g.size // 2] = 0.0
     assert np.count_nonzero(g == 0.0) == 1
