@@ -52,6 +52,8 @@ RUNS = (
     ["spectrum", "--dim", "7", "--lambda-max", "1e6"],
     ["spectrum", "--dim", "7", "--lambda-max", "1e300"],
     ["boundary-spectrum", "--dim", "7", "--count", "8"],
+    # sphere degrees up to 19, where the even/odd Wronskian's two products reach 1e19
+    ["boundary-spectrum", "--dim", "3", "--count", "40"],
     *(["particular", "--dim", d, "--beta", "0.7", "--modes", "modes.json"]
       for d in ("7", "10", "12")),
     *(["particular", "--dim", d, "--beta", "0.7", "--modes", "modes145.json"]

@@ -57,9 +57,12 @@ def _harmonic_pair(p: ConeProfile, mu: float):
     # two start-state lanes, (1, 0) and (0, 1), over one step tree
     (qe, qo), (qpe, qpo) = propagate_band(p.dim - 2, mu, 0.0, right,
                                           np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    # the Wronskian is 1; its two products grow with mu, and their rounding
+    # with them, so the defect is measured against their size
     w_b = math.sin(p.grid[-1]) ** (p.dim - 2)
-    wr = w_b * (qe[-1] * qpo[-1] - qpe[-1] * qo[-1])
-    if abs(wr - 1.0) > _WRONSKIAN_TOL:
+    prods = qe[-1] * qpo[-1], qpe[-1] * qo[-1]
+    wr = w_b * (prods[0] - prods[1])
+    if abs(wr - 1.0) > _WRONSKIAN_TOL * w_b * (abs(prods[0]) + abs(prods[1])):
         raise DegenerateBasis(
             f"fundamental solutions at mu={mu} lost independence "
             f"(Wronskian defect {abs(wr - 1.0):.2e})")

@@ -271,16 +271,12 @@ def _dispatch(args, cfg) -> int:
         mspec = _load_object(args.modes, "modes")
         if not isinstance(mspec.get("coeffs"), dict):
             raise UsageError('modes file must contain a "coeffs" object')
-        coeffs = {}
-        for k, v in mspec["coeffs"].items():
-            if int(k) in coeffs:
-                raise ValueError(f"{args.modes}: boundary mode index {int(k)} is named twice")
-            coeffs[int(k)] = _number(v, f"amplitude of mode {k}")
+        coeffs = {k: _number(v, f"amplitude of mode {k}") for k, v in mspec["coeffs"].items()}
         if not coeffs:
             raise ValueError(f"{args.modes}: coeffs must name at least one boundary mode")
         src = make_source(args.beta, coeffs)
         p = solve_profile(args.dim, cfg)
-        _, rep = build_up(src, p, boundary_modes(p, max(coeffs)), cfg)
+        _, rep = build_up(src, p, boundary_modes(p, max(src.coeffs_dict)), cfg)
         _emit(_json_report(rep.to_dict(), cfg, stamp), args.out)
         return 0
 

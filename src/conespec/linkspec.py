@@ -14,7 +14,6 @@ kernel dimensions d (translations) and d-1 (rotations), and a gap above d-1.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -122,13 +121,8 @@ class LinkSpectrum:
         raise KeyError(f"no assembled eigenvalue with source {source}")
 
 
-@functools.lru_cache(maxsize=8)
 def link_spectrum(p: ConeProfile, lambda_max: float) -> LinkSpectrum:
-    """Link spectrum of ``p`` up to ``lambda_max`` (:func:`assemble`).
-
-    Each (profile, lambda_max) is assembled once per process; the result is
-    frozen, so callers share it.
-    """
+    """Link spectrum of ``p`` up to ``lambda_max`` (:func:`assemble`)."""
     entries = assemble(p, lambda_max)
     return LinkSpectrum(dim=p.dim, theta0=p.theta0, H=p.H,
                         lambda_max=float(lambda_max), entries=tuple(entries))

@@ -10,8 +10,9 @@ basis; each radial coefficient then solves the inhomogeneous Cauchy-Euler
 ODE r^2 u'' + (d-1) r u' - lam u = r^2 f_k.  The source makes every row a
 power C r^{-1-beta}, whose particular solution is the power
 C r^{1-beta} / (P Q) with the sign-rule exponents P = d/2 + delta - beta and
-Q = d/2 - delta - beta (Simon and Solomon, Invent. Math. 86, 1986): it is
-returned in closed form, free of homogeneous transients, so
+Q = d/2 - delta - beta (Simon and Solomon, Invent. Math. 86, 1986).  The
+exponent is beta's, so it is tested, not fitted: a row whose c r^{1+beta} is
+a constant C is returned in closed form, free of homogeneous transients, so
 u_p = u1 + u2 decays like r^{1-beta}.  Any other row is integrated as
 sampled through the double-integral representation u = r^{gamma_plus} int int
 with both limits at R0.  The sign rules pick limit R0 for a positive P or Q
@@ -19,8 +20,9 @@ and infinity otherwise, so a row whose rules ask for an infinite limit is
 refused.
 
 Radial quantities live on a geometric grid of ratio 2^{1/16}, taken on the
-log axis tau = log r by the integrals and stencils; the running integrals
-sum per-interval integrals of the cubic through the 4 nearest samples
+log axis tau = log r by the integrals and by the one defect stencil that the
+sampled solve and ``ode_residuals`` share; the running integrals sum
+per-interval integrals of the cubic through the 4 nearest samples
 (``_quad._segment_integrals``).
 """
 
@@ -41,7 +43,7 @@ from .profile import ConeProfile
 from .sl import band_spec, eigen_pairs
 from .spheremodes import SphereMode
 
-_POWER_FIT_TOL = 1e-7
+_POWER_TOL = 1e-7   # relative spread of c r^{1+beta} that marks a power row
 _PER_ELL = 8         # interior band modes per sphere degree in the projection
 
 
@@ -80,7 +82,9 @@ class RadialField:
         norms = self.mode_norm()[mask]
         if np.max(norms, initial=0.0) == 0.0:
             return -math.inf
-        return _line_fit(np.log(self.r_grid[mask]), np.log(norms))[0]
+        x, y = np.log(self.r_grid[mask]), np.log(norms)
+        dx = x - x.sum() / x.size
+        return float(dx @ (y - y.sum() / y.size) / (dx @ dx))
 
 
 def _mode_key(m):
@@ -112,9 +116,11 @@ class SourceSpec:
     def __post_init__(self):
         if not self.beta > 0:
             raise ValueError("source decay exponent beta must be > 0")
-        for k, _ in self.boundary_coeffs:
+        for i, (k, _) in enumerate(self.boundary_coeffs):
             if k < 1:
                 raise ValueError(f"boundary mode index {k} must be >= 1")
+            if any(k == j for j, _ in self.boundary_coeffs[:i]):
+                raise ValueError(f"boundary mode index {k} is named twice")
 
     @property
     def coeffs_dict(self) -> dict[int, float]:
@@ -127,8 +133,9 @@ def _sign_exponents(d: int, delta: float, beta: float) -> tuple[float, float]:
     return d / 2 + delta - beta, d / 2 - delta - beta
 
 
-def make_source(beta: float, coeffs: dict[int, float]) -> SourceSpec:
-    """SourceSpec of decay ``beta`` and amplitudes {boundary mode index: amplitude}."""
+def make_source(beta: float, coeffs: dict) -> SourceSpec:
+    """SourceSpec of decay ``beta`` and amplitudes {boundary mode index: amplitude};
+    keys are read with ``int``, and two keys naming one index are refused."""
     items = tuple(sorted((int(k), float(v)) for k, v in coeffs.items()))
     return SourceSpec(beta=float(beta), boundary_coeffs=items)
 
@@ -243,33 +250,13 @@ def project_interior(f: RadialField, p: ConeProfile) -> tuple[RadialField, float
     return field, tail
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares line y = a x + b in closed form: (a, b)."""
-    mx, my = x.sum() / x.size, y.sum() / y.size
-    dx = x - mx
-    a = float(dx @ (y - my) / (dx @ dx))
-    return a, float(my - a * mx)
-
-
-def _fit_power(r: np.ndarray, c: np.ndarray):
-    """Fit c(r) = C * r^sigma; returns (C, sigma, max log-residual).
-
-    The line log|c| = sigma log r + b (:func:`_line_fit`) over the samples
-    above 1e-14 of the peak; None when their signs differ (or fewer than two
-    samples fix no exponent).
-    """
-    a = np.abs(c)
-    scale = float(a.max())
-    if scale == 0.0:
-        return 0.0, 0.0, 0.0
-    mask = a > 1e-14 * scale
-    signs = np.sign(c[mask])
-    if signs.size < 2 or (signs != signs[0]).any():
-        return None
-    lx, ly = np.log(r[mask]), np.log(a[mask])
-    sigma, b = _line_fit(lx, ly)
-    resid = float(np.abs(ly - (sigma * lx + b)).max())
-    return float(signs[0]) * math.exp(b), sigma, resid
+def _stencil_defect(u: np.ndarray, c_row: np.ndarray, r: np.ndarray, d: int,
+                    lam: float) -> float:
+    """max |r^2 u'' + (d-1) r u' - lam u - r^2 c|, as u_tau_tau + (d-2) u_tau on
+    the log axis tau = log r, three edge samples excluded at each end."""
+    dtau = math.log(r[1] / r[0])
+    res = _d2_uniform(u, dtau) + (d - 2) * _derivative(u, dtau) - lam * u - r * r * c_row
+    return float(np.max(np.abs(res[3:-3])))
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -277,14 +264,16 @@ def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
                 flip_rules: bool):
     """One mode's radial solve: (profile on the grid, max ODE defect).
 
-    A power row C r^sigma with sigma = -1-beta is solved in closed form as
-    C r^{sigma+2} / ((sigma+2)(sigma+d) - lam), with the defect of that form
-    against the samples, max |C r^{sigma+2} - r^2 c|.  Every other row, and
-    every row under ``flip_rules``, is integrated as sampled from R0 with the
-    stencil defect (three edge samples excluded); one whose sign rules ask
-    for an infinite limit raises ``TailDivergence``.  A resonant beta is
-    refused by the caller, :func:`solve_radial_modes`, before any mode is
-    solved.
+    A power row C r^{-1-beta} is solved in closed form as C r^{1-beta} / (P Q),
+    with (P, Q) the sign-rule exponents of :func:`_sign_exponents`, and the
+    defect of that form against the samples, max |C r^{1-beta} - r^2 c|.  The
+    row is a power row when a = c r^{1+beta}, taken on the samples above
+    1e-14 of the row's peak, stays within _POWER_TOL |C| of its mean C.
+    Every other row, and every row under ``flip_rules``, is integrated as
+    sampled from R0 with the stencil defect of :func:`_stencil_defect`; one
+    whose sign rules ask for an infinite limit raises ``TailDivergence``.  A
+    resonant beta is refused by the caller, :func:`solve_radial_modes`,
+    before any mode is solved.
     """
     if entry.complex_radicand:
         raise NumericalError(
@@ -294,18 +283,13 @@ def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
             f"mode {entry.source}: log-resonant homogeneity unsupported")
     delta, lam = entry.delta, entry.lam
     if not flip_rules:
-        fit = _fit_power(r, c_row)
-        if fit is not None and fit[2] <= _POWER_FIT_TOL and abs(fit[1] + 1.0 + beta) <= 1e-6:
-            C_amp, sigma, _ = fit
-            r2f = r ** (sigma + 2)
-            r2f *= C_amp
-            u = r2f / ((sigma + 2) * (sigma + d) - lam)
-            res = r * r
-            res *= c_row
-            res -= r2f
-            np.abs(res, out=res)
-            return u, float(np.max(res))
         P, Q = _sign_exponents(d, delta, beta)
+        mask = np.abs(c_row) > 1e-14 * float(np.max(np.abs(c_row)))
+        a = c_row[mask] * r[mask] ** (1.0 + beta)
+        C = float(np.mean(a))
+        if np.max(np.abs(a - C)) <= _POWER_TOL * abs(C):
+            r2f = C * r ** (1.0 - beta)
+            return r2f / (P * Q), float(np.max(np.abs(r2f - r * r * c_row)))
         if P < 0 or Q < 0:
             raise TailDivergence(
                 f"mode {entry.source}: an infinite limit closes only for a power "
@@ -314,29 +298,11 @@ def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
     # u = r^{gamma_plus} int_R0^r s^{-1-2 delta} int_R0^s t^{delta + d/2} f dt ds
     # on the log axis tau = log r
     dtau = math.log(r[1] / r[0])
-    tau = np.arange(r.size, dtype=float)
-    tau *= dtau
-    tau += math.log(r[0])
-    y = np.exp((delta + d / 2 + 1) * tau)
-    y *= c_row
-    icum = _cumulative_up(y, dtau)
-    np.exp(-2 * delta * tau, out=y)
-    y *= icum
-    vcum = _cumulative_up(y, dtau)
-    u = np.exp((delta - (d - 2) / 2) * tau, out=y)
-    u *= vcum
-
-    # residual d2 + (d-2) d1 - lam u - r^2 f on the log axis, built in place
-    res = _derivative(u, dtau)
-    res *= d - 2
-    res += _d2_uniform(u, dtau)
-    np.multiply(u, lam, out=icum)
-    res -= icum
-    r2f = np.exp(2 * tau, out=tau)
-    r2f *= c_row
-    res -= r2f
-    np.abs(res, out=res)
-    resid = float(np.max(res[3:-3])) if res.size > 6 else float(np.max(res))
+    tau = math.log(r[0]) + dtau * np.arange(r.size)
+    icum = _cumulative_up(np.exp((delta + d / 2 + 1) * tau) * c_row, dtau)
+    vcum = _cumulative_up(np.exp(-2 * delta * tau) * icum, dtau)
+    u = np.exp((delta - (d - 2) / 2) * tau) * vcum
+    resid = _stencil_defect(u, c_row, r, d, lam)
     # np.convolve does not raise on overflow, so a stencil sum past the
     # float range surfaces here as inf or nan
     if not (math.isfinite(resid) and np.isfinite(u).all()):
@@ -392,15 +358,8 @@ def ode_residuals(u: RadialField, f: RadialField) -> np.ndarray:
     """
     if u.basis != "interior" or f.basis != "interior":
         raise ValueError("residual evaluation requires interior-basis fields")
-    dtau = math.log(u.r_grid[1] / u.r_grid[0])
-    vals = np.zeros(len(u.modes))
-    for j, entry in enumerate(u.modes):
-        y = u.coeffs[j]
-        d1 = _derivative(y, dtau)
-        d2 = _d2_uniform(y, dtau)
-        res = d2 + (u.dim - 2) * d1 - entry.lam * y - u.r_grid ** 2 * f.coeffs[j]
-        vals[j] = float(np.max(np.abs(res[3:-3])))
-    return vals
+    return np.array([_stencil_defect(u.coeffs[j], f.coeffs[j], u.r_grid, u.dim, entry.lam)
+                     for j, entry in enumerate(u.modes)])
 
 
 def boundary_residual(u: RadialField, src: SourceSpec, bmodes,

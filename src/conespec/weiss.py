@@ -24,6 +24,7 @@ quadrature pass over each radius gives W, dW/dr and the deficit together.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable
 
@@ -197,9 +198,24 @@ def _weiss_values(u: AxisymField, radii: np.ndarray, grams) -> np.ndarray:
     return out
 
 
+def _finite(fn: Callable) -> Callable:
+    """Run ``fn`` with numpy overflow and invalid operations raising: either
+    one raises NonFiniteResult instead of returning inf or NaN."""
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise NonFiniteResult(f"non-finite Weiss energy: {exc}") from None
+    return guarded
+
+
+@_finite
 def weiss(u: AxisymField, r: float) -> float:
     """Evaluate W(u, r); raises GridTooCoarse when the Richardson error
-    estimate from a halved radial grid exceeds _QUAD_TOL * max(1, |W|)."""
+    estimate from a halved radial grid exceeds _QUAD_TOL * max(1, |W|), and
+    NonFiniteResult when W overflows or turns NaN."""
     return float(_weiss_values(u, np.array([r], dtype=float), _grams(u))[0, 0])
 
 
@@ -217,11 +233,13 @@ def _harmonic_correction(u: AxisymField, r: float, grams) -> float:
     return -2.0 * sphere_area(d - 2) * r * float(_BOOLE @ y) / r ** (d + 1)
 
 
+@_finite
 def weiss_derivative_check(u: AxisymField, r: float):
     """Compare dW/dr (the report's dW_lhs) with deficit + harmonicity correction.
 
     Returns (lhs, rhs, gap).  For fields harmonic on their support the
-    correction vanishes and rhs reduces to the nonnegative deficit.
+    correction vanishes and rhs reduces to the nonnegative deficit.  Raises
+    NonFiniteResult when either side overflows or turns NaN.
     """
     grams = _grams(u)
     _, dw, deficit = _weiss_values(u, np.array([r], dtype=float), grams)
@@ -244,18 +262,15 @@ class WeissReport:
                 "kappa0": self.kappa0}
 
 
+@_finite
 def weiss_report(u: AxisymField, radii) -> WeissReport:
     """W, its Leibniz-rule derivative and the deficit term at each radius, in one pass.
 
     Raises NonFiniteResult when any of them overflows or turns NaN.
     """
     radii = np.asarray(radii, dtype=float)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            grams = _grams(u)
-            w_vals, lhs, rhs = _weiss_values(u, radii, grams)
-    except FloatingPointError as exc:
-        raise NonFiniteResult(f"non-finite Weiss energy: {exc}") from None
+    grams = _grams(u)
+    w_vals, lhs, rhs = _weiss_values(u, radii, grams)
     kappa0 = math.sqrt(sphere_area(u.dim - 2) * grams[0][0, 0])
     return WeissReport(radii, w_vals, lhs, rhs, kappa0)
 

@@ -15,6 +15,7 @@ from scipy.integrate import quad
 from conespec.boundary import (boundary_modes, sphere_area,
                                steklov_fd_crosscheck)
 from conespec.errors import DegenerateBasis
+from conespec.profile import solve_profile
 
 FROZEN_D7 = {  # (ell, parity) -> ell_k, checked against the oracles below
     (0, "even"): 3.0225473540539904,   # = H exactly
@@ -135,3 +136,17 @@ def test_modes_mirror_exactly(p7):
         sign = 1.0 if m.parity == "even" else -1.0
         assert np.array_equal(m.psi[:c], sign * m.psi[:c:-1]), (m.ell, m.parity)
         assert np.array_equal(m.psi_prime[:c], -sign * m.psi_prime[:c:-1]), (m.ell, m.parity)
+
+
+@pytest.mark.parametrize("dim, count", [(3, 40), (7, 60), (12, 80)])
+def test_high_degree_modes_match_fd(dim, count):
+    # at high sphere degree the Wronskian's two products reach 1e9 and more;
+    # their rounding is no lost independence, and the modes stay exact
+    # (relative to max(1, |ell|): the translation traces are 0)
+    p = solve_profile(dim)
+    fd = {}
+    for m in boundary_modes(p, count):
+        if m.mu not in fd:
+            fd[m.mu] = steklov_fd_crosscheck(p, m.mu)
+        ref = fd[m.mu][0 if m.parity == "even" else 1]
+        assert abs(m.ell_k - ref) <= 1e-9 * max(1.0, abs(ref)), (m.ell, m.parity, m.ell_k, ref)

@@ -114,11 +114,10 @@ def test_verify_work_count(tmp_path, monkeypatch):
     # solved once, from a seeded bracket whose two counting shots are
     # Brent's endpoints, and the profile is one shot of the kernel (the
     # aperture is a series root): verify --dim 7 in a fresh process makes 32 shots
-    from conespec import boundary, kernels, linkspec, profile, sl
+    from conespec import boundary, kernels, profile, sl
     sl._memo.clear()
     sl._seeds.cache_clear()
     profile._solved_profile.cache_clear()
-    linkspec.link_spectrum.cache_clear()
     shots = []
     for mod in (sl, profile, boundary):
         for name in ("propagate_band", "propagate_band_end"):
@@ -131,16 +130,16 @@ def test_verify_work_count(tmp_path, monkeypatch):
     assert 0 < len(shots) <= 34, len(shots)
 
 
-def test_second_particular_reuses_cone_and_spectrum(tmp_path, monkeypatch):
-    # ops on one cone share its profile and link spectrum: a second particular
-    # at the same d shoots no profile and counts no band eigenvalues
-    from conespec import linkspec, profile
+def test_second_particular_reuses_cone_and_eigenpairs(tmp_path, monkeypatch):
+    # ops on one cone share its profile and band eigenpairs: a second particular
+    # at the same d shoots no profile and solves no band eigenvalue
+    from conespec import profile, sl
     modes = tmp_path / "m.json"
     modes.write_text(json.dumps({"coeffs": {"1": 1.0, "3": -0.5}}))
     argv = ["particular", "--dim", "7", "--beta", "0.7", "--modes", str(modes)]
     assert run(argv + ["--out", str(tmp_path / "a.json")]) == 0
     calls = []
-    for mod, name in ((profile, "propagate_band"), (linkspec, "count_below")):
+    for mod, name in ((profile, "propagate_band"), (sl, "_solve")):
         def counted(*args, _fn=getattr(mod, name), _name=name):
             calls.append(_name)
             return _fn(*args)

@@ -144,8 +144,6 @@ def test_profile_is_solved_once_and_read_only():
     for a in (p.grid, p.g, p.g_prime):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
-    from conespec.linkspec import link_spectrum
-    assert link_spectrum(p, 28) is link_spectrum(p, 28.0)
 
 
 def test_aperture_newton_cap_raises(monkeypatch):

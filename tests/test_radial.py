@@ -21,7 +21,7 @@ from conespec.errors import (NonFiniteResult, NumericalError, ResonanceDivision,
 from conespec.linkspec import LinkEigenvalue, homogeneity, link_spectrum
 from conespec.profile import solve_profile
 from conespec._quad import _cumulative_up, _d2_uniform, _derivative, _segment_integrals
-from conespec.radial import (RadialField, SourceSpec, _fit_power, _solve_mode,
+from conespec.radial import (RadialField, SourceSpec, _solve_mode,
                              add_fields, boundary_residual, build_up, classify_decay,
                              make_source, ode_residuals, project_interior,
                              radial_grid, scale_field, solve_radial_modes,
@@ -65,6 +65,11 @@ def test_source_spec_validation():
     for k in (0, -5):
         with pytest.raises(ValueError, match=f"boundary mode index {k} must be >= 1"):
             make_source(BETA, {k: 1.0})
+    # "1" and "01" are one index: the second amplitude would silently win
+    with pytest.raises(ValueError, match="boundary mode index 1 is named twice"):
+        make_source(BETA, {"1": 1.0, "01": 2.0})
+    with pytest.raises(ValueError, match="boundary mode index 3 is named twice"):
+        SourceSpec(beta=BETA, boundary_coeffs=((3, 1.0), (1, 1.0), (3, 1.0)))
 
 
 def test_admissibility_window_is_the_solver_window(p7, link7, bmodes7):
@@ -485,32 +490,9 @@ def test_solve_mode_power_law_oracle(link7, source, beta):
     u, resid = _solve_mode(entry, C * r ** sigma, r, d, beta, False)
     ref = C / ((sigma + 2) * (sigma + d) - entry.lam) * r ** (sigma + 2)
     # a power row of decay -1-beta is returned in closed form, with the
-    # exponent and amplitude _fit_power reads off the samples
-    assert np.max(np.abs(u - ref) / np.abs(ref)) <= 1e-8
+    # exponent -1-beta itself and the amplitude read off c r^{1+beta}
+    assert np.max(np.abs(u - ref) / np.abs(ref)) <= 1e-14
     assert resid <= 1e-7 * float(np.max(np.abs(C * r ** (sigma + 2))))
-
-
-def test_fit_power_matches_polyfit():
-    r = radial_grid()
-    rng = np.random.default_rng(3)
-    for c in (3.0 * r ** -1.7,
-              -0.4 * r ** 0.3 * np.exp(1e-3 * rng.standard_normal(r.size)),
-              2.0 * r ** -2.2 * (1 + 0.5 * np.sin(np.log(r)))):
-        C, sigma, resid = _fit_power(r, c)
-        lx, ly = np.log(r), np.log(np.abs(c))
-        s_ref, b_ref = np.polyfit(lx, ly, 1)
-        assert sigma == pytest.approx(s_ref, rel=1e-12, abs=1e-13)
-        assert C == pytest.approx(np.sign(c[0]) * math.exp(b_ref), rel=1e-12)
-        assert resid == pytest.approx(np.max(np.abs(ly - (s_ref * lx + b_ref))),
-                                      rel=1e-9, abs=1e-13)
-    # samples below 1e-14 of the peak neither vote on the sign nor enter the fit
-    c = r ** -1.7
-    c[-5:] = -1e-30
-    C, sigma, resid = _fit_power(r, c)
-    assert C == pytest.approx(1.0, rel=1e-12) and sigma == pytest.approx(-1.7, rel=1e-12)
-    c[-5:] = -1e-3
-    assert _fit_power(r, c) is None
-    assert _fit_power(r, np.zeros(r.size)) == (0.0, 0.0, 0.0)
 
 
 def test_stencils_match_slice_formulas():

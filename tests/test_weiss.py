@@ -3,13 +3,15 @@ derivative identity on non-homogeneous fields, and aperture criticality."""
 
 import dataclasses
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from conespec.boundary import sphere_area
-from conespec.errors import GridTooCoarse, MissingCoefficient, NumericalError
+from conespec.errors import GridTooCoarse, MissingCoefficient, NonFiniteResult, NumericalError
 from conespec.profile import solve_profile
 from conespec.weiss import (AxisymField, Component, F_functional, cone_field,
                             foliation_leading_term, halfplane_field,
@@ -433,3 +435,19 @@ def test_foliation_validation(p3, p7):
         foliation_leading_term(p7, "upper", 0.1, [[0.0, math.pi / 2]])
     with pytest.raises(NumericalError):
         foliation_leading_term(p3, "upper", 0.1, [[1.0, math.pi / 2]])
+
+
+def test_every_weiss_entry_point_refuses_overflow(p7, monkeypatch):
+    # r^200 overflows at r = 100: each entry point raises, none returns NaN
+    u = power_field(p7, 200.0)
+    # u rescaled by 100 is u at r = 100, as the cone field evaluated at r = 1;
+    # the package's name ``weiss`` is the function, so reach the module itself
+    monkeypatch.setattr(sys.modules[weiss.__module__], "cone_field",
+                        lambda p: u.rescaled(100.0))
+    calls = (lambda: weiss(u, 100.0), lambda: weiss_derivative_check(u, 100.0),
+             lambda: weiss_report(u, [100.0]), lambda: link_measure_identity(p7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(NonFiniteResult, match="non-finite Weiss energy"):
+                call()
