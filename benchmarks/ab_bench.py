@@ -13,6 +13,12 @@ ratios' quartiles.  Pairing passes within one process resolves differences
 of a few percent that separate perfbench runs (one fresh process per pass)
 cannot.
 
+The quartiles of one call do not bound the spread between calls: on one pair
+of trees, ``--workload particular`` read B/A 1.080 (quartiles 1.034-1.103, B
+faster in 0 of 8) in one call and 0.988 (quartiles 0.954-0.995, B faster in
+10 of 10) in another minutes later, on a shared 2-vCPU machine.  A change of a
+few percent needs several calls that agree before it is read as real.
+
 Both trees run in one process, so process-wide state applies to both sides:
 once either package is imported, the malloc thresholds ``conespec`` sets at
 import (see its ``_keep_freed_heap``) hold for the other too.  A change to

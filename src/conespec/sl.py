@@ -14,16 +14,28 @@ half-band problem with g'(pi/2) = 0 (k odd) or g(pi/2) = 0 (k even), and the
 full eigenfunction is its mirror image.
 
 Each eigenvalue is one generator (:func:`_root`) that yields the shots it
-needs: a coarse finite-volume seed (:func:`_seeds`), node-count isolation
+needs: a Rayleigh-Ritz seed (:func:`_seeds`), node-count isolation
 (:func:`_isolate`) only if the seed bracket misses, then Brent's method on
 the midpoint defect.  A counting shot stops the trajectory's down-sweep at
 the coarsest stride that the Sturm comparison theorem proves still sees
 every node (:func:`_count_skip`).  :func:`eigenvalues` drives one spec's
 roots together (:func:`_solve`), memoized per (spec, k); :func:`eigen_pairs`
 adds one lane-batched shot for the eigenfunctions, which are not cached,
-and checks their nodes on the full trajectory.  The seeds only choose the
-bracket, so the independent finite-difference discretization
-(:func:`eigen_fd_crosscheck`) remains the oracle.
+and checks their nodes on the full trajectory.
+
+The seeds solve the weak form
+
+    int w g'v' + mu int w g v / sin^2 - H w(a) (g v)|ends = lam int w g v,
+
+w = sin^{d-2}, on Legendre polynomials in x = (theta - pi/2) / theta0 (times
+1 - x^2 under Dirichlet), even and odd degrees apart: a Legendre-Galerkin
+method (Shen, "Efficient spectral-Galerkin method I", SIAM J. Sci. Comput. 15,
+1994) whose values converge spectrally and, by min-max (Courant and Hilbert,
+Methods of Mathematical Physics I), bound the eigenvalues from above.  The
+basis holds 48 degrees, or about 9 (theta0^2 mu)^(1/4) at large mu, capped at
+256; past the cap the seeds are coarse and isolation starts from them.  The
+seeds only choose the bracket, so the independent finite-difference
+discretization (:func:`eigen_fd_crosscheck`) remains the oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +55,11 @@ from .profile import ConeProfile, band_grid, mirror_half
 _EXPAND_CAP = 60
 _BISECT_CAP = 300
 _SEED_COUNT = 8      # seeded eigenvalues per parity; higher ones isolate from the top seed
-_SEED_REL = 1e-3     # bracket half-width relative to max(1, |seed|)
+# bracket half-width relative to max(1, |seed|): covers the Ritz error (<= 4e-10
+# at 48 degrees) and the shot's own (<= 1e-8 under linkspec's h^2 lam guard)
+_SEED_REL = 1e-7
+_RITZ_N = (48, 256)  # Legendre degrees of the seed basis: floor and cap
+_NEWTON_CAP = 20     # Newton steps for the Gauss nodes (4 suffice from Tricomi's estimates)
 _MEMO_SIZE = 4096    # memoized eigenvalues (floats only)
 _LAM_TOL = 1e-10     # Brent tolerance on each eigenvalue
 
@@ -63,8 +79,8 @@ class SLSpec:
             raise ValueError(f"grid_n must be an int in [64, {GRID_N_MAX}], got {self.grid_n!r}")
         if not 0.0 < self.half_width < math.pi / 2:
             raise ValueError(f"half-width {self.half_width!r} must lie in (0, pi/2)")
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError(f"mu must be a finite number >= 0, got {self.mu!r}")
         if self.bc not in ("robin", "dirichlet"):
             raise ValueError(f"bc must be robin|dirichlet, got {self.bc!r}")
 
@@ -183,12 +199,15 @@ def _defect(g_end, gp_end, parity):
 def _isolate(count, k, lo, hi):
     """Shrink [lo, hi] until it contains exactly the k-th eigenvalue.
 
-    A generator, like ``count(lam)``, which returns the count below lam.
+    A generator, like ``count(lam)``, which returns the count below lam.  The
+    lower end steps down by at least 10 and doubles its step each time, so a
+    seed far above its eigenvalue (a Ritz seed past the basis cap) is reached
+    in logarithmically many steps.
     """
     n_lo = yield from count(lo)
     steps = 0
     while n_lo > k - 1:
-        hi, lo = lo, 2.0 * lo if lo < 0 else lo - 10.0
+        hi, lo = lo, 2.0 * lo if lo < 0 else lo - max(10.0, 2.0 * (hi - lo))
         n_lo = yield from count(lo)
         steps += 1
         if steps > _EXPAND_CAP:
@@ -233,30 +252,80 @@ def count_below(spec: SLSpec, lam: float) -> int:
     return _phase_count(*shot, "even") + _phase_count(*shot, "odd")
 
 
+@functools.lru_cache(maxsize=4)
+def _legendre_basis(n):
+    """Half of the (2n + 10)-point Gauss-Legendre rule and the first n Legendre
+    polynomials on it: (x, weights, p, p'), where x > 0 are the positive nodes
+    and p_j = sqrt(j + 1/2) P_j, j < n, is the orthonormal Legendre basis.
+
+    The nodes are Newton roots of P_{2n+10} from Tricomi's estimates, and
+    P_j, P_j' come from the three-term recurrence and P_{j+1}' = P_{j-1}' +
+    (2j + 1) P_j.  Built once per n, on first use.
+    """
+    m = 2 * n + 10
+    x = np.cos(math.pi * (np.arange(1, m // 2 + 1) - 0.25) / (m + 0.5))
+    for _ in range(_NEWTON_CAP):
+        p0, p1 = np.ones_like(x), x
+        for j in range(1, m):
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        dp = m * (x * p1 - p0) / (x * x - 1.0)
+        step = p1 / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    wt = 2.0 / ((1.0 - x * x) * dp * dp)
+    p, dp = np.empty((2, n, x.size))
+    p[0], dp[0], p[1], dp[1] = 1.0, 0.0, x, 1.0
+    for j in range(1, n - 1):
+        p[j + 1] = ((2 * j + 1) * x * p[j] - j * p[j - 1]) / (j + 1)
+        dp[j + 1] = dp[j - 1] + (2 * j + 1) * p[j]
+    scale = np.sqrt(np.arange(n) + 0.5)[:, None]
+    return x, wt, p * scale, dp * scale
+
+
+def _ritz_size(spec):
+    """Legendre degrees in the seed basis: 48, or about 9 (theta0^2 mu)^(1/4)
+    rounded up to a multiple of 16, capped at 256.
+
+    (theta0^2 mu)^(1/4) is the band's half-width over the width of an
+    eigenfunction pinned near pi/2 by a large mu; 8.7 of it sufficed for all
+    16 seeds to land within 1e-8 of :func:`eigenvalues`.  Past the cap the
+    seeds coarsen and :func:`_isolate` takes over from them.
+    """
+    q = (spec.half_width ** 2 * spec.mu) ** 0.25
+    return min(_RITZ_N[1], max(_RITZ_N[0], 16 * math.ceil(9.0 * q / 16.0)))
+
+
 @functools.lru_cache(maxsize=256)
 def _seeds(spec: SLSpec, parity: str) -> tuple[float, ...]:
-    """Coarse finite-volume eigenvalues of one parity that seed the brackets.
+    """Rayleigh-Ritz eigenvalues of one parity that seed the brackets.
 
-    The symmetric finite-volume matrix is persymmetric about its centre node
-    c, so each eigenvector is even or odd about c and each parity is the
-    spectrum of a half matrix: nodes 0..c with the last coupling scaled by
-    sqrt(2), which keeps the half matrix symmetric (even), or nodes 0..c-1
-    with the centre value 0 (odd).  Dense symmetric solves on 64 and 128
-    cells, Richardson extrapolated like :func:`eigen_fd_crosscheck`.
+    The band's weak form, int w g'v' + mu int w g v / sin^2 - H w(a) (g v)|ends
+    = lam int w g v with w = sin^{d-2} (no boundary term under Dirichlet), is
+    solved on the Legendre basis in x = (theta - pi/2) / theta0 of
+    :func:`_legendre_basis`: the even degrees span the even eigenfunctions and
+    the odd degrees the odd ones, times (1 - x^2) under Dirichlet (Shen
+    1994).  The integrands are even, so the positive Gauss nodes hold them.
+    A Cholesky factor of the mass matrix reduces the pencil to one
+    ``eigvalsh``.  By min-max each Ritz value bounds its eigenvalue from
+    above (Courant and Hilbert I); the basis size is :func:`_ritz_size`.
     """
-    vals = []
-    for n in (64, 128):
-        dd, ee = _fv_sym(spec, n)
-        c = dd.size // 2
-        if parity == "even":
-            dd, ee = dd[:c + 1], ee[:c].copy()
-            ee[-1] *= math.sqrt(2.0)
-        else:
-            dd, ee = dd[:c], ee[:c - 1]
-        dense = np.diag(dd) + np.diag(ee, 1) + np.diag(ee, -1)
-        vals.append(np.linalg.eigvalsh(dense)[:_SEED_COUNT])
-    v1, v2 = vals
-    return tuple(float(v) for v in (4.0 * v2 - v1) / 3.0)
+    n = _ritz_size(spec)
+    x, wt, p, dp = _legendre_basis(n)
+    degrees = slice(parity == "odd", n, 2)
+    p, dp = p[degrees], dp[degrees]
+    t0 = spec.half_width
+    c = np.cos(t0 * x)  # sin theta at the nodes
+    w = wt * c ** (spec.dim - 2)
+    if spec.bc == "dirichlet":
+        p, dp = (1.0 - x * x) * p, (1.0 - x * x) * dp - 2.0 * x * p
+    # the form over 2 theta0: d/dtheta = (d/dx) / theta0, and the two ends are alike
+    stiff = (dp * (w / t0 ** 2)) @ dp.T + spec.mu * ((p * (w / (c * c))) @ p.T)
+    if spec.bc == "robin":
+        end = np.sqrt(np.arange(n)[degrees] + 0.5)  # p_j(1)
+        stiff -= spec.H * math.cos(t0) ** (spec.dim - 2) / t0 * np.outer(end, end)
+    inv = np.linalg.inv(np.linalg.cholesky((p * w) @ p.T))
+    return tuple(np.linalg.eigvalsh(inv @ stiff @ inv.T)[:_SEED_COUNT].tolist())
 
 
 def _root(spec, k):
@@ -420,7 +489,10 @@ def _fv_robin(dim: int, half_width: float, mu: float, n: int):
 
 
 def _fv_sym(spec: SLSpec, n: int):
-    """Mass-symmetrized finite-volume operator on n cells: (diagonal, off-diagonal)."""
+    """Mass-symmetrized finite-volume operator on n cells: (diagonal, off-diagonal).
+
+    Oracle only (:func:`eigen_fd_crosscheck`); the solver seeds from :func:`_seeds`.
+    """
     diag, off, w, lump = _fv_robin(spec.dim, spec.half_width, spec.mu, n)
     mass = w * lump
     if spec.bc == "dirichlet":

@@ -113,7 +113,8 @@ def test_verify_work_count(tmp_path, monkeypatch):
     # eigenvalues below d - 1 are solved together; each band eigenvalue is
     # solved once, from a seeded bracket whose two counting shots are
     # Brent's endpoints, and the profile is one shot of the kernel (the
-    # aperture is a series root): verify --dim 7 in a fresh process makes 32 shots
+    # aperture is a series root): verify --dim 7 in a fresh process makes 26 shots,
+    # 19 trajectory and 7 end-state
     from conespec import boundary, kernels, profile, sl
     sl._memo.clear()
     sl._seeds.cache_clear()
@@ -127,7 +128,7 @@ def test_verify_work_count(tmp_path, monkeypatch):
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(mod, name, counted)
     assert run(["verify", "--dim", "7", "--out", str(tmp_path / "v.json")]) == 0
-    assert 0 < len(shots) <= 34, len(shots)
+    assert 0 < len(shots) <= 28, len(shots)
 
 
 def test_second_particular_reuses_cone_and_eigenpairs(tmp_path, monkeypatch):

@@ -128,6 +128,9 @@ def test_spec_validation():
         ("grid_n", "4096", "grid_n"),
         ("grid_n", GRID_N_MAX + 1, "grid_n"),
         ("mu", -1.0, "mu"),
+        # a non-finite mu used to reach LAPACK ("Eigenvalues did not converge")
+        ("mu", float("nan"), "mu"),
+        ("mu", float("inf"), "mu"),
         ("bc", "neumann", "bc"),
     ]
     for field, value, message in rows:
@@ -198,21 +201,43 @@ def seed_profiles(p3, p7):
 
 @pytest.mark.parametrize("mu", [0.0, 84.0, 500.0])
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
-def test_parity_seeds_match_full_dense_solve(seed_profiles, mu, bc):
-    # the parity-half seed matrices hold the even- and odd-indexed values of
-    # the full persymmetric finite-volume matrix, solved densely here
-    for d, p in seed_profiles.items():
-        spec = band_spec(p, mu, bc)
-        full = []
-        for n in (64, 128):
-            dd, ee = sl._fv_sym(spec, n)
-            full.append(np.linalg.eigvalsh(np.diag(dd) + np.diag(ee, 1) + np.diag(ee, -1)))
-        want = (4.0 * full[1][:16] - full[0][:16]) / 3.0
-        for parity, start in (("even", 0), ("odd", 1)):
-            got = np.array(sl._seeds(spec, parity))
-            assert got.size == 8, (d, parity)
-            rel = np.abs(got - want[start::2]) / np.maximum(1.0, np.abs(want[start::2]))
-            assert rel.max() <= 1e-10, (d, parity, rel.max())
+def test_ritz_seeds_land_on_the_eigenvalues(seed_profiles, mu, bc):
+    # the k-th Ritz value of each parity bounds the k-th eigenvalue of
+    # that parity from above; the shot's own eigenvalue lies above the exact
+    # one by its RK4 error (<= 4e-10 here), so a seed may sit below it by that
+    sl._memo.clear()
+    try:
+        for d, p in seed_profiles.items():
+            spec = band_spec(p, mu, bc)
+            lams = np.array(eigenvalues(spec, range(1, 17)))
+            for parity, start in (("even", 0), ("odd", 1)):
+                got = np.array(sl._seeds(spec, parity))
+                want = lams[start::2]
+                assert got.size == sl._SEED_COUNT == 8, (d, parity)
+                rel = (got - want) / np.maximum(1.0, np.abs(want))
+                assert rel.min() >= -1e-9, (d, parity, rel.min())
+                assert rel.max() <= 1e-9, (d, parity, rel.max())
+    finally:
+        sl._memo.clear()
+
+
+@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
+def test_seeds_far_above_their_eigenvalues_are_isolated(p7, bc, monkeypatch):
+    # past the basis cap Ritz seeds are coarse, and they lie above their
+    # eigenvalues: at mu = 3e6 a seed 1 % high sits about 3e4 above, where a
+    # fixed step of 10 down ran out of expansion steps
+    spec = band_spec(p7, 3e6, bc)
+    sl._memo.clear()
+    want = eigenvalues(spec, [1, 2, 3])
+    sl._memo.clear()
+    seeds = sl._seeds
+    monkeypatch.setattr(sl, "_seeds", lambda s, parity: tuple(
+        1.01 * v for v in seeds(s, parity)))
+    try:
+        got = [eigenvalue(spec, k) for k in (1, 2, 3)]
+    finally:
+        sl._memo.clear()
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-9, (got, want)
 
 
 def test_count_below_shoots_once(p7, monkeypatch):
