@@ -7,9 +7,10 @@ when the two stdouts of a differing run both parse as JSON or CSV, the line
 after it names the numeric field that moved most, relative to max(1, |a|).  The
 list covers every command that reads the link spectrum, the profile, the
 boundary modes or the Weiss energy, including the refusals of
-``spectrum``, and runs ``verify``, ``particular`` and ``criticality`` once
-more under a ``--config`` file; the input files are written to one
-temporary directory that both trees read.
+``spectrum``, of a boundary-mode count past the enumeration's cap and of a
+modes file with a non-integer key or cut-off JSON, and runs ``verify``,
+``particular`` and ``criticality`` once more under a ``--config`` file; the
+input files are written to one temporary directory that both trees read.
 
     python3 benchmarks/same_outputs.py --a OLD/src --b NEW/src
 
@@ -33,6 +34,9 @@ FILES = {
     "cone.json": {"kind": "cone"},
     "perturbed.json": {"kind": "perturbed", "eps": 0.01, "exponent": 1.5},
     "grid1024.json": {"grid_n": 1024},
+    "modes_x.json": {"coeffs": {"1": 1.0, "x": 0.5}},
+    # a string is the file's text
+    "modes_cut.json": '{"coeffs": {"1": 1.0',
 }
 
 RUNS = (
@@ -54,6 +58,8 @@ RUNS = (
     ["boundary-spectrum", "--dim", "7", "--count", "8"],
     # sphere degrees up to 19, where the even/odd Wronskian's two products reach 1e19
     ["boundary-spectrum", "--dim", "3", "--count", "40"],
+    # mode 401 needs sphere degree 201, past the enumeration's cap: exit 64
+    ["boundary-spectrum", "--dim", "7", "--count", "401"],
     *(["particular", "--dim", d, "--beta", "0.7", "--modes", "modes.json"]
       for d in ("7", "10", "12")),
     *(["particular", "--dim", d, "--beta", "0.7", "--modes", "modes145.json"]
@@ -62,6 +68,9 @@ RUNS = (
     ["particular", "--dim", "7", "--beta", "6.5", "--modes", "modes.json"],
     # the complex ground mode at d = 3 has no real radial solve: exit 2
     ["particular", "--dim", "3", "--beta", "0.7", "--modes", "modes.json"],
+    # a key that is not an integer, and a file that is not JSON: exit 64
+    ["particular", "--dim", "7", "--beta", "0.7", "--modes", "modes_x.json"],
+    ["particular", "--dim", "7", "--beta", "0.7", "--modes", "modes_cut.json"],
     ["weiss", "--dim", "7", "--field", "cone.json", "--radii", "0.5,1,2"],
     ["weiss", "--dim", "7", "--field", "perturbed.json", "--radii", "0.5,1,2"],
     ["criticality", "--dim", "7"],
@@ -145,7 +154,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
         for name, body in FILES.items():
             with open(os.path.join(tmp, name), "w") as fh:
-                json.dump(body, fh)
+                fh.write(body if isinstance(body, str) else json.dumps(body))
         for cli_argv in RUNS:
             a = run_cli(args.a, cli_argv, tmp)
             b = run_cli(args.b, cli_argv, tmp)

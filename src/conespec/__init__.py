@@ -4,9 +4,9 @@ solutions."""
 from ._version import __version__
 from .config import DEFAULT_CONFIG, SolverConfig, load_config
 from .errors import (AmbiguousCluster, BracketFail, ConfigError,
-                     DegenerateBasis, EvaluationUnstable, GridTooCoarse,
+                     DegenerateBasis, EvaluationUnstable, GridTooCoarse, InputError,
                      MissingCoefficient, NoZeroFound, NonConvergent,
-                     NonFiniteResult, NumericalError, ParseError, ResonanceDivision,
+                     NonFiniteResult, NumericalError, ParseError,
                      ResonantExponent, TailDivergence, UsageError,
                      ValidationError, ZeroDenominator)
 from .profile import (ConeProfile, band_points, jacobi_fields,

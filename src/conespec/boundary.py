@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .config import RES_TOL
-from .errors import DegenerateBasis, NonConvergent
+from .errors import DegenerateBasis, InputError, NonConvergent
 from .kernels import propagate_band
 from .profile import ConeProfile, mirror_half
 from .sl import _fv_robin
@@ -42,7 +42,10 @@ class BoundaryMode:
     psi: np.ndarray
     psi_prime: np.ndarray
     grid: np.ndarray
-    in_resonance: bool
+
+    @property
+    def in_resonance(self) -> bool:
+        return abs(self.ell_k) <= RES_TOL
 
 
 def sphere_area(m: int) -> float:
@@ -83,7 +86,10 @@ def boundary_modes(p: ConeProfile, count: int) -> list[BoundaryMode]:
     spheres: ||psi||^2 = cos^{d-2}(theta0) |S^{d-2}| (psi(a)^2 + psi(b)^2).
     """
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise InputError("count must be >= 1")
+    if count > 2 * _ELL_CAP:
+        raise InputError(f"count must be <= {2 * _ELL_CAP}, got {count}: boundary modes "
+                         f"are enumerated up to sphere degree {_ELL_CAP}")
     d = p.dim
     trace_w = math.cos(p.theta0) ** (d - 2) * sphere_area(d - 2)
     found = []
@@ -99,7 +105,7 @@ def boundary_modes(p: ConeProfile, count: int) -> list[BoundaryMode]:
                 k=0, ell=ell, parity=parity, ell_k=float(ell_k),
                 mu=mode.mu, multiplicity=mode.multiplicity,
                 psi=sign * q / scale, psi_prime=sign * qp / scale,
-                grid=p.grid, in_resonance=abs(ell_k) <= RES_TOL))
+                grid=p.grid))
             pair_ells.append(ell_k)
         if len(found) >= count:
             kth = sorted((m.ell_k for m in found), reverse=True)[count - 1]

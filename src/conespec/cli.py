@@ -1,7 +1,8 @@
 """Command-line front end: reproducible JSON/CSV reports over all solvers.
 
 Exit codes: 0 success, 1 mathematical verdict false (e.g. instability in low
-dimensions — a *result*, not a failure), 2 numerical error, 64 usage error.
+dimensions — a *result*, not a failure), 2 numerical error (a NumericalError or
+any other ValueError), 64 bad input (an InputError or OSError; see ``errors``).
 Reports embed the active config and package version; no timestamps unless
 --timestamp is passed, so identical invocations are byte-identical.
 """
@@ -21,8 +22,7 @@ from datetime import datetime, timezone
 from ._version import __version__
 from .boundary import boundary_modes
 from .config import load_config, unique_keys
-from .errors import (ConfigError, NonFiniteResult, NumericalError, ResonantExponent,
-                     UsageError)
+from .errors import InputError, NonFiniteResult, NumericalError, UsageError
 from .linkspec import link_spectrum, verify_strong_integrability
 from .profile import solve_profile
 from .radial import build_up, make_source
@@ -168,7 +168,12 @@ def _json_report(payload: dict, cfg, stamp: bool) -> str:
 def _load_object(path: str, what: str) -> dict:
     """A JSON file whose top level must be an object, no key repeated in any object."""
     with open(path) as fh:
-        body = json.load(fh, object_pairs_hook=unique_keys)
+        try:
+            body = json.load(fh, object_pairs_hook=unique_keys)
+        except InputError:  # a repeated key, named by unique_keys
+            raise
+        except ValueError as exc:  # bad syntax or bytes, or an integer past the digit limit
+            raise InputError(f"{what} file {path} is not JSON: {exc}") from None
     if not isinstance(body, dict):
         raise UsageError(f"{what} file must hold a JSON object, got {type(body).__name__}")
     return body
@@ -273,7 +278,7 @@ def _dispatch(args, cfg) -> int:
             raise UsageError('modes file must contain a "coeffs" object')
         coeffs = {k: _number(v, f"amplitude of mode {k}") for k, v in mspec["coeffs"].items()}
         if not coeffs:
-            raise ValueError(f"{args.modes}: coeffs must name at least one boundary mode")
+            raise InputError(f"{args.modes}: coeffs must name at least one boundary mode")
         src = make_source(args.beta, coeffs)
         p = solve_profile(args.dim, cfg)
         _, rep = build_up(src, p, boundary_modes(p, max(src.coeffs_dict)), cfg)
@@ -335,16 +340,10 @@ def run(argv) -> int:
     except SystemExit as exc:  # --help and friends
         code = exc.code
         return 0 if code is None else int(code)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    except (InputError, OSError) as exc:
+        print(f"{getattr(exc, 'label', InputError.label)}: {exc}", file=sys.stderr)
         return 64
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 64
-    except (ValueError, OSError, ResonantExponent) as exc:  # a resonant beta is bad input
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 64
-    except NumericalError as exc:
+    except (NumericalError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,7 +6,7 @@ import dataclasses
 import json
 import os
 
-from .errors import ParseError, ValidationError
+from .errors import InputError, ParseError, ValidationError
 
 ENV_CONFIG = "CONESPEC_CONFIG"
 
@@ -64,7 +64,7 @@ def unique_keys(pairs: list) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"key {key!r} is repeated in one JSON object")
+            raise InputError(f"key {key!r} is repeated in one JSON object")
         obj[key] = value
     return obj
 
@@ -79,16 +79,15 @@ def load_config(path: str | None = None) -> SolverConfig:
         path = os.environ.get(ENV_CONFIG)
         if not path:
             return DEFAULT_CONFIG
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if not text.strip():
-        return DEFAULT_CONFIG
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if not text.strip():
+            return DEFAULT_CONFIG
         data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg} at line {exc.lineno}, column {exc.colno}",
-                         line=exc.lineno, column=exc.colno) from exc
-    except ValueError as exc:
+        raise ParseError(f"{path}: {exc.msg} at line {exc.lineno}, column {exc.colno}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or a repeated key
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: config must be a JSON object")

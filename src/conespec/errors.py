@@ -1,9 +1,14 @@
-"""Exception hierarchy.
+"""Exception hierarchy, the one owner of the CLI's exit code on failure.
 
-Everything numerical derives from :class:`NumericalError` so the CLI can map
-"the math failed" to a single exit code, distinct from usage and verdict
-failures.
+A refusal of caller input is an :class:`InputError` (a ``ValueError``): exit 64,
+as for an ``OSError``.  A :class:`NumericalError`, or any other ``ValueError``,
+is a failure of the computation: exit 2.  :func:`finite` alone turns numpy
+overflow and invalid operations into :class:`NonFiniteResult`.
 """
+
+import contextlib
+
+import numpy as np
 
 
 class NumericalError(Exception):
@@ -38,15 +43,6 @@ class DegenerateBasis(NumericalError):
     """Even/odd fundamental solutions numerically dependent."""
 
 
-class ResonanceDivision(NumericalError):
-    """Division by a boundary eigenvalue that is resonant (|ell_k| ~ 0)."""
-
-
-class ResonantExponent(NumericalError):
-    """A Cauchy-Euler selection-rule denominator d/2 +- delta - beta vanished;
-    the source's beta is at fault, so the CLI reports it as bad input (64)."""
-
-
 class TailDivergence(NumericalError):
     """An infinite-limit radial integral fails its convergence test."""
 
@@ -63,17 +59,23 @@ class NonFiniteResult(NumericalError):
     """A computed quantity overflowed to infinity or became NaN."""
 
 
-class ConfigError(Exception):
-    """Base class for configuration problems (exit code 64 territory)."""
+class InputError(ValueError):
+    """Base class of every refusal of caller input."""
+    label = "invalid input"
+
+
+class ResonantExponent(InputError):
+    """A Cauchy-Euler selection-rule denominator d/2 +- delta - beta vanished;
+    the source's beta is at fault."""
+
+
+class ConfigError(InputError):
+    """Base class for configuration problems."""
+    label = "config error"
 
 
 class ParseError(ConfigError):
-    """Malformed JSON config; carries line/column when available."""
-
-    def __init__(self, message, line=None, column=None):
-        super().__init__(message)
-        self.line = line
-        self.column = column
+    """Malformed JSON config; the message names the line and column when known."""
 
 
 class ValidationError(ConfigError):
@@ -82,3 +84,16 @@ class ValidationError(ConfigError):
 
 class UsageError(ConfigError):
     """Malformed CLI invocation."""
+    label = "usage error"
+
+
+@contextlib.contextmanager
+def finite(what: str, **where):
+    """Raise numpy overflow or an invalid operation in the block (or, as a
+    decorator, the function) as NonFiniteResult of ``what.format(**where)``;
+    ``where`` is formatted only on failure, so it may hold arrays."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NonFiniteResult(f"{what.format(**where)}: {exc}") from None

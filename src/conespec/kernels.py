@@ -45,7 +45,7 @@ import functools
 
 import numpy as np
 
-from .errors import NonFiniteResult
+from .errors import finite
 
 # Memoized step-matrix quadratics, each memo this size.  Shots on one
 # (dm2, mu, grid) come in a run (one spec's eigenvalues, or a boundary mode's
@@ -271,13 +271,10 @@ def _is_lanes(v):
 def _finite_shot(kernel, dm2, mu, lam, thetas, g0, gp0):
     """Run ``kernel`` with numpy overflow and NaN raised as NonFiniteResult."""
     thetas = np.asarray(thetas, dtype=np.float64)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            if _is_lanes(lam) or _is_lanes(g0) or _is_lanes(gp0):
-                return _lane_shots(kernel, float(dm2), float(mu), lam, thetas, g0, gp0)
-            return kernel(float(dm2), float(mu), float(lam), thetas, float(g0), float(gp0))
-    except FloatingPointError as exc:
-        raise NonFiniteResult(f"non-finite band shot at mu={mu}, lam={lam}: {exc}") from None
+    with finite("non-finite band shot at mu={mu}, lam={lam}", mu=mu, lam=lam):
+        if _is_lanes(lam) or _is_lanes(g0) or _is_lanes(gp0):
+            return _lane_shots(kernel, float(dm2), float(mu), lam, thetas, g0, gp0)
+        return kernel(float(dm2), float(mu), float(lam), thetas, float(g0), float(gp0))
 
 
 def _lane_shots(kernel, dm2, mu, lam, thetas, g0, gp0):

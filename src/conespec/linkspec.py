@@ -20,7 +20,7 @@ import numpy as np
 
 from ._quad import simpson
 from .config import DEFAULT_CONFIG, RES_TOL, SolverConfig
-from .errors import AmbiguousCluster
+from .errors import AmbiguousCluster, InputError
 from .profile import ConeProfile, jacobi_fields
 from .sl import band_spec, count_below, eigen_k, eigenvalue, eigenvalues
 from .spheremodes import _MAX_DEGREE, SphereMode, modes_up_to
@@ -89,15 +89,15 @@ def assemble(p: ConeProfile, lambda_max: float) -> list[LinkEigenvalue]:
     """
     d = p.dim
     if not lambda_max > d - 1:
-        raise ValueError("lambda_max must exceed d-1 to cover the rotation modes")
+        raise InputError("lambda_max must exceed d-1 to cover the rotation modes")
     try:
         modes_up_to(d, lambda_max - eigenvalue(band_spec(p, 0.0, "robin"), 1))
-    except ValueError:
-        raise ValueError(f"lambda_max={lambda_max:g} needs sphere modes past degree "
+    except InputError:
+        raise InputError(f"lambda_max={lambda_max:g} needs sphere modes past degree "
                          f"{_MAX_DEGREE}, the most a mode table may hold") from None
     top = resolved_lambda_max(p)
     if lambda_max > top:
-        raise ValueError(f"lambda_max={lambda_max:g} is past what the band grid resolves: "
+        raise InputError(f"lambda_max={lambda_max:g} is past what the band grid resolves: "
                          f"grid_n={p.grid.size - 1} allows lambda_max <= {top:.4g}")
     return [e for e in _walk(p, lambda_max, lambda_max, 0.0) if e.lam <= lambda_max]
 
@@ -292,7 +292,7 @@ def decay_exponents(entries) -> list[float]:
     """
     entries = list(entries)
     if not entries:
-        raise ValueError("empty spectrum")
+        raise InputError("empty spectrum")
     vals = []
     for e in entries:
         if e.complex_radicand:

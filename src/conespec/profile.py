@@ -32,7 +32,7 @@ import weakref
 import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import EvaluationUnstable, NoZeroFound
+from .errors import EvaluationUnstable, InputError, NoZeroFound
 from .kernels import propagate_band
 
 # Newton steps allowed for the aperture root; 4 suffice for every d tried (3 to 1000).
@@ -148,7 +148,7 @@ def solve_profile(d: int, cfg: SolverConfig | None = None) -> ConeProfile:
     """
     cfg = cfg or DEFAULT_CONFIG
     if not (isinstance(d, (int, np.integer)) and d >= 3):
-        raise ValueError(f"dimension must be an integer >= 3, got {d!r}")
+        raise InputError(f"dimension must be an integer >= 3, got {d!r}")
     return _solved_profile(int(d), cfg.grid_n)
 
 

@@ -36,8 +36,8 @@ import numpy as np
 from ._quad import _cumulative_up, _d2_uniform, _derivative, simpson
 from .boundary import BoundaryMode
 from .config import DEFAULT_CONFIG, RES_TOL, SolverConfig
-from .errors import (NonFiniteResult, NumericalError, ResonanceDivision, ResonantExponent,
-                     TailDivergence)
+from .errors import (InputError, NonFiniteResult, NumericalError, ResonantExponent,
+                     TailDivergence, finite)
 from .linkspec import LinkEigenvalue, resolved_lambda_max
 from .profile import ConeProfile
 from .sl import band_spec, eigen_pairs
@@ -67,7 +67,7 @@ class RadialField:
     def __post_init__(self):
         m, nr = self.coeffs.shape
         if m != len(self.modes) or nr != self.r_grid.size:
-            raise ValueError("coefficient block shape does not match modes/grid")
+            raise InputError("coefficient block shape does not match modes/grid")
         if not np.all(np.isfinite(self.coeffs)):
             raise NonFiniteResult("non-finite radial coefficients")
 
@@ -78,7 +78,7 @@ class RadialField:
         """Log-log regression slope of the mode norm over the top decades."""
         mask = self.r_grid >= self.r_grid[-1] / 10.0 ** decades
         if np.count_nonzero(mask) < 2:
-            raise ValueError(f"decades={decades} spans fewer than two radial samples")
+            raise InputError(f"decades={decades} spans fewer than two radial samples")
         norms = self.mode_norm()[mask]
         if np.max(norms, initial=0.0) == 0.0:
             return -math.inf
@@ -97,9 +97,9 @@ def add_fields(f1: RadialField, f2: RadialField) -> RadialField:
     """Pointwise sum of two fields over the same mode set."""
     if f1.basis != f2.basis or [_mode_key(m) for m in f1.modes] != \
             [_mode_key(m) for m in f2.modes]:
-        raise ValueError("fields must share basis and mode set")
+        raise InputError("fields must share basis and mode set")
     if not np.allclose(f1.r_grid, f2.r_grid):
-        raise ValueError("fields must share the radial grid")
+        raise InputError("fields must share the radial grid")
     return dataclasses.replace(f1, coeffs=f1.coeffs + f2.coeffs,
                                ode_residual=None)
 
@@ -115,12 +115,12 @@ class SourceSpec:
 
     def __post_init__(self):
         if not self.beta > 0:
-            raise ValueError("source decay exponent beta must be > 0")
+            raise InputError("source decay exponent beta must be > 0")
         for i, (k, _) in enumerate(self.boundary_coeffs):
             if k < 1:
-                raise ValueError(f"boundary mode index {k} must be >= 1")
+                raise InputError(f"boundary mode index {k} must be >= 1")
             if any(k == j for j, _ in self.boundary_coeffs[:i]):
-                raise ValueError(f"boundary mode index {k} is named twice")
+                raise InputError(f"boundary mode index {k} is named twice")
 
     @property
     def coeffs_dict(self) -> dict[int, float]:
@@ -135,8 +135,14 @@ def _sign_exponents(d: int, delta: float, beta: float) -> tuple[float, float]:
 
 def make_source(beta: float, coeffs: dict) -> SourceSpec:
     """SourceSpec of decay ``beta`` and amplitudes {boundary mode index: amplitude};
-    keys are read with ``int``, and two keys naming one index are refused."""
-    items = tuple(sorted((int(k), float(v)) for k, v in coeffs.items()))
+    keys are read with ``int``, and keys it cannot read, or two keys naming one
+    index, are refused."""
+    def index(key):
+        try:
+            return int(key)
+        except (TypeError, ValueError):
+            raise InputError(f"boundary mode index {key!r} is not an integer") from None
+    items = tuple(sorted((index(k), float(v)) for k, v in coeffs.items()))
     return SourceSpec(beta=float(beta), boundary_coeffs=items)
 
 
@@ -162,10 +168,10 @@ def transfer_boundary(src: SourceSpec, bmodes, p: ConeProfile,
     used = []
     for k in src.coeffs_dict:
         if k not in by_k:
-            raise ValueError(f"boundary mode index {k} not present in bmodes")
+            raise InputError(f"boundary mode index {k} not present in bmodes")
         m = by_k[k]
         if m.grid.size != p.grid.size or abs(m.grid[0] - p.grid[0]) > 1e-12:
-            raise ValueError("boundary modes were built on a different band grid")
+            raise InputError("boundary modes were built on a different band grid")
         used.append(m)
 
     n_m = len(used)
@@ -188,9 +194,6 @@ def transfer_boundary(src: SourceSpec, bmodes, p: ConeProfile,
             f_c[i] = -amp * rad_f
             f_a[i] = (c_euler - (d - 1.0)) * g * m.psi + 2.0 * gp * m.psi_prime
         else:
-            if abs(m.ell_k) <= RES_TOL:
-                raise ResonanceDivision(
-                    f"mode k={m.k} has ell_k={m.ell_k:.2e} but is not flagged resonant")
             u1_c[i] = amp * rad_u / m.ell_k
             u1_a[i] = m.psi
             u1_ap[i] = m.psi_prime
@@ -209,7 +212,7 @@ def project_interior(f: RadialField, p: ConeProfile) -> tuple[RadialField, float
     Only sphere modes present in the source couple (orthogonality of the
     Y_ell factors), so the projection is a band quadrature per (ell, j).
     An eigenvalue past what the band grid resolves (``resolved_lambda_max``)
-    is refused with ``ValueError``.
+    is refused with ``InputError``.
     Returns the interior-basis field and the worst relative truncation tail
     sqrt(1 - sum_j <A, q_j>^2 / ||A||^2) over source profiles A.
     """
@@ -227,7 +230,7 @@ def project_interior(f: RadialField, p: ConeProfile) -> tuple[RadialField, float
         mode = SphereMode.of(d, ell)
         pairs = eigen_pairs(band_spec(p, mode.mu, "robin"), range(1, _PER_ELL + 1))
         if pairs[-1].lam > top:
-            raise ValueError(f"grid_n={p.grid.size - 1} is too coarse at d={d}: mode "
+            raise InputError(f"grid_n={p.grid.size - 1} is too coarse at d={d}: mode "
                              f"({ell}, {_PER_ELL}) has lambda={pairs[-1].lam:.4g}, past "
                              f"the {top:.4g} its band grid resolves")
         block = slice(e * _PER_ELL, (e + 1) * _PER_ELL)
@@ -259,7 +262,6 @@ def _stencil_defect(u: np.ndarray, c_row: np.ndarray, r: np.ndarray, d: int,
     return float(np.max(np.abs(res[3:-3])))
 
 
-@np.errstate(over="raise", invalid="raise")
 def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
                 flip_rules: bool):
     """One mode's radial solve: (profile on the grid, max ODE defect).
@@ -325,7 +327,7 @@ def solve_radial_modes(f: RadialField, flip_rules: bool = False) -> RadialField:
     the decay of every mode whose rule demanded an infinite limit.
     """
     if f.basis != "interior":
-        raise ValueError("solve_radial_modes requires interior-basis projections")
+        raise InputError("solve_radial_modes requires interior-basis projections")
     for entry in f.modes:
         if not entry.complex_radicand:
             P, Q = _sign_exponents(f.dim, entry.delta, f.beta)
@@ -339,11 +341,8 @@ def solve_radial_modes(f: RadialField, flip_rules: bool = False) -> RadialField:
     for j, entry in enumerate(f.modes):
         if np.max(np.abs(f.coeffs[j])) == 0.0:
             continue
-        try:
+        with finite("non-finite radial coefficients in mode {source}", source=entry.source):
             out[j], resid[j] = _solve_mode(entry, f.coeffs[j], f.r_grid, f.dim, f.beta, flip_rules)
-        except FloatingPointError as exc:
-            raise NonFiniteResult(
-                f"non-finite radial coefficients in mode {entry.source}: {exc}") from None
 
     return dataclasses.replace(f, coeffs=out, ode_residual=resid)
 
@@ -357,7 +356,7 @@ def ode_residuals(u: RadialField, f: RadialField) -> np.ndarray:
     sampled, and the exact defect for a closed-form power row.
     """
     if u.basis != "interior" or f.basis != "interior":
-        raise ValueError("residual evaluation requires interior-basis fields")
+        raise InputError("residual evaluation requires interior-basis fields")
     return np.array([_stencil_defect(u.coeffs[j], f.coeffs[j], u.r_grid, u.dim, entry.lam)
                      for j, entry in enumerate(u.modes)])
 
@@ -415,37 +414,33 @@ def build_up(src: SourceSpec, p: ConeProfile, bmodes,
     projection is reported separately as projection_tail.  Raises
     NonFiniteResult when a step overflows, divides by zero or turns NaN.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            u1, f = transfer_boundary(src, bmodes, p, cfg)
-            f_int, tail = project_interior(f, p)
-            u2 = solve_radial_modes(f_int)
+    with finite("non-finite particular solution"), np.errstate(divide="raise"):
+        u1, f = transfer_boundary(src, bmodes, p, cfg)
+        f_int, tail = project_interior(f, p)
+        u2 = solve_radial_modes(f_int)
 
-            up = RadialField(
-                "mixed", p.dim, u1.r_grid, np.vstack([u1.coeffs, u2.coeffs]), src.beta,
-                tuple(u1.modes) + tuple(u2.modes), p.grid,
-                np.vstack([u1.angular, u2.angular]),
-                np.vstack([u1.angular_prime, u2.angular_prime]))
+        up = RadialField(
+            "mixed", p.dim, u1.r_grid, np.vstack([u1.coeffs, u2.coeffs]), src.beta,
+            tuple(u1.modes) + tuple(u2.modes), p.grid,
+            np.vstack([u1.angular, u2.angular]),
+            np.vstack([u1.angular_prime, u2.angular_prime]))
 
-            scale = float(np.max(f_int.r_grid ** 2 * f_int.mode_norm()))
-            per_mode = []
-            for j, entry in enumerate(f_int.modes):
-                if entry.complex_radicand:
-                    continue
-                P, Q = _sign_exponents(p.dim, entry.delta, src.beta)
-                per_mode.append({
-                    "source": list(entry.source), "lambda": entry.lam,
-                    "P": P, "Q": Q,
-                    "a": "R0" if P > 0 else "inf", "b": "R0" if Q > 0 else "inf",
-                    "residual": float(u2.ode_residual[j])})
-            interior = float(np.max(u2.ode_residual) / scale) if scale > 0 else 0.0
-            bres = boundary_residual(up, src, bmodes, p)
-            report = BuildReport(slope=up.slope(3.0), interior_residual=interior,
-                                 boundary_residual=bres, projection_tail=tail,
-                                 per_mode=tuple(per_mode))
-    except FloatingPointError as exc:
-        raise NonFiniteResult(f"non-finite particular solution: {exc}") from None
-    return up, report
+        scale = float(np.max(f_int.r_grid ** 2 * f_int.mode_norm()))
+        per_mode = []
+        for j, entry in enumerate(f_int.modes):
+            if entry.complex_radicand:
+                continue
+            P, Q = _sign_exponents(p.dim, entry.delta, src.beta)
+            per_mode.append({
+                "source": list(entry.source), "lambda": entry.lam,
+                "P": P, "Q": Q,
+                "a": "R0" if P > 0 else "inf", "b": "R0" if Q > 0 else "inf",
+                "residual": float(u2.ode_residual[j])})
+        interior = float(np.max(u2.ode_residual) / scale) if scale > 0 else 0.0
+        bres = boundary_residual(up, src, bmodes, p)
+        return up, BuildReport(slope=up.slope(3.0), interior_residual=interior,
+                               boundary_residual=bres, projection_tail=tail,
+                               per_mode=tuple(per_mode))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -466,7 +461,7 @@ def classify_decay(field: RadialField, beta: float | None = None) -> DecayClassi
     defaults to minus the field's fitted top-decade slope.
     """
     if field.basis != "interior":
-        raise ValueError("classify_decay requires an interior-basis field")
+        raise InputError("classify_decay requires an interior-basis field")
     if beta is None:
         beta = -field.slope(1.0)
     d = field.dim

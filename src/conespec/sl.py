@@ -47,7 +47,7 @@ import math
 import numpy as np
 
 from ._quad import _derivative, brent_steps, simpson
-from .errors import BracketFail, NonConvergent, ZeroDenominator
+from .errors import BracketFail, InputError, NonConvergent, ZeroDenominator
 from .kernels import propagate_band, propagate_band_end
 from .config import GRID_N_MAX
 from .profile import ConeProfile, band_grid, mirror_half
@@ -74,15 +74,15 @@ class SLSpec:
 
     def __post_init__(self):
         if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 3):
-            raise ValueError(f"dimension must be an integer >= 3, got {self.dim!r}")
+            raise InputError(f"dimension must be an integer >= 3, got {self.dim!r}")
         if not (isinstance(self.grid_n, (int, np.integer)) and 64 <= self.grid_n <= GRID_N_MAX):
-            raise ValueError(f"grid_n must be an int in [64, {GRID_N_MAX}], got {self.grid_n!r}")
+            raise InputError(f"grid_n must be an int in [64, {GRID_N_MAX}], got {self.grid_n!r}")
         if not 0.0 < self.half_width < math.pi / 2:
-            raise ValueError(f"half-width {self.half_width!r} must lie in (0, pi/2)")
+            raise InputError(f"half-width {self.half_width!r} must lie in (0, pi/2)")
         if not (math.isfinite(self.mu) and self.mu >= 0):
-            raise ValueError(f"mu must be a finite number >= 0, got {self.mu!r}")
+            raise InputError(f"mu must be a finite number >= 0, got {self.mu!r}")
         if self.bc not in ("robin", "dirichlet"):
-            raise ValueError(f"bc must be robin|dirichlet, got {self.bc!r}")
+            raise InputError(f"bc must be robin|dirichlet, got {self.bc!r}")
 
     @property
     def H(self) -> float:
@@ -404,7 +404,7 @@ def eigenvalues(spec: SLSpec, ks) -> list[float]:
     """
     ks = [int(k) for k in ks]
     if any(k < 1 for k in ks):
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     new = sorted({k for k in ks if (spec, k) not in _memo})
     if new:
         for k, lam in zip(new, _solve(spec, new)):
@@ -516,7 +516,7 @@ def eigen_fd_crosscheck(spec: SLSpec, count: int) -> np.ndarray:
     (4*v_{2n} - v_n)/3.
     """
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise InputError("count must be >= 1")
     n = spec.grid_n
     v1 = _fd_values(spec, count, n)
     v2 = _fd_values(spec, count, 2 * n)
@@ -532,7 +532,7 @@ def rayleigh(spec: SLSpec, g: np.ndarray, gp: np.ndarray | None = None) -> float
     th = _disc(spec)["theta"]
     g = np.asarray(g, dtype=float)
     if g.shape != th.shape:
-        raise ValueError(f"trial function must be sampled on the {th.size}-point grid")
+        raise InputError(f"trial function must be sampled on the {th.size}-point grid")
     if gp is None:
         gp = _derivative(g, th[1] - th[0])
     w = np.sin(th) ** (spec.dim - 2)

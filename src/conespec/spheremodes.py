@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 from math import comb, floor, isqrt
 
+from .errors import InputError
+
 # Largest sphere degree a mode table may hold: a table-size limit, not a
 # setting.  Degree 10**5 already means mu ~ 1e10, far beyond what the band
 # shots resolve (they overflow near mu = 1e12).
@@ -44,12 +46,12 @@ def harmonic_multiplicity(d: int, ell: int) -> int:
 def modes_up_to(d: int, mu_max: float) -> list[SphereMode]:
     """All sphere modes with mu = ell(ell+d-3) <= mu_max, in increasing ell.
 
-    Raises ``ValueError`` if the table would run past degree ``_MAX_DEGREE``.
+    Raises ``InputError`` if the table would run past degree ``_MAX_DEGREE``.
     """
     if d < 3:
-        raise ValueError(f"d must be >= 3, got {d}")
+        raise InputError(f"d must be >= 3, got {d}")
     if mu_max >= (_MAX_DEGREE + 1) * (_MAX_DEGREE + d - 2):  # mu of the next degree
-        raise ValueError(f"mu_max={mu_max:g} reaches past sphere degree {_MAX_DEGREE}, "
+        raise InputError(f"mu_max={mu_max:g} reaches past sphere degree {_MAX_DEGREE}, "
                          "the most a mode table may hold")
     if mu_max < 0:
         return []

@@ -24,7 +24,6 @@ quadrature pass over each radius gives W, dW/dr and the deficit together.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Callable
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from ._quad import D1_WEIGHTS, _derivative, simpson
 from .boundary import sphere_area
-from .errors import GridTooCoarse, MissingCoefficient, NonFiniteResult, NumericalError
+from .errors import GridTooCoarse, InputError, MissingCoefficient, NumericalError, finite
 from .profile import ConeProfile, band_grid
 from .sl import SLSpec, band_spec, eigen_k, eigenvalue
 
@@ -66,19 +65,19 @@ class AxisymField:
 
     def __post_init__(self):
         if self.dim < 3:
-            raise ValueError("dimension must be >= 3")
+            raise InputError("dimension must be >= 3")
         th, step = self.theta, np.diff(self.theta)
         if th[0] < -1e-14 or th[-1] > math.pi + 1e-14 or np.any(step <= 0):
-            raise ValueError("theta grid must increase within [0, pi]")
+            raise InputError("theta grid must increase within [0, pi]")
         for c in self.components:
             if c.q.shape != th.shape:
-                raise ValueError("component samples must live on the field grid")
+                raise InputError("component samples must live on the field grid")
         if any(c.q_prime is None for c in self.components) and (
                 th.size < 5 or np.ptp(step) > _UNIFORM_TOL * step.mean()):
-            raise ValueError("q_prime may be omitted only on a uniform theta grid of >= 5 points")
+            raise InputError("q_prime may be omitted only on a uniform theta grid of >= 5 points")
         q0 = self.components[0].q
         if np.min(q0) < -1e-12 * np.max(np.abs(q0)):
-            raise ValueError("primary angular profile must be nonnegative")
+            raise InputError("primary angular profile must be nonnegative")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -161,7 +160,7 @@ def _weiss_values(u: AxisymField, radii: np.ndarray, grams) -> np.ndarray:
     and the Leibniz rule gives dW/dr = |S^{d-2}| (-d r^{-d-1} I + r^{-d} y(r)
     + 2 r^{-3} b - 2 r^{-2} rho^T G_q rho'): t = 1 samples of the block.
     Radii are taken in order: the first one outside (0, r_max] raises
-    ValueError, the first whose Richardson error estimate from the halved
+    InputError, the first whose Richardson error estimate from the halved
     grid exceeds _QUAD_TOL * max(1, |W|) raises GridTooCoarse.  ``grams`` is
     :func:`_grams` of u."""
     d = u.dim
@@ -194,24 +193,11 @@ def _weiss_values(u: AxisymField, radii: np.ndarray, grams) -> np.ndarray:
         deficit = 2.0 * sd2 * np.einsum("is,ij,js->s", c, gq, c) / r ** 3
         out[:, lo:lo + r.size] = w_val, dw, deficit
     if bad.size:
-        raise ValueError("radius must lie in (0, r_max of the field]")
+        raise InputError("radius must lie in (0, r_max of the field]")
     return out
 
 
-def _finite(fn: Callable) -> Callable:
-    """Run ``fn`` with numpy overflow and invalid operations raising: either
-    one raises NonFiniteResult instead of returning inf or NaN."""
-    @functools.wraps(fn)
-    def guarded(*args, **kwargs):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return fn(*args, **kwargs)
-        except FloatingPointError as exc:
-            raise NonFiniteResult(f"non-finite Weiss energy: {exc}") from None
-    return guarded
-
-
-@_finite
+@finite("non-finite Weiss energy")
 def weiss(u: AxisymField, r: float) -> float:
     """Evaluate W(u, r); raises GridTooCoarse when the Richardson error
     estimate from a halved radial grid exceeds _QUAD_TOL * max(1, |W|), and
@@ -233,7 +219,7 @@ def _harmonic_correction(u: AxisymField, r: float, grams) -> float:
     return -2.0 * sphere_area(d - 2) * r * float(_BOOLE @ y) / r ** (d + 1)
 
 
-@_finite
+@finite("non-finite Weiss energy")
 def weiss_derivative_check(u: AxisymField, r: float):
     """Compare dW/dr (the report's dW_lhs) with deficit + harmonicity correction.
 
@@ -262,7 +248,7 @@ class WeissReport:
                 "kappa0": self.kappa0}
 
 
-@_finite
+@finite("non-finite Weiss energy")
 def weiss_report(u: AxisymField, radii) -> WeissReport:
     """W, its Leibniz-rule derivative and the deficit term at each radius, in one pass.
 
@@ -314,7 +300,7 @@ def perturbed_field(p: ConeProfile, eps: float, exponent: float,
 def link_measure_identity(p: ConeProfile):
     """W(U, 1) against H^{d-1}(link)/d; returns (W1, measure_over_d, gap)."""
     if p.theta0 >= math.pi / 2:
-        raise ValueError("band half-width must stay below pi/2")
+        raise InputError("band half-width must stay below pi/2")
     w1 = weiss(cone_field(p), 1.0)
     w = np.sin(p.grid) ** (p.dim - 2)
     measure = sphere_area(p.dim - 2) * float(simpson(w, x=p.grid))
@@ -332,7 +318,7 @@ def F_functional(band_halfwidth: float, p: ConeProfile, d: int) -> float:
     two lateral cone sheets in the unit ball.
     """
     if d != p.dim:
-        raise ValueError(f"dimension argument {d} != profile dimension {p.dim}")
+        raise InputError(f"dimension argument {d} != profile dimension {p.dim}")
     spec = SLSpec(dim=d, half_width=float(band_halfwidth), mu=0.0, bc="dirichlet",
                   grid_n=p.grid.size - 1)
     thg = band_grid(spec.half_width, spec.grid_n)
@@ -357,7 +343,7 @@ def foliation_leading_term(p: ConeProfile, side: str, t: float | None, x) -> np.
     if t is None:
         raise MissingCoefficient("foliation requires the leading coefficient t")
     if side not in ("upper", "lower"):
-        raise ValueError("side must be 'upper' or 'lower'")
+        raise InputError("side must be 'upper' or 'lower'")
     d = p.dim
     pair = eigen_k(band_spec(p, 0.0, "robin"), 1)
     rad = ((d - 2) / 2) ** 2 + pair.lam
@@ -371,7 +357,7 @@ def foliation_leading_term(p: ConeProfile, side: str, t: float | None, x) -> np.
     x = np.asarray(x, dtype=float)
     r, th = x[..., 0], x[..., 1]
     if np.any(r <= 0):
-        raise ValueError("radii must be positive")
+        raise InputError("radii must be positive")
     sgn = 1.0 if side == "upper" else -1.0
     u0 = r * np.interp(th, p.grid, p.g, left=0.0, right=0.0)
     bump = np.interp(th, p.grid, phi, left=0.0, right=0.0)

@@ -193,6 +193,14 @@ def test_ab_bench_runs():
      "invalid input: key '1' is repeated in one JSON object", "0.7"),
     ('{"grid_n": 64, "grid_n": 1024}', {"1": 1.0}, 64,
      "config error: .*key 'grid_n' is repeated in one JSON object", "0.7"),
+    # a key int() cannot read is refused by name, not by int()'s own message
+    (None, {"x": 1.0}, 64, "invalid input: boundary mode index 'x' is not an integer", "0.7"),
+    (None, {"1": 1.0, "1.5": 2.0}, 64,
+     "invalid input: boundary mode index '1.5' is not an integer", "0.7"),
+    (None, '{"coeffs": {"1": 1.0', 64, r"invalid input: modes file \S+ is not JSON: Expecting",
+     "0.7"),
+    # mode 401 needs sphere degree 201, past the enumeration's cap of 200
+    (None, {"401": 1.0}, 64, "invalid input: count must be <= 400, got 401", "0.7"),
 ])
 def test_particular_exit_contract(tmp_path, capsys, config, coeffs, code, message, beta):
     modes = tmp_path / "m.json"
@@ -405,6 +413,7 @@ _FILES = {
     "dup_amp": '{"coeffs": {"1": 1.0, "1": 2.0}}',
     "dup_field": '{"kind": "power", "exponent": 1.0, "exponent": 2.0}',
     "dup_config": '{"grid_n": 64, "grid_n": 1024}',
+    "cut_field": '{"kind": "cone"',
 }
 
 
@@ -459,6 +468,10 @@ _IN_CHILD = {"modes --dim 7 --mu-max nan", "modes --dim 7 --mu-max inf",
      "invalid input: key 'exponent' is repeated in one JSON object"),
     ("--config @dup_config cone --dim 7", 64,
      "dup_config.json: key 'grid_n' is repeated in one JSON object"),
+    ("weiss --dim 7 --field @cut_field --radii 1", 64, "invalid input: field file"),
+    ("boundary-spectrum --dim 7 --count 401", 64,
+     "invalid input: count must be <= 400, got 401: boundary modes are enumerated up to "
+     "sphere degree 200"),
 ])
 def test_cli_exit_contract(tmp_path, capsys, argv, code, message):
     # every rejected input exits cleanly (64 bad input, 2 numerical failure),
@@ -489,6 +502,27 @@ def test_cli_exit_contract(tmp_path, capsys, argv, code, message):
     if code == 0:
         body = _strict_json((tmp_path / "out.json").read_text() if "--out" in args else out)
         assert len(body["W"]) == 2
+
+
+@pytest.mark.parametrize("dim", ["3", "7", "24"])
+def test_boundary_mode_count_limit(tmp_path, capsys, dim):
+    # two modes per sphere degree 0..199 are enumerated in order; one more is refused
+    out = tmp_path / "b.csv"
+    assert run(["boundary-spectrum", "--dim", dim, "--count", "400", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2 + 400
+    assert run(["boundary-spectrum", "--dim", dim, "--count", "401"]) == 64
+    assert "invalid input: count must be <= 400" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_numerical(monkeypatch, capsys):
+    # a ValueError not raised as an input check is a fault of the computation: exit 2
+    def boom(p, cfg):
+        raise ValueError("boom")
+    monkeypatch.setattr(conespec.cli, "verify_strong_integrability", boom)
+    assert run(["verify", "--dim", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "numerical error: boom\n"
+    assert captured.out == ""
 
 
 def test_json_report_rejects_non_finite_values():

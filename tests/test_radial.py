@@ -16,8 +16,8 @@ import pytest
 
 from conespec.boundary import boundary_modes
 from conespec.config import SolverConfig
-from conespec.errors import (NonFiniteResult, NumericalError, ResonanceDivision,
-                             ResonantExponent, TailDivergence)
+from conespec.errors import (NonFiniteResult, NumericalError, ResonantExponent,
+                             TailDivergence)
 from conespec.linkspec import LinkEigenvalue, homogeneity, link_spectrum
 from conespec.profile import solve_profile
 from conespec._quad import _cumulative_up, _d2_uniform, _derivative, _segment_integrals
@@ -126,11 +126,6 @@ def test_transfer_errors(p7, bmodes7):
     transfer_boundary(make_source(1.0, {1: 1.0}), bmodes7, p7)
     with pytest.raises(ResonantExponent):
         build_up(make_source(1.0, {1: 1.0}), p7, bmodes7)
-    # resonance bookkeeping: an ell_k ~ 0 mode not flagged resonant is an error
-    unflagged = [dataclasses.replace(m, in_resonance=False) if m.k == 3 else m
-                 for m in bmodes7]
-    with pytest.raises(ResonanceDivision):
-        transfer_boundary(make_source(BETA, {3: 1.0}), unflagged, p7)
 
 
 def test_closed_form_cauchy_euler(p7, link7):
