@@ -29,8 +29,10 @@ from .spheremodes import _MAX_DEGREE, SphereMode, modes_up_to
 # config field: identification is structural and the margin only absorbs
 # integrator noise.
 _FN_TOL = 1e-5
-# Largest h^2*lambda_max on a band grid of step h: the top eigenvalue's relative
-# error grows like 0.018*(h^2*lambda)^2 (d = 7, FD oracle), so it stays <= 1e-8.
+# Largest h^2*lambda_max on a band grid of step h.  It bounds the shots: the
+# Sturm counts, the eigenfunctions, and an eigenvalue the Ritz solve does not
+# vouch for, whose shot's relative error grows like 0.018*(h^2*lambda)^2 (d = 7,
+# FD oracle), so it stays <= 1e-8.  A Ritz eigenvalue does not use the grid.
 _H2_LAMBDA_MAX = 7.5e-4
 
 

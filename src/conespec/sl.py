@@ -13,17 +13,7 @@ computed on the left half-band only: the k-th eigenpair is the ((k+1)//2)-th
 half-band problem with g'(pi/2) = 0 (k odd) or g(pi/2) = 0 (k even), and the
 full eigenfunction is its mirror image.
 
-Each eigenvalue is one generator (:func:`_root`) that yields the shots it
-needs: a Rayleigh-Ritz seed (:func:`_seeds`), node-count isolation
-(:func:`_isolate`) only if the seed bracket misses, then Brent's method on
-the midpoint defect.  A counting shot stops the trajectory's down-sweep at
-the coarsest stride that the Sturm comparison theorem proves still sees
-every node (:func:`_count_skip`).  :func:`eigenvalues` drives one spec's
-roots together (:func:`_solve`), memoized per (spec, k); :func:`eigen_pairs`
-adds one lane-batched shot for the eigenfunctions, which are not cached,
-and checks their nodes on the full trajectory.
-
-The seeds solve the weak form
+Each eigenvalue is a Rayleigh-Ritz value of the band's weak form
 
     int w g'v' + mu int w g v / sin^2 - H w(a) (g v)|ends = lam int w g v,
 
@@ -31,11 +21,22 @@ w = sin^{d-2}, on Legendre polynomials in x = (theta - pi/2) / theta0 (times
 1 - x^2 under Dirichlet), even and odd degrees apart: a Legendre-Galerkin
 method (Shen, "Efficient spectral-Galerkin method I", SIAM J. Sci. Comput. 15,
 1994) whose values converge spectrally and, by min-max (Courant and Hilbert,
-Methods of Mathematical Physics I), bound the eigenvalues from above.  The
-basis holds 48 degrees, or about 9 (theta0^2 mu)^(1/4) at large mu, capped at
-256; past the cap the seeds are coarse and isolation starts from them.  The
-seeds only choose the bracket, so the independent finite-difference
-discretization (:func:`eigen_fd_crosscheck`) remains the oracle.
+Methods of Mathematical Physics I), bound the eigenvalues from above
+(:func:`_ritz`).  A value is reported when the basis with 16 fewer degrees
+agrees with it to _LAM_TOL (:func:`_ritz_eigenvalue`); it does not depend on
+the grid.  Otherwise (high k, or large mu) the eigenvalue is shot: one
+generator (:func:`_root`) yields the shots it needs, the Ritz value as a seed
+(:func:`_seeds`), node-count isolation (:func:`_isolate`) only if the seed
+bracket misses, then Brent's method on the midpoint defect, and
+:func:`_solve` drives one spec's shots together.  A counting shot stops the
+trajectory's down-sweep at the coarsest stride that the Sturm comparison
+theorem proves still sees every node (:func:`_count_skip`).
+:func:`count_below` stays a Sturm shot, as a Ritz count can only undercount.
+:func:`eigenvalues` memoizes per (spec, k); :func:`eigen_pairs` adds one
+lane-batched shot for the eigenfunctions at those eigenvalues, which are not
+cached, and checks their nodes on the full trajectory.  The independent
+finite-difference discretization (:func:`eigen_fd_crosscheck`) remains the
+oracle.
 """
 
 from __future__ import annotations
@@ -55,13 +56,14 @@ from .profile import ConeProfile, band_grid, mirror_half
 _EXPAND_CAP = 60
 _BISECT_CAP = 300
 _SEED_COUNT = 8      # seeded eigenvalues per parity; higher ones isolate from the top seed
-# bracket half-width relative to max(1, |seed|): covers the Ritz error (<= 4e-10
-# at 48 degrees) and the shot's own (<= 1e-8 under linkspec's h^2 lam guard)
+# half-width of a shot's bracket relative to max(1, |seed|): covers the seed's
+# Ritz error (<= 4e-10 at 48 degrees, k <= 16) and the shot's own (<= 1e-8
+# under linkspec's h^2 lam guard)
 _SEED_REL = 1e-7
-_RITZ_N = (48, 256)  # Legendre degrees of the seed basis: floor and cap
+_RITZ_N = (48, 256)  # Legendre degrees of the Ritz basis: floor and cap
 _NEWTON_CAP = 20     # Newton steps for the Gauss nodes (4 suffice from Tricomi's estimates)
 _MEMO_SIZE = 4096    # memoized eigenvalues (floats only)
-_LAM_TOL = 1e-10     # Brent tolerance on each eigenvalue
+_LAM_TOL = 1e-10     # Ritz acceptance and Brent tolerance on each eigenvalue
 
 
 @dataclasses.dataclass(frozen=True)
@@ -284,31 +286,35 @@ def _legendre_basis(n):
 
 
 def _ritz_size(spec):
-    """Legendre degrees in the seed basis: 48, or about 9 (theta0^2 mu)^(1/4)
+    """Legendre degrees N of the Ritz basis: 48, or about 9 (theta0^2 mu)^(1/4)
     rounded up to a multiple of 16, capped at 256.
 
     (theta0^2 mu)^(1/4) is the band's half-width over the width of an
-    eigenfunction pinned near pi/2 by a large mu; 8.7 of it sufficed for all
-    16 seeds to land within 1e-8 of :func:`eigenvalues`.  Past the cap the
-    seeds coarsen and :func:`_isolate` takes over from them.
+    eigenfunction pinned near pi/2 by a large mu; 8.7 of it sufficed for the
+    first 16 Ritz values to land within 1e-8 of the shots' eigenvalues.  N
+    depends on the spec alone.  A value that has not converged at N (high k,
+    or past the cap) fails the check of :func:`_ritz_eigenvalue` and is shot,
+    isolated from its seed by :func:`_isolate` if it must be.
     """
     q = (spec.half_width ** 2 * spec.mu) ** 0.25
     return min(_RITZ_N[1], max(_RITZ_N[0], 16 * math.ceil(9.0 * q / 16.0)))
 
 
 @functools.lru_cache(maxsize=256)
-def _seeds(spec: SLSpec, parity: str) -> tuple[float, ...]:
-    """Rayleigh-Ritz eigenvalues of one parity that seed the brackets.
+def _ritz(spec: SLSpec, parity: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every Rayleigh-Ritz value of one parity on N = :func:`_ritz_size` Legendre
+    degrees, and on the first N - 16 of them: (values on N, values on N - 16).
 
-    The band's weak form, int w g'v' + mu int w g v / sin^2 - H w(a) (g v)|ends
-    = lam int w g v with w = sin^{d-2} (no boundary term under Dirichlet), is
-    solved on the Legendre basis in x = (theta - pi/2) / theta0 of
+    The weak form of the module docstring is solved on the basis of
     :func:`_legendre_basis`: the even degrees span the even eigenfunctions and
-    the odd degrees the odd ones, times (1 - x^2) under Dirichlet (Shen
-    1994).  The integrands are even, so the positive Gauss nodes hold them.
-    A Cholesky factor of the mass matrix reduces the pencil to one
-    ``eigvalsh``.  By min-max each Ritz value bounds its eigenvalue from
-    above (Courant and Hilbert I); the basis size is :func:`_ritz_size`.
+    the odd degrees the odd ones, times (1 - x^2) under Dirichlet.  The
+    integrands are even, so the positive Gauss nodes hold them.  A Cholesky
+    factor L of the mass matrix M reduces the pencil (S, M) to one ``eigh``; the
+    leading rows of L are the Cholesky factor of M's leading block, so the
+    leading block of the reduced matrix is the smaller basis's.  Each value is
+    the Rayleigh quotient c'Sc / c'Mc of its Ritz vector c mapped back to (S, M),
+    which sheds the reduction's roundoff: at the zero eigenvalue (1, 1),
+    d = 3..40, the ``eigh`` values read up to 1.1e-10, the quotients 1.3e-13.
     """
     n = _ritz_size(spec)
     x, wt, p, dp = _legendre_basis(n)
@@ -324,8 +330,34 @@ def _seeds(spec: SLSpec, parity: str) -> tuple[float, ...]:
     if spec.bc == "robin":
         end = np.sqrt(np.arange(n)[degrees] + 0.5)  # p_j(1)
         stiff -= spec.H * math.cos(t0) ** (spec.dim - 2) / t0 * np.outer(end, end)
-    inv = np.linalg.inv(np.linalg.cholesky((p * w) @ p.T))
-    return tuple(np.linalg.eigvalsh(inv @ stiff @ inv.T)[:_SEED_COUNT].tolist())
+    mass = (p * w) @ p.T
+    inv = np.linalg.inv(np.linalg.cholesky(mass))
+    reduced = inv @ stiff @ inv.T
+
+    def quotients(m):  # on the first m rows; read-only, as the cache shares them
+        vec = inv[:m, :m].T @ np.linalg.eigh(reduced[:m, :m])[1]
+        out = ((stiff[:m, :m] @ vec) * vec).sum(0) / ((mass[:m, :m] @ vec) * vec).sum(0)
+        out.flags.writeable = False
+        return out
+
+    return quotients(n // 2), quotients(n // 2 - 8)
+
+
+def _seeds(spec: SLSpec, parity: str) -> tuple[float, ...]:
+    """The first :data:`_SEED_COUNT` Ritz values of one parity (:func:`_ritz`):
+    the brackets of the eigenvalues that are shot."""
+    return tuple(_ritz(spec, parity)[0][:_SEED_COUNT].tolist())
+
+
+def _ritz_eigenvalue(spec, k):
+    """The k-th Ritz value on N = :func:`_ritz_size` degrees, or None unless the
+    one on N - 16 agrees with it to _LAM_TOL max(1, |lam|).  N depends on the
+    spec alone, so the answer does not depend on the other ks requested."""
+    fine, coarse = _ritz(spec, _parity(k))
+    i = (k - 1) // 2
+    if i < len(coarse) and abs(fine[i] - coarse[i]) <= _LAM_TOL * max(1.0, abs(fine[i])):
+        return float(fine[i])
+    return None
 
 
 def _root(spec, k):
@@ -400,15 +432,19 @@ _memo: dict = {}
 def eigenvalues(spec: SLSpec, ks) -> list[float]:
     """Eigenvalues k (each >= 1) of ``ks``, in order, memoized per process.
 
-    The ks not in the memo are solved together (:func:`_solve`).
+    The ks not in the memo take their Ritz values where the Ritz solve vouches
+    for them (:func:`_ritz_eigenvalue`); the rest are shot together
+    (:func:`_solve`).
     """
     ks = [int(k) for k in ks]
     if any(k < 1 for k in ks):
         raise InputError("k must be >= 1")
     new = sorted({k for k in ks if (spec, k) not in _memo})
     if new:
-        for k, lam in zip(new, _solve(spec, new)):
-            _memo[spec, k] = lam
+        lams = {k: _ritz_eigenvalue(spec, k) for k in new}
+        shot = [k for k, lam in lams.items() if lam is None]
+        lams.update(zip(shot, _solve(spec, shot)))
+        _memo.update(((spec, k), lam) for k, lam in lams.items())
         while len(_memo) > _MEMO_SIZE:
             del _memo[next(iter(_memo))]
     return [_memo[spec, k] for k in ks]
@@ -491,7 +527,7 @@ def _fv_robin(dim: int, half_width: float, mu: float, n: int):
 def _fv_sym(spec: SLSpec, n: int):
     """Mass-symmetrized finite-volume operator on n cells: (diagonal, off-diagonal).
 
-    Oracle only (:func:`eigen_fd_crosscheck`); the solver seeds from :func:`_seeds`.
+    Oracle only (:func:`eigen_fd_crosscheck`); the solver solves by :func:`_ritz`.
     """
     diag, off, w, lump = _fv_robin(spec.dim, spec.half_width, spec.mu, n)
     mass = w * lump

@@ -3,6 +3,7 @@ are built once per session and reused across test modules."""
 
 import pytest
 
+from conespec import sl
 from conespec.boundary import boundary_modes
 from conespec.linkspec import link_spectrum
 from conespec.profile import solve_profile
@@ -36,3 +37,13 @@ def link7(p7):
 @pytest.fixture(scope="session")
 def bmodes7(p7):
     return boundary_modes(p7, 6)
+
+
+@pytest.fixture
+def shots_only(monkeypatch):
+    """Band eigenvalues from the shooting path alone, on a memo cleared before
+    and after: the Ritz check refuses every eigenvalue."""
+    monkeypatch.setattr(sl, "_ritz_eigenvalue", lambda spec, k: None)
+    sl._memo.clear()
+    yield
+    sl._memo.clear()

@@ -111,13 +111,13 @@ def test_verify_work_count(tmp_path, monkeypatch):
     # verify solves the link spectrum only up to its gap, slicing each mode
     # by Sturm counts and the modes with eigenvalues below d - 1 last, whose
     # eigenvalues below d - 1 are solved together; each band eigenvalue is
-    # solved once, from a seeded bracket whose two counting shots are
-    # Brent's endpoints, and the profile is one shot of the kernel (the
-    # aperture is a series root): verify --dim 7 in a fresh process makes 26 shots,
-    # 19 trajectory and 7 end-state
+    # solved once, by the Ritz solve, which vouches for every one of them here,
+    # and the profile is one shot of the kernel (the aperture is a series
+    # root): verify --dim 7 in a fresh process makes 11 shots, all of them
+    # trajectory shots (the profile, the Sturm counts and the eigenfunctions)
     from conespec import boundary, kernels, profile, sl
     sl._memo.clear()
-    sl._seeds.cache_clear()
+    sl._ritz.cache_clear()
     profile._solved_profile.cache_clear()
     shots = []
     for mod in (sl, profile, boundary):
@@ -128,7 +128,7 @@ def test_verify_work_count(tmp_path, monkeypatch):
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(mod, name, counted)
     assert run(["verify", "--dim", "7", "--out", str(tmp_path / "v.json")]) == 0
-    assert 0 < len(shots) <= 28, len(shots)
+    assert 0 < len(shots) <= 11, len(shots)
 
 
 def test_second_particular_reuses_cone_and_eigenpairs(tmp_path, monkeypatch):

@@ -108,7 +108,7 @@ def _isolated(spec, disc, parity, idx):
     raise AssertionError("isolation requested a shot")
 
 
-def test_brentq_matches_scipy_on_band_defects(profiles):
+def test_brentq_matches_scipy_on_band_defects(profiles, shots_only):
     solved = 0
     for d, p in profiles.items():
         for mu in (0.0, 5.0, 84.0):

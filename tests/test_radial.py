@@ -76,7 +76,7 @@ def test_admissibility_window_is_the_solver_window(p7, link7, bmodes7):
     # Q = d/2 - delta_(0,1) - beta = -5e-8 sits inside the solver's resonance
     # window, so solve_radial_modes refuses the source before any mode is solved
     beta = 3.5 - link7.find((0, 1)).delta + 5e-8
-    assert beta == pytest.approx(2.7573037579438906, abs=1e-15)
+    assert beta == pytest.approx(2.7573037579440838, abs=1e-15)
     with pytest.raises(ResonantExponent, match=r"beta=2\.757\d* resonates .*\(0, 1\)"):
         build_up(make_source(beta, {1: 1.0}), p7, bmodes7)
 
@@ -427,17 +427,16 @@ def test_classify_decay_basis_check(base_build):
 
 
 def test_project_interior_work_count(p7, bmodes7, monkeypatch):
-    # one sphere degree's eight eigenpairs are solved together: the lower
-    # and the upper seed-bracket ends in one trajectory call each, each Brent
-    # round in one end-state call, and the eigenfunctions in one more
-    # trajectory call.  On a fresh memo at d = 7 that is 5 kernel calls (two
-    # Brent rounds from the Ritz seeds' 1e-7 brackets), where one eigenpair
-    # at a time made 53.
+    # one sphere degree's eight eigenpairs are solved together: the Ritz
+    # solve vouches for all eight eigenvalues, so the only kernel call is the
+    # one trajectory call of the eigenfunctions.  On a fresh memo at d = 7
+    # that is 1 kernel call, where shooting the eigenvalues from the Ritz
+    # seeds' 1e-7 brackets made 5 and one eigenpair at a time made 53.
     from conespec import kernels, sl
     u1, f = transfer_boundary(make_source(BETA, {1: 1.0}), bmodes7, p7)
     assert len({m.ell for m in f.modes}) == 1
     sl._memo.clear()
-    sl._seeds.cache_clear()
+    sl._ritz.cache_clear()
     calls = []
     for name in ("propagate_band", "propagate_band_end"):
         def counted(*args, _fn=getattr(kernels, name)):
@@ -445,7 +444,7 @@ def test_project_interior_work_count(p7, bmodes7, monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(sl, name, counted)
     project_interior(f, p7)
-    assert 0 < len(calls) <= 5, len(calls)
+    assert 0 < len(calls) <= 1, len(calls)
 
 
 @pytest.mark.parametrize("dim", [3, 7, 12])
@@ -459,7 +458,7 @@ def test_projected_entries_are_the_link_entries(dim):
     bmodes = boundary_modes(p, 8)
     _, f = transfer_boundary(make_source(BETA, {m.k: 1.0 for m in bmodes}), bmodes, p)
     sl._memo.clear()
-    sl._seeds.cache_clear()
+    sl._ritz.cache_clear()
     f_int, _ = project_interior(f, p)
     held = {e.source for e in link.entries}
     pairs = [(e, link.find(e.source)) for e in f_int.modes if e.source in held]

@@ -1,6 +1,8 @@
-"""Band Sturm-Liouville engine: shooting vs the finite-difference oracle,
-oscillation/ordering properties, and frozen d=7 reference eigenvalues."""
+"""Band Sturm-Liouville engine: Ritz eigenvalues and shooting vs the
+finite-difference oracle, oscillation/ordering properties, and frozen d=7
+reference eigenvalues."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -156,7 +158,7 @@ def test_nodes_skip_exact_zero_samples():
 
 
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
-def test_wrong_seeds_fall_back_to_bisection(p7, bc, monkeypatch):
+def test_wrong_seeds_fall_back_to_bisection(p7, bc, monkeypatch, shots_only):
     spec = band_spec(p7, 5.0, bc)
     sl._memo.clear()
     seeded = [eigenvalue(spec, k) for k in range(1, 6)]
@@ -193,6 +195,18 @@ def test_count_below_matches_fd_oracle(p3, p7, mu, bc):
             assert count_below(spec, lam) == int(np.count_nonzero(fd < lam)), (p.dim, lam)
 
 
+def _shot_eigenvalues(spec, ks, monkeypatch):
+    """Eigenvalues ks of ``spec`` from the shooting path, on a memo cleared
+    before and after: the Ritz check refuses every one."""
+    with monkeypatch.context() as m:
+        m.setattr(sl, "_ritz_eigenvalue", lambda spec, k: None)
+        sl._memo.clear()
+        try:
+            return eigenvalues(spec, ks)
+        finally:
+            sl._memo.clear()
+
+
 @pytest.fixture(scope="module")
 def seed_profiles(p3, p7):
     from conespec.profile import solve_profile
@@ -201,18 +215,22 @@ def seed_profiles(p3, p7):
 
 @pytest.mark.parametrize("mu", [0.0, 84.0, 500.0])
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
-def test_ritz_seeds_land_on_the_eigenvalues(seed_profiles, mu, bc):
-    # the k-th Ritz value of each parity bounds the k-th eigenvalue of
-    # that parity from above; the shot's own eigenvalue lies above the exact
-    # one by its RK4 error (<= 4e-10 here), so a seed may sit below it by that
+def test_ritz_seeds_land_on_the_eigenvalues(seed_profiles, mu, bc, monkeypatch):
+    # the shot's eigenvalue lies above the exact one by its RK4 error (<= 2e-10
+    # here); the reported eigenvalues (Ritz values where the Ritz solve vouches
+    # for them) and the seeds, which bound the eigenvalues of their parity from
+    # above, lie within that of it
     sl._memo.clear()
     try:
         for d, p in seed_profiles.items():
             spec = band_spec(p, mu, bc)
             lams = np.array(eigenvalues(spec, range(1, 17)))
+            shot = np.array(_shot_eigenvalues(spec, range(1, 17), monkeypatch))
+            rel = (lams - shot) / np.maximum(1.0, np.abs(shot))
+            assert np.abs(rel).max() <= 1e-9, (d, rel)
             for parity, start in (("even", 0), ("odd", 1)):
                 got = np.array(sl._seeds(spec, parity))
-                want = lams[start::2]
+                want = shot[start::2]
                 assert got.size == sl._SEED_COUNT == 8, (d, parity)
                 rel = (got - want) / np.maximum(1.0, np.abs(want))
                 assert rel.min() >= -1e-9, (d, parity, rel.min())
@@ -221,8 +239,32 @@ def test_ritz_seeds_land_on_the_eigenvalues(seed_profiles, mu, bc):
         sl._memo.clear()
 
 
+def test_structural_eigenvalues_in_closed_form():
+    # the translations give lambda_(0,2) = 0 and lambda_(1,1) = 0, the rotations
+    # lambda_(1,2) = d - 1 (mu = d - 2 is the ell = 1 sector); the RK4 shots read
+    # up to 6.0e-12, 2.8e-13 and 4.4e-14 (relative) here
+    from conespec.profile import solve_profile
+    for d in range(3, 41):
+        p = solve_profile(d)
+        lam02 = eigenvalue(band_spec(p, 0.0, "robin"), 2)
+        lam11, lam12 = eigenvalues(band_spec(p, d - 2.0, "robin"), [1, 2])
+        assert abs(lam02) <= 1e-12, (d, lam02)
+        assert abs(lam11) <= 1e-12, (d, lam11)
+        assert abs(lam12 - (d - 1)) <= 2e-14 * (d - 1), (d, lam12)
+
+
+def test_eigenvalues_where_every_shot_overflows(p3):
+    # at d = 3, mu = 3e6 the band shots overflow, so these come from the Ritz
+    # solve alone; the oracle runs on a grid of 8192, where its own error is
+    # <= 2e-13 (on the default 4096 it reads 3e-12 at k = 3)
+    spec = band_spec(p3, 3e6, "robin")
+    got = np.array(eigenvalues(spec, [1, 2, 3]))
+    fd = eigen_fd_crosscheck(dataclasses.replace(spec, grid_n=8192), 3)
+    assert np.abs(got / fd - 1.0).max() <= 1e-12, (got, fd)
+
+
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
-def test_seeds_far_above_their_eigenvalues_are_isolated(p7, bc, monkeypatch):
+def test_seeds_far_above_their_eigenvalues_are_isolated(p7, bc, monkeypatch, shots_only):
     # past the basis cap Ritz seeds are coarse, and they lie above their
     # eigenvalues: at mu = 3e6 a seed 1 % high sits about 3e4 above, where a
     # fixed step of 10 down ran out of expansion steps
@@ -256,7 +298,7 @@ def test_count_below_shoots_once(p7, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_seeded_bracket_ends_are_not_reshot(p7, monkeypatch, k):
+def test_seeded_bracket_ends_are_not_reshot(p7, monkeypatch, shots_only, k):
     # isolation from a correct seed stops after its first two counting shots,
     # and those give Brent its endpoint defects
     spec = band_spec(p7, 12.0, "dirichlet")
@@ -315,14 +357,16 @@ def test_defect_sign_follows_count(seed_profiles, bc):
 
 
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
-def test_eigenvalue_past_seeds_at_large_mu(p7, bc):
-    # k = 17 is the 9th odd eigenvalue, past the 8 seeds of its parity, so
-    # isolation starts from the top seed
+def test_eigenvalue_past_seeds_at_large_mu(p7, bc, monkeypatch):
+    # k = 17 is the 9th eigenvalue of its parity, past the 8 seeds, so its
+    # shot's isolation starts from the top seed; the Ritz solve vouches for it
     spec = band_spec(p7, 3e6, bc)
     fd = eigen_fd_crosscheck(spec, 17)[-1]
     pair = eigen_k(spec, 17)
     assert abs(pair.lam - fd) <= 1e-8 * fd, (pair.lam, fd)
     assert pair.nodes == 16
+    [shot] = _shot_eigenvalues(spec, [17], monkeypatch)
+    assert abs(shot - fd) <= 1e-8 * fd, (shot, fd)
 
 
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
@@ -435,7 +479,7 @@ def test_lockstep_work_count(p7, monkeypatch):
 
 
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
-def test_lockstep_under_wrong_seeds_falls_back_to_isolation(p7, bc, monkeypatch):
+def test_lockstep_under_wrong_seeds_falls_back_to_isolation(p7, bc, monkeypatch, shots_only):
     spec = band_spec(p7, 5.0, bc)
     isolated = []
 
