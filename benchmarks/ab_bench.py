@@ -21,9 +21,11 @@ few percent needs several calls that agree before it is read as real.
 
 Both trees run in one process, so process-wide state applies to both sides:
 once either package is imported, the malloc thresholds ``conespec`` sets at
-import (see its ``_keep_freed_heap``) hold for the other too.  A change to
-state of that kind cannot be compared here; compare it with perfbench's
-separate worker processes (``perfbench/run.py``).
+import (see its ``_keep_freed_heap``) hold for the other too.  Likewise a
+third-party module that either side imports lazily (``numpy.polynomial``, say)
+is loaded once for the process, so its import cost and memory cannot be
+compared here.  Compare changes of that kind with perfbench's separate worker
+processes (``perfbench/run.py``).
 
     python3 benchmarks/ab_bench.py --a OLD/src --b NEW/src --workload particular \
         --rounds 12 --seed 1000

@@ -45,6 +45,10 @@ RUNS = (
     *(["cone", "--dim", d] for d in ("3", "7", "24")),
     ["sl", "--dim", "7", "--mu", "12", "--bc", "robin", "--k", "3"],
     ["sl", "--dim", "7", "--mu", "3e6", "--bc", "robin", "--k", "17"],
+    # the Ritz solve vouches for lambda_4, but its series fails the node check: a shot
+    ["sl", "--dim", "7", "--mu", "1e7", "--bc", "robin", "--k", "4"],
+    # the edge of the Ritz tolerance: the solve refuses lambda_8 and it is shot
+    ["sl", "--dim", "3", "--mu", "500", "--bc", "dirichlet", "--k", "8"],
     ["sl", "--dim", "12", "--mu", "0", "--bc", "dirichlet", "--k", "2"],
     ["report", "--dims", "3..12"],
     *(["verify", "--dim", d] for d in ("3", "7", "12", "24")),

@@ -10,8 +10,9 @@ solutions are (mu, lam=0).  Two entry points share one fixed-step RK4
 scheme:
 
 * :func:`propagate_band` returns the whole trajectory (g, g') at every grid
-  point -- eigenfunction assembly, the profile and the boundary modes need
-  it -- or, for node counts, only every 2^s-th point and the end state;
+  point -- the eigenfunctions no Legendre series gives (see :mod:`conespec.sl`),
+  the profile and the boundary modes need it -- or, for node counts, only
+  every 2^s-th point and the end state;
 * :func:`propagate_band_end` returns only the end state -- the eigenvalue
   defect evaluations need nothing else.
 

@@ -22,7 +22,7 @@ from ._quad import simpson
 from .config import DEFAULT_CONFIG, RES_TOL, SolverConfig
 from .errors import AmbiguousCluster, InputError
 from .profile import ConeProfile, jacobi_fields
-from .sl import band_spec, count_below, eigen_k, eigenvalue, eigenvalues
+from .sl import _LAM_TOL, band_spec, count_below, eigen_k, eigenvalue, eigenvalues
 from .spheremodes import _MAX_DEGREE, SphereMode, modes_up_to
 
 # Analytic-eigenfunction identification threshold (relative L^2).  Not a
@@ -30,9 +30,10 @@ from .spheremodes import _MAX_DEGREE, SphereMode, modes_up_to
 # integrator noise.
 _FN_TOL = 1e-5
 # Largest h^2*lambda_max on a band grid of step h.  It bounds the shots: the
-# Sturm counts, the eigenfunctions, and an eigenvalue the Ritz solve does not
-# vouch for, whose shot's relative error grows like 0.018*(h^2*lambda)^2 (d = 7,
-# FD oracle), so it stays <= 1e-8.  A Ritz eigenvalue does not use the grid.
+# Sturm counts, and an eigenvalue the Ritz solve does not vouch for, whose
+# shot's relative error grows like 0.018*(h^2*lambda)^2 (d = 7, FD oracle), so
+# it stays <= 1e-8, with its eigenfunction.  A Ritz eigenvalue does not use the
+# grid, and its eigenfunction is its Legendre series sampled on it.
 _H2_LAMBDA_MAX = 7.5e-4
 
 
@@ -146,11 +147,11 @@ class IntegrabilityReport:
         return dataclasses.asdict(self)
 
 
-def _clusters(entries, tol):
-    """Chain-cluster sorted entries whose eigenvalues differ by <= tol."""
+def _clusters(entries, tol, rel=0.0):
+    """Chain-cluster sorted entries whose eigenvalues differ by <= tol + rel max(1, |lam|)."""
     groups, cur = [], [entries[0]]
     for e in entries[1:]:
-        if e.lam - cur[-1].lam <= tol:
+        if e.lam - cur[-1].lam <= tol + rel * max(1.0, abs(e.lam)):
             cur.append(e)
         else:
             groups.append(cur)
@@ -215,8 +216,11 @@ def _walk(p: ConeProfile, low: float, cap: float, tol: float) -> list[LinkEigenv
         slice_mode(mode, band_spec(p, mode.mu, "robin"), 0)
     for mode, spec, n in head:
         slice_mode(mode, spec, n)
-    out.sort(key=lambda e: (e.lam, e.source))
-    return out
+    # eigenvalues that tie to within the solver's tolerance come out by source,
+    # not in the order their last bits set
+    out.sort(key=lambda e: e.lam)
+    return [e for group in _clusters(out, 0.0, _LAM_TOL)
+            for e in sorted(group, key=lambda e: e.source)]
 
 
 def verify_strong_integrability(p: ConeProfile,

@@ -22,21 +22,25 @@ w = sin^{d-2}, on Legendre polynomials in x = (theta - pi/2) / theta0 (times
 method (Shen, "Efficient spectral-Galerkin method I", SIAM J. Sci. Comput. 15,
 1994) whose values converge spectrally and, by min-max (Courant and Hilbert,
 Methods of Mathematical Physics I), bound the eigenvalues from above
-(:func:`_ritz`).  A value is reported when the basis with 16 fewer degrees
-agrees with it to _LAM_TOL (:func:`_ritz_eigenvalue`); it does not depend on
-the grid.  Otherwise (high k, or large mu) the eigenvalue is shot: one
-generator (:func:`_root`) yields the shots it needs, the Ritz value as a seed
-(:func:`_seeds`), node-count isolation (:func:`_isolate`) only if the seed
-bracket misses, then Brent's method on the midpoint defect, and
-:func:`_solve` drives one spec's shots together.  A counting shot stops the
+(:func:`_ritz`).  A value is reported when it and every value of its parity
+below it agree to _LAM_TOL with those of the basis with 16 fewer degrees
+(:func:`_ritz_eigenvalue`); it does not depend on the grid.  Otherwise (high
+k, or large mu) the eigenvalue is shot: one generator (:func:`_root`) yields
+the shots it needs, the Ritz value as a seed (:func:`_seeds`), node-count
+isolation (:func:`_isolate`) only if the seed bracket misses, then Brent's
+method on the midpoint defect, and :func:`_solve` drives one spec's shots
+together.  A counting shot stops the
 trajectory's down-sweep at the coarsest stride that the Sturm comparison
 theorem proves still sees every node (:func:`_count_skip`).
 :func:`count_below` stays a Sturm shot, as a Ritz count can only undercount.
-:func:`eigenvalues` memoizes per (spec, k); :func:`eigen_pairs` adds one
-lane-batched shot for the eigenfunctions at those eigenvalues, which are not
-cached, and checks their nodes on the full trajectory.  The independent
-finite-difference discretization (:func:`eigen_fd_crosscheck`) remains the
-oracle.
+:func:`eigenvalues` memoizes per (spec, k).  :func:`eigen_pairs` takes each
+eigenfunction whose eigenvalue the Ritz solve vouches for as its Ritz vector's
+Legendre series on the left half band, mirrored (:func:`_series_fn`, on one
+basis per grid size and N for every cone, :func:`_grid_basis`); the rest, and
+a series without the half band's nodes, are one lane-batched shot at their
+eigenvalues.  Eigenfunctions are not cached, and their nodes are checked on
+the full band.  The independent finite-difference discretization
+(:func:`eigen_fd_crosscheck`) remains the oracle.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ _RITZ_N = (48, 256)  # Legendre degrees of the Ritz basis: floor and cap
 _NEWTON_CAP = 20     # Newton steps for the Gauss nodes (4 suffice from Tricomi's estimates)
 _MEMO_SIZE = 4096    # memoized eigenvalues (floats only)
 _LAM_TOL = 1e-10     # Ritz acceptance and Brent tolerance on each eigenvalue
+_BASIS_SIZE = 1 << 22  # samples of one series basis (32 MB): past it eigenfunctions are shot
 
 
 @dataclasses.dataclass(frozen=True)
@@ -303,7 +308,8 @@ def _ritz_size(spec):
 @functools.lru_cache(maxsize=256)
 def _ritz(spec: SLSpec, parity: str) -> tuple[np.ndarray, np.ndarray]:
     """Every Rayleigh-Ritz value of one parity on N = :func:`_ritz_size` Legendre
-    degrees, and on the first N - 16 of them: (values on N, values on N - 16).
+    degrees, and the Ritz vectors of the values it vouches for: (values, vectors),
+    vectors[i] the coefficients of value i on the basis.
 
     The weak form of the module docstring is solved on the basis of
     :func:`_legendre_basis`: the even degrees span the even eigenfunctions and
@@ -315,6 +321,9 @@ def _ritz(spec: SLSpec, parity: str) -> tuple[np.ndarray, np.ndarray]:
     the Rayleigh quotient c'Sc / c'Mc of its Ritz vector c mapped back to (S, M),
     which sheds the reduction's roundoff: at the zero eigenvalue (1, 1),
     d = 3..40, the ``eigh`` values read up to 1.1e-10, the quotients 1.3e-13.
+    The values vouched for are the leading ones that agree to _LAM_TOL
+    max(1, |lam|) with those on the first N - 16 degrees, and only their
+    vectors are kept.  Everything returned is read-only, as the cache shares it.
     """
     n = _ritz_size(spec)
     x, wt, p, dp = _legendre_basis(n)
@@ -334,13 +343,16 @@ def _ritz(spec: SLSpec, parity: str) -> tuple[np.ndarray, np.ndarray]:
     inv = np.linalg.inv(np.linalg.cholesky(mass))
     reduced = inv @ stiff @ inv.T
 
-    def quotients(m):  # on the first m rows; read-only, as the cache shares them
+    def quotients(m):  # values and vectors on the first m rows
         vec = inv[:m, :m].T @ np.linalg.eigh(reduced[:m, :m])[1]
-        out = ((stiff[:m, :m] @ vec) * vec).sum(0) / ((mass[:m, :m] @ vec) * vec).sum(0)
-        out.flags.writeable = False
-        return out
+        return ((stiff[:m, :m] @ vec) * vec).sum(0) / ((mass[:m, :m] @ vec) * vec).sum(0), vec
 
-    return quotients(n // 2), quotients(n // 2 - 8)
+    (values, vec), (coarse, _) = quotients(n // 2), quotients(n // 2 - 8)
+    fine = values[:coarse.size]
+    agree = np.abs(fine - coarse) <= _LAM_TOL * np.maximum(1.0, np.abs(fine))
+    vectors = vec[:, :np.logical_and.accumulate(agree).sum()].T.copy()
+    values.flags.writeable = vectors.flags.writeable = False
+    return values, vectors
 
 
 def _seeds(spec: SLSpec, parity: str) -> tuple[float, ...]:
@@ -350,14 +362,85 @@ def _seeds(spec: SLSpec, parity: str) -> tuple[float, ...]:
 
 
 def _ritz_eigenvalue(spec, k):
-    """The k-th Ritz value on N = :func:`_ritz_size` degrees, or None unless the
-    one on N - 16 agrees with it to _LAM_TOL max(1, |lam|).  N depends on the
-    spec alone, so the answer does not depend on the other ks requested."""
-    fine, coarse = _ritz(spec, _parity(k))
+    """The k-th Ritz value on N = :func:`_ritz_size` degrees, or None unless
+    :func:`_ritz` vouches for it.  N depends on the spec alone, so the answer
+    does not depend on the other ks requested."""
+    values, vectors = _ritz(spec, _parity(k))
     i = (k - 1) // 2
-    if i < len(coarse) and abs(fine[i] - coarse[i]) <= _LAM_TOL * max(1.0, abs(fine[i])):
-        return float(fine[i])
-    return None
+    return float(values[i]) if i < len(vectors) else None
+
+
+@functools.lru_cache(maxsize=2)
+def _grid_basis(m, n):
+    """The even orthonormal Legendre polynomials p_0, p_2, ..., p_{n-2} on
+    x = linspace(-1, 0, m), and the maps from a series' coefficients to those
+    of its values and derivative on them: (x, p, maps), read-only.
+
+    Each half of :func:`conespec.profile.band_grid` is a linspace from pi/2, so
+    its left half is x = (theta - pi/2) / theta0 at these m samples for every
+    half-width: one basis serves every spec of one grid size and N.  p is built
+    once per (m, n) by the three-term recurrence, in place.
+
+    An odd polynomial is x times an even one, so even degrees carry every
+    series: a series of parity o (0 even, 1 odd) with coefficients c is
+    (c @ maps[o][0]) @ p, times x if o is odd, and its derivative is
+    (c @ maps[o][1]) @ p, times x if o is even.  The derivative takes
+    p_j' = sum over i < j, j - i odd, of sqrt((2i+1)(2j+1)) p_i, and the odd
+    series divides by x through x p_j = a_{j+1} p_{j+1} + a_j p_{j-1},
+    a_j = j / sqrt(4j^2 - 1).
+    """
+    x = np.linspace(-1.0, 0.0, m)
+    p = np.empty((n // 2, m))
+    p[0], odd, tmp = 1.0, x.copy(), np.empty(m)  # P_0 and P_1
+    for j in range(1, n - 1, 2):  # P_{j+1} = ((2j + 1) x P_j - j P_{j-1}) / (j + 1), then P_{j+2}
+        even = p[(j + 1) // 2]
+        np.multiply(x, odd, out=even)
+        even *= (2 * j + 1) / (j + 1)
+        np.multiply(p[(j - 1) // 2], j / (j + 1), out=tmp)
+        even -= tmp
+        odd *= -(j + 1) / (j + 2)
+        np.multiply(x, even, out=tmp)
+        tmp *= (2 * j + 3) / (j + 2)
+        odd += tmp
+    root = np.sqrt(2.0 * np.arange(n) + 1.0)  # sqrt(2j + 1), by degree
+    p *= root[::2, None] / math.sqrt(2.0)
+    deriv = [np.where(np.arange(1 - o, n, 2)[None, :] < np.arange(o, n, 2)[:, None],
+                      np.outer(root[o::2], root[1 - o::2]), 0.0) for o in (0, 1)]
+    a = np.arange(1, n) / np.sqrt(4.0 * np.arange(1, n) ** 2 - 1.0)  # a[j - 1] = a_j
+    times_x = np.diag(a[::2]) + np.diag(a[1:-1:2], -1)  # even coefficients -> odd ones of x h
+    over_x = np.linalg.inv(times_x)
+    maps = np.array([[np.eye(n // 2), deriv[0] @ over_x], [over_x, deriv[1]]])
+    p.flags.writeable = maps.flags.writeable = False
+    return x, p, maps
+
+
+def _series_fn(spec, k):
+    """Full-band (g, g') of eigenfunction k from its Ritz vector (:func:`_ritz`),
+    summed as a Legendre series on the left half band (:func:`_grid_basis`)
+    and mirrored, or None where the Ritz solve does not vouch for eigenvalue k,
+    where the basis would pass _BASIS_SIZE samples (fine grids at large mu), or
+    where the half band does not show the (k - 1) // 2 nodes of eigenfunction
+    k (at large mu its tails sit below the series' roundoff, which changes
+    sign).
+
+    Each series is summed by its own vector-matrix products, not one batched
+    product, so it does not depend on the other ks requested.
+    """
+    if _ritz_eigenvalue(spec, k) is None:
+        return None
+    odd = k % 2 == 0
+    c = _ritz(spec, _parity(k))[1][(k - 1) // 2]
+    m = _disc(spec)["left"].size
+    if c.size * m > _BASIS_SIZE:
+        return None
+    x, p, maps = _grid_basis(m, 2 * c.size)
+    g, gx = ((c @ a) @ p for a in maps[int(odd)])
+    g, gx = (x * g, gx) if odd else (g, x * gx)
+    if spec.bc == "dirichlet":  # 1 - x^2 is exactly 0.0 at x = -1
+        g, gx = (1.0 - x * x) * g, (1.0 - x * x) * gx - 2.0 * x * g
+    if _nodes(g) != (k - 1) // 2:
+        return None
+    return mirror_half(g, gx / spec.half_width, even=not odd, left=True)
 
 
 def _root(spec, k):
@@ -471,8 +554,10 @@ def _eigenpair(spec, th, k, lam, g, gp):
 
 
 def eigen_pairs(spec: SLSpec, ks) -> list[SLEigenpair]:
-    """Eigenpairs k of ``ks``: memoized eigenvalues, one lane-batched assembly
-    and one batched normalization (L^2 norm of weight sin^{d-2}).
+    """Eigenpairs k of ``ks``: memoized eigenvalues, their eigenfunctions as
+    Legendre series (:func:`_series_fn`) or, where the Ritz solve does not
+    vouch for one, from one lane-batched assembly of shots, and one batched
+    normalization (L^2 norm of weight sin^{d-2}).
 
     The eigenfunctions are not cached.
     """
@@ -482,7 +567,14 @@ def eigen_pairs(spec: SLSpec, ks) -> list[SLEigenpair]:
         return []
     disc = _disc(spec)
     th = disc["theta"]
-    g, gp = (np.array(v) for v in zip(*_assemble_fn(spec, disc, lams, map(_parity, ks))))
+    fns = [_series_fn(spec, k) for k in ks]
+    shot = [i for i, fn in enumerate(fns) if fn is None]
+    if shot:
+        assembled = _assemble_fn(spec, disc, [lams[i] for i in shot],
+                                 [_parity(ks[i]) for i in shot])
+        for i, fn in zip(shot, assembled):
+            fns[i] = fn
+    g, gp = (np.array(v) for v in zip(*fns))
     # an exact power-of-two prescale keeps g*g finite when g is huge (large mu)
     scale = 2.0 ** np.frexp(np.max(np.abs(g), axis=1))[1][:, None]
     g, gp = g / scale, gp / scale

@@ -41,8 +41,8 @@ def bmodes7(p7):
 
 @pytest.fixture
 def shots_only(monkeypatch):
-    """Band eigenvalues from the shooting path alone, on a memo cleared before
-    and after: the Ritz check refuses every eigenvalue."""
+    """Band eigenvalues and eigenfunctions from the shooting path alone, on a
+    memo cleared before and after: the Ritz check refuses every eigenvalue."""
     monkeypatch.setattr(sl, "_ritz_eigenvalue", lambda spec, k: None)
     sl._memo.clear()
     yield

@@ -112,9 +112,10 @@ def test_verify_work_count(tmp_path, monkeypatch):
     # by Sturm counts and the modes with eigenvalues below d - 1 last, whose
     # eigenvalues below d - 1 are solved together; each band eigenvalue is
     # solved once, by the Ritz solve, which vouches for every one of them here,
-    # and the profile is one shot of the kernel (the aperture is a series
-    # root): verify --dim 7 in a fresh process makes 11 shots, all of them
-    # trajectory shots (the profile, the Sturm counts and the eigenfunctions)
+    # the eigenfunctions verify identifies are its Legendre series, and the
+    # profile is one shot of the kernel (the aperture is a series root):
+    # verify --dim 7 in a fresh process makes 8 shots, all of them trajectory
+    # shots (the profile and the Sturm counts)
     from conespec import boundary, kernels, profile, sl
     sl._memo.clear()
     sl._ritz.cache_clear()
@@ -128,7 +129,7 @@ def test_verify_work_count(tmp_path, monkeypatch):
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(mod, name, counted)
     assert run(["verify", "--dim", "7", "--out", str(tmp_path / "v.json")]) == 0
-    assert 0 < len(shots) <= 11, len(shots)
+    assert 0 < len(shots) <= 8, len(shots)
 
 
 def test_second_particular_reuses_cone_and_eigenpairs(tmp_path, monkeypatch):

@@ -139,3 +139,23 @@ def test_decay_exponents(link3, link7):
     assert any(abs(x - (-2.5 + delta1)) < 1e-9 for x in d7)
     with pytest.raises(ValueError):
         decay_exponents([])
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-13, -1e-13])
+@pytest.mark.parametrize("d", [7, 12])
+def test_tied_eigenvalues_come_out_by_source(d, shift, monkeypatch):
+    # (0, 2) and (1, 1) are both the translations' eigenvalue 0 and agree to
+    # roundoff: within the solver's tolerance entries are ordered by source,
+    # not by the last bits of their eigenvalues, here moved by ``shift``
+    from conespec import linkspec
+    solved = linkspec.eigenvalues
+
+    def moved(spec, ks):
+        return [lam + shift * (spec.mu == 0.0 and k == 2) for k, lam in zip(ks, solved(spec, ks))]
+
+    monkeypatch.setattr(linkspec, "eigenvalues", moved)
+    entries = link_spectrum(solve_profile(d), 4.0 * d).entries
+    sources = [e.source for e in entries]
+    i = sources.index((0, 2))
+    assert sources[i + 1] == (1, 1), sources[:4]
+    assert abs(entries[i].lam - entries[i + 1].lam) <= 1e-12

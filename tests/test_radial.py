@@ -428,10 +428,10 @@ def test_classify_decay_basis_check(base_build):
 
 def test_project_interior_work_count(p7, bmodes7, monkeypatch):
     # one sphere degree's eight eigenpairs are solved together: the Ritz
-    # solve vouches for all eight eigenvalues, so the only kernel call is the
-    # one trajectory call of the eigenfunctions.  On a fresh memo at d = 7
-    # that is 1 kernel call, where shooting the eigenvalues from the Ritz
-    # seeds' 1e-7 brackets made 5 and one eigenpair at a time made 53.
+    # solve vouches for all eight eigenvalues and their eigenfunctions are its
+    # Legendre series, so on a fresh memo at d = 7 no kernel is called, where
+    # shooting the eigenfunctions made 1 call, shooting the eigenvalues from the
+    # Ritz seeds' 1e-7 brackets 5 and one eigenpair at a time 53.
     from conespec import kernels, sl
     u1, f = transfer_boundary(make_source(BETA, {1: 1.0}), bmodes7, p7)
     assert len({m.ell for m in f.modes}) == 1
@@ -444,7 +444,7 @@ def test_project_interior_work_count(p7, bmodes7, monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(sl, name, counted)
     project_interior(f, p7)
-    assert 0 < len(calls) <= 1, len(calls)
+    assert len(calls) == 0, len(calls)
 
 
 @pytest.mark.parametrize("dim", [3, 7, 12])

@@ -539,6 +539,70 @@ def test_eigenfunctions_mirror_exactly(p7, bc):
         assert np.array_equal(pair.fn_prime[:c], -sign * pair.fn_prime[:c:-1]), k
 
 
+def _kernel_calls(monkeypatch):
+    """Calls of either band kernel from sl, counted into the returned list."""
+    calls = []
+    for name in ("propagate_band", "propagate_band_end"):
+        def counted(*args, _fn=getattr(sl, name)):
+            calls.append(1)
+            return _fn(*args)
+        monkeypatch.setattr(sl, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
+@pytest.mark.parametrize("d", [3, 7, 12, 24])
+def test_series_eigenfunctions_match_fine_shots(seed_profiles, d, bc, monkeypatch):
+    # an eigenfunction whose eigenvalue the Ritz solve vouches for is its Ritz
+    # vector's Legendre series, with no shot.  Against the shot at the same
+    # eigenvalue on a grid 4 times finer (every 4th sample) the series read
+    # <= 6.1e-12 of max|fn| and max|fn'| (k <= 8); the eigenvalues it refuses
+    # (k = 7, 8 at d = 3, mu = 500) are shot on both grids, and their
+    # eigenfunctions differ by 2.0e-10 and 2.3e-10, the RK4 error.  Robin data
+    # hold to 5.3e-12 of max|fn'|, and the Dirichlet ends are exactly 0.0.
+    for mu in (0.0, 5.0, 84.0, 500.0):
+        spec = band_spec(seed_profiles[d], mu, bc)
+        vouched = [k for k in range(1, 9) if sl._ritz_eigenvalue(spec, k) is not None]
+        assert vouched[:6] == list(range(1, 7)), (mu, vouched)
+        sl._memo.clear()
+        with monkeypatch.context() as m:
+            calls = _kernel_calls(m)
+            eigen_pairs(spec, vouched)
+        assert not calls, (mu, len(calls))
+        with monkeypatch.context() as m:
+            m.setattr(sl, "_series_fn", lambda spec, k: None)
+            shots = eigen_pairs(dataclasses.replace(spec, grid_n=16384), range(1, 9))
+        for a, b in zip(eigen_pairs(spec, range(1, 9)), shots):
+            assert a.nodes == b.nodes == a.k - 1
+            assert (a.lam == b.lam) == (a.k in vouched)  # a shot's root moves with the grid
+            tol = 5e-11 if a.k in vouched else 5e-10
+            for u, v in ((a.fn, b.fn[::4]), (a.fn_prime, b.fn_prime[::4])):
+                assert np.max(np.abs(u - v)) <= tol * np.max(np.abs(u)), (mu, a.k)
+            if bc == "robin":
+                assert max(a.bc_residual) <= 1e-9 * np.max(np.abs(a.fn_prime)), (mu, a.k)
+            else:
+                assert a.fn[0] == 0.0 and a.fn[-1] == 0.0, (mu, a.k)
+
+
+@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
+def test_series_falls_back_to_a_shot(p7, bc, monkeypatch):
+    # at mu = 1e7 (N = 256) the Ritz solve vouches for the eigenvalues, but the
+    # series' tails sit below its roundoff and change sign, so the node check
+    # refuses it and the eigenfunction is shot; at mu = 84 nothing is shot,
+    # unless the basis (24 rows of 2,049 samples) would pass _BASIS_SIZE
+    for mu, size, shot in ((84.0, sl._BASIS_SIZE, False), (1e7, sl._BASIS_SIZE, True),
+                           (84.0, 24 * 2049 - 1, True)):
+        spec = band_spec(p7, mu, bc)
+        ks = range(1, 5)
+        assert all(sl._ritz_eigenvalue(spec, k) is not None for k in ks)
+        eigenvalues(spec, ks)
+        with monkeypatch.context() as m:
+            m.setattr(sl, "_BASIS_SIZE", size)
+            calls = _kernel_calls(m)
+            pairs = eigen_pairs(spec, ks)
+        assert bool(calls) == shot, (mu, size, len(calls))
+        assert [pair.nodes for pair in pairs] == [k - 1 for k in ks]
+
 
 def test_band_grid_is_shared_and_read_only(p7):
     # every mu and bc on one band holds the same grid, so no caller may write into it
