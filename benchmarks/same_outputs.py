@@ -82,6 +82,11 @@ RUNS = (
     ["--config", "grid1024.json", "particular", "--dim", "7", "--beta", "0.7",
      "--modes", "modes.json"],
     ["--config", "grid1024.json", "criticality", "--dim", "7"],
+    # counts read off the vouched Ritz values on a wide cone, a narrow one and a
+    # coarse grid
+    ["verify", "--dim", "40"],
+    ["spectrum", "--dim", "24", "--lambda-max", "500"],
+    ["--config", "grid1024.json", "spectrum", "--dim", "7", "--lambda-max", "300"],
 )
 
 

@@ -29,11 +29,13 @@ from .spheremodes import _MAX_DEGREE, SphereMode, modes_up_to
 # config field: identification is structural and the margin only absorbs
 # integrator noise.
 _FN_TOL = 1e-5
-# Largest h^2*lambda_max on a band grid of step h.  It bounds the shots: the
-# Sturm counts, and an eigenvalue the Ritz solve does not vouch for, whose
-# shot's relative error grows like 0.018*(h^2*lambda)^2 (d = 7, FD oracle), so
-# it stays <= 1e-8, with its eigenfunction.  A Ritz eigenvalue does not use the
-# grid, and its eigenfunction is its Legendre series sampled on it.
+# Largest h^2*lambda_max on a band grid of step h.  It bounds the shots: an
+# eigenvalue the Ritz solve does not vouch for, whose shot's relative error
+# grows like 0.018*(h^2*lambda)^2 (d = 7, FD oracle), so it stays <= 1e-8, with
+# its eigenfunction, and the counts shot within sl's 1e-8 relative margin of a
+# Ritz value or past the values it vouches for.  A Ritz eigenvalue and a Ritz
+# count do not use the grid, and a Ritz eigenfunction is its Legendre series
+# sampled on it.
 _H2_LAMBDA_MAX = 7.5e-4
 
 
@@ -233,10 +235,11 @@ def verify_strong_integrability(p: ConeProfile,
     absence of any other eigenvalue at or below d-1.
 
     Only the bottom of the spectrum is solved, by slicing each sphere mode
-    with Sturm counts (:func:`_walk` with low = min(d-1+tol, 4d) and cap =
-    4d): every eigenvalue below low, and those below min(best+tol, 4d),
-    where best ends as the gap.  With no eigenvalue in (low, 4d] the gap is
-    inf.
+    with eigenvalue counts (:func:`_walk` with low = min(d-1+tol, 4d) and
+    cap = 4d), read off the vouched Ritz values and shot only within their
+    margin or past them (:func:`conespec.sl.count_below`): every eigenvalue
+    below low, and those below min(best+tol, 4d), where best ends as the gap.
+    With no eigenvalue in (low, 4d] the gap is inf.
     """
     cfg = cfg or DEFAULT_CONFIG
     d = p.dim

@@ -29,10 +29,12 @@ k, or large mu) the eigenvalue is shot: one generator (:func:`_root`) yields
 the shots it needs, the Ritz value as a seed (:func:`_seeds`), node-count
 isolation (:func:`_isolate`) only if the seed bracket misses, then Brent's
 method on the midpoint defect, and :func:`_solve` drives one spec's shots
-together.  A counting shot stops the
-trajectory's down-sweep at the coarsest stride that the Sturm comparison
-theorem proves still sees every node (:func:`_count_skip`).
-:func:`count_below` stays a Sturm shot, as a Ritz count can only undercount.
+together.  :func:`count_below` counts the Ritz values below lam, which by
+min-max have as many eigenvalues below them, where the first value of each
+parity at or above lam is vouched for and no value lies within _COUNT_MARGIN
+of lam (:func:`_ritz_count`); otherwise it is a Sturm shot.  A counting shot
+stops the trajectory's down-sweep at the coarsest stride that the Sturm
+comparison theorem proves still sees every node (:func:`_count_skip`).
 :func:`eigenvalues` memoizes per (spec, k).  :func:`eigen_pairs` takes each
 eigenfunction whose eigenvalue the Ritz solve vouches for as its Ritz vector's
 Legendre series on the left half band, mirrored (:func:`_series_fn`, on one
@@ -68,6 +70,9 @@ _RITZ_N = (48, 256)  # Legendre degrees of the Ritz basis: floor and cap
 _NEWTON_CAP = 20     # Newton steps for the Gauss nodes (4 suffice from Tricomi's estimates)
 _MEMO_SIZE = 4096    # memoized eigenvalues (floats only)
 _LAM_TOL = 1e-10     # Ritz acceptance and Brent tolerance on each eigenvalue
+# relative distance from every Ritz value within which a count is shot: 100 times
+# the Ritz tolerance, and no wider than a shot's error under linkspec's h^2 lam guard
+_COUNT_MARGIN = 100 * _LAM_TOL
 _BASIS_SIZE = 1 << 22  # samples of one series basis (32 MB): past it eigenfunctions are shot
 
 
@@ -254,7 +259,11 @@ def _assemble_fn(spec, disc, lams, parities):
 
 
 def count_below(spec: SLSpec, lam: float) -> int:
-    """Number of band eigenvalues strictly below ``lam`` (one counting shot)."""
+    """Number of band eigenvalues strictly below ``lam``: the Ritz count
+    (:func:`_ritz_count`) where it vouches for itself, else one counting shot."""
+    n = _ritz_count(spec, lam)
+    if n is not None:
+        return n
     shot = _half_shot(spec, _disc(spec), lam)
     return _phase_count(*shot, "even") + _phase_count(*shot, "odd")
 
@@ -353,6 +362,27 @@ def _ritz(spec: SLSpec, parity: str) -> tuple[np.ndarray, np.ndarray]:
     vectors = vec[:, :np.logical_and.accumulate(agree).sum()].T.copy()
     values.flags.writeable = vectors.flags.writeable = False
     return values, vectors
+
+
+def _ritz_count(spec, lam):
+    """Ritz values of both parities (:func:`_ritz`) below ``lam``, or None unless,
+    in each parity, the first value at or above lam is one the solve vouches
+    for and every value lies more than _COUNT_MARGIN max(1, |lam|) from lam.
+
+    By min-max each value below lam has an eigenvalue below it; the first
+    value above it is vouched, so its eigenvalue lies within ~1e-10 of it,
+    well inside the margin, and so above lam.
+    """
+    margin = _COUNT_MARGIN * max(1.0, abs(lam))
+    n = 0
+    for parity in ("even", "odd"):
+        values, vectors = _ritz(spec, parity)
+        below = int(np.count_nonzero(values < lam))
+        # written so that a NaN lam, clear of nothing, is refused too
+        if below >= len(vectors) or not (np.abs(values - lam) > margin).all():
+            return None
+        n += below
+    return n
 
 
 def _seeds(spec: SLSpec, parity: str) -> tuple[float, ...]:

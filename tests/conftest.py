@@ -41,9 +41,11 @@ def bmodes7(p7):
 
 @pytest.fixture
 def shots_only(monkeypatch):
-    """Band eigenvalues and eigenfunctions from the shooting path alone, on a
-    memo cleared before and after: the Ritz check refuses every eigenvalue."""
+    """Band eigenvalues, eigenfunctions and counts from the shooting path
+    alone, on a memo cleared before and after: the Ritz check refuses every
+    eigenvalue and every count."""
     monkeypatch.setattr(sl, "_ritz_eigenvalue", lambda spec, k: None)
+    monkeypatch.setattr(sl, "_ritz_count", lambda spec, lam: None)
     sl._memo.clear()
     yield
     sl._memo.clear()

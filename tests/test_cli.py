@@ -109,13 +109,13 @@ def test_verify_sweep_exit_codes(tmp_path):
 
 def test_verify_work_count(tmp_path, monkeypatch):
     # verify solves the link spectrum only up to its gap, slicing each mode
-    # by Sturm counts and the modes with eigenvalues below d - 1 last, whose
+    # by counts and the modes with eigenvalues below d - 1 last, whose
     # eigenvalues below d - 1 are solved together; each band eigenvalue is
     # solved once, by the Ritz solve, which vouches for every one of them here,
-    # the eigenfunctions verify identifies are its Legendre series, and the
-    # profile is one shot of the kernel (the aperture is a series root):
-    # verify --dim 7 in a fresh process makes 8 shots, all of them trajectory
-    # shots (the profile and the Sturm counts)
+    # every count is a count of its vouched Ritz values, clear of each by more
+    # than the margin, the eigenfunctions verify identifies are its Legendre
+    # series, and the profile is one shot of the kernel (the aperture is a
+    # series root): verify --dim 7 in a fresh process makes 1 shot, the profile's
     from conespec import boundary, kernels, profile, sl
     sl._memo.clear()
     sl._ritz.cache_clear()
@@ -129,7 +129,7 @@ def test_verify_work_count(tmp_path, monkeypatch):
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(mod, name, counted)
     assert run(["verify", "--dim", "7", "--out", str(tmp_path / "v.json")]) == 0
-    assert 0 < len(shots) <= 8, len(shots)
+    assert len(shots) == 1, len(shots)
 
 
 def test_second_particular_reuses_cone_and_eigenpairs(tmp_path, monkeypatch):

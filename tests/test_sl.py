@@ -3,6 +3,7 @@ finite-difference oracle, oscillation/ordering properties, and frozen d=7
 reference eigenvalues."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -11,8 +12,10 @@ import pytest
 from conespec import profile, sl
 from conespec.config import GRID_N_MAX, SolverConfig
 from conespec.errors import ZeroDenominator
+from conespec.linkspec import _H2_LAMBDA_MAX
 from conespec.sl import (SLSpec, band_spec, count_below, eigen_fd_crosscheck, eigen_k,
                          eigen_pairs, eigenvalue, eigenvalues, rayleigh)
+from conespec.spheremodes import SphereMode
 
 # d=7 interior Robin eigenvalues, frozen after cross-checking against the
 # Richardson-extrapolated FD values below (agreement ~1e-9 at grid_n=4096).
@@ -282,7 +285,7 @@ def test_seeds_far_above_their_eigenvalues_are_isolated(p7, bc, monkeypatch, sho
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-9, (got, want)
 
 
-def test_count_below_shoots_once(p7, monkeypatch):
+def test_count_below_shoots_once(p7, monkeypatch, shots_only):
     # both parities are read off one left half-band trajectory
     spec = band_spec(p7, 5.0, "robin")
     calls = []
@@ -295,6 +298,57 @@ def test_count_below_shoots_once(p7, monkeypatch):
     monkeypatch.setattr(sl, "propagate_band_end", None)  # must not be called
     assert count_below(spec, 20.0) == 2  # 0 and 6 (FROZEN_D7), not 31.22
     assert len(calls) == 1
+
+
+def _guarded(spec, top):
+    """``spec`` on the coarsest power-of-two grid, no coarser than its own, whose
+    step h keeps h^2 top within linkspec's guard on the shots."""
+    n = 2.0 * spec.half_width * math.sqrt(top / _H2_LAMBDA_MAX)
+    return dataclasses.replace(spec, grid_n=max(spec.grid_n, 1 << math.ceil(math.log2(n))))
+
+
+@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
+@pytest.mark.parametrize("d", [3, 7, 12, 24, 40])
+def test_ritz_count_matches_shot_count(d, bc):
+    # the scan: each vouched value +- 1e-6 (what linkspec._walk asks for),
+    # +- twice the margin, and the midpoints between values.  The Ritz count
+    # answers exactly where the first value of each parity at or above lam is
+    # vouched and no value lies within the margin, and there it equals the
+    # counting shot's, whose lanes are taken on a grid that resolves the scan
+    # as linkspec's guard demands (at d = 7, mu = 1e6 the default grid's shot
+    # undercounts by one just above a value: its h^2 lam is 100 times the guard's)
+    p = profile.solve_profile(d)
+    for mu in [SphereMode.of(d, ell).mu for ell in range(4)] + [1e4, 1e5, 1e6]:
+        spec = band_spec(p, mu, bc)
+        vouched = [sl._ritz(spec, parity) for parity in ("even", "odd")]
+        values = np.sort(np.concatenate([v[:len(c)] for v, c in vouched]))
+        margins = 2 * sl._COUNT_MARGIN * np.maximum(1.0, np.abs(values))
+        lams = np.concatenate([values - 1e-6, values + 1e-6, values - margins,
+                               values + margins, 0.5 * (values[:-1] + values[1:])])
+        margin = sl._COUNT_MARGIN * np.maximum(1.0, np.abs(lams))
+        clear = (np.abs(lams[:, None] - values) > margin[:, None]).all(axis=1)
+        answers = clear & (lams < min(v[len(c) - 1] for v, c in vouched) - margin)
+        ritz = [sl._ritz_count(spec, float(lam)) for lam in lams]
+        assert [n is not None for n in ritz] == answers.tolist(), (mu, lams)
+        fine = _guarded(spec, lams.max())
+        for lam, n, shot in zip(lams, ritz, sl._half_shots(fine, sl._disc(fine), lams.tolist())):
+            if n is not None:
+                assert n == sl._phase_count(*shot, "even") + sl._phase_count(*shot, "odd"), \
+                    (mu, lam, n)
+        assert answers.sum() >= values.size, (mu, int(answers.sum()))  # not a vacuous scan
+
+
+def test_count_below_shoots_only_inside_the_margin(p7, monkeypatch):
+    # a lam clear of every value is answered by the Ritz count with no kernel
+    # call; a lam within the margin of one is one counting shot
+    spec = band_spec(p7, 5.0, "robin")
+    lam3 = eigenvalue(spec, 3)
+    for lam, want, shots in ((20.0, 2, 0), (lam3 + 0.5 * sl._COUNT_MARGIN * lam3, 3, 1),
+                             (lam3 - 0.5 * sl._COUNT_MARGIN * lam3, 2, 1)):
+        with monkeypatch.context() as m:
+            calls = _kernel_calls(m)
+            assert count_below(spec, lam) == want, lam
+        assert len(calls) == shots, (lam, len(calls))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
