@@ -7,8 +7,13 @@ band; the functional is
 
 with chi the indicator of the (conical) support.  All angular pairings
 reduce to Gram matrices in the weight sin^{d-2}(theta); radial integrals
-use composite Boole quadrature on a uniform grid, with a coarsened re-run
-guarding against unresolved integrands.
+use composite Boole quadrature on a uniform grid of t = s/r in (0, 1], with
+a coarsened re-run guarding against unresolved integrands.  The powers
+s^{d-1} and s^{d-3} of the volume element split into r^d t^{d-1} and
+r^{d-2} t^{d-3}: the t-powers sit in per-dimension weight tables and the
+r-powers cancel against W's prefactor, so r^{-d} int_{B_r} is formed
+directly: W is answered at any radius where the field's values and their
+squares are finite, however far r^d under- or overflows.
 
 For the blow-up cone itself W is constant in r and equals the link measure
 over d; the derivative identity
@@ -24,6 +29,7 @@ quadrature pass over each radius gives W, dW/dr and the deficit together.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable
 
@@ -103,7 +109,7 @@ def _fd1(f: Callable) -> Callable:
     """Fourth-order central difference of f, step 1e-4 r; f is called once,
     on all stencil points in the order -2h, -h, +h, +2h."""
     def df(r: np.ndarray) -> np.ndarray:
-        h = 1e-4 * np.maximum(r, 1e-8)
+        h = 1e-4 * r
         steps = np.arange(-2.0, 3.0)[_FD1_TAPS]
         v = f((r[:, None] + h[:, None] * steps).ravel()).reshape(r.size, -1)
         return v @ D1_WEIGHTS[_FD1_TAPS] / (12 * h)
@@ -134,10 +140,26 @@ def _boole_weights(n: int) -> np.ndarray:
 
 
 # Radial integrals over [0, r] sample s = r * _T.  The halved grid of the
-# Richardson check is every second node, so it reuses the same samples.
+# Richardson check is every second node, so it reuses the same samples.  The
+# plain Boole weights are only the base of _radial_weights, whose tables carry
+# the t-powers of the volume element as well.
 _T = np.linspace(0.0, 1.0, _N_RADIAL)[1:]
 _BOOLE = _boole_weights(_N_RADIAL)
 _BOOLE_HALF = _boole_weights((_N_RADIAL - 1) // 2 + 1)
+
+
+@functools.lru_cache(maxsize=8)  # 12 KB per dimension
+def _radial_weights(d: int) -> tuple[np.ndarray, ...]:
+    """(w_A, w_B, w_A_half, w_B_half): the Boole weights times t^{d-1} and
+    t^{d-3}, on the full grid _T and on its halved grid _T[1::2], read-only.
+
+    With A = rho'^T G_q rho' and B = rho^T G_q' rho sampled at s = r t,
+    r^{-d} int_0^r (A s^{d-1} + B s^{d-3}) ds = A @ w_A + (B @ w_B) / r^2."""
+    tables = tuple(boole * t ** k for t, boole in ((_T, _BOOLE), (_T[1::2], _BOOLE_HALF))
+                   for k in (d - 1, d - 3))
+    for w in tables:
+        w.flags.writeable = False
+    return tables
 
 
 def _rho_matrices(u: AxisymField, s: np.ndarray, order: int = 1):
@@ -159,6 +181,7 @@ def _weiss_values(u: AxisymField, radii: np.ndarray, grams) -> np.ndarray:
     integrand and b = rho^T G_q rho, W = |S^{d-2}| (r^{-d} I + sw/d - r^{-2} b)
     and the Leibniz rule gives dW/dr = |S^{d-2}| (-d r^{-d-1} I + r^{-d} y(r)
     + 2 r^{-3} b - 2 r^{-2} rho^T G_q rho'): t = 1 samples of the block.
+    r^{-d} I and r^{-d} y(r) come from _radial_weights, never from a power r^d.
     Radii are taken in order: the first one outside (0, r_max] raises
     InputError, the first whose Richardson error estimate from the halved
     grid exceeds _QUAD_TOL * max(1, |W|) raises GridTooCoarse.  ``grams`` is
@@ -166,29 +189,32 @@ def _weiss_values(u: AxisymField, radii: np.ndarray, grams) -> np.ndarray:
     d = u.dim
     gq, gqp, sw = grams
     sd2 = sphere_area(d - 2)
+    w_a, w_b, w_a_half, w_b_half = _radial_weights(d)
     bad = np.flatnonzero(~((radii > 0) & (radii <= u.r_max)))
     n_ok = int(bad[0]) if bad.size else radii.size
     out = np.empty((3, n_ok))
     for lo in range(0, n_ok, _BLOCK):
         r = radii[lo:min(lo + _BLOCK, n_ok)]
+        r2 = r * r
         s = (r[:, None] * _T).ravel()
         rr, rp, _ = _rho_matrices(u, s)
-        y = (np.einsum("is,ij,js->s", rp, gq, rp) * s ** (d - 1)
-             + np.einsum("is,ij,js->s", rr, gqp, rr) * s ** (d - 3)).reshape(r.size, -1)
-        full = r * (y @ _BOOLE)
-        half = r * (y[:, 1::2] @ _BOOLE_HALF)
+        a = np.einsum("is,ij,js->s", rp, gq, rp).reshape(r.size, -1)
+        b = np.einsum("is,ij,js->s", rr, gqp, rr).reshape(r.size, -1)
+        full = a @ w_a + (b @ w_b) / r2  # r^{-d} I
+        half = a[:, 1::2] @ w_a_half + (b[:, 1::2] @ w_b_half) / r2
         # rho(r) and rho'(r), the t = 1 samples (r * 1.0 is r exactly)
         end, dend = rr[:, _T.size - 1::_T.size], rp[:, _T.size - 1::_T.size]
         bnd = np.einsum("is,ij,js->s", end, gq, end)
-        w_val = sd2 * (full / r ** d + sw / d - bnd / r ** 2)
-        est = sd2 * np.abs(full - half) / (_RICHARDSON * r ** d)
+        w_val = sd2 * (full + sw / d - bnd / r2)
+        est = sd2 * np.abs(full - half) / _RICHARDSON
         coarse = np.flatnonzero(est > _QUAD_TOL * np.fmax(1.0, np.abs(w_val)))
         if coarse.size:
             i = coarse[0]
             raise GridTooCoarse(
                 f"radial quadrature unresolved at r={r[i]:g} (estimate {est[i]:.2e})")
         cross = np.einsum("is,ij,js->s", end, gq, dend)
-        dw = sd2 * ((y[:, -1] - d * full / r) / r ** d + 2 * (bnd / r - cross) / r ** 2)
+        y_end = (a[:, -1] + b[:, -1] / r2) / r  # r^{-d} y(r)
+        dw = sd2 * (y_end - d * full / r + 2 * (bnd / r - cross) / r2)
         c = r * dend - end
         deficit = 2.0 * sd2 * np.einsum("is,ij,js->s", c, gq, c) / r ** 3
         out[:, lo:lo + r.size] = w_val, dw, deficit
@@ -210,13 +236,13 @@ def _harmonic_correction(u: AxisymField, r: float, grams) -> float:
     harmonic on its support, e.g. for the cone solution itself)."""
     d = u.dim
     gq, gqp, _ = grams
+    w_a, w_b, _, _ = _radial_weights(d)
     s = r * _T
     rr, rp, rpp = _rho_matrices(u, s, order=2)
     e = s * rp - rr
     radial = np.einsum("is,ij,js->s", e, gq, rpp + (d - 1) * rp / s)
     angular = -np.einsum("is,ij,js->s", e, gqp, rr)
-    y = radial * s ** (d - 1) + angular * s ** (d - 3)
-    return -2.0 * sphere_area(d - 2) * r * float(_BOOLE @ y) / r ** (d + 1)
+    return -2.0 * sphere_area(d - 2) * float(radial @ w_a + angular @ w_b / (r * r)) / r
 
 
 @finite("non-finite Weiss energy")
@@ -326,6 +352,7 @@ def F_functional(band_halfwidth: float, p: ConeProfile, d: int) -> float:
     return (_kappa0_sq(p) * (eigenvalue(spec, 1) - (d - 1)) + area) / d
 
 
+@functools.lru_cache(maxsize=8)  # keyed by the profile's identity, as profiles are memoized
 def _kappa0_sq(p: ConeProfile) -> float:
     """kappa0^2, the squared L^2(S^{d-1}) norm of the reference profile."""
     d = p.dim

@@ -473,6 +473,8 @@ _IN_CHILD = {"modes --dim 7 --mu-max nan", "modes --dim 7 --mu-max inf",
     ("boundary-spectrum --dim 7 --count 401", 64,
      "invalid input: count must be <= 400, got 401: boundary modes are enumerated up to "
      "sphere degree 200"),
+    # r^60 under- and overflows here, but W of the cone does not depend on r
+    ("weiss --dim 60 --field @cone --radii 1e-6,1e6", 0, None),
 ])
 def test_cli_exit_contract(tmp_path, capsys, argv, code, message):
     # every rejected input exits cleanly (64 bad input, 2 numerical failure),

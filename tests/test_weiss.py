@@ -13,9 +13,9 @@ from scipy.integrate import simpson
 from conespec.boundary import sphere_area
 from conespec.errors import GridTooCoarse, MissingCoefficient, NonFiniteResult, NumericalError
 from conespec.profile import solve_profile
-from conespec.weiss import (AxisymField, Component, F_functional, cone_field,
-                            foliation_leading_term, halfplane_field,
-                            link_measure_identity, perturbed_field,
+from conespec.weiss import (_BOOLE, _T, AxisymField, Component, F_functional, _grams,
+                            _rho_matrices, cone_field, foliation_leading_term,
+                            halfplane_field, link_measure_identity, perturbed_field,
                             power_field, weiss, weiss_derivative_check,
                             weiss_report)
 
@@ -190,6 +190,9 @@ def test_finite_difference_fallback_matches_analytic_derivatives(p7):
         want = weiss_derivative_check(full, r)
         assert got[0] == pytest.approx(want[0], abs=1e-9)
         assert got[1] == pytest.approx(want[1], abs=1e-9)
+    # the stencil's step is 1e-4 s, so its points stay positive however small r is
+    for r in (1e-9, 1e-12):
+        assert weiss(bare, r) == pytest.approx(weiss(full, r), rel=1e-12)
 
 
 def _log_oscillating_field(p7):
@@ -250,6 +253,58 @@ def test_report_blocks_match_single_radius_calls(make, p_name, request):
 def _fields(p):
     return {"cone": cone_field(p), "halfplane": halfplane_field(p.dim),
             "power": power_field(p, 1.4), "perturbed": perturbed_field(p, 0.05, 1.5)}
+
+
+@pytest.mark.parametrize("dim, r", [(60, 1e-6), (60, 1e6), (7, 1e-50), (7, 1e60)])
+def test_cone_energy_is_scale_free_at_extreme_radii(dim, r, p7):
+    # r^d under- or overflows at these radii, while r^{-d} int_{B_r} of a
+    # 1-homogeneous field is the same number at every r
+    p = p7 if dim == 7 else solve_profile(dim)
+    ref = link_measure_identity(p)[1]
+    got = weiss(cone_field(p), r)
+    assert abs(got - ref) <= 1e-7 * abs(ref)
+    assert got == pytest.approx(weiss(cone_field(p), 1.0), rel=1e-12)
+    half = halfplane_field(dim)
+    got = weiss(half, r)
+    ref = sphere_area(dim - 1) / (2 * dim)
+    assert abs(got - ref) <= 1e-7 * ref
+    assert got == pytest.approx(weiss(half, 1.0), rel=1e-12)
+
+
+def _sample_power_weiss(u, radii):
+    """(W, dW_lhs, dW_rhs) by the radial quadrature with s^{d-1} and s^{d-3}
+    taken on the samples and the plain Boole weights, r^d divided out after."""
+    d = u.dim
+    gq, gqp, sw = _grams(u)
+    sd2 = sphere_area(d - 2)
+    r = np.asarray(radii, float)
+    s = (r[:, None] * _T).ravel()
+    rr, rp, _ = _rho_matrices(u, s)
+    y = (np.einsum("is,ij,js->s", rp, gq, rp) * s ** (d - 1)
+         + np.einsum("is,ij,js->s", rr, gqp, rr) * s ** (d - 3)).reshape(r.size, -1)
+    full = r * (y @ _BOOLE)
+    end, dend = rr[:, _T.size - 1::_T.size], rp[:, _T.size - 1::_T.size]
+    bnd = np.einsum("is,ij,js->s", end, gq, end)
+    cross = np.einsum("is,ij,js->s", end, gq, dend)
+    w = sd2 * (full / r ** d + sw / d - bnd / r ** 2)
+    dw = sd2 * ((y[:, -1] - d * full / r) / r ** d + 2 * (bnd / r - cross) / r ** 2)
+    c = r * dend - end
+    return w, dw, 2.0 * sd2 * np.einsum("is,ij,js->s", c, gq, c) / r ** 3
+
+
+@pytest.mark.parametrize("dim", [3, 7, 12, 24])
+def test_radial_weights_match_sample_powers(dim, p3, p7):
+    # the t-powers carried by the weight tables give what the powers of the
+    # samples gave, within rounding
+    p = {3: p3, 7: p7}.get(dim) or solve_profile(dim)
+    radii = np.exp(np.linspace(math.log(0.25), math.log(4.0), 37))
+    for name, u in _fields(p).items():
+        rep = weiss_report(u, radii)
+        want = _sample_power_weiss(u, radii)
+        for got, ref in zip((rep.W, rep.dW_lhs, rep.dW_rhs), want):
+            scale = np.fmax(np.abs(ref), np.fmax(1.0, np.abs(want[0])))
+            worst = np.max(np.abs(got - ref) / scale)
+            assert worst <= 1e-13, (name, worst)
 
 
 @pytest.mark.parametrize("dim", [3, 7, 12])
