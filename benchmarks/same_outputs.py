@@ -51,6 +51,9 @@ RUNS = (
     # the edge of the Ritz tolerance: the solve refuses lambda_8 and it is shot
     ["sl", "--dim", "3", "--mu", "500", "--bc", "dirichlet", "--k", "8"],
     ["sl", "--dim", "12", "--mu", "0", "--bc", "dirichlet", "--k", "2"],
+    # the highest k that particular projects on, where normalizing a series on its
+    # coefficients instead of by Simpson on the grid moves it most
+    ["sl", "--dim", "7", "--mu", "0", "--bc", "robin", "--k", "8"],
     ["report", "--dims", "3..12"],
     *(["verify", "--dim", d] for d in ("3", "7", "12", "24")),
     ["spectrum", "--dim", "7", "--lambda-max", "300"],

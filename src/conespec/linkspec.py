@@ -249,20 +249,19 @@ def verify_strong_integrability(p: ConeProfile,
     jf = jacobi_fields(p)
     th = p.grid
     w = np.sin(th) ** (d - 2)
-    # the analytic translation and rotation profiles with their L^2(w) norms
-    analytic = [(a, simpson(a * a * w, x=th)) for a in (jf["t1"], jf["tk"], jf["rot"])]
+    # the analytic translation and rotation profiles as rows, and their L^2(w) norms
+    analytic = np.array([jf["t1"], jf["tk"], jf["rot"]])
+    norms = simpson(analytic * analytic * w, x=th)
 
     def identify(entry):
         """Smallest relative L^2(w) misfit of one computed eigenfunction
-        against the span of an analytic profile (sign and scale free)."""
+        against the span of an analytic profile (sign and scale free): one
+        Simpson call per quantity, each row equal to its 1-D call."""
         ell, k = entry.source
         q = eigen_k(band_spec(p, SphereMode.of(d, ell).mu, "robin"), k).fn
         qq = simpson(q * q * w, x=th)
-        errs = []
-        for a, aa in analytic:
-            resid = q - (simpson(q * a * w, x=th) / aa) * a
-            errs.append(math.sqrt(simpson(resid * resid * w, x=th) / qq))
-        return min(errs)
+        resid = q - (simpson(q * analytic * w, x=th) / norms)[:, None] * analytic
+        return math.sqrt(simpson(resid * resid * w, x=th).min() / qq)
 
     match_err = 0.0
     for group in _clusters(entries, tol):

@@ -45,7 +45,13 @@ _N_RADIAL = 513     # Boole-compatible (4k+1) radial point count
 _RICHARDSON = 15.0  # halving gain assumed when estimating quadrature error
 _BLOCK = 16         # radii per batch: 16 x 512 samples keeps peak memory flat
 _N_HALFPLANE = 1025  # theta samples of the half-plane field on [0, pi/2]
-_QUAD_TOL = 1e-9    # relative error budget of the radial quadrature
+# Error budget of the radial quadrature, relative to max(1, |W|), so absolute
+# once |W| < 1.  W scales with |S^{d-2}| (W of the half-plane is 1.8e-9 at d = 40
+# and 1.6e-18 at d = 60), so at large d GridTooCoarse never fires while the Boole
+# rule's own error on int t^{d-1} (the w_A of _radial_weights sum off 1/d by
+# 3.2e-10 of it at d = 40, 4.2e-9 at 60, 9.9e-8 at 100) is W's relative error:
+# the half-plane reads exactly these at any _N_HALFPLANE from 1,025 to 8,193.
+_QUAD_TOL = 1e-9
 _UNIFORM_TOL = 1e-10  # relative spread of the theta steps that _derivative accepts
 _FD1_TAPS = D1_WEIGHTS != 0.0  # the samples the central first derivative weighs
 
@@ -264,7 +270,11 @@ def weiss_derivative_check(u: AxisymField, r: float):
 class WeissReport:
     r_values: np.ndarray
     W: np.ndarray
-    dW_lhs: np.ndarray   # dW/dr of W's definition, by the Leibniz rule
+    # dW/dr of W's definition, by the Leibniz rule: a difference of terms of size
+    # d |W| / r, so it carries a rounding error of order eps d |W| / r (the d = 7
+    # cone, W = 3.83 and dW/dr = 0, reads -3.6e-9 to -5.4e-9 at r = 1e-6, by the
+    # other radii of its block)
+    dW_lhs: np.ndarray
     dW_rhs: np.ndarray   # deficit term only
     kappa0: float
 

@@ -159,3 +159,40 @@ def test_tied_eigenvalues_come_out_by_source(d, shift, monkeypatch):
     i = sources.index((0, 2))
     assert sources[i + 1] == (1, 1), sources[:4]
     assert abs(entries[i].lam - entries[i + 1].lam) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 7, 12, 24])
+def test_match_error_equals_the_per_profile_loop(d, monkeypatch):
+    # identify takes each quantity in one Simpson call over the three analytic
+    # profiles as rows, and the rows of a 2-D call are its 1-D calls bit for
+    # bit: match_error_max equals the per-profile loop of 7 calls written out
+    # here, on the eigenfunctions that verify identified
+    import numpy as np
+
+    from conespec import linkspec
+    from conespec._quad import simpson
+    from conespec.profile import jacobi_fields
+
+    fns = []
+
+    def recorded(spec, k, _solve=linkspec.eigen_k):
+        pair = _solve(spec, k)
+        fns.append(pair.fn)
+        return pair
+
+    monkeypatch.setattr(linkspec, "eigen_k", recorded)
+    p = solve_profile(d)
+    rep = verify_strong_integrability(p)
+    assert len(fns) >= 2
+    jf, th = jacobi_fields(p), p.grid
+    w = np.sin(th) ** (d - 2)
+    analytic = [(a, simpson(a * a * w, x=th)) for a in (jf["t1"], jf["tk"], jf["rot"])]
+    match_err = 0.0
+    for q in fns:
+        qq = simpson(q * q * w, x=th)
+        errs = []
+        for a, aa in analytic:
+            resid = q - (simpson(q * a * w, x=th) / aa) * a
+            errs.append(math.sqrt(simpson(resid * resid * w, x=th) / qq))
+        match_err = max(match_err, min(errs))
+    assert rep.match_error_max == match_err

@@ -558,7 +558,9 @@ def test_lockstep_under_wrong_seeds_falls_back_to_isolation(p7, bc, monkeypatch,
 
 
 def test_eigen_pairs_equal_eigen_k(p7):
-    # one batched normalization of eight eigenfunctions, bit for bit the one-k path
+    # eight eigenpairs at once are bit for bit the one-k path: each series is
+    # summed and normalized on its own coefficients, and the rows of the shots'
+    # one batched Simpson normalization equal its 1-D calls
     for bc in ("robin", "dirichlet"):
         for mu in (0.0, 12.0):
             spec = band_spec(p7, mu, bc)
@@ -636,6 +638,58 @@ def test_series_eigenfunctions_match_fine_shots(seed_profiles, d, bc, monkeypatc
                 assert max(a.bc_residual) <= 1e-9 * np.max(np.abs(a.fn_prime)), (mu, a.k)
             else:
                 assert a.fn[0] == 0.0 and a.fn[-1] == 0.0, (mu, a.k)
+
+
+def _gauss_mass(spec, parity, c):
+    """c'Mc for Ritz coefficients c of one parity, M the band's L^2(sin^{d-2})
+    inner product over 2 theta0, by numpy's own Gauss-Legendre rule."""
+    n = sl._ritz_size(spec)
+    x, wt = np.polynomial.legendre.leggauss(2 * n + 40)
+    coef = np.zeros(n)
+    degrees = np.arange(parity == "odd", n, 2)
+    coef[degrees] = c * np.sqrt(degrees + 0.5)
+    g = np.polynomial.legendre.legval(x, coef)
+    if spec.bc == "dirichlet":
+        g = (1.0 - x * x) * g
+    return 0.5 * float(np.sum(wt * np.cos(spec.half_width * x) ** (spec.dim - 2) * g * g))
+
+
+@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
+@pytest.mark.parametrize("d", [3, 7, 12, 24])
+def test_series_eigenfunctions_are_normalized_on_their_coefficients(seed_profiles, d, bc,
+                                                                    monkeypatch):
+    # Ritz vectors are mass-orthonormal, c'Mc = 1, so a series is normalized on
+    # its coefficients and eigen_pairs integrates nothing on the grid unless it
+    # shoots: then one batched Simpson call normalizes the shots
+    from scipy.integrate import simpson
+    for mu in (0.0, 84.0, 500.0):
+        spec = band_spec(seed_profiles[d], mu, bc)
+        for parity in ("even", "odd"):
+            for c in sl._ritz(spec, parity)[1]:
+                assert abs(_gauss_mass(spec, parity, c) - 1.0) <= 1e-13, (mu, parity)
+        th = sl._disc(spec)["theta"]
+        w = np.sin(th) ** (d - 2)
+        series = [k for k in range(1, 9) if sl._series_fn(spec, k) is not None]
+        assert series[:6] == list(range(1, 7)), (mu, series)
+        for k in series:
+            g, gp = sl._series_fn(spec, k)
+            assert abs(simpson(g * g * w, x=th) - 1.0) <= 1e-11, (mu, k)
+            assert gp[0] > 0, (mu, k)
+        for ritz, want in ((True, 0), (False, 1)):
+            with monkeypatch.context() as m:
+                if not ritz:  # as shots_only: every eigenvalue and eigenfunction shot
+                    m.setattr(sl, "_ritz_eigenvalue", lambda spec, k: None)
+                    sl._memo.clear()
+                calls = []
+
+                def counted(*args, _simpson=sl.simpson, **kwargs):
+                    calls.append(1)
+                    return _simpson(*args, **kwargs)
+
+                m.setattr(sl, "simpson", counted)
+                eigen_pairs(spec, series if ritz else range(1, 9))
+            sl._memo.clear()
+            assert len(calls) == want, (mu, ritz, len(calls))
 
 
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
