@@ -10,7 +10,8 @@ boundary modes or the Weiss energy, including the refusals of
 ``spectrum``, of a boundary-mode count past the enumeration's cap and of a
 modes file with a non-integer key or cut-off JSON, and runs ``verify``,
 ``particular``, ``criticality`` and ``weiss`` once more under a ``--config``
-file; the input files are written to one temporary directory that both trees read.
+file, and ``weiss`` once over 41 radii; the input files are written to one
+temporary directory that both trees read.
 
     python3 benchmarks/same_outputs.py --a OLD/src --b NEW/src
 
@@ -96,6 +97,10 @@ RUNS = (
     ["weiss", "--dim", "60", "--field", "cone.json", "--radii", "1e-6,1,1e6"],
     ["--config", "grid1024.json", "weiss", "--dim", "7", "--field", "perturbed.json",
      "--radii", "0.5,1,2"],
+    # 41 radii from 0.25 to 4 at ratio 2^(1/10): three blocks of the report's
+    # sampling, a two-component field
+    ["weiss", "--dim", "9", "--field", "perturbed.json",
+     "--radii", ",".join(f"{0.25 * 2 ** (i / 10):.6g}" for i in range(41))],
 )
 
 

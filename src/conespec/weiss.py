@@ -38,12 +38,14 @@ import numpy as np
 from ._quad import D1_WEIGHTS, _derivative, simpson
 from .boundary import sphere_area
 from .errors import GridTooCoarse, InputError, MissingCoefficient, NumericalError, finite
-from .profile import ConeProfile, band_grid
-from .sl import SLSpec, band_spec, eigen_k, eigenvalue
+from .profile import ConeProfile
+from .sl import SLSpec, band_measure, band_spec, eigen_k, eigenvalue
 
 _N_RADIAL = 513     # Boole-compatible (4k+1) radial point count
 _RICHARDSON = 15.0  # halving gain assumed when estimating quadrature error
-_BLOCK = 16         # radii per batch: 16 x 512 samples keeps peak memory flat
+# radii per evaluation of the rho callables: 16 x 512 samples keeps peak memory
+# flat; the per-radius algebra after it runs once over all radii of a call
+_BLOCK = 16
 _N_HALFPLANE = 1025  # theta samples of the half-plane field on [0, pi/2]
 # Error budget of the radial quadrature, relative to max(1, |W|), so absolute
 # once |W| < 1.  W scales with |S^{d-2}| (W of the half-plane is 1.8e-9 at d = 40
@@ -182,51 +184,53 @@ def _rho_matrices(u: AxisymField, s: np.ndarray, order: int = 1):
 
 
 def _weiss_values(u: AxisymField, radii: np.ndarray, grams) -> np.ndarray:
-    """Rows W(u, r), dW/dr and the deficit for every radius, _BLOCK radii per
-    evaluation of the rho callables.  With I the radial integral, y its
-    integrand and b = rho^T G_q rho, W = |S^{d-2}| (r^{-d} I + sw/d - r^{-2} b)
-    and the Leibniz rule gives dW/dr = |S^{d-2}| (-d r^{-d-1} I + r^{-d} y(r)
-    + 2 r^{-3} b - 2 r^{-2} rho^T G_q rho'): t = 1 samples of the block.
+    """Rows W(u, r), dW/dr and the deficit for every radius.  With I the radial
+    integral, y its integrand and b = rho^T G_q rho, W = |S^{d-2}| (r^{-d} I +
+    sw/d - r^{-2} b) and the Leibniz rule gives dW/dr = |S^{d-2}| (-d r^{-d-1} I
+    + r^{-d} y(r) + 2 r^{-3} b - 2 r^{-2} rho^T G_q rho'): t = 1 samples.
     r^{-d} I and r^{-d} y(r) come from _radial_weights, never from a power r^d.
-    Radii are taken in order: the first one outside (0, r_max] raises
-    InputError, the first whose Richardson error estimate from the halved
-    grid exceeds _QUAD_TOL * max(1, |W|) raises GridTooCoarse.  ``grams`` is
-    :func:`_grams` of u."""
+    The rho callables are sampled _BLOCK radii at a time, each block keeping
+    r^{-d} I on the full and the halved grid and its t = 1 samples; the rest is
+    formed once over all radii.  The first radius outside (0, r_max] ends the
+    radii taken and raises InputError; before it, the first whose Richardson
+    error estimate from the halved grid exceeds _QUAD_TOL * max(1, |W|) raises
+    GridTooCoarse, checked once every block is sampled, so an overflow in any
+    block's samples raises first.  ``grams`` is :func:`_grams` of u."""
     d = u.dim
     gq, gqp, sw = grams
     sd2 = sphere_area(d - 2)
     w_a, w_b, w_a_half, w_b_half = _radial_weights(d)
     bad = np.flatnonzero(~((radii > 0) & (radii <= u.r_max)))
-    n_ok = int(bad[0]) if bad.size else radii.size
-    out = np.empty((3, n_ok))
-    for lo in range(0, n_ok, _BLOCK):
-        r = radii[lo:min(lo + _BLOCK, n_ok)]
-        r2 = r * r
-        s = (r[:, None] * _T).ravel()
+    r = radii[:int(bad[0]) if bad.size else radii.size]
+    r2 = r * r
+    full, half, y_end = np.empty((3, r.size))  # r^{-d} I, its halved-grid value, r^{-d} y(r)
+    end, dend = np.empty((2, len(u.components), r.size))  # rho(r) and rho'(r)
+    for lo in range(0, r.size, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        s = (r[blk, None] * _T).ravel()
         rr, rp, _ = _rho_matrices(u, s)
-        a = np.einsum("is,ij,js->s", rp, gq, rp).reshape(r.size, -1)
-        b = np.einsum("is,ij,js->s", rr, gqp, rr).reshape(r.size, -1)
-        full = a @ w_a + (b @ w_b) / r2  # r^{-d} I
-        half = a[:, 1::2] @ w_a_half + (b[:, 1::2] @ w_b_half) / r2
-        # rho(r) and rho'(r), the t = 1 samples (r * 1.0 is r exactly)
-        end, dend = rr[:, _T.size - 1::_T.size], rp[:, _T.size - 1::_T.size]
-        bnd = np.einsum("is,ij,js->s", end, gq, end)
-        w_val = sd2 * (full + sw / d - bnd / r2)
-        est = sd2 * np.abs(full - half) / _RICHARDSON
-        coarse = np.flatnonzero(est > _QUAD_TOL * np.fmax(1.0, np.abs(w_val)))
-        if coarse.size:
-            i = coarse[0]
-            raise GridTooCoarse(
-                f"radial quadrature unresolved at r={r[i]:g} (estimate {est[i]:.2e})")
-        cross = np.einsum("is,ij,js->s", end, gq, dend)
-        y_end = (a[:, -1] + b[:, -1] / r2) / r  # r^{-d} y(r)
-        dw = sd2 * (y_end - d * full / r + 2 * (bnd / r - cross) / r2)
-        c = r * dend - end
-        deficit = 2.0 * sd2 * np.einsum("is,ij,js->s", c, gq, c) / r ** 3
-        out[:, lo:lo + r.size] = w_val, dw, deficit
+        a = np.einsum("is,ij,js->s", rp, gq, rp).reshape(-1, _T.size)
+        b = np.einsum("is,ij,js->s", rr, gqp, rr).reshape(-1, _T.size)
+        full[blk] = a @ w_a + (b @ w_b) / r2[blk]
+        half[blk] = a[:, 1::2] @ w_a_half + (b[:, 1::2] @ w_b_half) / r2[blk]
+        y_end[blk] = (a[:, -1] + b[:, -1] / r2[blk]) / r[blk]
+        # the t = 1 samples (r * 1.0 is r exactly)
+        end[:, blk], dend[:, blk] = rr[:, _T.size - 1::_T.size], rp[:, _T.size - 1::_T.size]
+    bnd = np.einsum("is,ij,js->s", end, gq, end)
+    w_val = sd2 * (full + sw / d - bnd / r2)
+    est = sd2 * np.abs(full - half) / _RICHARDSON
+    coarse = np.flatnonzero(est > _QUAD_TOL * np.fmax(1.0, np.abs(w_val)))
+    if coarse.size:
+        i = coarse[0]
+        raise GridTooCoarse(
+            f"radial quadrature unresolved at r={r[i]:g} (estimate {est[i]:.2e})")
+    cross = np.einsum("is,ij,js->s", end, gq, dend)
+    dw = sd2 * (y_end - d * full / r + 2 * (bnd / r - cross) / r2)
+    c = r * dend - end
+    deficit = 2.0 * sd2 * np.einsum("is,ij,js->s", c, gq, c) / r ** 3
     if bad.size:
         raise InputError("radius must lie in (0, r_max of the field]")
-    return out
+    return np.array((w_val, dw, deficit))
 
 
 @finite("non-finite Weiss energy")
@@ -357,8 +361,7 @@ def F_functional(band_halfwidth: float, p: ConeProfile, d: int) -> float:
         raise InputError(f"dimension argument {d} != profile dimension {p.dim}")
     spec = SLSpec(dim=d, half_width=float(band_halfwidth), mu=0.0, bc="dirichlet",
                   grid_n=p.grid.size - 1)
-    thg = band_grid(spec.half_width, spec.grid_n)
-    area = sphere_area(d - 2) * float(simpson(np.sin(thg) ** (d - 2), x=thg))
+    area = sphere_area(d - 2) * band_measure(spec)
     return (_kappa0_sq(p) * (eigenvalue(spec, 1) - (d - 1)) + area) / d
 
 

@@ -127,11 +127,10 @@ def test_profile_is_one_kernel_trajectory(monkeypatch):
 
 
 def test_band_grid_outlives_an_aperture_scan(p7):
-    # an F_functional scan over more half-widths than any grid memo held
-    # leaves the profile's grid the one array for its half-width and size
-    from conespec.weiss import F_functional
+    # band grids at more half-widths than any grid memo held (F_functional
+    # builds none) leave the profile's grid the one array for its half-width and size
     for t in np.linspace(0.9, 1.1, 130) * p7.theta0:
-        F_functional(float(t), p7, 7)
+        band_grid(float(t), p7.grid.size - 1)
     assert band_grid(p7.theta0, p7.grid.size - 1) is p7.grid
     assert eigen_k(band_spec(p7, 0.0, "robin"), 2).grid is p7.grid
 

@@ -11,7 +11,7 @@ import pytest
 
 from conespec import profile, sl
 from conespec.config import GRID_N_MAX, SolverConfig
-from conespec.errors import ZeroDenominator
+from conespec.errors import BracketFail, ZeroDenominator
 from conespec.linkspec import _H2_LAMBDA_MAX
 from conespec.sl import (SLSpec, band_spec, count_below, eigen_fd_crosscheck, eigen_k,
                          eigen_pairs, eigenvalue, eigenvalues, rayleigh)
@@ -734,3 +734,60 @@ def test_band_problems_live_on_the_profile_grid(bc, grid_n):
     for pair in eigen_pairs(spec, range(1, 4)):
         assert pair.grid is p.grid
     assert np.shares_memory(sl._disc(spec)["left"], p.grid)
+
+
+def test_only_shot_eigenfunctions_count_full_band_nodes(p7, monkeypatch):
+    # a series shows its (k - 1) // 2 nodes on the half band and the mirror adds
+    # the rest, so only a shot eigenfunction is counted on the full band
+    spec = band_spec(p7, 0.0, "robin")
+    ks = range(1, 5)
+    assert all(sl._series_fn(spec, k) is not None for k in ks)
+    sizes = []
+    nodes = sl._nodes
+    monkeypatch.setattr(sl, "_nodes", lambda g: sizes.append(g.size) or nodes(g))
+    pairs = eigen_pairs(spec, ks)
+    assert [pair.nodes for pair in pairs] == [nodes(pair.fn) for pair in pairs] == [0, 1, 2, 3]
+    assert p7.grid.size not in sizes
+    sizes.clear()
+    monkeypatch.setattr(sl, "_series_fn", lambda s, k: None)
+    assert [pair.nodes for pair in eigen_pairs(spec, ks)] == [0, 1, 2, 3]
+    assert sizes.count(p7.grid.size) == len(ks)
+
+
+def test_shot_eigenfunction_with_wrong_nodes_raises(p7, shots_only):
+    # eigenfunction 3 shot at the 5th eigenvalue has 4 nodes, not 2
+    spec = band_spec(p7, 0.0, "robin")
+    sl._memo[spec, 3] = eigenvalue(spec, 5)
+    with pytest.raises(BracketFail, match="k=3 has 4 nodes"):
+        eigen_k(spec, 3)
+
+
+def test_vouched_eigenvalues_build_no_band_grid(p7, monkeypatch):
+    # every k that the Ritz solve vouches for is answered without a shot, so
+    # no band grid is built for a half-width no one has asked for before
+    def no_grid(spec):
+        raise AssertionError(f"band grid built at half-width {spec.half_width!r}")
+
+    monkeypatch.setattr(sl, "_disc", no_grid)
+    width = 0.9137 * p7.theta0
+    spec = SLSpec(dim=7, half_width=width, mu=0.0, bc="dirichlet", grid_n=p7.grid.size - 1)
+    assert sl._ritz_eigenvalue(spec, 1) is not None
+    assert eigenvalue(spec, 1) > 0.0
+    from conespec.weiss import F_functional
+    assert math.isfinite(F_functional(1.0137 * p7.theta0, p7, 7))
+
+
+def _cos_power_integral(n, w):
+    """int_{-w}^{w} cos^n x dx by I_n = 2 sin w cos^{n-1} w / n + (n-1)/n I_{n-2}."""
+    ints = [2.0 * w, 2.0 * math.sin(w)]
+    for j in range(2, n + 1):
+        ints.append(2.0 * math.sin(w) * math.cos(w) ** (j - 1) / j + (j - 1) / j * ints[j - 2])
+    return ints[n]
+
+
+def test_band_measure_matches_the_cosine_power_reduction():
+    for d in range(3, 101):
+        for w in np.linspace(0.05, math.pi / 2 - 1e-4, 40):
+            spec = SLSpec(dim=d, half_width=float(w), mu=0.0, bc="dirichlet")
+            want = _cos_power_integral(d - 2, float(w))
+            assert abs(sl.band_measure(spec) - want) <= 1e-14 * want, (d, w)

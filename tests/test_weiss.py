@@ -11,9 +11,10 @@ import pytest
 from scipy.integrate import simpson
 
 from conespec.boundary import sphere_area
-from conespec.errors import GridTooCoarse, MissingCoefficient, NonFiniteResult, NumericalError
+from conespec.errors import (GridTooCoarse, InputError, MissingCoefficient, NonFiniteResult,
+                             NumericalError)
 from conespec.profile import solve_profile
-from conespec.weiss import (_BOOLE, _T, AxisymField, Component, F_functional, _grams,
+from conespec.weiss import (_BLOCK, _BOOLE, _T, AxisymField, Component, F_functional, _grams,
                             _rho_matrices, cone_field, foliation_leading_term,
                             halfplane_field, link_measure_identity, perturbed_field,
                             power_field, weiss, weiss_derivative_check,
@@ -215,6 +216,22 @@ def test_grid_too_coarse(p7):
         weiss(u, 1.0)
 
 
+def _kinked_field(p, r_max=math.inf):
+    """u = r g(theta) for r <= 1 and r (1 + 0.5 sin(40 log r)) g(theta) beyond:
+    rho' jumps from 1 to 21 at r = 1, so radii up to 1 are resolved and the
+    radial quadrature of every radius past 1 is too coarse."""
+    def rho(r):
+        r = np.asarray(r, float)
+        return r * (1 + 0.5 * np.sin(40 * np.log(np.maximum(r, 1.0))))
+
+    def drho(r):
+        x = 40 * np.log(np.maximum(np.asarray(r, float), 1.0))
+        return 1 + 0.5 * np.sin(x) + 20 * np.cos(x) * (np.asarray(r, float) > 1.0)
+
+    comp = Component(rho=rho, q=p.g, drho=drho, q_prime=p.g_prime)
+    return AxisymField(p.dim, p.grid, (comp,), r_max=r_max)
+
+
 def test_report_errors_name_the_first_bad_radius(p7):
     u = _log_oscillating_field(p7)
     radii = [1.5, 0.75, 3.0]
@@ -229,6 +246,31 @@ def test_report_errors_name_the_first_bad_radius(p7):
     assert np.all(np.isfinite(weiss_report(capped, [1.0, 2.0]).dW_lhs))
     with pytest.raises(ValueError, match="r_max"):
         weiss_report(capped, [1.0, np.nextafter(2.0, 3.0)])
+    # across blocks: resolved radii fill the first block, the first coarse one
+    # sits past index _BLOCK, and a later block is coarse throughout
+    radii = [*np.linspace(0.3, 1.0, _BLOCK + 3), 1.5, *np.linspace(1.2, 1.9, _BLOCK)]
+    u = _kinked_field(p7)
+    assert np.all(np.isfinite(weiss_report(u, radii[:_BLOCK + 3]).W))
+    with pytest.raises(GridTooCoarse) as first:
+        weiss(u, 1.5)
+    with pytest.raises(GridTooCoarse) as report:
+        weiss_report(u, radii)
+    assert str(report.value) == str(first.value)
+    assert "r=1.5 " in str(report.value)
+    # a radius out of range before the first coarse one ends the radii evaluated
+    with pytest.raises(InputError, match="r_max"):
+        weiss_report(_kinked_field(p7, r_max=1.7), [*radii[:_BLOCK + 1], 1.8, *radii[_BLOCK + 1:]])
+
+
+def test_report_overflow_in_a_later_block_beats_a_coarse_radius(p7):
+    # every block's samples are taken before W is checked, so rho^2 overflowing
+    # at r = 1e200 in the second block raises before the coarse r = 1.5 of the first
+    u = _kinked_field(p7)
+    radii = [1.5, *np.linspace(0.3, 1.0, _BLOCK), 1e200]
+    with pytest.raises(GridTooCoarse):
+        weiss_report(u, radii[:-1])
+    with pytest.raises(NonFiniteResult):
+        weiss_report(u, radii)
 
 
 @pytest.mark.parametrize("make, p_name", [(_tapered_jacobi_field, "p3"),
@@ -237,8 +279,8 @@ def test_report_blocks_match_single_radius_calls(make, p_name, request):
     p = request.getfixturevalue(p_name)
     u = make(p)
     rng = np.random.default_rng(4)
-    radii = list(np.exp(rng.uniform(math.log(0.5), math.log(3.0), 36)))
-    radii.insert(20, radii[7])  # 37 radii: unsorted, one repeat, 2 blocks + 5
+    radii = list(np.exp(rng.uniform(math.log(0.5), math.log(3.0), 2 * _BLOCK + 4)))
+    radii.insert(20, radii[7])  # unsorted, one repeat, 2 blocks + 5
     rep = weiss_report(u, radii)
     want = np.array([weiss(u, r) for r in radii])
     assert np.all(np.abs(rep.W - want) <= 1e-14 * np.abs(want))
