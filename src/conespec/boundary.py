@@ -23,7 +23,7 @@ import numpy as np
 from .config import RES_TOL
 from .errors import DegenerateBasis, InputError, NonConvergent
 from .kernels import propagate_band
-from .profile import ConeProfile, mirror_half
+from .profile import ConeProfile, band_grid, mirror_half
 from .sl import _fv_robin
 from .spheremodes import SphereMode
 
@@ -53,9 +53,20 @@ def sphere_area(m: int) -> float:
     return 2.0 * math.pi ** (0.5 * (m + 1)) / math.gamma(0.5 * (m + 1))
 
 
-def _harmonic_pair(p: ConeProfile, mu: float):
-    """Even/odd fundamental solutions of the separated harmonic equation,
-    mirrored onto the full band grid of p."""
+# (dim, half-width, grid points, mu) -> the right half band's (qe, qe', qo, qo'),
+# read-only; past _PAIR_BUDGET samples the oldest pairs are dropped
+_PAIR_BUDGET = 1 << 18  # 2 MB: 31 pairs at the default grid
+_pairs: dict = {}
+
+
+def _half_pair(p: ConeProfile, mu: float):
+    """Even/odd fundamental solutions (q, q') on the right half band of p,
+    memoized in :data:`_pairs` when p's grid is its band grid (another grid is
+    not named by the key).  A pair past the budget, or a raising shot, is not kept."""
+    key = p.dim, p.theta0, p.grid.size, mu
+    memo = band_grid(p.theta0, p.grid.size - 1) is p.grid
+    if memo and key in _pairs:
+        return _pairs[key]
     right = p.grid[p.grid.size // 2:]
     # two start-state lanes, (1, 0) and (0, 1), over one step tree
     (qe, qo), (qpe, qpo) = propagate_band(p.dim - 2, mu, 0.0, right,
@@ -69,6 +80,20 @@ def _harmonic_pair(p: ConeProfile, mu: float):
         raise DegenerateBasis(
             f"fundamental solutions at mu={mu} lost independence "
             f"(Wronskian defect {abs(wr - 1.0):.2e})")
+    half = qe, qpe, qo, qpo
+    for a in half:
+        a.flags.writeable = False
+    if memo and 4 * right.size <= _PAIR_BUDGET:
+        _pairs[key] = half
+        while sum(4 * v[0].size for v in _pairs.values()) > _PAIR_BUDGET:
+            del _pairs[next(iter(_pairs))]
+    return half
+
+
+def _harmonic_pair(p: ConeProfile, mu: float):
+    """Even/odd fundamental solutions of the separated harmonic equation,
+    mirrored onto the full band grid of p (:func:`_half_pair`)."""
+    qe, qpe, qo, qpo = _half_pair(p, mu)
     return (mirror_half(qe, qpe, even=True, left=False),
             mirror_half(qo, qpo, even=False, left=False))
 
@@ -84,6 +109,9 @@ def boundary_modes(p: ConeProfile, count: int) -> list[BoundaryMode]:
 
     The trace normalization uses the boundary measure of the two latitude
     spheres: ||psi||^2 = cos^{d-2}(theta0) |S^{d-2}| (psi(a)^2 + psi(b)^2).
+    The harmonic pair of each sphere degree is shot once per (band, mu) and
+    kept on the right half band (:func:`_half_pair`); every call mirrors and
+    normalizes its own modes.
     """
     if count < 1:
         raise InputError("count must be >= 1")

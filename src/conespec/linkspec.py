@@ -225,6 +225,37 @@ def _walk(p: ConeProfile, low: float, cap: float, tol: float) -> list[LinkEigenv
             for e in sorted(group, key=lambda e: e.source)]
 
 
+def _identify(p: ConeProfile, sources) -> list[float]:
+    """Smallest relative L^2(w) misfit of each computed eigenfunction of
+    ``sources`` against the span of an analytic translation or rotation
+    profile (sign and scale free).
+
+    Every eigenfunction is solved first; then each quantity (the norms, the
+    projections, the residuals) is one Simpson call over all of them as rows,
+    each row equal to its 1-D call.
+    """
+    d, th = p.dim, p.grid
+    jf = jacobi_fields(p)
+    w = np.sin(th) ** (d - 2)
+    # the analytic translation and rotation profiles as rows, and their L^2(w) norms
+    analytic = np.array([jf["t1"], jf["tk"], jf["rot"]])
+    norms = simpson(analytic * analytic * w, x=th)
+    q = np.array([eigen_k(band_spec(p, SphereMode.of(d, ell).mu, "robin"), k).fn
+                  for ell, k in sources]).reshape(-1, th.size)
+    qq = simpson(q * q * w, x=th)
+    # one (eigenfunction, profile, sample) buffer: q a w, then the residual
+    # q - (<q, a> / <a, a>) a, then its square times w, in place
+    rows = q[:, None] * analytic
+    rows *= w
+    proj = simpson(rows.reshape(-1, th.size), x=th).reshape(-1, 3)
+    np.multiply((proj / norms)[:, :, None], analytic, out=rows)
+    np.subtract(q[:, None], rows, out=rows)
+    rows *= rows
+    rows *= w
+    res = simpson(rows.reshape(-1, th.size), x=th).reshape(-1, 3)
+    return np.sqrt(res.min(axis=1) / qq).tolist()
+
+
 def verify_strong_integrability(p: ConeProfile,
                                 cfg: SolverConfig | None = None) -> IntegrabilityReport:
     """Strong-integrability verdict for the cone's link.
@@ -240,36 +271,26 @@ def verify_strong_integrability(p: ConeProfile,
     margin or past them (:func:`conespec.sl.count_below`): every eigenvalue
     below low, and those below min(best+tol, 4d), where best ends as the gap.
     With no eigenvalue in (low, 4d] the gap is inf.
+
+    The eigenfunctions of every cluster identified are solved first and
+    identified in one pass (:func:`_identify`), then checked in cluster order:
+    a failing solve in any cluster raises before an AmbiguousCluster in an
+    earlier one.
     """
     cfg = cfg or DEFAULT_CONFIG
     d = p.dim
     tol = cfg.cluster_tol
     entries = _walk(p, min(d - 1 + tol, 4.0 * d), 4.0 * d, tol)
 
-    jf = jacobi_fields(p)
-    th = p.grid
-    w = np.sin(th) ** (d - 2)
-    # the analytic translation and rotation profiles as rows, and their L^2(w) norms
-    analytic = np.array([jf["t1"], jf["tk"], jf["rot"]])
-    norms = simpson(analytic * analytic * w, x=th)
-
-    def identify(entry):
-        """Smallest relative L^2(w) misfit of one computed eigenfunction
-        against the span of an analytic profile (sign and scale free): one
-        Simpson call per quantity, each row equal to its 1-D call."""
-        ell, k = entry.source
-        q = eigen_k(band_spec(p, SphereMode.of(d, ell).mu, "robin"), k).fn
-        qq = simpson(q * q * w, x=th)
-        resid = q - (simpson(q * analytic * w, x=th) / norms)[:, None] * analytic
-        return math.sqrt(simpson(resid * resid * w, x=th).min() / qq)
-
+    # the clusters identified: every cluster of two or more, and a lone
+    # eigenvalue at 0 or d - 1
+    groups = [g for g in _clusters(entries, tol)
+              if len(g) >= 2 or abs(g[0].lam) <= tol or abs(g[0].lam - (d - 1)) <= tol]
+    errs = iter(_identify(p, [e.source for g in groups for e in g]))
     match_err = 0.0
-    for group in _clusters(entries, tol):
-        near_kernel = abs(group[0].lam) <= tol or abs(group[0].lam - (d - 1)) <= tol
-        if len(group) < 2 and not near_kernel:
-            continue
+    for group in groups:
         for e in group:
-            err = identify(e)
+            err = next(errs)
             if err > _FN_TOL and len(group) >= 2:
                 raise AmbiguousCluster(
                     f"eigenvalues cluster at {group[0].lam:.9g} but source "

@@ -338,6 +338,40 @@ def _ritz_size(spec):
     return min(_RITZ_N[1], max(_RITZ_N[0], 16 * math.ceil(9.0 * q / 16.0)))
 
 
+@functools.lru_cache(maxsize=4)  # about 92 KB at N = 48, at most 2.6 MB at N = 256
+def _ritz_forms(dim, half_width, bc, n, parity):
+    """The mu-free matrices of :func:`_ritz`'s pencil on one band, parity and N:
+    (K0, K1, robin, M, inv), read-only, with S = K0 + mu K1 - robin.
+
+    K0 = int w g'v' and K1 = int w g v / sin^2 over 2 theta0, robin the rank-one
+    end term (None under Dirichlet), M the mass matrix and inv the inverse of
+    its Cholesky factor.  One band's modes differ only in mu, so they share
+    these: verify at one d builds them once per parity.
+    """
+    x, wt, p, dp = _legendre_basis(n)
+    degrees = slice(parity == "odd", n, 2)
+    p, dp = p[degrees], dp[degrees]
+    c = np.cos(half_width * x)  # sin theta at the nodes
+    w = wt * c ** (dim - 2)
+    if bc == "dirichlet":
+        p, dp = (1.0 - x * x) * p, (1.0 - x * x) * dp - 2.0 * x * p
+    # the form over 2 theta0: d/dtheta = (d/dx) / theta0, and the two ends are alike
+    k0 = (dp * (w / half_width ** 2)) @ dp.T
+    k1 = (p * (w / (c * c))) @ p.T
+    robin = None
+    if bc == "robin":
+        end = np.sqrt(np.arange(n)[degrees] + 0.5)  # p_j(1)
+        h = (dim - 2) * math.tan(half_width)  # SLSpec.H
+        robin = h * math.cos(half_width) ** (dim - 2) / half_width * np.outer(end, end)
+    mass = (p * w) @ p.T
+    inv = np.linalg.inv(np.linalg.cholesky(mass))
+    forms = k0, k1, robin, mass, inv
+    for a in forms:
+        if a is not None:
+            a.flags.writeable = False
+    return forms
+
+
 @functools.lru_cache(maxsize=256)
 def _ritz(spec: SLSpec, parity: str) -> tuple[np.ndarray, np.ndarray]:
     """Every Rayleigh-Ritz value of one parity on N = :func:`_ritz_size` Legendre
@@ -347,7 +381,9 @@ def _ritz(spec: SLSpec, parity: str) -> tuple[np.ndarray, np.ndarray]:
     The weak form of the module docstring is solved on the basis of
     :func:`_legendre_basis`: the even degrees span the even eigenfunctions and
     the odd degrees the odd ones, times (1 - x^2) under Dirichlet.  The
-    integrands are even, so the positive Gauss nodes hold them.  A Cholesky
+    integrands are even, so the positive Gauss nodes hold them.  Every matrix
+    but the mu-product comes from :func:`_ritz_forms`, built once per band,
+    parity and N and shared by that band's modes.  A Cholesky
     factor L of the mass matrix M reduces the pencil (S, M) to one ``eigh``; the
     leading rows of L are the Cholesky factor of M's leading block, so the
     leading block of the reduced matrix is the smaller basis's.  Each value is
@@ -363,21 +399,10 @@ def _ritz(spec: SLSpec, parity: str) -> tuple[np.ndarray, np.ndarray]:
     vectors are kept.  Everything returned is read-only, as the cache shares it.
     """
     n = _ritz_size(spec)
-    x, wt, p, dp = _legendre_basis(n)
-    degrees = slice(parity == "odd", n, 2)
-    p, dp = p[degrees], dp[degrees]
-    t0 = spec.half_width
-    c = np.cos(t0 * x)  # sin theta at the nodes
-    w = wt * c ** (spec.dim - 2)
-    if spec.bc == "dirichlet":
-        p, dp = (1.0 - x * x) * p, (1.0 - x * x) * dp - 2.0 * x * p
-    # the form over 2 theta0: d/dtheta = (d/dx) / theta0, and the two ends are alike
-    stiff = (dp * (w / t0 ** 2)) @ dp.T + spec.mu * ((p * (w / (c * c))) @ p.T)
-    if spec.bc == "robin":
-        end = np.sqrt(np.arange(n)[degrees] + 0.5)  # p_j(1)
-        stiff -= spec.H * math.cos(t0) ** (spec.dim - 2) / t0 * np.outer(end, end)
-    mass = (p * w) @ p.T
-    inv = np.linalg.inv(np.linalg.cholesky(mass))
+    k0, k1, robin, mass, inv = _ritz_forms(spec.dim, spec.half_width, spec.bc, n, parity)
+    stiff = k0 + spec.mu * k1
+    if robin is not None:
+        stiff -= robin
     reduced = inv @ stiff @ inv.T
 
     def quotients(m):  # values and vectors on the first m rows

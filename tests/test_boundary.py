@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conespec import boundary
 from conespec.boundary import (boundary_modes, sphere_area,
                                steklov_fd_crosscheck)
 from conespec.errors import DegenerateBasis
+from conespec.kernels import propagate_band
 from conespec.profile import solve_profile
 
 FROZEN_D7 = {  # (ell, parity) -> ell_k, checked against the oracles below
@@ -150,3 +152,70 @@ def test_high_degree_modes_match_fd(dim, count):
             fd[m.mu] = steklov_fd_crosscheck(p, m.mu)
         ref = fd[m.mu][0 if m.parity == "even" else 1]
         assert abs(m.ell_k - ref) <= 1e-9 * max(1.0, abs(ref)), (m.ell, m.parity, m.ell_k, ref)
+
+
+def _shot_mus(monkeypatch):
+    """The mu of every harmonic pair boundary shoots, recorded into the returned list."""
+    mus = []
+
+    def recorded(dm2, mu, *args, _fn=boundary.propagate_band):
+        mus.append(mu)
+        return _fn(dm2, mu, *args)
+
+    monkeypatch.setattr(boundary, "propagate_band", recorded)
+    return mus
+
+
+def _mode_bytes(modes):
+    return [(m.ell_k, m.psi.tobytes(), m.psi_prime.tobytes()) for m in modes]
+
+
+def test_pairs_are_shot_once_per_band_and_mu(monkeypatch):
+    # a second call on the same cone shoots only the sphere degrees the first
+    # did not reach, and its modes equal those of a cold call bit for bit
+    p = solve_profile(9)
+    boundary._pairs.clear()
+    cold = {count: _mode_bytes(boundary_modes(p, count)) for count in (5, 6)}
+    boundary._pairs.clear()
+    mus = _shot_mus(monkeypatch)
+    first = boundary_modes(p, 5)
+    held = list(mus)
+    second = boundary_modes(p, 6)
+    assert held and not set(mus[len(held):]) & set(held), mus
+    assert _mode_bytes(first) == cold[5] and _mode_bytes(second) == cold[6]
+    assert len(boundary._pairs) == len(mus)
+    assert all(not a.flags.writeable for pair in boundary._pairs.values() for a in pair)
+    boundary._pairs.clear()
+
+
+def test_pair_memo_keeps_to_its_budget(monkeypatch):
+    # the oldest pairs leave first, and a pair larger than the whole budget is not kept
+    p = solve_profile(9)
+    one = 4 * (p.grid.size // 2 + 1)  # samples of one pair: four right half-band arrays
+    mus = _shot_mus(monkeypatch)
+    for budget, kept in ((2 * one, 2), (one - 1, 0)):
+        monkeypatch.setattr(boundary, "_PAIR_BUDGET", budget)
+        boundary._pairs.clear()
+        mus.clear()
+        boundary_modes(p, 8)
+        assert len(mus) > 2
+        assert [key[3] for key in boundary._pairs] == mus[len(mus) - kept:], budget
+    boundary._pairs.clear()
+
+
+def test_pair_memo_ignores_a_grid_that_is_not_the_band_grid(p7):
+    # the key names the band grid of (theta0, size); a profile on another grid
+    # of that size neither reads nor fills the memo
+    boundary._pairs.clear()
+    boundary_modes(p7, 4)
+    held = dict(boundary._pairs)
+    a, b = p7.band
+    other = dataclasses.replace(p7, grid=np.linspace(a, b, p7.grid.size))
+    assert other.grid is not p7.grid
+    (qe, _), _ = boundary._harmonic_pair(other, 0.0)
+    right = other.grid[other.grid.size // 2:]
+    g, _ = propagate_band(p7.dim - 2, 0.0, 0.0, right, 1.0, 0.0)
+    assert np.array_equal(qe[qe.size // 2:], g)
+    assert list(boundary._pairs) == list(held)
+    assert all(boundary._pairs[key] is pair for key, pair in held.items())
+    boundary._pairs.clear()

@@ -107,6 +107,16 @@ def test_verify_sweep_exit_codes(tmp_path):
     assert not caught, [str(w.message) for w in caught]
 
 
+def _clear_memos():
+    """Clear every memo a verify or particular op reads, as in a fresh process."""
+    from conespec import boundary, profile, sl
+    sl._memo.clear()
+    sl._ritz.cache_clear()
+    sl._ritz_forms.cache_clear()
+    boundary._pairs.clear()
+    profile._solved_profile.cache_clear()
+
+
 def test_verify_work_count(tmp_path, monkeypatch):
     # verify solves the link spectrum only up to its gap, slicing each mode
     # by counts and the modes with eigenvalues below d - 1 last, whose
@@ -117,9 +127,7 @@ def test_verify_work_count(tmp_path, monkeypatch):
     # series, and the profile is one shot of the kernel (the aperture is a
     # series root): verify --dim 7 in a fresh process makes 1 shot, the profile's
     from conespec import boundary, kernels, profile, sl
-    sl._memo.clear()
-    sl._ritz.cache_clear()
-    profile._solved_profile.cache_clear()
+    _clear_memos()
     shots = []
     for mod in (sl, profile, boundary):
         for name in ("propagate_band", "propagate_band_end"):
@@ -149,6 +157,61 @@ def test_second_particular_reuses_cone_and_eigenpairs(tmp_path, monkeypatch):
     assert run(argv + ["--out", str(tmp_path / "b.json")]) == 0
     assert calls == []
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+
+
+def test_particular_reports_do_not_depend_on_warm_memos(tmp_path):
+    # ops at one d share the band's Ritz matrices, its eigenvalues and its
+    # harmonic pairs: two sources on warm memos report the same bytes as on
+    # cleared ones, each source alone and the two back to back
+    sources = {"a": ("0.7", {"1": 1.0, "4": -0.5, "5": 0.25}),
+               "b": ("0.35", {"2": 0.8, "3": -0.6, "6": 0.4})}
+
+    def report(name, tag):
+        beta, coeffs = sources[name]
+        modes = tmp_path / f"{name}.json"
+        modes.write_text(json.dumps({"coeffs": coeffs}))
+        out = tmp_path / f"{name}-{tag}.json"
+        argv = ["particular", "--dim", "9", "--beta", beta, "--modes", str(modes)]
+        assert run(argv + ["--out", str(out)]) == 0
+        return out.read_bytes()
+
+    for name in sources:
+        report(name, "warm-up")
+    warm = {name: report(name, "warm") for name in sources}
+    _clear_memos()
+    assert {name: report(name, "cold") for name in sources} == warm
+    _clear_memos()
+    assert report("b", "cold-b") == warm["b"]
+
+
+@pytest.mark.parametrize("fail_later", [False, True])
+def test_verify_solves_every_identified_eigenfunction_first(tmp_path, monkeypatch, capsys,
+                                                            fail_later):
+    # at d = 7 verify identifies the cluster {(0, 2), (1, 1)} at 0, then (1, 2)
+    # at d - 1.  A misfit in the first cluster is an AmbiguousCluster, unless a
+    # solve in the later one fails: every eigenfunction is solved before any is
+    # checked.  Both exit 2.
+    import numpy as np
+
+    from conespec import linkspec
+    from conespec.errors import NonConvergent
+    solve = linkspec.eigen_k
+
+    def patched(spec, k):
+        if spec.mu == 5.0 and k == 2 and fail_later:
+            raise NonConvergent("eigenpair (1, 2) failed")
+        pair = solve(spec, k)
+        if spec.mu == 0.0 and k == 2:
+            return dataclasses.replace(pair, fn=pair.fn * np.linspace(0.0, 1.0, pair.fn.size))
+        return pair
+
+    monkeypatch.setattr(linkspec, "eigen_k", patched)
+    assert run(["verify", "--dim", "7", "--out", str(tmp_path / "v.json")]) == 2
+    err = capsys.readouterr().err
+    if fail_later:
+        assert "eigenpair (1, 2) failed" in err and "cluster" not in err, err
+    else:
+        assert "eigenvalues cluster at" in err and "source (0, 2)" in err, err
 
 
 def test_ab_bench_runs():

@@ -432,11 +432,13 @@ def test_project_interior_work_count(p7, bmodes7, monkeypatch):
     # Legendre series, so on a fresh memo at d = 7 no kernel is called, where
     # shooting the eigenfunctions made 1 call, shooting the eigenvalues from the
     # Ritz seeds' 1e-7 brackets 5 and one eigenpair at a time 53.
-    from conespec import kernels, sl
+    from conespec import boundary, kernels, sl
     u1, f = transfer_boundary(make_source(BETA, {1: 1.0}), bmodes7, p7)
     assert len({m.ell for m in f.modes}) == 1
     sl._memo.clear()
     sl._ritz.cache_clear()
+    sl._ritz_forms.cache_clear()
+    boundary._pairs.clear()
     calls = []
     for name in ("propagate_band", "propagate_band_end"):
         def counted(*args, _fn=getattr(kernels, name)):

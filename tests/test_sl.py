@@ -791,3 +791,43 @@ def test_band_measure_matches_the_cosine_power_reduction():
             spec = SLSpec(dim=d, half_width=float(w), mu=0.0, bc="dirichlet")
             want = _cos_power_integral(d - 2, float(w))
             assert abs(sl.band_measure(spec) - want) <= 1e-14 * want, (d, w)
+
+
+@pytest.mark.parametrize("d", [3, 7, 12, 24])
+def test_ritz_on_a_warm_band_equals_a_cold_solve(d):
+    # the mu-free matrices of a band are built once and shared by its modes:
+    # a solve whose band was warmed at another mu (a memo hit) equals a cold
+    # solve bit for bit, values and vectors, past N = 48 too
+    theta0 = profile.solve_profile(d).theta0
+    for mu in (0.0, d - 2.0, 2.0 * d - 2.0, 500.0, 1e4, 1e6):
+        for bc in ("robin", "dirichlet"):
+            spec = SLSpec(dim=d, half_width=theta0, mu=mu, bc=bc)
+            other = dataclasses.replace(spec, mu=mu + 1.0)
+            assert sl._ritz_size(other) == sl._ritz_size(spec), (d, mu)
+            for parity in ("even", "odd"):
+                sl._ritz.cache_clear()
+                sl._ritz_forms.cache_clear()
+                cold = sl._ritz(spec, parity)
+                sl._ritz.cache_clear()
+                sl._ritz_forms.cache_clear()
+                sl._ritz(other, parity)
+                warm = sl._ritz(spec, parity)
+                assert sl._ritz_forms.cache_info().hits == 1, (d, mu, bc, parity)
+                for got, want in zip(warm, cold):
+                    assert got.tobytes() == want.tobytes(), (d, mu, bc, parity)
+    assert sl._ritz_size(SLSpec(dim=d, half_width=theta0, mu=1e6, bc="robin")) > 48
+    sl._ritz.cache_clear()
+    sl._ritz_forms.cache_clear()
+
+
+def test_verify_builds_the_mu_free_matrices_twice_per_dimension():
+    # every mode verify solves at one d lies on the same band at N = 48, so
+    # the band's matrices are built once per parity
+    from conespec.linkspec import verify_strong_integrability
+    sl._memo.clear()
+    sl._ritz.cache_clear()
+    sl._ritz_forms.cache_clear()
+    for d in range(3, 11):
+        before = sl._ritz_forms.cache_info().misses
+        verify_strong_integrability(profile.solve_profile(d))
+        assert sl._ritz_forms.cache_info().misses - before == 2, d
