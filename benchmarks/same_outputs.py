@@ -10,8 +10,8 @@ boundary modes or the Weiss energy, including the refusals of
 ``spectrum``, of a boundary-mode count past the enumeration's cap and of a
 modes file with a non-integer key or cut-off JSON, and runs ``verify``,
 ``particular``, ``criticality`` and ``weiss`` once more under a ``--config``
-file, and ``weiss`` once over 41 radii; the input files are written to one
-temporary directory that both trees read.
+file, ``weiss`` on each of the four field kinds and once over 41 radii; the
+input files are written to one temporary directory that both trees read.
 
     python3 benchmarks/same_outputs.py --a OLD/src --b NEW/src
 
@@ -35,6 +35,7 @@ FILES = {
     "cone.json": {"kind": "cone"},
     "perturbed.json": {"kind": "perturbed", "eps": 0.01, "exponent": 1.5},
     "power.json": {"kind": "power", "exponent": 1.4},
+    "halfplane.json": {"kind": "halfplane"},
     "grid1024.json": {"grid_n": 1024},
     "modes_x.json": {"coeffs": {"1": 1.0, "x": 0.5}},
     # a string is the file's text
@@ -93,6 +94,7 @@ RUNS = (
     ["spectrum", "--dim", "24", "--lambda-max", "500"],
     ["--config", "grid1024.json", "spectrum", "--dim", "7", "--lambda-max", "300"],
     ["weiss", "--dim", "12", "--field", "power.json", "--radii", "0.5,1,2"],
+    ["weiss", "--dim", "12", "--field", "halfplane.json", "--radii", "0.5,1,2"],
     # r^60 under- and overflows at both ends; W of the cone is the same at every r
     ["weiss", "--dim", "60", "--field", "cone.json", "--radii", "1e-6,1,1e6"],
     ["--config", "grid1024.json", "weiss", "--dim", "7", "--field", "perturbed.json",

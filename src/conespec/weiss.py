@@ -24,6 +24,9 @@ over d; the derivative identity
 is exposed for verification, the first term being the homogeneity deficit.
 Its left side differentiates W's definition by the Leibniz rule, so one
 quadrature pass over each radius gives W, dW/dr and the deficit together.
+Every quadratic form rho^T G rho' is summed in one fixed order by _qform,
+whatever the number of samples, and the Gram matrices of a call come from one
+Simpson call.
 """
 
 from __future__ import annotations
@@ -126,17 +129,38 @@ def _fd1(f: Callable) -> Callable:
 
 def _grams(u: AxisymField):
     """Angular Gram matrices in the band weight, plus the support measure:
-    (G_q, G_q', sw), computed once per public call."""
+    (G_q, G_q', sw), computed once per public call.  One 2-D Simpson call takes
+    a row per upper-triangle entry of each matrix and the row w; each row's
+    value is its 1-D call's, and q_i q_j w is q_j q_i w bit for bit, so the
+    matrices are exactly symmetric."""
     th = u.theta
     w = np.sin(th) ** (u.dim - 2)
-    qs = [c.q for c in u.components]
+    qs = np.array([c.q for c in u.components])
     h = (th[-1] - th[0]) / (th.size - 1)
-    qps = [c.q_prime if c.q_prime is not None else _derivative(c.q, h)
-           for c in u.components]
-    gq, gqp = (np.array([[simpson(a * b * w, x=th) for b in vs] for a in vs])
-               for vs in (qs, qps))
-    sw = float(simpson(w, x=th))
-    return gq, gqp, sw
+    qps = np.array([c.q_prime if c.q_prime is not None else _derivative(c.q, h)
+                    for c in u.components])
+    i, j = np.triu_indices(len(qs))
+    vals = simpson(np.concatenate((qs[i] * qs[j] * w, qps[i] * qps[j] * w, w[None])), x=th)
+    gq, gqp = np.empty((2, len(qs), len(qs)))
+    gq[i, j] = gq[j, i] = vals[:i.size]
+    gqp[i, j] = gqp[j, i] = vals[i.size:-1]
+    return gq, gqp, float(vals[-1])
+
+
+def _qform(x: np.ndarray, g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_i sum_j (x_i g_ij) y_j for each sample (column) of x and y, summed
+    in i-major order whatever the sample count: the order of numpy's
+    einsum("is,ij,js->s") for two or more samples."""
+    n = len(g)
+    out = x[0] * g[0, 0]
+    out *= y[0]
+    term = np.empty_like(out) if n > 1 else None
+    for k in range(1, n * n):
+        i, j = divmod(k, n)
+        np.multiply(x[i], g[i, j], out=term)
+        term *= y[j]
+        out += term
+    return out
 
 
 def _boole_weights(n: int) -> np.ndarray:
@@ -195,7 +219,9 @@ def _weiss_values(u: AxisymField, radii: np.ndarray, grams) -> np.ndarray:
     radii taken and raises InputError; before it, the first whose Richardson
     error estimate from the halved grid exceeds _QUAD_TOL * max(1, |W|) raises
     GridTooCoarse, checked once every block is sampled, so an overflow in any
-    block's samples raises first.  ``grams`` is :func:`_grams` of u."""
+    block's samples raises first.  A, B, b, the cross term and the deficit
+    are each a _qform, summed in the same order for any number of radii.
+    ``grams`` is :func:`_grams` of u."""
     d = u.dim
     gq, gqp, sw = grams
     sd2 = sphere_area(d - 2)
@@ -209,14 +235,14 @@ def _weiss_values(u: AxisymField, radii: np.ndarray, grams) -> np.ndarray:
         blk = slice(lo, lo + _BLOCK)
         s = (r[blk, None] * _T).ravel()
         rr, rp, _ = _rho_matrices(u, s)
-        a = np.einsum("is,ij,js->s", rp, gq, rp).reshape(-1, _T.size)
-        b = np.einsum("is,ij,js->s", rr, gqp, rr).reshape(-1, _T.size)
+        a = _qform(rp, gq, rp).reshape(-1, _T.size)
+        b = _qform(rr, gqp, rr).reshape(-1, _T.size)
         full[blk] = a @ w_a + (b @ w_b) / r2[blk]
         half[blk] = a[:, 1::2] @ w_a_half + (b[:, 1::2] @ w_b_half) / r2[blk]
         y_end[blk] = (a[:, -1] + b[:, -1] / r2[blk]) / r[blk]
         # the t = 1 samples (r * 1.0 is r exactly)
         end[:, blk], dend[:, blk] = rr[:, _T.size - 1::_T.size], rp[:, _T.size - 1::_T.size]
-    bnd = np.einsum("is,ij,js->s", end, gq, end)
+    bnd = _qform(end, gq, end)
     w_val = sd2 * (full + sw / d - bnd / r2)
     est = sd2 * np.abs(full - half) / _RICHARDSON
     coarse = np.flatnonzero(est > _QUAD_TOL * np.fmax(1.0, np.abs(w_val)))
@@ -224,13 +250,21 @@ def _weiss_values(u: AxisymField, radii: np.ndarray, grams) -> np.ndarray:
         i = coarse[0]
         raise GridTooCoarse(
             f"radial quadrature unresolved at r={r[i]:g} (estimate {est[i]:.2e})")
-    cross = np.einsum("is,ij,js->s", end, gq, dend)
+    cross = _qform(end, gq, dend)
     dw = sd2 * (y_end - d * full / r + 2 * (bnd / r - cross) / r2)
     c = r * dend - end
-    deficit = 2.0 * sd2 * np.einsum("is,ij,js->s", c, gq, c) / r ** 3
+    deficit = 2.0 * sd2 * _qform(c, gq, c) / r ** 3
     if bad.size:
         raise InputError("radius must lie in (0, r_max of the field]")
     return np.array((w_val, dw, deficit))
+
+
+def _one_radius(r) -> np.ndarray:
+    """r as the one-element radii of _weiss_values; InputError unless r is one number."""
+    radii = np.asarray(r, dtype=float)
+    if radii.ndim:
+        raise InputError(f"radius must be one number, got an array of shape {radii.shape}")
+    return radii.reshape(1)
 
 
 @finite("non-finite Weiss energy")
@@ -238,7 +272,7 @@ def weiss(u: AxisymField, r: float) -> float:
     """Evaluate W(u, r); raises GridTooCoarse when the Richardson error
     estimate from a halved radial grid exceeds _QUAD_TOL * max(1, |W|), and
     NonFiniteResult when W overflows or turns NaN."""
-    return float(_weiss_values(u, np.array([r], dtype=float), _grams(u))[0, 0])
+    return float(_weiss_values(u, _one_radius(r), _grams(u))[0, 0])
 
 
 def _harmonic_correction(u: AxisymField, r: float, grams) -> float:
@@ -250,8 +284,8 @@ def _harmonic_correction(u: AxisymField, r: float, grams) -> float:
     s = r * _T
     rr, rp, rpp = _rho_matrices(u, s, order=2)
     e = s * rp - rr
-    radial = np.einsum("is,ij,js->s", e, gq, rpp + (d - 1) * rp / s)
-    angular = -np.einsum("is,ij,js->s", e, gqp, rr)
+    radial = _qform(e, gq, rpp + (d - 1) * rp / s)
+    angular = -_qform(e, gqp, rr)
     return -2.0 * sphere_area(d - 2) * float(radial @ w_a + angular @ w_b / (r * r)) / r
 
 
@@ -264,7 +298,7 @@ def weiss_derivative_check(u: AxisymField, r: float):
     NonFiniteResult when either side overflows or turns NaN.
     """
     grams = _grams(u)
-    _, dw, deficit = _weiss_values(u, np.array([r], dtype=float), grams)
+    _, dw, deficit = _weiss_values(u, _one_radius(r), grams)
     lhs = float(dw[0])
     rhs = float(deficit[0]) + _harmonic_correction(u, r, grams)
     return lhs, rhs, abs(lhs - rhs)
@@ -292,9 +326,12 @@ class WeissReport:
 def weiss_report(u: AxisymField, radii) -> WeissReport:
     """W, its Leibniz-rule derivative and the deficit term at each radius, in one pass.
 
-    Raises NonFiniteResult when any of them overflows or turns NaN.
+    ``radii`` is a 1-D sequence.  Raises NonFiniteResult when any of them
+    overflows or turns NaN.
     """
     radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1:
+        raise InputError(f"radii must be a 1-D sequence, got shape {radii.shape}")
     grams = _grams(u)
     w_vals, lhs, rhs = _weiss_values(u, radii, grams)
     kappa0 = math.sqrt(sphere_area(u.dim - 2) * grams[0][0, 0])
@@ -303,11 +340,19 @@ def weiss_report(u: AxisymField, radii) -> WeissReport:
 
 def _power_component(q: np.ndarray, q_prime: np.ndarray, e: float,
                      amp: float = 1.0) -> Component:
-    """amp * r^e * q(theta), with its analytic radial derivatives."""
+    """amp * r^e * q(theta), with its analytic radial derivatives.  For e = 1,
+    rho and rho' are sampled as amp r and the constant amp, which is what
+    r ** 1.0 and r ** 0.0 give, bit for bit."""
+    if e == 1:
+        rho = lambda r: amp * np.asarray(r, dtype=float)
+        drho = lambda r: np.full(np.shape(r), amp, dtype=float)
+    else:
+        rho = lambda r: amp * np.asarray(r, dtype=float) ** e
+        drho = lambda r: amp * e * np.asarray(r, dtype=float) ** (e - 1)
     return Component(
-        rho=lambda r: amp * np.asarray(r, dtype=float) ** e,
+        rho=rho,
         q=q,
-        drho=lambda r: amp * e * np.asarray(r, dtype=float) ** (e - 1),
+        drho=drho,
         d2rho=lambda r: amp * e * (e - 1) * np.asarray(r, dtype=float) ** (e - 2),
         q_prime=q_prime)
 

@@ -3,6 +3,7 @@ derivative identity on non-homogeneous fields, and aperture criticality."""
 
 import dataclasses
 import math
+import re
 import sys
 import warnings
 
@@ -14,10 +15,12 @@ from conespec.boundary import sphere_area
 from conespec.errors import (GridTooCoarse, InputError, MissingCoefficient, NonFiniteResult,
                              NumericalError)
 from conespec.profile import solve_profile
+from conespec._quad import _derivative
+from conespec._quad import simpson as quad_simpson
 from conespec.weiss import (_BLOCK, _BOOLE, _T, AxisymField, Component, F_functional, _grams,
-                            _rho_matrices, cone_field, foliation_leading_term,
-                            halfplane_field, link_measure_identity, perturbed_field,
-                            power_field, weiss, weiss_derivative_check,
+                            _power_component, _qform, _rho_matrices, cone_field,
+                            foliation_leading_term, halfplane_field, link_measure_identity,
+                            perturbed_field, power_field, weiss, weiss_derivative_check,
                             weiss_report)
 
 # pinned by the boundary-measure identity below (independent quadrature)
@@ -422,6 +425,73 @@ def test_weiss_argument_validation(p7):
     capped = AxisymField(p7.dim, p7.grid, u.components, r_max=2.0)
     with pytest.raises(ValueError):
         weiss(capped, 3.0)
+    # a wrongly shaped radius argument is refused as input, naming its shape,
+    # not left to numpy's indexing or broadcasting
+    for call, bad, shape in ((weiss_report, 1.0, "()"), (weiss_report, [[1.0, 2.0]], "(1, 2)"),
+                             (weiss, [1.0, 2.0], "(2,)"),
+                             (weiss_derivative_check, [1.0, 2.0], "(2,)")):
+        with pytest.raises(InputError, match=re.escape(f"shape {shape}")):
+            call(u, bad)
+    # a 0-d array is one radius, and an empty list no radii
+    assert weiss(u, np.array(1.0)) == weiss(u, 1.0)
+    assert weiss_derivative_check(u, np.array(1.0)) == weiss_derivative_check(u, 1.0)
+    rep = weiss_report(u, [])
+    assert rep.W.shape == rep.dW_lhs.shape == rep.dW_rhs.shape == (0,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quadratic_form_equals_einsum(n):
+    # the block forms are summed in einsum's own order, bit for bit
+    rng = np.random.default_rng(n)
+    for samples in (2, 7, 512, 6144, 8192):
+        x, y = rng.standard_normal((2, n, samples)) * 10.0 ** rng.uniform(-3, 3, (2, n, 1))
+        g = rng.standard_normal((n, n))
+        g += g.T
+        for xx, yy in ((x, y), (x, x)):
+            want = np.einsum("is,ij,js->s", xx, g, yy)
+            assert _qform(xx, g, yy).tobytes() == want.tobytes(), samples
+
+
+def _grams_per_entry(u):
+    """(G_q, G_q', sw) by one Simpson call per entry and one for sw."""
+    th = u.theta
+    w = np.sin(th) ** (u.dim - 2)
+    h = (th[-1] - th[0]) / (th.size - 1)
+    qs = [c.q for c in u.components]
+    qps = [c.q_prime if c.q_prime is not None else _derivative(c.q, h) for c in u.components]
+    gq, gqp = (np.array([[quad_simpson(a * b * w, x=th) for b in vs] for a in vs])
+               for vs in (qs, qps))
+    return gq, gqp, quad_simpson(w, x=th)
+
+
+def test_grams_equal_the_per_entry_loop(p7):
+    cone, perturbed = cone_field(p7), perturbed_field(p7, 0.05, 1.5)
+    taper = _tapered_jacobi_field(p7).components[1]
+    bare = [Component(rho=c.rho, q=c.q) for c in perturbed.components]
+    fields = {"cone": cone, "perturbed": perturbed,
+              "three": AxisymField(p7.dim, p7.grid, perturbed.components + (taper,)),
+              "no q_prime": AxisymField(p7.dim, p7.grid, (bare[0], perturbed.components[1],
+                                                          bare[1]))}
+    for name, u in fields.items():
+        gq, gqp, sw = _grams(u)
+        want = _grams_per_entry(u)
+        assert gq.tobytes() == want[0].tobytes(), name
+        assert gqp.tobytes() == want[1].tobytes(), name
+        assert sw == want[2], name
+
+
+@pytest.mark.parametrize("amp", [1.0, 0.05])
+def test_degree_one_factor_equals_the_power_formula(amp, p7):
+    e = 1.0
+    comps = [_power_component(p7.g, p7.g_prime, e, amp)]
+    if amp == 1.0:
+        comps += [cone_field(p7).components[0], halfplane_field(7).components[0],
+                  perturbed_field(p7, 0.05, 1.5).components[0]]
+    for r in (1e-6, 0.3, 1.0, 7.0, 1e6):
+        s = r * _T
+        for comp in comps:
+            assert comp.rho(s).tobytes() == (amp * s ** e).tobytes()
+            assert comp.drho(s).tobytes() == (amp * e * s ** (e - 1)).tobytes()
 
 
 def test_field_validation(p7):
