@@ -1,11 +1,10 @@
 """Timing of the band-ODE propagation kernels.
 
-Times the three kinds of shot side by side at each grid size and at mu = 0
+Times the two kinds of shot side by side at each grid size and at mu = 0
 and mu = 2(d-1) (the sphere-degree-2 mode): ``traj`` (whole trajectory:
-up-sweep and down-sweep of the step tree), ``end`` (end state only: the
-up-sweep) and ``count`` (the counting shot of ``sl``: the down-sweep
-stopped at the Sturm-safe stride ``sl._count_skip`` picks for the largest
-lambda, stride choice included).  Each is timed in four cases:
+up-sweep and down-sweep of the step tree) and ``count`` (the counting shot
+of ``sl``: the down-sweep stopped at the Sturm-safe stride
+``sl._count_skip`` picks for the largest lambda, stride choice included).  Each is timed in four cases:
 
 * ``new grid`` -- every memo level cleared before each shot, so the lam part,
   the mu part (mu > 0 only) and the per-mu collapse are all built;
@@ -45,8 +44,7 @@ def count_shot(dm2, mu, lam, thetas, g0, gp0):
     return kernels.propagate_band(dm2, mu, lam, thetas, g0, gp0, skip)
 
 
-KERNELS = {"traj": kernels.propagate_band, "end": kernels.propagate_band_end,
-           "count": count_shot}
+KERNELS = {"traj": kernels.propagate_band, "count": count_shot}
 CASES = ("new grid", "new mu", "warm", "direct")
 LANES = (1, 2, 4, 8, 16)
 MEMOS = (kernels._step_poly, kernels._lam_part, kernels._mu_part)

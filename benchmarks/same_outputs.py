@@ -7,8 +7,9 @@ when the two stdouts of a differing run both parse as JSON or CSV, the line
 after it names the numeric field that moved most, relative to max(1, |a|).  The
 list covers every command that reads the link spectrum, the profile, the
 boundary modes or the Weiss energy, including the refusals of
-``spectrum``, of a boundary-mode count past the enumeration's cap and of a
-modes file with a non-integer key or cut-off JSON, and runs ``verify``,
+``spectrum``, of a band eigenvalue past the Ritz ladder's top rung, of a
+boundary-mode count past the enumeration's cap and of a modes file with a
+non-integer key or cut-off JSON, and runs ``verify``,
 ``particular``, ``criticality`` and ``weiss`` once more under a ``--config``
 file, ``weiss`` on each of the four field kinds and once over 41 radii; the
 input files are written to one temporary directory that both trees read.
@@ -50,8 +51,11 @@ RUNS = (
     ["sl", "--dim", "7", "--mu", "3e6", "--bc", "robin", "--k", "17"],
     # the Ritz solve vouches for lambda_4, but its series fails the node check: a shot
     ["sl", "--dim", "7", "--mu", "1e7", "--bc", "robin", "--k", "4"],
-    # the edge of the Ritz tolerance: the solve refuses lambda_8 and it is shot
+    # the edge of the Ritz tolerance: the bottom rung refuses lambda_8 and rung 1 answers
     ["sl", "--dim", "3", "--mu", "500", "--bc", "dirichlet", "--k", "8"],
+    # lambda_200 on rung 3 of the Ritz ladder (N = 384), and k = 700 past its top: exit 64
+    ["sl", "--dim", "7", "--mu", "0", "--bc", "robin", "--k", "200"],
+    ["sl", "--dim", "7", "--mu", "0", "--bc", "robin", "--k", "700"],
     ["sl", "--dim", "12", "--mu", "0", "--bc", "dirichlet", "--k", "2"],
     # the highest k that particular projects on, where normalizing a series on its
     # coefficients instead of by Simpson on the grid moves it most

@@ -1,17 +1,13 @@
-"""Quadrature, difference stencils and Brent root finding on numpy alone.
+"""Quadrature and difference stencils on numpy alone.
 
-Simpson and Brent follow a SciPy routine operation for operation, so their
-results are bit-identical to SciPy's (the tests pin this).  Importing SciPy
-costs more than a typical solve, so the solver path uses these and SciPy
-stays the library of the independent oracles.
+Simpson follows a SciPy routine operation for operation, so its results are
+bit-identical to SciPy's (the tests pin this).  Importing SciPy costs more
+than a typical solve, so the solver path uses these and SciPy stays the
+library of the independent oracles.
 
 * :func:`simpson` is ``scipy.integrate.simpson`` for an odd sample count on
   irregular spacing (Cartwright's parabolic-segment weights), for one row
   of samples or each row of a 2-D array.
-* :func:`brent_steps` is SciPy's C ``brentq`` (Brent, *Algorithms for
-  Minimization without Derivatives*, 1973, ch. 4) as a generator.  The band
-  eigenvalue solves of ``sl`` each run it inside their own generator, and
-  one loop answers them in lockstep.
 * The uniform-grid stencils (Fornberg, Math. Comp. 51, 1988): :func:`_derivative`
   (weights :data:`D1_WEIGHTS`, shared with ``weiss``), :func:`_d2_uniform`, and the
   running integral :func:`_cumulative_up` of the cubic.
@@ -19,14 +15,7 @@ stays the library of the independent oracles.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from .errors import NonConvergent, NonFiniteResult
-
-_RTOL = 8.9e-16   # relative stop tolerance: 4*eps, the least scipy's brentq accepts
-_MAXITER = 100
 
 
 def simpson(y, x):
@@ -54,61 +43,6 @@ def simpson(y, x):
     tmp += y[..., 2:n:2] * (2.0 - ratio)
     tmp *= hsum / 6.0
     return float(np.sum(tmp)) if y.ndim == 1 else np.sum(tmp, axis=1)
-
-
-def brent_steps(a: float, b: float, xtol: float):
-    """Brent's method on [a, b] as a generator: yields each x, is sent f(x).
-
-    Returns the root (as ``StopIteration.value``) once the bracket half-width
-    falls below (xtol + _RTOL*|x|)/2.  Raises ``ValueError`` on a same-sign
-    bracket, :class:`NonFiniteResult` on a NaN value and
-    :class:`NonConvergent` after ``_MAXITER`` iterations.  Several roots can
-    be driven in lockstep, each round's new values computed together.
-    """
-    def value(fx, x):
-        fx = float(fx)
-        if math.isnan(fx):
-            raise NonFiniteResult(f"function value at x={x} is NaN")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = value((yield xpre), xpre)
-    fcur = value((yield xcur), xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:             # extrapolate (inverse quadratic)
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry   # good short step
-            else:
-                spre = scur = sbis        # bisect
-        else:
-            spre = scur = sbis            # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value((yield xcur), xcur)
-    raise NonConvergent(f"Brent's method did not converge in {_MAXITER} iterations")
 
 
 # Fourth-order first derivative: weights of the samples -2..2 steps away, over 12 h.

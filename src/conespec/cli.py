@@ -302,8 +302,8 @@ def _dispatch(args, cfg) -> int:
                              f"theta0 = {p.theta0!r}")
         f0 = F_functional(p.theta0, p, args.dim)
         # F moves by kappa0^2 / d times the error of its Dirichlet eigenvalue, good
-        # to _LAM_TOL (the Ritz check's agreement, or Brent's tolerance where the
-        # eigenvalue is shot): below this eps that error alone can decide the verdict
+        # to _LAM_TOL (the Ritz check's agreement): below this eps that error
+        # alone can decide the verdict
         floor = _kappa0_sq(p) * _LAM_TOL / (args.dim * _CRITICALITY_REL * abs(f0))
         if eps < floor:
             raise UsageError(f"--eps {eps!r} is below the noise floor {floor:.3g} set by "

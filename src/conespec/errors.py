@@ -20,11 +20,12 @@ class NoZeroFound(NumericalError):
 
 
 class NonConvergent(NumericalError):
-    """An iteration (bisection, defect refinement) exceeded its cap."""
+    """A computation that did not reach its result (an enumeration past its cap,
+    an assembled eigenfunction of zero norm)."""
 
 
 class BracketFail(NumericalError):
-    """Node-count monotonicity violated while isolating an eigenvalue."""
+    """A shot eigenfunction without the node count of its index."""
 
 
 class EvaluationUnstable(NumericalError):

@@ -6,24 +6,20 @@ Every spectral computation in the package reduces to integrating
 
 along a theta grid: the cone profile is (mu=0, lam=d-1), interior
 Sturm-Liouville shots use general (mu, lam), and boundary-mode fundamental
-solutions are (mu, lam=0).  Two entry points share one fixed-step RK4
-scheme:
+solutions are (mu, lam=0).  The one entry point, :func:`propagate_band`,
+integrates it by fixed-step RK4 and returns the whole trajectory (g, g') at
+every grid point -- the profile, the boundary modes and the eigenfunctions no
+Legendre series gives (see :mod:`conespec.sl`) need it -- or, for the node
+counts of ``sl``, only every 2^s-th point and the end state.
 
-* :func:`propagate_band` returns the whole trajectory (g, g') at every grid
-  point -- the eigenfunctions no Legendre series gives (see :mod:`conespec.sl`),
-  the profile and the boundary modes need it -- or, for node counts, only
-  every 2^s-th point and the end state;
-* :func:`propagate_band_end` returns only the end state -- the eigenvalue
-  defect evaluations need nothing else.
-
-Both write the RK4 update as 2x2 step matrices y_{i+1} = T_i y_i (the
+It writes the RK4 update as 2x2 step matrices y_{i+1} = T_i y_i (the
 step-matrix form of Pryce, "Numerical Solution of Sturm-Liouville
 Problems", 1993).  Only c = mu / sin^2 - lam depends on (mu, lam),
 affinely, and T_i is exactly quadratic in the two together (monomials 1,
 lam, lam^2, mu, mu lam, mu^2).  Its coefficients are memoized per
 (dm2, grid) and collapse per mu to P0 + lam P1 + lam^2 P2 (:func:`_step_poly`),
 which each shot evaluates by Horner's rule.
-One tree serves both entry points (Blelloch, "Prefix sums and their
+The shot runs through one tree (Blelloch, "Prefix sums and their
 applications", 1990): its up-sweep of pairwise products gives the end state,
 and a down-sweep of states gives the trajectory, O(n) products each; a
 down-sweep stopped s levels early gives every 2^s-th state.  Both
@@ -49,8 +45,8 @@ import numpy as np
 from .errors import finite
 
 # Memoized step-matrix quadratics, each memo this size.  Shots on one
-# (dm2, mu, grid) come in a run (one spec's eigenvalues, or a boundary mode's
-# two solutions), so a larger memo of the per-mu collapse barely raises the
+# (dm2, mu, grid) come in a run (one spec's shot eigenfunctions, or a boundary
+# mode's two solutions), so a larger memo of the per-mu collapse barely raises the
 # hit share.  The lam and mu parts are kept per (dm2, grid); one part, or one
 # collapse, on a 2049-point half band holds about 0.2 MB.
 _MEMO_SIZE = 2
@@ -227,12 +223,7 @@ def _end_state(levels, g0, gp0):
     return r00 * g0 + r01 * gp0, r10 * g0 + r11 * gp0
 
 
-def _rk4_end(dm2, mu, lam, thetas, g0, gp0):
-    """End state of the RK4 shot: the up-sweep of the step tree."""
-    return _end_state(_up_sweep(_steps(dm2, mu, lam, thetas)), g0, gp0)
-
-
-def _rk4_trajectory(dm2, mu, lam, thetas, g0, gp0, skip=0):
+def _rk4_trajectory(dm2, mu, lam, thetas, g0, gp0, skip):
     """RK4 trajectory: the up-sweep, then a down-sweep of states.
 
     Going down a level, the first child of each pair starts where its parent
@@ -240,8 +231,8 @@ def _rk4_trajectory(dm2, mu, lam, thetas, g0, gp0, skip=0):
     to that state, so level s holds the state before steps 0, 2^s, 2*2^s, ...
     (an unpaired block starts there too).  The down-sweep stops at level
     ``skip`` (at the root past the tree's height), so skip = 0 gives the
-    state before every step; the last point is the end state of
-    :func:`_rk4_end`.
+    state before every step; the last point is the end state, the tree's
+    root applied to the start state.
     """
     levels = _up_sweep(_steps(dm2, mu, lam, thetas))
     stop = min(skip, len(levels) - 1)
@@ -269,16 +260,7 @@ def _is_lanes(v):
     return isinstance(v, np.ndarray) and v.ndim > 0
 
 
-def _finite_shot(kernel, dm2, mu, lam, thetas, g0, gp0):
-    """Run ``kernel`` with numpy overflow and NaN raised as NonFiniteResult."""
-    thetas = np.asarray(thetas, dtype=np.float64)
-    with finite("non-finite band shot at mu={mu}, lam={lam}", mu=mu, lam=lam):
-        if _is_lanes(lam) or _is_lanes(g0) or _is_lanes(gp0):
-            return _lane_shots(kernel, float(dm2), float(mu), lam, thetas, g0, gp0)
-        return kernel(float(dm2), float(mu), float(lam), thetas, float(g0), float(gp0))
-
-
-def _lane_shots(kernel, dm2, mu, lam, thetas, g0, gp0):
+def _lane_shots(dm2, mu, lam, thetas, g0, gp0, skip):
     """Lanes (a 1-D array lam, g0 or gp0) in chunks of at most _LANES; a scalar
     start state repeats per lane, and a scalar lam becomes one entry all lanes share."""
     lam, g0, gp0 = (np.asarray(v, dtype=np.float64) for v in (lam, g0, gp0))
@@ -289,8 +271,8 @@ def _lane_shots(kernel, dm2, mu, lam, thetas, g0, gp0):
     lanes = shape[0]
     lam = lam.reshape(-1)
     g0, gp0 = (v if v.ndim else np.full(lanes, v) for v in (g0, gp0))
-    chunks = [kernel(dm2, mu, lam if lam.size == 1 else lam[i:i + _LANES], thetas,
-                     g0[i:i + _LANES], gp0[i:i + _LANES])
+    chunks = [_rk4_trajectory(dm2, mu, lam if lam.size == 1 else lam[i:i + _LANES], thetas,
+                              g0[i:i + _LANES], gp0[i:i + _LANES], skip)
               for i in range(0, lanes, _LANES)]
     return tuple(np.concatenate(part) for part in zip(*chunks))
 
@@ -303,17 +285,14 @@ def propagate_band(dm2: float, mu: float, lam, thetas: np.ndarray, g0, gp0, skip
     bit-identical to its scalar shot; 1-D arguments of different lengths, a
     2-D one or an empty one raise ``ValueError``.  ``skip`` = s > 0 stops the
     down-sweep s levels early: only points 0, 2^s, 2*2^s, ... and the last
-    point come back, each bit-identical to the full trajectory's.
+    point come back, each bit-identical to the full trajectory's.  An overflow
+    or NaN raises :class:`NonFiniteResult`.
     """
     if skip < 0:
         raise ValueError(f"skip must be >= 0, got {skip}")
-    return _finite_shot(functools.partial(_rk4_trajectory, skip=skip),
-                        dm2, mu, lam, thetas, g0, gp0)
-
-
-def propagate_band_end(dm2: float, mu: float, lam, thetas: np.ndarray, g0, gp0):
-    """End state (g, g') of :func:`propagate_band` without the trajectory.
-
-    Float scalars for a scalar shot, arrays of shape (lanes,) for lanes.
-    """
-    return _finite_shot(_rk4_end, dm2, mu, lam, thetas, g0, gp0)
+    thetas = np.asarray(thetas, dtype=np.float64)
+    with finite("non-finite band shot at mu={mu}, lam={lam}", mu=mu, lam=lam):
+        if _is_lanes(lam) or _is_lanes(g0) or _is_lanes(gp0):
+            return _lane_shots(float(dm2), float(mu), lam, thetas, g0, gp0, skip)
+        return _rk4_trajectory(float(dm2), float(mu), float(lam), thetas,
+                               float(g0), float(gp0), skip)

@@ -29,13 +29,13 @@ from .spheremodes import _MAX_DEGREE, SphereMode, modes_up_to
 # config field: identification is structural and the margin only absorbs
 # integrator noise.
 _FN_TOL = 1e-5
-# Largest h^2*lambda_max on a band grid of step h.  It bounds the shots: an
-# eigenvalue the Ritz solve does not vouch for, whose shot's relative error
-# grows like 0.018*(h^2*lambda)^2 (d = 7, FD oracle), so it stays <= 1e-8, with
-# its eigenfunction, and the counts shot within sl's 1e-8 relative margin of a
-# Ritz value or past the values it vouches for.  A Ritz eigenvalue and a Ritz
-# count do not use the grid, and a Ritz eigenfunction is its Legendre series
-# sampled on it.
+# Largest h^2*lambda_max on a band grid of step h.  It bounds the shots that
+# remain: the counts shot within sl's 1e-8 relative margin of a Ritz value or
+# past the Ritz ladder's top rung, and the eigenfunctions shot where a series
+# fails (an RK4 shot's relative error grows like 0.018*(h^2*lambda)^2, d = 7,
+# FD oracle, so it stays <= 1e-8).  Eigenvalues come from the Ritz ladder
+# alone and do not use the grid, and a Ritz eigenfunction is its Legendre
+# series sampled on it.
 _H2_LAMBDA_MAX = 7.5e-4
 
 

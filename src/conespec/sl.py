@@ -22,30 +22,30 @@ w = sin^{d-2}, on Legendre polynomials in x = (theta - pi/2) / theta0 (times
 method (Shen, "Efficient spectral-Galerkin method I", SIAM J. Sci. Comput. 15,
 1994) whose values converge spectrally and, by min-max (Courant and Hilbert,
 Methods of Mathematical Physics I), bound the eigenvalues from above
-(:func:`_ritz`).  A value is reported when it and every value of its parity
-below it agree to _LAM_TOL with those of the basis with 16 fewer degrees
-(:func:`_ritz_eigenvalue`); it does not depend on the grid.  Otherwise (high
-k, or large mu) the eigenvalue is shot: one generator (:func:`_root`) yields
-the shots it needs, the Ritz value as a seed (:func:`_seeds`), node-count
-isolation (:func:`_isolate`) only if the seed bracket misses, then Brent's
-method on the midpoint defect, and :func:`_solve` drives one spec's shots
-together.  :func:`count_below` counts the Ritz values below lam, which by
-min-max have as many eigenvalues below them, where the first value of each
-parity at or above lam is vouched for and no value lies within _COUNT_MARGIN
-of lam (:func:`_ritz_count`); otherwise it is a Sturm shot.  A counting shot
-stops the trajectory's down-sweep at the coarsest stride that the Sturm
-comparison theorem proves still sees every node (:func:`_count_skip`).
-:func:`eigenvalues` memoizes per (spec, k).  :func:`eigen_pairs` takes each
-eigenfunction whose eigenvalue the Ritz solve vouches for as its Ritz vector's
-Legendre series on the left half band, mirrored (:func:`_series_fn`, on one
-basis per grid size and N for every cone, :func:`_grid_basis`): Ritz vectors
-are mass-orthonormal, so the series is normalized and signed on its
-coefficients, with no arithmetic on the grid.  The rest, and a series without
-the half band's nodes, are one lane-batched shot at their eigenvalues,
-normalized by Simpson on the grid, whose nodes are checked on the full band.
-Eigenfunctions are not cached.  :func:`band_measure` integrates the weight
-over the band on the Ritz basis's Gauss rule.  The independent finite-difference
-discretization (:func:`eigen_fd_crosscheck`) remains the oracle.
+(:func:`_ritz`).  The bases form a ladder: rung r has N_r = min(_RITZ_TOP,
+2^r N_0) degrees, N_0 from :func:`_ritz_size`, and vouches for a value when
+it and every value of its parity below it agree to _LAM_TOL with those of the
+basis with 16 fewer degrees.  Eigenvalue k is the value of the lowest rung
+that vouches for it (:func:`_ritz_eigenvalue`): it depends on (spec, k) alone
+and not on the grid, and the Ritz cache holds it.  Past the top rung
+:func:`eigenvalues` refuses it.  :func:`count_below` counts the Ritz values
+below lam, which by min-max have as many eigenvalues below them, on the
+lowest rung that vouches for the first value of each parity at or above lam,
+where no value lies within _COUNT_MARGIN of lam (:func:`_ritz_count`);
+otherwise (inside the margin, or past the top rung) it is a Sturm shot, whose
+trajectory's down-sweep stops at the coarsest stride that the Sturm comparison
+theorem proves still sees every node (:func:`_count_skip`).
+:func:`eigen_pairs` takes each eigenfunction as its Ritz vector's Legendre
+series on the left half band, mirrored (:func:`_series_fn`, on one basis per
+grid size and N for every cone, :func:`_grid_basis`): Ritz vectors are
+mass-orthonormal, so the series is normalized and signed on its coefficients,
+with no arithmetic on the grid.  A series without the half band's nodes, or
+past _BASIS_SIZE samples, is replaced by one lane-batched shot at the
+eigenvalues, normalized by Simpson on the grid, whose nodes are checked on
+the full band.  Eigenfunctions are not cached.  :func:`band_measure`
+integrates the weight over the band on the Ritz basis's Gauss rule.  The
+independent finite-difference discretization (:func:`eigen_fd_crosscheck`)
+remains the oracle.
 """
 
 from __future__ import annotations
@@ -56,23 +56,16 @@ import math
 
 import numpy as np
 
-from ._quad import _derivative, brent_steps, simpson
+from ._quad import _derivative, simpson
 from .errors import BracketFail, InputError, NonConvergent, ZeroDenominator
-from .kernels import propagate_band, propagate_band_end
+from .kernels import propagate_band
 from .config import GRID_N_MAX
 from .profile import ConeProfile, band_grid, mirror_half
 
-_EXPAND_CAP = 60
-_BISECT_CAP = 300
-_SEED_COUNT = 8      # seeded eigenvalues per parity; higher ones isolate from the top seed
-# half-width of a shot's bracket relative to max(1, |seed|): covers the seed's
-# Ritz error (<= 4e-10 at 48 degrees, k <= 16) and the shot's own (<= 1e-8
-# under linkspec's h^2 lam guard)
-_SEED_REL = 1e-7
-_RITZ_N = (48, 256)  # Legendre degrees of the Ritz basis: floor and cap
+_RITZ_N = (48, 256)  # Legendre degrees of the Ritz ladder's bottom rung: floor and cap
+_RITZ_TOP = 1024     # Legendre degrees of its top rung: past it an eigenvalue is refused
 _NEWTON_CAP = 20     # Newton steps for the Gauss nodes (4 suffice from Tricomi's estimates)
-_MEMO_SIZE = 4096    # memoized eigenvalues (floats only)
-_LAM_TOL = 1e-10     # Ritz acceptance and Brent tolerance on each eigenvalue
+_LAM_TOL = 1e-10     # Ritz acceptance on each eigenvalue
 # relative distance from every Ritz value within which a count is shot: 100 times
 # the Ritz tolerance, and no wider than a shot's error under linkspec's h^2 lam guard
 _COUNT_MARGIN = 100 * _LAM_TOL
@@ -144,17 +137,16 @@ def _nodes(g):
 _TARGET_PHASE = {"even": math.pi / 2, "odd": math.pi}
 
 
-def _shots(kernel, spec, disc, lams, *extra):
-    """Left half-band shots of ``kernel`` at each of ``lams``: one (g, g') each.
+def _shots(spec, disc, lams):
+    """Left half-band trajectories at each of ``lams``: one (g, g') each.
 
     Several lams are the lanes of one kernel call; a lone lam is a scalar
-    shot, which costs less than a call with one lane.  ``extra`` follows the
-    start state in the kernel call.
+    shot, which costs less than a call with one lane.
     """
     args = spec.dim - 2, spec.mu
     if len(lams) == 1:
-        return [kernel(*args, lams[0], disc["left"], *_y_left(spec), *extra)]
-    return list(zip(*kernel(*args, np.array(lams), disc["left"], *_y_left(spec), *extra)))
+        return [propagate_band(*args, lams[0], disc["left"], *_y_left(spec))]
+    return list(zip(*propagate_band(*args, np.array(lams), disc["left"], *_y_left(spec))))
 
 
 def _count_skip(spec, left, lam):
@@ -178,20 +170,15 @@ def _count_skip(spec, left, lam):
     return min(height, max(0, math.frexp(spacing)[1] - 1))  # floor(log2(spacing))
 
 
-def _half_shots(spec, disc, lams):
-    """Counting shots at each of ``lams``: (nodes, g(pi/2), g'(pi/2)) each.
+def _half_shot(spec, disc, lam):
+    """Counting shot on the left half-band: (nodes, g(pi/2), g'(pi/2)).
 
     Nodes are read off every 2^s-th state of the trajectory (s from
-    :func:`_count_skip` at the largest lam); the end state is exact.
+    :func:`_count_skip`); the end state is exact.
     """
-    skip = _count_skip(spec, disc["left"], max(lams))
-    return [(_nodes(g), float(g[-1]), float(gp[-1]))
-            for g, gp in _shots(propagate_band, spec, disc, lams, skip)]
-
-
-def _half_shot(spec, disc, lam):
-    """Counting shot on the left half-band: (nodes, g(pi/2), g'(pi/2))."""
-    return _half_shots(spec, disc, [lam])[0]
+    g, gp = propagate_band(spec.dim - 2, spec.mu, lam, disc["left"], *_y_left(spec),
+                           _count_skip(spec, disc["left"], lam))
+    return _nodes(g), float(g[-1]), float(gp[-1])
 
 
 def _phase_count(nodes, g_end, gp_end, parity):
@@ -206,50 +193,6 @@ def _phase_count(nodes, g_end, gp_end, parity):
     return nodes + (1 if frac > _TARGET_PHASE[parity] else 0)
 
 
-def _defect(g_end, gp_end, parity):
-    """Normalized midpoint defect: g'(pi/2) (even) or g(pi/2) (odd)."""
-    return (gp_end if parity == "even" else g_end) / math.hypot(g_end, gp_end)
-
-
-def _isolate(count, k, lo, hi):
-    """Shrink [lo, hi] until it contains exactly the k-th eigenvalue.
-
-    A generator, like ``count(lam)``, which returns the count below lam.  The
-    lower end steps down by at least 10 and doubles its step each time, so a
-    seed far above its eigenvalue (a Ritz seed past the basis cap) is reached
-    in logarithmically many steps.
-    """
-    n_lo = yield from count(lo)
-    steps = 0
-    while n_lo > k - 1:
-        hi, lo = lo, 2.0 * lo if lo < 0 else lo - max(10.0, 2.0 * (hi - lo))
-        n_lo = yield from count(lo)
-        steps += 1
-        if steps > _EXPAND_CAP:
-            raise NonConvergent("lower bracket expansion exceeded cap")
-    n_hi = yield from count(hi)
-    while n_hi < k:
-        hi = 2.0 * hi if hi > 0 else 10.0
-        n_hi = yield from count(hi)
-        steps += 1
-        if steps > _EXPAND_CAP:
-            raise NonConvergent("upper bracket expansion exceeded cap")
-    while n_lo < k - 1 or n_hi > k:
-        mid = 0.5 * (lo + hi)
-        n_mid = yield from count(mid)
-        if n_mid < n_lo or n_mid > n_hi:
-            raise BracketFail(
-                f"node count not monotone at lam={mid} (got {n_mid} in [{n_lo},{n_hi}])")
-        if n_mid >= k:
-            hi, n_hi = mid, n_mid
-        else:
-            lo, n_lo = mid, n_mid
-        steps += 1
-        if steps > _BISECT_CAP:
-            raise NonConvergent("eigenvalue isolation exceeded iteration cap")
-    return lo, hi
-
-
 def _parity(k):
     return "even" if k % 2 == 1 else "odd"
 
@@ -260,7 +203,7 @@ def _assemble_fn(spec, disc, lams, parities):
     Simpson on the band grid (L^2 norm of weight sin^{d-2}), signed g'(a) > 0."""
     th = disc["theta"]
     fns = [mirror_half(g, gp, even=parity == "even", left=True)
-           for (g, gp), parity in zip(_shots(propagate_band, spec, disc, lams), parities)]
+           for (g, gp), parity in zip(_shots(spec, disc, lams), parities)]
     g, gp = (np.array(v) for v in zip(*fns))
     # an exact power-of-two prescale keeps g*g finite when g is huge (large mu)
     scale = 2.0 ** np.frexp(np.max(np.abs(g), axis=1))[1][:, None]
@@ -324,21 +267,21 @@ def band_measure(spec: SLSpec) -> float:
 
 
 def _ritz_size(spec):
-    """Legendre degrees N of the Ritz basis: 48, or about 9 (theta0^2 mu)^(1/4)
-    rounded up to a multiple of 16, capped at 256.
+    """Legendre degrees N_0 of the Ritz ladder's bottom rung: 48, or about
+    9 (theta0^2 mu)^(1/4) rounded up to a multiple of 16, capped at 256.
 
     (theta0^2 mu)^(1/4) is the band's half-width over the width of an
     eigenfunction pinned near pi/2 by a large mu; 8.7 of it sufficed for the
-    first 16 Ritz values to land within 1e-8 of the shots' eigenvalues.  N
-    depends on the spec alone.  A value that has not converged at N (high k,
-    or past the cap) fails the check of :func:`_ritz_eigenvalue` and is shot,
-    isolated from its seed by :func:`_isolate` if it must be.
+    first 16 Ritz values to land within 1e-8 of RK4 shots' eigenvalues.  N_0
+    depends on the spec alone.  A value that has not converged on it (high k,
+    or past the cap) fails the check of :func:`_ritz` and is taken from a
+    higher rung, on 2^r N_0 degrees up to _RITZ_TOP (:func:`_ritz_eigenvalue`).
     """
     q = (spec.half_width ** 2 * spec.mu) ** 0.25
     return min(_RITZ_N[1], max(_RITZ_N[0], 16 * math.ceil(9.0 * q / 16.0)))
 
 
-@functools.lru_cache(maxsize=4)  # about 92 KB at N = 48, at most 2.6 MB at N = 256
+@functools.lru_cache(maxsize=4)  # about 92 KB at N = 48, 2.6 MB at N = 256, 42 MB at 1024
 def _ritz_forms(dim, half_width, bc, n, parity):
     """The mu-free matrices of :func:`_ritz`'s pencil on one band, parity and N:
     (K0, K1, robin, M, inv), read-only, with S = K0 + mu K1 - robin.
@@ -373,10 +316,11 @@ def _ritz_forms(dim, half_width, bc, n, parity):
 
 
 @functools.lru_cache(maxsize=256)
-def _ritz(spec: SLSpec, parity: str) -> tuple[np.ndarray, np.ndarray]:
-    """Every Rayleigh-Ritz value of one parity on N = :func:`_ritz_size` Legendre
-    degrees, and the Ritz vectors of the values it vouches for: (values, vectors),
-    vectors[i] the coefficients of value i on the basis.
+def _ritz(spec: SLSpec, parity: str, rung: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every Rayleigh-Ritz value of one parity on rung ``rung`` of the ladder,
+    N = min(_RITZ_TOP, 2^rung :func:`_ritz_size`) Legendre degrees, and the Ritz
+    vectors of the values it vouches for: (values, vectors), vectors[i] the
+    coefficients of value i on the basis.
 
     The weak form of the module docstring is solved on the basis of
     :func:`_legendre_basis`: the even degrees span the even eigenfunctions and
@@ -398,7 +342,7 @@ def _ritz(spec: SLSpec, parity: str) -> tuple[np.ndarray, np.ndarray]:
     max(1, |lam|) with those on the first N - 16 degrees, and only their
     vectors are kept.  Everything returned is read-only, as the cache shares it.
     """
-    n = _ritz_size(spec)
+    n = min(_RITZ_TOP, _ritz_size(spec) << rung)
     k0, k1, robin, mass, inv = _ritz_forms(spec.dim, spec.half_width, spec.bc, n, parity)
     stiff = k0 + spec.mu * k1
     if robin is not None:
@@ -417,10 +361,22 @@ def _ritz(spec: SLSpec, parity: str) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
+def _top_rung(spec):
+    """The ladder's top rung: the first r with 2^r :func:`_ritz_size` >= _RITZ_TOP."""
+    return ((_RITZ_TOP - 1) // _ritz_size(spec)).bit_length()
+
+
+def _ladder(spec, parity):
+    """(values, vectors) of :func:`_ritz` on each rung of one parity in turn,
+    from the bottom to the top, each solved on first use."""
+    return (_ritz(spec, parity, rung) for rung in range(_top_rung(spec) + 1))
+
+
 def _ritz_count(spec, lam):
-    """Ritz values of both parities (:func:`_ritz`) below ``lam``, or None unless,
-    in each parity, the first value at or above lam is one the solve vouches
-    for and every value lies more than _COUNT_MARGIN max(1, |lam|) from lam.
+    """Ritz values of both parities below ``lam``, each parity on the lowest
+    rung (:func:`_ladder`) whose first value at or above lam is one it vouches
+    for, or None where no rung does or where any value of that rung lies within
+    _COUNT_MARGIN max(1, |lam|) of lam.
 
     By min-max each value below lam has an eigenvalue below it; the first
     value above it is vouched, so its eigenvalue lies within ~1e-10 of it,
@@ -429,28 +385,35 @@ def _ritz_count(spec, lam):
     margin = _COUNT_MARGIN * max(1.0, abs(lam))
     n = 0
     for parity in ("even", "odd"):
-        values, vectors = _ritz(spec, parity)
-        below = int(np.count_nonzero(values < lam))
+        for values, vectors in _ladder(spec, parity):
+            below = int(np.count_nonzero(values < lam))
+            if below < len(vectors):
+                break
+        else:
+            return None
         # written so that a NaN lam, clear of nothing, is refused too
-        if below >= len(vectors) or not (np.abs(values - lam) > margin).all():
+        if not (np.abs(values - lam) > margin).all():
             return None
         n += below
     return n
 
 
-def _seeds(spec: SLSpec, parity: str) -> tuple[float, ...]:
-    """The first :data:`_SEED_COUNT` Ritz values of one parity (:func:`_ritz`):
-    the brackets of the eigenvalues that are shot."""
-    return tuple(_ritz(spec, parity)[0][:_SEED_COUNT].tolist())
+def _vouched(spec, k):
+    """(values, vectors) of the lowest rung of the ladder that vouches for
+    eigenvalue k (:func:`_ladder`), or None past the top rung."""
+    i = (k - 1) // 2
+    for values, vectors in _ladder(spec, _parity(k)):
+        if i < len(vectors):
+            return values, vectors
+    return None
 
 
 def _ritz_eigenvalue(spec, k):
-    """The k-th Ritz value on N = :func:`_ritz_size` degrees, or None unless
-    :func:`_ritz` vouches for it.  N depends on the spec alone, so the answer
-    does not depend on the other ks requested."""
-    values, vectors = _ritz(spec, _parity(k))
-    i = (k - 1) // 2
-    return float(values[i]) if i < len(vectors) else None
+    """The k-th Ritz value on the lowest rung that vouches for it, or None past
+    the top rung.  Each rung's N depends on the spec alone, so the answer does
+    not depend on the other ks requested."""
+    rung = _vouched(spec, k)
+    return None if rung is None else float(rung[0][(k - 1) // 2])
 
 
 @functools.lru_cache(maxsize=2)
@@ -498,13 +461,13 @@ def _grid_basis(m, n):
 
 
 def _series_fn(spec, k):
-    """Full-band (g, g') of eigenfunction k from its Ritz vector (:func:`_ritz`),
-    summed as a Legendre series on the left half band (:func:`_grid_basis`)
-    and mirrored, or None where the Ritz solve does not vouch for eigenvalue k,
-    where the basis would pass _BASIS_SIZE samples (fine grids at large mu), or
-    where the half band does not show the (k - 1) // 2 nodes of eigenfunction
-    k (at large mu its tails sit below the series' roundoff, which changes
-    sign).
+    """Full-band (g, g') of eigenfunction k from its Ritz vector on the lowest
+    rung that vouches for eigenvalue k (:func:`_vouched`), summed as a Legendre
+    series on the left half band (:func:`_grid_basis`) and mirrored, or None
+    past the top rung, where the basis would pass _BASIS_SIZE samples (fine
+    grids at large mu), or where the half band does not show the (k - 1) // 2
+    nodes of eigenfunction k (at large mu its tails sit below the series'
+    roundoff, which changes sign).
 
     The series is normalized on its coefficients: c'Mc = 1 (:func:`_ritz`) is
     a band norm of 2 theta0, so c / sqrt(2 theta0) has unit norm, and it is
@@ -513,10 +476,11 @@ def _series_fn(spec, k):
     error.  Each series is summed by its own vector-matrix products, not one
     batched product, so it does not depend on the other ks requested.
     """
-    if _ritz_eigenvalue(spec, k) is None:
+    rung = _vouched(spec, k)
+    if rung is None:
         return None
     odd = k % 2 == 0
-    c = _ritz(spec, _parity(k))[1][(k - 1) // 2]
+    c = rung[1][(k - 1) // 2]
     m = _disc(spec)["left"].size
     if c.size * m > _BASIS_SIZE:
         return None
@@ -533,95 +497,36 @@ def _series_fn(spec, k):
     return mirror_half(g, gx / spec.half_width, even=not odd, left=True)
 
 
-def _root(spec, k):
-    """The k-th eigenvalue's solve as a generator; returns the eigenvalue.
-
-    It yields ("count", lam), answered with the counting shot (nodes,
-    g(pi/2), g'(pi/2)), and ("defect", lam), answered with the end state.
-    Brent runs on the seed bracket if its ends count idx-1 and idx, else on
-    the one :func:`_isolate` finds.  Off one end state sign g(pi/2) =
-    (-1)^nodes (the shot starts with g > 0), the odd count is nodes and the
-    even count nodes + [g'(pi/2)*(-1)^nodes < 0]: the defect has sign
-    (-1)^count, and the two ends bracket a sign change.
-    """
-    parity, idx = _parity(k), (k + 1) // 2
-    seed = _seeds(spec, parity)[min(idx, _SEED_COUNT) - 1]
-    half = _SEED_REL * max(1.0, abs(seed))
-    lo, hi = seed - half, seed + half
-
-    def count(lam):
-        return _phase_count(*(yield "count", lam), parity)
-
-    if ((yield from count(lo)), (yield from count(hi))) != (idx - 1, idx):
-        lo, hi = yield from _isolate(count, idx, lo, hi)
-    steps = brent_steps(lo, hi, xtol=_LAM_TOL)
-    lam = next(steps)
-    while True:
-        try:
-            lam = steps.send(_defect(*(yield "defect", lam), parity))
-        except StopIteration as stop:
-            return float(stop.value)
-
-
-def _solve(spec, ks):
-    """Eigenvalues of the distinct ``ks``: one :func:`_root` each, driven together.
-
-    Each round answers every root's requests whose lam this call has shot
-    already (a counting shot's last point is its exact end state, so it
-    answers a defect request too) and shoots the rest at once: the new
-    counting lams in one trajectory call, the new defect lams in one
-    end-state call.  No lam is shot twice in one call.
-    """
-    disc = _disc(spec)
-    shots = {}  # lam -> (nodes, g(pi/2), g'(pi/2)); nodes is None for an end-state shot
-    roots = [_root(spec, k) for k in ks]
-    out = [0.0] * len(roots)
-    asks = {i: next(root) for i, root in enumerate(roots)}
-    while asks:
-        for i, (kind, lam) in list(asks.items()):
-            try:
-                while lam in shots and (kind == "defect" or shots[lam][0] is not None):
-                    shot = shots[lam]
-                    kind, lam = roots[i].send(shot if kind == "count" else shot[1:])
-            except StopIteration as stop:
-                out[i] = stop.value
-                del asks[i]
-            else:
-                asks[i] = kind, lam
-        traj = list(dict.fromkeys(lam for kind, lam in asks.values() if kind == "count"))
-        ends = [lam for lam in dict.fromkeys(lam for _, lam in asks.values()) if lam not in traj]
-        if traj:
-            shots.update(zip(traj, _half_shots(spec, disc, traj)))
-        if ends:
-            for lam, (g, gp) in zip(ends, _shots(propagate_band_end, spec, disc, ends)):
-                shots[lam] = None, float(g), float(gp)
-    return out
-
-
-# (spec, k) -> eigenvalue; past _MEMO_SIZE entries the oldest are dropped
-_memo: dict = {}
-
-
 def eigenvalues(spec: SLSpec, ks) -> list[float]:
-    """Eigenvalues k (each >= 1) of ``ks``, in order, memoized per process.
-
-    The ks not in the memo take their Ritz values where the Ritz solve vouches
-    for them (:func:`_ritz_eigenvalue`); the rest are shot together
-    (:func:`_solve`).
+    """Eigenvalues k (each >= 1) of ``ks``, in order: each the Ritz value on the
+    lowest rung of the ladder that vouches for it (:func:`_ritz_eigenvalue`),
+    held by the Ritz cache.  A k past the top rung is refused (:func:`_refusal`).
     """
     ks = [int(k) for k in ks]
     if any(k < 1 for k in ks):
         raise InputError("k must be >= 1")
-    new = sorted({k for k in ks if (spec, k) not in _memo})
-    if new:
-        lams = {k: _ritz_eigenvalue(spec, k) for k in new}
-        shot = [k for k, lam in lams.items() if lam is None]
-        if shot:
-            lams.update(zip(shot, _solve(spec, shot)))
-        _memo.update(((spec, k), lam) for k, lam in lams.items())
-        while len(_memo) > _MEMO_SIZE:
-            del _memo[next(iter(_memo))]
-    return [_memo[spec, k] for k in ks]
+    lams = [_ritz_eigenvalue(spec, k) for k in ks]
+    for k, lam in zip(ks, lams):
+        if lam is None:
+            raise _refusal(spec, k)
+    return lams
+
+
+def _refusal(spec, k):
+    """The error that refuses eigenvalue k, past the top rung.
+
+    Where the top rung vouches for values of k's parity, k lies past them: an
+    InputError.  Where it vouches for none, the band is past the ladder at
+    every k (d = 7 at mu = 1e12, for one), and a counting shot at the top
+    rung's first value (:func:`_half_shot`) comes first: where the band ODE
+    overflows, its NonFiniteResult, a numerical failure, is raised instead, as
+    for the count and eigenfunction shots of such a band.
+    """
+    values, vectors = _ritz(spec, _parity(k), _top_rung(spec))
+    if not len(vectors):
+        _half_shot(spec, _disc(spec), float(values[0]))
+    return InputError(f"eigenvalue k={k} at mu={spec.mu:g} is past the Ritz ladder: "
+                      f"no basis of up to N={_RITZ_TOP} Legendre degrees resolves it")
 
 
 def eigenvalue(spec: SLSpec, k: int) -> float:
@@ -641,13 +546,13 @@ def _eigenpair(spec, th, k, lam, g, gp):
 
 
 def eigen_pairs(spec: SLSpec, ks) -> list[SLEigenpair]:
-    """Eigenpairs k of ``ks``: memoized eigenvalues with their eigenfunctions,
-    each of unit L^2 norm of weight sin^{d-2} and signed g'(a) > 0.
+    """Eigenpairs k of ``ks``: their eigenvalues (:func:`eigenvalues`) with their
+    eigenfunctions, each of unit L^2 norm of weight sin^{d-2} and signed g'(a) > 0.
 
     An eigenfunction is its Legendre series (:func:`_series_fn`), normalized
-    on its Ritz coefficients with no grid arithmetic, or, where the Ritz solve
-    does not vouch for one, one of a lane-batched assembly of shots normalized
-    by Simpson on the grid (:func:`_assemble_fn`).  Only a shot eigenfunction
+    on its Ritz coefficients with no grid arithmetic, or, where there is no
+    series, one of a lane-batched assembly of shots normalized by Simpson on
+    the grid (:func:`_assemble_fn`).  Only a shot eigenfunction
     has its nodes counted on the full band (BracketFail unless k - 1): a series
     has shown (k - 1) // 2 on its half band, and its mirror adds the rest.  The
     eigenfunctions are not cached.

@@ -41,11 +41,11 @@ def bmodes7(p7):
 
 @pytest.fixture
 def shots_only(monkeypatch):
-    """Band eigenvalues, eigenfunctions and counts from the shooting path
-    alone, on a memo cleared before and after: the Ritz check refuses every
-    eigenvalue and every count."""
-    monkeypatch.setattr(sl, "_ritz_eigenvalue", lambda spec, k: None)
+    """Band counts and eigenfunctions from the shooting path alone, on a Ritz
+    cache cleared before and after: the Ritz count refuses every count and no
+    eigenfunction is a Legendre series."""
     monkeypatch.setattr(sl, "_ritz_count", lambda spec, lam: None)
-    sl._memo.clear()
+    monkeypatch.setattr(sl, "_series_fn", lambda spec, k: None)
+    sl._ritz.cache_clear()
     yield
-    sl._memo.clear()
+    sl._ritz.cache_clear()

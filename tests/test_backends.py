@@ -18,7 +18,7 @@ import pytest
 import conespec
 from conespec import kernels
 from conespec.errors import NonFiniteResult
-from conespec.kernels import propagate_band, propagate_band_end
+from conespec.kernels import propagate_band
 
 
 def _rk4_band(dm2, mu, lam, thetas, g0, gp0):
@@ -81,12 +81,9 @@ def test_numpy_kernel_matches_python_loop(n, descending):
         g, gp = propagate_band(d - 2, mu, lam, thetas, g0, gp0)
         assert np.max(np.abs(g - g_ref)) <= 1e-12 * scale, (d, mu, lam)
         assert np.max(np.abs(gp - gp_ref)) <= 1e-12 * scale, (d, mu, lam)
-        g_end, gp_end = propagate_band_end(d - 2, mu, lam, thetas, g0, gp0)
-        assert abs(g_end - g_ref[-1]) <= 1e-12 * scale, (d, mu, lam)
-        assert abs(gp_end - gp_ref[-1]) <= 1e-12 * scale, (d, mu, lam)
 
 
-@pytest.mark.parametrize("kernel", [propagate_band, propagate_band_end])
+@pytest.mark.parametrize("kernel", [propagate_band])
 def test_overflow_is_nonfinite_result_without_warning(kernel):
     # At mu = 1e12 each RK4 step multiplies the state by ~1e13, so the shot
     # overflows long before the end of a 257-point band.
@@ -130,12 +127,11 @@ def test_mu_zero_grid_builds_no_mu_part():
     _clear_memos()
     for lam in (-3.0, 6.0, 40.0):
         propagate_band(5, 0.0, lam, thetas, 1.0, 0.0)
-        propagate_band_end(5, 0.0, lam, thetas, 0.0, 1.0)
     assert kernels._lam_part.cache_info().misses == 1
     assert kernels._mu_part.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize("kernel", [propagate_band, propagate_band_end])
+@pytest.mark.parametrize("kernel", [propagate_band])
 def test_memo_hit_and_miss_agree_exactly(kernel):
     thetas = np.linspace(math.pi / 2 - 0.6, math.pi / 2, 2049)
     _clear_memos()
@@ -149,12 +145,6 @@ def test_memo_hit_and_miss_agree_exactly(kernel):
     again = kernel(5, 84.0, 150.0, thetas, 1.0, -2.0)
     for a, b, c, e in zip(miss, hit, parts, again):
         assert np.array_equal(a, b) and np.array_equal(a, c) and np.array_equal(a, e)
-
-
-def test_trajectory_ends_at_end_state():
-    thetas = np.linspace(math.pi / 2 - 0.6, math.pi / 2, 1000)
-    g, gp = propagate_band(5, 84.0, 150.0, thetas, 1.0, -2.0)
-    assert (g[-1], gp[-1]) == propagate_band_end(5, 84.0, 150.0, thetas, 1.0, -2.0)
 
 
 def _lane_grids():
@@ -173,13 +163,10 @@ def test_lam_lanes_equal_scalar_shots(grid, lanes):
     lams = np.linspace(-40.0, 300.0, lanes)
     for mu in (0.0, 84.0):
         g, gp = propagate_band(5, mu, lams, thetas, 1.0, -2.0)
-        g_end, gp_end = propagate_band_end(5, mu, lams, thetas, 1.0, -2.0)
         assert g.shape == gp.shape == (lanes, thetas.size)
-        assert g_end.shape == gp_end.shape == (lanes,)
         for i, lam in enumerate(lams):
             want_g, want_gp = propagate_band(5, mu, lam, thetas, 1.0, -2.0)
             assert np.array_equal(g[i], want_g) and np.array_equal(gp[i], want_gp), (mu, i)
-            assert (g_end[i], gp_end[i]) == propagate_band_end(5, mu, lam, thetas, 1.0, -2.0)
 
 
 @pytest.mark.parametrize("grid", ["ascending", "descending", "odd steps", "one point"])
@@ -188,11 +175,9 @@ def test_start_state_lanes_equal_scalar_shots(grid):
     thetas = _lane_grids()[grid]
     g0, gp0 = np.array([1.0, 0.0, 0.7]), np.array([0.0, 1.0, -3.0])
     g, gp = propagate_band(5, 12.0, 6.0, thetas, g0, gp0)
-    g_end, gp_end = propagate_band_end(5, 12.0, 6.0, thetas, g0, gp0)
     for i in range(3):
         want_g, want_gp = propagate_band(5, 12.0, 6.0, thetas, g0[i], gp0[i])
         assert np.array_equal(g[i], want_g) and np.array_equal(gp[i], want_gp), i
-        assert (g_end[i], gp_end[i]) == propagate_band_end(5, 12.0, 6.0, thetas, g0[i], gp0[i])
     # lam lanes and start-state lanes together
     lams = np.array([6.0, 40.0, -3.0])
     g, _ = propagate_band(5, 12.0, lams, thetas, g0, gp0)
@@ -218,7 +203,7 @@ def test_strided_trajectory_samples_the_full_one(n, lanes):
         propagate_band(5, 84.0, lams, thetas, 1.0, -2.0, -1)
 
 
-@pytest.mark.parametrize("kernel", [propagate_band, propagate_band_end])
+@pytest.mark.parametrize("kernel", [propagate_band])
 def test_overflow_in_one_lane_is_nonfinite_result_without_warning(kernel):
     # only the large-lam lane overflows; the whole call raises
     thetas = np.linspace(math.pi / 2 - 0.5, math.pi / 2 + 0.5, 257)
@@ -229,7 +214,7 @@ def test_overflow_in_one_lane_is_nonfinite_result_without_warning(kernel):
     assert not caught, [str(w.message) for w in caught]
 
 
-@pytest.mark.parametrize("kernel", [propagate_band, propagate_band_end])
+@pytest.mark.parametrize("kernel", [propagate_band])
 @pytest.mark.parametrize("lam, g0, shapes", [
     (np.array([6.0, 7.0]), np.array([1.0, 0.0, 0.5]), "lam (2,), g0 (3,), gp0 ()"),
     (np.array([[6.0, 7.0]]), 1.0, "lam (1, 2), g0 (), gp0 ()"),

@@ -110,7 +110,6 @@ def test_verify_sweep_exit_codes(tmp_path):
 def _clear_memos():
     """Clear every memo a verify or particular op reads, as in a fresh process."""
     from conespec import boundary, profile, sl
-    sl._memo.clear()
     sl._ritz.cache_clear()
     sl._ritz_forms.cache_clear()
     boundary._pairs.clear()
@@ -130,12 +129,10 @@ def test_verify_work_count(tmp_path, monkeypatch):
     _clear_memos()
     shots = []
     for mod in (sl, profile, boundary):
-        for name in ("propagate_band", "propagate_band_end"):
-            if hasattr(mod, name):
-                def counted(*args, _fn=getattr(kernels, name), **kwargs):
-                    shots.append(1)
-                    return _fn(*args, **kwargs)
-                monkeypatch.setattr(mod, name, counted)
+        def counted(*args, _fn=kernels.propagate_band, **kwargs):
+            shots.append(1)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, "propagate_band", counted)
     assert run(["verify", "--dim", "7", "--out", str(tmp_path / "v.json")]) == 0
     assert len(shots) == 1, len(shots)
 
@@ -149,13 +146,16 @@ def test_second_particular_reuses_cone_and_eigenpairs(tmp_path, monkeypatch):
     argv = ["particular", "--dim", "7", "--beta", "0.7", "--modes", str(modes)]
     assert run(argv + ["--out", str(tmp_path / "a.json")]) == 0
     calls = []
-    for mod, name in ((profile, "propagate_band"), (sl, "_solve")):
-        def counted(*args, _fn=getattr(mod, name), _name=name):
-            calls.append(_name)
-            return _fn(*args)
-        monkeypatch.setattr(mod, name, counted)
+
+    def counted(*args, _fn=profile.propagate_band):
+        calls.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(profile, "propagate_band", counted)
+    misses = sl._ritz.cache_info().misses
     assert run(argv + ["--out", str(tmp_path / "b.json")]) == 0
     assert calls == []
+    assert sl._ritz.cache_info().misses == misses
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
 
@@ -538,6 +538,11 @@ _IN_CHILD = {"modes --dim 7 --mu-max nan", "modes --dim 7 --mu-max inf",
      "sphere degree 200"),
     # r^60 under- and overflows here, but W of the cone does not depend on r
     ("weiss --dim 60 --field @cone --radii 1e-6,1e6", 0, None),
+    # k = 700 lies past the top rung of the Ritz ladder; k = 200 is on its rung 3
+    ("sl --dim 7 --mu 0 --bc robin --k 700", 64,
+     "invalid input: eigenvalue k=700 at mu=0 is past the Ritz ladder: no basis of up to "
+     "N=1024 Legendre degrees resolves it"),
+    ("sl --dim 7 --mu 0 --bc robin --k 200", 0, None),
 ])
 def test_cli_exit_contract(tmp_path, capsys, argv, code, message):
     # every rejected input exits cleanly (64 bad input, 2 numerical failure),
@@ -567,7 +572,8 @@ def test_cli_exit_contract(tmp_path, capsys, argv, code, message):
         assert message in err, err
     if code == 0:
         body = _strict_json((tmp_path / "out.json").read_text() if "--out" in args else out)
-        assert len(body["W"]) == 2
+        if args[0] == "weiss":
+            assert len(body["W"]) == 2
 
 
 @pytest.mark.parametrize("dim", ["3", "7", "24"])

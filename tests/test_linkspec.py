@@ -175,8 +175,8 @@ def test_match_error_equals_the_per_profile_loop(d, monkeypatch):
 
     fns = []
 
-    def recorded(spec, k, _solve=linkspec.eigen_k):
-        pair = _solve(spec, k)
+    def recorded(spec, k, _eigen_k=linkspec.eigen_k):
+        pair = _eigen_k(spec, k)
         fns.append(pair.fn)
         return pair
 

@@ -1,8 +1,7 @@
-"""In-package Simpson and Brent: bit-for-bit against SciPy (the oracle
-library), their rejections, and scipy kept off the solver's import path."""
+"""In-package Simpson: bit-for-bit against SciPy (the oracle library), its
+rejections, and scipy kept off the solver's import path."""
 
 import json
-import math
 import subprocess
 import sys
 import textwrap
@@ -10,19 +9,16 @@ import textwrap
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.optimize
 
 from conespec import _quad, sl
 from conespec.config import DEFAULT_CONFIG
-from conespec.errors import NonConvergent, NonFiniteResult
-from conespec.profile import solve_profile
 from conespec.radial import radial_grid
 from conespec.weiss import halfplane_field
 
 
 @pytest.fixture(scope="module")
 def profiles(p3, p7):
-    return {3: p3, 7: p7, 10: solve_profile(10), 24: solve_profile(24)}
+    return {3: p3, 7: p7}
 
 
 def _integrands(p):
@@ -70,95 +66,6 @@ def test_simpson_rejects_even_and_short_counts(n):
     x = np.linspace(0.0, 1.0, n)
     with pytest.raises(ValueError, match="odd sample count"):
         _quad.simpson(np.ones(n), x=x)
-
-
-def _brentq(f, a, b, xtol):
-    """Root of ``f`` in [a, b]: ``_quad.brent_steps`` answered by ``f`` one value at a time."""
-    steps = _quad.brent_steps(a, b, xtol)
-    x = next(steps)
-    try:
-        while True:
-            x = steps.send(f(x))
-    except StopIteration as stop:
-        return stop.value
-
-
-def _traced(fn):
-    xs = []
-
-    def f(x):
-        xs.append(x)
-        return fn(x)
-    return f, xs
-
-
-def _isolated(spec, disc, parity, idx):
-    """sl's isolated bracket from its seed bracket, counting shots taken at once."""
-    seed = sl._seeds(spec, parity)[min(idx, sl._SEED_COUNT) - 1]
-    half = sl._SEED_REL * max(1.0, abs(seed))
-
-    def count(lam):  # a count step that does not yield
-        return sl._phase_count(*sl._half_shot(spec, disc, lam), parity)
-        yield
-
-    try:
-        next(sl._isolate(count, idx, seed - half, seed + half))
-    except StopIteration as stop:
-        return stop.value
-    raise AssertionError("isolation requested a shot")
-
-
-def test_brentq_matches_scipy_on_band_defects(profiles, shots_only):
-    solved = 0
-    for d, p in profiles.items():
-        for mu in (0.0, 5.0, 84.0):
-            for bc in ("robin", "dirichlet"):
-                spec = sl.band_spec(p, mu, bc)
-                disc = sl._disc(spec)
-                for k in (1, 2, 3, 5):
-                    parity = "even" if k % 2 == 1 else "odd"
-                    idx = (k + 1) // 2
-                    lo, hi = _isolated(spec, disc, parity, idx)
-                    def defect(lam):  # the end-state shot of sl's Brent loop
-                        return sl._defect(*sl.propagate_band_end(
-                            spec.dim - 2, spec.mu, lam, disc["left"], *sl._y_left(spec)), parity)
-                    ours, ours_xs = _traced(defect)
-                    ref, ref_xs = _traced(defect)
-                    root = _brentq(ours, lo, hi, xtol=sl._LAM_TOL)
-                    want = scipy.optimize.brentq(ref, lo, hi, xtol=sl._LAM_TOL,
-                                                 rtol=_quad._RTOL)
-                    assert root == want and ours_xs == ref_xs, (d, mu, bc, k)
-                    assert root == sl.eigenvalue(spec, k)
-                    solved += 1
-    assert solved == 96
-
-
-@pytest.mark.parametrize("f, a, b", [
-    (math.cos, 1.0, 2.0),
-    (lambda x: math.tanh(40.0 * (x - 0.3)), -1.0, 2.0),
-    (lambda x: x ** 3 - 2.0, 0.0, 3.0),
-    (lambda x: x ** 9 - 1e-3, 0.0, 4.0),
-    (lambda x: math.atan(1e3 * (x - 1.0 / 3.0)), -5.0, 1.0),
-    (lambda x: math.exp(x) - 10.0, -3.0, 8.0),
-])
-def test_brentq_matches_scipy_on_hard_brackets(f, a, b):
-    # steep, flat and skewed roots force bisection and rejected steps
-    ours, ours_xs = _traced(f)
-    ref, ref_xs = _traced(f)
-    root = _brentq(ours, a, b, xtol=1e-14)
-    assert root == scipy.optimize.brentq(ref, a, b, xtol=1e-14, rtol=_quad._RTOL)
-    assert ours_xs == ref_xs
-
-
-def test_brentq_rejections(monkeypatch):
-    with pytest.raises(ValueError, match="different signs"):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
-    with pytest.raises(NonFiniteResult):
-        _brentq(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0, xtol=1e-12)
-    assert _brentq(lambda x: x, 0.0, 1.0, xtol=1e-12) == 0.0
-    monkeypatch.setattr(_quad, "_MAXITER", 2)
-    with pytest.raises(NonConvergent, match="in 2 iterations"):
-        _brentq(math.atan, -1.0, 2.0, xtol=1e-15)
 
 
 def _lazy_modules_after(code):

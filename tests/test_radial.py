@@ -435,16 +435,16 @@ def test_project_interior_work_count(p7, bmodes7, monkeypatch):
     from conespec import boundary, kernels, sl
     u1, f = transfer_boundary(make_source(BETA, {1: 1.0}), bmodes7, p7)
     assert len({m.ell for m in f.modes}) == 1
-    sl._memo.clear()
     sl._ritz.cache_clear()
     sl._ritz_forms.cache_clear()
     boundary._pairs.clear()
     calls = []
-    for name in ("propagate_band", "propagate_band_end"):
-        def counted(*args, _fn=getattr(kernels, name)):
-            calls.append(1)
-            return _fn(*args)
-        monkeypatch.setattr(sl, name, counted)
+
+    def counted(*args, _fn=kernels.propagate_band):
+        calls.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(sl, "propagate_band", counted)
     project_interior(f, p7)
     assert len(calls) == 0, len(calls)
 
@@ -453,13 +453,12 @@ def test_project_interior_work_count(p7, bmodes7, monkeypatch):
 def test_projected_entries_are_the_link_entries(dim):
     # project_interior builds each entry from the eigenpair it solves; where
     # the link spectrum holds the same (ell, j) the two must be equal, also
-    # when the eigenvalue memo is cold and nothing is shared between them
+    # when the Ritz cache is cold and nothing is shared between them
     from conespec import sl
     p = solve_profile(dim)
     link = link_spectrum(p, 4.0 * dim)
     bmodes = boundary_modes(p, 8)
     _, f = transfer_boundary(make_source(BETA, {m.k: 1.0 for m in bmodes}), bmodes, p)
-    sl._memo.clear()
     sl._ritz.cache_clear()
     f_int, _ = project_interior(f, p)
     held = {e.source for e in link.entries}

@@ -1,5 +1,5 @@
-"""Band Sturm-Liouville engine: Ritz eigenvalues and shooting vs the
-finite-difference oracle, oscillation/ordering properties, and frozen d=7
+"""Band Sturm-Liouville engine: the Ritz ladder's eigenvalues and the shots vs
+the finite-difference oracle, oscillation/ordering properties, and frozen d=7
 reference eigenvalues."""
 
 import dataclasses
@@ -160,33 +160,6 @@ def test_nodes_skip_exact_zero_samples():
     assert eigen_k(spec, 6).nodes == 5
 
 
-@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
-def test_wrong_seeds_fall_back_to_bisection(p7, bc, monkeypatch, shots_only):
-    spec = band_spec(p7, 5.0, bc)
-    sl._memo.clear()
-    seeded = [eigenvalue(spec, k) for k in range(1, 6)]
-    sl._memo.clear()
-    isolated = []
-
-    def isolate(*args):
-        isolated.append(args[1])
-        return _isolate(*args)
-
-    _isolate = sl._isolate
-    monkeypatch.setattr(sl, "_isolate", isolate)
-    # the wrong seed of k is 40(k-1) - 30 for every k, split by parity
-    monkeypatch.setattr(sl, "_seeds", lambda s, parity: tuple(
-        40.0 * i - 30.0 for i in range(16))[parity == "odd"::2])
-    try:
-        for k, lam in enumerate(seeded, start=1):
-            pair = eigen_k(spec, k)
-            assert abs(pair.lam - lam) <= sl._LAM_TOL, (k, pair.lam, lam)
-            assert pair.nodes == k - 1
-    finally:
-        sl._memo.clear()
-    assert isolated == [1, 1, 2, 2, 3]  # half-band index of k = 1..5
-
-
 @pytest.mark.parametrize("mu", [0.0, 5.0, 12.0])
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
 def test_count_below_matches_fd_oracle(p3, p7, mu, bc):
@@ -198,16 +171,23 @@ def test_count_below_matches_fd_oracle(p3, p7, mu, bc):
             assert count_below(spec, lam) == int(np.count_nonzero(fd < lam)), (p.dim, lam)
 
 
-def _shot_eigenvalues(spec, ks, monkeypatch):
-    """Eigenvalues ks of ``spec`` from the shooting path, on a memo cleared
-    before and after: the Ritz check refuses every one."""
-    with monkeypatch.context() as m:
-        m.setattr(sl, "_ritz_eigenvalue", lambda spec, k: None)
-        sl._memo.clear()
-        try:
-            return eigenvalues(spec, ks)
-        finally:
-            sl._memo.clear()
+def _shot_eigenvalues(spec, ks):
+    """Eigenvalues ks of ``spec`` shot: scipy's brentq on the midpoint defect
+    g'(pi/2) (k odd) or g(pi/2) (k even) of the left half-band end state of
+    the RK4 kernel, inside the Ritz value +- 1e-7 max(1, |value|)."""
+    from scipy.optimize import brentq
+    left = sl._disc(spec)["left"]
+
+    def defect(lam, k):
+        g, gp = sl.propagate_band(spec.dim - 2, spec.mu, lam, left, *sl._y_left(spec),
+                                  left.size)  # a down-sweep skipped whole: the end state
+        return (gp[-1] if k % 2 else g[-1]) / math.hypot(g[-1], gp[-1])
+
+    shots = []
+    for k, lam in zip(ks, eigenvalues(spec, ks)):
+        half = 1e-7 * max(1.0, abs(lam))
+        shots.append(brentq(defect, lam - half, lam + half, args=(k,), xtol=sl._LAM_TOL))
+    return shots
 
 
 @pytest.fixture(scope="module")
@@ -218,28 +198,16 @@ def seed_profiles(p3, p7):
 
 @pytest.mark.parametrize("mu", [0.0, 84.0, 500.0])
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
-def test_ritz_seeds_land_on_the_eigenvalues(seed_profiles, mu, bc, monkeypatch):
+def test_ritz_seeds_land_on_the_eigenvalues(seed_profiles, mu, bc):
     # the shot's eigenvalue lies above the exact one by its RK4 error (<= 2e-10
-    # here); the reported eigenvalues (Ritz values where the Ritz solve vouches
-    # for them) and the seeds, which bound the eigenvalues of their parity from
-    # above, lie within that of it
-    sl._memo.clear()
-    try:
-        for d, p in seed_profiles.items():
-            spec = band_spec(p, mu, bc)
-            lams = np.array(eigenvalues(spec, range(1, 17)))
-            shot = np.array(_shot_eigenvalues(spec, range(1, 17), monkeypatch))
-            rel = (lams - shot) / np.maximum(1.0, np.abs(shot))
-            assert np.abs(rel).max() <= 1e-9, (d, rel)
-            for parity, start in (("even", 0), ("odd", 1)):
-                got = np.array(sl._seeds(spec, parity))
-                want = shot[start::2]
-                assert got.size == sl._SEED_COUNT == 8, (d, parity)
-                rel = (got - want) / np.maximum(1.0, np.abs(want))
-                assert rel.min() >= -1e-9, (d, parity, rel.min())
-                assert rel.max() <= 1e-9, (d, parity, rel.max())
-    finally:
-        sl._memo.clear()
+    # here); the Ritz values of the ladder, on the lowest rung that vouches for
+    # each, lie within that of it
+    for d, p in seed_profiles.items():
+        spec = band_spec(p, mu, bc)
+        lams = np.array(eigenvalues(spec, range(1, 17)))
+        shot = np.array(_shot_eigenvalues(spec, range(1, 17)))
+        rel = (lams - shot) / np.maximum(1.0, np.abs(shot))
+        assert np.abs(rel).max() <= 1e-9, (d, rel)
 
 
 def test_structural_eigenvalues_in_closed_form():
@@ -266,25 +234,6 @@ def test_eigenvalues_where_every_shot_overflows(p3):
     assert np.abs(got / fd - 1.0).max() <= 1e-12, (got, fd)
 
 
-@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
-def test_seeds_far_above_their_eigenvalues_are_isolated(p7, bc, monkeypatch, shots_only):
-    # past the basis cap Ritz seeds are coarse, and they lie above their
-    # eigenvalues: at mu = 3e6 a seed 1 % high sits about 3e4 above, where a
-    # fixed step of 10 down ran out of expansion steps
-    spec = band_spec(p7, 3e6, bc)
-    sl._memo.clear()
-    want = eigenvalues(spec, [1, 2, 3])
-    sl._memo.clear()
-    seeds = sl._seeds
-    monkeypatch.setattr(sl, "_seeds", lambda s, parity: tuple(
-        1.01 * v for v in seeds(s, parity)))
-    try:
-        got = [eigenvalue(spec, k) for k in (1, 2, 3)]
-    finally:
-        sl._memo.clear()
-    assert np.max(np.abs(np.subtract(got, want))) <= 1e-9, (got, want)
-
-
 def test_count_below_shoots_once(p7, monkeypatch, shots_only):
     # both parities are read off one left half-band trajectory
     spec = band_spec(p7, 5.0, "robin")
@@ -295,7 +244,6 @@ def test_count_below_shoots_once(p7, monkeypatch, shots_only):
         return _shoot(*args)
 
     monkeypatch.setattr(sl, "propagate_band", counted)
-    monkeypatch.setattr(sl, "propagate_band_end", None)  # must not be called
     assert count_below(spec, 20.0) == 2  # 0 and 6 (FROZEN_D7), not 31.22
     assert len(calls) == 1
 
@@ -309,18 +257,20 @@ def _guarded(spec, top):
 
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
 @pytest.mark.parametrize("d", [3, 7, 12, 24, 40])
-def test_ritz_count_matches_shot_count(d, bc):
-    # the scan: each vouched value +- 1e-6 (what linkspec._walk asks for),
-    # +- twice the margin, and the midpoints between values.  The Ritz count
-    # answers exactly where the first value of each parity at or above lam is
-    # vouched and no value lies within the margin, and there it equals the
-    # counting shot's, whose lanes are taken on a grid that resolves the scan
-    # as linkspec's guard demands (at d = 7, mu = 1e6 the default grid's shot
-    # undercounts by one just above a value: its h^2 lam is 100 times the guard's)
+def test_ritz_count_matches_shot_count(d, bc, monkeypatch):
+    # the scan: each value the bottom rung vouches for +- 1e-6 (what
+    # linkspec._walk asks for), +- twice the margin, and the midpoints between
+    # values.  On the bottom rung alone the Ritz count answers exactly where the
+    # first value of each parity at or above lam is vouched and no value lies
+    # within the margin; the ladder answers there with the same count, and
+    # wherever it answers the count equals the counting shot's, whose lanes are
+    # taken on a grid that resolves the scan as linkspec's guard demands (at
+    # d = 7, mu = 1e6 the default grid's shot undercounts by one just above a
+    # value: its h^2 lam is 100 times the guard's)
     p = profile.solve_profile(d)
     for mu in [SphereMode.of(d, ell).mu for ell in range(4)] + [1e4, 1e5, 1e6]:
         spec = band_spec(p, mu, bc)
-        vouched = [sl._ritz(spec, parity) for parity in ("even", "odd")]
+        vouched = [sl._ritz(spec, parity, 0) for parity in ("even", "odd")]
         values = np.sort(np.concatenate([v[:len(c)] for v, c in vouched]))
         margins = 2 * sl._COUNT_MARGIN * np.maximum(1.0, np.abs(values))
         lams = np.concatenate([values - 1e-6, values + 1e-6, values - margins,
@@ -328,13 +278,20 @@ def test_ritz_count_matches_shot_count(d, bc):
         margin = sl._COUNT_MARGIN * np.maximum(1.0, np.abs(lams))
         clear = (np.abs(lams[:, None] - values) > margin[:, None]).all(axis=1)
         answers = clear & (lams < min(v[len(c) - 1] for v, c in vouched) - margin)
+        with monkeypatch.context() as m:  # a ladder of one rung
+            m.setattr(sl, "_RITZ_TOP", sl._ritz_size(spec))
+            bottom = [sl._ritz_count(spec, float(lam)) for lam in lams]
+        assert [n is not None for n in bottom] == answers.tolist(), (mu, lams)
         ritz = [sl._ritz_count(spec, float(lam)) for lam in lams]
-        assert [n is not None for n in ritz] == answers.tolist(), (mu, lams)
+        assert all(n == b for n, b in zip(ritz, bottom) if b is not None), mu
         fine = _guarded(spec, lams.max())
-        for lam, n, shot in zip(lams, ritz, sl._half_shots(fine, sl._disc(fine), lams.tolist())):
-            if n is not None:
-                assert n == sl._phase_count(*shot, "even") + sl._phase_count(*shot, "odd"), \
-                    (mu, lam, n)
+        left = sl._disc(fine)["left"]
+        asked = np.array([lam for lam, n in zip(lams, ritz) if n is not None])
+        g, gp = sl.propagate_band(d - 2, mu, asked, left, *sl._y_left(fine),
+                                  sl._count_skip(fine, left, asked.max()))
+        shots = [sum(sl._phase_count(sl._nodes(g[i]), g[i, -1], gp[i, -1], parity)
+                     for parity in ("even", "odd")) for i in range(asked.size)]
+        assert [n for n in ritz if n is not None] == shots, (mu, asked)
         assert answers.sum() >= values.size, (mu, int(answers.sum()))  # not a vacuous scan
 
 
@@ -351,35 +308,6 @@ def test_count_below_shoots_only_inside_the_margin(p7, monkeypatch):
         assert len(calls) == shots, (lam, len(calls))
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_seeded_bracket_ends_are_not_reshot(p7, monkeypatch, shots_only, k):
-    # isolation from a correct seed stops after its first two counting shots,
-    # and those give Brent its endpoint defects
-    spec = band_spec(p7, 12.0, "dirichlet")
-    parity, idx = ("even" if k % 2 else "odd"), (k + 1) // 2
-    seed = sl._seeds(spec, parity)[idx - 1]
-    half = sl._SEED_REL * max(1.0, abs(seed))
-    lo, hi = seed - half, seed + half
-    traj, ends = [], []
-
-    def shot(fn, log):
-        def counted(dm2, mu, lam, *rest):
-            log.extend(np.atleast_1d(lam).tolist())  # each lane's lam
-            return fn(dm2, mu, lam, *rest)
-        return counted
-
-    monkeypatch.setattr(sl, "propagate_band", shot(sl.propagate_band, traj))
-    monkeypatch.setattr(sl, "propagate_band_end", shot(sl.propagate_band_end, ends))
-    sl._memo.clear()
-    try:
-        lam = eigenvalue(spec, k)
-    finally:
-        sl._memo.clear()
-    assert traj == [lo, hi]  # the seed bracket needed no expansion or bisection
-    assert ends and lo not in ends and hi not in ends
-    assert lo < lam < hi
-
-
 def _full_shot(spec, lam):
     """(nodes, g(pi/2), g'(pi/2)) off the full left half-band trajectory."""
     g, gp = sl.propagate_band(spec.dim - 2, spec.mu, lam, sl._disc(spec)["left"],
@@ -388,38 +316,15 @@ def _full_shot(spec, lam):
 
 
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
-def test_defect_sign_follows_count(seed_profiles, bc):
-    # Brent needs no same-sign guard: off one end state the midpoint defect
-    # is 0 or has sign (-1)^count, so ends counting idx-1 and idx bracket a
-    # sign change; the strided counting shot reads the full trajectory's
-    # nodes and end state
-    for d, p in seed_profiles.items():
-        for mu in (0.0, 5.0, 84.0, 500.0):
-            spec = band_spec(p, mu, bc)
-            disc = sl._disc(spec)
-            fd = eigen_fd_crosscheck(spec, 12)
-            span = fd[-1] - fd[0]
-            lams = np.concatenate([np.linspace(fd[0] - 0.1 * span, fd[-1] + 0.1 * span, 61), fd])
-            for lam in lams:
-                shot = sl._half_shot(spec, disc, float(lam))
-                assert shot == _full_shot(spec, float(lam)), (d, mu, lam)
-                for parity in ("even", "odd"):
-                    count = sl._phase_count(*shot, parity)
-                    defect = sl._defect(*shot[1:], parity)
-                    assert defect == 0.0 or np.sign(defect) == (-1) ** count, \
-                        (d, mu, lam, parity, count, defect)
-
-
-@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
-def test_eigenvalue_past_seeds_at_large_mu(p7, bc, monkeypatch):
-    # k = 17 is the 9th eigenvalue of its parity, past the 8 seeds, so its
-    # shot's isolation starts from the top seed; the Ritz solve vouches for it
+def test_eigenvalue_past_seeds_at_large_mu(p7, bc):
+    # k = 17 is the 9th eigenvalue of its parity, past the 8 Ritz values that
+    # once seeded its shot; the Ritz ladder vouches for it, and a shot agrees
     spec = band_spec(p7, 3e6, bc)
     fd = eigen_fd_crosscheck(spec, 17)[-1]
     pair = eigen_k(spec, 17)
     assert abs(pair.lam - fd) <= 1e-8 * fd, (pair.lam, fd)
     assert pair.nodes == 16
-    [shot] = _shot_eigenvalues(spec, [17], monkeypatch)
+    [shot] = _shot_eigenvalues(spec, [17])
     assert abs(shot - fd) <= 1e-8 * fd, (shot, fd)
 
 
@@ -465,6 +370,36 @@ def test_eigenvalues_past_seeds_are_counted_in_order(p7, mu):
         assert abs(lam - fd[k - 1]) <= 1e-8 * abs(fd[k - 1]), (k, lam, fd[k - 1])
 
 
+@pytest.mark.parametrize("d, mu, bc", [(7, 0.0, "robin"), (3, 1e4, "dirichlet"),
+                                       (12, 84.0, "robin")])
+def test_ladder_eigenvalues_match_fd_oracle(d, mu, bc, monkeypatch):
+    # k = 17..80 reach past what the bottom rung vouches for and come from the
+    # rungs above, with no kernel call, within 9.4e-9 of the oracle; RK4 shots
+    # read up to 2.3e-7 from it, past 2e-8 from k = 44 on
+    spec = band_spec(profile.solve_profile(d), mu, bc)
+    sl._ritz.cache_clear()
+    calls = _kernel_calls(monkeypatch)
+    lams = np.array(eigenvalues(spec, range(17, 81)))
+    assert not calls, len(calls)
+    fd = eigen_fd_crosscheck(spec, 80)[16:]
+    assert np.max(np.abs(lams / fd - 1.0)) <= 2e-8, np.max(np.abs(lams / fd - 1.0))
+
+
+@pytest.mark.parametrize("k", [199, 200])
+def test_ladder_rungs_agree_and_nest(p7, k):
+    # the rung above the one that vouches for k = 200 (d = 7, mu = 0) agrees
+    # with it to 1.6e-13 relative, and its basis holds the lower one's, so by
+    # min-max none of its values lies above the lower rung's by more than rounding
+    spec = band_spec(p7, 0.0, "robin")
+    parity, i = sl._parity(k), (k - 1) // 2
+    rung = next(r for r in range(8) if i < len(sl._ritz(spec, parity, r)[1]))
+    (lo, vectors), (hi, _) = sl._ritz(spec, parity, rung), sl._ritz(spec, parity, rung + 1)
+    assert eigenvalue(spec, k) == lo[i] and rung > 0
+    assert abs(hi[i] - lo[i]) <= 1e-12 * abs(lo[i]), (rung, hi[i], lo[i])
+    n = len(vectors)
+    assert np.all(hi[:n] - lo[:n] <= 1e-12 * np.maximum(1.0, np.abs(lo[:n]))), rung
+
+
 @pytest.mark.parametrize("k", [1, 4])
 def test_eigenfunction_normalization_at_large_mu(p7, k):
     # g grows like exp(sqrt(mu)) into the band, so an unscaled g*g overflows
@@ -485,76 +420,39 @@ def test_eigenfunction_normalization_at_large_mu(p7, k):
 def _one_at_a_time(spec, ks):
     values = []
     for k in ks:
-        sl._memo.clear()
+        sl._ritz.cache_clear()
         values.append(eigenvalue(spec, k))
-    sl._memo.clear()
+    sl._ritz.cache_clear()
     return values
 
 
 @pytest.mark.parametrize("mu", [0.0, 12.0])
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
 def test_lockstep_eigenvalues_equal_one_at_a_time(p3, p7, mu, bc):
-    # each lane repeats its scalar shot exactly, and each Brent solve sees the
-    # same values whatever else runs in its round; past the 8 seeds of a
-    # parity (k > 16) the roots also share their counting shots
+    # each eigenvalue is the value of the lowest rung that vouches for it,
+    # whatever else is asked in the same call; past the bottom rung (k > 12
+    # or so) the rungs above answer
     for p in (p3, p7):
         spec = band_spec(p, mu, bc)
         want = _one_at_a_time(spec, range(1, 41))
         try:
             for top in (8, 40):
-                sl._memo.clear()
+                sl._ritz.cache_clear()
                 assert eigenvalues(spec, range(1, top + 1)) == want[:top], (p.dim, mu, bc, top)
-            # the memo answers in any order, with repeats
+            # the Ritz cache answers in any order, with repeats
             assert eigenvalues(spec, [3, 1, 3]) == [want[2], want[0], want[2]]
         finally:
-            sl._memo.clear()
+            sl._ritz.cache_clear()
 
 
 def test_lockstep_work_count(p7, monkeypatch):
-    # the 40 roots of one call share one table of shots: past the seeds they
-    # share the top seed's doubling and bisection midpoints, so the whole
-    # batch takes 67 trajectory lanes in 9 calls
+    # the 40 eigenvalues of one call come from the Ritz ladder (rungs 0 to 2
+    # here) with no kernel call; shooting them took 67 trajectory lanes in 9 calls
     spec = band_spec(p7, 0.0, "robin")
-    calls, lanes = [], []
-
-    def counted(dm2, mu, lam, *rest, _shoot=sl.propagate_band):
-        calls.append(1)
-        lanes.extend(np.atleast_1d(lam).tolist())
-        return _shoot(dm2, mu, lam, *rest)
-
-    monkeypatch.setattr(sl, "propagate_band", counted)
-    sl._memo.clear()
-    try:
-        eigenvalues(spec, range(1, 41))
-    finally:
-        sl._memo.clear()
-    assert len(set(lanes)) == len(lanes)  # no lam is shot twice
-    assert len(lanes) <= 67 and len(calls) <= 9, (len(lanes), len(calls))
-
-
-@pytest.mark.parametrize("bc", ["robin", "dirichlet"])
-def test_lockstep_under_wrong_seeds_falls_back_to_isolation(p7, bc, monkeypatch, shots_only):
-    spec = band_spec(p7, 5.0, bc)
-    isolated = []
-
-    def isolate(*args):
-        isolated.append(args[1])
-        return _isolate(*args)
-
-    _isolate = sl._isolate
-    monkeypatch.setattr(sl, "_isolate", isolate)
-    _one_at_a_time(spec, range(1, 9))
-    assert not isolated  # every correct seed brackets its eigenvalue
-    # the wrong seeds of test_wrong_seeds_fall_back_to_bisection
-    monkeypatch.setattr(sl, "_seeds", lambda s, parity: tuple(
-        40.0 * i - 30.0 for i in range(16))[parity == "odd"::2])
-    want = _one_at_a_time(spec, range(1, 9))
-    isolated.clear()
-    try:
-        assert eigenvalues(spec, range(1, 9)) == want
-    finally:
-        sl._memo.clear()
-    assert isolated == [1, 1, 2, 2, 3, 3, 4, 4]  # every lane fell back
+    sl._ritz.cache_clear()
+    calls = _kernel_calls(monkeypatch)
+    eigenvalues(spec, range(1, 41))
+    assert not calls, len(calls)
 
 
 def test_eigen_pairs_equal_eigen_k(p7):
@@ -596,44 +494,41 @@ def test_eigenfunctions_mirror_exactly(p7, bc):
 
 
 def _kernel_calls(monkeypatch):
-    """Calls of either band kernel from sl, counted into the returned list."""
+    """Calls of the band kernel from sl, counted into the returned list."""
     calls = []
-    for name in ("propagate_band", "propagate_band_end"):
-        def counted(*args, _fn=getattr(sl, name)):
-            calls.append(1)
-            return _fn(*args)
-        monkeypatch.setattr(sl, name, counted)
+
+    def counted(*args, _fn=sl.propagate_band):
+        calls.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(sl, "propagate_band", counted)
     return calls
 
 
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
 @pytest.mark.parametrize("d", [3, 7, 12, 24])
 def test_series_eigenfunctions_match_fine_shots(seed_profiles, d, bc, monkeypatch):
-    # an eigenfunction whose eigenvalue the Ritz solve vouches for is its Ritz
-    # vector's Legendre series, with no shot.  Against the shot at the same
-    # eigenvalue on a grid 4 times finer (every 4th sample) the series read
-    # <= 6.1e-12 of max|fn| and max|fn'| (k <= 8); the eigenvalues it refuses
-    # (k = 7, 8 at d = 3, mu = 500) are shot on both grids, and their
-    # eigenfunctions differ by 2.0e-10 and 2.3e-10, the RK4 error.  Robin data
-    # hold to 5.3e-12 of max|fn'|, and the Dirichlet ends are exactly 0.0.
+    # each eigenfunction is its Ritz vector's Legendre series, with no shot,
+    # on the lowest rung that vouches for its eigenvalue (rung 1 for k = 7, 8
+    # at d = 3, mu = 500, which the bottom rung refuses).  Against the shot at
+    # the same eigenvalue on a grid 4 times finer (every 4th sample) the series
+    # read <= 6.1e-12 of max|fn| and max|fn'| (k <= 8).  Robin data hold to
+    # 5.3e-12 of max|fn'|, and the Dirichlet ends are exactly 0.0.
     for mu in (0.0, 5.0, 84.0, 500.0):
         spec = band_spec(seed_profiles[d], mu, bc)
-        vouched = [k for k in range(1, 9) if sl._ritz_eigenvalue(spec, k) is not None]
-        assert vouched[:6] == list(range(1, 7)), (mu, vouched)
-        sl._memo.clear()
+        sl._ritz.cache_clear()
         with monkeypatch.context() as m:
             calls = _kernel_calls(m)
-            eigen_pairs(spec, vouched)
+            eigen_pairs(spec, range(1, 9))
         assert not calls, (mu, len(calls))
         with monkeypatch.context() as m:
             m.setattr(sl, "_series_fn", lambda spec, k: None)
             shots = eigen_pairs(dataclasses.replace(spec, grid_n=16384), range(1, 9))
         for a, b in zip(eigen_pairs(spec, range(1, 9)), shots):
             assert a.nodes == b.nodes == a.k - 1
-            assert (a.lam == b.lam) == (a.k in vouched)  # a shot's root moves with the grid
-            tol = 5e-11 if a.k in vouched else 5e-10
+            assert a.lam == b.lam  # the eigenvalue does not depend on the grid
             for u, v in ((a.fn, b.fn[::4]), (a.fn_prime, b.fn_prime[::4])):
-                assert np.max(np.abs(u - v)) <= tol * np.max(np.abs(u)), (mu, a.k)
+                assert np.max(np.abs(u - v)) <= 5e-11 * np.max(np.abs(u)), (mu, a.k)
             if bc == "robin":
                 assert max(a.bc_residual) <= 1e-9 * np.max(np.abs(a.fn_prime)), (mu, a.k)
             else:
@@ -665,7 +560,7 @@ def test_series_eigenfunctions_are_normalized_on_their_coefficients(seed_profile
     for mu in (0.0, 84.0, 500.0):
         spec = band_spec(seed_profiles[d], mu, bc)
         for parity in ("even", "odd"):
-            for c in sl._ritz(spec, parity)[1]:
+            for c in sl._ritz(spec, parity, 0)[1]:
                 assert abs(_gauss_mass(spec, parity, c) - 1.0) <= 1e-13, (mu, parity)
         th = sl._disc(spec)["theta"]
         w = np.sin(th) ** (d - 2)
@@ -677,9 +572,9 @@ def test_series_eigenfunctions_are_normalized_on_their_coefficients(seed_profile
             assert gp[0] > 0, (mu, k)
         for ritz, want in ((True, 0), (False, 1)):
             with monkeypatch.context() as m:
-                if not ritz:  # as shots_only: every eigenvalue and eigenfunction shot
-                    m.setattr(sl, "_ritz_eigenvalue", lambda spec, k: None)
-                    sl._memo.clear()
+                if not ritz:  # as shots_only: every eigenfunction shot
+                    m.setattr(sl, "_series_fn", lambda spec, k: None)
+                    sl._ritz.cache_clear()
                 calls = []
 
                 def counted(*args, _simpson=sl.simpson, **kwargs):
@@ -688,7 +583,7 @@ def test_series_eigenfunctions_are_normalized_on_their_coefficients(seed_profile
 
                 m.setattr(sl, "simpson", counted)
                 eigen_pairs(spec, series if ritz else range(1, 9))
-            sl._memo.clear()
+            sl._ritz.cache_clear()
             assert len(calls) == want, (mu, ritz, len(calls))
 
 
@@ -754,10 +649,11 @@ def test_only_shot_eigenfunctions_count_full_band_nodes(p7, monkeypatch):
     assert sizes.count(p7.grid.size) == len(ks)
 
 
-def test_shot_eigenfunction_with_wrong_nodes_raises(p7, shots_only):
+def test_shot_eigenfunction_with_wrong_nodes_raises(p7, monkeypatch, shots_only):
     # eigenfunction 3 shot at the 5th eigenvalue has 4 nodes, not 2
     spec = band_spec(p7, 0.0, "robin")
-    sl._memo[spec, 3] = eigenvalue(spec, 5)
+    lam5 = eigenvalue(spec, 5)
+    monkeypatch.setattr(sl, "eigenvalues", lambda spec, ks: [lam5])
     with pytest.raises(BracketFail, match="k=3 has 4 nodes"):
         eigen_k(spec, 3)
 
@@ -807,11 +703,11 @@ def test_ritz_on_a_warm_band_equals_a_cold_solve(d):
             for parity in ("even", "odd"):
                 sl._ritz.cache_clear()
                 sl._ritz_forms.cache_clear()
-                cold = sl._ritz(spec, parity)
+                cold = sl._ritz(spec, parity, 0)
                 sl._ritz.cache_clear()
                 sl._ritz_forms.cache_clear()
-                sl._ritz(other, parity)
-                warm = sl._ritz(spec, parity)
+                sl._ritz(other, parity, 0)
+                warm = sl._ritz(spec, parity, 0)
                 assert sl._ritz_forms.cache_info().hits == 1, (d, mu, bc, parity)
                 for got, want in zip(warm, cold):
                     assert got.tobytes() == want.tobytes(), (d, mu, bc, parity)
@@ -824,7 +720,6 @@ def test_verify_builds_the_mu_free_matrices_twice_per_dimension():
     # every mode verify solves at one d lies on the same band at N = 48, so
     # the band's matrices are built once per parity
     from conespec.linkspec import verify_strong_integrability
-    sl._memo.clear()
     sl._ritz.cache_clear()
     sl._ritz_forms.cache_clear()
     for d in range(3, 11):
