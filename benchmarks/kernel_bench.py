@@ -1,10 +1,8 @@
-"""Timing of the band-ODE propagation kernels.
+"""Timing of the band-ODE propagation kernel.
 
-Times the two kinds of shot side by side at each grid size and at mu = 0
-and mu = 2(d-1) (the sphere-degree-2 mode): ``traj`` (whole trajectory:
-up-sweep and down-sweep of the step tree) and ``count`` (the counting shot
-of ``sl``: the down-sweep stopped at the Sturm-safe stride
-``sl._count_skip`` picks for the largest lambda, stride choice included).  Each is timed in four cases:
+Times one shot (the whole trajectory: up-sweep and down-sweep of the step
+tree) at each grid size and at mu = 0 and mu = 2(d-1) (the sphere-degree-2
+mode), in four cases:
 
 * ``new grid`` -- every memo level cleared before each shot, so the lam part,
   the mu part (mu > 0 only) and the per-mu collapse are all built;
@@ -30,21 +28,11 @@ This is a kernel micro-benchmark; the end-to-end benchmark is
 import argparse
 import math
 import time
-import types
 
 import numpy as np
 
-from conespec import kernels, sl
+from conespec import kernels
 
-
-def count_shot(dm2, mu, lam, thetas, g0, gp0):
-    """The counting shot of ``sl`` on ``thetas``, strided for the largest lambda."""
-    spec = types.SimpleNamespace(dim=dm2 + 2, mu=mu)
-    skip = sl._count_skip(spec, thetas, float(np.max(lam)))
-    return kernels.propagate_band(dm2, mu, lam, thetas, g0, gp0, skip)
-
-
-KERNELS = {"traj": kernels.propagate_band, "count": count_shot}
 CASES = ("new grid", "new mu", "warm", "direct")
 LANES = (1, 2, 4, 8, 16)
 MEMOS = (kernels._step_poly, kernels._lam_part, kernels._mu_part)
@@ -54,12 +42,12 @@ def _direct_steps(dm2, mu, lam, thetas):
     return np.array(kernels._step_entries(dm2, mu, lam, thetas)).reshape(2, 2, -1)
 
 
-def best_time(shot, case, dm2, mu, lam, thetas, repeats):
+def best_time(case, dm2, mu, lam, thetas, repeats):
     memo_steps = kernels._steps
     if case == "direct":
         kernels._steps = _direct_steps
     try:
-        shot(dm2, mu, lam, thetas, 1.0, 0.0)  # warm-up
+        kernels.propagate_band(dm2, mu, lam, thetas, 1.0, 0.0)  # warm-up
         best = math.inf
         for _ in range(repeats):
             if case == "new grid":
@@ -68,24 +56,24 @@ def best_time(shot, case, dm2, mu, lam, thetas, repeats):
             elif case == "new mu":
                 kernels._step_poly.cache_clear()
             t0 = time.perf_counter()
-            shot(dm2, mu, lam, thetas, 1.0, 0.0)
+            kernels.propagate_band(dm2, mu, lam, thetas, 1.0, 0.0)
             best = min(best, time.perf_counter() - t0)
     finally:
         kernels._steps = memo_steps
     return best
 
 
-def lane_time(shot, dm2, mu, lam, thetas, lanes, repeats):
+def lane_time(dm2, mu, lam, thetas, lanes, repeats):
     """Best warm time per lane of one call shooting ``lanes`` lambdas."""
     lams = lam + np.arange(lanes, dtype=float)
     cap = kernels._LANES
     kernels._LANES = lanes
     try:
-        shot(dm2, mu, lams, thetas, 1.0, 0.0)  # warm-up
+        kernels.propagate_band(dm2, mu, lams, thetas, 1.0, 0.0)  # warm-up
         best = math.inf
         for _ in range(repeats):
             t0 = time.perf_counter()
-            shot(dm2, mu, lams, thetas, 1.0, 0.0)
+            kernels.propagate_band(dm2, mu, lams, thetas, 1.0, 0.0)
             best = min(best, time.perf_counter() - t0)
     finally:
         kernels._LANES = cap
@@ -115,28 +103,26 @@ def main():
     d = args.dim
     lam = d - 1.0
     print(f"band propagation, d={d}, lam={lam}  (best of {args.repeats}, ms)")
-    print(f"{'n':>6}{'mu':>6}{'shot':>6}" + "".join(f"{case:>10}" for case in CASES))
+    print(f"{'n':>6}{'mu':>6}" + "".join(f"{case:>10}" for case in CASES))
     sizes = [int(t) for t in args.sizes.split(",") if t]
     for n in sizes:
         thetas = np.linspace(math.pi / 2 - 0.55, math.pi / 2 + 0.55, n)
         for mu in (0.0, 2.0 * (d - 1)):
-            for name, shot in KERNELS.items():
-                row = f"{n:>6}{mu:>6g}{name:>6}"
-                for case in CASES:
-                    t = best_time(shot, case, d - 2, mu, lam, thetas, args.repeats)
-                    row += f"{t * 1e3:>10.3f}"
-                print(row)
+            row = f"{n:>6}{mu:>6g}"
+            for case in CASES:
+                t = best_time(case, d - 2, mu, lam, thetas, args.repeats)
+                row += f"{t * 1e3:>10.3f}"
+            print(row)
 
     print(f"\nwarm lane shots, mu={2 * (d - 1)}: ms per lane")
     print(f"{'n':>6}{'shot':>7}" + "".join(f"{lanes:>9}" for lanes in LANES))
     for n in sizes:
         thetas = np.linspace(math.pi / 2 - 0.55, math.pi / 2, n)
-        for name, shot in KERNELS.items():
-            row = f"{n:>6}{name:>7}"
-            for lanes in LANES:
-                t = lane_time(shot, d - 2, 2.0 * (d - 1), lam, thetas, lanes, args.repeats)
-                row += f"{t * 1e3:>9.3f}"
-            print(row)
+        row = f"{n:>6}{'traj':>7}"
+        for lanes in LANES:
+            t = lane_time(d - 2, 2.0 * (d - 1), lam, thetas, lanes, args.repeats)
+            row += f"{t * 1e3:>9.3f}"
+        print(row)
         t = states_time(d - 2, 2.0 * (d - 1), thetas, args.repeats)
         print(f"{n:>6}{'states':>7}" + "".join(f"{t * 1e3:>9.3f}" if lanes == 2 else f"{'-':>9}"
                                              for lanes in LANES))

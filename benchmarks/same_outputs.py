@@ -7,7 +7,8 @@ when the two stdouts of a differing run both parse as JSON or CSV, the line
 after it names the numeric field that moved most, relative to max(1, |a|).  The
 list covers every command that reads the link spectrum, the profile, the
 boundary modes or the Weiss energy, including the refusals of
-``spectrum``, of a band eigenvalue past the Ritz ladder's top rung, of a
+``spectrum``, of a band eigenvalue past the Ritz ladder's top rung (two: one
+past the values it vouches for, one on a band where it vouches for none), of a
 boundary-mode count past the enumeration's cap and of a modes file with a
 non-integer key or cut-off JSON, and runs ``verify``,
 ``particular``, ``criticality`` and ``weiss`` once more under a ``--config``
@@ -56,12 +57,16 @@ RUNS = (
     # lambda_200 on rung 3 of the Ritz ladder (N = 384), and k = 700 past its top: exit 64
     ["sl", "--dim", "7", "--mu", "0", "--bc", "robin", "--k", "200"],
     ["sl", "--dim", "7", "--mu", "0", "--bc", "robin", "--k", "700"],
+    # no rung of the ladder vouches for any eigenvalue at this mu: exit 64
+    ["sl", "--dim", "7", "--mu", "1e12", "--bc", "robin", "--k", "1"],
     ["sl", "--dim", "12", "--mu", "0", "--bc", "dirichlet", "--k", "2"],
     # the highest k that particular projects on, where normalizing a series on its
     # coefficients instead of by Simpson on the grid moves it most
     ["sl", "--dim", "7", "--mu", "0", "--bc", "robin", "--k", "8"],
     ["report", "--dims", "3..12"],
     *(["verify", "--dim", d] for d in ("3", "7", "12", "24")),
+    # large d, where the walk once shot counts within a margin of a Ritz value
+    *(["verify", "--dim", d] for d in ("100", "200")),
     ["spectrum", "--dim", "7", "--lambda-max", "300"],
     ["spectrum", "--dim", "12", "--lambda-max", "300"],
     ["spectrum", "--dim", "3", "--lambda-max", "3000"],

@@ -13,8 +13,8 @@ from .profile import (ConeProfile, band_points, jacobi_fields,
                       legendre_crosscheck, solve_profile)
 from .spheremodes import SphereMode, harmonic_multiplicity, modes_up_to
 from .kernels import get_backend, propagate_band
-from .sl import (SLEigenpair, SLSpec, band_spec, count_below, eigen_fd_crosscheck,
-                 eigen_k, eigen_pairs, eigenvalue, eigenvalues, rayleigh)
+from .sl import (SLEigenpair, SLSpec, band_spec, eigen_fd_crosscheck, eigen_k,
+                 eigen_pairs, eigenvalue, eigenvalues, rayleigh)
 from .linkspec import (IntegrabilityReport, LinkEigenvalue, LinkSpectrum,
                        assemble, decay_exponents, homogeneity, link_spectrum,
                        verify_strong_integrability)

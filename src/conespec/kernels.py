@@ -9,8 +9,7 @@ Sturm-Liouville shots use general (mu, lam), and boundary-mode fundamental
 solutions are (mu, lam=0).  The one entry point, :func:`propagate_band`,
 integrates it by fixed-step RK4 and returns the whole trajectory (g, g') at
 every grid point -- the profile, the boundary modes and the eigenfunctions no
-Legendre series gives (see :mod:`conespec.sl`) need it -- or, for the node
-counts of ``sl``, only every 2^s-th point and the end state.
+Legendre series gives (see :mod:`conespec.sl`) need it.
 
 It writes the RK4 update as 2x2 step matrices y_{i+1} = T_i y_i (the
 step-matrix form of Pryce, "Numerical Solution of Sturm-Liouville
@@ -21,8 +20,7 @@ lam, lam^2, mu, mu lam, mu^2).  Its coefficients are memoized per
 which each shot evaluates by Horner's rule.
 The shot runs through one tree (Blelloch, "Prefix sums and their
 applications", 1990): its up-sweep of pairwise products gives the end state,
-and a down-sweep of states gives the trajectory, O(n) products each; a
-down-sweep stopped s levels early gives every 2^s-th state.  Both
+and a down-sweep of states gives the trajectory, O(n) products each.  Both
 only reassociate the products of the plain RK4 loop ``_rk4_band`` in
 ``tests/test_backends.py``, the tests' reference, whose stage arithmetic
 :func:`_step_entries` writes out entrywise.
@@ -223,27 +221,25 @@ def _end_state(levels, g0, gp0):
     return r00 * g0 + r01 * gp0, r10 * g0 + r11 * gp0
 
 
-def _rk4_trajectory(dm2, mu, lam, thetas, g0, gp0, skip):
+def _rk4_trajectory(dm2, mu, lam, thetas, g0, gp0):
     """RK4 trajectory: the up-sweep, then a down-sweep of states.
 
     Going down a level, the first child of each pair starts where its parent
     starts and the second child starts at the first child's product applied
     to that state, so level s holds the state before steps 0, 2^s, 2*2^s, ...
-    (an unpaired block starts there too).  The down-sweep stops at level
-    ``skip`` (at the root past the tree's height), so skip = 0 gives the
-    state before every step; the last point is the end state, the tree's
-    root applied to the start state.
+    (an unpaired block starts there too), and level 0 the state before every
+    step; the last point is the end state, the tree's root applied to the
+    start state.
     """
     levels = _up_sweep(_steps(dm2, mu, lam, thetas))
-    stop = min(skip, len(levels) - 1)
     state = np.array([g0, gp0])[..., None]
-    for t in reversed(levels[stop:-1]):
+    for t in reversed(levels[:-1]):
         m = t.shape[-1]
         below = np.empty(state.shape[:-1] + (m,))
         below[..., 0::2] = state
         below[..., 1::2] = (t[..., 0:m - 1:2] * state[..., :m // 2]).sum(axis=1)
         state = below
-    m = levels[stop].shape[-1]
+    m = levels[0].shape[-1]
     g = np.empty(state.shape[1:-1] + (m + 1,))
     gp = np.empty_like(g)
     g[..., :-1], gp[..., :-1] = state[..., :m]
@@ -260,7 +256,7 @@ def _is_lanes(v):
     return isinstance(v, np.ndarray) and v.ndim > 0
 
 
-def _lane_shots(dm2, mu, lam, thetas, g0, gp0, skip):
+def _lane_shots(dm2, mu, lam, thetas, g0, gp0):
     """Lanes (a 1-D array lam, g0 or gp0) in chunks of at most _LANES; a scalar
     start state repeats per lane, and a scalar lam becomes one entry all lanes share."""
     lam, g0, gp0 = (np.asarray(v, dtype=np.float64) for v in (lam, g0, gp0))
@@ -272,27 +268,23 @@ def _lane_shots(dm2, mu, lam, thetas, g0, gp0, skip):
     lam = lam.reshape(-1)
     g0, gp0 = (v if v.ndim else np.full(lanes, v) for v in (g0, gp0))
     chunks = [_rk4_trajectory(dm2, mu, lam if lam.size == 1 else lam[i:i + _LANES], thetas,
-                              g0[i:i + _LANES], gp0[i:i + _LANES], skip)
+                              g0[i:i + _LANES], gp0[i:i + _LANES])
               for i in range(0, lanes, _LANES)]
     return tuple(np.concatenate(part) for part in zip(*chunks))
 
 
-def propagate_band(dm2: float, mu: float, lam, thetas: np.ndarray, g0, gp0, skip: int = 0):
+def propagate_band(dm2: float, mu: float, lam, thetas: np.ndarray, g0, gp0):
     """Integrate the band ODE along ``thetas``; (g, g') at every grid point.
 
     Scalar arguments give arrays of shape (points,).  A 1-D ``lam``, ``g0``
     or ``gp0`` gives one lane per entry, shape (lanes, points), each lane
     bit-identical to its scalar shot; 1-D arguments of different lengths, a
-    2-D one or an empty one raise ``ValueError``.  ``skip`` = s > 0 stops the
-    down-sweep s levels early: only points 0, 2^s, 2*2^s, ... and the last
-    point come back, each bit-identical to the full trajectory's.  An overflow
-    or NaN raises :class:`NonFiniteResult`.
+    2-D one or an empty one raise ``ValueError``.  An overflow or NaN raises
+    :class:`NonFiniteResult`.
     """
-    if skip < 0:
-        raise ValueError(f"skip must be >= 0, got {skip}")
     thetas = np.asarray(thetas, dtype=np.float64)
     with finite("non-finite band shot at mu={mu}, lam={lam}", mu=mu, lam=lam):
         if _is_lanes(lam) or _is_lanes(g0) or _is_lanes(gp0):
-            return _lane_shots(float(dm2), float(mu), lam, thetas, g0, gp0, skip)
+            return _lane_shots(float(dm2), float(mu), lam, thetas, g0, gp0)
         return _rk4_trajectory(float(dm2), float(mu), float(lam), thetas,
-                               float(g0), float(gp0), skip)
+                               float(g0), float(gp0))

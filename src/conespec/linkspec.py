@@ -22,20 +22,18 @@ from ._quad import simpson
 from .config import DEFAULT_CONFIG, RES_TOL, SolverConfig
 from .errors import AmbiguousCluster, InputError
 from .profile import ConeProfile, jacobi_fields
-from .sl import _LAM_TOL, band_spec, count_below, eigen_k, eigenvalue, eigenvalues
+from .sl import _LAM_TOL, band_spec, eigen_k, eigenvalue
 from .spheremodes import _MAX_DEGREE, SphereMode, modes_up_to
 
 # Analytic-eigenfunction identification threshold (relative L^2).  Not a
 # config field: identification is structural and the margin only absorbs
 # integrator noise.
 _FN_TOL = 1e-5
-# Largest h^2*lambda_max on a band grid of step h.  It bounds the shots that
-# remain: the counts shot within sl's 1e-8 relative margin of a Ritz value or
-# past the Ritz ladder's top rung, and the eigenfunctions shot where a series
-# fails (an RK4 shot's relative error grows like 0.018*(h^2*lambda)^2, d = 7,
-# FD oracle, so it stays <= 1e-8).  Eigenvalues come from the Ritz ladder
-# alone and do not use the grid, and a Ritz eigenfunction is its Legendre
-# series sampled on it.
+# Largest h^2*lambda_max on a band grid of step h.  It bounds the only shots
+# left, the eigenfunctions shot where a Legendre series fails (an RK4 shot's
+# relative error grows like 0.018*(h^2*lambda)^2, d = 7, FD oracle, so it
+# stays <= 1e-8).  Eigenvalues come from the Ritz ladder alone and do not use
+# the grid, and a Ritz eigenfunction is its Legendre series sampled on it.
 _H2_LAMBDA_MAX = 7.5e-4
 
 
@@ -87,10 +85,11 @@ def resolved_lambda_max(p: ConeProfile) -> float:
 def assemble(p: ConeProfile, lambda_max: float) -> list[LinkEigenvalue]:
     """All link eigenvalues <= lambda_max, sorted, with multiplicities.
 
-    The walk of :func:`_walk` with low = cap = lambda_max: the node count of
-    each band problem at lambda_max says how many eigenvalues to solve, and
-    the modes end at the first without one.  A lambda_max past what the band
-    grid resolves (h^2*lambda_max > _H2_LAMBDA_MAX) is refused.
+    The walk of :func:`_walk` with low = cap = lambda_max: each band problem
+    is solved k = 1, 2, ... up to its first eigenvalue at or above
+    lambda_max, and the modes end at the first without one below it.  A
+    lambda_max past what the band grid resolves (h^2*lambda_max >
+    _H2_LAMBDA_MAX) is refused.
     """
     d = p.dim
     if not lambda_max > d - 1:
@@ -167,6 +166,11 @@ def _walk(p: ConeProfile, low: float, cap: float, tol: float) -> list[LinkEigenv
     min(best+tol, cap), where best is the smallest eigenvalue above low
     solved so far.
 
+    The walk asks only for band eigenvalues (:func:`conespec.sl.eigenvalue`,
+    read off the Ritz ladder): a mode's eigenvalues rise with k, so each mode
+    is taken k = 1, 2, ... up to its first eigenvalue past the bound, and a
+    mode has an eigenvalue below low when its first one lies there.
+
     Completeness: lambda_{ell,k} >= mu_ell + lambda_{0,1}, and the first
     eigenvalue of a mode rises with mu, so the modes with eigenvalues below
     low come first and the walk ends at the first mode with
@@ -181,25 +185,18 @@ def _walk(p: ConeProfile, low: float, cap: float, tol: float) -> list[LinkEigenv
     lam01 = eigenvalue(band_spec(p, 0.0, "robin"), 1)
     out = []
 
-    def slice_mode(mode, spec, n):
-        """Solve the n eigenvalues below low in one call, then one at a time
-        those below min(best+tol, cap)."""
+    def slice_mode(mode, spec):
+        """Eigenvalues k = 1, 2, ... of the mode up to the first at or above
+        both low and min(best+tol, cap), which is solved but not kept."""
         nonlocal best
-        # n counts the eigenvalues below top.  top starts at low and rises
-        # once to the bound min(best+tol, cap) when k passes n; as best
-        # falls, k needs a recount only while k <= n.
-        top, ks, lams = low, range(1, n + 1), []
+        lams = []
         while True:
-            new = eigenvalues(spec, ks)
-            best = min([best] + [lam for lam in new if lam > low])
-            lams += new
-            k = len(lams) + 1
-            bound = min(best + tol, cap)
-            if (k > n and bound > top) or (k <= n and bound < top):
-                top, n = bound, count_below(spec, bound)
-            if k > n:
+            lam = eigenvalue(spec, len(lams) + 1)
+            if lam > low:
+                best = min(best, lam)
+            if lam >= low and lam >= min(best + tol, cap):
                 break
-            ks = (k,)
+            lams.append(lam)
         out.extend(LinkEigenvalue.of(d, (mode.ell, k), lam, mode.multiplicity)
                    for k, lam in enumerate(lams, start=1))
 
@@ -207,17 +204,16 @@ def _walk(p: ConeProfile, low: float, cap: float, tol: float) -> list[LinkEigenv
     head = []
     for mode in modes:
         spec = band_spec(p, mode.mu, "robin")
-        n = count_below(spec, low)
-        if not n:
-            slice_mode(mode, spec, 0)
+        if eigenvalue(spec, 1) >= low:
+            slice_mode(mode, spec)
             break
-        head.append((mode, spec, n))
+        head.append((mode, spec))
     for mode in modes:  # none below low either
         if mode.mu + lam01 > best + tol:
             break
-        slice_mode(mode, band_spec(p, mode.mu, "robin"), 0)
-    for mode, spec, n in head:
-        slice_mode(mode, spec, n)
+        slice_mode(mode, band_spec(p, mode.mu, "robin"))
+    for mode, spec in head:
+        slice_mode(mode, spec)
     # eigenvalues that tie to within the solver's tolerance come out by source,
     # not in the order their last bits set
     out.sort(key=lambda e: e.lam)
@@ -266,11 +262,10 @@ def verify_strong_integrability(p: ConeProfile,
     absence of any other eigenvalue at or below d-1.
 
     Only the bottom of the spectrum is solved, by slicing each sphere mode
-    with eigenvalue counts (:func:`_walk` with low = min(d-1+tol, 4d) and
-    cap = 4d), read off the vouched Ritz values and shot only within their
-    margin or past them (:func:`conespec.sl.count_below`): every eigenvalue
-    below low, and those below min(best+tol, 4d), where best ends as the gap.
-    With no eigenvalue in (low, 4d] the gap is inf.
+    with its eigenvalues in order (:func:`_walk` with low = min(d-1+tol, 4d)
+    and cap = 4d), each read off the Ritz ladder: every eigenvalue below low,
+    and those below min(best+tol, 4d), where best ends as the gap.  With no
+    eigenvalue in (low, 4d] the gap is inf.
 
     The eigenfunctions of every cluster identified are solved first and
     identified in one pass (:func:`_identify`), then checked in cluster order:

@@ -28,13 +28,9 @@ it and every value of its parity below it agree to _LAM_TOL with those of the
 basis with 16 fewer degrees.  Eigenvalue k is the value of the lowest rung
 that vouches for it (:func:`_ritz_eigenvalue`): it depends on (spec, k) alone
 and not on the grid, and the Ritz cache holds it.  Past the top rung
-:func:`eigenvalues` refuses it.  :func:`count_below` counts the Ritz values
-below lam, which by min-max have as many eigenvalues below them, on the
-lowest rung that vouches for the first value of each parity at or above lam,
-where no value lies within _COUNT_MARGIN of lam (:func:`_ritz_count`);
-otherwise (inside the margin, or past the top rung) it is a Sturm shot, whose
-trajectory's down-sweep stops at the coarsest stride that the Sturm comparison
-theorem proves still sees every node (:func:`_count_skip`).
+:func:`eigenvalues` refuses it with an InputError.  The eigenvalues are the
+module's one spectral query: a caller that needs how many lie below some lam
+takes them in order of k.
 :func:`eigen_pairs` takes each eigenfunction as its Ritz vector's Legendre
 series on the left half band, mirrored (:func:`_series_fn`, on one basis per
 grid size and N for every cone, :func:`_grid_basis`): Ritz vectors are
@@ -66,9 +62,6 @@ _RITZ_N = (48, 256)  # Legendre degrees of the Ritz ladder's bottom rung: floor 
 _RITZ_TOP = 1024     # Legendre degrees of its top rung: past it an eigenvalue is refused
 _NEWTON_CAP = 20     # Newton steps for the Gauss nodes (4 suffice from Tricomi's estimates)
 _LAM_TOL = 1e-10     # Ritz acceptance on each eigenvalue
-# relative distance from every Ritz value within which a count is shot: 100 times
-# the Ritz tolerance, and no wider than a shot's error under linkspec's h^2 lam guard
-_COUNT_MARGIN = 100 * _LAM_TOL
 _BASIS_SIZE = 1 << 22  # samples of one series basis (32 MB): past it eigenfunctions are shot
 
 
@@ -132,11 +125,6 @@ def _nodes(g):
     return int(np.count_nonzero(s[:-1] != s[1:]))
 
 
-# Pruefer phase at pi/2 that the half-band eigenfunction hits:
-# g'(pi/2) = 0 (even) or g(pi/2) = 0 (odd).
-_TARGET_PHASE = {"even": math.pi / 2, "odd": math.pi}
-
-
 def _shots(spec, disc, lams):
     """Left half-band trajectories at each of ``lams``: one (g, g') each.
 
@@ -147,50 +135,6 @@ def _shots(spec, disc, lams):
     if len(lams) == 1:
         return [propagate_band(*args, lams[0], disc["left"], *_y_left(spec))]
     return list(zip(*propagate_band(*args, np.array(lams), disc["left"], *_y_left(spec))))
-
-
-def _count_skip(spec, left, lam):
-    """Down-sweep levels a counting shot at ``lam`` may skip on the half band ``left``.
-
-    With m = (d-2)/2, g = u sin^-m turns the band ODE into u'' + Q u = 0,
-    Q = lam + m^2 - (mu + m(m-1)) / sin^2.  If Q <= M^2, zeros of g lie at
-    least pi/M apart (Sturm comparison; Pryce 1993), so samples 2^s h apart
-    with 2^s h <= pi/(2M) (a factor 2 of margin) see each zero as one sign
-    change.  M^2 <= 0 leaves at most one zero, which the two ends see: the
-    whole tree's height is skipped.
-    """
-    m = (spec.dim - 2) / 2
-    c = spec.mu + m * (m - 1)
-    # max Q on the half band: at pi/2, or at the band end when c < 0 (d = 3, mu < 1/4)
-    m2 = lam + m * m - (c if c >= 0 else c / math.sin(left[0]) ** 2)
-    height = (left.size - 2).bit_length()
-    if m2 <= 0:
-        return height
-    spacing = math.pi / (2.0 * math.sqrt(m2) * (left[1] - left[0]))
-    return min(height, max(0, math.frexp(spacing)[1] - 1))  # floor(log2(spacing))
-
-
-def _half_shot(spec, disc, lam):
-    """Counting shot on the left half-band: (nodes, g(pi/2), g'(pi/2)).
-
-    Nodes are read off every 2^s-th state of the trajectory (s from
-    :func:`_count_skip`); the end state is exact.
-    """
-    g, gp = propagate_band(spec.dim - 2, spec.mu, lam, disc["left"], *_y_left(spec),
-                           _count_skip(spec, disc["left"], lam))
-    return _nodes(g), float(g[-1]), float(gp[-1])
-
-
-def _phase_count(nodes, g_end, gp_end, parity):
-    """Half-band eigenvalues of ``parity`` strictly below the shot's lam.
-
-    The Pruefer phase at pi/2 is nodes*pi + frac with frac in (0, pi]; the
-    count is nodes + [frac > target phase].
-    """
-    frac = math.atan2(g_end, gp_end)
-    if frac <= 0.0:
-        frac += math.pi
-    return nodes + (1 if frac > _TARGET_PHASE[parity] else 0)
 
 
 def _parity(k):
@@ -213,16 +157,6 @@ def _assemble_fn(spec, disc, lams, parities):
         raise NonConvergent("assembled eigenfunction has zero norm")
     norm = np.where(gp[:, :1] < 0, -norm, norm)
     return list(zip(g / norm, gp / norm))
-
-
-def count_below(spec: SLSpec, lam: float) -> int:
-    """Number of band eigenvalues strictly below ``lam``: the Ritz count
-    (:func:`_ritz_count`) where it vouches for itself, else one counting shot."""
-    n = _ritz_count(spec, lam)
-    if n is not None:
-        return n
-    shot = _half_shot(spec, _disc(spec), lam)
-    return _phase_count(*shot, "even") + _phase_count(*shot, "odd")
 
 
 @functools.lru_cache(maxsize=4)
@@ -372,32 +306,6 @@ def _ladder(spec, parity):
     return (_ritz(spec, parity, rung) for rung in range(_top_rung(spec) + 1))
 
 
-def _ritz_count(spec, lam):
-    """Ritz values of both parities below ``lam``, each parity on the lowest
-    rung (:func:`_ladder`) whose first value at or above lam is one it vouches
-    for, or None where no rung does or where any value of that rung lies within
-    _COUNT_MARGIN max(1, |lam|) of lam.
-
-    By min-max each value below lam has an eigenvalue below it; the first
-    value above it is vouched, so its eigenvalue lies within ~1e-10 of it,
-    well inside the margin, and so above lam.
-    """
-    margin = _COUNT_MARGIN * max(1.0, abs(lam))
-    n = 0
-    for parity in ("even", "odd"):
-        for values, vectors in _ladder(spec, parity):
-            below = int(np.count_nonzero(values < lam))
-            if below < len(vectors):
-                break
-        else:
-            return None
-        # written so that a NaN lam, clear of nothing, is refused too
-        if not (np.abs(values - lam) > margin).all():
-            return None
-        n += below
-    return n
-
-
 def _vouched(spec, k):
     """(values, vectors) of the lowest rung of the ladder that vouches for
     eigenvalue k (:func:`_ladder`), or None past the top rung."""
@@ -500,7 +408,7 @@ def _series_fn(spec, k):
 def eigenvalues(spec: SLSpec, ks) -> list[float]:
     """Eigenvalues k (each >= 1) of ``ks``, in order: each the Ritz value on the
     lowest rung of the ladder that vouches for it (:func:`_ritz_eigenvalue`),
-    held by the Ritz cache.  A k past the top rung is refused (:func:`_refusal`).
+    held by the Ritz cache.  A k past the top rung is refused: an InputError.
     """
     ks = [int(k) for k in ks]
     if any(k < 1 for k in ks):
@@ -508,25 +416,9 @@ def eigenvalues(spec: SLSpec, ks) -> list[float]:
     lams = [_ritz_eigenvalue(spec, k) for k in ks]
     for k, lam in zip(ks, lams):
         if lam is None:
-            raise _refusal(spec, k)
+            raise InputError(f"eigenvalue k={k} at mu={spec.mu:g} is past the Ritz ladder: "
+                             f"no basis of up to N={_RITZ_TOP} Legendre degrees resolves it")
     return lams
-
-
-def _refusal(spec, k):
-    """The error that refuses eigenvalue k, past the top rung.
-
-    Where the top rung vouches for values of k's parity, k lies past them: an
-    InputError.  Where it vouches for none, the band is past the ladder at
-    every k (d = 7 at mu = 1e12, for one), and a counting shot at the top
-    rung's first value (:func:`_half_shot`) comes first: where the band ODE
-    overflows, its NonFiniteResult, a numerical failure, is raised instead, as
-    for the count and eigenfunction shots of such a band.
-    """
-    values, vectors = _ritz(spec, _parity(k), _top_rung(spec))
-    if not len(vectors):
-        _half_shot(spec, _disc(spec), float(values[0]))
-    return InputError(f"eigenvalue k={k} at mu={spec.mu:g} is past the Ritz ladder: "
-                      f"no basis of up to N={_RITZ_TOP} Legendre degrees resolves it")
 
 
 def eigenvalue(spec: SLSpec, k: int) -> float:

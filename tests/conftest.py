@@ -41,10 +41,8 @@ def bmodes7(p7):
 
 @pytest.fixture
 def shots_only(monkeypatch):
-    """Band counts and eigenfunctions from the shooting path alone, on a Ritz
-    cache cleared before and after: the Ritz count refuses every count and no
-    eigenfunction is a Legendre series."""
-    monkeypatch.setattr(sl, "_ritz_count", lambda spec, lam: None)
+    """Band eigenfunctions from the shooting path alone, on a Ritz cache
+    cleared before and after: no eigenfunction is a Legendre series."""
     monkeypatch.setattr(sl, "_series_fn", lambda spec, k: None)
     sl._ritz.cache_clear()
     yield

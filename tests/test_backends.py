@@ -185,24 +185,6 @@ def test_start_state_lanes_equal_scalar_shots(grid):
         assert np.array_equal(g[i], propagate_band(5, 12.0, lams[i], thetas, g0[i], gp0[i])[0])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 6, 258, 2049])
-@pytest.mark.parametrize("lanes", [None, 1, 2, 8, 9])
-def test_strided_trajectory_samples_the_full_one(n, lanes):
-    # a down-sweep stopped s levels early holds the states before steps 0,
-    # 2^s, 2*2^s, ..., an unpaired carried block's included (5 and 257 steps
-    # carry), and then the end state: the full trajectory's samples, bit for bit
-    thetas = np.linspace(math.pi / 2 - 0.6, math.pi / 2 + 0.1, n)
-    lams = 300.0 if lanes is None else np.linspace(-40.0, 300.0, lanes)
-    full = propagate_band(5, 84.0, lams, thetas, 1.0, -2.0)
-    for skip in range(14):
-        at = list(range(0, n - 1, 2 ** skip)) + [n - 1]
-        strided = propagate_band(5, 84.0, lams, thetas, 1.0, -2.0, skip)
-        for got, want in zip(strided, full):
-            assert np.array_equal(got, want[..., at]), skip
-    with pytest.raises(ValueError, match="skip must be >= 0"):
-        propagate_band(5, 84.0, lams, thetas, 1.0, -2.0, -1)
-
-
 @pytest.mark.parametrize("kernel", [propagate_band])
 def test_overflow_in_one_lane_is_nonfinite_result_without_warning(kernel):
     # only the large-lam lane overflows; the whole call raises
@@ -241,7 +223,7 @@ def test_kernel_bench_runs():
     assert res.returncode == 0, res.stderr
     assert "band propagation, d=7" in res.stdout
     assert "warm lane shots" in res.stdout
-    assert any(line.split()[1:3] == ["0", "count"] for line in res.stdout.splitlines())
+    assert any(line.split()[:2] == ["33", "traj"] for line in res.stdout.splitlines())
     # boundary's call: start states (1, 0) and (0, 1) at one lam, as 2 lanes
     assert any(line.split()[:2] == ["33", "states"] for line in res.stdout.splitlines())
 

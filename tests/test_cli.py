@@ -118,23 +118,23 @@ def _clear_memos():
 
 def test_verify_work_count(tmp_path, monkeypatch):
     # verify solves the link spectrum only up to its gap, slicing each mode
-    # by counts and the modes with eigenvalues below d - 1 last, whose
-    # eigenvalues below d - 1 are solved together; each band eigenvalue is
-    # solved once, by the Ritz solve, which vouches for every one of them here,
-    # every count is a count of its vouched Ritz values, clear of each by more
-    # than the margin, the eigenfunctions verify identifies are its Legendre
-    # series, and the profile is one shot of the kernel (the aperture is a
-    # series root): verify --dim 7 in a fresh process makes 1 shot, the profile's
+    # by its eigenvalues in order and the modes with eigenvalues below d - 1
+    # last; each band eigenvalue is read off the Ritz ladder, the
+    # eigenfunctions verify identifies are its Legendre series, and the profile
+    # is one shot of the kernel (the aperture is a series root): verify in a
+    # fresh process makes 1 shot, the profile's, at d = 7, 100 and 200 alike
     from conespec import boundary, kernels, profile, sl
-    _clear_memos()
-    shots = []
-    for mod in (sl, profile, boundary):
-        def counted(*args, _fn=kernels.propagate_band, **kwargs):
-            shots.append(1)
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(mod, "propagate_band", counted)
-    assert run(["verify", "--dim", "7", "--out", str(tmp_path / "v.json")]) == 0
-    assert len(shots) == 1, len(shots)
+    for d in ("7", "100", "200"):
+        _clear_memos()
+        shots = []
+        with monkeypatch.context() as m:
+            for mod in (sl, profile, boundary):
+                def counted(*args, _fn=kernels.propagate_band, **kwargs):
+                    shots.append(1)
+                    return _fn(*args, **kwargs)
+                m.setattr(mod, "propagate_band", counted)
+            assert run(["verify", "--dim", d, "--out", str(tmp_path / "v.json")]) == 0
+        assert len(shots) == 1, (d, len(shots))
 
 
 def test_second_particular_reuses_cone_and_eigenpairs(tmp_path, monkeypatch):
@@ -503,8 +503,11 @@ _IN_CHILD = {"modes --dim 7 --mu-max nan", "modes --dim 7 --mu-max inf",
     ("particular --dim 7 --beta=-inf --modes @modes", 64, "not finite"),
     ("sl --dim 7 --mu nan --bc robin --k 1", 64, "--mu: 'nan' is not finite"),
     ("sl --dim 7 --mu inf --bc robin --k 1", 64, "not finite"),
-    ("sl --dim 7 --mu 1e12 --bc robin --k 1", 2, "numerical error: non-finite band shot"),
-    ("sl --dim 7 --mu 1e300 --bc robin --k 1", 2, "numerical error: non-finite band shot"),
+    # no rung of the Ritz ladder vouches for any eigenvalue at these mu
+    ("sl --dim 7 --mu 1e12 --bc robin --k 1", 64,
+     "invalid input: eigenvalue k=1 at mu=1e+12 is past the Ritz ladder"),
+    ("sl --dim 7 --mu 1e300 --bc robin --k 1", 64,
+     "invalid input: eigenvalue k=1 at mu=1e+300 is past the Ritz ladder"),
     ("spectrum --dim 7 --lambda-max nan", 64, "--lambda-max: 'nan' is not finite"),
     ("spectrum --dim 7 --lambda-max inf", 64, "not finite"),
     ("spectrum --dim 7 --lambda-max 1e300", 64, "invalid input: lambda_max=1e+300 needs"),

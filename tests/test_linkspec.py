@@ -148,13 +148,15 @@ def test_tied_eigenvalues_come_out_by_source(d, shift, monkeypatch):
     # roundoff: within the solver's tolerance entries are ordered by source,
     # not by the last bits of their eigenvalues, here moved by ``shift``
     from conespec import linkspec
-    solved = linkspec.eigenvalues
+    solved, calls = linkspec.eigenvalue, []
 
-    def moved(spec, ks):
-        return [lam + shift * (spec.mu == 0.0 and k == 2) for k, lam in zip(ks, solved(spec, ks))]
+    def moved(spec, k):
+        calls.append((spec.mu, k))
+        return solved(spec, k) + shift * (spec.mu == 0.0 and k == 2)
 
-    monkeypatch.setattr(linkspec, "eigenvalues", moved)
+    monkeypatch.setattr(linkspec, "eigenvalue", moved)
     entries = link_spectrum(solve_profile(d), 4.0 * d).entries
+    assert (0.0, 2) in calls  # the walk asked for the shifted eigenvalue
     sources = [e.source for e in entries]
     i = sources.index((0, 2))
     assert sources[i + 1] == (1, 1), sources[:4]

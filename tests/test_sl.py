@@ -13,8 +13,8 @@ from conespec import profile, sl
 from conespec.config import GRID_N_MAX, SolverConfig
 from conespec.errors import BracketFail, ZeroDenominator
 from conespec.linkspec import _H2_LAMBDA_MAX
-from conespec.sl import (SLSpec, band_spec, count_below, eigen_fd_crosscheck, eigen_k,
-                         eigen_pairs, eigenvalue, eigenvalues, rayleigh)
+from conespec.sl import (SLSpec, band_spec, eigen_fd_crosscheck, eigen_k, eigen_pairs,
+                         eigenvalue, eigenvalues, rayleigh)
 from conespec.spheremodes import SphereMode
 
 # d=7 interior Robin eigenvalues, frozen after cross-checking against the
@@ -163,12 +163,15 @@ def test_nodes_skip_exact_zero_samples():
 @pytest.mark.parametrize("mu", [0.0, 5.0, 12.0])
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
 def test_count_below_matches_fd_oracle(p3, p7, mu, bc):
+    # below each probe, under the oracle's first eigenvalue and between its
+    # next ones, lie as many ladder eigenvalues as oracle ones
     for p in (p3, p7):
         spec = band_spec(p, mu, bc)
         fd = eigen_fd_crosscheck(spec, 7)
+        lams = np.array(eigenvalues(spec, range(1, 8)))
         probes = np.concatenate([[fd[0] - 1.0], 0.5 * (fd[:-1] + fd[1:])])
         for lam in probes:
-            assert count_below(spec, lam) == int(np.count_nonzero(fd < lam)), (p.dim, lam)
+            assert np.count_nonzero(lams < lam) == np.count_nonzero(fd < lam), (p.dim, lam)
 
 
 def _shot_eigenvalues(spec, ks):
@@ -179,8 +182,7 @@ def _shot_eigenvalues(spec, ks):
     left = sl._disc(spec)["left"]
 
     def defect(lam, k):
-        g, gp = sl.propagate_band(spec.dim - 2, spec.mu, lam, left, *sl._y_left(spec),
-                                  left.size)  # a down-sweep skipped whole: the end state
+        g, gp = sl.propagate_band(spec.dim - 2, spec.mu, lam, left, *sl._y_left(spec))
         return (gp[-1] if k % 2 else g[-1]) / math.hypot(g[-1], gp[-1])
 
     shots = []
@@ -234,20 +236,6 @@ def test_eigenvalues_where_every_shot_overflows(p3):
     assert np.abs(got / fd - 1.0).max() <= 1e-12, (got, fd)
 
 
-def test_count_below_shoots_once(p7, monkeypatch, shots_only):
-    # both parities are read off one left half-band trajectory
-    spec = band_spec(p7, 5.0, "robin")
-    calls = []
-
-    def counted(*args, _shoot=sl.propagate_band):
-        calls.append(args)
-        return _shoot(*args)
-
-    monkeypatch.setattr(sl, "propagate_band", counted)
-    assert count_below(spec, 20.0) == 2  # 0 and 6 (FROZEN_D7), not 31.22
-    assert len(calls) == 1
-
-
 def _guarded(spec, top):
     """``spec`` on the coarsest power-of-two grid, no coarser than its own, whose
     step h keeps h^2 top within linkspec's guard on the shots."""
@@ -255,64 +243,47 @@ def _guarded(spec, top):
     return dataclasses.replace(spec, grid_n=max(spec.grid_n, 1 << math.ceil(math.log2(n))))
 
 
+def _sturm_counts(spec, lams):
+    """Band eigenvalues strictly below each of ``lams``, by the Pruefer phase
+    rule on full left half-band trajectories of the RK4 kernel, one lane per
+    lam: the phase at pi/2 is nodes*pi + frac with frac in (0, pi], and the
+    half-band eigenfunctions reach nodes*pi + pi/2 (even: g'(pi/2) = 0) and
+    nodes*pi + pi (odd: g(pi/2) = 0), so each parity counts nodes + [frac
+    past its target]."""
+    g, gp = sl.propagate_band(spec.dim - 2, spec.mu, np.asarray(lams, dtype=float),
+                              sl._disc(spec)["left"], *sl._y_left(spec))
+    counts = []
+    for row, prow in zip(g, gp):
+        frac = math.atan2(row[-1], prow[-1])
+        if frac <= 0.0:
+            frac += math.pi
+        counts.append(sum(sl._nodes(row) + (frac > target) for target in (math.pi / 2, math.pi)))
+    return counts
+
+
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
 @pytest.mark.parametrize("d", [3, 7, 12, 24, 40])
-def test_ritz_count_matches_shot_count(d, bc, monkeypatch):
-    # the scan: each value the bottom rung vouches for +- 1e-6 (what
-    # linkspec._walk asks for), +- twice the margin, and the midpoints between
-    # values.  On the bottom rung alone the Ritz count answers exactly where the
-    # first value of each parity at or above lam is vouched and no value lies
-    # within the margin; the ladder answers there with the same count, and
-    # wherever it answers the count equals the counting shot's, whose lanes are
-    # taken on a grid that resolves the scan as linkspec's guard demands (at
-    # d = 7, mu = 1e6 the default grid's shot undercounts by one just above a
-    # value: its h^2 lam is 100 times the guard's)
+def test_ritz_count_matches_shot_count(d, bc):
+    # the ladder's indexing against an independent count: at each value the
+    # bottom rung vouches for, +- 1e-6 and +- 2e-8 relative (twice a guarded
+    # shot's error), and at the midpoints between values, as many ladder
+    # eigenvalues lie below lam as the Sturm count of a shot says.  The shots
+    # are taken on a grid that resolves the scan as linkspec's guard demands
+    # (at d = 7, mu = 1e6 the default grid's shot undercounts by one just above
+    # a value: its h^2 lam is 100 times the guard's)
     p = profile.solve_profile(d)
     for mu in [SphereMode.of(d, ell).mu for ell in range(4)] + [1e4, 1e5, 1e6]:
         spec = band_spec(p, mu, bc)
         vouched = [sl._ritz(spec, parity, 0) for parity in ("even", "odd")]
         values = np.sort(np.concatenate([v[:len(c)] for v, c in vouched]))
-        margins = 2 * sl._COUNT_MARGIN * np.maximum(1.0, np.abs(values))
-        lams = np.concatenate([values - 1e-6, values + 1e-6, values - margins,
-                               values + margins, 0.5 * (values[:-1] + values[1:])])
-        margin = sl._COUNT_MARGIN * np.maximum(1.0, np.abs(lams))
-        clear = (np.abs(lams[:, None] - values) > margin[:, None]).all(axis=1)
-        answers = clear & (lams < min(v[len(c) - 1] for v, c in vouched) - margin)
-        with monkeypatch.context() as m:  # a ladder of one rung
-            m.setattr(sl, "_RITZ_TOP", sl._ritz_size(spec))
-            bottom = [sl._ritz_count(spec, float(lam)) for lam in lams]
-        assert [n is not None for n in bottom] == answers.tolist(), (mu, lams)
-        ritz = [sl._ritz_count(spec, float(lam)) for lam in lams]
-        assert all(n == b for n, b in zip(ritz, bottom) if b is not None), mu
-        fine = _guarded(spec, lams.max())
-        left = sl._disc(fine)["left"]
-        asked = np.array([lam for lam, n in zip(lams, ritz) if n is not None])
-        g, gp = sl.propagate_band(d - 2, mu, asked, left, *sl._y_left(fine),
-                                  sl._count_skip(fine, left, asked.max()))
-        shots = [sum(sl._phase_count(sl._nodes(g[i]), g[i, -1], gp[i, -1], parity)
-                     for parity in ("even", "odd")) for i in range(asked.size)]
-        assert [n for n in ritz if n is not None] == shots, (mu, asked)
-        assert answers.sum() >= values.size, (mu, int(answers.sum()))  # not a vacuous scan
-
-
-def test_count_below_shoots_only_inside_the_margin(p7, monkeypatch):
-    # a lam clear of every value is answered by the Ritz count with no kernel
-    # call; a lam within the margin of one is one counting shot
-    spec = band_spec(p7, 5.0, "robin")
-    lam3 = eigenvalue(spec, 3)
-    for lam, want, shots in ((20.0, 2, 0), (lam3 + 0.5 * sl._COUNT_MARGIN * lam3, 3, 1),
-                             (lam3 - 0.5 * sl._COUNT_MARGIN * lam3, 2, 1)):
-        with monkeypatch.context() as m:
-            calls = _kernel_calls(m)
-            assert count_below(spec, lam) == want, lam
-        assert len(calls) == shots, (lam, len(calls))
-
-
-def _full_shot(spec, lam):
-    """(nodes, g(pi/2), g'(pi/2)) off the full left half-band trajectory."""
-    g, gp = sl.propagate_band(spec.dim - 2, spec.mu, lam, sl._disc(spec)["left"],
-                              *sl._y_left(spec))
-    return sl._nodes(g), float(g[-1]), float(gp[-1])
+        scale = np.maximum(1.0, np.abs(values))
+        lams = np.concatenate([values + rel * scale for rel in (-1e-6, 1e-6, -2e-8, 2e-8)]
+                              + [0.5 * (values[:-1] + values[1:])])
+        ladder = [eigenvalue(spec, 1)]
+        while ladder[-1] < lams.max():
+            ladder.append(eigenvalue(spec, len(ladder) + 1))
+        counts = [int(np.count_nonzero(np.array(ladder) < lam)) for lam in lams]
+        assert counts == _sturm_counts(_guarded(spec, lams.max()), lams), mu
 
 
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
@@ -330,43 +301,26 @@ def test_eigenvalue_past_seeds_at_large_mu(p7, bc):
 
 @pytest.mark.parametrize("bc", ["robin", "dirichlet"])
 def test_counting_stride_at_large_mu(p7, bc):
-    # at mu = 3e6 M^2 = lam + m - mu is large, so the stride falls well below
-    # the tree's height and still sees every node up to k = 17
+    # at mu = 3e6 eigenvalues 16, 17 and 18 lie more than 1e-6 relative apart,
+    # and a shot on a grid that resolves them counts 16 below lam_17 (1 - 1e-6)
+    # and 17 below lam_17 (1 + 1e-6)
     spec = band_spec(p7, 3e6, bc)
-    disc = sl._disc(spec)
-    lam17 = eigenvalue(spec, 17)
-    lams = np.concatenate([np.linspace(3e6, lam17 * (1 + 1e-3), 80),
-                           lam17 * (1 + np.array([-1e-6, 1e-6]))])
-    assert sl._count_skip(spec, disc["left"], lams[-1]) < sl._count_skip(spec, disc["left"], 0.0)
-    for lam in lams:
-        assert sl._half_shot(spec, disc, float(lam)) == _full_shot(spec, float(lam)), lam
-    assert [count_below(spec, lam) for lam in lams[-2:]] == [16, 17]
-
-
-def test_counting_stride_bound_has_teeth(p3):
-    # the stride 2^s h <= pi/(2M) keeps a factor 2 of margin over the Sturm
-    # spacing pi/M; a stride past pi/M skips over zeros
-    spec = band_spec(p3, 0.0, "robin")
-    left = sl._disc(spec)["left"]
-    lam = 135.59
-    skip = sl._count_skip(spec, left, lam)
-
-    def nodes(s):
-        return sl._nodes(sl.propagate_band(1, 0.0, lam, left, *sl._y_left(spec), s)[0])
-
-    assert nodes(0) == nodes(skip) == nodes(skip + 1) == 4
-    assert nodes(skip + 2) != 4
+    lam16, lam17, lam18 = eigenvalues(spec, [16, 17, 18])
+    lams = lam17 * (1 + np.array([-1e-6, 1e-6]))
+    assert lam16 < lams[0] and lams[1] < lam18, (lam16, lam17, lam18)
+    assert _sturm_counts(_guarded(spec, lams[1]), lams) == [16, 17]
 
 
 @pytest.mark.parametrize("mu", [0.0, 84.0])
 def test_eigenvalues_past_seeds_are_counted_in_order(p7, mu):
+    # eigenvalues 17..24 come in order, each more than 1e-6 relative from its
+    # neighbours, and agree with the oracle
     spec = band_spec(p7, mu, "robin")
     fd = eigen_fd_crosscheck(spec, 24)
-    for k in range(17, 25):
-        lam = eigenvalue(spec, k)
+    lams = eigenvalues(spec, range(16, 26))
+    for k, below, lam, above in zip(range(17, 25), lams, lams[1:], lams[2:]):
         delta = 1e-6 * max(1.0, abs(lam))
-        assert count_below(spec, lam - delta) == k - 1, (k, lam)
-        assert count_below(spec, lam + delta) == k, (k, lam)
+        assert below < lam - delta and lam + delta < above, (k, lam)
         assert abs(lam - fd[k - 1]) <= 1e-8 * abs(fd[k - 1]), (k, lam, fd[k - 1])
 
 
