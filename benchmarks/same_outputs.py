@@ -102,6 +102,13 @@ RUNS = (
     ["verify", "--dim", "40"],
     ["spectrum", "--dim", "24", "--lambda-max", "500"],
     ["--config", "grid1024.json", "spectrum", "--dim", "7", "--lambda-max", "300"],
+    # the walk ends a mode on its floor mu + lambda_{0,k} without solving its
+    # last eigenvalue: mode 2's odd ones past verify's gap at d = 4, and modes
+    # past lambda_max in assemble
+    ["verify", "--dim", "4"],
+    ["spectrum", "--dim", "10", "--lambda-max", "40"],
+    ["spectrum", "--dim", "7", "--lambda-max", "2000"],
+    ["spectrum", "--dim", "3", "--lambda-max", "400"],
     ["weiss", "--dim", "12", "--field", "power.json", "--radii", "0.5,1,2"],
     ["weiss", "--dim", "12", "--field", "halfplane.json", "--radii", "0.5,1,2"],
     # r^60 under- and overflows at both ends; W of the cone is the same at every r

@@ -141,6 +141,8 @@ class IntegrabilityReport:
     dim_kernel0: int
     dim_kernel_d_minus_1: int
     gap_above: float
+    # a roundoff-level residual, about 1e-12, trustworthy to about 3 significant
+    # digits (the half-band quadrature moved it by at most 1.2e-4 relative)
     match_error_max: float
     verdict: bool
 
@@ -171,27 +173,38 @@ def _walk(p: ConeProfile, low: float, cap: float, tol: float) -> list[LinkEigenv
     is taken k = 1, 2, ... up to its first eigenvalue past the bound, and a
     mode has an eigenvalue below low when its first one lies there.
 
-    Completeness: lambda_{ell,k} >= mu_ell + lambda_{0,1}, and the first
-    eigenvalue of a mode rises with mu, so the modes with eigenvalues below
-    low come first and the walk ends at the first mode with
-    mu + lambda_{0,1} > best + tol.  Those first modes are sliced above low
-    last, once the first mode without one (it holds the smallest first
-    eigenvalue of the rest) and the rest have set best, so that a low mode's
-    higher eigenvalues (say (0, 3)) are not solved on the way to a gap that
-    lies in a higher mode.
+    Completeness: 1/sin^2 >= 1 on the band, so by min-max lambda_{ell,k} >=
+    mu_ell + lambda_{0,k} (the floor), and the first eigenvalue of a mode
+    rises with mu: the modes with eigenvalues below low come first, the walk
+    ends at the first mode with mu + lambda_{0,1} > best + tol, and a mode of
+    mu > 0 ends unsolved at the first k whose floor, less _LAM_TOL, is past
+    the bound (that solve could not lower best; the floors read mode 0's
+    eigenvalues up to its first at or above low, which its slice reads too).
+    The modes with eigenvalues below low are sliced above it last, once the
+    first mode without one (it holds the smallest first eigenvalue of the
+    rest) and the rest have set best, so that a low mode's higher eigenvalues
+    (say (0, 3)) are not solved on the way to a gap that lies in a higher mode.
     """
     d = p.dim
     best = cap
-    lam01 = eigenvalue(band_spec(p, 0.0, "robin"), 1)
+    spec0 = band_spec(p, 0.0, "robin")
+    lam0 = [eigenvalue(spec0, 1)]  # mode 0's eigenvalues up to its first at or above low
+    while lam0[-1] < low:
+        lam0.append(eigenvalue(spec0, len(lam0) + 1))
     out = []
 
     def slice_mode(mode, spec):
-        """Eigenvalues k = 1, 2, ... of the mode up to the first at or above
-        both low and min(best+tol, cap), which is solved but not kept."""
+        """Eigenvalues k = 1, 2, ... of the mode up to the first past its bound
+        (solved, not kept) or, for mu > 0, the first whose floor is (unsolved)."""
         nonlocal best
         lams = []
         while True:
-            lam = eigenvalue(spec, len(lams) + 1)
+            k = len(lams) + 1
+            floor = mode.mu + lam0[min(k, len(lam0)) - 1]  # lambda_{0,k} rises with k
+            floor -= _LAM_TOL * max(1.0, abs(floor))
+            if mode.mu > 0 and floor >= low and floor >= min(best + tol, cap):
+                break
+            lam = eigenvalue(spec, k)
             if lam > low:
                 best = min(best, lam)
             if lam >= low and lam >= min(best + tol, cap):
@@ -200,7 +213,7 @@ def _walk(p: ConeProfile, low: float, cap: float, tol: float) -> list[LinkEigenv
         out.extend(LinkEigenvalue.of(d, (mode.ell, k), lam, mode.multiplicity)
                    for k, lam in enumerate(lams, start=1))
 
-    modes = iter(modes_up_to(d, cap - lam01))
+    modes = iter(modes_up_to(d, cap - lam0[0]))
     head = []
     for mode in modes:
         spec = band_spec(p, mode.mu, "robin")
@@ -209,7 +222,7 @@ def _walk(p: ConeProfile, low: float, cap: float, tol: float) -> list[LinkEigenv
             break
         head.append((mode, spec))
     for mode in modes:  # none below low either
-        if mode.mu + lam01 > best + tol:
+        if mode.mu + lam0[0] > best + tol:
             break
         slice_mode(mode, band_spec(p, mode.mu, "robin"))
     for mode, spec in head:
@@ -224,32 +237,39 @@ def _walk(p: ConeProfile, low: float, cap: float, tol: float) -> list[LinkEigenv
 def _identify(p: ConeProfile, sources) -> list[float]:
     """Smallest relative L^2(w) misfit of each computed eigenfunction of
     ``sources`` against the span of an analytic translation or rotation
-    profile (sign and scale free).
+    profile of its parity about pi/2 (sign and scale free): eigenfunction k
+    has parity (-1)^(k-1), t1 and rot are odd and tk even.
 
-    Every eigenfunction is solved first; then each quantity (the norms, the
-    projections, the residuals) is one Simpson call over all of them as rows,
-    each row equal to its 1-D call.
+    A wrong-parity pair is orthogonal (misfit 1); a matched pair's integrands
+    are even, so they are taken on the left half band.  Every eigenfunction is
+    solved first; then each quantity (the norms, the projections, the
+    residuals) is one Simpson call over its rows, each equal to its 1-D call.
     """
-    d, th = p.dim, p.grid
+    d, half = p.dim, slice(0, p.grid.size // 2 + 1)
+    th = p.grid[half]
     jf = jacobi_fields(p)
     w = np.sin(th) ** (d - 2)
     # the analytic translation and rotation profiles as rows, and their L^2(w) norms
-    analytic = np.array([jf["t1"], jf["tk"], jf["rot"]])
+    analytic = np.array([jf[a][half] for a in ("t1", "tk", "rot")])
     norms = simpson(analytic * analytic * w, x=th)
-    q = np.array([eigen_k(band_spec(p, SphereMode.of(d, ell).mu, "robin"), k).fn
+    q = np.array([eigen_k(band_spec(p, SphereMode.of(d, ell).mu, "robin"), k).fn[half]
                   for ell, k in sources]).reshape(-1, th.size)
     qq = simpson(q * q * w, x=th)
-    # one (eigenfunction, profile, sample) buffer: q a w, then the residual
-    # q - (<q, a> / <a, a>) a, then its square times w, in place
-    rows = q[:, None] * analytic
+    # (eigenfunction, profile) rows: an odd one (k even) with t1 and rot, an even one with tk
+    pairs = np.array([(i, a) for i, (_, k) in enumerate(sources)
+                      for a in ((0, 2) if k % 2 == 0 else (1,))], dtype=int).reshape(-1, 2)
+    qs, a = q[pairs[:, 0]], analytic[pairs[:, 1]]
+    # one (pair, sample) buffer, in place: q a w, the residual q - (<q, a>/<a, a>) a, its square w
+    rows = qs * a
     rows *= w
-    proj = simpson(rows.reshape(-1, th.size), x=th).reshape(-1, 3)
-    np.multiply((proj / norms)[:, :, None], analytic, out=rows)
-    np.subtract(q[:, None], rows, out=rows)
+    proj = simpson(rows, x=th)
+    np.multiply((proj / norms[pairs[:, 1]])[:, None], a, out=rows)
+    np.subtract(qs, rows, out=rows)
     rows *= rows
     rows *= w
-    res = simpson(rows.reshape(-1, th.size), x=th).reshape(-1, 3)
-    return np.sqrt(res.min(axis=1) / qq).tolist()
+    res = np.full(len(q), np.inf)
+    np.minimum.at(res, pairs[:, 0], simpson(rows, x=th))
+    return np.sqrt(res / qq).tolist()
 
 
 def verify_strong_integrability(p: ConeProfile,
@@ -268,9 +288,9 @@ def verify_strong_integrability(p: ConeProfile,
     eigenvalue in (low, 4d] the gap is inf.
 
     The eigenfunctions of every cluster identified are solved first and
-    identified in one pass (:func:`_identify`), then checked in cluster order:
-    a failing solve in any cluster raises before an AmbiguousCluster in an
-    earlier one.
+    identified in one pass, by parity on the left half band (:func:`_identify`),
+    then checked in cluster order: a failing solve in any cluster raises
+    before an AmbiguousCluster in an earlier one.
     """
     cfg = cfg or DEFAULT_CONFIG
     d = p.dim

@@ -137,6 +137,50 @@ def test_verify_work_count(tmp_path, monkeypatch):
         assert len(shots) == 1, (d, len(shots))
 
 
+# Ritz solves of each spectrum run of benchmarks/same_outputs.py before the
+# walk ended modes on the min-max floor: (argv, solves); lambda_max = 5 and 1e6
+# are refused
+_SPECTRUM_SOLVES = (
+    (("--dim", "7", "--lambda-max", "300"), 32),
+    (("--dim", "12", "--lambda-max", "300"), 28),
+    (("--dim", "3", "--lambda-max", "3000"), 205),
+    (("--dim", "7", "--lambda-max", "3000"), 192),
+    (("--dim", "7", "--lambda-max", "5"), 0),
+    (("--dim", "7", "--lambda-max", "1e6"), 1),
+    (("--dim", "7", "--lambda-max", "1e300"), 1),
+    (("--dim", "24", "--lambda-max", "500"), 30),
+    (("--dim", "10", "--lambda-max", "40"), 10),
+    (("--dim", "7", "--lambda-max", "2000"), 139),
+    (("--dim", "3", "--lambda-max", "400"), 54),
+    (("--config", "grid1024.json", "--dim", "7", "--lambda-max", "300"), 32),
+)
+
+
+def test_ritz_solve_count(tmp_path):
+    # a mode ends at the first k whose floor mu + lambda_{0,k} lies past the
+    # walk's bound, so the solve that only proved it ended is not made:
+    # verify makes 5 Ritz solves where mode 2's odd eigenvalues lie past the
+    # gap (d >= 4) and 6 at d = 3, where mu_2 = 4 lies below the gap
+    from conespec import sl
+    out = str(tmp_path / "o.json")
+
+    def solves(argv):
+        _clear_memos()
+        run([*argv, "--out", out])
+        return sl._ritz.cache_info().misses
+
+    for d, want in (("3", 6), ("7", 5), ("100", 5), ("200", 5)):
+        assert solves(["verify", "--dim", d]) == want, d
+    assert sum(solves(["verify", "--dim", str(d)]) for d in range(3, 25)) == 111
+    (tmp_path / "grid1024.json").write_text(json.dumps({"grid_n": 1024}))
+    for argv, parent in _SPECTRUM_SOLVES:
+        if argv[0] == "--config":
+            argv = (argv[0], str(tmp_path / argv[1]), "spectrum", *argv[2:])
+        else:
+            argv = ("spectrum", *argv)
+        assert solves(argv) <= parent, argv
+
+
 def test_second_particular_reuses_cone_and_eigenpairs(tmp_path, monkeypatch):
     # ops on one cone share its profile and band eigenpairs: a second particular
     # at the same d shoots no profile and solves no band eigenvalue

@@ -165,10 +165,14 @@ def test_tied_eigenvalues_come_out_by_source(d, shift, monkeypatch):
 
 @pytest.mark.parametrize("d", [3, 7, 12, 24])
 def test_match_error_equals_the_per_profile_loop(d, monkeypatch):
-    # identify takes each quantity in one Simpson call over the three analytic
-    # profiles as rows, and the rows of a 2-D call are its 1-D calls bit for
-    # bit: match_error_max equals the per-profile loop of 7 calls written out
-    # here, on the eigenfunctions that verify identified
+    # identify pairs each eigenfunction with the analytic profiles of its
+    # parity (k even: the odd t1 and rot; k odd: the even tk) and integrates
+    # them on the left half band, each quantity in one Simpson call whose rows
+    # are its 1-D calls bit for bit: match_error_max equals the loop over the
+    # matched pairs written out here, on the eigenfunctions verify identified.
+    # The full-band loop over all three profiles is the oracle it approximates
+    # (the misfit is a roundoff-level residual, so its last digits move), and a
+    # wrong-parity pair is orthogonal on the full band: its misfit is 1
     import numpy as np
 
     from conespec import linkspec
@@ -179,7 +183,7 @@ def test_match_error_equals_the_per_profile_loop(d, monkeypatch):
 
     def recorded(spec, k, _eigen_k=linkspec.eigen_k):
         pair = _eigen_k(spec, k)
-        fns.append(pair.fn)
+        fns.append((k, pair.fn))
         return pair
 
     monkeypatch.setattr(linkspec, "eigen_k", recorded)
@@ -188,13 +192,43 @@ def test_match_error_equals_the_per_profile_loop(d, monkeypatch):
     assert len(fns) >= 2
     jf, th = jacobi_fields(p), p.grid
     w = np.sin(th) ** (d - 2)
-    analytic = [(a, simpson(a * a * w, x=th)) for a in (jf["t1"], jf["tk"], jf["rot"])]
-    match_err = 0.0
-    for q in fns:
-        qq = simpson(q * q * w, x=th)
-        errs = []
-        for a, aa in analytic:
-            resid = q - (simpson(q * a * w, x=th) / aa) * a
-            errs.append(math.sqrt(simpson(resid * resid * w, x=th) / qq))
-        match_err = max(match_err, min(errs))
+
+    def misfit(q, a, x, wx):
+        resid = q - (simpson(q * a * wx, x=x) / simpson(a * a * wx, x=x)) * a
+        return math.sqrt(simpson(resid * resid * wx, x=x) / simpson(q * q * wx, x=x))
+
+    m = th.size // 2 + 1
+    match_err = full_err = 0.0
+    for k, q in fns:
+        same = ("t1", "rot") if k % 2 == 0 else ("tk",)
+        match_err = max(match_err, min(misfit(q[:m], jf[a][:m], th[:m], w[:m]) for a in same))
+        full = {a: misfit(q, jf[a], th, w) for a in ("t1", "tk", "rot")}
+        full_err = max(full_err, min(full.values()))
+        assert all(full[a] >= 0.99 for a in full if a not in same), (k, full)
     assert rep.match_error_max == match_err
+    assert abs(rep.match_error_max - full_err) <= 1e-2 * full_err
+
+
+@pytest.mark.parametrize("d", [3, 4, 7, 12, 24, 40])
+def test_mode_floor_is_a_lower_bound(d):
+    # 1/sin^2 >= 1 on the band, so the form of mode ell is at least mode 0's
+    # plus mu_ell and, by min-max, lambda_{ell,k} >= mu_ell + lambda_{0,k}:
+    # the floor on which the walk ends a mode without solving its last
+    # eigenvalue.  At d = 7 the finite-difference oracle reads the same values
+    # and the same bound
+    import numpy as np
+
+    from conespec.sl import band_spec, eigen_fd_crosscheck, eigenvalues
+    from conespec.spheremodes import SphereMode
+
+    p = solve_profile(d)
+    specs = [band_spec(p, SphereMode.of(d, ell).mu, "robin") for ell in range(4)]
+    lams = [np.array(eigenvalues(spec, range(1, 5))) for spec in specs]
+    for spec, lam in zip(specs[1:], lams[1:]):
+        assert np.all(lam >= spec.mu + lams[0] - 1e-10 * np.maximum(1.0, abs(lam))), spec.mu
+    if d == 7:
+        fds = [eigen_fd_crosscheck(spec, 4) for spec in specs]
+        for lam, fd in zip(lams, fds):
+            assert np.all(abs(fd - lam) <= 1e-7 * np.maximum(1.0, abs(lam))), (lam, fd)
+        for spec, fd in zip(specs[1:], fds[1:]):
+            assert np.all(fd >= spec.mu + fds[0] - 1e-7 * np.maximum(1.0, abs(fd))), spec.mu
