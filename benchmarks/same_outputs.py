@@ -34,6 +34,8 @@ FILES = {
     "modes.json": {"coeffs": {"1": 1.0, "3": -0.5, "5": 0.25}},
     # sphere degrees 0, 1 and 2, the mix of perfbench's particular ops
     "modes145.json": {"coeffs": {"1": 1.0, "4": -0.5, "5": 0.25}},
+    # perfbench's other mix, holding both resonant modes
+    "modes236.json": {"coeffs": {"2": 1.0, "3": -0.5, "6": 0.25}},
     "cone.json": {"kind": "cone"},
     "perturbed.json": {"kind": "perturbed", "eps": 0.01, "exponent": 1.5},
     "power.json": {"kind": "power", "exponent": 1.4},
@@ -83,6 +85,8 @@ RUNS = (
       for d in ("7", "10", "12")),
     *(["particular", "--dim", d, "--beta", "0.7", "--modes", "modes145.json"]
       for d in ("7", "12")),
+    *(["particular", "--dim", d, "--beta", "0.7", "--modes", "modes236.json"]
+      for d in ("7", "10")),
     # P and Q are both negative on the two lowest modes: both limits at infinity
     ["particular", "--dim", "7", "--beta", "6.5", "--modes", "modes.json"],
     # the complex ground mode at d = 3 has no real radial solve: exit 2

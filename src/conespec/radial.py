@@ -6,18 +6,20 @@ is transferred to the interior as
     u1 = sum_{k not in I} (r G_k / ell_k) psi_k + sum_{k in I} r G_k U psi_k,
 
 whose Laplacian defect f = -Lap(u1) is projected onto the interior Robin
-basis; each radial coefficient then solves the inhomogeneous Cauchy-Euler
-ODE r^2 u'' + (d-1) r u' - lam u = r^2 f_k.  The source makes every row a
-power C r^{-1-beta}, whose particular solution is the power
-C r^{1-beta} / (P Q) with the sign-rule exponents P = d/2 + delta - beta and
+basis, each source row on the half band and only onto the eigenfunctions of
+its parity about pi/2 (the other rows are exactly 0 and not solved).  Each
+radial coefficient then solves the inhomogeneous Cauchy-Euler ODE
+r^2 u'' + (d-1) r u' - lam u = r^2 f_k.  The source makes every row a power
+C r^{-1-beta}, whose particular solution is the power C r^{1-beta} / (P Q)
+with the sign-rule exponents P = d/2 + delta - beta and
 Q = d/2 - delta - beta (Simon and Solomon, Invent. Math. 86, 1986).  The
-exponent is beta's, so it is tested, not fitted: a row whose c r^{1+beta} is
-a constant C is returned in closed form, free of homogeneous transients, so
-u_p = u1 + u2 decays like r^{1-beta}.  Any other row is integrated as
-sampled through the double-integral representation u = r^{gamma_plus} int int
-with both limits at R0.  The sign rules pick limit R0 for a positive P or Q
-and infinity otherwise, so a row whose rules ask for an infinite limit is
-refused.
+exponent is beta's, so it is tested, not fitted, on all rows at once: a power
+row, whose a = c r^{1+beta} on the samples above 1e-14 of its peak stays
+within _POWER_TOL |C| of its mean C, is returned in closed form, free of
+homogeneous transients, so u_p = u1 + u2 decays like r^{1-beta}.  Any other
+row is integrated as sampled through u = r^{gamma_plus} int int with both
+limits at R0.  The sign rules pick limit R0 for a positive P or Q and
+infinity otherwise, so a row whose rules ask for an infinite limit is refused.
 
 Radial quantities live on a geometric grid of ratio 2^{1/16}, taken on the
 log axis tau = log r by the integrals and by the one defect stencil that the
@@ -211,6 +213,12 @@ def project_interior(f: RadialField, p: ConeProfile) -> tuple[RadialField, float
 
     Only sphere modes present in the source couple (orthogonality of the
     Y_ell factors), so the projection is a band quadrature per (ell, j).
+    Eigenfunction j has parity (-1)^(j-1) about pi/2.  Precondition: each
+    source row has its mode's ``BoundaryMode.parity``, as :func:`transfer_boundary`
+    (g is even, so a resonant row keeps psi's), :func:`add_fields` and
+    :func:`scale_field` keep it.  So a row meets only the eigenfunctions of its
+    parity (the other coefficients are 0), and each even product, like each
+    tail norm, is taken on the left half band and doubled.
     An eigenvalue past what the band grid resolves (``resolved_lambda_max``)
     is refused with ``InputError``.
     Returns the interior-basis field and the worst relative truncation tail
@@ -218,7 +226,8 @@ def project_interior(f: RadialField, p: ConeProfile) -> tuple[RadialField, float
     """
     d = p.dim
     top = resolved_lambda_max(p)
-    w = np.sin(p.grid) ** (d - 2)
+    th = p.grid[:p.grid.size // 2 + 1]
+    w = np.sin(th) ** (d - 2)
     ells = sorted({m.ell for m in f.modes})
     entries = []
     # row e * _PER_ELL + j - 1 holds mode (ells[e], j), filled in place
@@ -236,16 +245,17 @@ def project_interior(f: RadialField, p: ConeProfile) -> tuple[RadialField, float
         block = slice(e * _PER_ELL, (e + 1) * _PER_ELL)
         fns = np.stack([pair.fn for pair in pairs], out=rows[block])
         np.stack([pair.fn_prime for pair in pairs], out=rows_p[block])
-        # source row i -> its projections on the _PER_ELL eigenfunctions, one row per call
-        pr = {i: simpson(f.angular[i] * fns * w, x=p.grid)
-              for i, m in enumerate(f.modes) if m.ell == ell}
-        for j, (pair, c) in enumerate(zip(pairs, coeffs[block])):
-            entries.append(LinkEigenvalue.of(d, (ell, j + 1), pair.lam, mode.multiplicity))
-            for i, pr_i in pr.items():
-                proj_sq[i] += pr_i[j] * pr_i[j]
-                c += pr_i[j] * f.coeffs[i]
+        entries += [LinkEigenvalue.of(d, (ell, j), pair.lam, mode.multiplicity)
+                    for j, pair in enumerate(pairs, 1)]
+        for i, m in enumerate(f.modes):
+            if m.ell == ell:
+                odd = int(m.parity == "odd")  # row i -> eigenfunctions j of its parity
+                pr = 2.0 * simpson(f.angular[i, :th.size] * fns[odd::2, :th.size] * w, x=th)
+                for pr_j, c in zip(pr, coeffs[block][odd::2]):
+                    proj_sq[i] += pr_j * pr_j
+                    c += pr_j * f.coeffs[i]
     tail = 0.0
-    for full, sq in zip(simpson(f.angular ** 2 * w, x=p.grid), proj_sq):
+    for full, sq in zip(2.0 * simpson(f.angular[:, :th.size] ** 2 * w, x=th), proj_sq):
         if full > 0:
             tail = max(tail, math.sqrt(max(full - sq, 0.0) / full))
     field = RadialField("interior", d, f.r_grid, coeffs, f.beta, tuple(entries), p.grid,
@@ -262,21 +272,31 @@ def _stencil_defect(u: np.ndarray, c_row: np.ndarray, r: np.ndarray, d: int,
     return float(np.max(np.abs(res[3:-3])))
 
 
+def _power_rows(f: RadialField, rows):
+    """Rows ``rows`` of field f as one block: (power, u, resid), ``power`` the
+    power rows (of the module docstring), u = C r^{1-beta} / (P Q) and resid =
+    max |C r^{1-beta} - r^2 c| on them, each bit for bit a one-row call's.
+    No power of r is formed that no row needs."""
+    c, r, beta = f.coeffs[rows], f.r_grid, f.beta
+    mask = np.abs(c) > 1e-14 * np.max(np.abs(c), axis=1, keepdims=True)
+    rp = np.where(mask.any(axis=0), r, 1.0) ** (1.0 + beta)
+    a = np.multiply(c, rp, out=np.zeros(c.shape), where=mask)
+    C = np.mean(a, axis=1)
+    for i in np.flatnonzero(~mask.all(axis=1)):  # a row with masked samples: its own mean
+        C[i] = np.mean(a[i, mask[i]])
+    power = np.max(np.where(mask, np.abs(a - C[:, None]), 0.0), axis=1) <= _POWER_TOL * np.abs(C)
+    if not power.any():
+        return power, np.empty((0, r.size)), np.empty(0)
+    P, Q = _sign_exponents(f.dim, np.array([f.modes[j].delta for j in rows])[power], beta)
+    r2f = C[power, None] * r ** (1.0 - beta)
+    return power, r2f / (P * Q)[:, None], np.max(np.abs(r2f - r * r * c[power]), axis=1)
+
+
 def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
                 flip_rules: bool):
-    """One mode's radial solve: (profile on the grid, max ODE defect).
-
-    A power row C r^{-1-beta} is solved in closed form as C r^{1-beta} / (P Q),
-    with (P, Q) the sign-rule exponents of :func:`_sign_exponents`, and the
-    defect of that form against the samples, max |C r^{1-beta} - r^2 c|.  The
-    row is a power row when a = c r^{1+beta}, taken on the samples above
-    1e-14 of the row's peak, stays within _POWER_TOL |C| of its mean C.
-    Every other row, and every row under ``flip_rules``, is integrated as
-    sampled from R0 with the stencil defect of :func:`_stencil_defect`; one
-    whose sign rules ask for an infinite limit raises ``TailDivergence``.  A
-    resonant beta is refused by the caller, :func:`solve_radial_modes`,
-    before any mode is solved.
-    """
+    """One row integrated as sampled from R0: (profile, :func:`_stencil_defect`).
+    Only a power row (:func:`_power_rows`) closes an infinite limit, so a row
+    whose sign rules ask for one raises ``TailDivergence``, unless ``flip_rules``."""
     if entry.complex_radicand:
         raise NumericalError(
             f"mode {entry.source}: complex homogeneity pair, no real radial solve")
@@ -284,18 +304,11 @@ def _solve_mode(entry, c_row: np.ndarray, r: np.ndarray, d: int, beta: float,
         raise NumericalError(
             f"mode {entry.source}: log-resonant homogeneity unsupported")
     delta, lam = entry.delta, entry.lam
-    if not flip_rules:
-        P, Q = _sign_exponents(d, delta, beta)
-        mask = np.abs(c_row) > 1e-14 * float(np.max(np.abs(c_row)))
-        a = c_row[mask] * r[mask] ** (1.0 + beta)
-        C = float(np.mean(a))
-        if np.max(np.abs(a - C)) <= _POWER_TOL * abs(C):
-            r2f = C * r ** (1.0 - beta)
-            return r2f / (P * Q), float(np.max(np.abs(r2f - r * r * c_row)))
-        if P < 0 or Q < 0:
-            raise TailDivergence(
-                f"mode {entry.source}: an infinite limit closes only for a power "
-                "row C r^(-1-beta)")
+    P, Q = _sign_exponents(d, delta, beta)
+    if not flip_rules and (P < 0 or Q < 0):
+        raise TailDivergence(
+            f"mode {entry.source}: an infinite limit closes only for a power "
+            "row C r^(-1-beta)")
 
     # u = r^{gamma_plus} int_R0^r s^{-1-2 delta} int_R0^s t^{delta + d/2} f dt ds
     # on the log axis tau = log r
@@ -319,7 +332,9 @@ def solve_radial_modes(f: RadialField, flip_rules: bool = False) -> RadialField:
     in the field's dimension and at its source decay beta.
 
     Every real mode is checked before any solve: min(|P|, |Q|) <= RES_TOL
-    raises ``ResonantExponent``, also for a row with no defect.
+    raises ``ResonantExponent``, also for a row with no defect.  A zero row
+    stays 0 (residual 0.0), the power rows are solved as one block (an
+    overflow named by the first row that overflows alone), the rest as sampled.
 
     ``flip_rules`` integrates every row as sampled with both limits at R0,
     regardless of the sign rules and of any closed form — the negative-test
@@ -335,15 +350,26 @@ def solve_radial_modes(f: RadialField, flip_rules: bool = False) -> RadialField:
                 raise ResonantExponent(
                     f"beta={f.beta!r} resonates with interior mode {entry.source}: "
                     f"beta = d/2 +- delta (P={P:.3e}, Q={Q:.3e})")
-    out = np.zeros_like(f.coeffs)
-    resid = np.zeros(len(f.modes))
-
-    for j, entry in enumerate(f.modes):
-        if np.max(np.abs(f.coeffs[j])) == 0.0:
-            continue
-        with finite("non-finite radial coefficients in mode {source}", source=entry.source):
-            out[j], resid[j] = _solve_mode(entry, f.coeffs[j], f.r_grid, f.dim, f.beta, flip_rules)
-
+    out, resid = np.zeros_like(f.coeffs), np.zeros(len(f.modes))
+    what = "non-finite radial coefficients in mode {source}"
+    sampled = np.max(np.abs(f.coeffs), axis=1) != 0.0
+    block = np.flatnonzero([s and not (flip_rules or e.complex_radicand or e.log_mode)
+                            for s, e in zip(sampled, f.modes)])
+    if block.size:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                power, u, res = _power_rows(f, block)
+        except FloatingPointError:
+            for j in block:
+                with finite(what, source=f.modes[j].source):
+                    _power_rows(f, [j])
+            raise
+        out[block[power]], resid[block[power]] = u, res
+        sampled[block[power]] = False
+    for j in np.flatnonzero(sampled):
+        with finite(what, source=f.modes[j].source):
+            out[j], resid[j] = _solve_mode(f.modes[j], f.coeffs[j], f.r_grid, f.dim,
+                                           f.beta, flip_rules)
     return dataclasses.replace(f, coeffs=out, ode_residual=resid)
 
 

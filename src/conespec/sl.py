@@ -300,19 +300,18 @@ def _top_rung(spec):
     return ((_RITZ_TOP - 1) // _ritz_size(spec)).bit_length()
 
 
-def _ladder(spec, parity):
-    """(values, vectors) of :func:`_ritz` on each rung of one parity in turn,
-    from the bottom to the top, each solved on first use."""
-    return (_ritz(spec, parity, rung) for rung in range(_top_rung(spec) + 1))
-
-
 def _vouched(spec, k):
-    """(values, vectors) of the lowest rung of the ladder that vouches for
-    eigenvalue k (:func:`_ladder`), or None past the top rung."""
+    """(values, vectors) of :func:`_ritz` on the lowest rung of the ladder that
+    vouches for eigenvalue k, solving the rungs of its parity from the bottom
+    up, or None past the top rung.  A rung of N degrees vouches for at most
+    N/2 - 8 values of a parity, so one too small to hold value (k - 1) // 2 is
+    skipped unsolved."""
     i = (k - 1) // 2
-    for values, vectors in _ladder(spec, _parity(k)):
-        if i < len(vectors):
-            return values, vectors
+    for rung in range(_top_rung(spec) + 1):
+        if min(_RITZ_TOP, _ritz_size(spec) << rung) // 2 - 8 > i:
+            values, vectors = _ritz(spec, _parity(k), rung)
+            if i < len(vectors):
+                return values, vectors
     return None
 
 

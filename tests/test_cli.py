@@ -181,6 +181,21 @@ def test_ritz_solve_count(tmp_path):
         assert solves(argv) <= parent, argv
 
 
+def test_ladder_skips_rungs_too_small_for_k(tmp_path):
+    # a rung of N degrees vouches for at most N/2 - 8 values of a parity, so a
+    # rung too small to hold value (k - 1) // 2 is skipped unsolved: at d = 7
+    # and mu = 0 (N = 48, 96, ..., 768, 1024) k = 200 takes rung 3 (N = 384)
+    # alone, not rungs 0-3, and the refusal of k = 700 solves rungs 4 and 5, not 0-5
+    from conespec import sl
+    out = str(tmp_path / "o.json")
+    for k, code, want in (("200", 0, 1), ("700", 64, 2)):
+        _clear_memos()
+        assert run(["sl", "--dim", "7", "--mu", "0", "--bc", "robin", "--k", k,
+                    "--out", out]) == code
+        assert sl._ritz.cache_info().misses == want, k
+    _clear_memos()
+
+
 def test_second_particular_reuses_cone_and_eigenpairs(tmp_path, monkeypatch):
     # ops on one cone share its profile and band eigenpairs: a second particular
     # at the same d shoots no profile and solves no band eigenvalue

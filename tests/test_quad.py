@@ -69,12 +69,14 @@ def test_simpson_rejects_even_and_short_counts(n):
 
 
 def _lazy_modules_after(code):
-    # scipy, and numpy.polynomial, which numpy imports only on first use (4 ms
-    # and 0.77 MB in a fresh process)
+    # scipy, and the numpy submodules numpy imports only on first use:
+    # numpy.polynomial (4 ms and 0.77 MB in a fresh process) and numpy.ma
+    # (15 ms and 1.15 MB; np.setdiff1d, say, imports it), not numpy.matrixlib
     script = code + textwrap.dedent("""
         import json, sys
         print(json.dumps(sorted(k for k in sys.modules if k.split(".")[0] == "scipy"
-                                or k.startswith("numpy.polynomial"))))
+                                or k.startswith("numpy.polynomial")
+                                or k == "numpy.ma" or k.startswith("numpy.ma."))))
         """)
     res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, timeout=300)
@@ -88,8 +90,8 @@ def test_cli_import_leaves_scipy_out():
 
 def test_solver_runs_leave_scipy_out(tmp_path):
     # scipy is the oracle library only, and the solver builds its Legendre
-    # bases without numpy.polynomial: a lazy import of either inside the timed
-    # solver path would show up here
+    # bases without numpy.polynomial: a lazy import of any of them (numpy.ma
+    # included) inside the timed solver path would show up here
     modes = tmp_path / "m.json"
     modes.write_text(json.dumps({"coeffs": {"1": 1.0}}))
     code = textwrap.dedent(f"""

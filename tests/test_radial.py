@@ -20,12 +20,15 @@ from conespec.errors import (NonFiniteResult, NumericalError, ResonantExponent,
                              TailDivergence)
 from conespec.linkspec import LinkEigenvalue, homogeneity, link_spectrum
 from conespec.profile import solve_profile
-from conespec._quad import _cumulative_up, _d2_uniform, _derivative, _segment_integrals
-from conespec.radial import (RadialField, SourceSpec, _solve_mode,
+from conespec._quad import (_cumulative_up, _d2_uniform, _derivative, _segment_integrals,
+                            simpson)
+from conespec.radial import (RadialField, SourceSpec,
                              add_fields, boundary_residual, build_up, classify_decay,
                              make_source, ode_residuals, project_interior,
                              radial_grid, scale_field, solve_radial_modes,
                              transfer_boundary)
+from conespec.sl import band_spec, eigen_pairs
+from conespec.spheremodes import SphereMode
 
 BETA = 0.7
 
@@ -473,7 +476,7 @@ def test_projected_entries_are_the_link_entries(dim):
     ((2, 1), BETA),  # P = 6.57, Q = -0.97: outer limit infinite
     ((0, 1), BETA),  # P = 3.54, Q = 2.06: both limits at R0
 ])
-def test_solve_mode_power_law_oracle(link7, source, beta):
+def test_solve_mode_power_law_oracle(p7, link7, source, beta):
     # c = C r^sigma with sigma = -1-beta has the particular solution
     # A r^{sigma+2}, A = C / ((sigma+2)(sigma+d) - lambda): the solve must
     # leave no homogeneous transient anywhere on the grid
@@ -483,7 +486,8 @@ def test_solve_mode_power_law_oracle(link7, source, beta):
     assert (P < 0) == (source == (0, 2)) and (Q < 0) == (source != (0, 1))
     r = radial_grid()
     sigma = -1.0 - beta
-    u, resid = _solve_mode(entry, C * r ** sigma, r, d, beta, False)
+    u2 = solve_radial_modes(_interior_field(link7, entry, [C * r ** sigma], beta, p7.grid))
+    u, resid = u2.coeffs[0], u2.ode_residual[0]
     ref = C / ((sigma + 2) * (sigma + d) - entry.lam) * r ** (sigma + 2)
     # a power row of decay -1-beta is returned in closed form, with the
     # exponent -1-beta itself and the amplitude read off c r^{1+beta}
@@ -559,3 +563,100 @@ def test_silent_stencil_overflow_is_caught(p7, link7, monkeypatch):
     f = _interior_field(link7, entry, [wobble], BETA, p7.grid)
     with pytest.raises(NonFiniteResult, match=r"mode \(0, 1\): overflow"):
         solve_radial_modes(f)
+
+
+@pytest.fixture(scope="module", params=[7, 10, 12])
+def cone_and_modes(request):
+    p = solve_profile(request.param)
+    return p, boundary_modes(p, 6)
+
+
+def _full_band_projections(f, p):
+    # the projection loop written out on the full band: every source row onto
+    # all eight eigenfunctions of its sphere degree, whatever their parity
+    w = np.sin(p.grid) ** (p.dim - 2)
+    out = {}
+    for ell in sorted({m.ell for m in f.modes}):
+        pairs = eigen_pairs(band_spec(p, SphereMode.of(p.dim, ell).mu, "robin"), range(1, 9))
+        fns = np.stack([pair.fn for pair in pairs])
+        for i, m in enumerate(f.modes):
+            if m.ell == ell:
+                out[i] = simpson(f.angular[i] * fns * w, x=p.grid)
+    return out
+
+
+@pytest.mark.parametrize("ks", [(1, 4, 5), (2, 3, 6)])
+def test_projection_by_parity_on_the_half_band(cone_and_modes, ks):
+    # radial rows e_i make the projected coefficients the projections
+    # themselves: coefficient (ell, j) of row i at radial sample i
+    p, bmodes = cone_and_modes
+    _, f = transfer_boundary(make_source(BETA, {k: 1.0 for k in ks}), bmodes, p)
+    n = len(f.modes)
+    f_unit = dataclasses.replace(f, coeffs=np.eye(n, f.r_grid.size))
+    f_int, _ = project_interior(f_unit, p)
+    oracle = _full_band_projections(f, p)
+    for i, m in enumerate(f.modes):
+        odd = int(m.parity == "odd")
+        want = oracle[i]
+        got = np.array([f_int.coeffs[row, i] for row, e in enumerate(f_int.modes)
+                        if e.source[0] == m.ell])
+        scale = np.max(np.abs(want[odd::2]))
+        assert scale > 1e-3
+        # eigenfunction j has parity (-1)^(j-1): the other parity is orthogonal
+        assert np.max(np.abs(want[1 - odd::2])) <= 1e-13 * scale
+        assert np.all(got[1 - odd::2] == 0.0)
+        np.testing.assert_allclose(got[odd::2], want[odd::2], rtol=1e-13, atol=1e-13 * scale)
+    # a mismatched coefficient row is 0, and its radial solve leaves it 0
+    f_int, _ = project_interior(f, p)
+    u2 = solve_radial_modes(f_int)
+    zero = [j for j, c in enumerate(f_int.coeffs) if not c.any()]
+    assert zero and all(not u2.coeffs[j].any() and u2.ode_residual[j] == 0.0 for j in zero)
+
+
+def _per_row_closed_form(c, r, d, delta, beta):
+    # the power-row test and closed form written out for one row
+    P, Q = d / 2 + delta - beta, d / 2 - delta - beta
+    mask = np.abs(c) > 1e-14 * float(np.max(np.abs(c)))
+    a = c[mask] * r[mask] ** (1.0 + beta)
+    C = float(np.mean(a))
+    if np.max(np.abs(a - C)) > 1e-7 * abs(C):
+        return None
+    r2f = C * r ** (1.0 - beta)
+    return r2f / (P * Q), float(np.max(np.abs(r2f - r * r * c)))
+
+
+@pytest.mark.parametrize("ks", [(1, 4, 5), (2, 3, 6)])
+@pytest.mark.parametrize("beta", [BETA, 4.5])
+def test_power_block_equals_the_per_row_closed_form(cone_and_modes, ks, beta):
+    # at beta = 4.5 every row's tail r^{-5.5} falls below 1e-14 of its peak
+    p, bmodes = cone_and_modes
+    _, f = transfer_boundary(make_source(beta, {k: 1.0 for k in ks}), bmodes, p)
+    f_int, _ = project_interior(f, p)
+    u2 = solve_radial_modes(f_int)
+    r, solved = f_int.r_grid, 0
+    for j, e in enumerate(f_int.modes):
+        c = f_int.coeffs[j]
+        if c.any():
+            u, resid = _per_row_closed_form(c, r, p.dim, e.delta, beta)
+            assert np.array_equal(u2.coeffs[j], u) and u2.ode_residual[j] == resid
+            solved += 1
+    assert solved >= 8
+
+
+def test_power_block_mixes_full_masked_and_sampled_rows(p7, link7):
+    # one block: a full power row, a power row whose tail is masked and a
+    # wobble the block leaves to the sampled solve
+    r = radial_grid()
+    entries = tuple(link7.find(s) for s in ((0, 1), (0, 2), (1, 1), (0, 1)))
+    masked = -3.0 * r ** (-1 - BETA) * np.where(r > 100.0, 1e-15, 1.0)
+    wobble = r ** -1.7 * (1 + 0.5 * np.sin(np.log(r)))
+    rows = [2.0 * r ** (-1 - BETA), masked, 0.5 * r ** (-1 - BETA), wobble]
+    f = _interior_field(link7, entries, rows, BETA, p7.grid)
+    u2 = solve_radial_modes(f)
+    for j in range(3):
+        u, resid = _per_row_closed_form(f.coeffs[j], r, 7, entries[j].delta, BETA)
+        assert np.array_equal(u2.coeffs[j], u) and u2.ode_residual[j] == resid
+        one = solve_radial_modes(_interior_field(link7, entries[j], [rows[j]], BETA, p7.grid))
+        assert np.array_equal(one.coeffs[0], u)
+    assert _per_row_closed_form(wobble, r, 7, entries[3].delta, BETA) is None
+    assert u2.ode_residual[3] == pytest.approx(ode_residuals(u2, f)[3], rel=1e-9)
